@@ -5,7 +5,7 @@
 # installed package shadows neither (src/ simply wins on the path).
 export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install lint test bench bench-scale bench-trace bench-confidence bench-slo bench-check bench-all report examples chaos adversarial trace-lint serve-smoke scale-smoke ci all
+.PHONY: install lint test bench bench-scale bench-trace bench-confidence bench-slo bench-check bench-smoke bench-all report examples chaos adversarial trace-lint serve-smoke scale-smoke ci all
 
 install:
 	pip install -e . --no-build-isolation
@@ -43,6 +43,12 @@ bench-slo:
 # Cheap regression gate on the committed benchmark numbers.
 bench-check:
 	python tools/check_bench.py BENCH_4.json BENCH_5.json BENCH_7.json BENCH_8.json BENCH_10.json
+
+# k=4 smoke of the real bench/ harness (< 60 s): a rename under src/
+# that breaks a span wrapper target fails here, not in the next
+# benchmark run.
+bench-smoke:
+	python -m pytest bench/tests -q
 
 bench-all:
 	pytest benchmarks/ --benchmark-only
@@ -86,7 +92,7 @@ serve-smoke:
 scale-smoke:
 	PYTHONPATH=src python tools/scale_smoke.py
 
-ci: lint bench-check trace-lint serve-smoke scale-smoke adversarial
+ci: lint bench-check bench-smoke trace-lint serve-smoke scale-smoke adversarial
 	pytest tests/
 
 all: lint test bench-all

@@ -8,8 +8,11 @@ The model on the ``d``-times-differenced series ``w_t = ∇^d Y_t`` is
 Estimation minimizes the conditional sum of squared innovations (CSS):
 residuals are produced by one vectorized AR term plus a single
 ``scipy.signal.lfilter`` pass for the MA inversion — no per-sample Python
-loop, per the HPC guide.  Stationarity and invertibility are kept by a
-smooth root-penalty added to the CSS objective.
+loop, per the HPC guide.  With ``q = 0`` the objective is linear least
+squares in ``(c, φ)`` and is solved exactly (:func:`_ar_least_squares`);
+with ``q >= 1``, or when the exact solution is rank deficient or sits on
+the stationarity wall, L-BFGS-B minimizes it, and stationarity and
+invertibility are kept by a sloped wall added to the CSS objective.
 
 Forecasting follows the paper's Sec. IV-B exactly: minimum-MSE one-step
 prediction, k-step values computed "recursively using the one-step-ahead
@@ -33,6 +36,9 @@ __all__ = ["ARIMA"]
 
 _ROOT_PENALTY = 1e4
 _ROOT_MARGIN = 1.001
+# singular values of the lag design below this fraction of the largest
+# count as zero: such a fit is left to the iterative path
+_RANK_RCOND = 1e-6
 
 
 def _css_residuals_ref(
@@ -129,9 +135,57 @@ def _max_inverse_root(coeffs: np.ndarray, kind: str) -> float:
     return _max_inverse_root_ref(coeffs, kind)
 
 
+def _ar_least_squares(
+    w: np.ndarray, p: int, include_constant: bool
+) -> Optional[Tuple[float, np.ndarray]]:
+    """Exact CSS minimiser ``(c, φ)`` of a pure AR(p) on *w*, ``p >= 1``.
+
+    With no MA term the CSS objective ``Σ_t (w_t − c − Σ_i φ_i w_{t−i})²``
+    is ordinary least squares of ``w[p:]`` on its own lags.  Returns
+    ``None`` when the lag design is numerically rank deficient — the
+    caller then minimises iteratively, as it does for ``q >= 1``.
+
+    One lag (the fleet-monitor order) needs only dot products: the slope
+    of ``w[1:]`` on the (centred, when there is a constant) lag column.
+    Higher orders go through the SVD solver, which reports the rank.
+    """
+    m = w.shape[0]
+    y = w[p:]
+    if p == 1:
+        x = w[:-1]
+        n = m - 1
+        raw = float(np.dot(x, x))
+        if include_constant:
+            x_mean = float(x.sum()) / n
+            x = x - x_mean
+            sxx = float(np.dot(x, x))
+        else:
+            sxx = raw
+        # squared, because these are squared column norms
+        if not sxx > _RANK_RCOND * _RANK_RCOND * raw:
+            return None
+        phi = float(np.dot(x, y)) / sxx
+        c = float(y.sum()) / n - phi * x_mean if include_constant else 0.0
+        return c, np.array([phi])
+    cols = [w[p - i : m - i] for i in range(1, p + 1)]
+    if include_constant:
+        cols.insert(0, np.ones(m - p))
+    beta, _, rank, _ = np.linalg.lstsq(np.column_stack(cols), y, rcond=_RANK_RCOND)
+    if rank < len(cols):
+        return None
+    if include_constant:
+        return float(beta[0]), beta[1:]
+    return 0.0, beta
+
+
 @dataclass
 class ARIMA(Forecaster):
     """ARIMA(p, d, q) forecaster.
+
+    Pure-AR orders (``q == 0``) are fitted in closed form — the CSS
+    objective is then linear least squares — at a cost that does not
+    depend on ``maxiter`` or on a warm start; see :meth:`fit` for when the
+    iterative path still runs.
 
     Parameters
     ----------
@@ -140,7 +194,7 @@ class ARIMA(Forecaster):
     include_constant:
         Estimate the drift/intercept ``c`` on the differenced scale.
     maxiter:
-        L-BFGS iteration budget for the CSS optimization.
+        L-BFGS iteration budget for the iterative CSS optimization.
     """
 
     p: int = 1
@@ -203,23 +257,59 @@ class ARIMA(Forecaster):
         return None
 
     def fit(self, y: np.ndarray, start: Optional[np.ndarray] = None) -> "ARIMA":
-        """Estimate by CSS.  *start* optionally warm-starts the optimizer
-        with a previous fit's packed parameters (see :meth:`start_hint`);
-        invalid or infeasible starts silently fall back to the
-        Hannan–Rissanen initialization."""
+        """Estimate by CSS.
+
+        A pure-AR model (``q == 0``, ``p >= 1``) takes the exact
+        least-squares minimiser whenever the lag design has full rank and
+        the solution lies strictly inside the stationarity wall; *start*
+        is ignored there, an exact minimiser has no start.  Everything
+        else — ``q >= 1``, and the pure-AR boundary cases — is minimised
+        by L-BFGS-B, which *start* optionally warm-starts with a previous
+        fit's packed parameters (see :meth:`start_hint`); invalid or
+        infeasible starts silently fall back to the Hannan–Rissanen
+        initialization.
+        """
         arr = self._check_series(y, self._min_samples())
         w = difference(arr, self.d)
-        if np.std(w) < 1e-12:
+        if w.std() < 1e-12:
             # perfectly deterministic after differencing: mean model
-            self.const_ = float(w.mean()) if self.include_constant else 0.0
-            self.phi_ = np.zeros(self.p)
-            self.theta_ = np.zeros(self.q)
-            self.sigma2_ = 0.0
-            self.y_ = arr.copy()
-            self._fitted = True
-            self._init_state()
-            return self
+            c = float(w.mean()) if self.include_constant else 0.0
+            phi, theta = np.zeros(self.p), np.zeros(self.q)
+            e = _css_residuals(w, c, phi, theta)
+            sigma2 = 0.0
+        else:
+            solved = self._solve_pure_ar(w) if self.q == 0 and self.p else None
+            c, phi, theta, e = solved or self._minimize_css(w, start)
+            sigma2 = float(np.dot(e, e) / max(e.shape[0], 1))
+        self.const_, self.phi_, self.theta_ = c, phi, theta
+        self.sigma2_ = sigma2
+        self.y_ = arr.copy()
+        self._fitted = True
+        self._init_state(w, e)
+        return self
 
+    def _solve_pure_ar(
+        self, w: np.ndarray
+    ) -> Optional[Tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(c, φ, θ, e)`` of the exact minimiser, when it can be accepted:
+        full-rank design, finite SSE, largest inverse root strictly inside
+        the wall the iterative objective enforces."""
+        solved = _ar_least_squares(w, self.p, self.include_constant)
+        if solved is None:
+            return None
+        c, phi = solved
+        if not _max_inverse_root(phi, "ar") < 1.0 / _ROOT_MARGIN:
+            return None
+        theta = np.zeros(0)
+        e = _css_residuals(w, c, phi, theta)
+        if not np.isfinite(np.dot(e, e)):
+            return None
+        return c, phi, theta, e
+
+    def _minimize_css(
+        self, w: np.ndarray, start: Optional[np.ndarray]
+    ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """``(c, φ, θ, e)`` by L-BFGS-B on the walled CSS objective."""
         x0 = self._feasible_start(start) if start is not None else None
         if x0 is None:
             x0 = self._hannan_rissanen_init(w)
@@ -262,14 +352,7 @@ class ARIMA(Forecaster):
                 break
             phi = phi * 0.7
             theta = theta * 0.7
-        e = _css_residuals(w, c, phi, theta)
-        n_eff = e.shape[0]
-        self.const_, self.phi_, self.theta_ = c, phi, theta
-        self.sigma2_ = float(np.dot(e, e) / max(n_eff, 1))
-        self.y_ = arr.copy()
-        self._fitted = True
-        self._init_state()
-        return self
+        return c, phi, theta, _css_residuals(w, c, phi, theta)
 
     def _unpack(self, x: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
         i = 0
@@ -355,20 +438,25 @@ class ARIMA(Forecaster):
         """Akaike information criterion (includes the σ² parameter)."""
         return 2.0 * (self.num_params + 1) - 2.0 * self.loglikelihood()
 
-    def _init_state(self) -> None:
+    def _init_state(
+        self, w: Optional[np.ndarray] = None, e: Optional[np.ndarray] = None
+    ) -> None:
         """Cache the O(p + q + d) forecasting state.
 
         ``forecast`` only needs the last ``p`` differenced values, the last
         ``q`` residuals, and the integration heads; caching them at fit
         time and updating them incrementally in :meth:`append` makes each
         monitor tick O(1) in the history length instead of re-filtering
-        the whole series (the fleet-scale hot path).
+        the whole series (the fleet-scale hot path).  :meth:`fit` passes
+        the differenced series *w* and residuals *e* it already holds.
         """
-        w = difference(self.y_, self.d)
-        e = _css_residuals(w, self.const_, self.phi_, self.theta_)
+        if w is None or e is None:
+            w = difference(self.y_, self.d)
+            e = _css_residuals(w, self.const_, self.phi_, self.theta_)
         self._w_tail: List[float] = [float(x) for x in w[-self.p :]] if self.p else []
         self._e_tail: List[float] = [float(x) for x in e[-self.q :]] if self.q else []
-        self._heads: List[float] = difference_heads(self.y_, self.d)
+        # level j's last value depends on the last j + 1 samples only
+        self._heads: List[float] = difference_heads(self.y_[-self.d - 1 :], self.d)
 
     def _one_step_w(self) -> float:
         """One-step conditional mean on the differenced scale."""

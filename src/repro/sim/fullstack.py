@@ -102,10 +102,7 @@ class FullStackSimulation:
         for mgr in self.sim.managers.values():
             mgr.flow_table = self.flow_table
         self.manager = PredictiveManager(
-            workload,
-            threshold=host_threshold,
-            horizon=predictive_horizon,
-            workers=self.sim.config.workers,
+            workload, threshold=host_threshold, horizon=predictive_horizon
         )
         self._dep_flows: Dict[Tuple[int, int], int] = {}
         # per-rack predictive uplink queue monitors (Alg. 1 case 2)

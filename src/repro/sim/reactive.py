@@ -173,12 +173,14 @@ class PredictiveManager:
     Call :meth:`observe` once per round (after acting) so the forecasters
     track reality including the effect of migrations.
 
-    Fleet-scale refitting: per-host model refits are independent, so
-    :meth:`alerts_at` batches every *due* refit up front (optionally over
-    a thread pool) instead of fitting lazily inside the per-host loop, and
-    with *warm_start* each refit seeds its optimizer from the outgoing
-    model's parameters — on slowly drifting load series this removes most
-    of the optimizer iterations, which dominate paper-scale managed runs.
+    Fleet-scale refitting: :meth:`alerts_at` refits every *due* host up
+    front, one model at a time, then forecasts the whole fleet through
+    the stacked kernel.  The default ``ARIMA(1, 1, 0)`` is fitted in
+    closed form (microseconds a host), so a refit wave no longer stands
+    out from a quiet round; *warm_start* only matters to a
+    *forecaster_factory* whose fit is iterative, where it seeds the
+    optimizer from the outgoing model's parameters.  A refit that raises
+    keeps the outgoing model and waits for the next refit period.
     """
 
     def __init__(
@@ -191,7 +193,6 @@ class PredictiveManager:
         refit_every: int = 10,
         forecaster_factory=None,
         warm_start: bool = True,
-        workers: int = 0,
     ) -> None:
         if not (0.0 < threshold <= 1.0):
             raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
@@ -207,14 +208,13 @@ class PredictiveManager:
         self.min_history = min_history
         self.refit_every = refit_every
         self.warm_start = warm_start
-        self.workers = workers
         self._factory = forecaster_factory or (lambda: ARIMA(1, 1, 0, maxiter=40))
         n_hosts = workload.cluster.num_hosts
         self._history: List[List[float]] = [[] for _ in range(n_hosts)]
         self._models: Dict[int, object] = {}
         self._since_fit: Dict[int, int] = {}
+        """Rounds observed since each host's last refit *attempt*."""
         self._last_assignment: Optional[np.ndarray] = None
-        self._pool = None
         self.last_predicted: Optional[np.ndarray] = None
         """Per-host forecast array from the latest :meth:`alerts_at` call
         (the raw prediction, before the max-with-observed alert rule) —
@@ -245,6 +245,7 @@ class PredictiveManager:
             model = self._models.get(h)
             if model is not None:
                 model.append(float(v))
+            if h in self._since_fit:
                 self._since_fit[h] += 1
 
     def reset_host(self, host: int) -> None:
@@ -253,59 +254,44 @@ class PredictiveManager:
         self._models.pop(host, None)
         self._since_fit.pop(host, None)
 
-    def _refit_one(self, host: int):
-        """Fit one host's model (pure given the host's history snapshot)."""
+    def _due(self, host: int) -> bool:
+        """Enough history, and no refit attempt within the refit period."""
+        return len(self._history[host]) >= self.min_history and (
+            host not in self._since_fit
+            or self._since_fit[host] >= self.refit_every
+        )
+
+    def _refit(self, host: int) -> None:
+        """Fit a fresh model on *host*'s history and install it.
+
+        A degenerate history can break a refit mid-run; the host then
+        keeps its outgoing model — or none, and answers persistence —
+        until the next refit period, as a production predictor would.
+        """
         from repro.forecast.base import warm_fit
 
         model = self._factory()
         previous = self._models.get(host) if self.warm_start else None
-        warm_fit(model, np.asarray(self._history[host]), previous)
-        return host, model
-
-    def _refit_due(self) -> None:
-        """Batch-refit every host whose model is missing or stale.
-
-        Fits are independent of each other (each reads only its own host's
-        history), so they can run on a thread pool; results are installed
-        serially, keeping the manager's visible state deterministic.
-        """
-        due = [
-            h
-            for h in range(len(self._history))
-            if len(self._history[h]) >= self.min_history
-            and (h not in self._models or self._since_fit[h] >= self.refit_every)
-        ]
-        if not due:
+        self._since_fit[host] = 0
+        try:
+            warm_fit(model, np.asarray(self._history[host]), previous)
+        except (ReproError, ValueError, np.linalg.LinAlgError):
             return
-        if self.workers > 1 and len(due) > 1:
-            if self._pool is None:
-                from repro.parallel.pool import WorkerPool
-
-                self._pool = WorkerPool(
-                    self.workers, backend="thread", name="sheriff-fleet"
-                )
-            results, _ = self._pool.map_ordered(self._refit_one, due)
-        else:
-            results = [self._refit_one(h) for h in due]
-        for host, model in results:
-            self._models[host] = model
-            self._since_fit[host] = 0
+        self._models[host] = model
 
     def _predict(self, host: int) -> float:
         hist = self._history[host]
         if len(hist) < self.min_history:
             return hist[-1] if hist else 0.0
+        if self._due(host):
+            # fallback for direct callers; alerts_at refits up front
+            self._refit(host)
         model = self._models.get(host)
-        if model is None or self._since_fit[host] >= self.refit_every:
-            # fallback for direct callers; alerts_at batch-refits up front
-            host, model = self._refit_one(host)
-            self._models[host] = model
-            self._since_fit[host] = 0
+        if model is None:
+            return hist[-1]
         try:
             f = model.forecast(self.horizon)
         except (ReproError, ValueError, np.linalg.LinAlgError):
-            # a degenerate history can break a refit mid-run; falling back
-            # to persistence mirrors what a production predictor would do
             return hist[-1]
         return float(np.clip(np.max(f), 0.0, 1.0))
 
@@ -339,8 +325,8 @@ class PredictiveManager:
                 fcasts = batch_forecast(
                     [self._models[h] for h in batched], self.horizon
                 )
-                for host, f in zip(batched, fcasts):
-                    preds[host] = float(np.clip(np.max(f), 0.0, 1.0))
+                # every batched member is a plain ARIMA: equal-length rows
+                preds[batched] = np.clip(np.max(fcasts, axis=1), 0.0, 1.0)
             except (ReproError, ValueError, np.linalg.LinAlgError):
                 for host in batched:
                     preds[host] = self._predict(host)
@@ -348,27 +334,26 @@ class PredictiveManager:
 
     def alerts_at(self, t: int) -> Tuple[List[Alert], Dict[int, float]]:
         """SERVER alerts for hosts whose predicted load crosses threshold."""
-        self._refit_due()
+        for host in range(len(self._history)):
+            if self._due(host):
+                self._refit(host)
         cluster = self.workload.cluster
         pl = cluster.placement
         util = self.workload.vm_utilization(t)
         current = self.workload.host_load(t)
         predicted = self._predict_all()
         self.last_predicted = predicted
+        # prediction adds lead time but must never lose plain threshold
+        # detection: alert on max(predicted, observed)
+        worst = np.maximum(predicted, current)
         alerts: List[Alert] = []
         vm_alerts: Dict[int, float] = {}
-        for host in range(pl.num_hosts):
-            # prediction adds lead time but must never lose plain
-            # threshold detection: alert on max(predicted, observed)
-            pred = max(float(predicted[host]), float(current[host]))
-            if pred <= self.threshold:
-                continue
-            rack = int(pl.host_rack[host])
+        for host in np.nonzero(worst > self.threshold)[0].tolist():
             alerts.append(
                 Alert(
                     kind=AlertKind.SERVER,
-                    rack=rack,
-                    magnitude=float(max(pred, 1e-3)),
+                    rack=int(pl.host_rack[host]),
+                    magnitude=max(float(worst[host]), 1e-3),
                     host=host,
                     time=t,
                 )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ConvergenceError
+from repro.forecast.arima import ARIMA
 from repro.sim import SheriffSimulation
 from repro.sim.reactive import DemandDrivenWorkload, PredictiveManager
 from repro.sim.scenario import inject_fraction_alerts
@@ -98,6 +99,169 @@ class TestPredictiveManager:
         assert len(mgr._history[dst]) == 1
         other = next(h for h in range(pl.num_hosts) if h not in (src, dst))
         assert len(mgr._history[other]) == 21
+
+
+def run_alert_stream(mgr, warm=40, until=90):
+    """Alerts, vm_alerts and raw predictions of every managed round."""
+    for t in range(warm):
+        mgr.observe(t)
+    stream = []
+    for t in range(warm, until):
+        alerts, vm_alerts = mgr.alerts_at(t)
+        stream.append((alerts, vm_alerts, mgr.last_predicted.tobytes()))
+        mgr.observe(t)
+    return stream
+
+
+class TestPredictAllMatchesScalarOracle:
+    def test_predictions_and_alerts_bitwise_equal_per_host_path(self):
+        """The stacked clip/max and the nonzero walk change no bit."""
+        cluster, wl = make_env(ramp_hosts=(0, 3), warm=40)
+        mgr = PredictiveManager(wl, threshold=0.5, horizon=3)
+        pl = cluster.placement
+        for t in range(40):
+            mgr.observe(t)
+        crossed = 0
+        for t in range(40, 90):
+            alerts, vm_alerts = mgr.alerts_at(t)
+            # refits are done: _predict is now a pure per-host oracle
+            oracle = [mgr._predict(h) for h in range(pl.num_hosts)]
+            assert mgr.last_predicted.tolist() == oracle
+            current = wl.host_load(t)
+            util = wl.vm_utilization(t)
+            want_alerts, want_vm = [], {}
+            for h in range(pl.num_hosts):
+                pred = max(oracle[h], float(current[h]))
+                if pred <= mgr.threshold:
+                    continue
+                want_alerts.append((h, int(pl.host_rack[h]), max(pred, 1e-3), t))
+                for vm in pl.vms_on_host(h):
+                    want_vm[int(vm)] = float(min(1.0, util[vm]))
+            assert [(a.host, a.rack, a.magnitude, a.time) for a in alerts] == want_alerts
+            assert vm_alerts == want_vm
+            assert all(type(a.host) is int for a in alerts)
+            crossed += len(alerts)
+            mgr.observe(t)
+        assert crossed, "scenario must raise alerts"
+
+    def test_warm_start_changes_nothing_on_the_default_factory(self, monkeypatch):
+        """ARIMA(1,1,0) is fitted in closed form: the hint is never read.
+
+        (Only a refit on the stationarity wall — a perfectly linear ramp —
+        still reaches the optimizer and its start; this fleet has none.)
+        """
+        monkeypatch.setattr(
+            ARIMA,
+            "_minimize_css",
+            lambda self, w, start: pytest.fail("closed form must apply"),
+        )
+        streams = []
+        for warm_start in (True, False):
+            cluster, wl = make_env()
+            streams.append(
+                run_alert_stream(
+                    PredictiveManager(
+                        wl, threshold=0.31, horizon=3, warm_start=warm_start
+                    )
+                )
+            )
+        assert streams[0] == streams[1]
+        assert sum(len(alerts) for alerts, _, _ in streams[0]) > 50
+
+
+class _FailsOnMarkedHistory(ARIMA):
+    """ARIMA(1,1,0) whose fit diverges while ``failing`` is switched on and
+    the history opens with a marked host's first sample."""
+
+    marked = frozenset()
+    failing = True
+
+    def fit(self, y, start=None):
+        if self.failing and float(y[0]) in self.marked:
+            raise ConvergenceError("refit diverged")
+        return super().fit(y, start)
+
+
+class TestFailedRefitDoesNotAbortTheRound:
+    def make(self, bad_hosts):
+        cluster, wl = make_env(ramp_hosts=(0,), warm=40)
+        model_cls = type(
+            "Failing",
+            (_FailsOnMarkedHistory,),
+            {"marked": frozenset(float(wl.host_load(0)[h]) for h in bad_hosts)},
+        )
+        mgr = PredictiveManager(
+            wl,
+            threshold=0.5,
+            horizon=3,
+            forecaster_factory=lambda: model_cls(1, 1, 0, maxiter=40),
+        )
+        return wl, mgr, model_cls
+
+    def test_host_without_a_model_answers_persistence(self):
+        bad = (0, 5)
+        wl, mgr, _ = self.make(bad)
+        reference = PredictiveManager(wl, threshold=0.5, horizon=3)
+        for t in range(40):
+            mgr.observe(t)
+            reference.observe(t)
+        for t in range(40, 90):
+            alerts, _ = mgr.alerts_at(t)  # must not raise
+            want, _ = reference.alerts_at(t)
+            for h in bad:
+                assert h not in mgr._models
+                assert mgr.last_predicted[h] == mgr._history[h][-1]
+            # every other host is untouched by its neighbours' failures
+            good = [h for h in range(len(mgr._history)) if h not in bad]
+            assert (
+                mgr.last_predicted[good].tolist()
+                == reference.last_predicted[good].tolist()
+            )
+            assert [a for a in alerts if a.host not in bad] == [
+                a for a in want if a.host not in bad
+            ]
+            mgr.observe(t)
+            reference.observe(t)
+        # the ramping host still alerts, from its observed load
+        assert wl.host_load(89)[0] > 0.5
+        assert any(a.host == 0 for a in alerts)
+
+    def test_failed_host_is_retried_once_per_refit_period(self):
+        wl, mgr, model_cls = self.make((5,))
+        attempts = []
+        original = model_cls.fit
+
+        def counting_fit(self, y, start=None):
+            if float(y[0]) in self.marked:
+                attempts.append(len(y))
+            return original(self, y, start)
+
+        model_cls.fit = counting_fit
+        for t in range(40):
+            mgr.observe(t)
+        for t in range(40, 75):
+            mgr.alerts_at(t)
+            mgr.observe(t)
+        # history lengths at each attempt: one per refit_every rounds
+        assert attempts == [40, 50, 60, 70]
+
+    def test_outgoing_model_survives_a_failed_refit(self):
+        wl, mgr, model_cls = self.make((5,))
+        model_cls.failing = False
+        for t in range(40):
+            mgr.observe(t)
+        mgr.alerts_at(40)
+        kept = mgr._models[5]
+        model_cls.failing = True
+        for t in range(40, 65):
+            mgr.alerts_at(t)
+            assert mgr._models[5] is kept
+            assert mgr._since_fit[5] < mgr.refit_every
+            # ... and it is what answers, tracking the series by append()
+            assert kept.y_.shape[0] == len(mgr._history[5])
+            want = float(np.clip(np.max(kept.forecast(3)), 0.0, 1.0))
+            assert mgr.last_predicted[5] == want
+            mgr.observe(t)
 
 
 class TestEngineCooldown:
