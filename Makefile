@@ -5,7 +5,7 @@
 # installed package shadows neither (src/ simply wins on the path).
 export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install lint test bench bench-scale bench-trace bench-confidence bench-slo bench-check bench-smoke bench-all report examples chaos adversarial trace-lint serve-smoke scale-smoke ci all
+.PHONY: install lint test bench-smoke bench-all report examples chaos adversarial trace-lint serve-smoke ci all
 
 install:
 	pip install -e . --no-build-isolation
@@ -18,38 +18,14 @@ lint:
 test: lint
 	pytest tests/
 
-# Fleet-kernel speedups at paper scale (BENCH_4.json) and the planner
-# pool's fat-tree scale ladder (BENCH_7.json), both at the repo root.
-bench:
-	pytest benchmarks/test_perf_fleet.py --benchmark-only
-	pytest benchmarks/test_perf_scale_ladder.py --benchmark-only
-
-# Just the scale ladder; writes BENCH_7.json.
-bench-scale:
-	pytest benchmarks/test_perf_scale_ladder.py --benchmark-only
-
-# Tracer overhead + span export at paper scale; writes BENCH_5.json.
-bench-trace:
-	pytest benchmarks/test_perf_trace.py --benchmark-only
-
-# Confidence-gate overhead at paper scale; writes BENCH_8.json.
-bench-confidence:
-	pytest benchmarks/test_perf_confidence.py --benchmark-only
-
-# SLO-accounting overhead at paper scale; writes BENCH_10.json.
-bench-slo:
-	pytest benchmarks/test_perf_slo.py --benchmark-only
-
-# Cheap regression gate on the committed benchmark numbers.
-bench-check:
-	python tools/check_bench.py BENCH_4.json BENCH_5.json BENCH_7.json BENCH_8.json BENCH_10.json
-
 # k=4 smoke of the real bench/ harness (< 60 s): a rename under src/
 # that breaks a span wrapper target fails here, not in the next
 # benchmark run.
 bench-smoke:
 	python -m pytest bench/tests -q
 
+# The paper-figure and ablation benches (performance is bench/'s job:
+# `python -m bench`, see bench/README.md).
 bench-all:
 	pytest benchmarks/ --benchmark-only
 
@@ -87,12 +63,7 @@ trace-lint:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-# Fast deterministic slice of the BENCH_7 ladder: serial vs pooled vs
-# pod-sharded on a small fat-tree, byte-identity and clean pool teardown.
-scale-smoke:
-	PYTHONPATH=src python tools/scale_smoke.py
-
-ci: lint bench-check bench-smoke trace-lint serve-smoke scale-smoke adversarial
+ci: lint bench-smoke trace-lint serve-smoke adversarial
 	pytest tests/
 
 all: lint test bench-all

@@ -87,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=24)
     p.add_argument("--alert-fraction", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=2015)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shim plan workers: 0 = legacy serial loop, 1 = plan/execute "
-        "split inline, >= 2 = thread pool, -1 = one per CPU (results are "
-        "identical either way; see docs/performance.md)",
-    )
 
     p = sub.add_parser(
         "sweep",
@@ -119,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--train-frac", type=float, default=0.6)
     p.add_argument("--seed", type=int, default=2015)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="refit the selector's pool members concurrently "
-        "(<= 1 = inline, -1 = one per CPU)",
-    )
 
     p = sub.add_parser(
         "traces",
@@ -225,9 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="replay ticks to ingest; 0 = replay forever (stop with "
         "SIGTERM or --max-rounds)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=0, help="shim plan workers (see balance)"
     )
     p.add_argument(
         "--config",
@@ -481,7 +463,6 @@ def cmd_balance(args: argparse.Namespace) -> int:
             cluster,
             SheriffConfig(
                 balance_weight=25.0,
-                workers=args.workers,
                 tracer=tracer,
                 profiler=profiler,
                 metrics=metrics,
@@ -607,7 +588,6 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             },
             period=20,
             refit_every=120,
-            workers=args.workers,
             tracer=tracer,
         )
         combined = selector.run(y, train).predictions
@@ -832,7 +812,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sim = SheriffSimulation(
             cluster,
             cfg.replace(
-                workers=args.workers,
                 tracer=tracer,
                 profiler=profiler,
                 metrics=metrics,

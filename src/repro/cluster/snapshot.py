@@ -7,7 +7,7 @@ arrays one entity at a time — thousands of tiny numpy fancy-indexing calls
 per round at paper scale.  Within one management round the placement is
 frozen (reservations live in the receiver registry; accepted moves land at
 commit), so all of it can be gathered **once** into flat arrays and shared
-read-only with every planner.
+read-only by every shim's :meth:`~repro.migration.manager.ShimManager.process_round`.
 
 :class:`FleetSnapshot` is that gather:
 
@@ -38,37 +38,6 @@ import numpy as np
 from repro.cluster.placement import Placement
 
 __all__ = ["FleetSnapshot"]
-
-
-class _SharedPlacementView:
-    """Placement facade mixing static arrays with shared-memory views.
-
-    Quacks exactly enough like :class:`Placement` for the
-    :class:`FleetSnapshot` constructor: statics resolve to the local
-    placement, the three round-mutable arrays resolve to the
-    :class:`~repro.parallel.shm.SharedFleet` segments.
-    """
-
-    __slots__ = ("_pl", "_fleet")
-
-    def __init__(self, placement: Placement, fleet) -> None:
-        self._pl = placement
-        self._fleet = fleet
-
-    @property
-    def vm_host(self) -> np.ndarray:
-        return self._fleet.views["vm_host"]
-
-    @property
-    def host_used(self) -> np.ndarray:
-        return self._fleet.views["host_used"]
-
-    @property
-    def host_alive(self) -> np.ndarray:
-        return self._fleet.views["host_alive"]
-
-    def __getattr__(self, name):
-        return getattr(self._pl, name)
 
 
 class FleetSnapshot:
@@ -126,35 +95,6 @@ class FleetSnapshot:
             ([0], np.cumsum(rcounts))
         ).astype(np.int64)
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_shared(
-        cls,
-        fleet,
-        placement: Placement,
-        *,
-        profile: Optional[np.ndarray] = None,
-    ) -> "FleetSnapshot":
-        """Zero-copy snapshot over a :class:`~repro.parallel.shm.SharedFleet`.
-
-        Worker-side constructor: the mutable arrays (``vm_host``,
-        ``host_used``, ``host_alive``) are read straight from the shared
-        segments the owner ships into each round, while the static arrays
-        (capacities, values, rack map) come from the fork-inherited
-        *placement*.  Values are bit-identical to an in-process
-        ``FleetSnapshot(placement)`` built after the same mutations — the
-        hypothesis suite in ``tests/property/test_shm_snapshot.py`` holds
-        the two constructions equal through arbitrary ship/repair cycles.
-        """
-        pl = placement
-        if pl.vm_host is fleet.views["vm_host"]:
-            # adopted placement: its arrays already alias the segments
-            return cls(pl, profile=profile)
-        proxy = _SharedPlacementView(pl, fleet)
-        snap = cls(proxy, profile=profile)
-        snap.placement = pl
-        return snap
-
     def vms_on_host(self, host: int) -> np.ndarray:
         """VM ids on *host*, ascending — same as ``Placement.vms_on_host``."""
         return self._host_order[self._host_starts[host] : self._host_starts[host + 1]]
@@ -168,23 +108,25 @@ class FleetSnapshot:
         return self.host_free[hosts]
 
     # ------------------------------------------------------------------ #
-    def prime_alerts(self, vm_alerts: Dict[int, float]) -> None:
-        """Densify this round's ALERT dict into a per-VM vector.
+    def _alert_vector(self, vm_alerts: Dict[int, float]) -> np.ndarray:
+        """This round's ALERT dict densified into a per-VM vector.
 
-        Lets :meth:`alerted_candidates` drop zero-alert VMs with one
-        vectorized compare instead of building a candidate record per VM
-        just to filter it out.  Keyed on the dict's identity, so a stale
-        vector from a previous round is never consulted.
+        Built on first use and keyed on the dict's identity, so a vector
+        from another round's dict is never consulted.
         """
-        vec = np.zeros(self.num_vms, dtype=np.float64)
-        if vm_alerts:
-            ids = np.fromiter(vm_alerts.keys(), dtype=np.int64, count=len(vm_alerts))
-            vals = np.fromiter(
-                vm_alerts.values(), dtype=np.float64, count=len(vm_alerts)
-            )
-            vec[ids] = vals
-        self._alert_vec = vec
-        self._alert_token = vm_alerts
+        if self._alert_token is not vm_alerts:
+            vec = np.zeros(self.num_vms, dtype=np.float64)
+            if vm_alerts:
+                ids = np.fromiter(
+                    vm_alerts.keys(), dtype=np.int64, count=len(vm_alerts)
+                )
+                vals = np.fromiter(
+                    vm_alerts.values(), dtype=np.float64, count=len(vm_alerts)
+                )
+                vec[ids] = vals
+            self._alert_vec = vec
+            self._alert_token = vm_alerts
+        return self._alert_vec
 
     def alerted_candidates(
         self, vm_ids, vm_alerts: Dict[int, float]
@@ -192,25 +134,19 @@ class FleetSnapshot:
         """Candidates for *vm_ids* restricted to ``alert > 0``.
 
         Identical to filtering :meth:`candidates` output on ``c.alert > 0``
-        (same VMs, same ascending order, same field values) — but when the
-        round's alerts are primed, the filter runs on the dense vector
-        before any records are built.
+        (same VMs, same ascending order, same field values), but the filter
+        runs on the dense alert vector before any records are built.
         """
         ids = np.asarray(vm_ids, dtype=np.int64)
         if ids.size == 0:
             return []
-        if self._alert_token is vm_alerts and self._alert_vec is not None:
-            ids = ids[self._alert_vec[ids] > 0.0]
-            return self.candidates(ids, vm_alerts)
-        return [c for c in self.candidates(ids, vm_alerts) if c.alert > 0]
+        return self.candidates(ids[self._alert_vector(vm_alerts)[ids] > 0.0], vm_alerts)
 
     def candidates(self, vm_ids, vm_alerts: Dict[int, float]) -> List["CandidateVM"]:
         """PRIORITY candidate records for *vm_ids* via batched gathers.
 
-        Replaces the per-VM ``ShimManager._candidate`` construction: one
-        fancy-indexing gather per attribute instead of one per (VM,
-        attribute) pair.  Field values are bit-identical — same arrays,
-        same casts.
+        One fancy-indexing gather per attribute instead of one per (VM,
+        attribute) pair; field values are the placement arrays' own.
         """
         from repro.migration.priority import CandidateVM
 

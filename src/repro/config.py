@@ -40,6 +40,10 @@ __all__ = ["SheriffConfig", "resolve_config", "LEGACY_SIM_KWARGS"]
 class SheriffConfig:
     """Every knob of a Sheriff simulation, in one place.
 
+    There is no planner knob: every round runs Alg. 1 inline, one alerted
+    rack at a time in rack order (``docs/performance.md`` records why the
+    worker pools went).
+
     Parameters
     ----------
     cost_params:
@@ -56,42 +60,6 @@ class SheriffConfig:
     with_flows, flow_rate:
         Build a dependency-derived :class:`~repro.migration.reroute.FlowTable`
         so outer-switch alerts can exercise FLOWREROUTE.
-    workers:
-        Per-round shim fan-out.  ``0`` (default) keeps the historical
-        fully-interleaved serial loop; ``1`` runs the same plan/execute
-        split as the parallel path but inline (useful for testing the
-        equivalence); ``>= 2`` plans racks concurrently on a thread pool
-        of that size.  ``-1`` is *auto*: rounds whose alerted-rack count
-        stays below the pool break-even threshold
-        (:data:`~repro.parallel.pool.AUTO_INLINE_TASK_THRESHOLD`) plan
-        inline against the shared SoA snapshot — no pool is created until
-        a round is actually wide enough to amortize one — and wider
-        rounds fan out over a machine-sized pool.  All settings produce
-        byte-identical results — only wall-clock and the timing breakdown
-        change.
-    planner:
-        Which engine the non-serial plan phase runs on.  ``"thread"``
-        (default) keeps the historical per-round thread fan-out with the
-        ``workers=-1`` auto-inline heuristic.  ``"process"`` uses the
-        persistent :class:`~repro.parallel.planner.PlannerPool`: worker
-        processes fork once, attach once to shared-memory fleet segments
-        (:class:`~repro.parallel.shm.SharedFleet`) and receive only small
-        per-round repair messages; the round's racks are split into
-        contiguous shard chunks.  ``"sharded"`` is the same pool with
-        pod-aligned shards — each worker owns whole pods, so REQUEST/ACK
-        traffic between shards is (on a fat-tree) empty, and any
-        cross-shard request is counted by
-        ``sheriff_cross_shard_requests_total``.  All planners are
-        byte-identical to ``workers=0``.
-    shards:
-        Worker-process count for the ``"process"``/``"sharded"``
-        planners.  ``0`` (default) = one shard per pod for ``"sharded"``
-        and ``resolve_workers(workers)`` chunks for ``"process"``.
-    auto_inline_threshold:
-        Break-even for the ``workers=-1`` auto mode, in estimated task
-        cost units (alerted racks × alerted VMs).  Rounds cheaper than
-        this plan inline; at or above it they fan out.  Replaces the old
-        fixed task-count constant (see docs/performance.md).
     cache_cost_kernels:
         Memoize the shortest-path table per (topology, knobs) and per-VM
         Eq. (1) cost vectors per placement generation (invalidated for
@@ -193,10 +161,6 @@ class SheriffConfig:
     migration_timing: Optional["MigrationTiming"] = None
     with_flows: bool = False
     flow_rate: float = 0.05
-    workers: int = 0
-    planner: str = "thread"
-    shards: int = 0
-    auto_inline_threshold: int = 16384
     cache_cost_kernels: bool = True
     fallback_policy: str = "none"
     fallback_error_bound: float = 0.15
@@ -261,13 +225,21 @@ class SheriffConfig:
 
         Unknown keys raise :class:`~repro.errors.ConfigurationError` so a
         typo'd ``--config`` file fails loudly instead of silently running
-        the defaults.
+        the defaults; the planner-selection keys of older config files
+        (:data:`_REMOVED_KEYS`) are refused by name.
         """
         from repro.errors import ConfigurationError
 
         if not isinstance(data, dict):
             raise ConfigurationError(
                 f"config must be a JSON object, got {type(data).__name__}"
+            )
+        removed = sorted(set(data) & _REMOVED_KEYS)
+        if removed:
+            raise ConfigurationError(
+                f"config key(s) {', '.join(removed)} were removed: planning "
+                f"is always inline, one alerted rack at a time; delete "
+                f"them from the config"
             )
         allowed = _SCALAR_FIELDS | {"cost_params", "migration_timing"}
         unknown = sorted(set(data) - allowed)
@@ -308,10 +280,6 @@ _SCALAR_FIELDS = frozenset(
         "migration_cooldown",
         "with_flows",
         "flow_rate",
-        "workers",
-        "planner",
-        "shards",
-        "auto_inline_threshold",
         "cache_cost_kernels",
         "fallback_policy",
         "fallback_error_bound",
@@ -327,6 +295,10 @@ _SCALAR_FIELDS = frozenset(
     }
 )
 """Fields that serialize directly in :meth:`SheriffConfig.to_dict`."""
+
+_REMOVED_KEYS = frozenset({"workers", "planner", "shards", "auto_inline_threshold"})
+"""Planner-selection keys that config files written for earlier versions
+may still carry; :meth:`SheriffConfig.from_dict` names them in its error."""
 
 _RUNTIME_HANDLE_DEFAULTS = {
     "tracer": NULL_TRACER,

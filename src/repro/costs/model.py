@@ -151,9 +151,8 @@ class CostModel:
         bumps (``src == dst`` in the move details) drop the VM's entry
         instead: a lost VM must not be planned against.
 
-        Called automatically by :meth:`migration_cost_vector`; the engine
-        also calls it once at round start so that worker threads planning
-        concurrently only ever *read* the synced cache.
+        Called automatically by every query; the engine also calls it once
+        per round, before it primes the round's cost vectors.
         """
         if not self._cache_enabled:
             return
@@ -205,7 +204,7 @@ class CostModel:
         """Batch-fill the cache for *vms* ahead of planning (fleet prime).
 
         One stacked kernel computes every missing Eq. (1) vector, so the
-        per-rack planners that follow read the cache instead of running
+        per-rack block builds that follow read the cache instead of running
         the scalar kernel once per candidate.  Speculative fills are
         tallied under ``cache_stats["primed"]`` (not as misses — they are
         not demand queries).  No-op when the cache is disabled.

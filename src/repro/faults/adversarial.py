@@ -120,7 +120,6 @@ def _run_arm(
         horizon=warm + rounds,
         overload_threshold=threshold,
     )
-    sim.close()
     return {
         "overload_rounds": report.overload_rounds,
         "migrations": report.migrations,

@@ -138,7 +138,6 @@ def run_chaos_campaign(
             }
         )
     assert sim.faults is not None
-    sim.close()  # release planner workers / shared segments before reporting
     return {
         "campaign": {
             "topology": topology,

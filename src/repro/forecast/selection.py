@@ -24,7 +24,6 @@ from repro.forecast.metrics import trailing_mse
 from repro.obs.events import ModelSelected
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.pool import WorkerPool
 
 __all__ = [
     "DynamicModelSelector",
@@ -37,15 +36,14 @@ ForecasterFactory = Callable[[], Forecaster]
 
 
 def _pin_stream(model: Forecaster) -> None:
-    """Pin a member's shared RNG stream before grouped/pooled dispatch.
+    """Pin a member's shared RNG stream before it fits.
 
     A model seeded with a *shared* :class:`numpy.random.Generator` draws
-    from that stream during ``fit``, so the stream's state after a refit
-    depends on the order the pool members execute — which grouping or a
-    thread pool would change.  Splitting off a child substream here, in
-    pool order on the calling thread, fixes each member's draws before any
-    dispatch happens; integer/None seeds are already order-independent and
-    are left untouched.
+    from that stream during ``fit``, so what one member draws would depend
+    on how much the members before it consumed.  Splitting off a child
+    substream here, in pool order, makes each member's draws a function of
+    (seed, position in the pool) alone; integer/None seeds are already
+    independent and are left untouched.
     """
     seed = getattr(model, "seed", None)
     if isinstance(seed, np.random.Generator):
@@ -159,10 +157,6 @@ class DynamicModelSelector:
         parameters (see :meth:`Forecaster.start_hint`).  Refits converge
         in a fraction of the iterations on slowly drifting monitor
         series; the *initial* :meth:`fit` is always cold.
-    workers:
-        Refit the pool members concurrently on a thread pool of this size
-        (``<= 1`` = inline).  Member fits are independent, so this only
-        changes wall-clock.
     tracer:
         Optional event sink; each :meth:`predict_one` emits a
         :class:`~repro.obs.events.ModelSelected` naming the answering
@@ -198,7 +192,6 @@ class DynamicModelSelector:
         refit_every: int = 50,
         max_history: Optional[int] = None,
         warm_start: bool = True,
-        workers: int = 0,
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
         confidence: bool = False,
@@ -224,7 +217,6 @@ class DynamicModelSelector:
         self.refit_every = refit_every
         self.max_history = max_history
         self.warm_start = warm_start
-        self.workers = workers
         self.names = list(factories.keys())
         self.tracer = tracer
         self.metrics = metrics
@@ -246,7 +238,6 @@ class DynamicModelSelector:
         self.last_interval: Optional[PredictionInterval] = None
         self._width_hist: Deque[float] = deque(maxlen=max(4, period))
         self._history: Optional[np.ndarray] = None
-        self._pool: Optional[WorkerPool] = None
         self._since_fit = 0
         self._fitted = False
 
@@ -272,13 +263,6 @@ class DynamicModelSelector:
         assert self._history is not None
         model = self.factories[name]()
         _pin_stream(model)
-        return self._fit_prepared((name, model))
-
-    def _fit_prepared(
-        self, item: Tuple[str, Forecaster]
-    ) -> Tuple[str, Optional[Forecaster], Optional[Exception]]:
-        assert self._history is not None
-        name, model = item
         previous = self._models.get(name) if self.warm_start else None
         try:
             warm_fit(model, _window(self._history, self.max_history), previous)
@@ -287,28 +271,7 @@ class DynamicModelSelector:
             return name, None, exc
 
     def _refit_all(self) -> None:
-        assert self._history is not None
-        # Construct every member serially in pool order and pin any shared
-        # RNG stream *before* dispatch: from here on, neither the grouped
-        # dispatch order below nor pool scheduling can change what a member
-        # draws during fit.
-        prepared = []
-        for name in self.names:
-            model = self.factories[name]()
-            _pin_stream(model)
-            prepared.append((name, model))
-        # group same-class members together so pooled refits of a large
-        # mixed pool batch their (cache-friendly) kernels; results are
-        # installed by name, so this order is invisible to callers
-        prepared.sort(key=lambda item: type(item[1]).__name__)
-        if self.workers > 1 and len(self.names) > 1:
-            if self._pool is None:
-                self._pool = WorkerPool(
-                    self.workers, backend="thread", name="sheriff-refit"
-                )
-            results, _ = self._pool.map_ordered(self._fit_prepared, prepared)
-        else:
-            results = [self._fit_prepared(item) for item in prepared]
+        results = [self._fit_one(name) for name in self.names]
         models = {name: model for name, model, _ in results if model is not None}
         failures = [(name, exc) for name, model, exc in results if model is None]
         if not models:

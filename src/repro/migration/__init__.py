@@ -18,17 +18,7 @@ from repro.migration.matching import hungarian
 from repro.migration.request import ReceiverRegistry, RequestOutcome
 from repro.migration.vmmigration import MigrationStats, vmmigration
 from repro.migration.reroute import FlowTable, flow_reroute
-
-
-def __getattr__(name):
-    # ShimManager sits *above* repro.parallel.costblock, which in turn
-    # imports this package's algorithm modules; exporting it lazily keeps
-    # the package importable from either direction.
-    if name == "ShimManager":
-        from repro.migration.manager import ShimManager
-
-        return ShimManager
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.migration.manager import ShimManager
 
 __all__ = [
     "PriorityFactor",

@@ -11,17 +11,17 @@ the alerts addressed to it, dispatches on their kind:
 * **local ToR** — aggregated after the loop: PRIORITY over the whole
   rack with the β budget of the ToR capacity (Eq. 10).
 
-and finally calls VMMIGRATION (Alg. 3) on the migration set against the
-one-hop neighbor racks.
+and finally runs VMMIGRATION (Alg. 3) on the migration set against the
+one-hop neighbor racks.  :meth:`ShimManager.process_round` is the only
+implementation of Alg. 1: membership queries and PRIORITY candidates are
+gathered from the round's :class:`~repro.cluster.snapshot.FleetSnapshot`,
+and the engine calls it once per alerted rack, in rack order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Set
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.alerts.alert import Alert, AlertKind
 from repro.cluster.cluster import Cluster
@@ -32,18 +32,17 @@ from repro.errors import ConfigurationError
 from repro.migration.priority import CandidateVM, PriorityFactor, priority_select
 from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable, flow_reroute
-from repro.migration.vmmigration import MigrationStats, vmmigration
+from repro.migration.vmmigration import (
+    MigrationStats,
+    build_cost_block,
+    request_migrations,
+)
 from repro.obs.events import FlowRerouted, PrioritySelected
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.costblock import (
-    RackCostBlock,
-    build_cost_block,
-    run_planned_migration,
-)
 
-__all__ = ["RoundReport", "ShimPlan", "ShimManager"]
+__all__ = ["RoundReport", "ShimManager"]
 
 
 @dataclass
@@ -59,28 +58,6 @@ class RoundReport:
     predicted_slo_damage: float = 0.0
     """Summed predicted SLO damage (violation-minutes) of the migration
     set under ``scoring="slo"``; 0 under pure network scoring."""
-
-
-@dataclass
-class ShimPlan:
-    """Pure output of one shim's plan phase (no shared state touched yet).
-
-    Produced by :meth:`ShimManager.plan_round` — possibly in a worker
-    thread — and consumed by :meth:`ShimManager.execute_plan` in the main
-    thread, in deterministic rack order.  ``events`` holds tracer events
-    queued during planning (emission is deferred so the trace stream stays
-    single-threaded and ordered); ``timings`` holds locally measured
-    profiler sections to be folded in at execute time.
-    """
-
-    rack: int
-    alerts_processed: int = 0
-    migrate_set: List[int] = field(default_factory=list)
-    reroute_flow_ids: List[int] = field(default_factory=list)
-    hot_switches: Set[int] = field(default_factory=set)
-    block: Optional[RackCostBlock] = None
-    events: List[object] = field(default_factory=list)
-    timings: Dict[str, float] = field(default_factory=dict)
 
 
 class ShimManager:
@@ -133,16 +110,6 @@ class ShimManager:
         self.shim = ShimView(cluster, rack)
 
     # ------------------------------------------------------------------ #
-    def _candidate(self, vm: int, alerts: Dict[int, float]) -> CandidateVM:
-        pl = self.cluster.placement
-        return CandidateVM(
-            vm_id=vm,
-            capacity=int(pl.vm_capacity[vm]),
-            value=float(pl.vm_value[vm]),
-            alert=float(alerts.get(vm, 0.0)),
-            delay_sensitive=bool(pl.vm_delay_sensitive[vm]),
-        )
-
     def process_round(
         self,
         alerts: Sequence[Alert],
@@ -150,6 +117,7 @@ class ShimManager:
         receivers: ReceiverRegistry,
         frozen: frozenset = frozenset(),
         host_load=None,
+        snapshot: Optional[FleetSnapshot] = None,
     ) -> RoundReport:
         """Run Alg. 1 for this shim.
 
@@ -168,9 +136,14 @@ class ShimManager:
         host_load:
             Optional measured per-host utilization for destination steering
             (see :func:`repro.migration.vmmigration.vmmigration`).
+        snapshot:
+            The round's shared :class:`FleetSnapshot`; the engine builds one
+            per round for all shims.  A direct caller may leave it out and
+            the shim builds its own from the (round-static) placement.
         """
+        if snapshot is None:
+            snapshot = FleetSnapshot(self.cluster.placement)
         report = RoundReport(rack=self.rack)
-        pl = self.cluster.placement
         tracer = self.tracer
         migrate_set: List[int] = []
         reroute_flow_ids: List[int] = []
@@ -190,13 +163,9 @@ class ShimManager:
                     flows = self.flow_table.flows_through(
                         alert.switch, from_rack=self.rack
                     )
-                    cands = [self._candidate(f.vm, vm_alerts) for f in flows]
+                    cands = snapshot.candidates([f.vm for f in flows], vm_alerts)
                     budget = max(1, int(self.alpha * self.cluster.tor_capacity(self.rack)))
-                    with self.profiler.section("priority"):
-                        chosen = priority_select(
-                            cands, PriorityFactor.ALPHA, budget=budget
-                        )
-                    self._trace_priority(PriorityFactor.ALPHA, budget, cands, chosen)
+                    chosen = self._priority(PriorityFactor.ALPHA, budget, cands)
                     chosen_vms = {c.vm_id for c in chosen}
                     reroute_flow_ids.extend(
                         f.flow_id for f in flows if f.vm in chosen_vms
@@ -205,21 +174,16 @@ class ShimManager:
                 tor_alerted = True
             elif alert.kind is AlertKind.SERVER:
                 assert alert.host is not None
-                vms = pl.vms_on_host(alert.host)
-                cands = [self._candidate(int(v), vm_alerts) for v in vms]
-                cands = [c for c in cands if c.alert > 0]
-                with self.profiler.section("priority"):
-                    chosen = priority_select(cands, PriorityFactor.ONE)
-                self._trace_priority(PriorityFactor.ONE, 1, cands, chosen)
+                cands = snapshot.alerted_candidates(
+                    snapshot.vms_on_host(alert.host), vm_alerts
+                )
+                chosen = self._priority(PriorityFactor.ONE, 1, cands)
                 migrate_set.extend(c.vm_id for c in chosen)
 
         if tor_alerted:
-            vms = pl.vms_in_rack(self.rack)
-            cands = [self._candidate(int(v), vm_alerts) for v in vms]
+            cands = snapshot.candidates(snapshot.vms_in_rack(self.rack), vm_alerts)
             budget = max(1, int(self.beta * self.cluster.tor_capacity(self.rack)))
-            with self.profiler.section("priority"):
-                chosen = priority_select(cands, PriorityFactor.BETA, budget=budget)
-            self._trace_priority(PriorityFactor.BETA, budget, cands, chosen)
+            chosen = self._priority(PriorityFactor.BETA, budget, cands)
             migrate_set.extend(c.vm_id for c in chosen)
 
         if self.metrics is not None and report.alerts_processed:
@@ -257,244 +221,35 @@ class ShimManager:
         report.selected_for_migration = migrate_set
         if migrate_set:
             report.predicted_slo_damage = self._predicted_damage(migrate_set)
-            dest_hosts = self.shim.candidate_hosts()
-            report.migration = vmmigration(
+            block = build_cost_block(
                 self.cluster,
                 self.cost_model,
                 migrate_set,
-                dest_hosts.tolist(),
-                receivers,
-                balance_weight=self.balance_weight,
-                host_load=host_load,
-                tracer=tracer,
-                metrics=self.metrics,
-                profiler=self.profiler,
-                rack=self.rack,
-                slo_scorer=self.slo_scorer,
-            )
-        return report
-
-    def _predicted_damage(self, migrate_set: Sequence[int]) -> float:
-        """Summed SLO damage the scorer predicts for the migration set."""
-        if self.slo_scorer is None or not migrate_set:
-            return 0.0
-        pl = self.cluster.placement
-        caps = [int(pl.vm_capacity[v]) for v in migrate_set]
-        return float(self.slo_scorer.damage(migrate_set, caps).sum())
-
-    # ------------------------------------------------------------------ #
-    # plan/execute split (parallel round path)
-    # ------------------------------------------------------------------ #
-    def plan_round(
-        self,
-        alerts: Sequence[Alert],
-        vm_alerts: Dict[int, float],
-        frozen: frozenset = frozenset(),
-        host_load=None,
-        snapshot: Optional[FleetSnapshot] = None,
-    ) -> ShimPlan:
-        """The read-only half of Alg. 1: classify, PRIORITY, cost block.
-
-        Safe to run concurrently with other shims' plans: it reads the
-        (round-static) placement, flow table and cost model, and writes
-        only its own :class:`ShimPlan`.  Selection, cost matrices and the
-        first matching are computed by the same code paths as
-        :meth:`process_round`, so :meth:`execute_plan` reproduces the
-        serial results bit-for-bit.
-
-        With *snapshot* (the engine's per-round :class:`FleetSnapshot`),
-        membership queries and candidate construction run on the shared
-        SoA arrays — bit-identical values, one gather instead of one call
-        per VM.
-        """
-        plan = ShimPlan(rack=self.rack)
-        pl = self.cluster.placement
-        queue_events = self.tracer.enabled
-        migrate_set: List[int] = []
-        tor_alerted = False
-        t_priority = 0.0
-
-        for alert in alerts:
-            if alert.rack != self.rack:
-                raise ConfigurationError(
-                    f"alert for rack {alert.rack} delivered to shim {self.rack}"
-                )
-            plan.alerts_processed += 1
-            if alert.kind is AlertKind.OUTER_SWITCH:
-                assert alert.switch is not None
-                plan.hot_switches.add(alert.switch)
-                if self.flow_table is not None:
-                    flows = self.flow_table.flows_through(
-                        alert.switch, from_rack=self.rack
-                    )
-                    if snapshot is not None:
-                        cands = snapshot.candidates(
-                            [f.vm for f in flows], vm_alerts
-                        )
-                    else:
-                        cands = [self._candidate(f.vm, vm_alerts) for f in flows]
-                    budget = max(1, int(self.alpha * self.cluster.tor_capacity(self.rack)))
-                    t0 = perf_counter()
-                    chosen = priority_select(
-                        cands, PriorityFactor.ALPHA, budget=budget
-                    )
-                    t_priority += perf_counter() - t0
-                    if queue_events:
-                        plan.events.append(
-                            self._priority_event(
-                                PriorityFactor.ALPHA, budget, cands, chosen
-                            )
-                        )
-                    chosen_vms = {c.vm_id for c in chosen}
-                    plan.reroute_flow_ids.extend(
-                        f.flow_id for f in flows if f.vm in chosen_vms
-                    )
-            elif alert.kind is AlertKind.LOCAL_TOR:
-                tor_alerted = True
-            elif alert.kind is AlertKind.SERVER:
-                assert alert.host is not None
-                if snapshot is not None:
-                    cands = snapshot.alerted_candidates(
-                        snapshot.vms_on_host(alert.host), vm_alerts
-                    )
-                else:
-                    vms = pl.vms_on_host(alert.host)
-                    cands = [self._candidate(int(v), vm_alerts) for v in vms]
-                    cands = [c for c in cands if c.alert > 0]
-                t0 = perf_counter()
-                chosen = priority_select(cands, PriorityFactor.ONE)
-                t_priority += perf_counter() - t0
-                if queue_events:
-                    plan.events.append(
-                        self._priority_event(PriorityFactor.ONE, 1, cands, chosen)
-                    )
-                migrate_set.extend(c.vm_id for c in chosen)
-
-        if tor_alerted:
-            if snapshot is not None:
-                cands = snapshot.candidates(
-                    snapshot.vms_in_rack(self.rack), vm_alerts
-                )
-            else:
-                vms = pl.vms_in_rack(self.rack)
-                cands = [self._candidate(int(v), vm_alerts) for v in vms]
-            budget = max(1, int(self.beta * self.cluster.tor_capacity(self.rack)))
-            t0 = perf_counter()
-            chosen = priority_select(cands, PriorityFactor.BETA, budget=budget)
-            t_priority += perf_counter() - t0
-            if queue_events:
-                plan.events.append(
-                    self._priority_event(PriorityFactor.BETA, budget, cands, chosen)
-                )
-            migrate_set.extend(c.vm_id for c in chosen)
-
-        plan.migrate_set = [v for v in dict.fromkeys(migrate_set) if v not in frozen]
-        if t_priority:
-            plan.timings["priority"] = t_priority
-        if plan.migrate_set:
-            dest_hosts = self.shim.candidate_hosts()
-            plan.block = build_cost_block(
-                self.cluster,
-                self.cost_model,
-                plan.migrate_set,
-                dest_hosts.tolist(),
+                self.shim.candidate_hosts().tolist(),
                 balance_weight=self.balance_weight,
                 host_load=host_load,
                 snapshot=snapshot,
                 slo_scorer=self.slo_scorer,
             )
-        return plan
-
-    def execute_plan(
-        self,
-        plan: ShimPlan,
-        receivers: ReceiverRegistry,
-        shard_map=None,
-    ) -> RoundReport:
-        """The serialized half of Alg. 1: reroutes, REQUESTs, bookkeeping.
-
-        Main thread only; shims execute in deterministic rack order because
-        the FCFS receiver protocol is order-sensitive by design.
-        *shard_map* (rack -> planner shard) makes the REQUEST loop count
-        cross-shard traffic when the plan came from a sharded pool.
-        """
-        report = RoundReport(rack=self.rack)
-        report.alerts_processed = plan.alerts_processed
-        tracer = self.tracer
-        for event in plan.events:
-            tracer.emit(event)
-        for name, secs in plan.timings.items():
-            self.profiler.add(name, secs)
-
-        if self.metrics is not None and report.alerts_processed:
-            self.metrics.counter(
-                "sheriff_shim_alerts_total", rack=self.rack
-            ).inc(report.alerts_processed)
-
-        # rerouting first — cheaper and faster than migration (Sec. III-B)
-        if plan.reroute_flow_ids and self.flow_table is not None:
-            with self.profiler.section("reroute"):
-                ok, failed = flow_reroute(
-                    self.flow_table, plan.reroute_flow_ids, plan.hot_switches
-                )
-            report.rerouted_flows = ok
-            report.reroute_failures = failed
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "sheriff_flows_rerouted_total", rack=self.rack
-                ).inc(ok)
-                self.metrics.counter(
-                    "sheriff_reroute_failures_total", rack=self.rack
-                ).inc(failed)
-            if tracer.enabled:
-                tracer.emit(
-                    FlowRerouted(
-                        rack=self.rack,
-                        rerouted=ok,
-                        failed=failed,
-                        flows=tuple(plan.reroute_flow_ids),
-                        hot_switches=tuple(sorted(plan.hot_switches)),
-                    )
-                )
-
-        report.selected_for_migration = plan.migrate_set
-        if plan.migrate_set:
-            report.predicted_slo_damage = self._predicted_damage(plan.migrate_set)
-        if plan.block is not None:
-            report.migration = run_planned_migration(
-                self.cluster,
-                plan.block,
+            report.migration = request_migrations(
+                block,
                 receivers,
                 tracer=tracer,
                 metrics=self.metrics,
                 profiler=self.profiler,
                 rack=self.rack,
-                shard_map=shard_map,
             )
         return report
 
-    def _priority_event(
+    def _priority(
         self,
         factor: PriorityFactor,
         budget: int,
         cands: Sequence[CandidateVM],
-        chosen: Sequence[CandidateVM],
-    ) -> PrioritySelected:
-        return PrioritySelected(
-            rack=self.rack,
-            factor=factor.name,
-            budget=budget,
-            candidates=len(cands),
-            selected=tuple(c.vm_id for c in chosen),
-        )
-
-    def _trace_priority(
-        self,
-        factor: PriorityFactor,
-        budget: int,
-        cands: Sequence[CandidateVM],
-        chosen: Sequence[CandidateVM],
-    ) -> None:
+    ) -> List[CandidateVM]:
+        """One timed, traced PRIORITY (Alg. 2) call."""
+        with self.profiler.section("priority"):
+            chosen = priority_select(cands, factor, budget=budget)
         if self.tracer.enabled:
             self.tracer.emit(
                 PrioritySelected(
@@ -505,3 +260,12 @@ class ShimManager:
                     selected=tuple(c.vm_id for c in chosen),
                 )
             )
+        return chosen
+
+    def _predicted_damage(self, migrate_set: Sequence[int]) -> float:
+        """Summed SLO damage the scorer predicts for the migration set."""
+        if self.slo_scorer is None:
+            return 0.0
+        pl = self.cluster.placement
+        caps = [int(pl.vm_capacity[v]) for v in migrate_set]
+        return float(self.slo_scorer.damage(migrate_set, caps).sum())

@@ -1,11 +1,28 @@
 """VMMIGRATION (Alg. 3): match, request, migrate.
 
-Each iteration builds the bipartite cost graph between the remaining
-candidate VMs ``F`` and the destination hosts available at neighbor
-delegations ``T``, solves minimum-weight matching, then sends REQUESTs
-(Alg. 4).  ACKed VMs are reserved for migration and leave ``F``;
-REJECTed VMs stay and are re-matched against the updated availability in
-the next iteration, exactly the paper's retry loop.
+Alg. 3 builds the bipartite cost graph between the candidate VMs ``F``
+and the destination hosts available at neighbor delegations ``T``, solves
+minimum-weight matching, then sends REQUESTs (Alg. 4).  ACKed VMs are
+reserved for migration and leave ``F``; REJECTed VMs stay and are
+re-matched in the next iteration, exactly the paper's retry loop.
+
+Within one management round the placement is frozen — promises live in
+the receiver registry and accepted moves land at commit (or, with
+live-migration timing, at a later round's start).  So everything Alg. 3
+derives from the placement is *round-static*, and the algorithm splits
+into two halves:
+
+* :func:`build_cost_block` computes the Eq. (1) cost matrix, the
+  feasibility mask (``free >= need``) and the load-steering term once for
+  the whole candidate set;
+* :func:`request_migrations` runs the matching / REQUEST / retry loop over
+  that block against the shared receiver registry — retries subset the
+  block's rows instead of rebuilding them.
+
+:func:`vmmigration` is their composition; the per-shim round
+(:meth:`repro.migration.manager.ShimManager.process_round`) calls the two
+halves directly so it can hand the block the engine's per-round
+:class:`~repro.cluster.snapshot.FleetSnapshot`.
 """
 
 from __future__ import annotations
@@ -13,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, List, Optional, Sequence, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -26,7 +44,40 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["MigrationStats", "vmmigration"]
+__all__ = [
+    "MigrationStats",
+    "RackCostBlock",
+    "build_cost_block",
+    "request_migrations",
+    "vmmigration",
+]
+
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
+
+# per-registry memo of the per-rack instrument tuple used by
+# :func:`request_migrations`: the registry's get-or-create is already
+# idempotent, this just skips ~8 label-key constructions per rack call
+_INSTRUMENTS: "WeakKeyDictionary[MetricsRegistry, dict]" = WeakKeyDictionary()
+
+
+def _rack_instruments(metrics: MetricsRegistry, rack: Optional[int]):
+    per_registry = _INSTRUMENTS.get(metrics)
+    if per_registry is None:
+        per_registry = _INSTRUMENTS[metrics] = {}
+    instruments = per_registry.get(rack)
+    if instruments is None:
+        lbl = {"rack": rack} if rack is not None else {}
+        instruments = per_registry[rack] = (
+            metrics.counter("sheriff_requests_sent_total", **lbl),
+            metrics.counter("sheriff_requests_acked_total", **lbl),
+            metrics.counter("sheriff_requests_rejected_total", **lbl),
+            metrics.counter("sheriff_migration_cost_total", **lbl),
+            metrics.counter("sheriff_search_space_total", **lbl),
+            metrics.counter("sheriff_unplaced_total", **lbl),
+            metrics.histogram("sheriff_matching_size", **lbl),
+            metrics.histogram("sheriff_move_cost", **lbl),
+        )
+    return instruments
 
 
 def _greedy_assign(cost: np.ndarray) -> np.ndarray:
@@ -65,6 +116,269 @@ class MigrationStats:
     """Accepted (vm, dst_host, cost) triples."""
 
 
+@dataclass
+class RackCostBlock:
+    """Round-static matching inputs for one delegation's candidate set.
+
+    ``cost``/``true_cost`` are the full ``(len(vms), len(hosts))`` matrices
+    of Alg. 3 (steered and raw Eq. (1) values, ``inf`` = infeasible);
+    retries subset their rows instead of rebuilding them.
+    """
+
+    vms: List[int]
+    hosts: np.ndarray
+    host_racks: np.ndarray = field(default_factory=lambda: _EMPTY_I64.copy())
+    true_cost: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    cost: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+
+
+def _trim_rows(cost: np.ndarray, num_hosts: int):
+    """Rows entering the matching + their cost submatrix (Alg. 3 trimming).
+
+    Rows with no feasible destination are dropped; when more VMs than
+    hosts remain, only the cheapest ``|hosts|`` rows (by best destination)
+    are matched this iteration.
+    """
+    has_dest = np.isfinite(cost).any(axis=1)
+    rows = np.nonzero(has_dest)[0]
+    if rows.size == 0:
+        return rows, cost[rows]
+    sub = cost[rows]
+    if rows.size > num_hosts:
+        best_per_row = sub.min(axis=1)
+        order = np.argsort(best_per_row)[:num_hosts]
+        rows = rows[order]
+        sub = cost[rows]
+    return rows, sub
+
+
+def _solve(sub: np.ndarray):
+    """Kuhn–Munkres, or greedy when no perfect matching exists.
+
+    Forbidden pairs can funnel several VMs onto one host; the greedy
+    cheapest-first assignment still moves the placeable subset.  Returns
+    ``(assignment, fallback)``.
+    """
+    try:
+        assignment, _ = hungarian(sub)
+        return assignment, False
+    except MigrationError:
+        return _greedy_assign(sub), True
+
+
+def build_cost_block(
+    cluster: Cluster,
+    cost_model: CostModel,
+    candidates: Sequence[int],
+    destination_hosts: Iterable[int],
+    *,
+    balance_weight: float = 50.0,
+    host_load: Optional[np.ndarray] = None,
+    snapshot=None,
+    slo_scorer=None,
+) -> RackCostBlock:
+    """Build one delegation's matching inputs (reads only; no REQUEST yet).
+
+    The sender uses last-known free capacity as a feasibility filter —
+    availability net of this round's promises is known only to the
+    receivers.  *snapshot* (the engine's per-round
+    :class:`~repro.cluster.snapshot.FleetSnapshot`) supplies the per-host
+    free capacity and fill fraction as single gathers; without one the
+    same values are computed for just these hosts.  The other parameters
+    are :func:`vmmigration`'s.
+    """
+    vms = [int(v) for v in dict.fromkeys(candidates)]
+    hosts = np.asarray(sorted(set(int(h) for h in destination_hosts)), dtype=np.int64)
+    block = RackCostBlock(vms=vms, hosts=hosts)
+    if not vms or hosts.size == 0:
+        return block
+    pl = cluster.placement
+    block.host_racks = pl.host_rack[hosts]
+    if snapshot is not None:
+        free = snapshot.free_capacity(hosts)
+    else:
+        # Placement.free_capacity over *hosts*: dead hosts report 0
+        free = np.where(
+            pl.host_alive[hosts], pl.host_capacity[hosts] - pl.host_used[hosts], 0
+        )
+    if host_load is not None:
+        load_frac = np.asarray(host_load, dtype=np.float64)[hosts]
+    elif snapshot is not None:
+        load_frac = snapshot.host_load[hosts]
+    else:
+        load_frac = pl.host_used[hosts] / pl.host_capacity[hosts]
+    steer = balance_weight * load_frac
+
+    per_rack = cost_model.cost_rows(vms)
+    gathered = per_rack[:, block.host_racks]
+    need = pl.vm_capacity[np.asarray(vms, dtype=np.int64)]
+    feasible = free[None, :] >= need[:, None]
+    block.true_cost = np.where(feasible, gathered, np.inf)
+    # infeasible entries stay inf through the adds (inf + s = inf)
+    block.cost = block.true_cost + steer[None, :]
+    if slo_scorer is not None:
+        # scoring="slo": (true_cost + steer) + addend, elementwise
+        block.cost = block.cost + slo_scorer.addend(
+            slo_scorer.damage(vms, need.tolist()), load_frac
+        )
+    return block
+
+
+def request_migrations(
+    block: RackCostBlock,
+    receivers: ReceiverRegistry,
+    *,
+    max_iterations: int = 8,
+    tracer: Tracer = NULL_TRACER,
+    metrics: Optional[MetricsRegistry] = None,
+    profiler=NULL_PROFILER,
+    rack: Optional[int] = None,
+) -> MigrationStats:
+    """Alg. 3's loop over a prepared block: match, REQUEST, retry.
+
+    Shims run one at a time, in rack order, against the shared receiver
+    registry — the FCFS receiver protocol (Alg. 4) is order-sensitive by
+    design.  The observability parameters are :func:`vmmigration`'s.
+    """
+    stats = MigrationStats()
+    vms = block.vms
+    hosts = block.hosts
+    if metrics is not None:
+        (
+            c_sent,
+            c_ack,
+            c_rej,
+            c_cost,
+            c_space,
+            c_unplaced,
+            h_match,
+            h_cost,
+        ) = _rack_instruments(metrics, rack)
+    if not vms:
+        return stats
+    if hosts.size == 0:
+        stats.unplaced = list(vms)
+        if metrics is not None:
+            c_unplaced.inc(len(vms))
+        return stats
+
+    # row indices into the block matrices still awaiting placement
+    remaining_idx = list(range(len(vms)))
+    hosts_list = hosts.tolist()
+    host_racks_list = block.host_racks.tolist()
+    # per-request counter increments are batched into locals and flushed
+    # once after the loop: the registry sees the same sums (ints exactly;
+    # the float cost accumulates here in the same ack order, from 0.0,
+    # that the per-ack increments would have used inside the scope)
+    n_sent = n_ack = n_rej = 0
+    cost_acc = 0.0
+    for _ in range(max_iterations):
+        if not remaining_idx:
+            break
+        stats.iterations += 1
+        if len(remaining_idx) == len(vms):
+            # nothing placed yet (always true on iteration 1): the block
+            # matrices are already row-aligned — no need to copy them
+            cost = block.cost
+            true_cost = block.true_cost
+        else:
+            idx = np.asarray(remaining_idx, dtype=np.int64)
+            cost = block.cost[idx]
+            true_cost = block.true_cost[idx]
+        if stats.iterations == 1:
+            # retries re-examine subsets of the same pairs; the search
+            # space metric (Fig. 12/14) counts distinct (VM, host) pairs
+            stats.search_space = cost.size
+            if metrics is not None:
+                c_space.inc(cost.size)
+        rows, sub = _trim_rows(cost, int(hosts.size))
+        if rows.size == 0:
+            break
+        t0 = perf_counter()
+        with profiler.section("matching"):
+            assignment, fallback = _solve(sub)
+        solve_elapsed = perf_counter() - t0
+        if metrics is not None:
+            h_match.observe(rows.size)
+        if tracer.enabled:
+            matched = sum(
+                1
+                for k, col in enumerate(assignment)
+                if col >= 0 and np.isfinite(sub[k, int(col)])
+            )
+            tracer.emit(
+                MatchingSolved(
+                    rack=rack,
+                    rows=int(rows.size),
+                    cols=int(hosts.size),
+                    matched=int(matched),
+                    iteration=stats.iterations,
+                    fallback=fallback,
+                    elapsed_s=solve_elapsed,
+                )
+            )
+        progressed = False
+        placed_rows = set()
+        with profiler.section("request"):
+            # hoist the valid-pair test and both cost gathers out of the
+            # python loop; the per-request control flow below is unchanged
+            assign_arr = np.asarray(assignment, dtype=np.int64)
+            cols_safe = np.where(assign_arr >= 0, assign_arr, 0)
+            krange = np.arange(rows.size)
+            valid = (assign_arr >= 0) & np.isfinite(sub[krange, cols_safe])
+            taken_cost = true_cost[np.asarray(rows), cols_safe]
+            valid_list = valid.tolist()
+            rows_list = [int(r) for r in rows]
+            cols_list = cols_safe.tolist()
+            taken_list = taken_cost.tolist()
+            for k in range(len(rows_list)):
+                if not valid_list[k]:
+                    continue
+                col = cols_list[k]
+                row = remaining_idx[rows_list[k]]
+                vm = vms[row]
+                host = hosts_list[col]
+                dst_rack = host_racks_list[col]
+                stats.requested += 1
+                n_sent += 1
+                if tracer.enabled:
+                    tracer.emit(
+                        RequestSent(
+                            vm=vm, dst_host=host, dst_rack=dst_rack, src_rack=rack
+                        )
+                    )
+                outcome = receivers.request(vm, host, dst_rack)
+                if outcome is RequestOutcome.ACK:
+                    c = taken_list[k]
+                    stats.acked += 1
+                    stats.total_cost += c
+                    stats.moves.append((vm, host, c))
+                    placed_rows.add(row)
+                    progressed = True
+                    n_ack += 1
+                    cost_acc += c
+                    if metrics is not None:
+                        h_cost.observe(c)
+                else:
+                    stats.rejected += 1
+                    n_rej += 1
+        if placed_rows:
+            remaining_idx = [r for r in remaining_idx if r not in placed_rows]
+        if not progressed:
+            break
+    stats.unplaced = [vms[i] for i in remaining_idx]
+    if metrics is not None:
+        if n_sent:
+            c_sent.inc(n_sent)
+        if n_ack:
+            c_ack.inc(n_ack)
+            c_cost.inc(cost_acc)
+        if n_rej:
+            c_rej.inc(n_rej)
+        c_unplaced.inc(len(stats.unplaced))
+    return stats
+
+
 def vmmigration(
     cluster: Cluster,
     cost_model: CostModel,
@@ -88,8 +402,9 @@ def vmmigration(
     candidates:
         VM ids selected by PRIORITY (the set ``F``).
     destination_hosts:
-        Host ids at neighbor delegations (``T``); availability is
-        re-examined each iteration because earlier ACKs consume capacity.
+        Host ids at neighbor delegations (``T``).  Earlier ACKs consume
+        capacity that only the receivers see: a REJECTed VM is re-matched
+        against the remaining rows of the same cost block.
     receivers:
         The round's shared receiver protocol state; accepted moves are
         reserved there (call ``commit_round`` after all shims ran).
@@ -130,147 +445,21 @@ def vmmigration(
     shim "recalculate possible migration destinations", which here is the
     next management round.
     """
-    stats = MigrationStats()
-    remaining = [int(v) for v in dict.fromkeys(candidates)]
-    hosts = np.asarray(sorted(set(int(h) for h in destination_hosts)), dtype=np.int64)
-    if metrics is not None:
-        lbl = {"rack": rack} if rack is not None else {}
-        c_sent = metrics.counter("sheriff_requests_sent_total", **lbl)
-        c_ack = metrics.counter("sheriff_requests_acked_total", **lbl)
-        c_rej = metrics.counter("sheriff_requests_rejected_total", **lbl)
-        c_cost = metrics.counter("sheriff_migration_cost_total", **lbl)
-        c_space = metrics.counter("sheriff_search_space_total", **lbl)
-        c_unplaced = metrics.counter("sheriff_unplaced_total", **lbl)
-        h_match = metrics.histogram("sheriff_matching_size", **lbl)
-        h_cost = metrics.histogram("sheriff_move_cost", **lbl)
-    if not remaining:
-        return stats
-    if hosts.size == 0:
-        stats.unplaced = remaining
-        if metrics is not None:
-            c_unplaced.inc(len(remaining))
-        return stats
-    pl = cluster.placement
-    host_racks = pl.host_rack[hosts]
-
-    for _ in range(max_iterations):
-        if not remaining:
-            break
-        stats.iterations += 1
-        # availability net of this round's promises is known only to the
-        # receivers; the sender uses last-known free capacity as a filter
-        free = np.asarray([pl.free_capacity(int(h)) for h in hosts])
-        if host_load is not None:
-            load_frac = np.asarray(host_load, dtype=np.float64)[hosts]
-        else:
-            load_frac = pl.host_used[hosts] / pl.host_capacity[hosts]
-        steer = balance_weight * load_frac
-        cost = np.full((len(remaining), hosts.size), np.inf)
-        true_cost = np.full((len(remaining), hosts.size), np.inf)
-        if slo_scorer is not None:
-            caps = [int(pl.vm_capacity[v]) for v in remaining]
-            addend = slo_scorer.addend(
-                slo_scorer.damage(remaining, caps), load_frac
-            )
-        for r, vm in enumerate(remaining):
-            per_rack = cost_model.migration_cost_vector(vm)
-            need = int(pl.vm_capacity[vm])
-            feasible = free >= need
-            true_cost[r, feasible] = per_rack[host_racks[feasible]]
-            if slo_scorer is None:
-                cost[r, feasible] = true_cost[r, feasible] + steer[feasible]
-            else:
-                # same operand order as the planned path's block build:
-                # (true_cost + steer) + addend
-                cost[r, feasible] = (
-                    true_cost[r, feasible] + steer[feasible]
-                ) + addend[r, feasible]
-        if stats.iterations == 1:
-            # retries re-examine subsets of the same pairs; the search
-            # space metric (Fig. 12/14) counts distinct (VM, host) pairs
-            stats.search_space = cost.size
-            if metrics is not None:
-                c_space.inc(cost.size)
-        # rows with no feasible destination cannot enter the matching
-        has_dest = np.isfinite(cost).any(axis=1)
-        rows = np.nonzero(has_dest)[0]
-        if rows.size == 0:
-            break
-        sub = cost[rows]
-        if rows.size > hosts.size:
-            # more VMs than hosts: match the cheapest |hosts| rows
-            best_per_row = sub.min(axis=1)
-            order = np.argsort(best_per_row)[: hosts.size]
-            rows = rows[order]
-            sub = cost[rows]
-        t_solve = perf_counter() if tracer.enabled else 0.0
-        fallback = False
-        with profiler.section("matching"):
-            try:
-                assignment, _ = hungarian(sub)
-            except MigrationError:
-                # no perfect matching (forbidden pairs funnel several VMs
-                # onto one host): fall back to greedy cheapest-first
-                # assignment so the placeable subset still moves
-                fallback = True
-                assignment = _greedy_assign(sub)
-        if metrics is not None:
-            h_match.observe(rows.size)
-        if tracer.enabled:
-            matched = sum(
-                1
-                for k, col in enumerate(assignment)
-                if col >= 0 and np.isfinite(sub[k, int(col)])
-            )
-            tracer.emit(
-                MatchingSolved(
-                    rack=rack,
-                    rows=int(rows.size),
-                    cols=int(hosts.size),
-                    matched=int(matched),
-                    iteration=stats.iterations,
-                    fallback=fallback,
-                    elapsed_s=perf_counter() - t_solve,
-                )
-            )
-        progressed = False
-        next_remaining = list(remaining)
-        with profiler.section("request"):
-            for k, (rr, col) in enumerate(zip(rows, assignment)):
-                if col < 0 or not np.isfinite(sub[k, int(col)]):
-                    continue
-                vm = remaining[int(rr)]
-                host = int(hosts[int(col)])
-                dst_rack = int(host_racks[int(col)])
-                stats.requested += 1
-                if metrics is not None:
-                    c_sent.inc()
-                if tracer.enabled:
-                    tracer.emit(
-                        RequestSent(
-                            vm=vm, dst_host=host, dst_rack=dst_rack, src_rack=rack
-                        )
-                    )
-                outcome = receivers.request(vm, host, dst_rack)
-                if outcome is RequestOutcome.ACK:
-                    c = float(true_cost[int(rr), int(col)])
-                    stats.acked += 1
-                    stats.total_cost += c
-                    stats.moves.append((vm, host, c))
-                    next_remaining.remove(vm)
-                    progressed = True
-                    if metrics is not None:
-                        c_ack.inc()
-                        c_cost.inc(c)
-                        h_cost.observe(c)
-                else:
-                    stats.rejected += 1
-                    if metrics is not None:
-                        c_rej.inc()
-        remaining = next_remaining
-        if not progressed:
-            break
-    stats.unplaced = remaining
-    if metrics is not None:
-        c_unplaced.inc(len(remaining))
-    return stats
+    block = build_cost_block(
+        cluster,
+        cost_model,
+        candidates,
+        destination_hosts,
+        balance_weight=balance_weight,
+        host_load=host_load,
+        slo_scorer=slo_scorer,
+    )
+    return request_migrations(
+        block,
+        receivers,
+        max_iterations=max_iterations,
+        tracer=tracer,
+        metrics=metrics,
+        profiler=profiler,
+        rack=rack,
+    )

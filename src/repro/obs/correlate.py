@@ -22,12 +22,9 @@ Id grammar (stable, parseable by the ``repro trace`` CLI):
 * VM attempt:   ``r<minted_round>.v<vm>``
 * fault firing: ``r<round>.f.<fault_kind>.<target>``
 
-Stamping happens at **emit time**, never at event construction.  This is
-what makes correlation safe under the parallel plan/execute split: plan
-workers queue ``PrioritySelected`` events concurrently, but ids are
-minted only when :meth:`ShimManager.execute_plan` replays the queue on
-the main thread in deterministic rack order — so the id sequence is
-byte-identical to the serial path's.  An attempt id outlives its round
+Stamping happens at **emit time**, never at event construction: shims
+emit in deterministic rack order, so the id sequence is a function of the
+seed alone.  An attempt id outlives its round
 when the migration is in flight (timed engine): the id minted at
 selection sticks until ``MigrationLanded``/``MigrationAborted`` closes
 the attempt, which is exactly what lets the CLI measure alert→landed

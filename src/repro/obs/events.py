@@ -52,8 +52,7 @@ class TraceEvent:
     a chain to the rack-level alert group that spawned it.  Both are
     stamped by the tracer's :class:`~repro.obs.correlate.LifecycleStitcher`
     at emit time — emitting sites never compute ids, so the disabled
-    path stays zero-cost and plan workers stay id-free (their queued
-    events are stitched when the main thread emits them on commit).
+    path stays zero-cost.
     """
 
     round: Optional[int] = None

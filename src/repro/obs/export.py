@@ -81,7 +81,6 @@ _HELP: Dict[str, str] = {
     "sheriff_channel_retries_total": "REQUEST retransmissions (lossy channel).",
     "sheriff_degraded_rounds_total": "Rounds completed in degraded mode.",
     "sheriff_fallback_transitions_total": "Worst-case fallback mode switches.",
-    "sheriff_cross_shard_requests_total": "REQUESTs crossing planner shards.",
     "sheriff_slo_violation_minutes_total": (
         "SLO-violation-minutes charged, by tenant class and source."
     ),

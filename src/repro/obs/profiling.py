@@ -71,9 +71,6 @@ class NullProfiler:
     def section(self, name: str) -> _NullSection:
         return _NULL_SECTION
 
-    def add(self, name: str, elapsed: float) -> None:
-        pass
-
     def begin_round(self, index: Optional[int] = None) -> None:
         pass
 
@@ -168,29 +165,6 @@ class Profiler:
     def section(self, name: str) -> _Section:
         """Context manager timing one block under *name*."""
         return _Section(self, name)
-
-    def add(self, name: str, elapsed: float) -> None:
-        """Record externally measured seconds under *name*.
-
-        Used by the parallel plan phase: workers time their own sections
-        locally (the shared profiler is not touched off the main thread)
-        and the engine folds the measurements in afterwards.  When spans
-        are recorded, the fold lands as a zero-depth span ending *now* —
-        the true worker-local start is not observable from this thread.
-        """
-        self._add(name, elapsed)
-        if self._record_spans:
-            end = perf_counter() - self._epoch
-            self.spans.append(
-                Span(
-                    name=name,
-                    start=max(0.0, end - elapsed),
-                    duration=elapsed,
-                    depth=len(self._stack),
-                    parent=self._stack[-1] if self._stack else None,
-                    round=self.current_round,
-                )
-            )
 
     # ------------------------------------------------------------------ #
     def begin_round(self, index: Optional[int] = None) -> None:

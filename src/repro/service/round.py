@@ -14,7 +14,11 @@ the same underlying implementations (:class:`ShimManager`,
 the same arguments, so the decomposition is byte-identical to the
 seed engine: identical ``RoundSummary`` values, final placements,
 metric counters and obs-trace streams (``tests/service`` pins golden
-values captured from the pre-service engine).
+values captured from the pre-service engine).  :class:`PlanSource` is
+the whole of planning: it prepares the round-static state once (cost
+cache, fleet snapshot) and calls
+:meth:`~repro.migration.manager.ShimManager.process_round` for each
+alerted rack in rack order.
 
 Import discipline: this module must never import
 :mod:`repro.sim.engine` at module scope — the engine imports *us* to
@@ -25,14 +29,12 @@ the direction.  The blackboard carries the simulation handle instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.alerts.alert import Alert
 from repro.cluster.snapshot import FleetSnapshot
 from repro.errors import SimulationError
 from repro.obs.events import AlertDelivered, MigrationAborted, MigrationLanded
-from repro.parallel.pool import auto_inline
 from repro.service.blackboard import BlackboardController, KnowledgeSource
 from repro.service.bus import EventBus
 from repro.service.events import (
@@ -224,7 +226,14 @@ class FreezeSource(KnowledgeSource):
 
 
 class PlanSource(KnowledgeSource):
-    """Per-shim Alg. 1: the plan/execute split or the serial loop."""
+    """Per-shim Alg. 1, one alerted rack at a time in rack order.
+
+    In the paper the shims run logically in parallel and Alg. 4's FCFS
+    REQUEST/ACK is what serialises them; the simulator owes exactly that
+    serialised order, deterministically.  What is round-static — the cost
+    cache and the SoA fleet snapshot — is prepared once and shared
+    read-only by every shim.
+    """
 
     name = "plan"
     priority = 50
@@ -246,91 +255,15 @@ class PlanSource(KnowledgeSource):
             board.skipped_racks = [r for r in racks if r in down]
             racks = [r for r in racks if r not in down]
         board.racks = racks
-        if sim.config.planner != "thread" and racks:
-            # persistent pooled planning: forked shard workers read the
-            # shipped shared-memory fleet, plan their racks, and return
-            # plans that the order-sensitive REQUEST/commit half below
-            # executes serialized in rack order — byte-identical to the
-            # workers=0 loop (the sharded-identity suite pins this)
-            pool = sim._planner_pool()
-            before = dict(pool.stats)
-            with sim.profiler.section("plan"):
-                plans, worker_secs = pool.plan_round(
-                    racks,
-                    board.by_rack,
-                    board.vm_alerts,
-                    board.frozen,
-                    board.host_load,
-                )
-            for worker, secs in sorted(worker_secs.items()):
-                sim.profiler.add(f"plan/{worker}", secs)
-            m = sim.metrics
-            m.gauge("sheriff_pool_attached").set(pool.stats["attached"])
-            m.counter("sheriff_pool_ships_total").inc(
-                pool.stats["ships"] - before.get("ships", 0)
-            )
-            m.counter("sheriff_pool_repairs_total").inc(
-                pool.stats["repairs"] - before.get("repairs", 0)
-            )
-            shard_map = pool.shard_map
-            for plan in plans:
-                report = sim.managers[plan.rack].execute_plan(
-                    plan, sim._port, shard_map=shard_map
-                )
-                board.reports.append(report)
-                self._announce(board, bus, report)
-        elif sim.config.workers != 0 and racks:
-            # plan/execute split: pure per-rack work (classification,
-            # PRIORITY, cost matrices, first matching) fans out over
-            # the pool against round-static shared state, then the
-            # order-sensitive REQUEST/commit half runs serialized in
-            # rack order — byte-identical to the interleaved loop.
-            # The SoA fleet snapshot is built once here and shared
-            # read-only by every planner.
+        if racks:
             sim.cost_model.sync_cache()
             # fleet prime: one stacked Eq. (1) kernel for every VM the
-            # planners could query, so per-rack block builds hit the
-            # cache instead of looping the scalar kernel
+            # shims could query, so per-rack block builds hit the cache
+            # instead of looping the scalar kernel
             sim.cost_model.prime_cost_vectors(
                 v for v in board.vm_alerts if v not in board.frozen
             )
             snapshot = FleetSnapshot(sim.cluster.placement)
-            snapshot.prime_alerts(board.vm_alerts)
-
-            def plan_one(rack: int):
-                return sim.managers[rack].plan_round(
-                    board.by_rack[rack],
-                    board.vm_alerts,
-                    board.frozen,
-                    board.host_load,
-                    snapshot=snapshot,
-                )
-
-            with sim.profiler.section("plan"):
-                if auto_inline(
-                    sim.config.workers,
-                    len(racks),
-                    # weight the decision by the work actually fanned out
-                    # (alerted racks x monitored VMs), not rack count alone
-                    est_cost=len(racks) * len(board.vm_alerts),
-                    cost_threshold=sim.config.auto_inline_threshold,
-                ):
-                    # workers=-1 below the pool break-even: plan
-                    # inline without ever creating the pool
-                    t0 = perf_counter()
-                    plans = [plan_one(rack) for rack in racks]
-                    worker_secs = {"w0": perf_counter() - t0}
-                else:
-                    plans, worker_secs = sim._plan_pool().map_ordered(
-                        plan_one, racks
-                    )
-            for worker, secs in sorted(worker_secs.items()):
-                sim.profiler.add(f"plan/{worker}", secs)
-            for plan in plans:
-                report = sim.managers[plan.rack].execute_plan(plan, sim._port)
-                board.reports.append(report)
-                self._announce(board, bus, report)
-        else:
             for rack in racks:
                 report = sim.managers[rack].process_round(
                     board.by_rack[rack],
@@ -338,6 +271,7 @@ class PlanSource(KnowledgeSource):
                     sim._port,
                     board.frozen,
                     board.host_load,
+                    snapshot=snapshot,
                 )
                 board.reports.append(report)
                 self._announce(board, bus, report)

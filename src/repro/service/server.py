@@ -356,7 +356,6 @@ class SheriffService:
             server.close()
             await server.wait_closed()
             self._remove_signal_handlers(loop)
-            self.sim.close()
             self._set_state("stopped")
         return {
             "rounds": self.rounds_run,

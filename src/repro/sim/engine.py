@@ -4,9 +4,12 @@ One :class:`SheriffSimulation` owns a cluster, a cost model, one
 :class:`~repro.migration.manager.ShimManager` per rack and the shared
 receiver registry.  A *round* is: deliver alerts → every shim runs
 Alg. 1 (selection + matching + REQUEST) → commit accepted migrations →
-record metrics.  Shims run logically in parallel; the FCFS receiver
-protocol (Alg. 4) is what keeps their concurrent reservations conflict-
-free, exactly as in the paper.
+record metrics.  In the paper the shims run logically in parallel and
+the FCFS receiver protocol (Alg. 4) is what serialises their
+reservations; the engine reproduces exactly that serialised order — one
+alerted rack at a time, in rack order, on the calling thread.  There is
+no other planner and no option that selects one (``docs/performance.md``
+records what the worker pools measured before they were deleted).
 
 Since the service-core refactor, :meth:`SheriffSimulation.run_round` is
 a *seeded deterministic scheduler* over the event-driven core in
@@ -49,8 +52,6 @@ from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, Profiler
-from repro.parallel.planner import PlannerPool
-from repro.parallel.pool import WorkerPool
 from repro.service.bus import EventBus
 from repro.service.events import AlertRaised, RoundClosed, RoundOpened
 from repro.service.round import RoundBlackboard, build_round_controller
@@ -88,9 +89,9 @@ class RoundSummary:
     """A shim was down, a partition blocked replanning, or a commit was
     partially refused — the round completed in degraded mode."""
     pool: Dict[str, float] = field(default_factory=dict)
-    """Persistent planner-pool reuse stats (cumulative: ``attached``
-    workers, state ``ships``, move-log ``repairs``, cost-model
-    ``reships``); empty when planning runs inline or on the thread pool."""
+    """Always ``{}``: planning is always inline.  Kept only because
+    ``bench/worker.py`` still reads it; remove it together with the
+    ``parallel.pool_rounds`` metric in the next benchmark PR."""
     slo_violation_minutes: float = 0.0
     """SLO-violation-minutes charged this round (0 without the SLO layer)."""
     slo_by_class: Dict[str, float] = field(default_factory=dict)
@@ -200,8 +201,6 @@ class SheriffSimulation:
         self.history: List[RoundSummary] = []
         self.migration_cooldown = cfg.migration_cooldown
         self._last_move: Dict[int, int] = {}
-        self._pool: Optional[WorkerPool] = None
-        self._planner: Optional[PlannerPool] = None
         # service core: the round runs as a blackboard-controller cascade
         # driven over this bus (see docs/service.md); an external bus from
         # the config lets serve-mode drivers and tests observe the rounds
@@ -251,34 +250,8 @@ class SheriffSimulation:
         for vm, src, dst in zip(pairs[inter, 0], ra[inter], rb[inter]):
             self.flow_table.add_flow(int(vm), int(src), int(dst), rate)
 
-    def _plan_pool(self) -> WorkerPool:
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.config.workers, backend="thread", name="sheriff-shim"
-            )
-        return self._pool
-
-    def _planner_pool(self) -> PlannerPool:
-        """The persistent forked planner pool (``planner="process"/"sharded"``).
-
-        Created lazily on the first pooled round so workers fork with every
-        warm-up side effect (primed cost caches, flow tables) already in
-        their copy-on-write image.
-        """
-        if self._planner is None:
-            self._planner = PlannerPool(
-                self, mode=self.config.planner, shards=self.config.shards
-            )
-        return self._planner
-
     def close(self) -> None:
-        """Release worker pools and shared memory (safe to call repeatedly)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-        if self._planner is not None:
-            self._planner.close()
-            self._planner = None
+        """Nothing to release; kept so drivers can close every engine alike."""
 
     # ------------------------------------------------------------------ #
     def run_round(
@@ -352,7 +325,6 @@ class SheriffSimulation:
             retries=int(scope.total("sheriff_channel_retries_total")),
             rollbacks=int(scope.total("sheriff_rollbacks_total")),
             degraded=board.degraded,
-            pool=dict(self._planner.stats) if self._planner is not None else {},
             slo_violation_minutes=scope.total(
                 "sheriff_slo_violation_minutes_total"
             ),

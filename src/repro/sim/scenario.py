@@ -131,7 +131,7 @@ def forecast_alert_round(
     collection.  With ``batched=True`` (the default) the fleet's one-step
     predictions run through the stacked ARIMA kernels; ``batched=False``
     keeps the scalar per-monitor loop — the live oracle the byte-identity
-    suite and the ``BENCH_4`` baseline measure against.
+    suite measures against.
 
     *headroom* / *migration_cost_s* feed the monitors' confidence gate
     (see :meth:`~repro.alerts.monitor.VMMonitor.alert_value`); with the

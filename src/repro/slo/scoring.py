@@ -15,8 +15,7 @@ degenerates to pure Eq. (1) cost and the assignment is unchanged.
 
 The scorer deliberately imports nothing from :mod:`repro.sim` — the
 timing object is duck-typed (only ``rounds_for(capacity)`` is called), so
-the import-cycle checker stays clean and plan workers can ship the scorer
-state to subprocesses without dragging the engine along.
+the import-cycle checker stays clean.
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
-"""Refit determinism: grouped/pooled dispatch must not perturb RNG streams.
+"""Refit determinism: pool members never perturb each other's RNG stream.
 
 A pool member seeded with a *shared* ``numpy.random.Generator`` draws from
-that stream during ``fit``.  ``_refit_all`` dispatches members grouped by
-model class (and optionally over a thread pool), so without pinning, the
-order members consume the shared stream would depend on grouping and
-scheduling — silently changing fitted parameters between worker settings.
-The selector pins a child substream per member, serially in pool order,
-before any dispatch; these tests lock that contract in.
+that stream during ``fit``, so without pinning, what one member draws
+would depend on how much the members before it consumed.  The selector
+pins a child substream per member, in pool order, before the member fits;
+these tests lock that contract in.
 """
 
 import numpy as np
@@ -24,12 +22,7 @@ def _series(n=80, seed=5):
 
 
 def _shared_gen_pool(gen):
-    """Mixed-class pool whose NARNET members share one Generator.
-
-    The mixed classes matter: class-grouped dispatch interleaves the pool
-    order (ARIMA members first), which is exactly the reordering that
-    would corrupt a shared stream without per-member pinning.
-    """
+    """Mixed-class pool whose NARNET members share one Generator."""
     return {
         "narnetA": lambda: NARNET(ni=4, nh=4, restarts=1, seed=gen, maxiter=30),
         "arima110": lambda: ARIMA(1, 1, 0, maxiter=40),
@@ -37,13 +30,12 @@ def _shared_gen_pool(gen):
     }
 
 
-def _run(workers: int, seed: int = 42) -> list:
+def _run(seed: int = 42) -> list:
     gen = np.random.default_rng(seed)
     sel = DynamicModelSelector(
         _shared_gen_pool(gen),
         period=10,
-        refit_every=15,  # the observe loop below triggers pooled refits
-        workers=workers,
+        refit_every=15,  # the observe loop below triggers refits
     )
     y = _series()
     sel.fit(y[:48])
@@ -56,26 +48,27 @@ def _run(workers: int, seed: int = 42) -> list:
 
 class TestSharedStreamPinning:
     def test_serial_is_repeatable(self):
-        assert _run(0) == _run(0)
-
-    def test_pooled_matches_serial(self):
-        # the pinned substreams make worker count invisible to the fits
-        assert _run(4) == _run(0)
+        assert _run() == _run()
 
     def test_pin_draws_in_pool_order(self):
-        # two selectors over the same shared stream: member substreams are
-        # split off serially in pool order, so each member's draws are a
-        # pure function of (seed, position), never of execution order
-        gen_a = np.random.default_rng(7)
-        gen_b = np.random.default_rng(7)
-        sel_a = DynamicModelSelector(_shared_gen_pool(gen_a), workers=0)
-        sel_b = DynamicModelSelector(_shared_gen_pool(gen_b), workers=3)
+        # member substreams are split off in pool order, so each member's
+        # draws are a pure function of (seed, position): narnetB fits the
+        # same however much narnetA drew before it
         y = _series(seed=9)
+        gen_a = np.random.default_rng(7)
+        sel_a = DynamicModelSelector(_shared_gen_pool(gen_a))
         sel_a.fit(y)
+        gen_b = np.random.default_rng(7)
+        pool_b = _shared_gen_pool(gen_b)
+        pool_b["narnetA"] = lambda: NARNET(  # two restarts: draws twice as much
+            ni=4, nh=4, restarts=2, seed=gen_b, maxiter=30
+        )
+        sel_b = DynamicModelSelector(pool_b)
         sel_b.fit(y)
-        assert sel_a.predict_one() == sel_b.predict_one()
-        for name in sel_a.names:
-            assert sel_a._last_pred[name] == sel_b._last_pred[name]
+        sel_a.predict_one()
+        sel_b.predict_one()
+        assert sel_a._last_pred["narnetB"] == sel_b._last_pred["narnetB"]
+        assert sel_a._last_pred["arima110"] == sel_b._last_pred["arima110"]
 
     def test_integer_seeds_untouched(self):
         # int-seeded members never depended on order; pinning leaves them be
@@ -83,8 +76,8 @@ class TestSharedStreamPinning:
             "n1": lambda: NARNET(ni=4, nh=4, restarts=1, seed=11, maxiter=30),
             "arima": lambda: ARIMA(1, 1, 0, maxiter=40),
         }
-        a = DynamicModelSelector(pool, workers=0)
-        b = DynamicModelSelector(pool, workers=4)
+        a = DynamicModelSelector(pool)
+        b = DynamicModelSelector(pool)
         y = _series(seed=3)
         a.fit(y)
         b.fit(y)

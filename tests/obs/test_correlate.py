@@ -130,23 +130,3 @@ class TestEndToEndCorrelation:
         }
         for landed in landings:
             assert (landed.vm, landed.trace_id) in commits
-
-    def test_workers_and_serial_paths_stamp_identically(self):
-        def ids(workers):
-            tracer = RecordingTracer()
-            cluster = _cluster(seed=11, fill=0.7, skew=1.0)
-            sim = SheriffSimulation(
-                cluster, SheriffConfig(tracer=tracer, workers=workers)
-            )
-            for r in range(4):
-                alerts, vma = inject_fraction_alerts(
-                    cluster, 0.3, time=r, seed=70 + r
-                )
-                sim.run_round(alerts, vma)
-            return [
-                (e.kind, e.trace_id, e.parent_id)
-                for e in tracer.events
-                if e.kind in _PROTOCOL
-            ]
-
-        assert ids(0) == ids(2)

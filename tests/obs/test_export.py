@@ -173,9 +173,3 @@ class TestChromeTrace:
         assert count == 1
         doc = json.loads(path.read_text())
         assert doc["traceEvents"][0]["name"] == "round"
-
-    def test_worker_folds_land_as_spans(self):
-        p = Profiler(record_spans=True)
-        p.add("plan/w0", 0.002)
-        assert p.spans[-1].name == "plan/w0"
-        assert p.spans[-1].duration == 0.002

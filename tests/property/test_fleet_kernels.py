@@ -23,14 +23,11 @@ from repro.forecast.batch import batch_forecast, batch_predict_one
 from repro.forecast.naive import NaiveLast
 from repro.forecast.selection import DynamicModelSelector
 from repro.forecast.selection import batch_predict_one as fleet_predict_one
+from repro.migration.priority import CandidateVM
 from repro.sim import SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_fattree
 
-from tests.property.test_parallel_properties import (
-    alert_rounds,
-    fresh_cluster,
-    run_variant,
-)
+from tests.property.test_parallel_properties import fresh_cluster
 
 common = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -223,6 +220,24 @@ def test_snapshot_matches_placement_queries(seed):
         np.testing.assert_array_equal(snap.vms_on_host(host), pl.vms_on_host(host))
     for rack in range(pl.num_racks):
         np.testing.assert_array_equal(snap.vms_in_rack(rack), pl.vms_in_rack(rack))
+    # PRIORITY candidate records: the scalar definition, one VM at a time
+    alerts = {
+        int(v): float(rng.random())
+        for v in rng.choice(cluster.num_vms, size=cluster.num_vms // 3, replace=False)
+    }
+    ids = rng.integers(0, cluster.num_vms, size=10)
+    scalar = [
+        CandidateVM(
+            vm_id=int(v),
+            capacity=int(pl.vm_capacity[v]),
+            value=float(pl.vm_value[v]),
+            alert=float(alerts.get(int(v), 0.0)),
+            delay_sensitive=bool(pl.vm_delay_sensitive[v]),
+        )
+        for v in ids
+    ]
+    assert snap.candidates(ids, alerts) == scalar
+    assert snap.alerted_candidates(ids, alerts) == [c for c in scalar if c.alert > 0]
 
 
 # --------------------------------------------------------------------- #
@@ -326,21 +341,3 @@ def test_incremental_cost_model_across_lost_restore(seed):
         np.testing.assert_array_equal(
             warm.migration_cost_vector(u), cold.migration_cost_vector(u)
         )
-
-
-# --------------------------------------------------------------------- #
-# end to end: snapshot-planned engine vs the scalar oracle
-# --------------------------------------------------------------------- #
-@common
-@given(alert_rounds())
-def test_auto_mode_engine_is_byte_identical(case):
-    """workers=-1 (snapshot-planned, auto-inlined) vs workers=0 (oracle)."""
-    seed, rounds = case
-    baseline_cluster = fresh_cluster(seed)
-    baseline = run_variant(baseline_cluster, rounds, workers=0, cache=False)
-    cluster = fresh_cluster(seed)
-    got = run_variant(cluster, rounds, workers=-1, cache=True)
-    assert got == baseline
-    np.testing.assert_array_equal(
-        cluster.placement.vm_host, baseline_cluster.placement.vm_host
-    )

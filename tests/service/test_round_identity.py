@@ -1,11 +1,13 @@
 """The bus-driven round scheduler is byte-identical to the seed engine.
 
-``golden_seed_engine.json`` was captured from the pre-refactor engine
-(the monolithic ``run_round``) over four configurations: serial,
-thread-pool, chaos (faults + lossy channel) and timed migrations.  The
-blackboard/event-bus scheduler must reproduce every RoundSummary field
-and the final placement hash exactly — the refactor is a pure
-re-expression, not a behavior change.
+``golden_seed_engine.json`` holds captures of the interleaved per-rack
+loop: ``workers0``, ``chaos_w0`` (faults + lossy channel) and
+``timed_w0`` (timed migrations) from the pre-service monolithic
+``run_round``; ``slo_scoring``, ``bcube4`` and ``degraded_k4``
+(everything opt-in at once, tracer included) from the last commit that
+still had a planner matrix, at its ``workers=0`` setting.  The one
+remaining round must reproduce every RoundSummary field, the final
+placement hash and — where a tracer runs — the event stream exactly.
 """
 
 import dataclasses
@@ -16,13 +18,16 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import build_cluster
+from repro.cluster.snapshot import FleetSnapshot
 from repro.config import SheriffConfig
 from repro.faults import ChannelPolicy, FaultKind, FaultSchedule, FaultSpec
+from repro.migration.request import ReceiverRegistry
+from repro.obs.tracer import RecordingTracer
 from repro.service.bus import EventBus
 from repro.sim.engine import SheriffSimulation
 from repro.sim.inflight import MigrationTiming
 from repro.sim.scenario import inject_fraction_alerts
-from repro.topology import build_fattree
+from repro.topology import build_bcube, build_fattree
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_seed_engine.json").read_text()
@@ -33,26 +38,27 @@ SEED = 2015
 ALERT_FRACTION = 0.08
 
 
-def _cluster():
+def _cluster(variant: str = "workers0"):
+    topology = build_bcube(4) if variant == "bcube4" else build_fattree(4)
     return build_cluster(
-        build_fattree(4),
+        topology,
         hosts_per_rack=4,
         fill_fraction=0.5,
         skew=1.1,
         seed=SEED,
-        delay_sensitive_fraction=0.0,
+        delay_sensitive_fraction=0.1 if variant == "degraded_k4" else 0.0,
     )
 
 
 def _config(variant: str, **extra) -> SheriffConfig:
-    if variant == "workers0":
-        return SheriffConfig(balance_weight=25.0, workers=0, **extra)
-    if variant == "workers4":
-        return SheriffConfig(balance_weight=25.0, workers=4, **extra)
+    channel = ChannelPolicy(loss_probability=0.1, max_retries=3, seed=SEED)
+    if variant in ("workers0", "bcube4"):
+        return SheriffConfig(balance_weight=25.0, **extra)
+    if variant == "slo_scoring":
+        return SheriffConfig(balance_weight=25.0, scoring="slo", **extra)
     if variant == "chaos_w0":
         return SheriffConfig(
             balance_weight=25.0,
-            workers=0,
             fault_schedule=FaultSchedule(
                 [
                     FaultSpec(
@@ -61,22 +67,42 @@ def _config(variant: str, **extra) -> SheriffConfig:
                     FaultSpec(FaultKind.HOST_CRASH, target=3, at_round=3),
                 ]
             ),
-            channel_policy=ChannelPolicy(
-                loss_probability=0.1, max_retries=3, seed=SEED
+            channel_policy=channel,
+            **extra,
+        )
+    if variant == "degraded_k4":
+        # bench/workloads.py::build_degraded_traced at k=4: rack ids are
+        # 0..7, so node 8 is an aggregation switch
+        return SheriffConfig(
+            balance_weight=25.0,
+            migration_timing=MigrationTiming(),
+            with_flows=True,
+            slo=True,
+            tracer=RecordingTracer(),
+            channel_policy=channel,
+            fault_schedule=FaultSchedule(
+                [
+                    FaultSpec(FaultKind.MIGRATION_ABORT, probability=0.25),
+                    FaultSpec(FaultKind.SWITCH_FAIL, target=8, at_round=1),
+                    FaultSpec(FaultKind.SWITCH_RECOVER, target=8, at_round=4),
+                    FaultSpec(
+                        FaultKind.SHIM_DOWN, target=4, at_round=2, duration=2
+                    ),
+                ],
+                seed=SEED,
             ),
             **extra,
         )
     assert variant == "timed_w0"
     return SheriffConfig(
         balance_weight=25.0,
-        workers=0,
         migration_timing=MigrationTiming(),
         **extra,
     )
 
 
 def _run(variant: str, **extra):
-    cluster = _cluster()
+    cluster = _cluster(variant)
     sim = SheriffSimulation(cluster, _config(variant, **extra))
     for r in range(ROUNDS):
         alerts, vma = inject_fraction_alerts(
@@ -103,11 +129,25 @@ def _placement_sha256(cluster):
     return hashlib.sha256(cluster.placement.vm_host.tobytes()).hexdigest()
 
 
+def _events_sha256(tracer):
+    """The trace stream minus the one wall-clock field, in emission order."""
+    rows = []
+    for event in tracer.events:
+        row = event.as_dict()
+        row.pop("elapsed_s", None)
+        rows.append(row)
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("variant", sorted(GOLDEN))
 def test_bus_scheduler_matches_seed_engine(variant):
     cluster, sim = _run(variant)
-    assert _summary_dicts(sim) == GOLDEN[variant]["summaries"]
-    assert _placement_sha256(cluster) == GOLDEN[variant]["placement_sha256"]
+    golden = GOLDEN[variant]
+    assert _summary_dicts(sim) == golden["summaries"]
+    assert _placement_sha256(cluster) == golden["placement_sha256"]
+    if "events_sha256" in golden:
+        assert len(sim.tracer.events) == golden["events"]
+        assert _events_sha256(sim.tracer) == golden["events_sha256"]
 
 
 def test_recording_bus_does_not_perturb_results():
@@ -128,8 +168,36 @@ def test_event_order_is_seed_deterministic():
     assert runs[0]  # the stream is non-trivial
 
 
-def test_parallel_planning_preserves_event_order():
-    # planning may fan out over threads, but publishes stay in rack order
-    _, serial = _run("workers0", event_bus=EventBus(record=True))
-    _, pooled = _run("workers4", event_bus=EventBus(record=True))
-    assert serial.bus.event_kinds() == pooled.bus.event_kinds()
+def test_process_round_builds_the_snapshot_it_is_not_given():
+    # direct callers (tests/migration, examples) pass no snapshot: the shim
+    # builds one from the placement and must decide exactly as it does with
+    # the engine's shared per-round snapshot
+    runs = []
+    for share in (False, True):
+        cluster = _cluster("degraded_k4")
+        tracer = RecordingTracer()
+        sim = SheriffSimulation(
+            cluster,
+            SheriffConfig(balance_weight=25.0, with_flows=True, tracer=tracer),
+        )
+        alerts, vma = inject_fraction_alerts(
+            cluster, ALERT_FRACTION, time=0, seed=SEED
+        )
+        by_rack = {}
+        for alert in alerts:
+            by_rack.setdefault(alert.rack, []).append(alert)
+        receivers = ReceiverRegistry(cluster)
+        snapshot = FleetSnapshot(cluster.placement) if share else None
+        reports = [
+            dataclasses.asdict(
+                sim.managers[rack].process_round(
+                    by_rack[rack], vma, receivers, snapshot=snapshot
+                )
+            )
+            for rack in sorted(by_rack)
+        ]
+        assert any(r["migration"]["acked"] for r in reports)
+        runs.append(
+            (reports, receivers.commit_round(), _events_sha256(tracer))
+        )
+    assert runs[0] == runs[1]

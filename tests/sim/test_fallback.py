@@ -139,11 +139,9 @@ class TestHysteresis:
 
 
 class TestDriverWiring:
-    def run_once(self, policy, *, seed=5, workers=0, **fallback_kwargs):
+    def run_once(self, policy, *, seed=5, **fallback_kwargs):
         cluster, wl = make_env(seed=seed)
-        cfg = SheriffConfig(
-            workers=workers, fallback_policy=policy, **fallback_kwargs
-        )
+        cfg = SheriffConfig(fallback_policy=policy, **fallback_kwargs)
         sim = SheriffSimulation(cluster, cfg)
         mgr = PredictiveManager(wl, threshold=0.7)
         rep = run_managed_simulation(
@@ -188,17 +186,6 @@ class TestDriverWiring:
             fallback_recovery_rounds=1,
         )
         assert self._key(base) == self._key(tuned)
-
-    def test_guarded_run_identical_across_planner_workers(self):
-        """The governor's scoring is engine-independent: pooled planners
-        reproduce the serial guarded run decision for decision."""
-        serial = self.run_once(
-            "reactive", workers=0, fallback_error_bound=0.05, fallback_window=4
-        )
-        pooled = self.run_once(
-            "reactive", workers=2, fallback_error_bound=0.05, fallback_window=4
-        )
-        assert self._key(serial) == self._key(pooled)
 
     def test_config_round_trips_fallback_knobs(self):
         cfg = SheriffConfig(

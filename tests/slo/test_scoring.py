@@ -90,28 +90,3 @@ class TestEngineIntegration:
                 rep.predicted_slo_damage for rep in summary.reports
             )
         assert damage > 0.0
-
-    def test_serial_and_planned_paths_agree_under_slo_scoring(self):
-        # the scorer addend must not break the workers=0 / workers=1
-        # equivalence contract (same operand order, elementwise identical)
-        def run(workers):
-            cluster = _cluster()
-            sim = SheriffSimulation(
-                cluster,
-                SheriffConfig(
-                    balance_weight=25.0, scoring="slo", workers=workers
-                ),
-            )
-            for r in range(4):
-                alerts, vma = inject_fraction_alerts(
-                    cluster, 0.08, time=r, seed=3 + r
-                )
-                sim.run_round(alerts, vma)
-            return cluster.placement.vm_host.copy(), [
-                (s.migrations, s.total_cost) for s in sim.history
-            ]
-
-        hosts_serial, hist_serial = run(0)
-        hosts_planned, hist_planned = run(1)
-        assert hist_serial == hist_planned
-        assert np.array_equal(hosts_serial, hosts_planned)

@@ -22,6 +22,14 @@ class TestParser:
         assert args.topology == "fattree"
         assert args.rounds == 24
 
+    @pytest.mark.parametrize("command", ["balance", "serve", "forecast"])
+    def test_workers_flag_is_gone(self, command, capsys):
+        # planning is always inline: the flag is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--workers", "4"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_traces(self, capsys):
@@ -238,6 +246,15 @@ class TestServeCommand:
         cfg.write_text('{"warp_factor": 9}')
         with pytest.raises(SystemExit):
             main(["serve", "--config", str(cfg)])
+
+    def test_serve_names_a_removed_planner_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"balance_weight": 25.0, "planner": "sharded"}')
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "planner" in err and "removed" in err and "always inline" in err
 
 
 class TestSloCommand:

@@ -24,7 +24,6 @@ class TestRoundTrip:
             migration_cooldown=5,
             with_flows=True,
             flow_rate=0.1,
-            workers=4,
             cache_cost_kernels=False,
             profile=False,
         )
@@ -43,6 +42,26 @@ class TestRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="ballance_weight"):
             SheriffConfig.from_dict({"ballance_weight": 25.0})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("workers", 4),
+            ("planner", "sharded"),
+            ("shards", 2),
+            ("auto_inline_threshold", 16384),
+        ],
+    )
+    def test_removed_planner_keys_fail_by_name(self, key, value):
+        # a config file written for the planner matrix must not be read as
+        # a typo: the error says the key is gone and what happens instead
+        with pytest.raises(ConfigurationError) as exc:
+            SheriffConfig.from_dict({"balance_weight": 25.0, key: value})
+        message = str(exc.value)
+        assert key in message
+        assert "removed" in message and "always inline" in message
+        assert "allowed:" not in message
+        assert not hasattr(SheriffConfig(), key)
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigurationError, match="object"):
