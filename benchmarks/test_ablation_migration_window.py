@@ -13,6 +13,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.analysis import Series, format_series
 from repro.cluster import build_cluster
+from repro.config import SheriffConfig
 from repro.sim import MigrationTiming, SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_fattree
 
@@ -29,7 +30,9 @@ def run_mode(timing):
         seed=SEED,
         delay_sensitive_fraction=0.0,
     )
-    sim = SheriffSimulation(cluster, balance_weight=25.0, migration_timing=timing)
+    sim = SheriffSimulation(
+        cluster, SheriffConfig(balance_weight=25.0, migration_timing=timing)
+    )
     for r in range(ROUNDS):
         alerts, vma = inject_fraction_alerts(cluster, 0.05, time=r, seed=SEED + r)
         sim.run_round(alerts, vma)

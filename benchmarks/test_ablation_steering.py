@@ -17,7 +17,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
 from repro.cluster import build_cluster
-from repro.sim import SheriffSimulation, inject_fraction_alerts
+from repro.sim import SheriffConfig, SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_fattree
 
 SEED = 2015
@@ -33,7 +33,7 @@ def run_balance_weight(weight: float):
         seed=SEED,
         delay_sensitive_fraction=0.0,
     )
-    sim = SheriffSimulation(cluster, balance_weight=weight)
+    sim = SheriffSimulation(cluster, SheriffConfig(balance_weight=weight))
     cost = 0.0
     migrations = 0
     for r in range(ROUNDS):
@@ -54,7 +54,7 @@ def run_cooldown(cooldown: int):
         seed=SEED,
         delay_sensitive_fraction=0.0,
     )
-    sim = SheriffSimulation(cluster, migration_cooldown=cooldown)
+    sim = SheriffSimulation(cluster, SheriffConfig(migration_cooldown=cooldown))
     move_counts: Counter = Counter()
     for r in range(ROUNDS):
         alerts, vma = inject_fraction_alerts(cluster, 0.05, time=r, seed=SEED + r)

@@ -11,7 +11,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.analysis import Series, format_series
 from repro.cluster import build_cluster
-from repro.sim import SheriffSimulation, inject_fraction_alerts
+from repro.sim import SheriffConfig, SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_fattree
 
 ROUNDS = 24
@@ -27,7 +27,7 @@ def run_experiment():
         seed=SEED,
         delay_sensitive_fraction=0.0,
     )
-    sim = SheriffSimulation(cluster, balance_weight=25.0)
+    sim = SheriffSimulation(cluster, SheriffConfig(balance_weight=25.0))
     for r in range(ROUNDS):
         alerts, vma = inject_fraction_alerts(cluster, 0.05, time=r, seed=SEED + r)
         sim.run_round(alerts, vma)

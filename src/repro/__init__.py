@@ -21,9 +21,9 @@ organized bottom-up:
 * :mod:`repro.slo` — per-VM application-facing SLO model,
   violation-minutes accounting and SLO-aware migration scoring (see
   ``docs/slo.md``);
-* :mod:`repro.service` — the event-driven core: typed event bus,
-  blackboard round controller and the always-on ``repro serve`` driver
-  (see ``docs/service.md``).
+* :mod:`repro.service` — the service core: the eight-stage management
+  round, the typed event bus observers tap it through and the always-on
+  ``repro serve`` driver (see ``docs/service.md``).
 
 The common entry points re-export here, so one import line suffices:
 
@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING
 from repro import errors
 from repro.errors import ReproError
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 # Facade re-exports resolve lazily (PEP 562): importing ``repro`` alone
 # stays cheap, and the cluster/sim modules only load on first attribute
@@ -82,8 +82,6 @@ _LAZY_EXPORTS = {
     "ChannelPolicy": "repro.faults",
     "run_chaos_campaign": "repro.faults",
     "EventBus": "repro.service.bus",
-    "BlackboardController": "repro.service.blackboard",
-    "KnowledgeSource": "repro.service.blackboard",
     "ServiceEvent": "repro.service.events",
     "SERVICE_EVENT_TYPES": "repro.service.events",
     "ServeSettings": "repro.service.server",
@@ -115,7 +113,6 @@ if TYPE_CHECKING:  # pragma: no cover - static names for type checkers
         RecordingTracer,
         Tracer,
     )
-    from repro.service.blackboard import BlackboardController, KnowledgeSource
     from repro.service.bus import EventBus
     from repro.service.events import SERVICE_EVENT_TYPES, ServiceEvent
     from repro.service.server import ServeSettings, SheriffService

@@ -1,25 +1,19 @@
 """The :class:`SheriffConfig` bundle — one object for every simulator knob.
 
-Historically :class:`~repro.sim.engine.SheriffSimulation` (and the
-managed-run helpers around it) grew seven loose keyword arguments plus a
-cost-model handle.  ``SheriffConfig`` bundles them with the observability
+``SheriffConfig`` bundles the simulator's knobs with the observability
 handles (``tracer``, ``metrics``, ``profile``) so a whole experiment's
-configuration travels as one value:
+configuration travels as one value, and it is the only way to configure
+a :class:`~repro.sim.engine.SheriffSimulation`:
 
     from repro import SheriffConfig, SheriffSimulation
 
     cfg = SheriffConfig(balance_weight=25.0, with_flows=True)
     sim = SheriffSimulation(cluster, cfg)
-
-The old keyword arguments still work on every accepting constructor but
-raise :class:`DeprecationWarning`; they are folded into a config via
-:func:`resolve_config`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional, TextIO
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -30,10 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle-free typing only
     from repro.faults.schedule import FaultSchedule
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profiling import Profiler
-    from repro.service.bus import EventBus
     from repro.sim.inflight import MigrationTiming
 
-__all__ = ["SheriffConfig", "resolve_config", "LEGACY_SIM_KWARGS"]
+__all__ = ["SheriffConfig"]
 
 
 @dataclass
@@ -143,14 +136,6 @@ class SheriffConfig:
     slo_damage_weight:
         Strength of the predicted-SLO-damage addend under
         ``scoring="slo"``.
-    event_bus:
-        Pre-built :class:`~repro.service.bus.EventBus` the simulation's
-        round scheduler publishes on — pass one to subscribe to the
-        service events (``RoundOpened``, ``AlertRaised``,
-        ``RackPlanned``, ``RoundClosed``, …) from outside the engine,
-        e.g. the serve-mode driver or a determinism audit with
-        ``EventBus(record=True)``.  ``None`` (default) gives the
-        simulation a private bus (reachable as ``sim.bus``).
     """
 
     cost_params: Optional["CostParams"] = None
@@ -179,7 +164,6 @@ class SheriffConfig:
     metrics_stream: Optional[TextIO] = None
     fault_schedule: Optional["FaultSchedule"] = None
     channel_policy: Optional["ChannelPolicy"] = None
-    event_bus: Optional["EventBus"] = None
 
     def replace(self, **changes: Any) -> "SheriffConfig":
         """A copy of this config with *changes* applied."""
@@ -191,7 +175,7 @@ class SheriffConfig:
         Only the *declarative* knobs serialize: scalars plus the nested
         ``cost_params`` / ``migration_timing`` dataclasses.  Runtime
         handles (tracer, metrics registry, profiler, streams, fault
-        schedule, channel policy, event bus) describe live objects, not
+        schedule, channel policy) describe live objects, not
         configuration — a config carrying a non-default one raises
         :class:`~repro.errors.ConfigurationError` rather than silently
         dropping it from the round trip.
@@ -307,59 +291,5 @@ _RUNTIME_HANDLE_DEFAULTS = {
     "metrics_stream": None,
     "fault_schedule": None,
     "channel_policy": None,
-    "event_bus": None,
 }
 """Live-object fields excluded from JSON round-trips (default sentinels)."""
-
-LEGACY_SIM_KWARGS = frozenset(
-    {
-        "cost_params",
-        "alpha",
-        "beta",
-        "balance_weight",
-        "migration_cooldown",
-        "migration_timing",
-        "with_flows",
-        "flow_rate",
-    }
-)
-"""Former ``SheriffSimulation`` keyword arguments, now deprecated aliases."""
-
-_CONFIG_FIELDS = frozenset(f.name for f in fields(SheriffConfig))
-
-
-def resolve_config(
-    config: Optional[SheriffConfig],
-    legacy: Dict[str, Any],
-    *,
-    owner: str = "SheriffSimulation",
-    stacklevel: int = 3,
-) -> SheriffConfig:
-    """Merge a config object with legacy keyword arguments.
-
-    ``tracer``/``metrics``/``profile`` pass through silently (they are
-    first-class keywords of the new API); every key in
-    :data:`LEGACY_SIM_KWARGS` works but warns; anything else raises
-    ``TypeError`` like a normal unexpected keyword.
-    """
-    unknown = sorted(set(legacy) - _CONFIG_FIELDS)
-    if unknown:
-        raise TypeError(
-            f"{owner}() got unexpected keyword argument(s): {', '.join(unknown)}"
-        )
-    deprecated = sorted(set(legacy) & LEGACY_SIM_KWARGS)
-    if deprecated:
-        replacements = ", ".join(
-            f"{key} -> SheriffConfig.{key}" for key in deprecated
-        )
-        warnings.warn(
-            f"passing {', '.join(deprecated)} to {owner}() directly is "
-            f"deprecated and will be removed in release 2.0; set the "
-            f"replacement SheriffConfig field instead ({replacements})",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    cfg = config if config is not None else SheriffConfig()
-    if legacy:
-        cfg = cfg.replace(**legacy)
-    return cfg

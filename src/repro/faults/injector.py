@@ -195,6 +195,14 @@ class FaultInjector:
             # evacuations are accounted by their own counters below.
             port = ReceiverRegistry(sim.cluster, tracer=sim.tracer)
             dest_hosts = sim.managers[rack].shim.candidate_hosts().tolist()
+            if sim.inflight is not None:
+                # room reserved for an in-flight arrival is not free: an
+                # evacuee ACKed onto it makes that arrival's landing
+                # overflow the host
+                for dst in dest_hosts:
+                    held = sim.inflight.hold_on(dst)
+                    if held:
+                        port.promise(dst, held)
             vmmigration(
                 sim.cluster,
                 sim.cost_model,

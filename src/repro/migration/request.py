@@ -112,6 +112,15 @@ class ReceiverRegistry:
         self._reserved_vms.add(vm)
         return self._verdict(RequestOutcome.ACK, vm, dst_host, dst_rack)
 
+    def promise(self, host: int, capacity: int) -> None:
+        """Count *capacity* on *host* as already spoken for this round.
+
+        For room committed outside this registry — the destination holds
+        of in-flight migrations, say — so the Alg. 4 capacity check never
+        ACKs a VM onto it.  Dropped with the round like any promise.
+        """
+        self._promised[host] = self._promised.get(host, 0) + capacity
+
     # ------------------------------------------------------------------ #
     @property
     def pending(self) -> int:

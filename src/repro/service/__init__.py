@@ -1,15 +1,15 @@
-"""The event-driven service core (see ``docs/service.md``).
+"""The service core (see ``docs/service.md``).
 
-* :mod:`repro.service.events` — typed bus events (``AlertRaised``,
-  ``RackPlanned``, ``RequestSent``, ``MigrationCommitted``,
-  ``RoundClosed``, ``FaultInjected``, …);
+* :mod:`repro.service.round` — the management round: one
+  :class:`RoundState` and the eight stage functions of
+  :data:`ROUND_STAGES` that ``SheriffSimulation.run_round`` calls in
+  order;
+* :mod:`repro.service.events` — the five typed bus events
+  (``RoundOpened``, ``RackPlanned``, ``RoundClosed`` from the engine;
+  ``AlertShed``, ``ServiceStateChanged`` from the serve driver);
 * :mod:`repro.service.bus` — the deterministic in-process
-  :class:`EventBus` (priority dispatch, run-to-completion);
-* :mod:`repro.service.blackboard` — :class:`BlackboardController` and
-  :class:`KnowledgeSource`, the prioritized-contributor scheduler;
-* :mod:`repro.service.round` — the management round expressed as
-  knowledge sources over a :class:`RoundBlackboard` (what
-  ``SheriffSimulation.run_round`` drives);
+  :class:`EventBus` (priority dispatch, run-to-completion), the
+  observer tap those events are published on;
 * :mod:`repro.service.ingest` — continuous alert sources for serve
   mode (seeded trace replay, JSONL streams);
 * :mod:`repro.service.server` — the asyncio always-on driver behind
@@ -27,23 +27,15 @@ from typing import TYPE_CHECKING
 _LAZY_EXPORTS = {
     "ServiceEvent": "repro.service.events",
     "RoundOpened": "repro.service.events",
-    "AlertRaised": "repro.service.events",
     "AlertShed": "repro.service.events",
-    "FaultInjected": "repro.service.events",
     "RackPlanned": "repro.service.events",
-    "RequestSent": "repro.service.events",
-    "MigrationCommitted": "repro.service.events",
     "RoundClosed": "repro.service.events",
     "ServiceStateChanged": "repro.service.events",
     "SERVICE_EVENT_TYPES": "repro.service.events",
     "EventBus": "repro.service.bus",
     "Subscription": "repro.service.bus",
-    "KnowledgeSource": "repro.service.blackboard",
-    "FunctionSource": "repro.service.blackboard",
-    "BlackboardController": "repro.service.blackboard",
-    "RoundBlackboard": "repro.service.round",
-    "ROUND_KNOWLEDGE_SOURCES": "repro.service.round",
-    "build_round_controller": "repro.service.round",
+    "RoundState": "repro.service.round",
+    "ROUND_STAGES": "repro.service.round",
     "ReplayAlertSource": "repro.service.ingest",
     "JsonlAlertSource": "repro.service.ingest",
     "ServeSettings": "repro.service.server",
@@ -53,31 +45,18 @@ _LAZY_EXPORTS = {
 __all__ = sorted(_LAZY_EXPORTS)
 
 if TYPE_CHECKING:  # pragma: no cover - static names for type checkers
-    from repro.service.blackboard import (
-        BlackboardController,
-        FunctionSource,
-        KnowledgeSource,
-    )
     from repro.service.bus import EventBus, Subscription
     from repro.service.events import (
         SERVICE_EVENT_TYPES,
-        AlertRaised,
         AlertShed,
-        FaultInjected,
-        MigrationCommitted,
         RackPlanned,
-        RequestSent,
         RoundClosed,
         RoundOpened,
         ServiceEvent,
         ServiceStateChanged,
     )
     from repro.service.ingest import JsonlAlertSource, ReplayAlertSource
-    from repro.service.round import (
-        ROUND_KNOWLEDGE_SOURCES,
-        RoundBlackboard,
-        build_round_controller,
-    )
+    from repro.service.round import ROUND_STAGES, RoundState
     from repro.service.server import ServeSettings, SheriffService
 
 

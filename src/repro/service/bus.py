@@ -1,12 +1,13 @@
 """A deterministic in-process event bus.
 
-The bus is the spine of the service core (see ``docs/service.md``):
+The bus is the service core's observer tap (see ``docs/service.md``):
 publishers hand it :class:`~repro.service.events.ServiceEvent` values,
 subscribers receive them synchronously, and the dispatch order is a
 pure function of (subscription order, publish order) — no threads, no
-wall clock, no randomness.  That determinism is load-bearing: the
-seeded round scheduler drives the whole engine over this bus and must
-reproduce byte-identical results run after run.
+wall clock, no randomness, so an audit that subscribes to a seeded run
+sees the same stream run after run.  Nothing the engine decides depends
+on a subscriber: with none attached, ``publish`` counts the event and
+returns.
 
 Semantics
 ---------
@@ -21,14 +22,14 @@ Semantics
   queued FIFO and dispatched after the current event completes — a
   handler never observes a half-dispatched cascade.
 * **Counting.**  ``counts`` tallies published events by kind (cheap,
-  always on); ``record=True`` additionally keeps the full ``history``
-  for tests and determinism audits.
+  always on); to keep the events themselves, subscribe a
+  ``list.append`` to :class:`ServiceEvent`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Type
+from typing import Callable, Deque, Dict, List, Tuple, Type
 
 from repro.service.events import ServiceEvent
 
@@ -63,7 +64,7 @@ class Subscription:
 class EventBus:
     """Deterministic synchronous pub/sub over typed service events."""
 
-    def __init__(self, *, record: bool = False) -> None:
+    def __init__(self) -> None:
         # event_type -> ordered list of (sort_key, handler, subscription);
         # sort_key = (-priority, seq) so plain list-sort gives dispatch order
         self._subscribers: Dict[
@@ -80,8 +81,6 @@ class EventBus:
         self._seq = 0
         self.counts: Counter = Counter()
         """Published events tallied by ``kind`` (always maintained)."""
-        self.history: Optional[List[ServiceEvent]] = [] if record else None
-        """Every published event in publish order, when ``record=True``."""
 
     # ------------------------------------------------------------------ #
     def subscribe(
@@ -125,8 +124,6 @@ class EventBus:
         if not isinstance(event, ServiceEvent):
             raise TypeError(f"publish() needs a ServiceEvent, got {event!r}")
         self.counts[event.kind] += 1
-        if self.history is not None:
-            self.history.append(event)
         if not self._subscribers:
             # nobody listening: the event would queue, drain and dispatch
             # to an empty handler list — skip the machinery entirely
@@ -159,16 +156,3 @@ class EventBus:
                         handler(event)
         finally:
             self._dispatching = False
-
-    # ------------------------------------------------------------------ #
-    def event_kinds(self) -> List[str]:
-        """Recorded event kinds in publish order (requires ``record``)."""
-        if self.history is None:
-            raise ValueError("EventBus(record=True) required for event_kinds()")
-        return [e.kind for e in self.history]
-
-    def clear_history(self) -> None:
-        """Drop recorded history and counts (subscriptions stay)."""
-        self.counts.clear()
-        if self.history is not None:
-            self.history.clear()

@@ -1,14 +1,16 @@
 """Typed service events — the vocabulary of the Sheriff event bus.
 
-These are *control-plane* events: they announce what the always-on
-service core is doing (a round opened, an alert arrived, a rack was
-planned, migrations committed) so that schedulers, the serve-mode
-driver, metrics bridges and tests can react without reaching into the
-engine.  They are distinct from the *observability* trace events in
-:mod:`repro.obs.events`, which record fine-grained per-decision facts
-for offline analysis; a service event typically summarizes many trace
-events (one :class:`RackPlanned` per shim vs one ``PrioritySelected``
-per Alg. 2 invocation).
+These are *control-plane* notifications for observers: the engine
+announces that a round opened, a rack was planned and the round closed;
+the serve-mode driver announces shed alerts and lifecycle changes.
+Nothing in the round reads them back — the serve driver, metric bridges
+and audits subscribe on ``sim.bus`` instead of reaching into the engine.
+Per-decision facts (each alert delivered, each REQUEST and its verdict,
+each commit, each injected fault) live in the *observability* trace
+events of :mod:`repro.obs.events`; the two vocabularies share no class
+name, and a service event summarizes many trace events (one
+:class:`RackPlanned` per shim vs one ``PrioritySelected`` per Alg. 2
+invocation).
 
 All events are frozen dataclasses: once published they are immutable,
 so every subscriber sees the same value regardless of dispatch order.
@@ -21,17 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
-from repro.alerts.alert import Alert
-
 __all__ = [
     "ServiceEvent",
     "RoundOpened",
-    "AlertRaised",
     "AlertShed",
-    "FaultInjected",
     "RackPlanned",
-    "RequestSent",
-    "MigrationCommitted",
     "RoundClosed",
     "ServiceStateChanged",
     "SERVICE_EVENT_TYPES",
@@ -59,15 +55,6 @@ class ServiceEvent:
         out = {"event": self.kind}
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, Alert):
-                v = {
-                    "kind": v.kind.name,
-                    "rack": v.rack,
-                    "magnitude": v.magnitude,
-                    "host": v.host,
-                    "switch": v.switch,
-                    "vm": v.vm,
-                }
             if isinstance(v, tuple):
                 v = list(v)
             out[f.name] = v
@@ -76,25 +63,9 @@ class ServiceEvent:
 
 @dataclass(frozen=True)
 class RoundOpened(ServiceEvent):
-    """The scheduler opened a management round (ingest window closed)."""
+    """The engine opened a management round (ingest window closed)."""
 
     alerts: int = 0
-
-
-@dataclass(frozen=True)
-class AlertRaised(ServiceEvent):
-    """One ALERT message entered the service core.
-
-    Published by the round scheduler (batch mode) or the serve-mode
-    ingest loop (continuous mode); the blackboard controller's ingest
-    subscriber appends it to the current round's working set.
-    """
-
-    rack: int = -1
-    alert_kind: str = ""
-    magnitude: float = 0.0
-    alert: Optional[Alert] = None
-    """The full message; carried so knowledge sources need no lookup."""
 
 
 @dataclass(frozen=True)
@@ -108,14 +79,6 @@ class AlertShed(ServiceEvent):
 
 
 @dataclass(frozen=True)
-class FaultInjected(ServiceEvent):
-    """The fault layer fired at the top of a round."""
-
-    injected: int = 0
-    degraded: bool = False
-
-
-@dataclass(frozen=True)
 class RackPlanned(ServiceEvent):
     """One shim finished Alg. 1 for the round (plan + execute)."""
 
@@ -125,26 +88,6 @@ class RackPlanned(ServiceEvent):
     requested: int = 0
     acked: int = 0
     rejected: int = 0
-
-
-@dataclass(frozen=True)
-class RequestSent(ServiceEvent):
-    """A shim's REQUEST batch left for the one-hop neighbor racks.
-
-    Aggregated per rack: ``count`` REQUEST messages were issued by
-    VMMIGRATION (the per-message story lives in the obs trace as
-    individual ``RequestSent`` trace events)."""
-
-    rack: int = -1
-    count: int = 0
-
-
-@dataclass(frozen=True)
-class MigrationCommitted(ServiceEvent):
-    """The round's FCFS commit applied one reserved migration."""
-
-    vm: int = -1
-    dst_host: int = -1
 
 
 @dataclass(frozen=True)
@@ -167,12 +110,8 @@ class ServiceStateChanged(ServiceEvent):
 
 SERVICE_EVENT_TYPES: List[type] = [
     RoundOpened,
-    AlertRaised,
     AlertShed,
-    FaultInjected,
     RackPlanned,
-    RequestSent,
-    MigrationCommitted,
     RoundClosed,
     ServiceStateChanged,
 ]

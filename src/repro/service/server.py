@@ -5,8 +5,8 @@ process: an ingest task pulls ``(Alert, magnitude)`` pairs from an
 alert source (:mod:`repro.service.ingest`) into a **bounded queue**,
 and a planner loop drains whatever is queued every ``round_interval``
 seconds into one :meth:`SheriffSimulation.run_round` call — the same
-seeded blackboard cascade batch mode uses, so the decision logic is
-literally shared.
+eight-stage round batch mode runs, so the decision logic is literally
+shared.
 
 Backpressure: when ingest outruns planning and the queue hits
 ``queue_limit``, the shed policy decides who loses — ``drop-oldest``
@@ -42,11 +42,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.alerts.alert import Alert
 from repro.errors import ConfigurationError
-from repro.service.events import (
-    AlertShed,
-    RoundClosed,
-    ServiceStateChanged,
-)
+from repro.service.events import AlertShed, ServiceStateChanged
 
 __all__ = ["ServeSettings", "SheriffService"]
 
@@ -111,10 +107,10 @@ class ServeSettings:
 class SheriffService:
     """One simulation + one alert source, served until drained.
 
-    The service publishes its lifecycle on the simulation's bus
-    (:class:`ServiceStateChanged`) and tracks each round's outcome by
-    subscribing to the engine's :class:`RoundClosed` events — it never
-    reaches into engine internals.
+    The service publishes its lifecycle (:class:`ServiceStateChanged`)
+    and shed decisions (:class:`AlertShed`) on the simulation's bus and
+    reads each round's outcome from the :class:`RoundSummary` that
+    ``run_round`` returns — it never reaches into engine internals.
     """
 
     def __init__(self, sim, source, settings: Optional[ServeSettings] = None) -> None:
@@ -132,7 +128,6 @@ class SheriffService:
         self._queue: Deque[Tuple[Alert, float]] = deque()
         self._drain_requested = False
         self._ingest_done = False
-        self.sim.bus.subscribe(RoundClosed, self._on_round_closed)
 
     # ------------------------------------------------------------------ #
     # backpressure
@@ -188,15 +183,6 @@ class SheriffService:
         self.state = state
         self.sim.bus.publish(ServiceStateChanged(state=state))
 
-    def _on_round_closed(self, event: RoundClosed) -> None:
-        self.last_round = {
-            "round": event.round,
-            "alerts": event.alerts,
-            "migrations": event.migrations,
-            "total_cost": event.total_cost,
-            "degraded": event.degraded,
-        }
-
     # ------------------------------------------------------------------ #
     # ingest task
     # ------------------------------------------------------------------ #
@@ -251,7 +237,14 @@ class SheriffService:
     def _run_one_round(self) -> None:
         alerts, vm_alerts = self._drain_batch()
         self.alerts_planned += len(alerts)
-        self.sim.run_round(alerts, vm_alerts)
+        summary = self.sim.run_round(alerts, vm_alerts)
+        self.last_round = {
+            "round": summary.round_index,
+            "alerts": summary.alerts,
+            "migrations": summary.migrations,
+            "total_cost": summary.total_cost,
+            "degraded": summary.degraded,
+        }
         self.rounds_run += 1
         self.metrics.counter("sheriff_serve_rounds_total").inc()
 

@@ -11,17 +11,17 @@ alerted rack at a time, in rack order, on the calling thread.  There is
 no other planner and no option that selects one (``docs/performance.md``
 records what the worker pools measured before they were deleted).
 
-Since the service-core refactor, :meth:`SheriffSimulation.run_round` is
-a *seeded deterministic scheduler* over the event-driven core in
-:mod:`repro.service`: it publishes ``RoundOpened`` and one
-``AlertRaised`` per alert on the simulation's
-:class:`~repro.service.bus.EventBus`, then drives the
-:class:`~repro.service.blackboard.BlackboardController` (whose
-knowledge sources wrap the historical stage implementations — see
-:mod:`repro.service.round`) to quiescence.  The cascade executes the
-exact statement order of the old monolithic round, so all byte-identity
-contracts survive; ``repro serve`` reuses the same core for continuous
-alert ingestion (see ``docs/service.md``).
+A round is eight function calls: :meth:`SheriffSimulation.run_round`
+builds one :class:`~repro.service.round.RoundState` and calls the
+stages of :data:`~repro.service.round.ROUND_STAGES` in their one legal
+order (faults → census → dispatch → landings → freeze → plan → commit →
+close) — the statement order of the historical monolithic round, so all
+byte-identity contracts hold.  The simulation's
+:class:`~repro.service.bus.EventBus` (``sim.bus``) is an observer tap:
+the engine publishes ``RoundOpened``, one ``RackPlanned`` per planned
+rack and ``RoundClosed`` on it and reads nothing back; a default
+simulation has no subscriber.  ``repro serve`` drives the same
+``run_round`` for continuous alert ingestion (see ``docs/service.md``).
 
 Observability: the engine threads one :class:`~repro.obs.tracer.Tracer`,
 one :class:`~repro.obs.metrics.MetricsRegistry` and one
@@ -30,8 +30,7 @@ protocol and VMMIGRATION.  Decision sites increment labeled counters;
 :class:`RoundSummary` reads its totals back from the round's metrics
 scope, and ``RoundSummary.timings`` carries the per-round wall-clock
 breakdown (``priority`` / ``matching`` / ``request`` / ``commit`` ...).
-Configuration arrives as one :class:`~repro.config.SheriffConfig`; the
-historical loose keyword arguments still work but are deprecated.
+Configuration arrives as one :class:`~repro.config.SheriffConfig`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from repro.alerts.alert import Alert
 from repro.cluster.cluster import Cluster
-from repro.config import SheriffConfig, resolve_config
+from repro.config import SheriffConfig
 from repro.costs.model import CostModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.migration.manager import RoundReport, ShimManager
@@ -53,8 +52,8 @@ from repro.migration.reroute import FlowTable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, Profiler
 from repro.service.bus import EventBus
-from repro.service.events import AlertRaised, RoundClosed, RoundOpened
-from repro.service.round import RoundBlackboard, build_round_controller
+from repro.service.events import RoundClosed, RoundOpened
+from repro.service.round import ROUND_STAGES, RoundState
 from repro.sim.inflight import InFlightTracker, MigrationTiming, TimedReceiverRegistry
 
 __all__ = ["RoundSummary", "SheriffSimulation"]
@@ -107,20 +106,14 @@ class SheriffSimulation:
         Shared cluster state (mutated by committed migrations).
     config:
         One :class:`~repro.config.SheriffConfig` bundling every knob plus
-        the ``tracer``/``metrics`` observability handles.  The historical
-        keyword arguments (``alpha``, ``beta``, ``balance_weight``,
-        ``migration_cooldown``, ``migration_timing``, ``with_flows``,
-        ``flow_rate``, ``cost_params``) are accepted as deprecated
-        aliases and fold into the config.
+        the ``tracer``/``metrics`` observability handles; ``None`` runs
+        the defaults.
     """
 
     def __init__(
-        self,
-        cluster: Cluster,
-        config: Optional[SheriffConfig] = None,
-        **kwargs,
+        self, cluster: Cluster, config: Optional[SheriffConfig] = None
     ) -> None:
-        cfg = resolve_config(config, kwargs, owner="SheriffSimulation")
+        cfg = config if config is not None else SheriffConfig()
         self.config = cfg
         self.tracer = cfg.tracer
         self.metrics: MetricsRegistry = (
@@ -201,13 +194,9 @@ class SheriffSimulation:
         self.history: List[RoundSummary] = []
         self.migration_cooldown = cfg.migration_cooldown
         self._last_move: Dict[int, int] = {}
-        # service core: the round runs as a blackboard-controller cascade
-        # driven over this bus (see docs/service.md); an external bus from
-        # the config lets serve-mode drivers and tests observe the rounds
-        self.bus: EventBus = (
-            cfg.event_bus if cfg.event_bus is not None else EventBus()
-        )
-        self.controller = build_round_controller(self, self.bus)
+        # observer tap (see docs/service.md): the round publishes on it and
+        # reads nothing back; subscribe from outside to watch the rounds
+        self.bus = EventBus()
         # fault layer — only constructed when configured, so fault-free
         # simulations take exactly the historical code paths (the PR 2
         # byte-identity contract).  Imported lazily to keep sim <-> faults
@@ -275,39 +264,25 @@ class SheriffSimulation:
         if self.receivers.pending:
             raise SimulationError("uncommitted reservations from a previous round")
         # the round index: computed once, shared by the timed-migration
-        # bookkeeping in the knowledge sources and the summary record
-        # (they can never disagree)
+        # bookkeeping in the stages and the summary record (they can
+        # never disagree)
         now = len(self.history)
         self.tracer.begin_round(now)
         self.profiler.begin_round(now)
         m = self.metrics
-        board = RoundBlackboard(
-            sim=self, now=now, vm_alerts=vm_alerts, host_load=host_load
+        state = RoundState(
+            sim=self,
+            now=now,
+            alerts=alerts,
+            vm_alerts=vm_alerts,
+            host_load=host_load,
         )
-        self.controller.bind(board)
-        try:
-            with self.profiler.section("round"), m.scope() as scope:
-                m.counter("sheriff_rounds_total").inc()
-                m.counter("sheriff_alerts_total").inc(len(alerts))
-                # the seeded deterministic scheduler: announce the round,
-                # feed every alert over the bus, then drive the blackboard
-                # cascade (faults → census → dispatch → landings → freeze
-                # → plan → commit → close) to quiescence — the same
-                # statement order as the historical monolithic round
-                self.bus.publish(RoundOpened(round=now, alerts=len(alerts)))
-                for alert in alerts:
-                    self.bus.publish(
-                        AlertRaised(
-                            round=now,
-                            rack=alert.rack,
-                            alert_kind=alert.kind.name,
-                            magnitude=float(alert.magnitude),
-                            alert=alert,
-                        )
-                    )
-                self.controller.run()
-        finally:
-            self.controller.bind(None)
+        with self.profiler.section("round"), m.scope() as scope:
+            m.counter("sheriff_rounds_total").inc()
+            m.counter("sheriff_alerts_total").inc(len(alerts))
+            self.bus.publish(RoundOpened(round=now, alerts=len(alerts)))
+            for stage in ROUND_STAGES:
+                stage(state)
         summary = RoundSummary(
             round_index=now,
             alerts=len(alerts),
@@ -317,14 +292,14 @@ class SheriffSimulation:
             total_cost=scope.total("sheriff_migration_cost_total"),
             search_space=int(scope.total("sheriff_search_space_total")),
             unplaced=int(scope.total("sheriff_unplaced_total")),
-            workload_std_before=board.std_before,
-            workload_std_after=board.std_after,
-            reports=board.reports,
+            workload_std_before=state.std_before,
+            workload_std_after=state.std_after,
+            reports=state.reports,
             timings=self.profiler.round_timings(),
-            faults=board.fault_info.injected if board.fault_info is not None else 0,
+            faults=state.fault_info.injected if state.fault_info is not None else 0,
             retries=int(scope.total("sheriff_channel_retries_total")),
             rollbacks=int(scope.total("sheriff_rollbacks_total")),
-            degraded=board.degraded,
+            degraded=state.degraded,
             slo_violation_minutes=scope.total(
                 "sheriff_slo_violation_minutes_total"
             ),

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cluster import build_cluster
 from repro.costs import CostModel
 from repro.topology import build_bcube, build_fattree
+
+# Loaded before the test modules build their ``settings(...)`` objects (which
+# inherit what they do not name): no fresh draws, no replay from an untracked
+# ``.hypothesis/`` directory — the tier-1 gate is the same run on every box.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -94,6 +94,29 @@ class TestHostCrash:
         # nothing ever migrates onto the dead host
         assert cluster.placement.free_capacity(host) == 0
 
+    def test_evacuation_respects_inflight_holds(self):
+        # bench/README.md's repro cut to 16 rounds: the second crash used to
+        # evacuate a VM onto room held for an in-flight arrival, and that
+        # arrival's landing raised CapacityError in round 15
+        cluster = build_cluster(
+            build_fattree(8), hosts_per_rack=40, fill_fraction=0.5, seed=2015,
+            delay_sensitive_fraction=0.1,
+        )
+        crashes = [
+            FaultSpec(FaultKind.HOST_CRASH, target=97 * i, at_round=5 + 10 * i)
+            for i in range(2)
+        ]
+        cfg = SheriffConfig(
+            migration_timing=MigrationTiming(),
+            fault_schedule=FaultSchedule(crashes, seed=2015),
+        )
+        sim = SheriffSimulation(cluster, cfg)
+        for r in range(16):
+            alerts, vma = inject_fraction_alerts(cluster, 0.05, time=r, seed=2015 + r)
+            sim.run_round(alerts, vma)
+        assert sum(s.faults for s in sim.history) == 2
+        cluster.placement.check_invariants()
+
 
 class TestShimOutage:
     def test_down_rack_is_skipped_and_round_degrades(self, cluster):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
+from repro.config import SheriffConfig
 from repro.migration.reroute import FlowTable
 from repro.sim import (
     FailureInjector,
@@ -46,7 +47,7 @@ def test_soak_mixed_regimes():
 
     sim = SheriffSimulation(
         cluster,
-        migration_timing=MigrationTiming(round_seconds=30.0),
+        SheriffConfig(migration_timing=MigrationTiming(round_seconds=30.0)),
     )
     for mgr in sim.managers.values():
         mgr.flow_table = flows

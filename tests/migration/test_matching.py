@@ -1,11 +1,26 @@
-"""Kuhn-Munkres matching tests, cross-validated against scipy."""
+"""Kuhn-Munkres matching tests, cross-validated against scipy, on both
+solver paths: the one the box loads (compiled ``_jv.c`` where ``gcc``
+exists) and, via ``TestNumpyReference``, the numpy reference."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from repro.errors import ConfigurationError, MigrationError
+from repro.migration import matching
 from repro.migration.matching import hungarian
+
+
+@pytest.fixture
+def numpy_path(monkeypatch):
+    monkeypatch.setattr(matching, "_JV_KERNEL", None)
+
+
+def _verdict(cost):
+    try:
+        return hungarian(cost)[0].tolist()
+    except MigrationError as exc:
+        return str(exc)
 
 
 class TestCorrectness:
@@ -69,22 +84,27 @@ class TestForbiddenPairs:
         with pytest.raises(MigrationError):
             hungarian(c)
 
-    def test_partially_forbidden_still_optimal(self):
-        rng = np.random.default_rng(7)
-        c = rng.random((6, 8)) * 10
-        c[c < 2] = np.inf
-        if not np.isfinite(c).any(axis=1).all():
-            pytest.skip("degenerate draw")
-        try:
-            a, tot = hungarian(c)
-        except MigrationError:
-            return  # genuinely infeasible is acceptable
-        sentinel = 1e6
-        filled = np.where(np.isfinite(c), c, sentinel)
-        r, cc = linear_sum_assignment(filled)
-        ref = filled[r, cc].sum()
-        if ref < sentinel:  # scipy found an all-finite matching too
-            assert tot == pytest.approx(ref)
+    def test_partially_forbidden_still_optimal(self, monkeypatch):
+        # integer costs tie, a quarter of the cells are forbidden: optimal
+        # against scipy, and the loaded kernel and the numpy reference break
+        # every tie alike and fail with the same message, bit for bit
+        rng = np.random.default_rng(7000)
+        cases = []
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            c = rng.integers(0, 5, size=(n, n + int(rng.integers(0, 5))))
+            cases.append(np.where(rng.random(c.shape) < 0.25, np.inf, c))
+        loaded = [_verdict(c) for c in cases]
+        monkeypatch.setattr(matching, "_JV_KERNEL", None)
+        assert loaded == [_verdict(c) for c in cases]
+        assert any(isinstance(v, str) for v in loaded)  # infeasible draws too
+        for c, verdict in zip(cases, loaded):
+            filled = np.where(np.isfinite(c), c, 1e6)
+            best = filled[linear_sum_assignment(filled)].sum()
+            if isinstance(verdict, str):
+                assert best >= 1e6  # scipy finds no all-finite matching either
+            else:
+                assert c[np.arange(len(c)), verdict].sum() == best
 
 
 class TestValidation:
@@ -99,3 +119,8 @@ class TestValidation:
     def test_one_dim_rejected(self):
         with pytest.raises(ConfigurationError):
             hungarian(np.ones(4))
+
+
+@pytest.mark.usefixtures("numpy_path")
+class TestNumpyReference(TestCorrectness, TestForbiddenPairs, TestValidation):
+    """Every case above once more with the compiled kernel switched off."""

@@ -214,24 +214,9 @@ class TestAllEventKinds:
 
 
 class TestConfigCompat:
-    def test_legacy_kwargs_warn_and_work(self):
-        cluster = _cluster()
-        with pytest.warns(DeprecationWarning, match="balance_weight"):
-            sim = SheriffSimulation(cluster, balance_weight=25.0, alpha=0.2)
-        assert sim.config.balance_weight == 25.0
-        assert sim.config.alpha == 0.2
-
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             SheriffSimulation(_cluster(), banana=1)
-
-    def test_config_and_legacy_kwarg_together(self):
-        cfg = SheriffConfig(alpha=0.3)
-        with pytest.warns(DeprecationWarning):
-            sim = SheriffSimulation(_cluster(), cfg, beta=0.4)
-        assert sim.config.alpha == 0.3
-        assert sim.config.beta == 0.4
-        assert cfg.beta != 0.4  # the caller's config object is not mutated
 
     def test_facade_exports(self):
         import repro

@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.obs.events as trace_events
 from repro.service.bus import EventBus
 from repro.service.events import (
-    AlertRaised,
+    SERVICE_EVENT_TYPES,
+    AlertShed,
     RoundClosed,
     RoundOpened,
     ServiceEvent,
@@ -29,8 +31,8 @@ class TestSubscription:
         got = []
         bus.subscribe(ServiceEvent, got.append)
         bus.publish(_opened())
-        bus.publish(AlertRaised(round=0, rack=1, alert_kind="SERVER", magnitude=1.0))
-        assert [e.kind for e in got] == ["RoundOpened", "AlertRaised"]
+        bus.publish(AlertShed(rack=1, policy="drop-oldest", queue_depth=4))
+        assert [e.kind for e in got] == ["RoundOpened", "AlertShed"]
 
     def test_cancel_detaches(self):
         bus = EventBus()
@@ -99,15 +101,11 @@ class TestRecording:
         bus.publish(_opened(1))
         assert bus.counts["RoundOpened"] == 2
 
-    def test_history_requires_record(self):
-        bus = EventBus()
-        with pytest.raises(ValueError):
-            bus.event_kinds()
 
-    def test_record_and_clear(self):
-        bus = EventBus(record=True)
-        bus.publish(_opened())
-        assert bus.event_kinds() == ["RoundOpened"]
-        bus.clear_history()
-        assert bus.event_kinds() == []
-        assert not bus.counts
+def test_service_and_trace_vocabularies_share_no_name():
+    # a bus event summarizes, a trace event records the per-decision fact;
+    # one class name must never mean both
+    trace_names = {c.__name__ for c in trace_events.TraceEvent.__subclasses__()}
+    assert "RequestSent" in trace_names
+    assert len(SERVICE_EVENT_TYPES) == 5
+    assert not {c.__name__ for c in SERVICE_EVENT_TYPES} & trace_names

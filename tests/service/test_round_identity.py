@@ -1,4 +1,6 @@
-"""The bus-driven round scheduler is byte-identical to the seed engine.
+"""The eight-stage round is byte-identical to the seed engine, and its bus
+is an observer tap: three engine events, no subscriber, no decision read
+back.
 
 ``golden_seed_engine.json`` holds captures of the interleaved per-rack
 loop: ``workers0``, ``chaos_w0`` (faults + lossy channel) and
@@ -13,17 +15,21 @@ placement hash and — where a tracer runs — the event stream exactly.
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.alerts.alert import Alert, AlertKind
 from repro.cluster import build_cluster
 from repro.cluster.snapshot import FleetSnapshot
 from repro.config import SheriffConfig
+from repro.errors import SimulationError
 from repro.faults import ChannelPolicy, FaultKind, FaultSchedule, FaultSpec
 from repro.migration.request import ReceiverRegistry
 from repro.obs.tracer import RecordingTracer
-from repro.service.bus import EventBus
+from repro.service.events import SERVICE_EVENT_TYPES, ServiceEvent
+from repro.service.round import ROUND_STAGES
 from repro.sim.engine import SheriffSimulation
 from repro.sim.inflight import MigrationTiming
 from repro.sim.scenario import inject_fraction_alerts
@@ -50,12 +56,12 @@ def _cluster(variant: str = "workers0"):
     )
 
 
-def _config(variant: str, **extra) -> SheriffConfig:
+def _config(variant: str) -> SheriffConfig:
     channel = ChannelPolicy(loss_probability=0.1, max_retries=3, seed=SEED)
     if variant in ("workers0", "bcube4"):
-        return SheriffConfig(balance_weight=25.0, **extra)
+        return SheriffConfig(balance_weight=25.0)
     if variant == "slo_scoring":
-        return SheriffConfig(balance_weight=25.0, scoring="slo", **extra)
+        return SheriffConfig(balance_weight=25.0, scoring="slo")
     if variant == "chaos_w0":
         return SheriffConfig(
             balance_weight=25.0,
@@ -68,7 +74,6 @@ def _config(variant: str, **extra) -> SheriffConfig:
                 ]
             ),
             channel_policy=channel,
-            **extra,
         )
     if variant == "degraded_k4":
         # bench/workloads.py::build_degraded_traced at k=4: rack ids are
@@ -91,19 +96,19 @@ def _config(variant: str, **extra) -> SheriffConfig:
                 ],
                 seed=SEED,
             ),
-            **extra,
         )
     assert variant == "timed_w0"
     return SheriffConfig(
         balance_weight=25.0,
         migration_timing=MigrationTiming(),
-        **extra,
     )
 
 
-def _run(variant: str, **extra):
+def _run(variant: str, observer=None):
     cluster = _cluster(variant)
-    sim = SheriffSimulation(cluster, _config(variant, **extra))
+    sim = SheriffSimulation(cluster, _config(variant))
+    if observer is not None:
+        sim.bus.subscribe(ServiceEvent, observer)
     for r in range(ROUNDS):
         alerts, vma = inject_fraction_alerts(
             cluster, ALERT_FRACTION, time=r, seed=SEED + r
@@ -142,6 +147,7 @@ def _events_sha256(tracer):
 @pytest.mark.parametrize("variant", sorted(GOLDEN))
 def test_bus_scheduler_matches_seed_engine(variant):
     cluster, sim = _run(variant)
+    assert not any(sim.bus.subscriber_count(t) for t in SERVICE_EVENT_TYPES)
     golden = GOLDEN[variant]
     assert _summary_dicts(sim) == golden["summaries"]
     assert _placement_sha256(cluster) == golden["placement_sha256"]
@@ -152,20 +158,51 @@ def test_bus_scheduler_matches_seed_engine(variant):
 
 def test_recording_bus_does_not_perturb_results():
     # observing every event must not change a single decision
-    cluster, sim = _run("workers0", event_bus=EventBus(record=True))
+    seen = []
+    cluster, sim = _run("workers0", observer=seen.append)
     assert _summary_dicts(sim) == GOLDEN["workers0"]["summaries"]
     assert _placement_sha256(cluster) == GOLDEN["workers0"]["placement_sha256"]
-    kinds = set(sim.bus.event_kinds())
-    assert {"RoundOpened", "AlertRaised", "RackPlanned", "RoundClosed"} <= kinds
+    # and what there is to observe is the three engine events, nothing else
+    planned = sum(len(s.reports) for s in sim.history)
+    assert planned > ROUNDS
+    assert Counter(e.kind for e in seen) == sim.bus.counts == {
+        "RoundOpened": ROUNDS, "RackPlanned": planned, "RoundClosed": ROUNDS
+    }
 
 
 def test_event_order_is_seed_deterministic():
-    runs = []
-    for _ in range(2):
-        _, sim = _run("workers0", event_bus=EventBus(record=True))
-        runs.append(sim.bus.event_kinds())
+    runs = [[], []]
+    for seen in runs:
+        _run("workers0", observer=seen.append)
     assert runs[0] == runs[1]
     assert runs[0]  # the stream is non-trivial
+
+
+def test_round_is_the_documented_stage_order_and_nothing_wraps_it():
+    assert [f.__name__ for f in ROUND_STAGES] == (
+        "inject_faults census dispatch land freeze plan commit close".split()
+    )
+    # no scheduler between the engine and the stages: what ``plan`` raises
+    # is what the caller of run_round catches
+    cluster = _cluster()
+    sim = SheriffSimulation(cluster, _config("workers0"))
+    stray = Alert(kind=AlertKind.LOCAL_TOR, rack=cluster.num_racks, magnitude=1.0)
+    with pytest.raises(SimulationError, match="unknown rack"):
+        sim.run_round([stray], {})
+
+
+def test_cooldown_ledger_holds_only_the_window():
+    # pruned where the frozen set is built: however long the run, the ledger
+    # is the moves of the last ``migration_cooldown`` rounds
+    _, sim = _run("workers0")
+    recent = {
+        move[0]
+        for s in sim.history[-sim.migration_cooldown :]
+        for report in s.reports
+        for move in report.migration.moves
+    }
+    assert set(sim._last_move) == recent
+    assert 0 < len(recent) < sum(s.migrations for s in sim.history)
 
 
 def test_process_round_builds_the_snapshot_it_is_not_given():

@@ -9,7 +9,7 @@ from repro.alerts.alert import Alert, AlertKind
 from repro.cluster import build_cluster
 from repro.config import SheriffConfig
 from repro.errors import ConfigurationError
-from repro.service.events import AlertShed
+from repro.service.events import SERVICE_EVENT_TYPES, AlertShed
 from repro.service.ingest import ReplayAlertSource
 from repro.service.server import ServeSettings, SheriffService
 from repro.sim.engine import SheriffSimulation
@@ -101,6 +101,22 @@ class TestBackpressure:
         svc._run_one_round()
         assert svc.rounds_run == 1
         assert len(svc._queue) == 0
+        sim.close()
+
+    def test_healthz_last_round_is_the_summary_run_round_returned(self):
+        # read from the return value, not echoed back over the bus: the
+        # service holds no subscription on the simulation's bus
+        sim, svc = self._service("drop-oldest", limit=8)
+        assert svc.healthz()["last_round"] is None
+        for rack in range(4):
+            svc.offer(_alert(rack), 1.0)
+        svc._run_one_round()
+        s = sim.history[-1]
+        assert svc.healthz()["last_round"] == {
+            "round": s.round_index, "alerts": 4, "migrations": s.migrations,
+            "total_cost": s.total_cost, "degraded": s.degraded,
+        }
+        assert not any(sim.bus.subscriber_count(t) for t in SERVICE_EVENT_TYPES)
         sim.close()
 
 

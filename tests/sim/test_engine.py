@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
-from repro.sim import SheriffSimulation, inject_fraction_alerts
+from repro.sim import SheriffConfig, SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_bcube, build_fattree
 
 
@@ -77,7 +77,7 @@ class TestRunRound:
         cluster = build_cluster(
             build_fattree(4), hosts_per_rack=2, seed=4, dependency_degree=2.0
         )
-        sim = SheriffSimulation(cluster, with_flows=True)
+        sim = SheriffSimulation(cluster, SheriffConfig(with_flows=True))
         assert sim.flow_table is not None
         # inter-rack dependency pairs become flows
         inter = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
+from repro.config import SheriffConfig
 from repro.errors import MigrationError
 from repro.sim import MigrationTiming, SheriffSimulation, inject_fraction_alerts
 from repro.sim.inflight import InFlightTracker
@@ -95,7 +96,7 @@ class TestEngineIntegration:
     def test_migrations_land_after_window(self):
         cluster = make_cluster()
         timing = MigrationTiming(round_seconds=5.0)  # long windows in rounds
-        sim = SheriffSimulation(cluster, migration_timing=timing)
+        sim = SheriffSimulation(cluster, SheriffConfig(migration_timing=timing))
         before = cluster.placement.vm_host.copy()
         alerts, vma = inject_fraction_alerts(cluster, 0.1, time=0, seed=5)
         s0 = sim.run_round(alerts, vma)
@@ -116,7 +117,7 @@ class TestEngineIntegration:
     def test_inflight_vm_not_reselected(self):
         cluster = make_cluster()
         timing = MigrationTiming(round_seconds=1.0)  # very long windows
-        sim = SheriffSimulation(cluster, migration_timing=timing)
+        sim = SheriffSimulation(cluster, SheriffConfig(migration_timing=timing))
         alerts, vma = inject_fraction_alerts(cluster, 0.1, time=0, seed=6)
         s0 = sim.run_round(alerts, vma)
         flying = set(sim.inflight.vms_in_flight)

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.forecast.arima import ARIMA
-from repro.sim import SheriffSimulation
+from repro.sim import SheriffConfig, SheriffSimulation
 from repro.sim.reactive import DemandDrivenWorkload, PredictiveManager
 from repro.sim.scenario import inject_fraction_alerts
 from repro.topology import build_fattree
@@ -274,7 +274,7 @@ class TestEngineCooldown:
             seed=3,
             delay_sensitive_fraction=0.0,
         )
-        sim = SheriffSimulation(cluster, migration_cooldown=1000)
+        sim = SheriffSimulation(cluster, SheriffConfig(migration_cooldown=1000))
         moved_rounds = {}
         for r in range(6):
             alerts, vma = inject_fraction_alerts(cluster, 0.1, time=r, seed=r)
@@ -293,7 +293,7 @@ class TestEngineCooldown:
             seed=3,
             delay_sensitive_fraction=0.0,
         )
-        sim = SheriffSimulation(cluster, migration_cooldown=1)
+        sim = SheriffSimulation(cluster, SheriffConfig(migration_cooldown=1))
         # with cooldown 1, a VM may move again in the next round; just make
         # sure rounds still run and invariants hold
         for r in range(4):

@@ -1,11 +1,20 @@
 """CLI smoke and contract tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.obs.tracer import load_trace
+
+
+def test_version_is_one_fact():
+    tomllib = pytest.importorskip("tomllib")  # 3.11+; requires-python is 3.10
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert repro.__version__ == project["version"]
 
 
 class TestParser:

@@ -1,10 +1,10 @@
-"""SheriffConfig JSON round-trips and the legacy-kwarg deprecation path."""
+"""SheriffConfig JSON round-trips."""
 
 import json
 
 import pytest
 
-from repro.config import SheriffConfig, resolve_config
+from repro.config import SheriffConfig
 from repro.costs.model import CostParams
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
@@ -75,22 +75,3 @@ class TestRoundTrip:
         cfg = SheriffConfig(metrics=MetricsRegistry())
         with pytest.raises(ConfigurationError, match="metrics"):
             cfg.to_dict()
-
-    def test_event_bus_refuses_to_serialize(self):
-        from repro.service.bus import EventBus
-
-        with pytest.raises(ConfigurationError, match="event_bus"):
-            SheriffConfig(event_bus=EventBus()).to_dict()
-
-
-class TestLegacyKwargs:
-    def test_warning_names_replacement_and_release(self):
-        with pytest.warns(DeprecationWarning) as rec:
-            resolve_config(None, {"balance_weight": 25.0})
-        message = str(rec[0].message)
-        assert "SheriffConfig.balance_weight" in message
-        assert "removed in release 2.0" in message
-
-    def test_unknown_kwarg_still_a_type_error(self):
-        with pytest.raises(TypeError, match="warp"):
-            resolve_config(None, {"warp": 1})
