@@ -34,19 +34,24 @@ report:
 
 # Seeded chaos campaign: run it twice, assert the reports are identical
 # byte-for-byte (the docs/robustness.md reproducibility contract).
+# Like `adversarial` and `trace-lint`, the recipe is one shell that writes
+# into its own `mktemp -d` directory (under TMPDIR when set) and removes
+# it on exit, so concurrent `make ci` runs cannot touch each other's files.
 chaos:
-	PYTHONPATH=src python -m repro chaos --rounds 8 --size 4 --output /tmp/sheriff_chaos_a.json > /dev/null
-	PYTHONPATH=src python -m repro chaos --rounds 8 --size 4 --output /tmp/sheriff_chaos_b.json > /dev/null
-	cmp /tmp/sheriff_chaos_a.json /tmp/sheriff_chaos_b.json
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	PYTHONPATH=src python -m repro chaos --rounds 8 --size 4 --output "$$d/a.json" > /dev/null; \
+	PYTHONPATH=src python -m repro chaos --rounds 8 --size 4 --output "$$d/b.json" > /dev/null; \
+	cmp "$$d/a.json" "$$d/b.json"
 	@echo "chaos campaign reproducible: OK"
 
 # Worst-case fallback bound: exit code asserts guarded <= factor x
 # reactive + slack on the damage metrics, run twice + cmp asserts the
 # report is seeded-deterministic (docs/robust-forecasting.md).
 adversarial:
-	PYTHONPATH=src python -m repro adversarial --output /tmp/sheriff_adv_a.json > /dev/null
-	PYTHONPATH=src python -m repro adversarial --output /tmp/sheriff_adv_b.json > /dev/null
-	cmp /tmp/sheriff_adv_a.json /tmp/sheriff_adv_b.json
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	PYTHONPATH=src python -m repro adversarial --output "$$d/a.json" > /dev/null; \
+	PYTHONPATH=src python -m repro adversarial --output "$$d/b.json" > /dev/null; \
+	cmp "$$d/a.json" "$$d/b.json"
 	@echo "adversarial bound holds and is reproducible: OK"
 
 examples:
@@ -55,8 +60,9 @@ examples:
 # Invariant-check the golden seeded chaos trace: every REQUEST resolves,
 # commits are acked, down racks stay silent (docs/observability.md).
 trace-lint:
-	PYTHONPATH=src python -m repro chaos --rounds 8 --size 4 --seed 2015 --trace /tmp/sheriff_chaos_golden.jsonl > /dev/null
-	PYTHONPATH=src python -m repro trace lint /tmp/sheriff_chaos_golden.jsonl
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	PYTHONPATH=src python -m repro chaos --rounds 8 --size 4 --seed 2015 --trace "$$d/golden.jsonl" > /dev/null; \
+	PYTHONPATH=src python -m repro trace lint "$$d/golden.jsonl"
 
 # Boot `repro serve` against a seeded replay, poll /healthz, scrape
 # /metrics, SIGTERM, assert a clean drain (docs/service.md ops story).

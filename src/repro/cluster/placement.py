@@ -12,7 +12,9 @@ incrementally: ``migrate`` refuses to overfill a destination host, and
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections import deque
+from itertools import islice
+from typing import Deque, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +23,11 @@ from repro.cluster.vm import VM
 from repro.errors import CapacityError, PlacementError
 
 __all__ = ["Placement"]
+
+# Generation bumps the move ledger remembers — far above what one round
+# commits (a few hundred at k = 32), so a cache that syncs every round
+# never falls off it; one that does is told so by ``moves_since``.
+_MOVE_LEDGER_CAP = 16384
 
 
 class Placement:
@@ -80,10 +87,12 @@ class Placement:
             )
         self._migrations = 0
         self._generation = 0
-        self._move_log: List[int] = []  # vm id per successful migrate()
-        # (vm, src_host, dst_host) per generation bump; lost/restore events
-        # use src == dst as a "no placement change" sentinel
-        self._move_details: List[Tuple[int, int, int]] = []
+        # (vm, src_host, dst_host) of the newest generation bumps, oldest
+        # first; lost/restore events use src == dst as a "no placement
+        # change" sentinel
+        self._move_details: Deque[Tuple[int, int, int]] = deque(
+            maxlen=_MOVE_LEDGER_CAP
+        )
         self.host_alive = np.ones(self.num_hosts, dtype=bool)
         self.lost_vms: set = set()  # VMs whose host crashed before evacuation
 
@@ -130,30 +139,32 @@ class Placement:
 
     @property
     def generation(self) -> int:
-        """Monotone mutation counter: +1 per successful :meth:`migrate`.
+        """Monotone mutation counter: +1 per successful :meth:`migrate`,
+        :meth:`mark_lost` and :meth:`restore_lost`.
 
         Cost-kernel caches key their per-VM entries on this value; a cache
-        holding entries computed at generation ``g`` only needs to drop the
-        VMs named by ``moved_since(g)`` (plus their dependency neighbors).
+        holding entries computed at generation ``g`` only needs to repair
+        the VMs named by ``moves_since(g)`` (plus their dependency
+        neighbors).
         """
         return self._generation
 
-    def moved_since(self, generation: int) -> List[int]:
-        """VM ids moved after *generation* (one entry per move, in order)."""
-        if generation < 0:
-            return list(self._move_log)
-        return self._move_log[generation:]
-
-    def moves_since(self, generation: int) -> List[Tuple[int, int, int]]:
+    def moves_since(
+        self, generation: int
+    ) -> Optional[List[Tuple[int, int, int]]]:
         """``(vm, src_host, dst_host)`` per generation bump after *generation*.
 
         Lost/restore events (which bump the generation without relocating
         the VM) appear with ``src_host == dst_host`` so incremental caches
         can tell "the VM changed racks" apart from "the VM changed
-        liveness"."""
-        if generation < 0:
-            return list(self._move_details)
-        return self._move_details[generation:]
+        liveness".  The ledger keeps the newest ``_MOVE_LEDGER_CAP`` bumps;
+        ``None`` means *generation* is older than the oldest one kept and
+        the caller must rebuild rather than repair."""
+        wanted = self._generation - generation
+        if wanted > len(self._move_details):
+            return None
+        newest_first = list(islice(reversed(self._move_details), wanted))
+        return newest_first[::-1]
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -187,7 +198,6 @@ class Placement:
         self.host_used[dst_host] += need
         self._migrations += 1
         self._generation += 1
-        self._move_log.append(vm)
         self._move_details.append((vm, src, dst_host))
 
     # ------------------------------------------------------------------ #
@@ -229,7 +239,6 @@ class Placement:
             raise PlacementError(f"vm {vm} is already lost")
         self.lost_vms.add(vm)
         self._generation += 1
-        self._move_log.append(vm)
         host = int(self.vm_host[vm])
         self._move_details.append((vm, host, host))
 
@@ -239,7 +248,6 @@ class Placement:
             raise PlacementError(f"vm {vm} is not lost")
         self.lost_vms.discard(vm)
         self._generation += 1
-        self._move_log.append(vm)
         host = int(self.vm_host[vm])
         self._move_details.append((vm, host, host))
 
@@ -258,8 +266,7 @@ class Placement:
         new.host_used = self.host_used.copy()
         new._migrations = self._migrations
         new._generation = self._generation
-        new._move_log = list(self._move_log)
-        new._move_details = list(self._move_details)
+        new._move_details = self._move_details.copy()
         new.host_alive = self.host_alive.copy()
         new.lost_vms = set(self.lost_vms)
         return new

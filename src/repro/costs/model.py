@@ -149,7 +149,10 @@ class CostModel:
         vectors — so untouched entries survive across rounds and the
         steady-state query path is a cache hit.  Lost/restore generation
         bumps (``src == dst`` in the move details) drop the VM's entry
-        instead: a lost VM must not be planned against.
+        instead: a lost VM must not be planned against.  A model that last
+        synced before the placement's oldest remembered move drops every
+        vector and starts over at the current generation, as a fresh model
+        would.
 
         Called automatically by every query; the engine also calls it once
         per round, before it primes the round's cost vectors.
@@ -160,15 +163,20 @@ class CostModel:
         gen = pl.generation
         if gen == self._cache_gen:
             return
+        moves = pl.moves_since(self._cache_gen)
+        self._cache_gen = gen
+        if moves is None:
+            self.cache_stats["invalidations"] += len(self._vec_cache)
+            self._vec_cache.clear()
+            return
         deps = self.cluster.dependencies
         # vm -> repair? (False = drop); later own-events override earlier
         # ones, neighbor staleness never downgrades an own drop
         plan: Dict[int, bool] = {}
-        for vm, src, dst in pl.moves_since(self._cache_gen):
+        for vm, src, dst in moves:
             plan[vm] = src != dst
             for n in deps.neighbors(vm):
                 plan.setdefault(int(n), True)
-        self._cache_gen = gen
         fix: list = []
         for vm, repair in plan.items():
             if self._vec_cache.pop(vm, None) is None:

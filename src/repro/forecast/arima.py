@@ -184,8 +184,8 @@ class ARIMA(Forecaster):
 
     Pure-AR orders (``q == 0``) are fitted in closed form — the CSS
     objective is then linear least squares — at a cost that does not
-    depend on ``maxiter`` or on a warm start; see :meth:`fit` for when the
-    iterative path still runs.
+    depend on ``maxiter``; see :meth:`fit` for when the iterative path
+    still runs.
 
     Parameters
     ----------
@@ -203,7 +203,6 @@ class ARIMA(Forecaster):
     include_constant: bool = True
     maxiter: int = 200
 
-    supports_warm_start = True
     supports_intervals = True
 
     # fitted state (populated by :meth:`fit`)
@@ -231,43 +230,14 @@ class ARIMA(Forecaster):
     def _min_samples(self) -> int:
         return self.d + max(self.p + self.q + 2, 8) + self.p
 
-    def start_hint(self) -> Optional[np.ndarray]:
-        """Packed ``(c, φ, θ)`` of the current fit (warm-start payload)."""
-        if not self._fitted or self.phi_ is None or self.theta_ is None:
-            return None
-        head = [self.const_] if self.include_constant else []
-        return np.concatenate([np.asarray(head), self.phi_, self.theta_])
-
-    def _feasible_start(self, start: np.ndarray) -> Optional[np.ndarray]:
-        """Validate a warm start: right shape, finite, shrunk into the
-        stationarity/invertibility region (same 0.98 target as the
-        Hannan–Rissanen init).  ``None`` means "fall back to cold init"."""
-        out = np.asarray(start, dtype=np.float64).ravel().copy()
-        if out.shape != (self.num_params,) or not np.all(np.isfinite(out)):
-            return None
-        i = 1 if self.include_constant else 0
-        for _ in range(40):
-            r = max(
-                _max_inverse_root(out[i : i + self.p], "ar"),
-                _max_inverse_root(out[i + self.p :], "ma"),
-            )
-            if r < 0.98:
-                return out
-            out[i:] *= 0.7
-        return None
-
-    def fit(self, y: np.ndarray, start: Optional[np.ndarray] = None) -> "ARIMA":
+    def fit(self, y: np.ndarray) -> "ARIMA":
         """Estimate by CSS.
 
         A pure-AR model (``q == 0``, ``p >= 1``) takes the exact
         least-squares minimiser whenever the lag design has full rank and
-        the solution lies strictly inside the stationarity wall; *start*
-        is ignored there, an exact minimiser has no start.  Everything
-        else — ``q >= 1``, and the pure-AR boundary cases — is minimised
-        by L-BFGS-B, which *start* optionally warm-starts with a previous
-        fit's packed parameters (see :meth:`start_hint`); invalid or
-        infeasible starts silently fall back to the Hannan–Rissanen
-        initialization.
+        the solution lies strictly inside the stationarity wall.
+        Everything else — ``q >= 1``, and the pure-AR boundary cases — is
+        minimised by L-BFGS-B from the Hannan–Rissanen initialization.
         """
         arr = self._check_series(y, self._min_samples())
         w = difference(arr, self.d)
@@ -279,7 +249,7 @@ class ARIMA(Forecaster):
             sigma2 = 0.0
         else:
             solved = self._solve_pure_ar(w) if self.q == 0 and self.p else None
-            c, phi, theta, e = solved or self._minimize_css(w, start)
+            c, phi, theta, e = solved or self._minimize_css(w)
             sigma2 = float(np.dot(e, e) / max(e.shape[0], 1))
         self.const_, self.phi_, self.theta_ = c, phi, theta
         self.sigma2_ = sigma2
@@ -307,12 +277,10 @@ class ARIMA(Forecaster):
         return c, phi, theta, e
 
     def _minimize_css(
-        self, w: np.ndarray, start: Optional[np.ndarray]
+        self, w: np.ndarray
     ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """``(c, φ, θ, e)`` by L-BFGS-B on the walled CSS objective."""
-        x0 = self._feasible_start(start) if start is not None else None
-        if x0 is None:
-            x0 = self._hannan_rissanen_init(w)
+        x0 = self._hannan_rissanen_init(w)
         wc = w - w.mean()
         _WALL_BASE = 1e6 * (float(np.dot(wc, wc)) + 1.0)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -58,29 +58,15 @@ class PredictionInterval:
         return 0.5 * (self.upper - self.lower)
 
 
-def warm_fit(
-    model: "Forecaster",
-    window: np.ndarray,
-    previous: Optional["Forecaster"],
-) -> "Forecaster":
-    """Fit *model* on *window*, warm-started from *previous* when possible.
+def warm_fit(model: "Forecaster", window: np.ndarray) -> "Forecaster":
+    """Fit *model* on *window* and return it.
 
-    The hint is only consulted when the previous model is the same class
-    and advertises warm-start support; a ``None`` or shape-mismatched hint
-    degrades to the normal cold fit inside ``fit`` itself.  Returns
-    *model*.
+    The one entry point every periodic refit goes through (the selector,
+    the predictive manager and ``rolling_one_step``): a refit is a
+    function of the model's factory, its window and its seed alone —
+    nothing is carried over from the model it replaces.
     """
-    hint = None
-    if (
-        previous is not None
-        and type(previous) is type(model)
-        and getattr(previous, "supports_warm_start", False)
-    ):
-        hint = previous.start_hint()
-    if hint is not None:
-        model.fit(window, start=hint)
-    else:
-        model.fit(window)
+    model.fit(window)
     return model
 
 
@@ -88,12 +74,6 @@ class Forecaster(ABC):
     """Abstract base for one-dimensional time-series forecasters."""
 
     _fitted: bool = False
-    supports_warm_start: bool = False
-    """Whether :meth:`fit` accepts ``start=`` (a prior fit's packed
-    parameters as the optimizer's initial guess) and :meth:`start_hint`
-    produces one.  Warm starts change wall-clock, not the model class —
-    the optimizer may land in a (usually better) nearby optimum."""
-
     supports_intervals: bool = False
     """Whether :meth:`forecast_interval` produces a genuine uncertainty
     band (ARIMA: Gaussian ψ-weight propagation of the CSS residual
@@ -104,12 +84,6 @@ class Forecaster(ABC):
     @abstractmethod
     def fit(self, y: np.ndarray) -> "Forecaster":
         """Estimate parameters from series *y*; returns ``self``."""
-
-    def start_hint(self) -> Optional[np.ndarray]:
-        """Packed parameters of the current fit, usable as a warm ``start=``
-        for the next ``fit`` of a same-shaped model; ``None`` when unfitted
-        or unsupported."""
-        return None
 
     @abstractmethod
     def forecast(self, h: int = 1) -> np.ndarray:

@@ -41,7 +41,7 @@ from repro.errors import ForecastError
 from repro.forecast.arima import ARIMA
 from repro.forecast.naive import NaiveLast
 
-__all__ = ["batch_forecast", "batch_predict_one", "group_arima", "group_fleet"]
+__all__ = ["batch_forecast", "group_fleet"]
 
 ArimaOrder = Tuple[int, int, int]
 
@@ -74,19 +74,6 @@ def group_fleet(
         else:
             scalar.append(idx)
     return groups, naive, scalar
-
-
-def group_arima(
-    models: Sequence[object],
-) -> Tuple[Dict[ArimaOrder, List[int]], List[int]]:
-    """Partition *models* into stackable ARIMA groups and a scalar rest.
-
-    Returns ``(groups, scalar)`` where *groups* maps ``(p, d, q)`` to the
-    indices of fitted plain-ARIMA members sharing that order (insertion
-    order preserved) and *scalar* lists every other index.
-    """
-    groups, naive, scalar = group_fleet(models)
-    return groups, sorted(naive + scalar)
 
 
 def _forecast_group(models: Sequence[ARIMA], p: int, d: int, q: int, h: int) -> np.ndarray:
@@ -160,23 +147,4 @@ def batch_forecast(models: Sequence[object], h: int = 1) -> List[np.ndarray]:
         out[i] = np.full(h, float(models[i].y_[-1]))
     for i in scalar:
         out[i] = models[i].forecast(h)
-    return out
-
-
-def batch_predict_one(models: Sequence[object]) -> List[float]:
-    """One-step forecasts; bitwise ``[m.predict_one() for m in models]``."""
-    models = list(models)
-    out: List[float] = [0.0] * len(models)
-    groups, naive, scalar = group_fleet(models)
-    for (p, d, q), idxs in groups.items():
-        grp = _forecast_group([models[i] for i in idxs], p, d, q, 1)
-        col = grp[:, 0]
-        for row, i in enumerate(idxs):
-            out[i] = float(col[row])
-    for i in naive:
-        # predict_one == float(forecast(1)[0]) == float(y_[-1]) exactly:
-        # np.full stores the float64 unchanged and indexing reads it back
-        out[i] = float(models[i].y_[-1])
-    for i in scalar:
-        out[i] = models[i].predict_one()
     return out

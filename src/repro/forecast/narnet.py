@@ -66,7 +66,6 @@ class NARNET(Forecaster):
     seed: SeedLike = 0
     validation_fraction: float = 0.0
 
-    supports_warm_start = True
     supports_intervals = True
 
     # fitted state
@@ -115,26 +114,9 @@ class NARNET(Forecaster):
     # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
-    def start_hint(self) -> Optional[np.ndarray]:
-        """Packed ``(W1, b1, w2, b2)`` of the current fit.
-
-        The hint is on the *z-scored* scale of its own training window; a
-        warm restart re-scales with the new window's moments, which is fine
-        — the previous weights remain a far better basin than a random
-        draw for slowly drifting monitor series.
-        """
-        if not self._fitted or self.w1_ is None:
-            return None
-        return np.concatenate(
-            [self.w1_.ravel(), self.b1_, self.w2_, [self.b2_]]
-        )
-
-    def fit(self, y: np.ndarray, start: Optional[np.ndarray] = None) -> "NARNET":
-        """Train by restarted L-BFGS.  When *start* carries a previous
-        fit's packed weights (see :meth:`start_hint`), it replaces the
-        first restart's random initialization; the remaining seeded
-        restarts still run, so a stale hint can never make the fit worse
-        than ``restarts - 1`` cold starts."""
+    def fit(self, y: np.ndarray) -> "NARNET":
+        """Train by restarted L-BFGS; every restart draws its initial
+        weights from its own generator spawned from ``seed``."""
         arr = self._check_series(y, self.ni + max(self.nh // 2, 4))
         self.mu_ = float(arr.mean())
         self.sd_ = float(arr.std())
@@ -189,28 +171,20 @@ class NARNET(Forecaster):
             grad = np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])
             return loss, grad
 
-        hint: Optional[np.ndarray] = None
-        if start is not None:
-            cand = np.asarray(start, dtype=np.float64).ravel()
-            if cand.shape == (self._n_params(),) and np.all(np.isfinite(cand)):
-                hint = cand
         best_loss = np.inf
         best_x: Optional[np.ndarray] = None
         best_val = np.inf
-        for ridx, rng in enumerate(spawn(self.seed, self.restarts)):
-            if ridx == 0 and hint is not None:
-                x0 = hint.copy()
-            else:
-                x0 = np.empty(self._n_params())
-                scale1 = 1.0 / np.sqrt(self.ni)
-                scale2 = 1.0 / np.sqrt(self.nh)
-                i = 0
-                x0[i : i + self.nh * self.ni] = rng.normal(0, scale1, self.nh * self.ni)
-                i += self.nh * self.ni
-                x0[i : i + self.nh] = rng.normal(0, 0.1, self.nh)
-                i += self.nh
-                x0[i : i + self.nh] = rng.normal(0, scale2, self.nh)
-                x0[-1] = 0.0
+        for rng in spawn(self.seed, self.restarts):
+            x0 = np.empty(self._n_params())
+            scale1 = 1.0 / np.sqrt(self.ni)
+            scale2 = 1.0 / np.sqrt(self.nh)
+            i = 0
+            x0[i : i + self.nh * self.ni] = rng.normal(0, scale1, self.nh * self.ni)
+            i += self.nh * self.ni
+            x0[i : i + self.nh] = rng.normal(0, 0.1, self.nh)
+            i += self.nh
+            x0[i : i + self.nh] = rng.normal(0, scale2, self.nh)
+            x0[-1] = 0.0
             if Xv is None:
                 res = optimize.minimize(
                     loss_grad,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,17 +57,14 @@ def rolling_one_step(
     *,
     refit_every: int = 50,
     max_history: Optional[int] = None,
-    warm_start: bool = False,
 ) -> np.ndarray:
     """Walk-forward one-step predictions of ``y[train_len:]``.
 
     At each step ``t >= train_len`` the model (fit on data up to ``t``)
     predicts ``y[t]``; the true value is then appended.  The model refits
     every *refit_every* steps, optionally on only the last *max_history*
-    observations (a monitor's bounded memory).  With *warm_start* each
-    refit seeds its optimizer from the previous fit's parameters (much
-    faster; defaults off so the historical benchmark outputs are
-    unchanged bit-for-bit).
+    observations (a monitor's bounded memory); each refit is a fresh
+    ``factory()`` fitted on its window alone.
     """
     arr = np.asarray(y, dtype=np.float64).ravel()
     n = arr.shape[0]
@@ -81,9 +78,7 @@ def rolling_one_step(
     since_fit = 0
     for k, t in enumerate(range(train_len, n)):
         if since_fit >= refit_every:
-            previous = model if warm_start else None
-            model = factory()
-            warm_fit(model, _window(arr[:t], max_history), previous)
+            model = warm_fit(factory(), _window(arr[:t], max_history))
             since_fit = 0
         preds[k] = model.predict_one()
         model.append(arr[t])
@@ -140,6 +135,14 @@ class SelectionTrace:
 class DynamicModelSelector:
     """Live minimum-trailing-MSE model selector.
 
+    Refit failure policy: a member whose periodic refit raises is dropped
+    from the pool until the next refit period (the survivors keep
+    answering; nothing counts as a fallback, the member did not fail to
+    *predict*), and :meth:`observe` raises only when every member failed.
+    :class:`~repro.sim.reactive.PredictiveManager`, which runs one model
+    per host and has no survivors to answer, keeps the outgoing model
+    instead.
+
     Parameters
     ----------
     factories:
@@ -152,11 +155,6 @@ class DynamicModelSelector:
         Full refits happen every this many observed values.
     max_history:
         Bound on the history length used at refit (None = unbounded).
-    warm_start:
-        Seed each periodic refit's optimizer with the outgoing model's
-        parameters (see :meth:`Forecaster.start_hint`).  Refits converge
-        in a fraction of the iterations on slowly drifting monitor
-        series; the *initial* :meth:`fit` is always cold.
     tracer:
         Optional event sink; each :meth:`predict_one` emits a
         :class:`~repro.obs.events.ModelSelected` naming the answering
@@ -191,7 +189,6 @@ class DynamicModelSelector:
         period: int = 20,
         refit_every: int = 50,
         max_history: Optional[int] = None,
-        warm_start: bool = True,
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
         confidence: bool = False,
@@ -216,7 +213,6 @@ class DynamicModelSelector:
         self.period = period
         self.refit_every = refit_every
         self.max_history = max_history
-        self.warm_start = warm_start
         self.names = list(factories.keys())
         self.tracer = tracer
         self.metrics = metrics
@@ -263,9 +259,8 @@ class DynamicModelSelector:
         assert self._history is not None
         model = self.factories[name]()
         _pin_stream(model)
-        previous = self._models.get(name) if self.warm_start else None
         try:
-            warm_fit(model, _window(self._history, self.max_history), previous)
+            warm_fit(model, _window(self._history, self.max_history))
             return name, model, None
         except (ConvergenceError, ForecastError) as exc:
             return name, None, exc
@@ -281,13 +276,13 @@ class DynamicModelSelector:
         self._models = {n: models[n] for n in self.names if n in models}
 
     # ------------------------------------------------------------------ #
-    def best_model_name(self) -> str:
-        """Pool member with minimum ``MSE_f(t, T_p)`` (ties → pool order)."""
-        self._require_fitted()
+    def _min_trailing_mse(self, candidates: Container[str]) -> str:
+        """Eq. (14) over the pool members in *candidates*: minimum
+        ``MSE_f(t, T_p)``, pool order, strict ``<`` (ties → first)."""
         best_name = None
         best_score = np.inf
         for name in self.names:
-            if name not in self._models:
+            if name not in candidates:
                 continue
             errs = self._errors[name]
             if not errs:
@@ -301,6 +296,11 @@ class DynamicModelSelector:
         assert best_name is not None
         return best_name
 
+    def best_model_name(self) -> str:
+        """Pool member with minimum ``MSE_f(t, T_p)`` (ties → pool order)."""
+        self._require_fitted()
+        return self._min_trailing_mse(self._models)
+
     def _fallback_best(self) -> str:
         """Best member *among those that predicted* (Eq. 14 on the rest).
 
@@ -309,21 +309,7 @@ class DynamicModelSelector:
         (ties → pool order), not from ``_last_pred`` insertion order.
         Counted in ``sheriff_selector_fallback_total``.
         """
-        best_name = None
-        best_score = np.inf
-        for name in self.names:
-            if name not in self._last_pred:
-                continue
-            errs = self._errors[name]
-            if not errs:
-                score = 0.0  # no evidence against it yet
-            else:
-                e = np.asarray(errs)
-                score = trailing_mse(e, e.shape[0] - 1, self.period)
-            if score < best_score:
-                best_score = score
-                best_name = name
-        assert best_name is not None
+        best_name = self._min_trailing_mse(self._last_pred)
         if self.metrics is not None:
             self.metrics.counter(
                 "sheriff_selector_fallback_total", model=best_name

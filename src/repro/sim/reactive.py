@@ -177,10 +177,14 @@ class PredictiveManager:
     front, one model at a time, then forecasts the whole fleet through
     the stacked kernel.  The default ``ARIMA(1, 1, 0)`` is fitted in
     closed form (microseconds a host), so a refit wave no longer stands
-    out from a quiet round; *warm_start* only matters to a
-    *forecaster_factory* whose fit is iterative, where it seeds the
-    optimizer from the outgoing model's parameters.  A refit that raises
-    keeps the outgoing model and waits for the next refit period.
+    out from a quiet round.
+
+    Refit failure policy: a refit that raises keeps the outgoing model —
+    or none, and answers persistence — and waits for the next refit
+    period; a host has one model and no other to answer for it.
+    :class:`~repro.forecast.selection.DynamicModelSelector`, which has a
+    pool, instead drops the failed member until the next period and lets
+    the survivors answer.
     """
 
     def __init__(
@@ -192,7 +196,6 @@ class PredictiveManager:
         min_history: int = 12,
         refit_every: int = 10,
         forecaster_factory=None,
-        warm_start: bool = True,
     ) -> None:
         if not (0.0 < threshold <= 1.0):
             raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
@@ -207,7 +210,6 @@ class PredictiveManager:
         self.horizon = horizon
         self.min_history = min_history
         self.refit_every = refit_every
-        self.warm_start = warm_start
         self._factory = forecaster_factory or (lambda: ARIMA(1, 1, 0, maxiter=40))
         n_hosts = workload.cluster.num_hosts
         self._history: List[List[float]] = [[] for _ in range(n_hosts)]
@@ -271,10 +273,9 @@ class PredictiveManager:
         from repro.forecast.base import warm_fit
 
         model = self._factory()
-        previous = self._models.get(host) if self.warm_start else None
         self._since_fit[host] = 0
         try:
-            warm_fit(model, np.asarray(self._history[host]), previous)
+            warm_fit(model, np.asarray(self._history[host]))
         except (ReproError, ValueError, np.linalg.LinAlgError):
             return
         self._models[host] = model

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
+from repro.cluster.placement import _MOVE_LEDGER_CAP
 from repro.costs.model import CostModel
 from repro.costs.transmission import (
     cached_transmission_table,
@@ -106,6 +107,26 @@ class TestVectorCache:
         assert cm.cache_stats["hits"] > 0
         # the second round onwards should be nearly all hits
         assert cm.cache_stats["hits"] > cm.cache_stats["misses"]
+
+    def test_sync_older_than_the_move_ledger_starts_over(self, cluster):
+        """A model that last synced more moves ago than the placement
+        remembers answers exactly what a fresh model answers."""
+        cm = CostModel(cluster, cache=True)
+        everyone = list(range(cluster.num_vms))
+        cm.cost_rows(everyone)
+        pl = cluster.placement
+        vm, dst = _movable_pair(cluster)
+        src = int(pl.vm_host[vm])
+        for k in range(_MOVE_LEDGER_CAP + 1):  # odd: vm ends on dst
+            pl.migrate(vm, dst if k % 2 == 0 else src)
+        assert pl.moves_since(cm._cache_gen) is None
+        rows = cm.cost_rows(everyone)
+        assert rows.tobytes() == CostModel(cluster).cost_rows(everyone).tobytes()
+        assert cm._cache_gen == pl.generation
+        assert cm.cache_stats["invalidations"] == cluster.num_vms
+        assert sorted(cm.cache_stats) == [
+            "hits", "invalidations", "misses", "primed", "repairs",
+        ]
 
     def test_stats_disabled_path(self, cluster):
         cm = CostModel(cluster, cache=False)

@@ -1,5 +1,7 @@
 """Prediction intervals + the confidence-aware selector (and its bugfixes)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ class Stub(Forecaster):
         self.half_width = half_width
         self.fail = fail
 
-    def fit(self, y, start=None):
+    def fit(self, y):
         self._fitted = True
         return self
 
@@ -43,6 +45,23 @@ class Stub(Forecaster):
         mean = self.forecast(h)
         w = np.full(h, float(self.half_width))
         return mean, mean - w, mean + w
+
+
+def _package_forecasters(base=Forecaster):
+    import repro.forecast.sarima  # noqa: F401  (the one family not imported above)
+
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("repro.forecast."):
+            yield cls
+        yield from _package_forecasters(cls)
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(_package_forecasters(), key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_fit_takes_the_series_and_nothing_else(cls):
+    """A refit is a function of (factory, window, seed): no side channel."""
+    assert list(inspect.signature(cls.fit).parameters) == ["self", "y"]
 
 
 class TestPredictionInterval:

@@ -1,10 +1,11 @@
-"""Refit determinism: pool members never perturb each other's RNG stream.
+"""Refit determinism: a refit is a function of (factory, window, seed).
 
 A pool member seeded with a *shared* ``numpy.random.Generator`` draws from
 that stream during ``fit``, so without pinning, what one member draws
 would depend on how much the members before it consumed.  The selector
-pins a child substream per member, in pool order, before the member fits;
-these tests lock that contract in.
+pins a child substream per member, in pool order, before the member fits.
+And nothing is carried from the model a refit replaces: a refitted member
+is bit for bit the fresh ``factory().fit(window)``.
 """
 
 import numpy as np
@@ -13,6 +14,9 @@ import pytest
 from repro.forecast.arima import ARIMA
 from repro.forecast.narnet import NARNET
 from repro.forecast.selection import DynamicModelSelector
+from repro.sim.reactive import PredictiveManager
+
+from tests.sim.test_predictive import make_env
 
 
 def _series(n=80, seed=5):
@@ -82,3 +86,39 @@ class TestSharedStreamPinning:
         a.fit(y)
         b.fit(y)
         assert a.predict_one() == b.predict_one()
+
+
+def _params(model):
+    if isinstance(model, ARIMA):
+        return [model.const_, *model.phi_, *model.theta_, model.sigma2_]
+    return [*model.w1_.ravel(), *model.b1_, *model.w2_, model.b2_]
+
+
+class TestRefitCarriesNothingOver:
+    def test_selector_members_equal_a_fresh_fit_on_the_window(self):
+        pool = {
+            "arima111": lambda: ARIMA(1, 1, 1, maxiter=60),
+            "narnet": lambda: NARNET(ni=4, nh=4, restarts=1, seed=3, maxiter=30),
+        }
+        sel = DynamicModelSelector(pool, period=10, refit_every=15, max_history=60)
+        y = _series()
+        sel.fit(y[:48])
+        for v in y[48:63]:  # the 15th observe refits every member
+            sel.predict_one()
+            sel.observe(float(v))
+        assert sel._since_fit == 0
+        for name, factory in pool.items():
+            assert _params(sel._models[name]) == _params(factory().fit(y[3:63])), name
+
+    def test_manager_refit_wave_equals_fresh_fits(self):
+        factory = lambda: ARIMA(1, 1, 1, maxiter=60)
+        mgr = PredictiveManager(make_env()[1], threshold=0.9, forecaster_factory=factory)
+        for t in range(50):
+            if t == 40:
+                mgr.alerts_at(t)  # first fits: no outgoing model yet
+            mgr.observe(t)
+        mgr.alerts_at(50)  # the refit wave: every host has an outgoing model
+        assert set(mgr._since_fit.values()) == {0}
+        for host, model in mgr._models.items():
+            fresh = factory().fit(np.asarray(mgr._history[host]))
+            assert _params(model) == _params(fresh), host

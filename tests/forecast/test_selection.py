@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import ForecastError
+from repro.errors import ConvergenceError, ForecastError
 from repro.forecast.arima import ARIMA
 from repro.forecast.naive import NaiveLast, SeasonalNaive
 from repro.forecast.narnet import NARNET
 from repro.forecast.metrics import mse
 from repro.forecast.selection import DynamicModelSelector, rolling_one_step
+from repro.obs.metrics import MetricsRegistry
 from repro.traces.nonlinear import mackey_glass
 from repro.traces.zoplecloud import mixed_trace, weekly_traffic_trace
 
@@ -113,6 +114,43 @@ class TestSelector:
         f = sel.forecast(5)
         assert f.shape == (5,)
         np.testing.assert_allclose(f, [80, 81, 82, 83, 84], atol=1e-5)
+
+
+class _FailsWhenSwitchedOn(ARIMA):
+    """ARIMA whose fit diverges while ``failing`` is switched on."""
+
+    failing = False
+
+    def fit(self, y):
+        if self.failing:
+            raise ConvergenceError("refit diverged")
+        return super().fit(y)
+
+
+class TestFailedRefitDropsTheMember:
+    def test_survivors_answer_and_nothing_counts_as_a_fallback(self, monkeypatch):
+        reg = MetricsRegistry()
+        pool = {
+            "arima111": lambda: _FailsWhenSwitchedOn(1, 1, 1, maxiter=60),
+            "arima110": lambda: ARIMA(1, 1, 0),
+            "naive": NaiveLast,
+        }
+        sel = DynamicModelSelector(pool, period=5, refit_every=10, metrics=reg)
+        rng = np.random.default_rng(8)
+        y = 0.5 + np.cumsum(0.01 * rng.standard_normal(80))
+        sel.fit(y[:40])
+        monkeypatch.setattr(_FailsWhenSwitchedOn, "failing", True)
+        for k, v in enumerate(y[40:59]):  # the 10th observe refits; arima111 raises
+            assert np.isfinite(sel.predict_one())
+            assert k < 10 or sel._last_best in ("arima110", "naive")
+            sel.observe(float(v))
+        assert list(sel._models) == ["arima110", "naive"]
+        # the member did not fail to *predict*: no fallback was taken
+        assert reg.total("sheriff_selector_fallback_total") == 0
+        monkeypatch.setattr(_FailsWhenSwitchedOn, "failing", False)
+        sel.predict_one()
+        sel.observe(float(y[59]))  # next period: the member is back
+        assert list(sel._models) == list(pool)
 
 
 class TestSeasonalNaive:

@@ -19,7 +19,7 @@ from repro.config import SheriffConfig
 from repro.costs.model import CostModel
 from repro.errors import ConvergenceError, ForecastError
 from repro.forecast.arima import ARIMA
-from repro.forecast.batch import batch_forecast, batch_predict_one
+from repro.forecast.batch import batch_forecast
 from repro.forecast.naive import NaiveLast
 from repro.forecast.selection import DynamicModelSelector
 from repro.forecast.selection import batch_predict_one as fleet_predict_one
@@ -72,15 +72,6 @@ def test_batch_forecast_bitwise_equals_scalar(models, h):
     got = batch_forecast(models, h)
     for m, f in zip(models, got):
         np.testing.assert_array_equal(f, m.forecast(h))
-
-
-@common
-@given(fitted_fleet())
-def test_batch_predict_one_bitwise_equals_scalar(models):
-    if not models:
-        return
-    got = batch_predict_one(models)
-    assert got == [m.predict_one() for m in models]
 
 
 # --------------------------------------------------------------------- #

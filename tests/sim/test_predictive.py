@@ -145,28 +145,19 @@ class TestPredictAllMatchesScalarOracle:
         assert crossed, "scenario must raise alerts"
 
     def test_warm_start_changes_nothing_on_the_default_factory(self, monkeypatch):
-        """ARIMA(1,1,0) is fitted in closed form: the hint is never read.
+        """ARIMA(1,1,0) is fitted in closed form: no refit runs the optimizer.
 
         (Only a refit on the stationarity wall — a perfectly linear ramp —
-        still reaches the optimizer and its start; this fleet has none.)
+        still reaches it; this fleet has none.)
         """
         monkeypatch.setattr(
             ARIMA,
             "_minimize_css",
-            lambda self, w, start: pytest.fail("closed form must apply"),
+            lambda self, w: pytest.fail("closed form must apply"),
         )
-        streams = []
-        for warm_start in (True, False):
-            cluster, wl = make_env()
-            streams.append(
-                run_alert_stream(
-                    PredictiveManager(
-                        wl, threshold=0.31, horizon=3, warm_start=warm_start
-                    )
-                )
-            )
-        assert streams[0] == streams[1]
-        assert sum(len(alerts) for alerts, _, _ in streams[0]) > 50
+        cluster, wl = make_env()
+        stream = run_alert_stream(PredictiveManager(wl, threshold=0.31, horizon=3))
+        assert sum(len(alerts) for alerts, _, _ in stream) > 50
 
 
 class _FailsOnMarkedHistory(ARIMA):
@@ -176,10 +167,10 @@ class _FailsOnMarkedHistory(ARIMA):
     marked = frozenset()
     failing = True
 
-    def fit(self, y, start=None):
+    def fit(self, y):
         if self.failing and float(y[0]) in self.marked:
             raise ConvergenceError("refit diverged")
-        return super().fit(y, start)
+        return super().fit(y)
 
 
 class TestFailedRefitDoesNotAbortTheRound:
@@ -231,10 +222,10 @@ class TestFailedRefitDoesNotAbortTheRound:
         attempts = []
         original = model_cls.fit
 
-        def counting_fit(self, y, start=None):
+        def counting_fit(self, y):
             if float(y[0]) in self.marked:
                 attempts.append(len(y))
-            return original(self, y, start)
+            return original(self, y)
 
         model_cls.fit = counting_fit
         for t in range(40):
