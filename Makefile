@@ -69,7 +69,7 @@ trace-lint:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-ci: lint bench-smoke trace-lint serve-smoke adversarial
+ci: lint bench-smoke trace-lint serve-smoke adversarial chaos
 	pytest tests/
 
 all: lint test bench-all

@@ -30,7 +30,7 @@ from repro.sim import (
 )
 from repro.topology import build_fattree
 
-PODS = [8, 16, 24, 32]
+PODS = [8, 16, 24, 32, 40, 48]  # Figs. 11-12's own pod range
 SEED = 2015
 
 

@@ -12,9 +12,7 @@ incrementally: ``migrate`` refuses to overfill a destination host, and
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import islice
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -23,11 +21,6 @@ from repro.cluster.vm import VM
 from repro.errors import CapacityError, PlacementError
 
 __all__ = ["Placement"]
-
-# Generation bumps the move ledger remembers — far above what one round
-# commits (a few hundred at k = 32), so a cache that syncs every round
-# never falls off it; one that does is told so by ``moves_since``.
-_MOVE_LEDGER_CAP = 16384
 
 
 class Placement:
@@ -87,12 +80,6 @@ class Placement:
             )
         self._migrations = 0
         self._generation = 0
-        # (vm, src_host, dst_host) of the newest generation bumps, oldest
-        # first; lost/restore events use src == dst as a "no placement
-        # change" sentinel
-        self._move_details: Deque[Tuple[int, int, int]] = deque(
-            maxlen=_MOVE_LEDGER_CAP
-        )
         self.host_alive = np.ones(self.num_hosts, dtype=bool)
         self.lost_vms: set = set()  # VMs whose host crashed before evacuation
 
@@ -142,29 +129,10 @@ class Placement:
         """Monotone mutation counter: +1 per successful :meth:`migrate`,
         :meth:`mark_lost` and :meth:`restore_lost`.
 
-        Cost-kernel caches key their per-VM entries on this value; a cache
-        holding entries computed at generation ``g`` only needs to repair
-        the VMs named by ``moves_since(g)`` (plus their dependency
-        neighbors).
+        The cost model's regional slab is valid for one value of this
+        counter (:meth:`repro.costs.model.CostModel.sync_cache`).
         """
         return self._generation
-
-    def moves_since(
-        self, generation: int
-    ) -> Optional[List[Tuple[int, int, int]]]:
-        """``(vm, src_host, dst_host)`` per generation bump after *generation*.
-
-        Lost/restore events (which bump the generation without relocating
-        the VM) appear with ``src_host == dst_host`` so incremental caches
-        can tell "the VM changed racks" apart from "the VM changed
-        liveness".  The ledger keeps the newest ``_MOVE_LEDGER_CAP`` bumps;
-        ``None`` means *generation* is older than the oldest one kept and
-        the caller must rebuild rather than repair."""
-        wanted = self._generation - generation
-        if wanted > len(self._move_details):
-            return None
-        newest_first = list(islice(reversed(self._move_details), wanted))
-        return newest_first[::-1]
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -198,7 +166,6 @@ class Placement:
         self.host_used[dst_host] += need
         self._migrations += 1
         self._generation += 1
-        self._move_details.append((vm, src, dst_host))
 
     # ------------------------------------------------------------------ #
     # failure state (see repro.faults)
@@ -230,8 +197,7 @@ class Placement:
 
         The VM keeps its slot on the dead host — its capacity stays booked
         there so accounting never drifts — but it must not migrate or hold
-        reservations.  Bumps the generation/move log so cost caches
-        invalidate the VM's entries.
+        reservations.  Bumps the generation, so cost caches start over.
         """
         if not (0 <= vm < self.num_vms):
             raise PlacementError(f"unknown vm {vm}")
@@ -239,8 +205,6 @@ class Placement:
             raise PlacementError(f"vm {vm} is already lost")
         self.lost_vms.add(vm)
         self._generation += 1
-        host = int(self.vm_host[vm])
-        self._move_details.append((vm, host, host))
 
     def restore_lost(self, vm: int) -> None:
         """Un-lose *vm* (its host recovered); it resumes where it was."""
@@ -248,8 +212,6 @@ class Placement:
             raise PlacementError(f"vm {vm} is not lost")
         self.lost_vms.discard(vm)
         self._generation += 1
-        host = int(self.vm_host[vm])
-        self._move_details.append((vm, host, host))
 
     def clone(self) -> "Placement":
         """Deep copy (used by the centralized baseline to explore plans)."""
@@ -266,7 +228,6 @@ class Placement:
         new.host_used = self.host_used.copy()
         new._migrations = self._migrations
         new._generation = self._generation
-        new._move_details = self._move_details.copy()
         new.host_alive = self.host_alive.copy()
         new.lost_vms = set(self.lost_vms)
         return new

@@ -6,14 +6,16 @@ wired neighbor racks — racks reachable through a single intermediate
 switch, which is exactly the regional scope the paper's conclusion states
 ("dominate its local region by one hop wired neighbors").
 
-:class:`ShimView` is a read-mostly helper: it precomputes the neighbor-rack
-set from the topology once, and exposes the queries the distributed
-manager (Alg. 1) needs each round.
+:class:`ShimView` is a read-mostly helper over the fabric's shared region
+index (:meth:`repro.topology.base.Topology.rack_regions` — one sparse
+product per fabric, not one adjacency walk per shim): the neighbor-rack
+set and the static destination arrays the distributed manager (Alg. 1)
+needs each round.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Set
+from typing import FrozenSet, Set
 
 import numpy as np
 
@@ -29,7 +31,8 @@ def neighbor_racks(topology: Topology, rack: int) -> FrozenSet[int]:
 
     In Fat-Tree this is the rest of the pod; in BCube it is every rack that
     shares a level-1+ switch.  This is the candidate destination set of the
-    regional VMMIGRATION.
+    regional VMMIGRATION.  The scalar definition of what
+    :meth:`Topology.rack_regions` computes for every rack at once.
     """
     if not (0 <= rack < topology.num_racks):
         raise TopologyError(f"rack {rack} out of range 0..{topology.num_racks - 1}")
@@ -49,6 +52,11 @@ def neighbor_racks(topology: Topology, rack: int) -> FrozenSet[int]:
 class ShimView:
     """Per-rack management viewpoint bound to a cluster.
 
+    What it holds depends on the fabric and ``host_rack`` alone — both
+    immutable for the lifetime of a cluster (a dying host loses capacity,
+    not rack membership) — so a view outlives migrations, crashes and
+    ``SWITCH_FAIL`` cost-model swaps.
+
     Parameters
     ----------
     cluster:
@@ -58,10 +66,16 @@ class ShimView:
     """
 
     def __init__(self, cluster: Cluster, rack: int) -> None:
+        if not (0 <= rack < cluster.num_racks):
+            raise TopologyError(f"rack {rack} out of range 0..{cluster.num_racks - 1}")
         self.cluster = cluster
         self.rack = rack
-        self.neighbors: FrozenSet[int] = neighbor_racks(cluster.topology, rack)
-        self._candidate_hosts: np.ndarray = None  # computed on first use
+        table, widths = cluster.topology.rack_regions()
+        region = table[rack, : widths[rack]]
+        self.neighbors: FrozenSet[int] = frozenset(region.tolist())
+        host_rack = cluster.placement.host_rack
+        hosts = self._candidate_hosts = np.nonzero(np.isin(host_rack, region))[0]
+        self._candidate_cols = np.searchsorted(region, host_rack[hosts])
 
     @property
     def region(self) -> FrozenSet[int]:
@@ -78,16 +92,20 @@ class ShimView:
     def candidate_hosts(self) -> np.ndarray:
         """Hosts in neighbor racks — possible migration destinations.
 
-        ``host_rack`` and the neighbor set are both immutable for the
-        lifetime of a fabric (hosts may die, but dying changes capacity,
-        not rack membership), so the scan runs once and the result is
-        cached.  Callers treat the returned array as read-only.
+        Ascending and duplicate-free.  Callers treat the returned array
+        as read-only.
         """
-        if self._candidate_hosts is None:
-            pl = self.cluster.placement
-            mask = np.isin(pl.host_rack, list(self.neighbors))
-            self._candidate_hosts = np.nonzero(mask)[0]
         return self._candidate_hosts
+
+    def candidate_cols(self) -> np.ndarray:
+        """Column of each candidate host's rack in this rack's region.
+
+        ``rack_regions()[0][rack, candidate_cols()]`` are the racks of
+        :meth:`candidate_hosts`, element for element: where
+        :meth:`repro.costs.model.CostModel.cost_rows` reads a regional
+        row.  Static and read-only, like the hosts.
+        """
+        return self._candidate_cols
 
     def search_space(self, num_candidate_vms: int) -> int:
         """Candidate (VM, destination-host) pairs this shim examines.

@@ -54,9 +54,10 @@ class SheriffConfig:
         Build a dependency-derived :class:`~repro.migration.reroute.FlowTable`
         so outer-switch alerts can exercise FLOWREROUTE.
     cache_cost_kernels:
-        Memoize the shortest-path table per (topology, knobs) and per-VM
-        Eq. (1) cost vectors per placement generation (invalidated for
-        moved VMs and their dependency neighbors).  Results are identical
+        Memoize the shortest-path table per (topology, knobs) and keep the
+        round's regional Eq. (1) rows in one slab for the length of a
+        placement generation; off, every query computes.  A model rebuilt
+        under ``SWITCH_FAIL`` keeps the setting, and results are identical
         with the cache on or off.
     fallback_policy:
         Worst-case degradation of predictive alerting (see

@@ -17,12 +17,13 @@ are apples-to-apples by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.costs.dependency import dependency_cost
+from repro.costs.dependency import dependency_cost, dependent_racks
 from repro.costs.transmission import TransmissionCostTable, cached_transmission_table
 from repro.errors import ConfigurationError
 
@@ -57,18 +58,22 @@ class CostModel:
     Construction runs the (cached) shortest-path precomputation once;
     queries afterwards are O(1) per pair / O(racks) per vector.
 
+    There is one scalar oracle — :meth:`migration_cost_vector`, and
+    :meth:`migration_cost` for one pair: uncached, every rack, what the
+    centralized baselines ask for — and one stacked kernel behind
+    :meth:`cost_rows`, the same Eq. (1) element for element, evaluated
+    only at the destination racks the caller names.
+
     Parameters
     ----------
     cache:
         Enable the cost-kernel cache: the shortest-path table is memoized
         per (topology, knobs) — the paper's Floyd–Warshall step runs once
-        per fabric instead of once per manager — and per-VM Eq. (1) cost
-        vectors are cached keyed on the placement generation, invalidated
-        precisely for moved VMs and their dependency neighbors.  Cached
-        answers are computed by the same code as uncached ones, so results
-        are bit-identical either way; vectors returned from the cache are
-        shared and must be treated as read-only (every in-tree consumer
-        only indexes them).
+        per fabric instead of once per manager — and regional cost rows
+        live in one slab for the length of a placement generation (see
+        :meth:`sync_cache`).  Cached answers are computed by the same
+        kernel as uncached ones, so results are bit-identical either way;
+        off, every query computes.
     """
 
     def __init__(
@@ -100,16 +105,15 @@ class CostModel:
             )
         self._rack_dist = self.table.rack_distance_matrix()
         self._cache_enabled = bool(cache)
-        self._vec_cache: Dict[int, np.ndarray] = {}
-        # topology-static transmission vectors keyed on (capacity, src rack);
-        # never invalidated — a move changes *which* key a VM reads, not the
-        # value stored under any key
-        self._trans_cache: Dict[Tuple[float, int], np.ndarray] = {}
+        # the regional slab: row ``_slot_of[vm]`` is Eq. (1) of *vm* at the
+        # one-hop region of its rack (``rack_regions()`` column order) under
+        # placement generation ``_cache_gen``.  It owns every cached row, is
+        # allocated on the first fill and grows by doubling.
+        self._slab = np.empty((0, 0))
+        self._slot_of = np.full(cluster.placement.num_vms, -1, dtype=np.int64)
+        self._slots_used = 0
         self._cache_gen = cluster.placement.generation
-        self.cache_stats = {
-            "hits": 0, "misses": 0, "invalidations": 0, "repairs": 0,
-            "primed": 0,
-        }
+        self.cache_stats = {"hits": 0, "misses": 0, "invalidations": 0, "primed": 0}
 
     # ------------------------------------------------------------------ #
     @property
@@ -138,154 +142,15 @@ class CostModel:
         )
         return self.params.migration_constant + dep + trans
 
-    def sync_cache(self) -> None:
-        """Apply delta updates for migrations since the last sync.
-
-        A move stales exactly the moved VM's own vector (new source rack)
-        and its dependency neighbors' vectors (a dependent changed racks);
-        nothing else.  Instead of dropping those entries wholesale, the
-        stale rows are *repaired in place* — recomputed against the current
-        placement, reusing the memoized per-(capacity, rack) transmission
-        vectors — so untouched entries survive across rounds and the
-        steady-state query path is a cache hit.  Lost/restore generation
-        bumps (``src == dst`` in the move details) drop the VM's entry
-        instead: a lost VM must not be planned against.  A model that last
-        synced before the placement's oldest remembered move drops every
-        vector and starts over at the current generation, as a fresh model
-        would.
-
-        Called automatically by every query; the engine also calls it once
-        per round, before it primes the round's cost vectors.
-        """
-        if not self._cache_enabled:
-            return
-        pl = self.cluster.placement
-        gen = pl.generation
-        if gen == self._cache_gen:
-            return
-        moves = pl.moves_since(self._cache_gen)
-        self._cache_gen = gen
-        if moves is None:
-            self.cache_stats["invalidations"] += len(self._vec_cache)
-            self._vec_cache.clear()
-            return
-        deps = self.cluster.dependencies
-        # vm -> repair? (False = drop); later own-events override earlier
-        # ones, neighbor staleness never downgrades an own drop
-        plan: Dict[int, bool] = {}
-        for vm, src, dst in moves:
-            plan[vm] = src != dst
-            for n in deps.neighbors(vm):
-                plan.setdefault(int(n), True)
-        fix: list = []
-        for vm, repair in plan.items():
-            if self._vec_cache.pop(vm, None) is None:
-                continue
-            self.cache_stats["invalidations"] += 1
-            if repair:
-                fix.append(vm)
-        if fix:
-            self.cache_stats["repairs"] += len(fix)
-            mat = self._compute_cost_matrix(np.asarray(fix, dtype=np.int64))
-            for i, vm in enumerate(fix):
-                self._vec_cache[vm] = mat[i]
-
     def migration_cost_vector(self, vm: int) -> np.ndarray:
-        """Eq. (1) cost of *vm* against every destination rack (vectorized).
+        """Eq. (1) cost of *vm* against every destination rack.
 
-        With the cache enabled the returned array is shared — read-only by
-        convention (consumers only index it).
+        The scalar oracle: computed on every call, never cached, the
+        definition :meth:`cost_rows` is tested against bit for bit.
         """
-        if self._cache_enabled:
-            self.sync_cache()
-            out = self._vec_cache.get(vm)
-            if out is not None:
-                self.cache_stats["hits"] += 1
-                return out
-            out = self._compute_cost_vector(vm)
-            self.cache_stats["misses"] += 1
-            self._vec_cache[vm] = out
-            return out
-        return self._compute_cost_vector(vm)
-
-    def prime_cost_vectors(self, vms) -> None:
-        """Batch-fill the cache for *vms* ahead of planning (fleet prime).
-
-        One stacked kernel computes every missing Eq. (1) vector, so the
-        per-rack block builds that follow read the cache instead of running
-        the scalar kernel once per candidate.  Speculative fills are
-        tallied under ``cache_stats["primed"]`` (not as misses — they are
-        not demand queries).  No-op when the cache is disabled.
-        """
-        if not self._cache_enabled:
-            return
-        self.sync_cache()
-        todo = list(
-            dict.fromkeys(int(v) for v in vms if int(v) not in self._vec_cache)
-        )
-        if not todo:
-            return
-        mat = self._compute_cost_matrix(np.asarray(todo, dtype=np.int64))
-        for i, vm in enumerate(todo):
-            self._vec_cache[vm] = mat[i]
-        self.cache_stats["primed"] += len(todo)
-
-    def cost_rows(self, vms) -> np.ndarray:
-        """Eq. (1) vectors for *vms*, stacked into a ``(len(vms), racks)`` matrix.
-
-        The batched counterpart of per-VM :meth:`migration_cost_vector`
-        calls: cached rows are gathered, missing rows are computed by one
-        stacked kernel (and cached when the cache is enabled).  Every row
-        is bit-identical to the scalar query for the same VM.  The result
-        shares cached arrays — read-only by convention.
-        """
-        ids = [int(v) for v in vms]
-        if not ids:
-            return np.empty((0, self.table.num_racks))
-        if not self._cache_enabled:
-            return self._compute_cost_matrix(np.asarray(ids, dtype=np.int64))
-        self.sync_cache()
-        cache = self._vec_cache
-        hits = 0
-        missing = []
-        for v in ids:
-            if v in cache:
-                hits += 1
-            else:
-                missing.append(v)
-        if missing:
-            missing = list(dict.fromkeys(missing))
-            mat = self._compute_cost_matrix(np.asarray(missing, dtype=np.int64))
-            for i, vm in enumerate(missing):
-                cache[vm] = mat[i]
-            self.cache_stats["misses"] += len(missing)
-        self.cache_stats["hits"] += hits
-        return np.stack([cache[v] for v in ids])
-
-    def _trans_vector(self, cap: float, src_rack: int) -> np.ndarray:
-        """Memoized ``G`` column for one (capacity, source-rack) pair.
-
-        The transmission structure of Eq. (1) depends only on the fabric
-        and the VM's size, so these vectors are shared across VMs and
-        survive every migration — they are the rows/columns the
-        incremental update never has to rebuild.  Shared, read-only.
-        """
-        if not self._cache_enabled:
-            return self.table.cost_vector(cap, src_rack)
-        key = (cap, src_rack)
-        out = self._trans_cache.get(key)
-        if out is None:
-            out = self.table.cost_vector(cap, src_rack)
-            self._trans_cache[key] = out
-        return out
-
-    def _compute_cost_vector(self, vm: int) -> np.ndarray:
         pl = self.cluster.placement
         src_rack = int(pl.host_rack[pl.vm_host[vm]])
-        cap = float(pl.vm_capacity[vm])
-        trans = self._trans_vector(cap, src_rack)
-        from repro.costs.dependency import dependent_racks
-
+        trans = self.table.cost_vector(float(pl.vm_capacity[vm]), src_rack)
         racks = dependent_racks(self.cluster.dependencies, pl, vm)
         if racks.size:
             dep = self.params.dependency_unit * (
@@ -296,51 +161,142 @@ class CostModel:
             dep = np.zeros(self.table.num_racks)
         return self.params.migration_constant + dep + trans
 
-    def _compute_cost_matrix(self, ids: np.ndarray) -> np.ndarray:
-        """Batched :meth:`_compute_cost_vector` over *ids* — one stacked kernel.
+    # ------------------------------------------------------------------ #
+    # the regional slab
+    # ------------------------------------------------------------------ #
+    def sync_cache(self) -> None:
+        """Forget the slab if the placement moved on.
 
-        The transmission and constant terms are pure elementwise
-        broadcasts, so their IEEE op order per element matches the scalar
-        kernel exactly.  The ragged dependency reductions run through
-        ``np.add.reduceat`` (strictly sequential per segment), which only
-        matches ``np.sum`` below numpy's pairwise-summation block of 8
-        elements — VMs with 8+ dependents take the scalar kernel row.
+        A cached row is Eq. (1) under one placement, so it lives one
+        placement generation (``migrate`` / ``mark_lost`` / ``restore_lost``
+        each start a new one): when the generation has moved every row is
+        dropped at once, the memory kept, and the next prime or query
+        recomputes what it needs.  Nothing is repaired and no move history
+        is consulted — one kernel call recomputes a whole round's alerted
+        rows in less time than finding out which of them a move had staled.
+
+        Called by every cached query; the engine also calls it once per
+        round, before it primes the round's rows.
+        """
+        gen = self.cluster.placement.generation
+        if not self._cache_enabled or gen == self._cache_gen:
+            return
+        self._cache_gen = gen
+        self.cache_stats["invalidations"] += self._slots_used
+        self._slot_of.fill(-1)
+        self._slots_used = 0
+
+    def prime_cost_vectors(self, vms) -> None:
+        """Write the regional rows of *vms* into the slab ahead of planning.
+
+        One stacked kernel call computes every row not yet held, so the
+        per-rack block builds that follow are fancy indexes of the slab.
+        Tallied under ``cache_stats["primed"]``, not as misses (they are
+        not demand queries).  No-op when the cache is disabled.
+        """
+        if not self._cache_enabled:
+            return
+        self.sync_cache()
+        ids = np.fromiter(vms, dtype=np.int64)
+        self.cache_stats["primed"] += self._fill(ids[self._slot_of[ids] < 0])
+
+    def cost_rows(self, vms, racks=None, *, region_cols=None) -> np.ndarray:
+        """Eq. (1) of *vms* at the destinations named, one row per VM.
+
+        *racks* names destination racks, the same for every row (default:
+        every rack — stacked :meth:`migration_cost_vector`); one kernel
+        call, never cached.  *region_cols* instead names columns of each
+        VM's own one-hop region, ``rack_regions()[0][src_rack, region_cols]``
+        (a shim passes its :meth:`~repro.cluster.shim.ShimView.candidate_cols`):
+        the width a shim reads and the one the cache stores, so with the
+        cache on the answer is a fancy index of the slab, rows not yet held
+        being computed first (``misses``; the rest are ``hits``).
+
+        Either way every element is bit-identical to the scalar oracle's
+        for the same VM and rack, and the result is the caller's own array.
+        """
+        ids = np.asarray(vms, dtype=np.int64)
+        if region_cols is None:
+            cols = np.arange(self.table.num_racks) if racks is None else racks
+            return self._cost_kernel(ids, np.asarray(cols, dtype=np.int64)[None, :])
+        if not self._cache_enabled:
+            return self._region_rows(ids)[:, region_cols]
+        self.sync_cache()
+        slots = self._slot_of[ids]
+        missing = ids[slots < 0]
+        if missing.size:
+            self.cache_stats["misses"] += self._fill(missing)
+            slots = self._slot_of[ids]
+        self.cache_stats["hits"] += ids.size - missing.size
+        return self._slab[slots[:, None], region_cols]
+
+    def _region_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Eq. (1) of *ids*, each at the whole one-hop region of its rack."""
+        pl = self.cluster.placement
+        regions = self.cluster.topology.rack_regions()[0]
+        return self._cost_kernel(ids, regions[pl.host_rack[pl.vm_host[ids]]])
+
+    def _fill(self, ids: np.ndarray) -> int:
+        """Give the distinct VMs of *ids* slab rows; how many there were."""
+        ids = np.unique(ids)
+        if ids.size == 0:
+            return 0
+        rows = self._region_rows(ids)
+        start, end = self._slots_used, self._slots_used + ids.size
+        if end > len(self._slab):
+            grown = np.empty((max(end, 2 * len(self._slab)), rows.shape[1]))
+            if start:
+                grown[:start] = self._slab[:start]
+            self._slab = grown
+        self._slab[start:end] = rows
+        self._slot_of[ids] = np.arange(start, end)
+        self._slots_used = end
+        return ids.size
+
+    def _cost_kernel(self, ids: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Stacked Eq. (1): row ``i`` is VM ``ids[i]`` at racks ``cols[i]``.
+
+        *cols* is ``(len(ids), W)``, or ``(1, W)`` for the same racks on
+        every row.  Each element comes from the scalar oracle's own IEEE
+        operations in the oracle's order: the transmission and constant
+        terms are elementwise, and the dependency sums run one dependent at
+        a time — level ``k`` adds every row's ``k``-th dependent (neighbor-
+        sorted, as in the oracle) in one gather, the strictly sequential
+        order of ``_rack_dist[:, racks].sum(axis=1)``.  The source-rack sum
+        ``_rack_dist[src, racks].sum()`` is contiguous, which numpy sums
+        pairwise from 8 elements up: rows with that many dependents take
+        the oracle's own expression for that one scalar.
         """
         pl = self.cluster.placement
         deps = self.cluster.dependencies
-        n = ids.size
-        r = self.table.num_racks
+        dist = self._rack_dist
         src = pl.host_rack[pl.vm_host[ids]]
         caps = pl.vm_capacity[ids].astype(np.float64)
+        at = src[:, None]
         trans = (
-            self.table.delta * caps[:, None] * self.table.sum_inv_b[src, :r]
-            + self.table.eta * self.table.sum_util[src, :r]
+            self.table.delta * caps[:, None] * self.table.sum_inv_b[at, cols]
+            + self.table.eta * self.table.sum_util[at, cols]
         )
-        trans[np.arange(n), src] = 0.0
-        dep = np.zeros((n, r))
-        rows = []  # row index of each VM with 1 <= degree < 8
-        segs = []  # that VM's dependents' racks, in neighbor-sorted order
-        for i, vm in enumerate(ids.tolist()):
-            nbrs = sorted(deps.neighbors(vm))
-            if not nbrs:
-                continue
-            racks = pl.host_rack[pl.vm_host[np.asarray(nbrs, dtype=np.int64)]]
-            if len(nbrs) >= 8:
-                dep[i] = self.params.dependency_unit * (
-                    self._rack_dist[:, racks].sum(axis=1)
-                    - self._rack_dist[src[i], racks].sum()
-                )
-            else:
-                rows.append(i)
-                segs.append(racks)
-        if rows:
-            sizes = [s.size for s in segs]
-            cat = np.concatenate(segs)
-            offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            near = np.add.reduceat(self._rack_dist[:, cat], offsets, axis=1)
-            src_rep = src[np.asarray(rows, dtype=np.int64)].repeat(sizes)
-            here = np.add.reduceat(self._rack_dist[src_rep, cat], offsets)
-            dep[rows] = (self.params.dependency_unit * (near - here[None, :])).T
+        trans[cols == at] = 0.0
+        cols = np.broadcast_to(cols, trans.shape)
+        near = np.zeros(trans.shape)
+        here = np.zeros(ids.size)
+        nbrs = [sorted(deps.neighbors(vm)) for vm in ids.tolist()]
+        degree = np.fromiter(map(len, nbrs), dtype=np.int64, count=ids.size)
+        if degree.any():
+            row = np.repeat(np.arange(ids.size), degree)
+            dep_rack = pl.host_rack[
+                pl.vm_host[np.fromiter(chain.from_iterable(nbrs), dtype=np.int64)]
+            ]
+            level = np.arange(row.size) - np.repeat(np.cumsum(degree) - degree, degree)
+            for k in range(int(degree.max())):
+                pick = level == k
+                r, d = row[pick], dep_rack[pick]
+                near[r] += dist[cols[r], d[:, None]]
+                here[r] += dist[src[r], d]
+            for i in np.nonzero(degree >= 8)[0]:
+                here[i] = dist[src[i], dep_rack[row == i]].sum()
+        dep = self.params.dependency_unit * (near - here[:, None])
         return self.params.migration_constant + dep + trans
 
     def pairwise_rack_cost(self, capacity: float) -> np.ndarray:

@@ -198,7 +198,6 @@ class TransmissionCostTable:
             self.delta * capacity * self.sum_inv_b[src_rack, :r]
             + self.eta * self.sum_util[src_rack, :r]
         )
-        out = out.copy()
         out[src_rack] = 0.0
         return out
 

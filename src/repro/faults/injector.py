@@ -156,7 +156,9 @@ class FaultInjector:
         terminates) and mark the round degraded.
         """
         try:
-            model = self.switches.rebuild_cost_model()
+            model = self.switches.rebuild_cost_model(
+                cache=self.sim.config.cache_cost_kernels
+            )
         except TopologyError:
             rf.degraded = True
             return

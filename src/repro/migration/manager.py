@@ -174,6 +174,10 @@ class ShimManager:
                 tor_alerted = True
             elif alert.kind is AlertKind.SERVER:
                 assert alert.host is not None
+                if snapshot.host_rack[alert.host] != self.rack:
+                    raise ConfigurationError(
+                        f"server alert for host {alert.host} outside rack {self.rack}"
+                    )
                 cands = snapshot.alerted_candidates(
                     snapshot.vms_on_host(alert.host), vm_alerts
                 )
@@ -225,7 +229,8 @@ class ShimManager:
                 self.cluster,
                 self.cost_model,
                 migrate_set,
-                self.shim.candidate_hosts().tolist(),
+                self.shim.candidate_hosts(),
+                region_cols=self.shim.candidate_cols(),
                 balance_weight=self.balance_weight,
                 host_load=host_load,
                 snapshot=snapshot,

@@ -146,20 +146,33 @@ def hungarian(cost: np.ndarray) -> Tuple[np.ndarray, float]:
     if np.isnan(c).any() or (c == -np.inf).any():
         raise ConfigurationError("cost entries must be > -inf and not NaN")
 
+    if n == 1:
+        # one row is the kernel's first step alone: relaxing ``(c - 0) - 0``
+        # is ``c``, and the strict-less ascending scan is the first minimum
+        j = int(np.argmin(c[0]))
+        if not np.isfinite(c[0, j]):
+            raise MigrationError(
+                "no feasible assignment: forbidden pairs block every augmenting path"
+            )
+        return np.array([j], dtype=np.int64), float(c[0, j])
     assignment = _hungarian_c(c, n, m)
-    if assignment is not None:
-        total = float(c[np.arange(n), assignment].sum())
-        return assignment, total
+    if assignment is None:
+        assignment = _hungarian_numpy(c, n, m)
+    return assignment, float(c[np.arange(n), assignment].sum())
 
-    # Shortest augmenting path with potentials; 1-based sentinel column 0.
-    #
-    # The inner Dijkstra step works on full-width contiguous buffers with
-    # boolean masks instead of `np.nonzero` + fancy gathers: every float
-    # operation runs in the same order on the same values as the gathered
-    # formulation (relaxation is `(c - u) - v`, then the per-step `-= delta`
-    # over still-unused columns), so assignments — including how cost ties
-    # break — are bit-identical, just ~1.7× faster on the fat matrices
-    # Alg. 3 produces at paper scale.
+
+def _hungarian_numpy(c: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The reference solver: shortest augmenting path with potentials;
+    1-based sentinel column 0.
+
+    The inner Dijkstra step works on full-width contiguous buffers with
+    boolean masks instead of `np.nonzero` + fancy gathers: every float
+    operation runs in the same order on the same values as the gathered
+    formulation (relaxation is `(c - u) - v`, then the per-step `-= delta`
+    over still-unused columns), so assignments — including how cost ties
+    break — are bit-identical, just ~1.7× faster on the fat matrices
+    Alg. 3 produces at paper scale.
+    """
     INF = np.inf
     u = np.zeros(n + 1)  # row potentials
     v = np.zeros(m + 1)  # column potentials
@@ -225,5 +238,4 @@ def hungarian(cost: np.ndarray) -> Tuple[np.ndarray, float]:
             assignment[match[j] - 1] = j - 1
     if (assignment < 0).any():
         raise MigrationError("internal error: incomplete matching")
-    total = float(c[np.arange(n), assignment].sum())
-    return assignment, total
+    return assignment

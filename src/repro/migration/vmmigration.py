@@ -172,6 +172,7 @@ def build_cost_block(
     candidates: Sequence[int],
     destination_hosts: Iterable[int],
     *,
+    region_cols: Optional[np.ndarray] = None,
     balance_weight: float = 50.0,
     host_load: Optional[np.ndarray] = None,
     snapshot=None,
@@ -184,11 +185,17 @@ def build_cost_block(
     receivers.  *snapshot* (the engine's per-round
     :class:`~repro.cluster.snapshot.FleetSnapshot`) supplies the per-host
     free capacity and fill fraction as single gathers; without one the
-    same values are computed for just these hosts.  The other parameters
+    same values are computed for just these hosts.  A shim planning for
+    its own rack passes its static, sorted ``ShimView.candidate_hosts()``
+    with their ``candidate_cols()`` as *region_cols*: Eq. (1) is then read
+    at regional width (from the cost model's slab when its cache is on),
+    at costs bit-identical to the any-hosts path.  The other parameters
     are :func:`vmmigration`'s.
     """
     vms = [int(v) for v in dict.fromkeys(candidates)]
-    hosts = np.asarray(sorted(set(int(h) for h in destination_hosts)), dtype=np.int64)
+    hosts = destination_hosts
+    if region_cols is None:
+        hosts = np.asarray(sorted(set(int(h) for h in hosts)), dtype=np.int64)
     block = RackCostBlock(vms=vms, hosts=hosts)
     if not vms or hosts.size == 0:
         return block
@@ -209,8 +216,10 @@ def build_cost_block(
         load_frac = pl.host_used[hosts] / pl.host_capacity[hosts]
     steer = balance_weight * load_frac
 
-    per_rack = cost_model.cost_rows(vms)
-    gathered = per_rack[:, block.host_racks]
+    if region_cols is None:
+        gathered = cost_model.cost_rows(vms, block.host_racks)
+    else:
+        gathered = cost_model.cost_rows(vms, region_cols=region_cols)
     need = pl.vm_capacity[np.asarray(vms, dtype=np.int64)]
     feasible = free[None, :] >= need[:, None]
     block.true_cost = np.where(feasible, gathered, np.inf)

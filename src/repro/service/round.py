@@ -171,9 +171,9 @@ def plan(state: RoundState) -> None:
     if not racks:
         return
     sim.cost_model.sync_cache()
-    # fleet prime: one stacked Eq. (1) kernel for every VM the
-    # shims could query, so per-rack block builds hit the cache
-    # instead of looping the scalar kernel
+    # fleet prime: one stacked Eq. (1) kernel call writes the regional
+    # row of every VM the shims could query into the cost model's slab,
+    # so per-rack block builds are fancy indexes of it
     sim.cost_model.prime_cost_vectors(
         v for v in state.vm_alerts if v not in state.frozen
     )

@@ -177,12 +177,14 @@ class FailureInjector:
                     stack.append(int(v))
         return [r for r in range(topo.num_racks) if not seen[r]]
 
-    def rebuild_cost_model(self) -> CostModel:
+    def rebuild_cost_model(self, *, cache: bool = True) -> CostModel:
         """Cost model over the surviving fabric.
 
-        Raises :class:`TopologyError` when the failures partitioned the
-        rack fabric — planning over a partition would silently produce
-        infinite costs.
+        *cache* is :class:`CostModel`'s switch; a caller replacing a model
+        passes the setting of the one it replaces.  Raises
+        :class:`TopologyError` when the failures partitioned the rack
+        fabric — planning over a partition would silently produce infinite
+        costs.
         """
         dead = self.disconnected_racks()
         if dead:
@@ -194,4 +196,5 @@ class FailureInjector:
             self.cluster,
             self.cost_params,
             available_bandwidth=self.available_bandwidth(),
+            cache=cache,
         )

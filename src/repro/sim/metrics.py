@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.shim import neighbor_racks
+from repro.cluster.shim import ShimView
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -57,14 +57,11 @@ def search_space_regional(
     Each shim matches its candidate VMs against hosts in its one-hop
     neighbor racks only.
     """
-    pl = cluster.placement
     total = 0
     for rack, cands in candidates_by_rack.items():
         if not (0 <= rack < cluster.num_racks):
             raise ConfigurationError(f"unknown rack {rack}")
-        nbrs = neighbor_racks(cluster.topology, rack)
-        n_hosts = int(np.isin(pl.host_rack, list(nbrs)).sum())
-        total += len(cands) * n_hosts
+        total += ShimView(cluster, rack).search_space(len(cands))
     return total
 
 

@@ -112,6 +112,7 @@ class Topology:
         self._edge_index: Dict[Tuple[int, int], int] = {}
         self._links: Optional[LinkTable] = None
         self._adj: Optional[List[np.ndarray]] = None
+        self._regions: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.meta: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
@@ -143,6 +144,7 @@ class Topology:
         self._dist.append(float(distance))
         self._links = None
         self._adj = None
+        self._regions = None
         return eid
 
     # ------------------------------------------------------------------ #
@@ -193,6 +195,40 @@ class Topology:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = [np.asarray(sorted(a), dtype=np.int64) for a in adj]
+
+    def rack_regions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The fabric's region index: every rack's one-hop neighbor racks.
+
+        Returns ``(table, widths)``: ``table[r, :widths[r]]`` are the racks
+        sharing a switch (or a direct link) with rack ``r``, ascending and
+        without ``r`` — the sorted :func:`repro.cluster.shim.neighbor_racks`
+        of every rack from one sparse product ``B·Bᵀ`` of the rack-switch
+        incidence.  Regions are ragged; columns past ``widths[r]`` hold
+        ``r`` (a valid rack id nobody reads).  Built once per fabric and
+        shared by its shim views and cost models: read-only.
+        """
+        if self._regions is None:
+            from scipy.sparse import csr_matrix
+
+            lt = self.links
+            r, n = self._num_racks, self.num_nodes
+            one_way = csr_matrix(
+                (np.ones(len(lt), dtype=np.int32), (lt.u, lt.v)), shape=(n, n)
+            )
+            adj = (one_way + one_way.T).tocsr()
+            via_switch = adj[:r, r:]
+            near = (via_switch @ via_switch.T + adj[:r, :r]).tocoo()
+            keep = near.row != near.col
+            rows, cols = near.row[keep], near.col[keep]
+            widths = np.bincount(rows, minlength=r)
+            table = np.repeat(
+                np.arange(r, dtype=np.int64)[:, None], int(widths.max()), axis=1
+            )
+            table[np.arange(table.shape[1]) < widths[:, None]] = cols[
+                np.lexsort((cols, rows))
+            ]
+            self._regions = (table, widths)
+        return self._regions
 
     def nodes_of_kind(self, kind: NodeKind) -> np.ndarray:
         """All node ids with the given kind."""

@@ -1,16 +1,17 @@
-"""Cost-kernel cache: bit-identical answers, precise invalidation."""
+"""Cost-kernel cache: bit-identical answers, rows that live one generation."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import build_cluster
-from repro.cluster.placement import _MOVE_LEDGER_CAP
+from repro.cluster import ShimView, build_cluster
 from repro.costs.model import CostModel
 from repro.costs.transmission import (
     cached_transmission_table,
     transmission_table_cache_stats,
 )
 from repro.topology import build_fattree
+
+from tests.property.test_regional_slab import assert_shim_reads_equal_oracle
 
 
 @pytest.fixture
@@ -39,103 +40,111 @@ def _movable_pair(cluster):
     pytest.skip("no feasible cross-rack move in this cluster")
 
 
+def _read_all(cm, cluster):
+    """Every shim reads its own VMs' rows once; the rows, rack by rack."""
+    shims = [ShimView(cluster, rack) for rack in range(cluster.num_racks)]
+    return [
+        cm.cost_rows(shim.local_vms(), region_cols=shim.candidate_cols())
+        for shim in shims
+    ]
+
+
+def _assert_equals_fresh_model(cm, cluster):
+    """Every regional row *cm* serves is what a model built now computes."""
+    assert_shim_reads_equal_oracle(cluster, [cm], CostModel(cluster, cache=False))
+
+
 class TestVectorCache:
     def test_cached_equals_uncached(self, cluster):
         warm = CostModel(cluster, cache=True)
         cold = CostModel(cluster, cache=False)
-        for vm in range(min(cluster.num_vms, 20)):
-            np.testing.assert_array_equal(
-                warm.migration_cost_vector(vm), cold.migration_cost_vector(vm)
-            )
+        ids = list(range(min(cluster.num_vms, 20)))
+        assert warm.cost_rows(ids).tobytes() == cold.cost_rows(ids).tobytes()
+        for a, b in zip(_read_all(warm, cluster), _read_all(cold, cluster)):
+            assert a.tobytes() == b.tobytes()
 
     def test_repeat_query_hits(self, cluster):
         cm = CostModel(cluster, cache=True)
-        a = cm.migration_cost_vector(0)
-        b = cm.migration_cost_vector(0)
-        assert a is b  # shared read-only vector, not a recompute
+        shim = ShimView(cluster, 0)
+        vm = shim.local_vms()[:1]
+        a = cm.cost_rows(vm, region_cols=shim.candidate_cols())
+        b = cm.cost_rows(vm, region_cols=shim.candidate_cols())
+        # one generation: the second read is the slab's row, not a recompute
+        assert a.tobytes() == b.tobytes()
         assert cm.cache_stats["hits"] == 1
         assert cm.cache_stats["misses"] == 1
+        assert cm._slots_used == 1
 
     def test_move_invalidates_vm_and_neighbors_only(self, cluster):
+        """A move starts a new generation: every row afterwards — the moved
+        VM's, its dependents', anyone's — is what a fresh model answers."""
         cm = CostModel(cluster, cache=True)
+        _read_all(cm, cluster)
+        held = cm._slots_used
+        assert held == cluster.num_vms
         vm, dst = _movable_pair(cluster)
-        neighbors = {int(n) for n in cluster.dependencies.neighbors(vm)}
-        untouched = next(
-            u
-            for u in range(cluster.num_vms)
-            if u != vm and u not in neighbors
-        )
-        # populate enough entries that the targeted (non-wholesale)
-        # invalidation path runs: 1 move * 4 < cache size
-        for u in range(cluster.num_vms):
-            cm.migration_cost_vector(u)
-        kept = cm.migration_cost_vector(untouched)
         cluster.placement.migrate(vm, dst)
-        fresh = cm.migration_cost_vector(vm)  # triggers sync
-        assert cm.cache_stats["invalidations"] >= 1
-        # the stale entry was repaired in place, not just dropped
-        assert cm.cache_stats["repairs"] >= 1
-        # the moved VM's vector reflects its new source rack
-        cold = CostModel(cluster, cache=False)
-        np.testing.assert_array_equal(fresh, cold.migration_cost_vector(vm))
-        # an unrelated VM's entry survived (same object, no recompute)
-        assert cm.migration_cost_vector(untouched) is kept
+        cm.sync_cache()
+        assert cm.cache_stats["invalidations"] == held
+        assert cm._slots_used == 0
+        _assert_equals_fresh_model(cm, cluster)
 
     def test_lost_vm_entry_dropped_not_repaired(self, cluster):
         cm = CostModel(cluster, cache=True)
-        cm.migration_cost_vector(0)
+        _read_all(cm, cluster)
+        assert cm._slot_of[0] >= 0
         cluster.placement.mark_lost(0)
         cm.sync_cache()
-        assert 0 not in cm._vec_cache
+        assert cm._slot_of[0] == -1  # a lost VM has no slot
+        _assert_equals_fresh_model(cm, cluster)
         cluster.placement.restore_lost(0)
+        cm.sync_cache()
+        assert cm._slot_of[0] == -1
+        _assert_equals_fresh_model(cm, cluster)
 
     def test_steady_state_multi_round_hits(self, cluster):
-        """Regression: repeated planning rounds must hit, not rebuild.
-
-        Simulates the engine's per-round pattern — sync, then query a
-        largely-overlapping working set — with a few commits in between.
-        Before the incremental repair the sync dropped huge swaths of the
-        cache every round and the hit count stayed at 0."""
+        """The engine's per-round pattern — sync, prime the round's VMs,
+        then one read per shim — with a commit between rounds: every read
+        of every round is a hit, and the prime is not counted as misses."""
         cm = CostModel(cluster, cache=True)
-        working_set = list(range(min(cluster.num_vms, 30)))
         for _ in range(4):
             cm.sync_cache()
-            for u in working_set:
-                cm.migration_cost_vector(u)
+            cm.prime_cost_vectors(range(cluster.num_vms))
+            _read_all(cm, cluster)
             vm, dst = _movable_pair(cluster)
             cluster.placement.migrate(vm, dst)
-        assert cm.cache_stats["hits"] > 0
-        # the second round onwards should be nearly all hits
-        assert cm.cache_stats["hits"] > cm.cache_stats["misses"]
+        assert cm.cache_stats["hits"] == 4 * cluster.num_vms
+        assert cm.cache_stats["primed"] == 4 * cluster.num_vms
+        assert cm.cache_stats["misses"] == 0
 
     def test_sync_older_than_the_move_ledger_starts_over(self, cluster):
-        """A model that last synced more moves ago than the placement
-        remembers answers exactly what a fresh model answers."""
+        """There is no move ledger to fall off: however many generations
+        pass between two syncs, the model forgets the slab whole and
+        answers exactly what a fresh model answers."""
         cm = CostModel(cluster, cache=True)
-        everyone = list(range(cluster.num_vms))
-        cm.cost_rows(everyone)
+        _read_all(cm, cluster)
         pl = cluster.placement
         vm, dst = _movable_pair(cluster)
         src = int(pl.vm_host[vm])
-        for k in range(_MOVE_LEDGER_CAP + 1):  # odd: vm ends on dst
+        for k in range(20001):  # odd: vm ends on dst
             pl.migrate(vm, dst if k % 2 == 0 else src)
-        assert pl.moves_since(cm._cache_gen) is None
-        rows = cm.cost_rows(everyone)
-        assert rows.tobytes() == CostModel(cluster).cost_rows(everyone).tobytes()
+        _assert_equals_fresh_model(cm, cluster)
         assert cm._cache_gen == pl.generation
         assert cm.cache_stats["invalidations"] == cluster.num_vms
         assert sorted(cm.cache_stats) == [
-            "hits", "invalidations", "misses", "primed", "repairs",
+            "hits", "invalidations", "misses", "primed",
         ]
+        assert not hasattr(pl, "moves_since")
 
     def test_stats_disabled_path(self, cluster):
         cm = CostModel(cluster, cache=False)
-        cm.migration_cost_vector(0)
-        cm.migration_cost_vector(0)
+        cm.prime_cost_vectors([0])
+        _read_all(cm, cluster)
+        _read_all(cm, cluster)
         assert cm.cache_stats == {
-            "hits": 0, "misses": 0, "invalidations": 0, "repairs": 0,
-            "primed": 0,
+            "hits": 0, "misses": 0, "invalidations": 0, "primed": 0,
         }
+        assert cm._slab.size == 0
 
 
 class TestTransmissionMemo:

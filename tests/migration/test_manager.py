@@ -132,6 +132,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             mgr.process_round([server_alert(cluster, 1)], {}, reg)
 
+    def test_server_alert_for_another_racks_host_raises(self, env):
+        # a shim reads Eq. (1) at its own region's width: a host it does
+        # not dominate must be refused, not planned against the wrong racks
+        cluster, cm, reg = env
+        foreign = int(cluster.placement.hosts_in_rack(1)[0])
+        with pytest.raises(ConfigurationError, match="outside rack 0"):
+            ShimManager(cluster, cm, 0).process_round(
+                [server_alert(cluster, 0, host=foreign)], {foreign: 1.0}, reg
+            )
+
     def test_bad_alpha_beta(self, env):
         cluster, cm, _ = env
         with pytest.raises(ConfigurationError):

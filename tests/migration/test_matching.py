@@ -106,6 +106,31 @@ class TestForbiddenPairs:
             else:
                 assert c[np.arange(len(c)), verdict].sum() == best
 
+    def test_single_row_is_a_first_minimum_scan(self):
+        # 1 x m never reaches a solver: the fast path must give the column
+        # (or the error) the compiled kernel and the numpy reference give
+        # on the same row, ties and forbidden cells included
+        def verdict(solve, c):
+            try:
+                return solve(c, 1, c.shape[1]).tolist()
+            except MigrationError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(7100)
+        verdicts = set()
+        for _ in range(300):
+            c = rng.integers(0, 4, size=(1, int(rng.integers(1, 12)))).astype(float)
+            c[rng.random(c.shape) < rng.choice([0.0, 0.3, 1.0])] = np.inf
+            fast = _verdict(c)
+            assert fast == verdict(matching._hungarian_numpy, c)
+            if matching._JV_KERNEL is not None:
+                assert fast == verdict(matching._hungarian_c, c)
+            if not isinstance(fast, str):
+                assert hungarian(c)[1] == c[0, fast[0]]
+                assert fast[0] == int(np.argmin(c[0]))
+            verdicts.add(fast if isinstance(fast, str) else "column")
+        assert len(verdicts) == 2  # feasible and all-forbidden rows both drawn
+
 
 class TestValidation:
     def test_more_rows_than_cols_rejected(self):

@@ -2,7 +2,7 @@
 
 PR 2 fixed the contract: optimizations change *where* and *how fast* work
 runs, never what it computes.  The fleet kernels (SoA snapshot, stacked
-ARIMA forecasting, vectorized ALERT gate, incremental cost cache) each have
+ARIMA forecasting, vectorized ALERT gate, regional cost slab) each have
 a live scalar reference path; hypothesis drives generated fleets, alert
 streams and move sequences through both and asserts bitwise agreement.
 """
@@ -28,6 +28,7 @@ from repro.sim import SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_fattree
 
 from tests.property.test_parallel_properties import fresh_cluster
+from tests.property.test_regional_slab import assert_shim_reads_equal_oracle
 
 common = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -251,8 +252,8 @@ def test_cost_rows_bitwise_equals_scalar(seed, cached):
 @common
 @given(st.integers(0, 10**6))
 def test_cost_rows_dense_dependencies_take_scalar_path(seed):
-    # degree >= 8 crosses numpy's pairwise-summation block: the batch
-    # kernel must fall back to the scalar dependency reduction per row
+    # degree >= 8 crosses numpy's pairwise-summation block: the stacked
+    # kernel must take the oracle's own source-rack sum for that row
     cluster = fresh_cluster(seed)
     deps = cluster.dependencies
     hub = 0
@@ -272,21 +273,16 @@ def test_cost_rows_dense_dependencies_take_scalar_path(seed):
 def test_prime_then_query_hits_without_recompute(seed):
     cluster = fresh_cluster(seed)
     cm = CostModel(cluster, cache=True)
-    oracle = CostModel(cluster, cache=False)
-    vms = list(range(min(cluster.num_vms, 10)))
-    cm.prime_cost_vectors(vms)
-    assert cm.cache_stats["primed"] == len(vms)
+    cm.prime_cost_vectors(range(cluster.num_vms))
+    assert cm.cache_stats["primed"] == cluster.num_vms
     assert cm.cache_stats["misses"] == 0
-    for vm in vms:
-        np.testing.assert_array_equal(
-            cm.migration_cost_vector(vm), oracle.migration_cost_vector(vm)
-        )
-    assert cm.cache_stats["hits"] == len(vms)
+    assert_shim_reads_equal_oracle(cluster, [cm], CostModel(cluster, cache=False))
+    assert cm.cache_stats["hits"] == cluster.num_vms
     assert cm.cache_stats["misses"] == 0
 
 
 # --------------------------------------------------------------------- #
-# incremental cost cache vs a cold rebuild
+# the slab across generations vs a cold rebuild
 # --------------------------------------------------------------------- #
 @common
 @given(st.integers(0, 10**6), st.integers(1, 12))
@@ -294,10 +290,9 @@ def test_incremental_cost_model_equals_rebuilt(seed, n_moves):
     cluster = fresh_cluster(seed)
     pl = cluster.placement
     warm = CostModel(cluster, cache=True)
+    oracle = CostModel(cluster, cache=False)
     rng = np.random.default_rng(seed)
-    probe = rng.integers(0, cluster.num_vms, size=8)
-    for u in probe:
-        warm.migration_cost_vector(int(u))
+    assert_shim_reads_equal_oracle(cluster, [warm], oracle)
     for _ in range(n_moves):
         vm = int(rng.integers(0, cluster.num_vms))
         host = int(rng.integers(0, pl.num_hosts))
@@ -305,13 +300,7 @@ def test_incremental_cost_model_equals_rebuilt(seed, n_moves):
             pl.migrate(vm, host)
         except Exception:
             continue
-        warm.sync_cache()
-        cold = CostModel(cluster, cache=False)
-        for u in list(probe) + [vm]:
-            np.testing.assert_array_equal(
-                warm.migration_cost_vector(int(u)),
-                cold.migration_cost_vector(int(u)),
-            )
+        assert_shim_reads_equal_oracle(cluster, [warm], oracle)
 
 
 @common
@@ -320,15 +309,11 @@ def test_incremental_cost_model_across_lost_restore(seed):
     cluster = fresh_cluster(seed)
     pl = cluster.placement
     warm = CostModel(cluster, cache=True)
-    for u in range(min(cluster.num_vms, 12)):
-        warm.migration_cost_vector(u)
+    oracle = CostModel(cluster, cache=False)
+    assert_shim_reads_equal_oracle(cluster, [warm], oracle)
+    assert warm._slot_of[0] >= 0
     pl.mark_lost(0)
     warm.sync_cache()
-    assert 0 not in warm._vec_cache  # dropped, not repaired
+    assert warm._slot_of[0] == -1  # a lost VM has no slot
     pl.restore_lost(0)
-    warm.sync_cache()
-    cold = CostModel(cluster, cache=False)
-    for u in range(min(cluster.num_vms, 12)):
-        np.testing.assert_array_equal(
-            warm.migration_cost_vector(u), cold.migration_cost_vector(u)
-        )
+    assert_shim_reads_equal_oracle(cluster, [warm], oracle)

@@ -3,7 +3,8 @@
 Whatever alert stream the engine is fed, the cost-kernel cache must be
 invisible: the same RoundSummary counters and the same final placement
 with ``cache_cost_kernels`` on and off, across rounds (migrations land
-between rounds, so the cache's delta-repair path is what is on trial).
+between rounds, so the slab's generation reset is what is on trial) and
+across the cost-model swap of a ``SWITCH_FAIL`` / ``SWITCH_RECOVER`` pair.
 
 A hypothesis-driven Kuhn–Munkres cross-check against scipy rides along:
 every Alg. 3 iteration solves one matching, so the solver's correctness on
@@ -21,6 +22,7 @@ from scipy.optimize import linear_sum_assignment
 from repro.cluster import build_cluster
 from repro.config import SheriffConfig
 from repro.errors import MigrationError
+from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
 from repro.migration.matching import hungarian
 from repro.sim import SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_fattree
@@ -80,6 +82,42 @@ def test_cost_cache_is_byte_identical(case):
     np.testing.assert_array_equal(
         cluster.placement.vm_host, baseline_cluster.placement.vm_host
     )
+
+
+@common
+@given(st.integers(0, 10**6), st.floats(0.02, 0.15))
+def test_cost_cache_setting_survives_a_switch_failure(seed, fraction):
+    """A model rebuilt under SWITCH_FAIL / SWITCH_RECOVER keeps the engine's
+    ``cache_cost_kernels``, and on vs off stays byte-identical over rounds
+    that include both rebuilds."""
+    agg = fresh_cluster(seed).num_racks  # first aggregation switch
+    schedule = [
+        FaultSpec(FaultKind.SWITCH_FAIL, target=agg, at_round=1),
+        FaultSpec(FaultKind.SWITCH_RECOVER, target=agg, at_round=3),
+    ]
+    runs = {}
+    for cache in (False, True):
+        cluster = fresh_cluster(seed)
+        sim = SheriffSimulation(
+            cluster,
+            SheriffConfig(
+                cache_cost_kernels=cache, fault_schedule=FaultSchedule(schedule)
+            ),
+        )
+        summaries, models = [], [sim.cost_model]
+        for r in range(5):
+            alerts, vma = inject_fraction_alerts(
+                cluster, fraction, time=r, seed=seed + r
+            )
+            summaries.append(summary_fields(sim.run_round(alerts, vma)))
+            if sim.cost_model is not models[-1]:
+                models.append(sim.cost_model)
+        assert len(models) == 3  # built, rebuilt on fail, rebuilt on recover
+        assert [m._cache_enabled for m in models] == [cache] * 3
+        if not cache:
+            assert all(m.cache_stats["primed"] == 0 for m in models)
+        runs[cache] = (summaries, cluster.placement.vm_host.tobytes())
+    assert runs[True] == runs[False]
 
 
 matching_settings = settings(max_examples=50, deadline=None)
