@@ -5,7 +5,7 @@
 # installed package shadows neither (src/ simply wins on the path).
 export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install lint test bench-smoke bench-all report examples chaos adversarial trace-lint serve-smoke ci all
+.PHONY: install lint test bench-smoke digest-smoke bench-all report examples chaos adversarial trace-lint serve-smoke ci all
 
 install:
 	pip install -e . --no-build-isolation
@@ -23,6 +23,14 @@ test: lint
 # benchmark run.
 bench-smoke:
 	python -m pytest bench/tests -q
+
+# "Same decisions" as a command: the five bench/ workloads at smoke size,
+# each decision digest against tools/smoke_digests.json (~10 s).  A PR that
+# changes decisions on purpose re-records the file
+# (`python tools/digest_smoke.py --out-dir DIR --record`) and says why.
+digest-smoke:
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	python tools/digest_smoke.py --out-dir "$$d"
 
 # The paper-figure and ablation benches (performance is bench/'s job:
 # `python -m bench`, see bench/README.md).
@@ -69,7 +77,7 @@ trace-lint:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-ci: lint bench-smoke trace-lint serve-smoke adversarial chaos
+ci: lint bench-smoke digest-smoke trace-lint serve-smoke adversarial chaos
 	pytest tests/
 
 all: lint test bench-all

@@ -21,6 +21,7 @@ from repro.alerts.threshold import AlertConfig, confidence_stance
 from repro.cluster.resources import NUM_RESOURCES
 from repro.errors import ConfigurationError, ForecastError
 from repro.forecast.arima import ARIMA
+from repro.forecast.base import _finite
 from repro.forecast.naive import NaiveLast
 from repro.forecast.narnet import NARNET
 from repro.forecast.selection import DynamicModelSelector
@@ -174,14 +175,19 @@ class VMMonitor:
         return out
 
     def observe(self, profile: np.ndarray) -> None:
-        """Feed the realized profile row for this round."""
+        """Feed the realized profile row for this round, all or nothing.
+
+        The whole row is checked before any selector sees it: a bad
+        component raises with all four series still in step.
+        """
         row = np.asarray(profile, dtype=np.float64).ravel()
         if row.shape[0] != NUM_RESOURCES:
             raise ConfigurationError(
                 f"profile row must have {NUM_RESOURCES} entries, got {row.shape[0]}"
             )
-        for r, sel in enumerate(self._selectors):
-            sel.observe(float(row[r]))
+        values = [_finite(v, "observed") for v in row.tolist()]
+        for sel, value in zip(self._selectors, values):
+            sel.observe(value)
 
 
 def fleet_alert_values(
@@ -212,20 +218,16 @@ def fleet_alert_values(
     if not mons:
         return np.empty(0)
     sels = [sel for m in mons for sel in m._selectors]
-    one = np.empty((len(mons), NUM_RESOURCES))
     flat = batch_predict_one(sels)
-    for i in range(len(mons)):
-        for r in range(NUM_RESOURCES):
-            one[i, r] = flat[i * NUM_RESOURCES + r]
-    profiles = np.empty((len(mons), NUM_RESOURCES))
+    one = np.asarray(flat, dtype=np.float64).reshape(len(mons), NUM_RESOURCES)
+    profiles = np.clip(one, 0.0, 1.0)
     for i, mon in enumerate(mons):
-        row = one[i]
-        stance = confidence_stance(mon.config, headroom, migration_cost_s)
-        if stance != "mean":
-            row = mon._stance_profile(row, stance)
-        if mon.config.horizon == 1:
-            profiles[i] = np.clip(row, 0.0, 1.0)
-        else:
+        config = mon.config
+        if config.horizon != 1:
             profiles[i] = mon.predicted_profile()
+        elif config.confidence_gate:  # off: stance "mean", the clipped row is it
+            stance = confidence_stance(config, headroom, migration_cost_s)
+            if stance != "mean":
+                profiles[i] = np.clip(mon._stance_profile(one[i], stance), 0.0, 1.0)
     thresholds = np.asarray([mon.config.threshold for mon in mons])
     return compute_alerts(profiles, thresholds)

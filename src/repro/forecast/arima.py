@@ -210,7 +210,6 @@ class ARIMA(Forecaster):
     phi_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     theta_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     sigma2_: float = field(default=0.0, init=False, repr=False)
-    y_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.p < 0 or self.d < 0 or self.q < 0:
@@ -253,7 +252,7 @@ class ARIMA(Forecaster):
             sigma2 = float(np.dot(e, e) / max(e.shape[0], 1))
         self.const_, self.phi_, self.theta_ = c, phi, theta
         self.sigma2_ = sigma2
-        self.y_ = arr.copy()
+        self.y_ = arr
         self._fitted = True
         self._init_state(w, e)
         return self
@@ -491,28 +490,23 @@ class ARIMA(Forecaster):
         """Advance state by one observation in O(p + q + d).
 
         The new differenced value chains through the integration heads;
-        its innovation is the one-step prediction error against the cached
-        state.  Equivalent to refiltering the full series (verified by the
+        with an MA part its innovation — the one-step prediction error
+        against the state *before* this value enters it — joins the
+        residual tail (``q = 0`` has no reader for it and skips it).
+        Equivalent to refiltering the full series (verified by the
         property suite) but independent of history length.
         """
-        self._require_fitted()
-        if not np.isfinite(value):
-            raise ForecastError(f"appended value must be finite, got {value}")
-        # concatenate directly: np.append's ravel/dispatch wrapper is pure
-        # overhead at fleet scale and the result is byte-identical
-        self.y_ = np.concatenate((self.y_, (float(value),)))
-        cur = float(value)
+        cur = self._push(value)
         for level in range(self.d):
             nxt = cur - self._heads[level]
             self._heads[level] = cur
             cur = nxt
-        e_new = cur - self._one_step_w()
+        if self.q:
+            self._e_tail.append(cur - self._one_step_w())
+            del self._e_tail[: len(self._e_tail) - self.q]
         if self.p:
             self._w_tail.append(cur)
             del self._w_tail[: len(self._w_tail) - self.p]
-        if self.q:
-            self._e_tail.append(e_new)
-            del self._e_tail[: len(self._e_tail) - self.q]
 
     def __repr__(self) -> str:
         tag = "fitted" if self._fitted else "unfitted"

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Tuple
+from math import isfinite
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -70,10 +71,61 @@ def warm_fit(model: "Forecaster", window: np.ndarray) -> "Forecaster":
     return model
 
 
+def _finite(value: float, what: str) -> float:
+    """*value* as a Python float, converted once; non-finite is refused."""
+    v = float(value)
+    if not isfinite(v):
+        raise ForecastError(f"{what} value must be finite, got {value}")
+    return v
+
+
+class _Series:
+    """Append-only float64 series in a buffer it owns.
+
+    Construction copies — a store never holds a view of a caller's array
+    or of another store's buffer — with room for a chunk more (a quarter
+    of the series, at least 16; doubling read as +3 % RSS over the fleet
+    benchmark's 9k series), and :meth:`append` writes in place.  A full
+    buffer is replaced by a fresh copy of itself, which with *keep* set
+    carries over only the last *keep* samples: what is stored stays
+    within *keep* plus one chunk.
+    """
+
+    __slots__ = ("buf", "n", "keep")
+
+    def __init__(self, values: np.ndarray, keep: Optional[int] = None) -> None:
+        arr = np.asarray(values, dtype=np.float64).ravel()
+        if keep is not None:
+            arr = arr[-keep:]
+        self.keep = keep
+        self.n = n = arr.shape[0]
+        self.buf = np.empty(n + max(16, n // 4))
+        self.buf[:n] = arr
+
+    @property
+    def values(self) -> np.ndarray:
+        """The series so far: a view, valid until the buffer is replaced."""
+        return self.buf[: self.n]
+
+    def append(self, value: float) -> None:
+        if self.n == self.buf.shape[0]:
+            self.__init__(self.buf, self.keep)  # a fresh, longer copy
+        self.buf[self.n] = value
+        self.n += 1
+
+
 class Forecaster(ABC):
-    """Abstract base for one-dimensional time-series forecasters."""
+    """Abstract base for one-dimensional time-series forecasters.
+
+    The observed series is :attr:`y_`, defined here for every subclass:
+    ``fit`` assigns it (assignment copies — a model never aliases the
+    window it was fitted on), :meth:`append` extends it in amortised O(1),
+    and reading it gives an ``ndarray`` equal in value to everything
+    fitted and appended so far.
+    """
 
     _fitted: bool = False
+    _series: Optional[_Series] = None
     supports_intervals: bool = False
     """Whether :meth:`forecast_interval` produces a genuine uncertainty
     band (ARIMA: Gaussian ψ-weight propagation of the CSS residual
@@ -89,9 +141,26 @@ class Forecaster(ABC):
     def forecast(self, h: int = 1) -> np.ndarray:
         """Conditional-mean forecasts for the next *h* steps (shape ``(h,)``)."""
 
-    @abstractmethod
     def append(self, value: float) -> None:
         """Advance state by one observed value without re-estimating."""
+        self._push(value)
+
+    def _push(self, value: float) -> float:
+        """The head of every ``append``, overrides included: fitted,
+        converted once, finite, stored."""
+        self._require_fitted()
+        v = _finite(value, "appended")
+        self._series.append(v)
+        return v
+
+    @property
+    def y_(self) -> Optional[np.ndarray]:
+        """The series observed so far (``None`` before the first fit)."""
+        return None if self._series is None else self._series.values
+
+    @y_.setter
+    def y_(self, values: np.ndarray) -> None:
+        self._series = _Series(values)
 
     def forecast_interval(
         self, h: int = 1, alpha: float = 0.05

@@ -18,22 +18,16 @@ same order — the stacked kernel accumulates ``c``, then ``φ_i · w_{t-i}``
 for ``i = 1..p``, then ``θ_j · e_{t-j}`` for ``j = 1..q``, exactly like
 :meth:`ARIMA.forecast`, and integrates with one ``cumsum`` per
 differencing level exactly like :func:`~repro.forecast.lag.undifference`.
-Models outside the batchable set (non-ARIMA classes, subclasses, unfitted
-instances) fall back to their own scalar ``forecast`` — so the result is
+Fitted plain ``NaiveLast`` members are one gather; everything else
+:func:`group_fleet` sets aside (other classes, subclasses, unfitted
+instances) falls back to its own scalar ``forecast`` — so the result is
 byte-identical to ``[m.forecast(h) for m in models]`` for *any* mixed
 fleet.  The property suite asserts this bitwise.
-
-Confidence-aware selectors (``DynamicModelSelector(confidence=True)``)
-never enter these kernels: :func:`~repro.forecast.selection.batch_predict_one`
-routes them through the scalar ``predict_one`` so interval lookups and
-conservative widening stay per-selector decisions, while the rest of the
-fleet keeps the stacked path — mixed fleets remain member-by-member
-consistent with the scalar loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,35 +38,36 @@ from repro.forecast.naive import NaiveLast
 __all__ = ["batch_forecast", "group_fleet"]
 
 ArimaOrder = Tuple[int, int, int]
-
-
-def _batchable(model: object) -> bool:
-    """Exactly-ARIMA fitted instances; subclasses may override forecast."""
-    return type(model) is ARIMA and getattr(model, "_fitted", False)
+Group = Tuple[List[int], List[object]]
+"""Positions in the fleet, and the members at those positions."""
 
 
 def group_fleet(
-    models: Sequence[object],
-) -> Tuple[Dict[ArimaOrder, List[int]], List[int], List[int]]:
-    """Partition *models* into batchable groups and a scalar rest.
+    models: Iterable[object],
+) -> Tuple[Dict[ArimaOrder, Group], Group, Group]:
+    """Partition *models*, in one pass, into batchable groups and a scalar rest.
 
     Returns ``(groups, naive, scalar)``: *groups* maps ``(p, d, q)`` to the
-    indices of fitted plain-ARIMA members sharing that order (insertion
-    order preserved), *naive* lists fitted plain-:class:`NaiveLast`
-    members (their forecast is a gather of each ``y_[-1]``), and *scalar*
+    fitted plain-ARIMA members sharing that order (insertion order
+    preserved), *naive* holds the fitted plain-:class:`NaiveLast` members
+    (their forecast is a gather of each ``y_[-1]``), and *scalar*
     everything else.  Exact-type gates throughout — subclasses may
-    override ``forecast`` and must go scalar.
+    override ``forecast`` and must go scalar — and this is the one place
+    they live: ``batch_predict_one`` groups its fleet here too.
     """
-    groups: Dict[ArimaOrder, List[int]] = {}
-    naive: List[int] = []
-    scalar: List[int] = []
+    groups: Dict[ArimaOrder, Group] = {}
+    naive: Group = ([], [])
+    scalar: Group = ([], [])
     for idx, m in enumerate(models):
-        if _batchable(m):
-            groups.setdefault((m.p, m.d, m.q), []).append(idx)
-        elif type(m) is NaiveLast and getattr(m, "_fitted", False):
-            naive.append(idx)
+        cls = type(m)
+        if cls is ARIMA and m._fitted:
+            group = groups.setdefault((m.p, m.d, m.q), ([], []))
+        elif cls is NaiveLast and m._fitted:
+            group = naive
         else:
-            scalar.append(idx)
+            group = scalar
+        group[0].append(idx)
+        group[1].append(m)
     return groups, naive, scalar
 
 
@@ -138,13 +133,13 @@ def batch_forecast(models: Sequence[object], h: int = 1) -> List[np.ndarray]:
     models = list(models)
     out: List[np.ndarray] = [None] * len(models)  # type: ignore[list-item]
     groups, naive, scalar = group_fleet(models)
-    for (p, d, q), idxs in groups.items():
-        grp = _forecast_group([models[i] for i in idxs], p, d, q, h)
+    for (p, d, q), (idxs, members) in groups.items():
+        grp = _forecast_group(members, p, d, q, h)
         for row, i in enumerate(idxs):
             out[i] = grp[row]
-    for i in naive:
+    for i, model in zip(*naive):
         # bitwise NaiveLast.forecast: np.full(h, float(y_[-1]))
-        out[i] = np.full(h, float(models[i].y_[-1]))
-    for i in scalar:
-        out[i] = models[i].forecast(h)
+        out[i] = np.full(h, model.y_.item(-1))
+    for i, model in zip(*scalar):
+        out[i] = model.forecast(h)
     return out

@@ -7,7 +7,7 @@ as cheap members of the dynamic-selection pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -53,8 +53,6 @@ class NaiveLast(Forecaster):
 
     supports_intervals = True
 
-    y_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
-
     def fit(self, y: np.ndarray) -> "NaiveLast":
         self.y_ = self._check_series(y, 1)
         self._fitted = True
@@ -79,12 +77,6 @@ class NaiveLast(Forecaster):
             mean, np.diff(self.y_), alpha, scale_by_horizon=True
         )
 
-    def append(self, value: float) -> None:
-        self._require_fitted()
-        if not np.isfinite(value):
-            raise ForecastError(f"appended value must be finite, got {value}")
-        self.y_ = np.concatenate((self.y_, (float(value),)))
-
 
 @dataclass
 class SeasonalNaive(Forecaster):
@@ -93,8 +85,6 @@ class SeasonalNaive(Forecaster):
     period: int = 96
 
     supports_intervals = True
-
-    y_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.period < 1:
@@ -131,9 +121,3 @@ class SeasonalNaive(Forecaster):
             )
         errors = self.y_[self.period :] - self.y_[: -self.period]
         return _quantile_band(mean, errors, alpha, scale_by_horizon=False)
-
-    def append(self, value: float) -> None:
-        self._require_fitted()
-        if not np.isfinite(value):
-            raise ForecastError(f"appended value must be finite, got {value}")
-        self.y_ = np.append(self.y_, float(value))

@@ -75,7 +75,6 @@ class NARNET(Forecaster):
     b2_: float = field(default=0.0, init=False, repr=False)
     mu_: float = field(default=0.0, init=False, repr=False)
     sd_: float = field(default=1.0, init=False, repr=False)
-    y_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     train_loss_: float = field(default=np.inf, init=False, repr=False)
     val_loss_: float = field(default=np.inf, init=False, repr=False)
 
@@ -127,7 +126,7 @@ class NARNET(Forecaster):
             self.b1_ = np.zeros(self.nh)
             self.w2_ = np.zeros(self.nh)
             self.b2_ = 0.0
-            self.y_ = arr.copy()
+            self.y_ = arr
             self.train_loss_ = 0.0
             self._fitted = True
             return self
@@ -230,7 +229,7 @@ class NARNET(Forecaster):
         self.b1_ = self.b1_.copy()
         self.w2_ = self.w2_.copy()
         self.train_loss_ = best_loss
-        self.y_ = arr.copy()
+        self.y_ = arr
         self._fitted = True
         return self
 
@@ -311,12 +310,6 @@ class NARNET(Forecaster):
         X, _ = lag_matrix(z, self.ni)
         hidden = np.tanh(X @ self.w1_.T + self.b1_)
         return (hidden @ self.w2_ + self.b2_) * self.sd_ + self.mu_
-
-    def append(self, value: float) -> None:
-        self._require_fitted()
-        if not np.isfinite(value):
-            raise ForecastError(f"appended value must be finite, got {value}")
-        self.y_ = np.append(self.y_, float(value))
 
     def __repr__(self) -> str:
         tag = "fitted" if self._fitted else "unfitted"

@@ -91,7 +91,6 @@ class SeasonalARIMA(Forecaster):
 
     _inner: ARIMA = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     _tails: List[np.ndarray] = field(default_factory=list, init=False, repr=False)
-    y_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.period < 2:
@@ -114,7 +113,7 @@ class SeasonalARIMA(Forecaster):
         self._inner = ARIMA(
             self.p, self.d, self.q, include_constant=self.include_constant
         ).fit(work)
-        self.y_ = arr.copy()
+        self.y_ = arr
         self._fitted = True
         return self
 
@@ -128,12 +127,8 @@ class SeasonalARIMA(Forecaster):
         return seasonal_undifference(inner, self._tails, self.period)
 
     def append(self, value: float) -> None:
-        self._require_fitted()
-        if not np.isfinite(value):
-            raise ForecastError(f"appended value must be finite, got {value}")
-        self.y_ = np.append(self.y_, float(value))
-        # update the differencing tails and feed the inner model
-        work_value = float(value)
+        work_value = self._push(value)
+        # shift the fixed-length differencing tails, feed the inner model
         new_tails: List[np.ndarray] = []
         for tail in self._tails:
             diffed = work_value - float(tail[0])

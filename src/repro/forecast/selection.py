@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Container, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConvergenceError, ForecastError
-from repro.forecast.base import Forecaster, PredictionInterval, warm_fit
+from repro.forecast.base import Forecaster, PredictionInterval, _finite, _Series, warm_fit
 from repro.forecast.metrics import trailing_mse
 from repro.obs.events import ModelSelected
 from repro.obs.metrics import MetricsRegistry
@@ -154,7 +155,9 @@ class DynamicModelSelector:
     refit_every:
         Full refits happen every this many observed values.
     max_history:
-        Bound on the history length used at refit (None = unbounded).
+        Bound on the history length used at refit — and on what the
+        selector stores: older samples have no reader and are dropped
+        (None = unbounded).
     tracer:
         Optional event sink; each :meth:`predict_one` emits a
         :class:`~repro.obs.events.ModelSelected` naming the answering
@@ -222,7 +225,7 @@ class DynamicModelSelector:
         self._step = 0
         self._models: Dict[str, Forecaster] = {}
         # errors older than the fitness window T_p can never influence
-        # Eq. (14); a bounded deque keeps observe() O(period) per step
+        # Eq. (14): the bounded deques are the window itself
         self._errors: Dict[str, Deque[float]] = {
             n: deque(maxlen=period) for n in self.names
         }
@@ -233,15 +236,14 @@ class DynamicModelSelector:
         self._last_best: Optional[str] = None
         self.last_interval: Optional[PredictionInterval] = None
         self._width_hist: Deque[float] = deque(maxlen=max(4, period))
-        self._history: Optional[np.ndarray] = None
+        self._history: Optional[_Series] = None
         self._since_fit = 0
         self._fitted = False
 
     # ------------------------------------------------------------------ #
     def fit(self, y: np.ndarray) -> "DynamicModelSelector":
         """Fit every pool member on the training series."""
-        arr = np.asarray(y, dtype=np.float64).ravel()
-        self._history = arr.copy()
+        self._history = _Series(y, self.max_history)
         self._refit_all()
         self._errors = {n: deque(maxlen=self.period) for n in self.names}
         self._sq_sums = {n: 0.0 for n in self.names}
@@ -260,7 +262,7 @@ class DynamicModelSelector:
         model = self.factories[name]()
         _pin_stream(model)
         try:
-            warm_fit(model, _window(self._history, self.max_history))
+            warm_fit(model, _window(self._history.values, self.max_history))
             return name, model, None
         except (ConvergenceError, ForecastError) as exc:
             return name, None, exc
@@ -406,20 +408,18 @@ class DynamicModelSelector:
     def observe(self, value: float) -> None:
         """Feed the realized value: score the pool, advance, maybe refit."""
         self._require_fitted()
-        if not np.isfinite(value):
-            raise ForecastError(f"observed value must be finite, got {value}")
+        value = _finite(value, "observed")
         for name, pred in self._last_pred.items():
             dq = self._errors[name]
-            err = float(value) - pred
+            err = value - pred
             if len(dq) == dq.maxlen:
                 evicted = dq[0]
                 self._sq_sums[name] -= evicted * evicted
             dq.append(err)
             self._sq_sums[name] += err * err
         for model in self._models.values():
-            model.append(float(value))
-        assert self._history is not None
-        self._history = np.concatenate((self._history, (float(value),)))
+            model.append(value)
+        self._history.append(value)
         self._step += 1
         self._since_fit += 1
         if self.metrics is not None:
@@ -495,38 +495,41 @@ def _batch_best_names(
     out: List[Optional[str]] = [None] * len(sels)
     buckets: Dict[Tuple[Tuple[str, ...], int], List[int]] = {}
     for i, s in enumerate(sels):
-        names = tuple(s._models.keys())
-        lens = {len(s._errors[n]) for n in names}
-        if len(lens) != 1:
-            continue  # ragged windows — scalar fallback scores these
-        buckets.setdefault((names, lens.pop()), []).append(i)
+        names = tuple(s._models)
+        win_len = len(s._errors[names[0]])
+        for n in names:
+            if len(s._errors[n]) != win_len:
+                break  # ragged windows — scalar fallback scores these
+        else:
+            buckets.setdefault((names, win_len), []).append(i)
     for (names, win_len), idxs in buckets.items():
         if win_len == 0:
             for i in idxs:
                 out[i] = names[0]
             continue
-        flat = [list(sels[i]._errors[n]) for i in idxs for n in names]
-        e = np.asarray(flat, dtype=np.float64)
+        windows = chain.from_iterable(sels[i]._errors[n] for i in idxs for n in names)
+        count = len(idxs) * len(names) * win_len
+        e = np.fromiter(windows, np.float64, count).reshape(-1, win_len)
         scores = np.mean(e * e, axis=1).reshape(len(idxs), len(names))
-        best = np.argmin(scores, axis=1)
-        for row, i in enumerate(idxs):
-            out[i] = names[int(best[row])]
+        for i, best in zip(idxs, np.argmin(scores, axis=1).tolist()):
+            out[i] = names[best]
     return out
 
 
 def batch_predict_one(selectors: Sequence[DynamicModelSelector]) -> List[float]:
     """``[s.predict_one() for s in selectors]`` with batched member kernels.
 
-    The fleet hot path: every selector's pool members are collected, the
-    fitted plain-ARIMA members (across *all* selectors) are forecast in
-    stacked per-order groups and the NaiveLast members answered with one
-    gather, then each selector's Eq. (14) bookkeeping — the ``_last_pred``
-    cache :meth:`DynamicModelSelector.observe` scores, the best-model
-    choice (vectorized across the fleet via :func:`_batch_best_names`),
-    the ``ModelSelected`` event — runs exactly as in the scalar method.
-    Returns and side effects are byte-identical to the scalar loop; only
-    the per-member call overhead is amortized.  Selectors running in the
-    confidence-aware mode (``confidence=True``) answer through the scalar
+    The fleet hot path: one walk over the selectors groups their members
+    (:func:`~repro.forecast.batch.group_fleet`), the fitted plain-ARIMA
+    members (across *all* selectors) are forecast in stacked per-order
+    groups and the NaiveLast members answered with one gather, then each
+    selector's Eq. (14) bookkeeping — the ``_last_pred`` cache ``observe``
+    scores, the best-model choice (vectorized across the fleet via
+    :func:`_batch_best_names`), the ``ModelSelected`` event — runs
+    exactly as in the scalar method.  Returns and side effects are
+    byte-identical to the scalar loop; only the per-member call overhead
+    is amortized.  Selectors running in the confidence-aware mode
+    (``confidence=True``) answer through the scalar
     :meth:`DynamicModelSelector.predict_one` — their interval lookups and
     widening decisions are inherently per-selector — so a mixed fleet
     stays consistent with the scalar loop member by member.
@@ -540,33 +543,27 @@ def batch_predict_one(selectors: Sequence[DynamicModelSelector]) -> List[float]:
         if s.confidence:
             out[i] = s.predict_one()
         else:
+            s._require_fitted()
             plain.append(i)
     fleet = [sels[i] for i in plain]
-    cursor: List[Tuple[DynamicModelSelector, str]] = []
-    models: List[Forecaster] = []
-    for s in fleet:
-        s._require_fitted()
-        s._last_pred = {}
-        for name, model in s._models.items():
-            cursor.append((s, name))
-            models.append(model)
-    preds: List[Optional[float]] = [None] * len(models)
-    groups, naive, scalar = group_fleet(models)
-    for (p, d, q), idxs in groups.items():
-        grp = _forecast_group([models[i] for i in idxs], p, d, q, 1)
-        col = grp[:, 0]
-        for row, i in enumerate(idxs):
-            preds[i] = float(col[row])
-    for i in naive:
-        preds[i] = float(models[i].y_[-1])
-    for i in scalar:
+    groups, naive, scalar = group_fleet(
+        chain.from_iterable(s._models.values() for s in fleet)
+    )
+    preds: List[Optional[float]] = [None] * sum(len(s._models) for s in fleet)
+    for (p, d, q), (idxs, members) in groups.items():
+        col = _forecast_group(members, p, d, q, 1)[:, 0].tolist()
+        for i, pred in zip(idxs, col):
+            preds[i] = pred
+    for i, model in zip(*naive):
+        preds[i] = model.y_.item(-1)
+    for i, model in zip(*scalar):
         try:
-            preds[i] = models[i].predict_one()
+            preds[i] = model.predict_one()
         except ForecastError:
-            preds[i] = None
-    for (s, name), pred in zip(cursor, preds):
-        if pred is not None:
-            s._last_pred[name] = pred
+            continue
+    flat = iter(preds)
+    for s in fleet:  # zip stops with the names: each selector takes its own
+        s._last_pred = {n: p for n, p in zip(s._models, flat) if p is not None}
     bests = _batch_best_names(fleet)
     for i, s, fast_best in zip(plain, fleet, bests):
         if not s._last_pred:

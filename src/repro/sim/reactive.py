@@ -242,11 +242,11 @@ class PredictiveManager:
                 self.reset_host(int(current_assignment[vm]))
         self._last_assignment = current_assignment.copy()
         load = self.workload.host_load(t)
-        for h, v in enumerate(load):
-            self._history[h].append(float(v))
+        for h, v in enumerate(load.tolist()):
+            self._history[h].append(v)
             model = self._models.get(h)
             if model is not None:
-                model.append(float(v))
+                model.append(v)
             if h in self._since_fit:
                 self._since_fit[h] += 1
 

@@ -7,7 +7,7 @@ from repro.alerts.monitor import VMMonitor, default_model_pool, light_model_pool
 from repro.alerts.threshold import AlertConfig
 from repro.cluster import build_cluster
 from repro.cluster.resources import NUM_RESOURCES, ResourceKind
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ForecastError
 from repro.sim import SheriffSimulation
 from repro.sim.scenario import forecast_alert_round
 from repro.topology import build_fattree
@@ -78,6 +78,30 @@ class TestPreAlert:
         p = mon.predicted_profile()
         assert p.shape == (NUM_RESOURCES,)
         assert ((p >= 0) & (p <= 1)).all()
+
+
+class TestObserveIsAllOrNothing:
+    def state(self, mon):
+        return [
+            (s._step, s._since_fit, [m.y_.tolist() for m in s._models.values()])
+            for s in mon._selectors
+        ]
+
+    def test_bad_row_touches_no_selector(self):
+        ws = WorkloadStream.generate(80, seed=5)
+        mon = VMMonitor(ws.history(59, 60), AlertConfig())
+        mon.alert_value()
+        before = self.state(mon)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ForecastError, match="observed value must be finite"):
+                mon.observe([0.3, 0.4, bad, 0.2])
+            assert self.state(mon) == before
+        mon.observe([0.3, 0.4, 0.5, 0.2])
+        for (step, since, ys), (step0, since0, ys0), v in zip(
+            self.state(mon), before, (0.3, 0.4, 0.5, 0.2)
+        ):
+            assert (step, since) == (step0 + 1, since0 + 1)
+            assert ys == [y0 + [v] for y0 in ys0]
 
 
 class TestPools:

@@ -160,7 +160,11 @@ class TestInformationCriteria:
 class TestIncrementalState:
     """The O(1) append state must match refiltering the full series."""
 
-    @pytest.mark.parametrize("order", [(1, 0, 0), (1, 1, 1), (2, 1, 2), (0, 2, 1)])
+    @pytest.mark.parametrize(
+        "order",
+        # q >= 1 (the innovation joins the tail) and q = 0 (none is formed)
+        [(1, 0, 0), (1, 1, 1), (2, 1, 2), (0, 2, 1), (1, 1, 0), (2, 2, 0)],
+    )
     def test_append_equals_refilter(self, order):
         p, d, q = order
         rng = np.random.default_rng(7)

@@ -116,6 +116,44 @@ class TestSelector:
         np.testing.assert_allclose(f, [80, 81, 82, 83, 84], atol=1e-5)
 
 
+class TestHistoryIsBounded:
+    """``max_history`` bounds what is stored, not only what a refit reads."""
+
+    def pool(self):
+        return {"arima110": lambda: ARIMA(1, 1, 0, maxiter=40), "naive": NaiveLast}
+
+    def test_long_run_keeps_the_window_and_every_refit(self):
+        rng = np.random.default_rng(3)
+        y = np.clip(0.5 + 0.02 * np.cumsum(rng.standard_normal(10_030)), 0.0, 1.0)
+        kwargs = dict(period=10, refit_every=25, max_history=64)
+        sel = DynamicModelSelector(self.pool(), **kwargs).fit(y[:30])
+        ref = DynamicModelSelector(self.pool(), **kwargs).fit(y[:30])
+        # the reference keeps everything and trims at read, as before
+        ref._history = type(ref._history)(ref._history.values)
+        for step, v in enumerate(y[30:], 1):
+            assert sel.predict_one() == ref.predict_one()
+            assert sel._last_best == ref._last_best
+            sel.observe(v)
+            ref.observe(v)
+            assert sel._history.buf.shape[0] <= 64 + 16
+            if step % 25 == 0:  # both just refitted
+                assert sel._since_fit == 0
+                a, b = sel._models["arima110"], ref._models["arima110"]
+                assert (a.const_, a.phi_.tolist()) == (b.const_, b.phi_.tolist())
+                for name, model in sel._models.items():
+                    np.testing.assert_array_equal(model.y_, ref._models[name].y_)
+                assert sel._last_pred == ref._last_pred
+        assert ref._history.n == 10_030
+        np.testing.assert_array_equal(sel._history.values[-64:], y[-64:])
+
+    def test_unbounded_selector_keeps_everything(self):
+        y = np.linspace(0.2, 0.8, 400)
+        sel = DynamicModelSelector(self.pool(), refit_every=50).fit(y[:30])
+        for v in y[30:]:
+            sel.observe(v)
+        np.testing.assert_array_equal(sel._history.values, y)
+
+
 class _FailsWhenSwitchedOn(ARIMA):
     """ARIMA whose fit diverges while ``failing`` is switched on."""
 

@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.alerts.alert import compute_alert, compute_alerts
+from repro.alerts.monitor import VMMonitor, fleet_alert_values
+from repro.alerts.threshold import AlertConfig
 from repro.cluster import Cluster, build_cluster
 from repro.cluster.snapshot import FleetSnapshot
 from repro.config import SheriffConfig
@@ -152,6 +154,58 @@ def test_fleet_selector_ragged_windows_fall_back(seed):
     assert fleet_predict_one(batched) == [s.predict_one() for s in scalar]
     for a, b in zip(batched, scalar):
         assert a.best_model_name() == b.best_model_name()
+
+
+# --------------------------------------------------------------------- #
+# fleet ALERT values: the vectorised read side vs one monitor at a time
+# --------------------------------------------------------------------- #
+_GATE = dict(threshold=0.6, confidence_gate=True)
+_MIXED_CONFIGS = [
+    AlertConfig(threshold=0.6),  # stance "mean", one step: the fast rows
+    AlertConfig(threshold=0.6, horizon=2),
+    AlertConfig(**_GATE, cheap_headroom=0.3),  # "upper" at headroom 0.5
+    AlertConfig(**_GATE, expensive_migration_s=20.0),  # "lower" at 30 s
+    AlertConfig(**_GATE, cheap_headroom=0.9),  # gate on, still "mean"
+    AlertConfig(**_GATE, cheap_headroom=0.3, horizon=2),
+]
+
+
+def _mixed_monitors(seed):
+    rng = np.random.default_rng(seed)
+    monitors = []
+    for config in _MIXED_CONFIGS + _MIXED_CONFIGS[:2]:
+        history = np.clip(
+            rng.uniform(0.3, 0.8) + 0.05 * rng.standard_normal((30, 4)), 0.0, 1.0
+        )
+        monitors.append(VMMonitor(history, config, period=4, refit_every=5))
+    monitors[-2]._selectors[1].confidence = True  # answers through the scalar path
+    del monitors[-1]._selectors[2]._models["naive"]  # a member dropped at refit
+    return monitors
+
+
+@common
+@given(st.integers(0, 10**6), st.integers(2, 7))
+def test_fleet_alert_values_mixed_fleet_bitwise(seed, n_rounds):
+    """Horizons 1 and 2, all three stances, a confidence selector and a
+    dropped member: values and ``_last_pred`` side effects are the scalar
+    loop's, round after round (refits included)."""
+    try:
+        batched, scalar = _mixed_monitors(seed), _mixed_monitors(seed)
+    except ConvergenceError:
+        return
+    signals = dict(headroom=0.5, migration_cost_s=30.0)
+    rows = np.random.default_rng(seed + 1).random((n_rounds, len(batched), 4))
+    for r in range(n_rounds):
+        got = fleet_alert_values(batched, **signals)
+        want = [m.alert_value(**signals) for m in scalar]
+        assert got.tolist() == want
+        for a, b in zip(batched, scalar):
+            for sa, sb in zip(a._selectors, b._selectors):
+                assert sa._last_pred == sb._last_pred
+                assert sa._last_best == sb._last_best
+        for i, (a, b) in enumerate(zip(batched, scalar)):
+            a.observe(rows[r, i])
+            b.observe(rows[r, i])
 
 
 # --------------------------------------------------------------------- #
