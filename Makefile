@@ -5,7 +5,7 @@
 # installed package shadows neither (src/ simply wins on the path).
 export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install lint test bench-smoke digest-smoke bench-all report examples chaos adversarial trace-lint serve-smoke ci all
+.PHONY: install lint test bench-smoke digest-smoke bench-pairs bench-all report examples chaos adversarial trace-lint serve-smoke ci all
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,6 +31,15 @@ bench-smoke:
 digest-smoke:
 	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	python tools/digest_smoke.py --out-dir "$$d"
+
+# The pairing rule as a command (~40 min): every BENCHMARK.json workload on
+# HEAD (a temporary `git worktree`) and on the working tree, ten seeds, the
+# sides alternating; medians, quartiles, pairs won and a verdict per
+# end-to-end metric, with the per-run values of any row that reads worse
+# or sits inside the parent's own noise (tools/bench_pairs.py).
+bench-pairs:
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	python tools/bench_pairs.py --out-dir "$$d"
 
 # The paper-figure and ablation benches (performance is bench/'s job:
 # `python -m bench`, see bench/README.md).

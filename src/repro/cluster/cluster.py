@@ -10,7 +10,7 @@ an initial placement drawn at random but respecting capacities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class Cluster:
     vms: List[VM]
     placement: Placement
     dependencies: DependencyGraph
+    _region_hosts: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.racks) != self.topology.num_racks:
@@ -67,6 +70,31 @@ class Cluster:
     def workload_std(self) -> float:
         """Std-dev of per-host load percentage — the Fig. 9/10 y-axis."""
         return float(np.std(self.placement.host_load_fraction() * 100.0))
+
+    def region_hosts(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every rack's migration destinations, as one table per cluster.
+
+        Returns ``(hosts, cols, widths)``: ``hosts[r, :widths[r]]`` are the
+        hosts in the one-hop neighbor racks of rack ``r``, ascending, and
+        ``cols[r, :widths[r]]`` the column of each one's rack in
+        ``topology.rack_regions()[0][r]``.  Ragged; the padding is 0 (a
+        valid host and column nobody reads).  A host never changes rack,
+        so built once and shared by the shim views and the round's stacked
+        cost pass: read-only.
+        """
+        if self._region_hosts is None:
+            table, near = self.topology.rack_regions()
+            host_rack = self.placement.host_rack
+            regions = [table[r, : near[r]] for r in range(len(table))]
+            found = [np.nonzero(np.isin(host_rack, region))[0] for region in regions]
+            widths = np.asarray([hosts.size for hosts in found], dtype=np.int64)
+            hosts = np.zeros((len(table), int(widths.max())), dtype=np.int64)
+            cols = np.zeros_like(hosts)
+            for r, (region, there) in enumerate(zip(regions, found)):
+                hosts[r, : there.size] = there
+                cols[r, : there.size] = np.searchsorted(region, host_rack[there])
+            self._region_hosts = (hosts, cols, widths)
+        return self._region_hosts
 
     def workload_mean(self) -> float:
         return float(np.mean(self.placement.host_load_fraction() * 100.0))

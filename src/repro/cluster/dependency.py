@@ -120,10 +120,11 @@ class DependencyGraph:
 
         Used as the conflict-graph check before accepting a migration
         destination (Sec. II-C: dependent VMs cannot share a server).
+        Asked from the VM's side — its few dependents, not the host's
+        residents — so a REQUEST never scans the fleet.
         """
-        on_host = placement.vms_on_host(host)
-        nbrs = self._nbrs[vm]
-        return any(int(o) in nbrs for o in on_host)
+        vm_host = placement.vm_host
+        return any(vm_host[b] == host for b in self._nbrs[vm])
 
     # ------------------------------------------------------------------ #
     # generators

@@ -6,11 +6,12 @@ wired neighbor racks — racks reachable through a single intermediate
 switch, which is exactly the regional scope the paper's conclusion states
 ("dominate its local region by one hop wired neighbors").
 
-:class:`ShimView` is a read-mostly helper over the fabric's shared region
-index (:meth:`repro.topology.base.Topology.rack_regions` — one sparse
-product per fabric, not one adjacency walk per shim): the neighbor-rack
-set and the static destination arrays the distributed manager (Alg. 1)
-needs each round.
+:class:`ShimView` is a read-mostly helper over the shared region indexes
+(:meth:`repro.topology.base.Topology.rack_regions` — one sparse product
+per fabric, not one adjacency walk per shim — and
+:meth:`repro.cluster.cluster.Cluster.region_hosts`, its hosts): the
+neighbor-rack set and the static destination arrays the distributed
+manager (Alg. 1) needs each round, as rows of those tables.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class ShimView:
         table, widths = cluster.topology.rack_regions()
         region = table[rack, : widths[rack]]
         self.neighbors: FrozenSet[int] = frozenset(region.tolist())
-        host_rack = cluster.placement.host_rack
-        hosts = self._candidate_hosts = np.nonzero(np.isin(host_rack, region))[0]
-        self._candidate_cols = np.searchsorted(region, host_rack[hosts])
+        hosts, cols, reach = cluster.region_hosts()
+        self._candidate_hosts = hosts[rack, : reach[rack]]
+        self._candidate_cols = cols[rack, : reach[rack]]
 
     @property
     def region(self) -> FrozenSet[int]:

@@ -15,23 +15,29 @@ read-only by every shim's :meth:`~repro.migration.manager.ShimManager.process_ro
 * ``host_free`` — free capacity per host, already zeroed for dead hosts
   (the vectorized form of ``Placement.free_capacity``);
 * ``host_load`` — per-host utilization fraction (destination steering);
-* CSR-style indexes host → VMs and rack → VMs, so membership queries are
-  an O(degree) slice instead of an O(num_vms) scan;
+* PRIORITY(F, 1) for every host at once (:meth:`host_winners`): the VM a
+  SERVER alert evicts and how many candidates it was picked from, one
+  ``np.lexsort`` over the round's alerted VMs instead of one gather, one
+  record list and one ``max`` per alert;
+* a CSR-style index rack → VMs for the β picks of a ToR alert, built on
+  first use — a round of SERVER alerts sorts nothing but its alerted VMs;
 * an optional profile matrix ``W ∈ R^{N×R}`` (one row per VM, one column
   per resource) for the vectorized ALERT evaluation in
   :func:`repro.alerts.alert.compute_alerts`.
 
 Every query returns values bit-identical to the scalar
 :class:`~repro.cluster.placement.Placement` calls it replaces (same
-integers, same gather order); the hypothesis suite in
-``tests/property/test_fleet_kernels.py`` enforces this.  A snapshot is
+integers, same gather order) and the host table the picks of
+:func:`~repro.migration.priority.priority_select`, which stays as the
+scalar oracle; the hypothesis suite in
+``tests/property/test_fleet_kernels.py`` enforces both.  A snapshot is
 valid until the next placement mutation — the engine builds one per round
 after fault injection and discards it at commit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,72 +81,64 @@ class FleetSnapshot:
         self.host_load = pl.host_used / pl.host_capacity
         self.generation = pl.generation
         self.profile = profile
-        self._alert_token: Optional[Dict[int, float]] = None
-        self._alert_vec: Optional[np.ndarray] = None
-
-        # CSR host -> VMs: a stable argsort of vm_host keeps VM ids
-        # ascending within each host, exactly the order np.nonzero
-        # (and therefore Placement.vms_on_host) returns.
-        order = np.argsort(pl.vm_host, kind="stable")
-        counts = np.bincount(pl.vm_host, minlength=pl.num_hosts)
-        self._host_order = order
-        self._host_starts = np.concatenate(
-            ([0], np.cumsum(counts))
-        ).astype(np.int64)
-        # CSR rack -> VMs, same construction over vm_rack
-        rorder = np.argsort(self.vm_rack, kind="stable")
-        rcounts = np.bincount(self.vm_rack, minlength=pl.num_racks)
-        self._rack_order = rorder
-        self._rack_starts = np.concatenate(
-            ([0], np.cumsum(rcounts))
-        ).astype(np.int64)
-
-    def vms_on_host(self, host: int) -> np.ndarray:
-        """VM ids on *host*, ascending — same as ``Placement.vms_on_host``."""
-        return self._host_order[self._host_starts[host] : self._host_starts[host + 1]]
+        self._rack_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._winners_token: Optional[Dict[int, float]] = None
+        self._winners: Tuple[List[int], List[int]] = ([], [])
 
     def vms_in_rack(self, rack: int) -> np.ndarray:
         """VM ids in *rack*, ascending — same as ``Placement.vms_in_rack``."""
-        return self._rack_order[self._rack_starts[rack] : self._rack_starts[rack + 1]]
+        if self._rack_csr is None:
+            # a stable argsort keeps VM ids ascending within each rack,
+            # exactly the order np.nonzero (Placement.vms_in_rack) returns
+            counts = np.bincount(self.vm_rack, minlength=self.num_racks)
+            self._rack_csr = (
+                np.argsort(self.vm_rack, kind="stable"),
+                np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+            )
+        order, starts = self._rack_csr
+        return order[starts[rack] : starts[rack + 1]]
 
     def free_capacity(self, hosts: np.ndarray) -> np.ndarray:
         """Free capacity of *hosts* (vectorized, dead hosts = 0)."""
         return self.host_free[hosts]
 
     # ------------------------------------------------------------------ #
-    def _alert_vector(self, vm_alerts: Dict[int, float]) -> np.ndarray:
-        """This round's ALERT dict densified into a per-VM vector.
+    def host_winners(
+        self, vm_alerts: Dict[int, float]
+    ) -> Tuple[List[int], List[int]]:
+        """PRIORITY(F, 1) of every host: ``(winner, candidates)`` per host.
 
-        Built on first use and keyed on the dict's identity, so a vector
-        from another round's dict is never consulted.
+        ``winner[h]`` is the VM ``priority_select(F, ONE)`` returns for
+        ``F`` = the VMs on host ``h`` with ``alert > 0`` (``-1`` when it
+        returns none), ``candidates[h]`` is ``len(F)``.  Alg. 2 drops the
+        delay-sensitive VMs, then takes the highest ALERT, ties broken by
+        largest capacity, then lowest value, then — ``max`` keeps the first
+        of equals and ``F`` is id-ascending — lowest id: the first of each
+        host group under ``np.lexsort`` by (host, -alert, -capacity, value,
+        id).  Built on first use and keyed on the dict's identity, so a
+        table from another round's dict is never consulted.
         """
-        if self._alert_token is not vm_alerts:
-            vec = np.zeros(self.num_vms, dtype=np.float64)
-            if vm_alerts:
-                ids = np.fromiter(
-                    vm_alerts.keys(), dtype=np.int64, count=len(vm_alerts)
-                )
-                vals = np.fromiter(
-                    vm_alerts.values(), dtype=np.float64, count=len(vm_alerts)
-                )
-                vec[ids] = vals
-            self._alert_vec = vec
-            self._alert_token = vm_alerts
-        return self._alert_vec
-
-    def alerted_candidates(
-        self, vm_ids, vm_alerts: Dict[int, float]
-    ) -> List["CandidateVM"]:
-        """Candidates for *vm_ids* restricted to ``alert > 0``.
-
-        Identical to filtering :meth:`candidates` output on ``c.alert > 0``
-        (same VMs, same ascending order, same field values), but the filter
-        runs on the dense alert vector before any records are built.
-        """
-        ids = np.asarray(vm_ids, dtype=np.int64)
-        if ids.size == 0:
-            return []
-        return self.candidates(ids[self._alert_vector(vm_alerts)[ids] > 0.0], vm_alerts)
+        if self._winners_token is not vm_alerts:
+            n = len(vm_alerts)
+            ids = np.fromiter(vm_alerts.keys(), dtype=np.int64, count=n)
+            alert = np.fromiter(vm_alerts.values(), dtype=np.float64, count=n)
+            live = alert > 0.0  # NaN and zero alerts are not candidates
+            ids, alert = ids[live], alert[live]
+            counts = np.bincount(self.vm_host[ids], minlength=self.num_hosts)
+            winners = np.full(self.num_hosts, -1, dtype=np.int64)
+            movable = ~self.vm_delay_sensitive[ids]
+            ids, alert = ids[movable], alert[movable]
+            host = self.vm_host[ids]
+            order = np.lexsort(
+                (ids, self.vm_value[ids], -self.vm_capacity[ids], -alert, host)
+            )
+            ids, host = ids[order], host[order]
+            first = np.ones(ids.size, dtype=bool)
+            first[1:] = host[1:] != host[:-1]
+            winners[host[first]] = ids[first]
+            self._winners = (winners.tolist(), counts.tolist())
+            self._winners_token = vm_alerts
+        return self._winners
 
     def candidates(self, vm_ids, vm_alerts: Dict[int, float]) -> List["CandidateVM"]:
         """PRIORITY candidate records for *vm_ids* via batched gathers.

@@ -207,10 +207,12 @@ class CostModel:
         every rack — stacked :meth:`migration_cost_vector`); one kernel
         call, never cached.  *region_cols* instead names columns of each
         VM's own one-hop region, ``rack_regions()[0][src_rack, region_cols]``
-        (a shim passes its :meth:`~repro.cluster.shim.ShimView.candidate_cols`):
-        the width a shim reads and the one the cache stores, so with the
-        cache on the answer is a fancy index of the slab, rows not yet held
-        being computed first (``misses``; the rest are ``hits``).
+        (a shim passes its :meth:`~repro.cluster.shim.ShimView.candidate_cols`;
+        the round's stacked pass a ``(rows, widest)`` table, one row of
+        columns per VM): the width a shim reads and the one the cache
+        stores, so with the cache on the answer is a fancy index of the
+        slab, rows not yet held being computed first (``misses``; the rest
+        are ``hits``).
 
         Either way every element is bit-identical to the scalar oracle's
         for the same VM and rack, and the result is the caller's own array.
@@ -220,7 +222,7 @@ class CostModel:
             cols = np.arange(self.table.num_racks) if racks is None else racks
             return self._cost_kernel(ids, np.asarray(cols, dtype=np.int64)[None, :])
         if not self._cache_enabled:
-            return self._region_rows(ids)[:, region_cols]
+            return self._region_rows(ids)[np.arange(ids.size)[:, None], region_cols]
         self.sync_cache()
         slots = self._slot_of[ids]
         missing = ids[slots < 0]

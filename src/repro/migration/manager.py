@@ -13,9 +13,16 @@ the alerts addressed to it, dispatches on their kind:
 
 and finally runs VMMIGRATION (Alg. 3) on the migration set against the
 one-hop neighbor racks.  :meth:`ShimManager.process_round` is the only
-implementation of Alg. 1: membership queries and PRIORITY candidates are
-gathered from the round's :class:`~repro.cluster.snapshot.FleetSnapshot`,
-and the engine calls it once per alerted rack, in rack order.
+implementation of Alg. 1, and the engine calls it once per alerted rack,
+in rack order — the order Alg. 4's FCFS REQUESTs owe.  What does not
+depend on that order is computed once per round, for every shim, and
+only read here: a SERVER alert's PRIORITY(F, 1) is a lookup in the
+:class:`~repro.cluster.snapshot.FleetSnapshot`'s host table, and the
+round-static half of Alg. 3 arrives as this rack's rows of the engine's
+:func:`~repro.migration.vmmigration.stack_cost_blocks` (a shim called
+without them, or whose migration set they do not hold — the β picks of
+a ToR alert — builds its own block with the scalar definition).  The
+shim keeps its labelled instruments from their first use.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable, flow_reroute
 from repro.migration.vmmigration import (
     MigrationStats,
+    RackCostBlock,
     build_cost_block,
+    rack_instruments,
     request_migrations,
 )
 from repro.obs.events import FlowRerouted, PrioritySelected
@@ -108,6 +117,10 @@ class ShimManager:
         self.profiler = profiler
         self.slo_scorer = slo_scorer
         self.shim = ShimView(cluster, rack)
+        # looked up on first use, never before: an instrument that exists
+        # shows in ``as_dict()`` and ``/metrics`` even at zero
+        self._alerts_counter = None
+        self._instruments: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     def process_round(
@@ -118,6 +131,7 @@ class ShimManager:
         frozen: frozenset = frozenset(),
         host_load=None,
         snapshot: Optional[FleetSnapshot] = None,
+        block: Optional[RackCostBlock] = None,
     ) -> RoundReport:
         """Run Alg. 1 for this shim.
 
@@ -140,6 +154,11 @@ class ShimManager:
             The round's shared :class:`FleetSnapshot`; the engine builds one
             per round for all shims.  A direct caller may leave it out and
             the shim builds its own from the (round-static) placement.
+        block:
+            This rack's rows of the round's
+            :func:`~repro.migration.vmmigration.stack_cost_blocks`.  Used
+            when it was built for exactly the migration set chosen here;
+            otherwise, and without one, the shim builds the block itself.
         """
         if snapshot is None:
             snapshot = FleetSnapshot(self.cluster.placement)
@@ -178,11 +197,21 @@ class ShimManager:
                     raise ConfigurationError(
                         f"server alert for host {alert.host} outside rack {self.rack}"
                     )
-                cands = snapshot.alerted_candidates(
-                    snapshot.vms_on_host(alert.host), vm_alerts
-                )
-                chosen = self._priority(PriorityFactor.ONE, 1, cands)
-                migrate_set.extend(c.vm_id for c in chosen)
+                # PRIORITY(F, 1): the host table holds every host's pick
+                winners, candidates = snapshot.host_winners(vm_alerts)
+                vm = winners[alert.host]
+                if vm >= 0:
+                    migrate_set.append(vm)
+                if tracer.enabled:
+                    tracer.emit(
+                        PrioritySelected(
+                            rack=self.rack,
+                            factor=PriorityFactor.ONE.name,
+                            budget=1,
+                            candidates=candidates[alert.host],
+                            selected=(vm,) if vm >= 0 else (),
+                        )
+                    )
 
         if tor_alerted:
             cands = snapshot.candidates(snapshot.vms_in_rack(self.rack), vm_alerts)
@@ -191,9 +220,11 @@ class ShimManager:
             migrate_set.extend(c.vm_id for c in chosen)
 
         if self.metrics is not None and report.alerts_processed:
-            self.metrics.counter(
-                "sheriff_shim_alerts_total", rack=self.rack
-            ).inc(report.alerts_processed)
+            if self._alerts_counter is None:
+                self._alerts_counter = self.metrics.counter(
+                    "sheriff_shim_alerts_total", rack=self.rack
+                )
+            self._alerts_counter.inc(report.alerts_processed)
 
         # rerouting first — cheaper and faster than migration (Sec. III-B)
         if reroute_flow_ids and self.flow_table is not None:
@@ -225,22 +256,25 @@ class ShimManager:
         report.selected_for_migration = migrate_set
         if migrate_set:
             report.predicted_slo_damage = self._predicted_damage(migrate_set)
-            block = build_cost_block(
-                self.cluster,
-                self.cost_model,
-                migrate_set,
-                self.shim.candidate_hosts(),
-                region_cols=self.shim.candidate_cols(),
-                balance_weight=self.balance_weight,
-                host_load=host_load,
-                snapshot=snapshot,
-                slo_scorer=self.slo_scorer,
-            )
+            if block is None or block.vms != migrate_set:
+                block = build_cost_block(
+                    self.cluster,
+                    self.cost_model,
+                    migrate_set,
+                    self.shim.candidate_hosts(),
+                    region_cols=self.shim.candidate_cols(),
+                    balance_weight=self.balance_weight,
+                    host_load=host_load,
+                    snapshot=snapshot,
+                    slo_scorer=self.slo_scorer,
+                )
+            if self._instruments is None and self.metrics is not None:
+                self._instruments = rack_instruments(self.metrics, self.rack)
             report.migration = request_migrations(
                 block,
                 receivers,
                 tracer=tracer,
-                metrics=self.metrics,
+                instruments=self._instruments,
                 profiler=self.profiler,
                 rack=self.rack,
             )

@@ -60,6 +60,10 @@ class FlowTable:
         self._next_id = 0
         self.node_load = np.zeros(topology.num_nodes, dtype=np.float64)
         self._weights = self._edge_weight_matrix()
+        # (dist, pred) of the unmasked fabric per source rack: the weights
+        # are fixed at construction, so one Dijkstra serves every flow
+        # that starts there
+        self._trees: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _edge_weight_matrix(self) -> csr_matrix:
         lt = self.topology.links
@@ -126,7 +130,11 @@ class FlowTable:
             while path[-1] != remap[src]:
                 path.append(int(pred[path[-1]]))
             return [int(mask[i]) for i in reversed(path)]
-        dist, pred = dijkstra(g, directed=False, indices=src, return_predecessors=True)
+        if src not in self._trees:
+            self._trees[src] = dijkstra(
+                g, directed=False, indices=src, return_predecessors=True
+            )
+        dist, pred = self._trees[src]
         if not np.isfinite(dist[dst]):
             raise TopologyError(f"no path {src} -> {dst}")
         path = [dst]

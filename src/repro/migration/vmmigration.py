@@ -13,24 +13,29 @@ derives from the placement is *round-static*, and the algorithm splits
 into two halves:
 
 * :func:`build_cost_block` computes the Eq. (1) cost matrix, the
-  feasibility mask (``free >= need``) and the load-steering term once for
-  the whole candidate set;
+  feasibility mask (``free >= need``), the load-steering term and each
+  row's first minimum once for the whole candidate set;
 * :func:`request_migrations` runs the matching / REQUEST / retry loop over
   that block against the shared receiver registry — retries subset the
-  block's rows instead of rebuilding them.
+  block's rows instead of rebuilding them, and a single remaining row
+  requests its stored first minimum (Kuhn–Munkres' own 1 × m answer)
+  without trimming, solving or gathering anything.
 
-:func:`vmmigration` is their composition; the per-shim round
-(:meth:`repro.migration.manager.ShimManager.process_round`) calls the two
-halves directly so it can hand the block the engine's per-round
-:class:`~repro.cluster.snapshot.FleetSnapshot`.
+:func:`vmmigration` is their composition.  The first half is round-static
+for every shim at once, so the engine runs it once per round:
+:func:`stack_cost_blocks` is :func:`build_cost_block` for all alerted
+racks in one pass, and each shim's
+:meth:`~repro.migration.manager.ShimManager.process_round` takes its rows
+as views (building its own block when the stack does not hold its
+migration set).  Only the second half — Alg. 4's FCFS order — stays
+serial, one rack at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, List, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,36 +53,29 @@ __all__ = [
     "MigrationStats",
     "RackCostBlock",
     "build_cost_block",
+    "rack_instruments",
     "request_migrations",
+    "stack_cost_blocks",
     "vmmigration",
 ]
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-# per-registry memo of the per-rack instrument tuple used by
-# :func:`request_migrations`: the registry's get-or-create is already
-# idempotent, this just skips ~8 label-key constructions per rack call
-_INSTRUMENTS: "WeakKeyDictionary[MetricsRegistry, dict]" = WeakKeyDictionary()
 
-
-def _rack_instruments(metrics: MetricsRegistry, rack: Optional[int]):
-    per_registry = _INSTRUMENTS.get(metrics)
-    if per_registry is None:
-        per_registry = _INSTRUMENTS[metrics] = {}
-    instruments = per_registry.get(rack)
-    if instruments is None:
-        lbl = {"rack": rack} if rack is not None else {}
-        instruments = per_registry[rack] = (
-            metrics.counter("sheriff_requests_sent_total", **lbl),
-            metrics.counter("sheriff_requests_acked_total", **lbl),
-            metrics.counter("sheriff_requests_rejected_total", **lbl),
-            metrics.counter("sheriff_migration_cost_total", **lbl),
-            metrics.counter("sheriff_search_space_total", **lbl),
-            metrics.counter("sheriff_unplaced_total", **lbl),
-            metrics.histogram("sheriff_matching_size", **lbl),
-            metrics.histogram("sheriff_move_cost", **lbl),
-        )
-    return instruments
+def rack_instruments(metrics: MetricsRegistry, rack: Optional[int]) -> tuple:
+    """The instruments :func:`request_migrations` records into, for *rack*
+    (get-or-create: a shim looks them up once and keeps the tuple)."""
+    lbl = {"rack": rack} if rack is not None else {}
+    return (
+        metrics.counter("sheriff_requests_sent_total", **lbl),
+        metrics.counter("sheriff_requests_acked_total", **lbl),
+        metrics.counter("sheriff_requests_rejected_total", **lbl),
+        metrics.counter("sheriff_migration_cost_total", **lbl),
+        metrics.counter("sheriff_search_space_total", **lbl),
+        metrics.counter("sheriff_unplaced_total", **lbl),
+        metrics.histogram("sheriff_matching_size", **lbl),
+        metrics.histogram("sheriff_move_cost", **lbl),
+    )
 
 
 def _greedy_assign(cost: np.ndarray) -> np.ndarray:
@@ -122,7 +120,10 @@ class RackCostBlock:
 
     ``cost``/``true_cost`` are the full ``(len(vms), len(hosts))`` matrices
     of Alg. 3 (steered and raw Eq. (1) values, ``inf`` = infeasible);
-    retries subset their rows instead of rebuilding them.
+    retries subset their rows instead of rebuilding them.  ``first_min[i]``
+    is the column of row ``i``'s first minimum in ``cost`` — the whole
+    matching when row ``i`` is matched alone — or ``-1`` when that entry is
+    not finite (no feasible destination).
     """
 
     vms: List[int]
@@ -130,6 +131,13 @@ class RackCostBlock:
     host_racks: np.ndarray = field(default_factory=lambda: _EMPTY_I64.copy())
     true_cost: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     cost: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    first_min: np.ndarray = field(default_factory=lambda: _EMPTY_I64.copy())
+
+
+def _first_min(cost: np.ndarray) -> np.ndarray:
+    """``RackCostBlock.first_min`` of a non-empty ``(rows, hosts)`` matrix."""
+    col = cost.argmin(axis=1)
+    return np.where(np.isfinite(cost[np.arange(len(cost)), col]), col, -1)
 
 
 def _trim_rows(cost: np.ndarray, num_hosts: int):
@@ -230,7 +238,68 @@ def build_cost_block(
         block.cost = block.cost + slo_scorer.addend(
             slo_scorer.damage(vms, need.tolist()), load_frac
         )
+    block.first_min = _first_min(block.cost)
     return block
+
+
+def stack_cost_blocks(
+    cluster: Cluster,
+    cost_model: CostModel,
+    picks: Dict[int, List[int]],
+    snapshot,
+    *,
+    balance_weight: float = 50.0,
+    host_load: Optional[np.ndarray] = None,
+    slo_scorer=None,
+) -> Dict[int, RackCostBlock]:
+    """:func:`build_cost_block` of every shim's own region, in one pass.
+
+    *picks* maps a rack to its migration set (duplicate-free VMs of that
+    rack); each rack with a non-empty set gets the block
+    ``build_cost_block(..., picks[rack], shim.candidate_hosts(),
+    region_cols=shim.candidate_cols())`` would build, bit for bit, as views
+    of one ``(all VMs, widest region)`` stack — one gather of free capacity
+    and load, one :meth:`CostModel.cost_rows` call, one mask, one ``argmin``
+    over :meth:`Cluster.region_hosts`, its padding masked to ``inf``.
+    """
+    racks = [rack for rack, vms in picks.items() if vms]
+    if not racks:
+        return {}
+    sizes = [len(picks[rack]) for rack in racks]
+    ids = np.asarray([vm for rack in racks for vm in picks[rack]], dtype=np.int64)
+    hosts_of, cols_of, widths = cluster.region_hosts()
+    row_rack = np.repeat(np.asarray(racks, dtype=np.int64), sizes)
+    hosts = hosts_of[row_rack]
+    need = cluster.placement.vm_capacity[ids]
+    feasible = snapshot.host_free[hosts] >= need[:, None]
+    feasible &= np.arange(hosts.shape[1]) < widths[row_rack][:, None]
+    if host_load is None:
+        load_frac = snapshot.host_load[hosts]
+    else:
+        load_frac = np.asarray(host_load, dtype=np.float64)[hosts]
+    gathered = cost_model.cost_rows(ids, region_cols=cols_of[row_rack])
+    true_cost = np.where(feasible, gathered, np.inf)
+    cost = true_cost + balance_weight * load_frac
+    if slo_scorer is not None:
+        cost = cost + slo_scorer.addend(
+            slo_scorer.damage(ids.tolist(), need.tolist()), load_frac
+        )
+    first_min = _first_min(cost) if hosts.shape[1] else np.full(ids.size, -1)
+    host_racks = cluster.placement.host_rack[hosts]
+    blocks: Dict[int, RackCostBlock] = {}
+    start = 0
+    for rack, size, width in zip(racks, sizes, widths[racks].tolist()):
+        rows = slice(start, start + size)
+        blocks[rack] = RackCostBlock(
+            picks[rack],
+            hosts_of[rack, :width],
+            host_racks[start, :width],
+            true_cost[rows, :width],
+            cost[rows, :width],
+            first_min[rows],
+        )
+        start += size
+    return blocks
 
 
 def request_migrations(
@@ -239,7 +308,7 @@ def request_migrations(
     *,
     max_iterations: int = 8,
     tracer: Tracer = NULL_TRACER,
-    metrics: Optional[MetricsRegistry] = None,
+    instruments: Optional[tuple] = None,
     profiler=NULL_PROFILER,
     rack: Optional[int] = None,
 ) -> MigrationStats:
@@ -247,12 +316,14 @@ def request_migrations(
 
     Shims run one at a time, in rack order, against the shared receiver
     registry — the FCFS receiver protocol (Alg. 4) is order-sensitive by
-    design.  The observability parameters are :func:`vmmigration`'s.
+    design.  *instruments* is the caller's :func:`rack_instruments` tuple
+    (``None``: no metrics); the other observability parameters are
+    :func:`vmmigration`'s.
     """
     stats = MigrationStats()
     vms = block.vms
     hosts = block.hosts
-    if metrics is not None:
+    if instruments is not None:
         (
             c_sent,
             c_ack,
@@ -262,19 +333,17 @@ def request_migrations(
             c_unplaced,
             h_match,
             h_cost,
-        ) = _rack_instruments(metrics, rack)
+        ) = instruments
     if not vms:
         return stats
     if hosts.size == 0:
         stats.unplaced = list(vms)
-        if metrics is not None:
+        if instruments is not None:
             c_unplaced.inc(len(vms))
         return stats
 
     # row indices into the block matrices still awaiting placement
     remaining_idx = list(range(len(vms)))
-    hosts_list = hosts.tolist()
-    host_racks_list = block.host_racks.tolist()
     # per-request counter increments are batched into locals and flushed
     # once after the loop: the registry sees the same sums (ints exactly;
     # the float cost accumulates here in the same ack order, from 0.0,
@@ -285,40 +354,54 @@ def request_migrations(
         if not remaining_idx:
             break
         stats.iterations += 1
-        if len(remaining_idx) == len(vms):
-            # nothing placed yet (always true on iteration 1): the block
-            # matrices are already row-aligned — no need to copy them
-            cost = block.cost
-            true_cost = block.true_cost
-        else:
-            idx = np.asarray(remaining_idx, dtype=np.int64)
-            cost = block.cost[idx]
-            true_cost = block.true_cost[idx]
         if stats.iterations == 1:
             # retries re-examine subsets of the same pairs; the search
             # space metric (Fig. 12/14) counts distinct (VM, host) pairs
-            stats.search_space = cost.size
-            if metrics is not None:
-                c_space.inc(cost.size)
-        rows, sub = _trim_rows(cost, int(hosts.size))
-        if rows.size == 0:
-            break
-        t0 = perf_counter()
-        with profiler.section("matching"):
-            assignment, fallback = _solve(sub)
-        solve_elapsed = perf_counter() - t0
-        if metrics is not None:
-            h_match.observe(rows.size)
+            stats.search_space = block.cost.size
+            if instruments is not None:
+                c_space.inc(block.cost.size)
+        lone = remaining_idx[0]
+        single = len(remaining_idx) == 1 and block.first_min[lone] >= 0
+        if single:
+            # 1 x m: Kuhn-Munkres' first step is its last, the row's first
+            # minimum -- nothing to trim, solve or gather
+            n_rows = matched = 1
+            fallback = False
+            t0 = perf_counter()
+            with profiler.section("matching"):
+                col = int(block.first_min[lone])
+            solve_elapsed = perf_counter() - t0
+        else:
+            if len(remaining_idx) == len(vms):
+                # nothing placed yet (always true on iteration 1): the block
+                # matrices are already row-aligned — no need to copy them
+                cost = block.cost
+                true_cost = block.true_cost
+            else:
+                idx = np.asarray(remaining_idx, dtype=np.int64)
+                cost = block.cost[idx]
+                true_cost = block.true_cost[idx]
+            rows, sub = _trim_rows(cost, int(hosts.size))
+            if rows.size == 0:
+                break
+            n_rows = int(rows.size)
+            t0 = perf_counter()
+            with profiler.section("matching"):
+                assignment, fallback = _solve(sub)
+            solve_elapsed = perf_counter() - t0
+            if tracer.enabled:
+                matched = sum(
+                    1
+                    for k, col in enumerate(assignment)
+                    if col >= 0 and np.isfinite(sub[k, int(col)])
+                )
+        if instruments is not None:
+            h_match.observe(n_rows)
         if tracer.enabled:
-            matched = sum(
-                1
-                for k, col in enumerate(assignment)
-                if col >= 0 and np.isfinite(sub[k, int(col)])
-            )
             tracer.emit(
                 MatchingSolved(
                     rack=rack,
-                    rows=int(rows.size),
+                    rows=n_rows,
                     cols=int(hosts.size),
                     matched=int(matched),
                     iteration=stats.iterations,
@@ -326,28 +409,33 @@ def request_migrations(
                     elapsed_s=solve_elapsed,
                 )
             )
-        progressed = False
         placed_rows = set()
         with profiler.section("request"):
-            # hoist the valid-pair test and both cost gathers out of the
-            # python loop; the per-request control flow below is unchanged
-            assign_arr = np.asarray(assignment, dtype=np.int64)
-            cols_safe = np.where(assign_arr >= 0, assign_arr, 0)
-            krange = np.arange(rows.size)
-            valid = (assign_arr >= 0) & np.isfinite(sub[krange, cols_safe])
-            taken_cost = true_cost[np.asarray(rows), cols_safe]
-            valid_list = valid.tolist()
-            rows_list = [int(r) for r in rows]
-            cols_list = cols_safe.tolist()
-            taken_list = taken_cost.tolist()
-            for k in range(len(rows_list)):
-                if not valid_list[k]:
-                    continue
-                col = cols_list[k]
-                row = remaining_idx[rows_list[k]]
+            if single:
+                todo = [(lone, col, float(block.true_cost[lone, col]))]
+            else:
+                # hoist the valid-pair test and both cost gathers out of
+                # the python loop; the per-request control flow is unchanged
+                assign_arr = np.asarray(assignment, dtype=np.int64)
+                cols_safe = np.where(assign_arr >= 0, assign_arr, 0)
+                valid = (assign_arr >= 0) & np.isfinite(
+                    sub[np.arange(rows.size), cols_safe]
+                )
+                taken_cost = true_cost[np.asarray(rows), cols_safe]
+                todo = [
+                    (remaining_idx[r], c, t)
+                    for r, c, t, ok in zip(
+                        rows.tolist(),
+                        cols_safe.tolist(),
+                        taken_cost.tolist(),
+                        valid.tolist(),
+                    )
+                    if ok
+                ]
+            for row, col, c in todo:
                 vm = vms[row]
-                host = hosts_list[col]
-                dst_rack = host_racks_list[col]
+                host = int(hosts[col])
+                dst_rack = int(block.host_racks[col])
                 stats.requested += 1
                 n_sent += 1
                 if tracer.enabled:
@@ -358,25 +446,22 @@ def request_migrations(
                     )
                 outcome = receivers.request(vm, host, dst_rack)
                 if outcome is RequestOutcome.ACK:
-                    c = taken_list[k]
                     stats.acked += 1
                     stats.total_cost += c
                     stats.moves.append((vm, host, c))
                     placed_rows.add(row)
-                    progressed = True
                     n_ack += 1
                     cost_acc += c
-                    if metrics is not None:
+                    if instruments is not None:
                         h_cost.observe(c)
                 else:
                     stats.rejected += 1
                     n_rej += 1
-        if placed_rows:
-            remaining_idx = [r for r in remaining_idx if r not in placed_rows]
-        if not progressed:
+        if not placed_rows:
             break
+        remaining_idx = [r for r in remaining_idx if r not in placed_rows]
     stats.unplaced = [vms[i] for i in remaining_idx]
-    if metrics is not None:
+    if instruments is not None:
         if n_sent:
             c_sent.inc(n_sent)
         if n_ack:
@@ -468,7 +553,7 @@ def vmmigration(
         receivers,
         max_iterations=max_iterations,
         tracer=tracer,
-        metrics=metrics,
+        instruments=None if metrics is None else rack_instruments(metrics, rack),
         profiler=profiler,
         rack=rack,
     )

@@ -219,8 +219,13 @@ class MetricsScope:
     def __init__(self) -> None:
         self._values: Dict[MetricKey, float] = {}
         self._counts: Dict[MetricKey, int] = {}
+        # each family's keys in first-touch order: a family read adds its
+        # own partials, not a filter over every instrument of the window
+        self._family: Dict[str, List[MetricKey]] = {}
 
     def _record(self, key: MetricKey, amount: float) -> None:
+        if key not in self._values:
+            self._family.setdefault(key[0], []).append(key)
         self._values[key] = self._values.get(key, 0.0) + amount
         self._counts[key] = self._counts.get(key, 0) + 1
 
@@ -236,24 +241,21 @@ class MetricsScope:
         engine historically summed per-shim reports in.
         """
         out = 0.0
-        for (n, _), v in self._values.items():
-            if n == name:
-                out += v
+        for key in self._family.get(name, ()):
+            out += self._values[key]
         return out
 
     def count(self, name: str) -> int:
         """Number of recordings for *name* across all label sets."""
-        return sum(c for (n, _), c in self._counts.items() if n == name)
+        return sum(self._counts[key] for key in self._family.get(name, ()))
 
     def by_label(self, name: str, label: str) -> Dict[str, float]:
         """Per-label-value sums for *name* (e.g. per-rack reject counts)."""
         out: Dict[str, float] = {}
-        for (n, lk), v in self._values.items():
-            if n != name:
-                continue
-            for k, lv in lk:
+        for key in self._family.get(name, ()):
+            for k, lv in key[1]:
                 if k == label:
-                    out[lv] = out.get(lv, 0.0) + v
+                    out[lv] = out.get(lv, 0.0) + self._values[key]
         return out
 
     def as_dict(self) -> Dict[str, float]:

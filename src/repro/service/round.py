@@ -17,8 +17,9 @@ round, so the decomposition is byte-identical to the seed engine:
 identical ``RoundSummary`` values, final placements, metric counters and
 obs-trace streams (``tests/service`` pins golden values captured from
 it).  :func:`plan` is the whole of planning: it prepares the
-round-static state once (cost cache, fleet snapshot) and calls
-:meth:`~repro.migration.manager.ShimManager.process_round` for each
+round-static state once — cost cache, fleet snapshot, PRIORITY(F, 1) of
+every host and the stacked Alg. 3 cost rows of every alerted rack — and
+calls :meth:`~repro.migration.manager.ShimManager.process_round` for each
 alerted rack in rack order, publishing one
 :class:`~repro.service.events.RackPlanned` per rack on the simulation's
 bus — an observer tap nothing in the round reads back.
@@ -34,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.alerts.alert import Alert
+from repro.alerts.alert import Alert, AlertKind
 from repro.cluster.snapshot import FleetSnapshot
 from repro.errors import SimulationError
+from repro.migration.vmmigration import stack_cost_blocks
 from repro.obs.events import AlertDelivered, MigrationAborted, MigrationLanded
 from repro.service.events import RackPlanned
 
@@ -153,9 +155,12 @@ def plan(state: RoundState) -> None:
 
     In the paper the shims run logically in parallel and Alg. 4's FCFS
     REQUEST/ACK is what serialises them; the simulator owes exactly that
-    serialised order, deterministically.  What is round-static — the cost
-    cache and the SoA fleet snapshot — is prepared once and shared
-    read-only by every shim.
+    serialised order, deterministically.  What is round-static is
+    prepared once, here, and shared read-only by every shim: the cost
+    cache, the SoA fleet snapshot with its PRIORITY(F, 1) pick for every
+    host, and — for the SERVER picks of all alerted racks, a rack's whole
+    migration set unless it has a ToR alert — Alg. 3's cost rows and first
+    minima in one stacked pass.  Only the REQUEST loop runs per rack.
     """
     sim = state.sim
     racks = sorted(state.by_rack)
@@ -178,6 +183,24 @@ def plan(state: RoundState) -> None:
         v for v in state.vm_alerts if v not in state.frozen
     )
     snapshot = FleetSnapshot(sim.cluster.placement)
+    with sim.profiler.section("priority"):
+        winners, _ = snapshot.host_winners(state.vm_alerts)
+    # each rack's SERVER picks, as its process_round will choose them
+    picks = {}
+    for rack in racks:
+        chosen = dict.fromkeys(
+            winners[a.host] for a in state.by_rack[rack] if a.kind is AlertKind.SERVER
+        )
+        picks[rack] = [vm for vm in chosen if vm >= 0 and vm not in state.frozen]
+    blocks = stack_cost_blocks(
+        sim.cluster,
+        sim.cost_model,
+        picks,
+        snapshot,
+        balance_weight=sim.config.balance_weight,
+        host_load=state.host_load,
+        slo_scorer=sim.slo_scorer,
+    )
     for rack in racks:
         report = sim.managers[rack].process_round(
             state.by_rack[rack],
@@ -186,6 +209,7 @@ def plan(state: RoundState) -> None:
             state.frozen,
             state.host_load,
             snapshot=snapshot,
+            block=blocks.get(rack),
         )
         state.reports.append(report)
         stats = report.migration
@@ -232,10 +256,11 @@ def commit(state: RoundState) -> None:
         else:
             moved = sim.receivers.commit_round()
     m.counter("sheriff_migrations_committed_total").inc(len(moved))
-    if sim.inflight is None:
+    if sim.inflight is None and moved:
+        landed = m.counter("sheriff_migrations_landed_total")
         for vm, host in moved:
             sim._last_move[vm] = state.now
-            m.counter("sheriff_migrations_landed_total").inc()
+            landed.inc()
             if tracer.enabled:
                 tracer.emit(MigrationLanded(vm=vm, dst_host=host))
         if sim.slo is not None:

@@ -61,5 +61,9 @@ class SloScorer:
         return out
 
     def addend(self, damage: np.ndarray, load_frac: np.ndarray) -> np.ndarray:
-        """The ``(rows, hosts)`` matrix added on top of Eq. (1) + steering."""
-        return self.weight * damage[:, None] * (0.5 + load_frac[None, :])
+        """The ``(rows, hosts)`` matrix added on top of Eq. (1) + steering.
+
+        *load_frac* is one load per host, or ``(rows, hosts)`` when every
+        row has its own hosts (the round's stacked pass).
+        """
+        return self.weight * damage[:, None] * (0.5 + np.atleast_2d(load_frac))

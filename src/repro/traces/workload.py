@@ -173,6 +173,9 @@ def generate_streams(
         return []
     rng = as_generator(seed)
     profiles = np.empty((count, length, NUM_RESOURCES))
+    # one contiguous (count, length) plane, reused: each resource is summed
+    # in place and copied once into its strided column of ``profiles``
+    plane = np.empty((count, length))
     for r in range(NUM_RESOURCES):
         base = diurnal_pattern(
             length,
@@ -184,11 +187,15 @@ def generate_streams(
         )
         # AR(1) wander for all streams at once (lfilter along time axis)
         eps = rng.normal(0.0, wander_sigma, size=(count, length))
-        wander = lfilter([1.0], [1.0, -0.85], eps, axis=1)
-        # bursts: per-step starts with exponential heights, geometric decay
+        np.add(base[None, :], lfilter([1.0], [1.0, -0.85], eps, axis=1), out=plane)
+        # bursts: per-step starts with exponential heights, geometric decay.
+        # Both draws are made even when no burst can start, so the generator
+        # stays in step; a silent burst plane is all +0.0 and adds nothing
         starts = rng.random((count, length)) < burst_rate
-        heights = np.where(starts, rng.exponential(0.12, size=(count, length)), 0.0)
-        bursts = lfilter([1.0], [1.0, -0.5], heights, axis=1)
-        profiles[:, :, r] = base[None, :] + wander + bursts
+        heights = rng.exponential(0.12, size=(count, length))
+        if starts.any():
+            heights[~starts] = 0.0
+            plane += lfilter([1.0], [1.0, -0.5], heights, axis=1)
+        profiles[:, :, r] = plane
     np.clip(profiles, 0.0, 1.0, out=profiles)
     return [WorkloadStream(profile=profiles[i]) for i in range(count)]

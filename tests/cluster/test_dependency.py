@@ -78,6 +78,36 @@ class TestConflicts:
         assert not g.conflicts_on_host(pl, 0, 1)
 
 
+    def test_same_verdicts_as_scanning_the_host(self):
+        # the definition asks the host ("is a resident one of vm's
+        # dependents?"); the implementation asks the VM's few dependents
+        rng = np.random.default_rng(4)
+        n_vms, n_hosts = 80, 10
+        vms = [VM(i, 1, 1.0) for i in range(n_vms)]
+        hosts = [Host(h, h // 2, 100) for h in range(n_hosts)]
+        pl = Placement(vms, hosts, rng.integers(0, n_hosts, size=n_vms))
+        g = DependencyGraph.random(n_vms, 3.0, rng)
+        verdicts = set()
+        for vm in range(n_vms):
+            for host in range(n_hosts):
+                scanned = any(
+                    int(o) in g.neighbors(vm) for o in pl.vms_on_host(host)
+                )
+                assert g.conflicts_on_host(pl, vm, host) == scanned
+                verdicts.add(scanned)
+        assert verdicts == {True, False}
+
+    def test_never_scans_the_fleet(self):
+        class NoScan(Placement):
+            def vms_on_host(self, host):
+                raise AssertionError("O(fleet) scan on the REQUEST path")
+
+        vms = [VM(i, 5, 1.0) for i in range(6)]
+        hosts = [Host(0, 0, 100), Host(1, 1, 100), Host(2, 2, 100)]
+        pl = NoScan(vms, hosts, [0, 0, 1, 1, 2, 2])
+        assert DependencyGraph(6, [(0, 2)]).conflicts_on_host(pl, 0, 1)
+
+
 class TestRandom:
     def test_mean_degree_approx(self):
         rng = np.random.default_rng(0)

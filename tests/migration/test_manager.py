@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError
 from repro.migration.manager import ShimManager
 from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable
+from repro.obs.metrics import MetricsRegistry
 from repro.topology import build_fattree
 
 
@@ -123,6 +124,31 @@ class TestOuterSwitchAlerts:
         report = mgr.process_round([alert], {int(vms0[0]): 0.95}, reg)
         assert report.rerouted_flows == 1
         assert hot not in ft.flows[fid].path
+
+
+class TestHeldInstruments:
+    def test_looked_up_on_first_use_and_kept(self, env):
+        cluster, cm, reg = env
+        pl = cluster.placement
+        metrics = MetricsRegistry()
+        mgr = ShimManager(cluster, cm, 0, metrics=metrics)
+        assert metrics.as_dict() == {}  # a shim that saw nothing shows nothing
+        sw = int(cluster.topology.switches()[0])
+        quiet = Alert(kind=AlertKind.OUTER_SWITCH, rack=0, magnitude=0.9, switch=sw)
+        mgr.process_round([quiet], {}, reg)
+        # alerts but no migration set: no zero-valued REQUEST series yet
+        assert metrics.as_dict() == {"sheriff_shim_alerts_total{rack=0}": 1.0}
+        host = int(pl.hosts_in_rack(0)[0])
+        vm_alerts = {int(v): 0.95 for v in pl.vms_on_host(host)}
+        mgr.process_round([server_alert(cluster, 0, host)], vm_alerts, reg)
+        after = metrics.as_dict()
+        assert after["sheriff_shim_alerts_total{rack=0}"] == 2.0
+        assert after["sheriff_requests_acked_total{rack=0}"] == 1.0
+        assert after["sheriff_requests_rejected_total{rack=0}"] == 0.0
+        # kept: the second use is the registry's own instrument, not a copy
+        assert mgr._alerts_counter is metrics.counter(
+            "sheriff_shim_alerts_total", rack=0
+        )
 
 
 class TestValidation:

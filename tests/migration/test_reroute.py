@@ -97,3 +97,44 @@ class TestReroute:
         for fid in fids:
             if set(table.flows[fid].path) & hot:
                 assert failed > 0
+
+
+class TestRouteMemo:
+    """One Dijkstra per source rack serves every flow that starts there."""
+
+    @pytest.mark.parametrize("build", [lambda: build_fattree(4), lambda: build_bcube(4)])
+    def test_memoised_routes_equal_fresh_ones(self, build):
+        topology = build()
+        warm = FlowTable(topology)
+        racks = range(topology.num_racks)
+        for _ in range(2):  # second sweep: every tree comes from the memo
+            for src in racks:
+                for dst in racks:
+                    fresh = FlowTable(topology)._route(src, dst, frozenset())
+                    assert warm._route(src, dst, frozenset()) == fresh
+        assert sorted(warm._trees) == list(racks)
+
+    def test_one_solve_per_source(self, table, monkeypatch):
+        import repro.migration.reroute as reroute
+
+        solved = []
+        real = reroute.dijkstra
+        monkeypatch.setattr(
+            reroute,
+            "dijkstra",
+            lambda g, **kw: solved.append(kw["indices"]) or real(g, **kw),
+        )
+        for dst in (2, 4, 6, 7, 4):
+            table.add_flow(vm=dst, src_rack=0, dst_rack=dst, rate=1.0)
+        table.add_flow(vm=9, src_rack=1, dst_rack=0, rate=1.0)
+        assert solved == [0, 1]
+
+    def test_rerouted_flow_takes_its_own_masked_solve(self, table):
+        fid = table.add_flow(vm=1, src_rack=0, dst_rack=4, rate=1.0)
+        before = list(table.flows[fid].path)
+        hot = before[2]  # a core switch on the memoised path
+        assert flow_reroute(table, [fid], {hot}) == (1, 0)
+        after = table.flows[fid].path
+        assert hot not in after and (after[0], after[-1]) == (0, 4)
+        # the memo still answers for the unmasked fabric
+        assert table._route(0, 4, frozenset()) == before

@@ -7,7 +7,15 @@ from repro.cluster import build_cluster
 from repro.cluster.shim import ShimView
 from repro.costs.model import CostModel
 from repro.migration.request import ReceiverRegistry
-from repro.migration.vmmigration import _greedy_assign, vmmigration
+from repro.migration.vmmigration import (
+    _greedy_assign,
+    build_cost_block,
+    rack_instruments,
+    request_migrations,
+    vmmigration,
+)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import RecordingTracer
 from repro.topology import build_fattree
 
 
@@ -139,3 +147,80 @@ class TestVMMigration:
         if stats.moves:
             # strongly steered: chosen hosts among the emptier half
             assert np.mean(chosen_loads) <= np.median(load) + 1e-9
+
+
+class TestSingleRowRequestsItsFirstMinimum:
+    """A lone row asks for ``block.first_min`` without trim / solve / gather.
+
+    Every scenario runs twice on identical clusters: as built, and with the
+    stored first minima withheld (``-1``), which sends the same block
+    through ``_trim_rows`` and ``hungarian``.  Requests, verdicts, trace
+    events, metrics and ``MigrationStats`` must not tell the two apart.
+    """
+
+    @staticmethod
+    def _run(n_vms, spoil, withhold):
+        cluster = build_cluster(
+            build_fattree(4),
+            hosts_per_rack=3,
+            fill_fraction=0.4,
+            seed=21,
+            dependency_degree=0.0,
+            delay_sensitive_fraction=0.0,
+        )
+        pl = cluster.placement
+        shim = ShimView(cluster, 0)
+        hosts = shim.candidate_hosts()
+        if spoil == "dead":
+            pl.host_alive[hosts] = False  # free capacity 0: every pair infeasible
+        tracer, metrics = RecordingTracer(), MetricsRegistry()
+        reg = ReceiverRegistry(cluster, tracer=tracer)
+        block = build_cost_block(
+            cluster,
+            CostModel(cluster),
+            pl.vms_in_rack(0)[:n_vms].tolist(),
+            hosts,
+            region_cols=shim.candidate_cols(),
+        )
+        if spoil == "promised":
+            # the receivers know what the sender's block does not: the last
+            # row's favourite host is spoken for, so its REQUEST is REJECTed
+            reg.promise(int(hosts[block.first_min[-1]]), 10**6)
+        first_min = block.first_min.copy()
+        if withhold:
+            block.first_min = np.full(n_vms, -1)
+        stats = request_migrations(
+            block,
+            reg,
+            tracer=tracer,
+            instruments=rack_instruments(metrics, 0),
+            rack=0,
+        )
+        events = [e.as_dict() for e in tracer.events]
+        for e in events:
+            e.pop("elapsed_s", None)
+        return first_min, stats, events, metrics.as_dict()
+
+    @pytest.mark.parametrize(
+        "n_vms, spoil, iterations, requested, unplaced",
+        [
+            (1, None, 1, 1, 0),  # ACK
+            (1, "promised", 1, 1, 1),  # REJECT, nothing placed: stop
+            (2, "promised", 2, 3, 1),  # ACK + REJECT, one retry alone, REJECT
+            (1, "dead", 1, 0, 1),  # no feasible destination: no matching
+        ],
+    )
+    def test_same_as_kuhn_munkres(self, n_vms, spoil, iterations, requested, unplaced):
+        first_min, stats, events, metrics = self._run(n_vms, spoil, withhold=False)
+        _, km_stats, km_events, km_metrics = self._run(n_vms, spoil, withhold=True)
+        assert (first_min >= 0).all() == (spoil != "dead")
+        assert stats == km_stats
+        assert events == km_events
+        assert metrics == km_metrics
+        assert stats.iterations == iterations
+        assert stats.requested == requested
+        assert len(stats.unplaced) == unplaced
+        solved = [e for e in events if e["event"] == "MatchingSolved"]
+        assert len(solved) == (0 if spoil == "dead" else iterations)
+        if iterations == 2:
+            assert (solved[-1]["rows"], solved[-1]["matched"]) == (1, 1)

@@ -153,3 +153,27 @@ class TestScope:
             pass
         reg.counter("m").inc()
         assert scope.total("m") == 0.0
+
+    def test_family_total_adds_its_partials_in_first_touch_order(self):
+        # float addition is not associative: 1e16 + 1 + 1 + ... loses the
+        # ones, 1 + 1 + ... + 1e16 keeps them.  A family's total must add
+        # its label partials in the order they were first touched, however
+        # other families interleave with them (``total_cost`` is digested).
+        reg = MetricsRegistry()
+        with reg.scope() as scope:
+            reg.counter("cost", rack=7).inc(1e16)
+            for rack in (3, 1, 5):
+                reg.counter("other", rack=rack).inc(rack)
+                reg.counter("cost", rack=rack).inc(1.0)
+            reg.counter("cost", rack=7).inc(1e16)  # a later touch keeps its place
+        partials = [2e16, 1.0, 1.0, 1.0]
+        want = 0.0
+        for p in partials:
+            want += p
+        assert scope.total("cost") == want != sum(sorted(partials))
+        assert scope.by_label("cost", "rack") == {
+            "7": 2e16, "3": 1.0, "1": 1.0, "5": 1.0
+        }
+        assert list(scope.by_label("cost", "rack")) == ["7", "3", "1", "5"]
+        assert scope.count("cost") == 5 and scope.count("other") == 3
+        assert scope.total("missing") == 0.0 and scope.count("missing") == 0

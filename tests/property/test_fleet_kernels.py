@@ -12,11 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.alerts.alert import compute_alert, compute_alerts
+from repro.alerts.alert import Alert, AlertKind, compute_alert, compute_alerts
 from repro.alerts.monitor import VMMonitor, fleet_alert_values
 from repro.alerts.threshold import AlertConfig
 from repro.cluster import Cluster, build_cluster
+from repro.cluster.host import Host
+from repro.cluster.placement import Placement
 from repro.cluster.snapshot import FleetSnapshot
+from repro.cluster.vm import VM
 from repro.config import SheriffConfig
 from repro.costs.model import CostModel
 from repro.errors import ConvergenceError, ForecastError
@@ -25,12 +28,17 @@ from repro.forecast.batch import batch_forecast
 from repro.forecast.naive import NaiveLast
 from repro.forecast.selection import DynamicModelSelector
 from repro.forecast.selection import batch_predict_one as fleet_predict_one
-from repro.migration.priority import CandidateVM
+from repro.migration.priority import CandidateVM, PriorityFactor, priority_select
+from repro.migration.vmmigration import build_cost_block, stack_cost_blocks
+from repro.obs.tracer import RecordingTracer
 from repro.sim import SheriffSimulation, inject_fraction_alerts
-from repro.topology import build_fattree
+from repro.topology import build_bcube, build_fattree
 
-from tests.property.test_parallel_properties import fresh_cluster
-from tests.property.test_regional_slab import assert_shim_reads_equal_oracle
+from tests.property.test_parallel_properties import fresh_cluster, summary_fields
+from tests.property.test_regional_slab import (
+    assert_shim_reads_equal_oracle,
+    build_ragged,
+)
 
 common = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -262,8 +270,7 @@ def test_snapshot_matches_placement_queries(seed):
         snap.free_capacity(hosts),
         np.asarray([pl.free_capacity(int(h)) for h in hosts]),
     )
-    for host in range(pl.num_hosts):
-        np.testing.assert_array_equal(snap.vms_on_host(host), pl.vms_on_host(host))
+    assert snap._rack_csr is None  # the rack index is built on first use
     for rack in range(pl.num_racks):
         np.testing.assert_array_equal(snap.vms_in_rack(rack), pl.vms_in_rack(rack))
     # PRIORITY candidate records: the scalar definition, one VM at a time
@@ -283,7 +290,177 @@ def test_snapshot_matches_placement_queries(seed):
         for v in ids
     ]
     assert snap.candidates(ids, alerts) == scalar
-    assert snap.alerted_candidates(ids, alerts) == [c for c in scalar if c.alert > 0]
+
+
+def _scalar_host_pick(pl, host, alerts):
+    """Alg. 1's SERVER branch as it was: records, filter, priority_select."""
+    cands = [
+        CandidateVM(
+            vm_id=int(v),
+            capacity=int(pl.vm_capacity[v]),
+            value=float(pl.vm_value[v]),
+            alert=float(alerts.get(int(v), 0.0)),
+            delay_sensitive=bool(pl.vm_delay_sensitive[v]),
+        )
+        for v in pl.vms_on_host(host)
+    ]
+    cands = [c for c in cands if c.alert > 0]
+    chosen = priority_select(cands, PriorityFactor.ONE, budget=1)
+    return (chosen[0].vm_id if chosen else -1), len(cands)
+
+
+@common
+@given(st.integers(0, 10**6))
+def test_host_winners_equal_priority_select(seed):
+    # few distinct alerts / capacities / values, so that every level of the
+    # tie-break (alert, capacity, value, id) decides some host
+    rng = np.random.default_rng(seed)
+    n_hosts, n_vms = 8, 60
+    vm_host = rng.integers(0, n_hosts - 1, size=n_vms)  # the last host is empty
+    vms = [
+        VM(
+            vm_id=i,
+            capacity=int(rng.integers(1, 3)),
+            value=float(rng.integers(1, 3)),
+            # host 0 holds delay-sensitive VMs only
+            delay_sensitive=bool(vm_host[i] == 0 or rng.random() < 0.2),
+        )
+        for i in range(n_vms)
+    ]
+    hosts = [Host(host_id=h, rack=h // 2, capacity=1000) for h in range(n_hosts)]
+    pl = Placement(vms, hosts, vm_host)
+    levels = [0.0, float("nan"), 0.4, 0.4, 0.9]
+    alerts = {
+        int(v): levels[int(rng.integers(0, len(levels)))]
+        for v in rng.permutation(n_vms)[: n_vms * 2 // 3]
+        if pl.vm_host[v] != 1  # host 1 has VMs, none of them alerted
+    }
+    snap = FleetSnapshot(pl)
+    winners, counts = snap.host_winners(alerts)
+    assert snap.host_winners(alerts)[0] is winners  # one table per dict
+    for host in range(n_hosts):
+        assert (winners[host], counts[host]) == _scalar_host_pick(pl, host, alerts)
+    assert winners[0] == -1 and (counts[1], counts[n_hosts - 1]) == (0, 0)
+    assert snap.host_winners({}) == ([-1] * n_hosts, [0] * n_hosts)
+
+
+# --------------------------------------------------------------------- #
+# stacked Alg. 3 inputs vs one build_cost_block per rack
+# --------------------------------------------------------------------- #
+def _assert_blocks_equal(got, want):
+    assert got.vms == want.vms
+    if want.hosts.size == 0:
+        # an empty region: Alg. 3 reads no matrix of such a block
+        assert got.hosts.size == 0
+        return
+    for name in ("hosts", "host_racks", "true_cost", "cost", "first_min"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert a.tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+@pytest.mark.parametrize("fabric", ["fattree4", "bcube4", "ragged"])
+@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("measured", [False, True])
+@pytest.mark.parametrize("scoring", ["network", "slo"])
+def test_stacked_blocks_equal_build_cost_block(fabric, cached, measured, scoring):
+    topology = {
+        "fattree4": lambda: build_fattree(4),
+        "bcube4": lambda: build_bcube(4),
+        "ragged": build_ragged,  # widths 3, 3, 2, 2 and an empty region
+    }[fabric]()
+    cluster = build_cluster(
+        topology, hosts_per_rack=3, fill_fraction=0.55, skew=0.8, seed=11
+    )
+    pl = cluster.placement
+    sim = SheriffSimulation(
+        cluster, SheriffConfig(cache_cost_kernels=cached, scoring=scoring)
+    )
+    rng = np.random.default_rng(3)
+    host_load = rng.random(pl.num_hosts) if measured else None
+    # rack 1 sees no live destination: its rows are all-inf, first_min -1
+    doomed = sim.managers[1].shim.candidate_hosts()
+    pl.host_alive[doomed] = False
+    picks = {
+        rack: pl.vms_in_rack(rack)[: 1 + rack % 3].tolist()
+        for rack in range(cluster.num_racks)
+    }
+    picks[0] = []  # a rack whose picks were all frozen gets no block
+    snapshot = FleetSnapshot(pl)
+    kwargs = dict(
+        balance_weight=25.0, host_load=host_load, slo_scorer=sim.slo_scorer
+    )
+    blocks = stack_cost_blocks(cluster, sim.cost_model, picks, snapshot, **kwargs)
+    assert sorted(blocks) == [r for r in sorted(picks) if picks[r]]
+    for rack, block in blocks.items():
+        shim = sim.managers[rack].shim
+        want = build_cost_block(
+            cluster,
+            CostModel(cluster, cache=False),
+            picks[rack],
+            shim.candidate_hosts(),
+            region_cols=shim.candidate_cols(),
+            snapshot=snapshot,
+            **kwargs,
+        )
+        _assert_blocks_equal(block, want)
+        if block.hosts.size:
+            assert (block.first_min >= 0).tolist() == np.isfinite(
+                block.cost
+            ).any(axis=1).tolist()
+    if doomed.size:
+        assert (blocks[1].first_min == -1).all()
+        assert np.isinf(blocks[1].cost).all()
+    assert not stack_cost_blocks(cluster, sim.cost_model, {0: []}, snapshot)
+
+
+def _planned_run(cluster_seed, stacked, monkeypatch):
+    """Three rounds with SERVER, ToR and frozen picks; what they decided."""
+    if not stacked:
+        # every shim builds its own block: Alg. 3 rack by rack
+        monkeypatch.setattr(
+            "repro.service.round.stack_cost_blocks", lambda *a, **k: {}
+        )
+    built = []  # racks whose shim built its own block
+    monkeypatch.setattr(
+        "repro.migration.manager.build_cost_block",
+        lambda *a, **k: built.append(a[2]) or build_cost_block(*a, **k),
+    )
+    cluster = fresh_cluster(cluster_seed)
+    tracer = RecordingTracer()
+    sim = SheriffSimulation(cluster, SheriffConfig(tracer=tracer))
+    pl = cluster.placement
+    for r in range(3):
+        alerts, vma = inject_fraction_alerts(cluster, 0.3, time=r, seed=cluster_seed + r)
+        # a ToR alert appends beta picks the stack cannot hold
+        rack = alerts[0].rack
+        alerts.append(Alert(kind=AlertKind.LOCAL_TOR, rack=rack, magnitude=0.9, time=r))
+        vma.update({int(v): 0.5 for v in pl.vms_in_rack(rack)[:4] if int(v) not in vma})
+        # and the first host's winner is inside its migration window
+        winner = FleetSnapshot(pl).host_winners(vma)[0][alerts[1].host]
+        if winner >= 0:
+            sim._last_move[winner] = r
+        sim.run_round(alerts, vma)
+    events = [e.as_dict() for e in tracer.events]
+    for e in events:
+        e.pop("elapsed_s", None)
+    summaries = [summary_fields(s) for s in sim.history]
+    planned = sum(bool(rep.selected_for_migration) for s in sim.history for rep in s.reports)
+    # with the stack only a ToR rack builds a block (when its beta picks
+    # add to its SERVER picks); without it, every planning rack does
+    assert (0 < len(built) <= 3) if stacked else (len(built) == planned > 3)
+    return summaries, events, sim.metrics.as_dict(), pl.vm_host.tolist()
+
+
+@common
+@given(st.integers(0, 10**6))
+def test_stacked_plan_equals_rack_by_rack(seed):
+    with pytest.MonkeyPatch.context() as mp:
+        stacked = _planned_run(seed, True, mp)
+    with pytest.MonkeyPatch.context() as mp:
+        rack_by_rack = _planned_run(seed, False, mp)
+    assert stacked == rack_by_rack
+    assert any(e["event"] == "PrioritySelected" and e["factor"] == "BETA" for e in stacked[1])
 
 
 # --------------------------------------------------------------------- #

@@ -83,13 +83,29 @@ def fabric_cluster(fabric, seed):
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
 def test_region_index_is_the_sorted_neighbor_racks(fabric):
+    check_region_index(fabric_cluster(fabric, seed=3))
+
+
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+def test_region_hosts_when_host_ids_do_not_run_rack_by_rack(fabric):
     cluster = fabric_cluster(fabric, seed=3)
+    host_rack = cluster.placement.host_rack
+    host_rack[:] = np.random.default_rng(5).permutation(host_rack)
+    check_region_index(cluster)
+
+
+def check_region_index(cluster):
     topo = cluster.topology
     table, widths = topo.rack_regions()
     assert topo.rack_regions()[0] is table  # built once per fabric
     assert table.base is None and widths.base is None
     host_rack = cluster.placement.host_rack
+    hosts_of, cols_of, reach = cluster.region_hosts()
+    assert cluster.region_hosts()[0] is hosts_of  # built once per cluster
     for rack in range(topo.num_racks):
+        assert (hosts_of[rack, reach[rack]:] == 0).all()  # the padding
+        assert (cols_of[rack, reach[rack]:] == 0).all()
+        assert ShimView(cluster, rack).candidate_hosts().base is hosts_of
         want = sorted(neighbor_racks(topo, rack))
         assert table[rack, : widths[rack]].tolist() == want
         assert (table[rack, widths[rack]:] == rack).all()  # the padding

@@ -1,0 +1,173 @@
+#!/usr/bin/env python
+"""The pairing rule as a command (`make bench-pairs`).
+
+Checks the parent commit out into a temporary ``git worktree`` and runs
+every ``BENCHMARK.json`` workload on the parent and on the working tree,
+one seed after another, the side that goes first flipped every seed — the
+harness's own child process in each tree (``bench.__main__._worker``, what
+the ``BENCHMARK.json`` command runs for ``--trace 0``), read and never
+edited, so the decision digest comes back with the metrics.
+
+Prints, per workload and end-to-end metric: both sides' medians and
+quartiles, the pairs the change won (ties count for neither), the ratio
+with its base, and a verdict —
+
+* ``worse``       the change's median is past the metric's ``bound``;
+* ``unresolved``  the parent's own spread (quartile distance over median)
+                  exceeds that bound, and the sides' runs overlap;
+* ``better``      the change won >= 9 in 10 pairs and the medians are
+                  further apart than the parent's quartiles;
+* ``same``        otherwise;
+
+and whether the decision digests matched at every seed.  A row that reads
+``worse`` or ``unresolved`` is followed by its per-run values, so a set-up
+row that flips on noise is seen before a gate sees it.  Exits 1 when a row
+is ``worse``, a digest differs or a run failed one of its own checks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109)
+HELD_OUT = 7
+"""Never used while a change is written: the claim must hold on it too."""
+
+_DRIVER = """
+import argparse, json, sys
+from bench import __main__ as harness, metrics
+workload, seed, seconds, out_dir = sys.argv[1:]
+run = argparse.Namespace(
+    seed=int(seed), seconds=float(seconds), scale="full", out_dir=out_dir
+)
+record = harness._worker(workload, "plain", run)
+print(json.dumps({
+    "values": metrics.end_to_end_values(record),
+    "digest": record["decision_digest"],
+    "problems": record["problems"] + ([record["error"]] if record["error"] else []),
+}))
+"""
+
+
+def _measure(tree: Path, workload: str, seed: int, seconds: float, out_dir: Path):
+    done = subprocess.run(
+        [sys.executable, "-c", _DRIVER, workload, str(seed), str(seconds), str(out_dir)],
+        cwd=tree, stdout=subprocess.PIPE, text=True, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def judge(parent, change, better: str, bound: float):
+    """``(verdict, pairs won, pairs decided, ratio)`` for one metric's runs."""
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    decided = sum(c != p for p, c in zip(parent, change))
+    p1, p2, p3 = _quartiles(parent)
+    c2 = _quartiles(change)[1]
+    ratio = c2 / p2 if p2 else float("nan")
+    gain = sign * (c2 - p2)
+    disjoint = (
+        min(change) > max(parent) if sign > 0 else max(change) < min(parent)
+    )
+    if p2 and -gain > bound * abs(p2):
+        verdict = "worse"
+    elif p2 and (p3 - p1) > bound * abs(p2) and not disjoint and decided:
+        verdict = "unresolved"
+    elif decided and won >= 0.9 * len(parent) and gain > (p3 - p1):
+        verdict = "better"
+    else:
+        verdict = "same"
+    return verdict, won, decided, ratio
+
+
+def report(spec, runs, out=sys.stdout) -> bool:
+    """Print the table for *runs* (``workload -> [(seed, parent, change)]``)."""
+    ok = True
+    for workload, rows in runs.items():
+        same = all(p["digest"] == c["digest"] for _, p, c in rows)
+        problems = [x for _, p, c in rows for x in p["problems"] + c["problems"]]
+        ok &= same and not problems
+        print(f"== {workload}  pairs={len(rows)}  seeds={[s for s, _, _ in rows]}  "
+              f"digests {'identical' if same else 'DIFFER'}", file=out)
+        for problem in problems:
+            print(f"   FAILED CHECK: {problem}", file=out)
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            parent = [p["values"][name] for _, p, _ in rows]
+            change = [c["values"][name] for _, _, c in rows]
+            verdict, won, decided, ratio = judge(
+                parent, change, metric["better"], metric["bound"]
+            )
+            ok &= verdict != "worse"
+            (p1, p2, p3), (c1, c2, c3) = _quartiles(parent), _quartiles(change)
+            print(f"   {name:<20} parent {p2:>10.5g} [{p1:.5g}, {p3:.5g}]  "
+                  f"change {c2:>10.5g} [{c1:.5g}, {c3:.5g}]  "
+                  f"won {won}/{decided}  x{ratio:.3f} of {p2:.5g} {metric['unit']}  "
+                  f"(bound {metric['bound']:.0%}, {metric['better']} is better)  "
+                  f"{verdict}", file=out)
+            if verdict in ("worse", "unresolved"):
+                print(f"      parent runs {[round(v, 5) for v in parent]}", file=out)
+                print(f"      change runs {[round(v, 5) for v in change]}", file=out)
+    return ok
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out-dir", required=True, type=Path,
+                        help="scratch directory: the parent worktree and the "
+                             "workers' files go here")
+    parser.add_argument("--parent", default="HEAD",
+                        help="commit to compare the working tree with (default HEAD)")
+    parser.add_argument("--workloads", default=",".join(names))
+    parser.add_argument("--pairs", type=int, default=len(SEEDS) + 1,
+                        help="pairs per workload; the held-out seed is always one")
+    args = parser.parse_args(argv)
+    workloads = [w for w in args.workloads.split(",") if w]
+    if set(workloads) - set(names) or args.pairs < 1:
+        parser.error(f"workloads are {names}; --pairs is at least 1")
+    seeds = [*range(SEEDS[0], SEEDS[0] + args.pairs - 1), HELD_OUT]
+    parent_tree = args.out_dir / "parent"
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", str(parent_tree), args.parent],
+        cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+    )
+    runs = {w: [] for w in workloads}
+    try:
+        for workload in workloads:
+            for i, seed in enumerate(seeds):
+                sides = [("parent", parent_tree), ("change", ROOT)]
+                got = {
+                    side: _measure(tree, workload, seed, spec["run_seconds"],
+                                   args.out_dir)
+                    for side, tree in (sides if i % 2 == 0 else sides[::-1])
+                }
+                runs[workload].append((seed, got["parent"], got["change"]))
+                print(f"{workload} seed {seed}: "
+                      + "  ".join(f"{side} {got[side]['values']['rounds_per_s']:.1f}"
+                                  for side in ("parent", "change"))
+                      + " rounds/s", file=sys.stderr)
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(parent_tree)],
+            cwd=ROOT, check=False,
+        )
+    return 0 if report(spec, runs) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
