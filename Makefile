@@ -86,7 +86,9 @@ trace-lint:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-ci: lint bench-smoke digest-smoke trace-lint serve-smoke adversarial chaos
+# `examples` (~11 s) is the only target that drives the predictive manager
+# and the model selector end to end outside the test suite.
+ci: lint bench-smoke digest-smoke trace-lint serve-smoke adversarial chaos examples
 	pytest tests/
 
 all: lint test bench-all

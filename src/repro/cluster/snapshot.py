@@ -20,10 +20,7 @@ read-only by every shim's :meth:`~repro.migration.manager.ShimManager.process_ro
   ``np.lexsort`` over the round's alerted VMs instead of one gather, one
   record list and one ``max`` per alert;
 * a CSR-style index rack → VMs for the β picks of a ToR alert, built on
-  first use — a round of SERVER alerts sorts nothing but its alerted VMs;
-* an optional profile matrix ``W ∈ R^{N×R}`` (one row per VM, one column
-  per resource) for the vectorized ALERT evaluation in
-  :func:`repro.alerts.alert.compute_alerts`.
+  first use — a round of SERVER alerts sorts nothing but its alerted VMs.
 
 Every query returns values bit-identical to the scalar
 :class:`~repro.cluster.placement.Placement` calls it replaces (same
@@ -54,14 +51,9 @@ class FleetSnapshot:
     placement:
         The live placement; its arrays are referenced (not copied) where
         immutability within the round makes that safe.
-    profile:
-        Optional ``(num_vms, NUM_RESOURCES)`` predicted profile matrix
-        ``W`` for vectorized ALERT evaluation.
     """
 
-    def __init__(
-        self, placement: Placement, *, profile: Optional[np.ndarray] = None
-    ) -> None:
+    def __init__(self, placement: Placement) -> None:
         pl = placement
         self.placement = pl
         self.num_vms = pl.num_vms
@@ -80,7 +72,6 @@ class FleetSnapshot:
         ).astype(np.int64)
         self.host_load = pl.host_used / pl.host_capacity
         self.generation = pl.generation
-        self.profile = profile
         self._rack_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._winners_token: Optional[Dict[int, float]] = None
         self._winners: Tuple[List[int], List[int]] = ([], [])

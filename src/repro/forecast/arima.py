@@ -250,12 +250,44 @@ class ARIMA(Forecaster):
             solved = self._solve_pure_ar(w) if self.q == 0 and self.p else None
             c, phi, theta, e = solved or self._minimize_css(w)
             sigma2 = float(np.dot(e, e) / max(e.shape[0], 1))
+        self._install(
+            arr, c, phi, theta, sigma2,
+            [float(x) for x in w[-self.p :]] if self.p else [],
+            [float(x) for x in e[-self.q :]] if self.q else [],
+            # level j's last value depends on the last j + 1 samples only
+            difference_heads(arr[-self.d - 1 :], self.d),
+        )
+        return self
+
+    def _install(
+        self,
+        y: np.ndarray,
+        c: float,
+        phi: np.ndarray,
+        theta: np.ndarray,
+        sigma2: float,
+        w_tail: List[float],
+        e_tail: List[float],
+        heads: List[float],
+    ) -> None:
+        """Set every fitted field: :meth:`fit` and the stacked refit kernel
+        (:func:`repro.forecast.batch.fit_stacked`) both end here.
+
+        Besides the parameters, this is the O(p + q + d) forecasting
+        state: the last ``p`` differenced values, the last ``q`` residuals
+        and the integration heads.  :meth:`append` advances it
+        incrementally, so each monitor tick is O(1) in the history length
+        instead of a re-filter of the whole series (the fleet-scale hot
+        path).  The caller hands over lists and arrays of its own: *heads*
+        and the tails are updated in place by :meth:`append`.
+        """
         self.const_, self.phi_, self.theta_ = c, phi, theta
         self.sigma2_ = sigma2
-        self.y_ = arr
+        self.y_ = y
+        self._w_tail = w_tail
+        self._e_tail = e_tail
+        self._heads = heads
         self._fitted = True
-        self._init_state(w, e)
-        return self
 
     def _solve_pure_ar(
         self, w: np.ndarray
@@ -404,26 +436,6 @@ class ARIMA(Forecaster):
     def aic(self) -> float:
         """Akaike information criterion (includes the σ² parameter)."""
         return 2.0 * (self.num_params + 1) - 2.0 * self.loglikelihood()
-
-    def _init_state(
-        self, w: Optional[np.ndarray] = None, e: Optional[np.ndarray] = None
-    ) -> None:
-        """Cache the O(p + q + d) forecasting state.
-
-        ``forecast`` only needs the last ``p`` differenced values, the last
-        ``q`` residuals, and the integration heads; caching them at fit
-        time and updating them incrementally in :meth:`append` makes each
-        monitor tick O(1) in the history length instead of re-filtering
-        the whole series (the fleet-scale hot path).  :meth:`fit` passes
-        the differenced series *w* and residuals *e* it already holds.
-        """
-        if w is None or e is None:
-            w = difference(self.y_, self.d)
-            e = _css_residuals(w, self.const_, self.phi_, self.theta_)
-        self._w_tail: List[float] = [float(x) for x in w[-self.p :]] if self.p else []
-        self._e_tail: List[float] = [float(x) for x in e[-self.q :]] if self.q else []
-        # level j's last value depends on the last j + 1 samples only
-        self._heads: List[float] = difference_heads(self.y_[-self.d - 1 :], self.d)
 
     def _one_step_w(self) -> float:
         """One-step conditional mean on the differenced scale."""

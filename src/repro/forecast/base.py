@@ -17,13 +17,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from math import isfinite
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ForecastError
+from repro.errors import ForecastError, ReproError
 
-__all__ = ["PredictionInterval", "Forecaster", "warm_fit"]
+__all__ = ["PredictionInterval", "Forecaster", "REFIT_FAILURES", "warm_fit"]
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,41 @@ class PredictionInterval:
         return 0.5 * (self.upper - self.lower)
 
 
-def warm_fit(model: "Forecaster", window: np.ndarray) -> "Forecaster":
-    """Fit *model* on *window* and return it.
+REFIT_FAILURES = (ReproError, ValueError, np.linalg.LinAlgError)
+"""What a refit may raise and a caller's failure policy may absorb."""
 
-    The one entry point every periodic refit goes through (the selector,
-    the predictive manager and ``rolling_one_step``): a refit is a
-    function of the model's factory, its window and its seed alone —
-    nothing is carried over from the model it replaces.
+
+def warm_fit(
+    models: Sequence["Forecaster"], windows: Sequence[np.ndarray]
+) -> List[Optional[Exception]]:
+    """Fit each fresh ``models[i]`` on ``windows[i]``: one refit wave.
+
+    The one entry point every periodic refit goes through (the selector's
+    pool, the predictive manager's due hosts, ``rolling_one_step``'s wave
+    of one): a refit is a function of the model's factory, its window and
+    its seed alone — nothing is carried over from the model it replaces.
+
+    Returns, per model, ``None`` or the :data:`REFIT_FAILURES` exception
+    its fit raised; what to do with it is the caller's policy.  Anything
+    else propagates.  The plain ``ARIMA(1, d, 0)`` members are solved by
+    :func:`~repro.forecast.batch.fit_stacked`, one closed-form pass per
+    group; the rest, in wave order, by their own ``fit`` — the definition,
+    which the stacked kernel equals bit for bit.
     """
-    model.fit(window)
-    return model
+    from repro.forecast.batch import fit_stacked
+
+    if len(models) != len(windows):
+        raise ForecastError(
+            f"a wave needs one window per model: {len(models)} models, "
+            f"{len(windows)} windows"
+        )
+    failures: List[Optional[Exception]] = [None] * len(models)
+    for i in fit_stacked(models, windows):
+        try:
+            models[i].fit(windows[i])
+        except REFIT_FAILURES as exc:
+            failures[i] = exc
+    return failures
 
 
 def _finite(value: float, what: str) -> float:

@@ -23,6 +23,12 @@ Fitted plain ``NaiveLast`` members are one gather; everything else
 instances) falls back to its own scalar ``forecast`` — so the result is
 byte-identical to ``[m.forecast(h) for m in models]`` for *any* mixed
 fleet.  The property suite asserts this bitwise.
+
+:func:`fit_stacked` is the same idea for a refit wave: the plain
+``ARIMA(1, d, 0)`` members are solved by one closed-form least-squares pass
+per ``(d, include_constant, window length)`` group, bitwise what
+:meth:`ARIMA.fit` installs; every row it cannot accept is left to the
+scalar fit, which stays the definition.
 """
 
 from __future__ import annotations
@@ -32,10 +38,10 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ForecastError
-from repro.forecast.arima import ARIMA
+from repro.forecast.arima import _RANK_RCOND, _ROOT_MARGIN, ARIMA
 from repro.forecast.naive import NaiveLast
 
-__all__ = ["batch_forecast", "group_fleet"]
+__all__ = ["batch_forecast", "fit_stacked", "group_fleet"]
 
 ArimaOrder = Tuple[int, int, int]
 Group = Tuple[List[int], List[object]]
@@ -143,3 +149,119 @@ def batch_forecast(models: Sequence[object], h: int = 1) -> List[np.ndarray]:
     for i, model in zip(*scalar):
         out[i] = model.forecast(h)
     return out
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[np.dot(a[i], b[i]) for i in rows]``, bitwise.
+
+    A stacked ``(1, T) @ (T, 1)`` product runs the same BLAS dot per row
+    as ``np.dot`` of two vectors; ``np.einsum`` and ``(a * b).sum(1)``
+    sum in another order and are not bitwise.  A tier-1 test guards it.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _solve_ar1(Y: np.ndarray, d: int, include_constant: bool) -> Tuple[np.ndarray, ...]:
+    """The closed-form CSS fit of ``ARIMA(1, d, 0)`` on every row of *Y*.
+
+    Returns ``(ok, c, phi, sigma2, w_last)``.  Where ``ok``, row ``i`` is
+    what :meth:`ARIMA.fit` computes on ``Y[i]``: the same IEEE operations
+    in the same order as ``np.std``, ``_ar_least_squares``,
+    ``_solve_pure_ar`` and ``_css_residuals``.  Not ``ok`` are the rows the
+    scalar fit does not solve in closed form: non-finite, deterministic
+    after differencing, rank deficient, at the stationarity wall, or with
+    a non-finite SSE.
+    """
+    # a rejected row may overflow or divide by zero; it is refitted scalar
+    with np.errstate(all="ignore"):
+        W = np.diff(Y, n=d, axis=1) if d else Y
+        m = W.shape[1]
+        # a fresh (rows × T) temporary costs more than the arithmetic on
+        # it: one scratch buffer serves the steps below
+        scratch = np.empty_like(W)
+        # one non-finite value in a row of Y makes its W, and so its sum,
+        # non-finite: a finite sum is the scalar fit's finiteness check (a
+        # sum that overflows only sends a finite row to the scalar fit)
+        total = W.sum(axis=1)
+        ok = np.isfinite(total)
+        # w.std() as np.std computes it
+        dev = np.subtract(W, (total / m)[:, None], out=scratch)
+        np.square(dev, out=dev)
+        ok &= ~(np.sqrt(dev.sum(axis=1) / m) < 1e-12)
+        x, y = W[:, :-1], W[:, 1:]
+        n = m - 1
+        buf = scratch[:, :-1]
+        raw = _row_dot(x, x)
+        if include_constant:
+            x_mean = x.sum(axis=1) / n
+            xc = np.subtract(x, x_mean[:, None], out=buf)
+            sxx = _row_dot(xc, xc)
+        else:
+            xc, sxx = x, raw
+        ok &= sxx > _RANK_RCOND * _RANK_RCOND * raw
+        phi = _row_dot(xc, y) / sxx
+        ok &= np.abs(phi) < 1.0 / _ROOT_MARGIN
+        if include_constant:
+            c = y.sum(axis=1) / n - phi * x_mean
+            e = np.subtract(y, c[:, None], out=buf)
+        else:
+            c = np.zeros(Y.shape[0])
+            e = buf
+            e[...] = y  # w[1:] - 0.0 is w[1:], bit for bit
+        e -= phi[:, None] * x
+        sse = _row_dot(e, e)
+        ok &= np.isfinite(sse)
+    return ok, c, phi, sse / n, W[:, -1]
+
+
+def fit_stacked(models: Sequence[object], windows: Sequence[object]) -> List[int]:
+    """Fit the wave's plain ``ARIMA(1, d, 0)`` members, group by group.
+
+    ``models[i]`` is a fresh model and ``windows[i]`` its series.  Plain
+    ``ARIMA`` models with ``p == 1, q == 0`` and a 1-D array window are
+    grouped by ``(d, include_constant, window length)``; a group of two or
+    more is solved in one closed-form pass and each accepted row installed
+    through ``ARIMA._install`` — bitwise what ``models[i].fit(windows[i])``
+    installs, with no array shared between two models or with a window.
+
+    Returns the ascending positions left to the scalar ``fit``: other
+    model types (an exact-type gate, as in :func:`group_fleet`), other
+    orders, groups of one, windows too short for the order, and every row
+    :func:`_solve_ar1` rejects.
+    """
+    groups: Dict[Tuple[int, bool, int], List[int]] = {}
+    rest: List[int] = []
+    for i, (m, w) in enumerate(zip(models, windows)):
+        if (
+            type(m) is ARIMA and m.p == 1 and m.q == 0
+            and isinstance(w, np.ndarray) and w.ndim == 1
+        ):
+            groups.setdefault((m.d, m.include_constant, w.shape[0]), []).append(i)
+        else:
+            rest.append(i)
+    for (d, include_constant, length), idxs in groups.items():
+        if len(idxs) < 2 or length < models[idxs[0]]._min_samples():
+            rest.extend(idxs)
+            continue
+        Y = np.array([windows[i] for i in idxs], dtype=np.float64)
+        ok, c, phi, sigma2, w_last = _solve_ar1(Y, d, include_constant)
+        # difference_heads of every row: the last value of each level
+        heads = np.empty((len(idxs), d))
+        level = Y[:, length - d - 1 :]
+        for j in range(d):
+            if j:
+                level = np.diff(level, axis=1)
+            heads[:, j] = level[:, -1]
+        rows = zip(
+            idxs, ok.tolist(), c.tolist(), phi.tolist(), sigma2.tolist(),
+            w_last.tolist(), heads.tolist(), Y,
+        )
+        for i, good, c_i, phi_i, sigma2_i, w_i, heads_i, y_i in rows:
+            if good:
+                models[i]._install(
+                    y_i, c_i, np.array([phi_i]), np.zeros(0), sigma2_i, [w_i], [], heads_i
+                )
+            else:
+                rest.append(i)
+    rest.sort()
+    return rest

@@ -79,7 +79,10 @@ def rolling_one_step(
     since_fit = 0
     for k, t in enumerate(range(train_len, n)):
         if since_fit >= refit_every:
-            model = warm_fit(factory(), _window(arr[:t], max_history))
+            model = factory()
+            (failure,) = warm_fit([model], [_window(arr[:t], max_history)])
+            if failure is not None:
+                raise failure
             since_fit = 0
         preds[k] = model.predict_one()
         model.append(arr[t])
@@ -255,27 +258,28 @@ class DynamicModelSelector:
         self._fitted = True
         return self
 
-    def _fit_one(
-        self, name: str
-    ) -> Tuple[str, Optional[Forecaster], Optional[Exception]]:
-        assert self._history is not None
-        model = self.factories[name]()
-        _pin_stream(model)
-        try:
-            warm_fit(model, _window(self._history.values, self.max_history))
-            return name, model, None
-        except (ConvergenceError, ForecastError) as exc:
-            return name, None, exc
-
     def _refit_all(self) -> None:
-        results = [self._fit_one(name) for name in self.names]
-        models = {name: model for name, model, _ in results if model is not None}
-        failures = [(name, exc) for name, model, exc in results if model is None]
-        if not models:
+        """Refit the whole pool as one wave on the current window."""
+        assert self._history is not None
+        models = [self.factories[name]() for name in self.names]
+        for model in models:
+            _pin_stream(model)
+        window = _window(self._history.values, self.max_history)
+        results = warm_fit(models, [window] * len(models))
+        # pool order in the mapping — predict_one fallback and repr
+        # stability rely on it
+        kept: Dict[str, Forecaster] = {}
+        failures = []
+        for name, model, exc in zip(self.names, models, results):
+            if exc is None:
+                kept[name] = model
+            elif isinstance(exc, ForecastError):
+                failures.append((name, exc))
+            else:
+                raise exc  # outside the policy
+        if not kept:
             raise ConvergenceError(f"every pool member failed to fit: {failures}")
-        # preserve pool order in the mapping — predict_one fallback and
-        # repr stability rely on it
-        self._models = {n: models[n] for n in self.names if n in models}
+        self._models = kept
 
     # ------------------------------------------------------------------ #
     def _min_trailing_mse(self, candidates: Container[str]) -> str:

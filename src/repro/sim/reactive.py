@@ -173,11 +173,11 @@ class PredictiveManager:
     Call :meth:`observe` once per round (after acting) so the forecasters
     track reality including the effect of migrations.
 
-    Fleet-scale refitting: :meth:`alerts_at` refits every *due* host up
-    front, one model at a time, then forecasts the whole fleet through
-    the stacked kernel.  The default ``ARIMA(1, 1, 0)`` is fitted in
-    closed form (microseconds a host), so a refit wave no longer stands
-    out from a quiet round.
+    Fleet-scale refitting: the load histories are one ``(hosts × T)``
+    matrix with a per-host start, and :meth:`alerts_at` refits every *due*
+    host up front as one wave (:func:`~repro.forecast.base.warm_fit`) —
+    the default ``ARIMA(1, 1, 0)`` hosts in one stacked closed-form solve —
+    then forecasts the whole fleet through the stacked kernel.
 
     Refit failure policy: a refit that raises keeps the outgoing model —
     or none, and answers persistence — and waits for the next refit
@@ -203,6 +203,8 @@ class PredictiveManager:
             raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
         if min_history < 6:
             raise ConfigurationError(f"min_history must be >= 6, got {min_history}")
+        if refit_every < 1:
+            raise ConfigurationError(f"refit_every must be >= 1, got {refit_every}")
         from repro.forecast.arima import ARIMA
 
         self.workload = workload
@@ -212,10 +214,18 @@ class PredictiveManager:
         self.refit_every = refit_every
         self._factory = forecaster_factory or (lambda: ARIMA(1, 1, 0, maxiter=40))
         n_hosts = workload.cluster.num_hosts
-        self._history: List[List[float]] = [[] for _ in range(n_hosts)]
+        self._loads = np.empty((n_hosts, 64))
+        """Column ``k`` is the ``k``-th observed round's host loads."""
+        self._t = 0
+        """Columns of :attr:`_loads` observed so far."""
+        self._start = np.zeros(n_hosts, dtype=np.int64)
+        """First column of each host's history: its last reset."""
         self._models: Dict[int, object] = {}
-        self._since_fit: Dict[int, int] = {}
-        """Rounds observed since each host's last refit *attempt*."""
+        self._plain = np.zeros(n_hosts, dtype=bool)
+        """Hosts whose model is a plain ``ARIMA`` (the stacked forecast)."""
+        self._since_fit = np.full(n_hosts, refit_every, dtype=np.int64)
+        """Rounds observed since each host's last refit *attempt*; a host
+        with no attempt since its last reset counts as a full period."""
         self._last_assignment: Optional[np.ndarray] = None
         self.last_predicted: Optional[np.ndarray] = None
         """Per-host forecast array from the latest :meth:`alerts_at` call
@@ -237,90 +247,96 @@ class PredictiveManager:
         current_assignment = pl.vm_host
         if self._last_assignment is not None:
             changed_vms = np.nonzero(self._last_assignment != current_assignment)[0]
-            for vm in changed_vms:
-                self.reset_host(int(self._last_assignment[vm]))
-                self.reset_host(int(current_assignment[vm]))
+            if changed_vms.size:
+                self._reset(self._last_assignment[changed_vms])
+                self._reset(current_assignment[changed_vms])
         self._last_assignment = current_assignment.copy()
         load = self.workload.host_load(t)
-        for h, v in enumerate(load.tolist()):
-            self._history[h].append(v)
-            model = self._models.get(h)
-            if model is not None:
-                model.append(v)
-            if h in self._since_fit:
-                self._since_fit[h] += 1
+        if self._t == self._loads.shape[1]:
+            self._loads = np.concatenate((self._loads, np.empty_like(self._loads)), axis=1)
+        self._loads[:, self._t] = load
+        self._t += 1
+        self._since_fit += 1
+        values = load.tolist()
+        for h, model in self._models.items():
+            model.append(values[h])
 
     def reset_host(self, host: int) -> None:
         """Drop *host*'s load history and model (assignment changed)."""
-        self._history[host].clear()
-        self._models.pop(host, None)
-        self._since_fit.pop(host, None)
+        self._reset(np.array([host]))
 
-    def _due(self, host: int) -> bool:
-        """Enough history, and no refit attempt within the refit period."""
-        return len(self._history[host]) >= self.min_history and (
-            host not in self._since_fit
-            or self._since_fit[host] >= self.refit_every
+    def _reset(self, hosts: np.ndarray) -> None:
+        self._start[hosts] = self._t
+        self._since_fit[hosts] = self.refit_every
+        self._plain[hosts] = False
+        for h in hosts.tolist():
+            self._models.pop(h, None)
+
+    def _history(self, host: int) -> np.ndarray:
+        """*host*'s load history since its last reset (a view)."""
+        return self._loads[host, self._start[host] : self._t]
+
+    def _due(self) -> np.ndarray:
+        """Mask: enough history, and no refit attempt within the refit period."""
+        return (self._t - self._start >= self.min_history) & (
+            self._since_fit >= self.refit_every
         )
 
-    def _refit(self, host: int) -> None:
-        """Fit a fresh model on *host*'s history and install it.
+    def _refit(self, hosts: np.ndarray) -> None:
+        """Fit a fresh model per host in *hosts*, as one wave, and install it.
 
         A degenerate history can break a refit mid-run; the host then
         keeps its outgoing model — or none, and answers persistence —
         until the next refit period, as a production predictor would.
         """
+        from repro.forecast.arima import ARIMA
         from repro.forecast.base import warm_fit
 
-        model = self._factory()
-        self._since_fit[host] = 0
-        try:
-            warm_fit(model, np.asarray(self._history[host]))
-        except (ReproError, ValueError, np.linalg.LinAlgError):
-            return
-        self._models[host] = model
+        hosts = hosts.tolist()
+        models = [self._factory() for _ in hosts]
+        self._since_fit[hosts] = 0
+        failures = warm_fit(models, [self._history(h) for h in hosts])
+        for h, model, failure in zip(hosts, models, failures):
+            if failure is None:
+                self._models[h] = model
+                self._plain[h] = type(model) is ARIMA
 
     def _predict(self, host: int) -> float:
-        hist = self._history[host]
-        if len(hist) < self.min_history:
-            return hist[-1] if hist else 0.0
-        if self._due(host):
+        hist = self._history(host)
+        if hist.shape[0] < self.min_history:
+            return float(hist[-1]) if hist.shape[0] else 0.0
+        if self._since_fit[host] >= self.refit_every:
             # fallback for direct callers; alerts_at refits up front
-            self._refit(host)
+            self._refit(np.array([host]))
         model = self._models.get(host)
         if model is None:
-            return hist[-1]
+            return float(hist[-1])
         try:
             f = model.forecast(self.horizon)
         except (ReproError, ValueError, np.linalg.LinAlgError):
-            return hist[-1]
+            return float(hist[-1])
         return float(np.clip(np.max(f), 0.0, 1.0))
 
     def _predict_all(self) -> np.ndarray:
         """Per-host predictions; bitwise ``[_predict(h) for h in hosts]``.
 
-        Hosts holding a fresh fitted plain-ARIMA model (the default
-        factory) are forecast through the stacked fleet kernel in one
-        group per order; short histories and exotic models keep the scalar
-        path.  A kernel failure falls back to the scalar oracle for the
-        whole batch — the same values, member by member.
+        Hosts holding a fresh plain-ARIMA model (the default factory) are
+        forecast through the stacked fleet kernel in one group per order;
+        short histories and exotic models keep the scalar path.  A kernel
+        failure falls back to the scalar oracle for the whole batch — the
+        same values, member by member.
         """
-        from repro.forecast.arima import ARIMA
         from repro.forecast.batch import batch_forecast
 
-        preds = np.empty(len(self._history))
-        batched: List[int] = []
-        for host in range(len(self._history)):
-            model = self._models.get(host)
-            if (
-                len(self._history[host]) >= self.min_history
-                and type(model) is ARIMA
-                and getattr(model, "_fitted", False)
-                and self._since_fit[host] < self.refit_every
-            ):
-                batched.append(host)
-            else:
-                preds[host] = self._predict(host)
+        stacked = (
+            (self._t - self._start >= self.min_history)
+            & self._plain
+            & (self._since_fit < self.refit_every)
+        )
+        preds = np.empty(self._start.shape[0])
+        for host in np.flatnonzero(~stacked).tolist():
+            preds[host] = self._predict(host)
+        batched = np.flatnonzero(stacked).tolist()
         if batched:
             try:
                 fcasts = batch_forecast(
@@ -335,9 +351,9 @@ class PredictiveManager:
 
     def alerts_at(self, t: int) -> Tuple[List[Alert], Dict[int, float]]:
         """SERVER alerts for hosts whose predicted load crosses threshold."""
-        for host in range(len(self._history)):
-            if self._due(host):
-                self._refit(host)
+        due = np.flatnonzero(self._due())
+        if due.size:
+            self._refit(due)
         cluster = self.workload.cluster
         pl = cluster.placement
         util = self.workload.vm_utilization(t)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ForecastError
 from repro.forecast.arima import ARIMA, _css_residuals, _max_inverse_root
+from repro.forecast.lag import difference, difference_heads
 from repro.traces.noise import white_noise
 
 
@@ -177,12 +178,16 @@ class TestIncrementalState:
             m.append(float(v))
         f_inc = m.forecast(4)
         # rebuild the state from scratch with identical parameters
+        full = y[:550].copy()
+        w_full = difference(full, d)
+        e_full = _css_residuals(w_full, m.const_, m.phi_, m.theta_)
         clone = ARIMA(p, d, q)
-        clone.const_, clone.phi_, clone.theta_ = m.const_, m.phi_, m.theta_
-        clone.sigma2_ = m.sigma2_
-        clone.y_ = y[:550].copy()
-        clone._fitted = True
-        clone._init_state()
+        clone._install(
+            full, m.const_, m.phi_, m.theta_, m.sigma2_,
+            w_full[len(w_full) - p :].tolist(),
+            e_full[len(e_full) - q :].tolist(),
+            difference_heads(full, d),
+        )
         f_full = clone.forecast(4)
         np.testing.assert_allclose(f_inc, f_full, atol=1e-9)
 

@@ -118,7 +118,7 @@ class TestRefitCarriesNothingOver:
                 mgr.alerts_at(t)  # first fits: no outgoing model yet
             mgr.observe(t)
         mgr.alerts_at(50)  # the refit wave: every host has an outgoing model
-        assert set(mgr._since_fit.values()) == {0}
+        assert (mgr._since_fit == 0).all()
         for host, model in mgr._models.items():
-            fresh = factory().fit(np.asarray(mgr._history[host]))
+            fresh = factory().fit(mgr._history(host))
             assert _params(model) == _params(fresh), host

@@ -191,6 +191,85 @@ class TestFailedRefitDropsTheMember:
         assert list(sel._models) == list(pool)
 
 
+class _RaisesOnFit(ARIMA):
+    """ARIMA whose fit raises ``error`` (an exception instance) when set."""
+
+    error = None
+
+    def fit(self, y):
+        if self.error is not None:
+            raise self.error
+        return super().fit(y)
+
+
+def _raising(error):
+    return type("Raising", (_RaisesOnFit,), {"error": error})
+
+
+class TestRefitWavePolicy:
+    """The selector refits its pool as one wave; its policy is unchanged."""
+
+    def series(self):
+        rng = np.random.default_rng(8)
+        return 0.5 + np.cumsum(0.01 * rng.standard_normal(80))
+
+    def test_a_failing_member_beside_a_stacked_group_is_dropped(self, monkeypatch):
+        pool = {
+            "a": lambda: ARIMA(1, 1, 0),
+            "bad": lambda: _FailsWhenSwitchedOn(1, 1, 0),
+            "b": lambda: ARIMA(1, 1, 0),  # "a" and "b" are one stacked group
+        }
+        sel = DynamicModelSelector(pool, period=5, refit_every=10)
+        y = self.series()
+        sel.fit(y[:40])
+        monkeypatch.setattr(_FailsWhenSwitchedOn, "failing", True)
+        for v in y[40:50]:
+            sel.predict_one()
+            sel.observe(float(v))
+        assert list(sel._models) == ["a", "b"]
+        fresh = ARIMA(1, 1, 0).fit(y[:50])
+        for name in ("a", "b"):
+            model = sel._models[name]
+            assert (model.const_, model.phi_.tolist()) == (fresh.const_, fresh.phi_.tolist())
+
+    def test_every_member_failing_raises_and_names_the_failures(self):
+        pool = {
+            "x": lambda: _raising(ConvergenceError("x diverged"))(1, 1, 0),
+            "y": lambda: _raising(ForecastError("y too short"))(1, 1, 0),
+        }
+        with pytest.raises(ConvergenceError, match="every pool member") as info:
+            DynamicModelSelector(pool).fit(self.series())
+        assert "x diverged" in str(info.value) and "y too short" in str(info.value)
+
+    @pytest.mark.parametrize("error", [ValueError("bad window"), TypeError("bad call")])
+    def test_an_error_outside_the_policy_propagates(self, error, monkeypatch):
+        pool = {"ok": lambda: ARIMA(1, 1, 0), "odd": lambda: _RaisesOnFit(1, 1, 0)}
+        sel = DynamicModelSelector(pool, period=5, refit_every=5)
+        y = self.series()
+        sel.fit(y[:40])
+        before = dict(sel._models)
+        monkeypatch.setattr(_RaisesOnFit, "error", error)
+        for v in y[40:44]:
+            sel.predict_one()
+            sel.observe(float(v))
+        sel.predict_one()
+        with pytest.raises(type(error), match=str(error)):
+            sel.observe(float(y[44]))  # the fifth observe refits the pool
+        assert sel._models == before
+
+    def test_rolling_one_step_refit_failure_propagates(self):
+        fits = []
+
+        def factory():
+            fits.append(None)
+            return ARIMA(1, 1, 0) if len(fits) == 1 else _raising(
+                ConvergenceError("refit diverged")
+            )(1, 1, 0)
+
+        with pytest.raises(ConvergenceError, match="refit diverged"):
+            rolling_one_step(factory, self.series(), 40, refit_every=10)
+
+
 class TestSeasonalNaive:
     def test_repeats_last_season(self):
         period = 10

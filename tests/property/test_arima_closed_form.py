@@ -112,7 +112,8 @@ def test_warm_fit_is_bitwise_cold_fit_for_pure_ar(case):
     """A pure-AR refit ends feasible whichever path produced it — also a
     fit rejected at the ``1/_ROOT_MARGIN`` wall and left to L-BFGS."""
     y, p, d, include_constant, _ = case
-    model = warm_fit(ARIMA(p, d, 0, include_constant=include_constant), y)
+    model = ARIMA(p, d, 0, include_constant=include_constant)
+    assert warm_fit([model], [y]) == [None]
     assert _max_inverse_root(model.phi_, "ar") < 1.0
     assert np.isfinite(model.forecast(4)).all()
 

@@ -50,6 +50,34 @@ class TestPredictiveManager:
         with pytest.raises(ConfigurationError):
             PredictiveManager(wl, min_history=2)
 
+    @pytest.mark.parametrize("refit_every", [0, -3])
+    def test_refit_every_below_one_is_refused(self, refit_every):
+        # 0 used to refit every host twice a round: up front in alerts_at
+        # and again in _predict, since no since-fit count is below 0
+        cluster, wl = make_env()
+        with pytest.raises(ConfigurationError, match="refit_every"):
+            PredictiveManager(wl, refit_every=refit_every)
+
+    def test_refit_every_one_is_one_wave_a_round(self, monkeypatch):
+        from repro.forecast import base
+
+        waves = []
+        original = base.warm_fit
+
+        def counting(models, windows):
+            waves.append(len(models))
+            return original(models, windows)
+
+        monkeypatch.setattr(base, "warm_fit", counting)
+        cluster, wl = make_env()
+        mgr = PredictiveManager(wl, threshold=0.9, refit_every=1)
+        for t in range(20):
+            mgr.observe(t)
+        for t in range(20, 25):
+            mgr.alerts_at(t)
+            mgr.observe(t)
+        assert waves == [cluster.num_hosts] * 5
+
     def test_quiet_fleet_never_alerts(self):
         cluster, wl = make_env()
         mgr = PredictiveManager(wl, threshold=0.9, horizon=2)
@@ -95,10 +123,10 @@ class TestPredictiveManager:
         )
         pl.migrate(vm, dst)
         mgr.observe(20)
-        assert len(mgr._history[src]) == 1  # reset then one fresh sample
-        assert len(mgr._history[dst]) == 1
+        assert len(mgr._history(src)) == 1  # reset then one fresh sample
+        assert len(mgr._history(dst)) == 1
         other = next(h for h in range(pl.num_hosts) if h not in (src, dst))
-        assert len(mgr._history[other]) == 21
+        assert len(mgr._history(other)) == 21
 
 
 def run_alert_stream(mgr, warm=40, until=90):
@@ -201,9 +229,9 @@ class TestFailedRefitDoesNotAbortTheRound:
             want, _ = reference.alerts_at(t)
             for h in bad:
                 assert h not in mgr._models
-                assert mgr.last_predicted[h] == mgr._history[h][-1]
+                assert mgr.last_predicted[h] == mgr._history(h)[-1]
             # every other host is untouched by its neighbours' failures
-            good = [h for h in range(len(mgr._history)) if h not in bad]
+            good = [h for h in range(wl.cluster.num_hosts) if h not in bad]
             assert (
                 mgr.last_predicted[good].tolist()
                 == reference.last_predicted[good].tolist()
@@ -249,10 +277,41 @@ class TestFailedRefitDoesNotAbortTheRound:
             assert mgr._models[5] is kept
             assert mgr._since_fit[5] < mgr.refit_every
             # ... and it is what answers, tracking the series by append()
-            assert kept.y_.shape[0] == len(mgr._history[5])
+            assert kept.y_.shape[0] == len(mgr._history(5))
             want = float(np.clip(np.max(kept.forecast(3)), 0.0, 1.0))
             assert mgr.last_predicted[5] == want
             mgr.observe(t)
+
+
+class TestFailedRefitUnderAWave:
+    def test_the_failed_host_keeps_its_model_and_the_wave_installs(self):
+        """One host's refit raises inside a stacked wave: it keeps its
+        outgoing model, every other host installs the fresh fit."""
+        cluster, wl = make_env(ramp_hosts=(0,), warm=40)
+        mgr = PredictiveManager(wl, threshold=0.5, horizon=3)
+        for t in range(40):
+            mgr.observe(t)
+        for t in range(40, 50):  # the first wave, at t = 40
+            mgr.alerts_at(t)
+            mgr.observe(t)
+        outgoing = dict(mgr._models)
+        assert len(outgoing) == cluster.num_hosts
+        mgr._loads[5, mgr._start[5] + 3] = np.nan  # host 5's next refit raises
+        mgr.alerts_at(50)  # the second wave
+        assert (mgr._since_fit == 0).all()
+        assert mgr._models[5] is outgoing[5]
+        for host, model in mgr._models.items():
+            if host == 5:
+                continue
+            assert model is not outgoing[host]
+            fresh = ARIMA(1, 1, 0, maxiter=40).fit(mgr._history(host))
+            assert (model.const_, model.phi_.tolist(), model.sigma2_) == (
+                fresh.const_, fresh.phi_.tolist(), fresh.sigma2_
+            )
+            assert model.forecast(3).tolist() == fresh.forecast(3).tolist()
+        # the kept model still answers, from its own state
+        want = float(np.clip(np.max(outgoing[5].forecast(3)), 0.0, 1.0))
+        assert mgr.last_predicted[5] == want
 
 
 class TestEngineCooldown:
