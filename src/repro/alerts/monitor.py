@@ -196,38 +196,34 @@ def fleet_alert_values(
     headroom: Optional[float] = None,
     migration_cost_s: Optional[float] = None,
 ) -> np.ndarray:
-    """``[m.alert_value() for m in monitors]`` with batched fleet kernels.
+    """``[m.alert_value() for m in monitors]``, the one-step fleet as arrays.
 
-    Collects every monitor's per-resource selectors, runs their one-step
-    pool predictions through the stacked ARIMA kernels (one group per
-    order across the *whole* fleet), and evaluates the ALERT threshold
-    gate over the resulting profile matrix in one vectorized pass.  Values
-    and selector side effects (the ``_last_pred`` caches that
-    :meth:`VMMonitor.observe` scores) are byte-identical to calling
-    :meth:`VMMonitor.alert_value` per monitor.
-
-    *headroom* / *migration_cost_s* are the fleet-level confidence-gate
-    signals (see :meth:`VMMonitor.alert_value`); monitors whose stance
-    resolves to an interval bound rewrite their profile row from the
-    answering members' bands *after* the batched prediction pass, so the
-    fleet kernels still serve every selector.
+    Monitors with ``horizon == 1`` and the confidence gate off — whose
+    ALERT is the clipped row of one-step predictions — are read as one
+    fleet: their selectors go through
+    :func:`~repro.forecast.selection.batch_predict_one` (one selector bank
+    across the *whole* fleet) and the ALERT threshold gate runs over the
+    resulting profile matrix in one vectorized pass.  Every other monitor
+    takes :meth:`VMMonitor.alert_value`, so no fleet read passes a banked
+    selector through the scalar path.  Values and selector side effects
+    are byte-identical to calling :meth:`VMMonitor.alert_value` per
+    monitor; *headroom* / *migration_cost_s* reach the gated monitors.
     """
     from repro.forecast.selection import batch_predict_one
 
     mons = list(monitors)
-    if not mons:
-        return np.empty(0)
-    sels = [sel for m in mons for sel in m._selectors]
-    flat = batch_predict_one(sels)
-    one = np.asarray(flat, dtype=np.float64).reshape(len(mons), NUM_RESOURCES)
-    profiles = np.clip(one, 0.0, 1.0)
+    values = np.empty(len(mons))
+    fast = []
     for i, mon in enumerate(mons):
-        config = mon.config
-        if config.horizon != 1:
-            profiles[i] = mon.predicted_profile()
-        elif config.confidence_gate:  # off: stance "mean", the clipped row is it
-            stance = confidence_stance(config, headroom, migration_cost_s)
-            if stance != "mean":
-                profiles[i] = np.clip(mon._stance_profile(one[i], stance), 0.0, 1.0)
-    thresholds = np.asarray([mon.config.threshold for mon in mons])
-    return compute_alerts(profiles, thresholds)
+        if mon.config.horizon == 1 and not mon.config.confidence_gate:
+            fast.append(i)
+        else:
+            values[i] = mon.alert_value(
+                headroom=headroom, migration_cost_s=migration_cost_s
+            )
+    if fast:
+        flat = batch_predict_one([sel for i in fast for sel in mons[i]._selectors])
+        one = np.asarray(flat, dtype=np.float64).reshape(len(fast), NUM_RESOURCES)
+        thresholds = np.asarray([mons[i].config.threshold for i in fast])
+        values[fast] = compute_alerts(np.clip(one, 0.0, 1.0), thresholds)
+    return values

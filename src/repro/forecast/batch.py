@@ -58,8 +58,9 @@ def group_fleet(
     preserved), *naive* holds the fitted plain-:class:`NaiveLast` members
     (their forecast is a gather of each ``y_[-1]``), and *scalar*
     everything else.  Exact-type gates throughout — subclasses may
-    override ``forecast`` and must go scalar — and this is the one place
-    they live: ``batch_predict_one`` groups its fleet here too.
+    override ``forecast`` and must go scalar.  :func:`batch_forecast`
+    groups here; the per-VM selector fleet is read through its own bank
+    (:class:`repro.forecast.selection.SelectorBank`).
     """
     groups: Dict[ArimaOrder, Group] = {}
     naive: Group = ([], [])

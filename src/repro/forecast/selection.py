@@ -8,32 +8,52 @@ trailing mean squared error over the window ``T_p`` is smallest.
 :class:`DynamicModelSelector` is the *live* object a per-VM monitor embeds
 (predict → observe → predict ...).  :func:`rolling_one_step` is the offline
 evaluation harness the Figs. 6–8 benchmarks use for single models.
+:class:`SelectorBank` holds a fleet of plain selectors as arrays, and
+:func:`batch_predict_one` is the fleet read that fills and reuses it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Container, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConvergenceError, ForecastError
+from repro.forecast.arima import ARIMA
 from repro.forecast.base import Forecaster, PredictionInterval, _finite, _Series, warm_fit
 from repro.forecast.metrics import trailing_mse
+from repro.forecast.naive import NaiveLast
 from repro.obs.events import ModelSelected
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "DynamicModelSelector",
+    "SelectorBank",
     "batch_predict_one",
     "rolling_one_step",
     "SelectionTrace",
 ]
 
 ForecasterFactory = Callable[[], Forecaster]
+MemberKind = Optional[Tuple[str, int]]
+
+
+def _bank_kind(model: Forecaster) -> MemberKind:
+    """A pool member's column kind in a :class:`SelectorBank`, or None.
+
+    Exact-type gates, as in :func:`~repro.forecast.batch.group_fleet`:
+    ``("arima", d)`` for a plain ``ARIMA(1, d, 0)``, ``("naive", 0)`` for a
+    plain :class:`NaiveLast`; anything else keeps its selector scalar.
+    """
+    cls = type(model)
+    if cls is NaiveLast:
+        return ("naive", 0)
+    if cls is ARIMA and model.p == 1 and model.q == 0:
+        return ("arima", model.d)
+    return None
 
 
 def _pin_stream(model: Forecaster) -> None:
@@ -186,6 +206,15 @@ class DynamicModelSelector:
     width_spike:
         Spike factor on the trailing median interval width that triggers
         conservative widening.
+
+    A plain selector (no confidence mode, metrics or enabled tracer, a
+    bounded ``max_history``, a pool of ``ARIMA(1, d, 0)`` and
+    :class:`NaiveLast`) joins a :class:`SelectorBank` on its first fleet
+    read (:func:`batch_predict_one`).  Its state then lives in a bank row:
+    :meth:`observe` stages the value, and every other method first takes
+    the row back, exact.  While banked, the object holds none of that
+    state: reading ``_errors``, ``_models`` … directly raises
+    ``AttributeError`` until a method has taken the row back.
     """
 
     def __init__(
@@ -242,10 +271,24 @@ class DynamicModelSelector:
         self._history: Optional[_Series] = None
         self._since_fit = 0
         self._fitted = False
+        # each member's bank kind at the last refit (_bank_kind); while
+        # banked, the bank and row that hold _models, _errors, _sq_sums,
+        # _last_pred, _last_best, _history, _step and _since_fit
+        self._kinds: Tuple[MemberKind, ...] = ()
+        self._bank: Optional[SelectorBank] = None
+        self._row = -1
+        # the last fleet read this selector came first in (batch_predict_one)
+        self._fleet_read: Optional[_FleetRead] = None
+
+    def _unbank(self) -> None:
+        """Take this selector's state back from its bank (scalar: no-op)."""
+        if self._bank is not None:
+            self._bank.release(self._row)
 
     # ------------------------------------------------------------------ #
     def fit(self, y: np.ndarray) -> "DynamicModelSelector":
         """Fit every pool member on the training series."""
+        self._unbank()
         self._history = _Series(y, self.max_history)
         self._refit_all()
         self._errors = {n: deque(maxlen=self.period) for n in self.names}
@@ -280,6 +323,7 @@ class DynamicModelSelector:
         if not kept:
             raise ConvergenceError(f"every pool member failed to fit: {failures}")
         self._models = kept
+        self._kinds = tuple(map(_bank_kind, models))
 
     # ------------------------------------------------------------------ #
     def _min_trailing_mse(self, candidates: Container[str]) -> str:
@@ -304,6 +348,7 @@ class DynamicModelSelector:
 
     def best_model_name(self) -> str:
         """Pool member with minimum ``MSE_f(t, T_p)`` (ties → pool order)."""
+        self._unbank()
         self._require_fitted()
         return self._min_trailing_mse(self._models)
 
@@ -371,6 +416,7 @@ class DynamicModelSelector:
         member does not support intervals, or its band computation failed
         — callers degrade to the point forecast.
         """
+        self._unbank()
         if self._last_best is None:
             return None
         model = self._models.get(self._last_best)
@@ -389,6 +435,7 @@ class DynamicModelSelector:
         Also caches every member's one-step prediction so that
         :meth:`observe` can score the whole pool against the realized value.
         """
+        self._unbank()
         self._require_fitted()
         self._last_pred = {}
         for name, model in self._models.items():
@@ -405,22 +452,34 @@ class DynamicModelSelector:
 
     def forecast(self, h: int = 1) -> np.ndarray:
         """h-step forecast from the currently best model."""
+        self._unbank()
         self._require_fitted()
         best = self.best_model_name()
         return self._models[best].forecast(h)
 
     def observe(self, value: float) -> None:
-        """Feed the realized value: score the pool, advance, maybe refit."""
+        """Feed the realized value: score the pool, advance, maybe refit.
+
+        Each prediction is scored once: a second ``observe`` without a
+        :meth:`predict_one` between them records no error.  A banked
+        selector validates the value here and stages it; its bank applies
+        the staged fleet in one step (:meth:`SelectorBank.stage`).
+        """
         self._require_fitted()
         value = _finite(value, "observed")
-        for name, pred in self._last_pred.items():
-            dq = self._errors[name]
-            err = value - pred
-            if len(dq) == dq.maxlen:
-                evicted = dq[0]
-                self._sq_sums[name] -= evicted * evicted
-            dq.append(err)
-            self._sq_sums[name] += err * err
+        if self._bank is not None:
+            self._bank.stage(self._row, value)
+            return
+        if self._last_pred:
+            for name, pred in self._last_pred.items():
+                dq = self._errors[name]
+                err = value - pred
+                if len(dq) == dq.maxlen:
+                    evicted = dq[0]
+                    self._sq_sums[name] -= evicted * evicted
+                dq.append(err)
+                self._sq_sums[name] += err * err
+            self._last_pred = {}
         for model in self._models.values():
             model.append(value)
         self._history.append(value)
@@ -479,101 +538,433 @@ class DynamicModelSelector:
             raise ForecastError("DynamicModelSelector is not fitted")
 
 
-def _batch_best_names(
-    sels: Sequence[DynamicModelSelector],
-) -> List[Optional[str]]:
-    """Vectorized Eq. (14) arbitration for a fleet of selectors.
+def _strip(model: Forecaster) -> None:
+    """Leave a banked member an unfitted shell: its bank row holds the state."""
+    model._fitted = False
+    model._series = None
+    if type(model) is ARIMA:
+        model.const_, model.phi_, model.theta_, model.sigma2_ = 0.0, None, None, 0.0
+        model._w_tail = model._e_tail = model._heads = None
 
-    Returns each selector's ``best_model_name()`` where the rectangular
-    fast path applies, ``None`` where it does not (the caller falls back
-    to the scalar method).  The fast path buckets selectors by (member
-    tuple, error-window length); within a bucket every member's error
-    deque has the same length ``L``, so one ``(members, L)`` matrix and a
-    single ``mean(E*E, axis=1)`` reproduce :func:`trailing_mse` for every
-    member at once — ``t = L - 1`` and ``maxlen = period`` make the
-    trailing window the *whole* deque — and ``argmin``'s first-minimum
-    rule is exactly the scalar loop's strict ``<`` pool-order tie-break.
-    ``L = 0`` means every score is the no-evidence 0.0 and the first
-    member wins, no arithmetic needed.
+
+def _bank_key(sel: DynamicModelSelector) -> Optional[tuple]:
+    """What *sel* shares with every row of its bank; None keeps it scalar.
+
+    Bankable is exactly a fitted :class:`DynamicModelSelector` in no bank,
+    with no confidence mode, metrics or enabled tracer, a bounded
+    ``max_history`` (None and 0 are unbounded, as in :func:`_window`), no
+    refit outstanding, a pool of bank kinds (:func:`_bank_kind`) and one
+    series length over its live members.
     """
-    out: List[Optional[str]] = [None] * len(sels)
-    buckets: Dict[Tuple[Tuple[str, ...], int], List[int]] = {}
-    for i, s in enumerate(sels):
-        names = tuple(s._models)
-        win_len = len(s._errors[names[0]])
-        for n in names:
-            if len(s._errors[n]) != win_len:
-                break  # ragged windows — scalar fallback scores these
-        else:
-            buckets.setdefault((names, win_len), []).append(i)
-    for (names, win_len), idxs in buckets.items():
-        if win_len == 0:
-            for i in idxs:
-                out[i] = names[0]
-            continue
-        windows = chain.from_iterable(sels[i]._errors[n] for i in idxs for n in names)
-        count = len(idxs) * len(names) * win_len
-        e = np.fromiter(windows, np.float64, count).reshape(-1, win_len)
-        scores = np.mean(e * e, axis=1).reshape(len(idxs), len(names))
-        for i, best in zip(idxs, np.argmin(scores, axis=1).tolist()):
-            out[i] = names[best]
-    return out
+    if (
+        type(sel) is not DynamicModelSelector
+        or sel._bank is not None  # another bank's row: its state is there
+        or not sel._fitted
+        or sel.confidence
+        or sel.metrics is not None
+        or sel.tracer.enabled
+        or not sel.max_history
+        or None in sel._kinds
+        or sel._since_fit >= sel.refit_every
+    ):
+        return None
+    lengths = {model._series.n for model in sel._models.values()}
+    if len(lengths) != 1 or lengths.pop() > sel.max_history + sel.refit_every:
+        return None
+    return (tuple(sel.names), sel._kinds, sel.period, sel.refit_every, sel.max_history)
+
+
+class SelectorBank:
+    """A fleet of plain selectors held as arrays: Eq. (14) at fleet width.
+
+    Row ``r`` holds ``selectors[r]``'s state, moved out of the object (its
+    members are left unfitted shells):
+
+    * the Eq. (14) error windows, ``(rows, members, period)``, each
+      right-aligned and oldest first as its deque holds it, with their
+      lengths and the running ``_sq_sums``;
+    * the last predictions and which members made one, ``_last_best``,
+      ``_step`` and ``_since_fit``;
+    * which members are live (a refit that raised drops its member until
+      the next period);
+    * the ``ARIMA(1, d, 0)`` state ``(const, phi, sigma2, w_last, heads)``;
+    * the series since the last refit window began — every member's
+      ``y_`` and the next refit window, at most ``max_history +
+      refit_every`` samples.
+
+    :meth:`stage` takes a row's observed value and :meth:`settle` applies
+    the staged rows as one step; :meth:`predict` is ``predict_one`` for
+    every row at once; :meth:`release` gives a row its exact scalar state
+    back.  :class:`DynamicModelSelector` stays the definition: the
+    property suite holds a bank to scalar twins bit for bit.
+    """
+
+    def __init__(self, selectors: Sequence[DynamicModelSelector], key: tuple) -> None:
+        self.selectors = list(selectors)
+        self.key = key
+        self.names, self.kinds, self.period, self.refit_every, self.max_history = key
+        self._arima = [(m, d) for m, (kind, d) in enumerate(self.kinds) if kind == "arima"]
+        self._naive = [m for m, (kind, _) in enumerate(self.kinds) if kind == "naive"]
+        rows, members = len(self.selectors), len(self.names)
+        shape = (rows, members)
+        self.err = np.zeros((rows, members, self.period))
+        self.cnt = np.zeros(shape, dtype=np.int64)
+        self.sq = np.zeros(shape)
+        self.pred = np.zeros(shape)
+        self.has_pred = np.zeros(shape, dtype=bool)
+        self.alive = np.zeros(shape, dtype=bool)
+        self.best = np.full(rows, -1, dtype=np.int64)
+        self.step = np.zeros(rows, dtype=np.int64)
+        self.since = np.zeros(rows, dtype=np.int64)
+        self.const = np.zeros(shape)
+        self.phi = np.zeros(shape)
+        self.sigma2 = np.zeros(shape)
+        self.w_last = np.zeros(shape)
+        self.heads = np.zeros(
+            (rows, members, max((d for _, d in self._arima), default=0))
+        )
+        self.series = np.zeros((rows, self.max_history + self.refit_every))
+        self.slen = np.zeros(rows, dtype=np.int64)
+        self.shells: List[Optional[List[Optional[Forecaster]]]] = [None] * rows
+        self.banked = np.zeros(rows, dtype=bool)
+        self.n_banked = 0
+        self._staged: Dict[int, float] = {}  # row -> value, in staging order
+        for row, sel in enumerate(self.selectors):
+            self._adopt(row, sel)
+
+    # ------------------------------------------------------------------ #
+    def _adopt(self, row: int, sel: DynamicModelSelector) -> None:
+        """Move *sel*'s state into *row*."""
+        state = vars(sel)
+        models = state.pop("_models")
+        errors = state.pop("_errors")
+        sq_sums = state.pop("_sq_sums")
+        last_pred = state.pop("_last_pred")
+        best = state.pop("_last_best")
+        # a refit reads the last max_history samples: the members' series has them
+        del state["_history"]
+        self.step[row] = state.pop("_step")
+        self.since[row] = state.pop("_since_fit")
+        names, period = self.names, self.period
+        shells = [models.get(name) for name in names]
+        self.cnt[row] = [len(errors[name]) for name in names]
+        self.sq[row] = [sq_sums[name] for name in names]
+        self.pred[row] = [last_pred.get(name, 0.0) for name in names]
+        self.has_pred[row] = [name in last_pred for name in names]
+        self.best[row] = -1 if best is None else names.index(best)
+        for m, name in enumerate(names):
+            window = errors[name]
+            if window:
+                self.err[row, m, period - len(window):] = list(window)
+        series = next(model for model in shells if model is not None).y_
+        self.series[row, : series.shape[0]] = series
+        self.slen[row] = series.shape[0]
+        self._take_members(row, shells)
+        sel._bank, sel._row = self, row
+        self.banked[row] = True
+        self.n_banked += 1
+
+    def _take_members(self, row: int, members: List[Optional[Forecaster]]) -> None:
+        """Read the live *members* (None: dropped) into *row*; they become shells."""
+        self.alive[row] = [model is not None for model in members]
+        for m, d in self._arima:
+            model = members[m]
+            if model is not None:
+                self.const[row, m] = model.const_
+                self.phi[row, m] = model.phi_[0]
+                self.sigma2[row, m] = model.sigma2_
+                self.w_last[row, m] = model._w_tail[-1]
+                self.heads[row, m, :d] = model._heads
+        for model in members:
+            if model is not None:
+                _strip(model)
+        self.shells[row] = members
+
+    def readopt(self) -> None:
+        """Take back the rows released since the last read, where they fit."""
+        if self.n_banked == len(self.selectors):
+            return
+        for row in np.flatnonzero(~self.banked).tolist():
+            sel = self.selectors[row]
+            if _bank_key(sel) == self.key:
+                self._adopt(row, sel)
+
+    def release(self, row: int) -> None:
+        """Settle, then give ``selectors[row]`` its exact scalar state back.
+
+        The row comes back even when the settle raises (another row's
+        refit failed): the bank is consistent again by then.
+        """
+        try:
+            self.settle()
+        finally:
+            if self.banked[row]:
+                self._restore(row)
+
+    def _restore(self, row: int, models: Optional[Dict[str, Forecaster]] = None) -> None:
+        """Rebuild ``selectors[row]``'s scalar state from *row*: it leaves the bank.
+
+        Every array the selector gets back is a fresh copy.  *models*, when
+        given, are the members to install instead of the row's own.
+        """
+        sel = self.selectors[row]
+        names, period = self.names, self.period
+        series = self.series[row, : self.slen[row]]
+        if models is None:
+            models = {}
+            for m, (name, shell) in enumerate(zip(names, self.shells[row])):
+                if not self.alive[row, m]:
+                    continue
+                kind, d = self.kinds[m]
+                if kind == "arima":
+                    shell._install(
+                        series, self.const[row, m].item(), self.phi[row, m : m + 1].copy(),
+                        np.zeros(0), self.sigma2[row, m].item(),
+                        [self.w_last[row, m].item()], [], self.heads[row, m, :d].tolist(),
+                    )
+                else:
+                    shell.y_ = series
+                    shell._fitted = True
+                models[name] = shell
+        cnt = self.cnt[row].tolist()
+        preds = zip(names, self.pred[row].tolist(), self.has_pred[row].tolist())
+        best = int(self.best[row])
+        vars(sel).update(
+            _models=models,
+            _errors={
+                name: deque(self.err[row, m, period - cnt[m]:].tolist(), maxlen=period)
+                for m, name in enumerate(names)
+            },
+            _sq_sums=dict(zip(names, self.sq[row].tolist())),
+            _last_pred={name: pred for name, pred, has in preds if has},
+            _last_best=None if best < 0 else names[best],
+            _history=_Series(series, self.max_history),
+            _step=int(self.step[row]),
+            _since_fit=int(self.since[row]),
+        )
+        sel._bank, sel._row = None, -1
+        self.shells[row] = None
+        self.banked[row] = False
+        self.n_banked -= 1
+
+    # ------------------------------------------------------------------ #
+    def stage(self, row: int, value: float) -> None:
+        """Take *row*'s observed value (already validated) for the next settle.
+
+        The bank settles when its last live row is staged — in a fleet
+        driven one monitor at a time, inside the last monitor's
+        ``observe`` — and before a row is staged twice.
+        """
+        if row in self._staged:
+            self.settle()
+        self._staged[row] = value
+        if len(self._staged) == self.n_banked:
+            self.settle()
+
+    def settle(self) -> None:
+        """Apply every staged row's ``observe`` as one vectorized step.
+
+        The steps are the scalar's, in its order: score each member's
+        prediction into its window and ``_sq_sums`` (evict, then add) and
+        consume it; advance the members; append to the series; count;
+        then one refit wave over the rows now due.  A row whose every
+        member failed to refit keeps its outgoing members and leaves the
+        bank; the other rows are installed first, then the failure raises.
+        """
+        staged = self._staged
+        if not staged:
+            return
+        self._staged = {}
+        rows = np.fromiter(staged.keys(), np.intp, len(staged))
+        vals = np.fromiter(staged.values(), np.float64, len(staged))
+        n_rows = len(self.selectors)
+        at: object = rows
+        if rows.shape[0] == n_rows:  # every row: whole columns, no gathers
+            ordered = np.empty(n_rows)
+            ordered[rows] = vals
+            at, rows, vals = slice(None), np.arange(n_rows), ordered
+        period = self.period
+        has = self.has_pred[at]
+        err = vals[:, None] - self.pred[at]
+        window = self.err[at]
+        cnt = self.cnt[at]
+        evicted = window[:, :, 0]
+        sq = self.sq[at]
+        sq = np.where(has & (cnt == period), sq - evicted * evicted, sq)
+        self.sq[at] = np.where(has, sq + err * err, sq)
+        slid = np.concatenate((window[:, :, 1:], err[:, :, None]), axis=2)
+        self.err[at] = slid if has.all() else np.where(has[:, :, None], slid, window)
+        self.cnt[at] = np.where(has, np.minimum(cnt + 1, period), cnt)
+        self.has_pred[at] = False
+        for m, d in self._arima:  # ARIMA.append, the O(d) state
+            cur = vals
+            for level in range(d):
+                nxt = cur - self.heads[at, m, level]
+                self.heads[at, m, level] = cur
+                cur = nxt
+            self.w_last[at, m] = cur
+        self.series[rows, self.slen[rows]] = vals
+        self.slen[rows] += 1
+        self.step[rows] += 1
+        self.since[rows] += 1
+        due = rows[self.since[rows] >= self.refit_every]
+        if due.shape[0]:
+            self._refit(np.sort(due).tolist())
+
+    def _refit(self, due: List[int]) -> None:
+        """One refit wave over the *due* rows: each row's pool, fresh."""
+        names, M, limit = self.names, len(self.names), self.max_history
+        models: List[Forecaster] = []
+        windows: List[np.ndarray] = []
+        for row in due:
+            sel = self.selectors[row]
+            fresh = [sel.factories[name]() for name in names]
+            for model in fresh:
+                _pin_stream(model)
+            n = int(self.slen[row])
+            models += fresh
+            windows += [self.series[row, n - min(n, limit) : n]] * M
+        try:
+            results = warm_fit(models, windows)
+        except Exception:
+            for row in due:  # outside the policy: every row as it was
+                self._restore(row)
+            raise
+        raised: List[Exception] = []
+        for k, row in enumerate(due):
+            fresh, res = models[k * M : (k + 1) * M], results[k * M : (k + 1) * M]
+            kept: Dict[str, Forecaster] = {}
+            failures = []
+            outside = None
+            for name, model, exc in zip(names, fresh, res):
+                if exc is None:
+                    kept[name] = model
+                elif isinstance(exc, ForecastError):
+                    failures.append((name, exc))
+                elif outside is None:
+                    outside = exc
+            if outside is not None or not kept:
+                raised.append(outside or ConvergenceError(
+                    f"row {row}: every pool member failed to fit: {failures}"
+                ))
+                self._restore(row)
+                continue
+            self.since[row] = 0
+            kinds = tuple(map(_bank_kind, fresh))
+            if kinds != self.kinds:  # a factory changed kind: scalar from here
+                self.selectors[row]._kinds = kinds
+                self._restore(row, kept)
+                continue
+            self._take_members(row, [model if exc is None else None
+                                     for model, exc in zip(fresh, res)])
+            n = int(self.slen[row])  # the window just fitted becomes the series
+            w = min(n, limit)
+            self.series[row, :w] = self.series[row, n - w : n]
+            self.slen[row] = w
+        if raised:
+            raise raised[0]
+
+    # ------------------------------------------------------------------ #
+    def predict(self) -> np.ndarray:
+        """Every row's ``predict_one`` answer, one array op per step.
+
+        Each member's one-step forecast (the Sec. IV-B recursion and the
+        Eq. (12) integration on the columns; ``NaiveLast`` repeats the
+        last sample), the Eq. (14) scores, and a first-minimum ``argmin``
+        over the live members: the scalar loop's strict ``<`` in pool
+        order.  Released rows read stale values; the caller skips them.
+        """
+        self.settle()
+        rows = np.arange(len(self.selectors))
+        for m, d in self._arima:
+            val = self.const[:, m] + self.phi[:, m] * self.w_last[:, m]
+            for level in range(d - 1, -1, -1):
+                val = self.heads[:, m, level] + val
+            self.pred[:, m] = val
+        if self._naive:
+            self.pred[:, self._naive] = self.series[rows, self.slen - 1][:, None]
+        np.copyto(self.has_pred, self.alive)
+        scores = np.where(self.alive, self._scores(), np.inf)
+        self.best[:] = np.argmin(scores, axis=1)
+        return self.pred[rows, self.best]
+
+    def _scores(self) -> np.ndarray:
+        """``trailing_mse`` of every window: ``np.mean(E * E)`` over each.
+
+        One pass per window length ``n`` present (a steady fleet has one):
+        every cell's last ``n`` squared errors as one contiguous ``(cells,
+        n)`` matrix — the row-wise image of the scalar ``np.mean`` on one
+        window — kept where the cell's window has that length.  An empty
+        window scores 0.0, no evidence against its member yet.
+        """
+        cnt, period = self.cnt, self.period
+        sq = self.err * self.err
+        out = np.zeros(cnt.shape)
+        for n in np.unique(cnt).tolist():
+            if n:
+                mean = np.mean(sq[:, :, period - n :].reshape(-1, n), axis=1)
+                np.copyto(out, mean.reshape(cnt.shape), where=cnt == n)
+        return out
+
+
+class _FleetRead:
+    """The banks behind one fleet's :func:`batch_predict_one`.
+
+    Built on the first read of a fleet: every selector is taken back from
+    any bank it was in, then the bankable ones are grouped into one
+    :class:`SelectorBank` per key (:func:`_bank_key`) and the rest — and
+    any selector listed twice — answer through their own ``predict_one``.
+    Reused while the fleet is the same selectors in the same order: a row
+    released since the last read rejoins its bank when it still fits it,
+    and answers scalar otherwise.
+    """
+
+    def __init__(self, selectors: List[DynamicModelSelector]) -> None:
+        self.selectors = selectors
+        counts = Counter(map(id, selectors))
+        groups: Dict[tuple, List[int]] = {}
+        self.scalar: List[int] = []
+        for i, sel in enumerate(selectors):
+            sel._unbank()
+            key = _bank_key(sel) if counts[id(sel)] == 1 else None
+            if key is None:
+                self.scalar.append(i)
+            else:
+                groups.setdefault(key, []).append(i)
+        self.banks = [
+            (SelectorBank([selectors[i] for i in positions], key), np.asarray(positions))
+            for key, positions in groups.items()
+        ]
+
+    def predict_one(self) -> List[float]:
+        out = np.empty(len(self.selectors))
+        scalar = list(self.scalar)
+        for bank, positions in self.banks:
+            bank.readopt()
+            out[positions] = bank.predict()
+            if bank.n_banked < len(positions):
+                scalar += positions[~bank.banked].tolist()
+        for i in sorted(scalar):
+            out[i] = self.selectors[i].predict_one()
+        return out.tolist()
 
 
 def batch_predict_one(selectors: Sequence[DynamicModelSelector]) -> List[float]:
-    """``[s.predict_one() for s in selectors]`` with batched member kernels.
+    """``[s.predict_one() for s in selectors]``, the fleet as arrays.
 
-    The fleet hot path: one walk over the selectors groups their members
-    (:func:`~repro.forecast.batch.group_fleet`), the fitted plain-ARIMA
-    members (across *all* selectors) are forecast in stacked per-order
-    groups and the NaiveLast members answered with one gather, then each
-    selector's Eq. (14) bookkeeping — the ``_last_pred`` cache ``observe``
-    scores, the best-model choice (vectorized across the fleet via
-    :func:`_batch_best_names`), the ``ModelSelected`` event — runs
-    exactly as in the scalar method.  Returns and side effects are
-    byte-identical to the scalar loop; only the per-member call overhead
-    is amortized.  Selectors running in the confidence-aware mode
-    (``confidence=True``) answer through the scalar
-    :meth:`DynamicModelSelector.predict_one` — their interval lookups and
-    widening decisions are inherently per-selector — so a mixed fleet
-    stays consistent with the scalar loop member by member.
+    The first read of a fleet moves its bankable selectors into
+    :class:`SelectorBank` rows; later reads of the same selectors, in the
+    same order, reuse the banks (the first selector keeps the read), and a
+    read of another fleet builds its own (a selector left in an older bank
+    comes back the first time it is touched).  Values and selector state
+    are the scalar loop's, bit for bit; selectors outside a bank
+    (confidence mode, metrics, tracing, other pools) answer through their
+    own :meth:`DynamicModelSelector.predict_one`.
     """
-    from repro.forecast.batch import _forecast_group, group_fleet
-
     sels = list(selectors)
-    out: List[Optional[float]] = [None] * len(sels)
-    plain: List[int] = []
-    for i, s in enumerate(sels):
-        if s.confidence:
-            out[i] = s.predict_one()
-        else:
-            s._require_fitted()
-            plain.append(i)
-    fleet = [sels[i] for i in plain]
-    groups, naive, scalar = group_fleet(
-        chain.from_iterable(s._models.values() for s in fleet)
-    )
-    preds: List[Optional[float]] = [None] * sum(len(s._models) for s in fleet)
-    for (p, d, q), (idxs, members) in groups.items():
-        col = _forecast_group(members, p, d, q, 1)[:, 0].tolist()
-        for i, pred in zip(idxs, col):
-            preds[i] = pred
-    for i, model in zip(*naive):
-        preds[i] = model.y_.item(-1)
-    for i, model in zip(*scalar):
-        try:
-            preds[i] = model.predict_one()
-        except ForecastError:
-            continue
-    flat = iter(preds)
-    for s in fleet:  # zip stops with the names: each selector takes its own
-        s._last_pred = {n: p for n, p in zip(s._models, flat) if p is not None}
-    bests = _batch_best_names(fleet)
-    for i, s, fast_best in zip(plain, fleet, bests):
-        if not s._last_pred:
-            raise ForecastError("no pool member could produce a prediction")
-        best = fast_best if fast_best is not None else s.best_model_name()
-        if best not in s._last_pred:
-            best = s._fallback_best()
-        out[i] = s._answer(best)
-    return out  # type: ignore[return-value]
+    if not sels:
+        return []
+    fleet = sels[0]._fleet_read
+    if fleet is None or fleet.selectors != sels:
+        fleet = sels[0]._fleet_read = _FleetRead(sels)
+    return fleet.predict_one()

@@ -8,7 +8,11 @@ from repro.forecast.arima import ARIMA
 from repro.forecast.naive import NaiveLast, SeasonalNaive
 from repro.forecast.narnet import NARNET
 from repro.forecast.metrics import mse
-from repro.forecast.selection import DynamicModelSelector, rolling_one_step
+from repro.forecast.selection import (
+    DynamicModelSelector,
+    batch_predict_one,
+    rolling_one_step,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.traces.nonlinear import mackey_glass
 from repro.traces.zoplecloud import mixed_trace, weekly_traffic_trace
@@ -114,6 +118,36 @@ class TestSelector:
         f = sel.forecast(5)
         assert f.shape == (5,)
         np.testing.assert_allclose(f, [80, 81, 82, 83, 84], atol=1e-5)
+
+
+class TestAPredictionCountsOnce:
+    """``observe`` consumes the predictions it scores.
+
+    A second ``observe`` with no ``predict_one`` between used to score the
+    stale predictions again — even one made by a member a refit had since
+    replaced.
+    """
+
+    @pytest.mark.parametrize("banked", [False, True])
+    def test_predict_observe_observe_records_one_error_per_member(self, banked):
+        pool = {"arima110": lambda: ARIMA(1, 1, 0, maxiter=40), "naive": NaiveLast}
+        y = 0.5 + 0.01 * np.cumsum(np.random.default_rng(2).standard_normal(60))
+        kwargs = dict(period=10, refit_every=50, max_history=60)
+        sel = DynamicModelSelector(pool, **kwargs).fit(y[:40])
+        twin = DynamicModelSelector(pool, **kwargs).fit(y[:40])
+        twin.predict_one()
+        preds = dict(twin._last_pred)
+        if banked:
+            batch_predict_one([sel])
+            assert sel._bank is not None
+        else:
+            sel.predict_one()
+        sel.observe(float(y[40]))
+        sel.observe(float(y[41]))
+        sel.best_model_name()  # a banked selector: takes its state back
+        assert sel._bank is None and sel._last_pred == {}
+        for name in pool:
+            assert list(sel._errors[name]) == [float(y[40]) - preds[name]]
 
 
 class TestHistoryIsBounded:

@@ -2,9 +2,10 @@
 
 PR 2 fixed the contract: optimizations change *where* and *how fast* work
 runs, never what it computes.  The fleet kernels (SoA snapshot, stacked
-ARIMA forecasting, vectorized ALERT gate, regional cost slab) each have
-a live scalar reference path; hypothesis drives generated fleets, alert
-streams and move sequences through both and asserts bitwise agreement.
+ARIMA forecasting, the selector bank, vectorized ALERT gate, regional cost
+slab) each have a live scalar reference path; hypothesis drives generated
+fleets, alert streams and move sequences through both and asserts bitwise
+agreement.
 """
 
 import numpy as np
@@ -104,6 +105,7 @@ def _selector_fleet(seed, n_sel):
                 },
                 period=4,
                 refit_every=1000,
+                max_history=40,  # bounded: the fleet read banks them
             )
             try:
                 sel.fit(series)
@@ -117,10 +119,11 @@ def _selector_fleet(seed, n_sel):
 @common
 @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(2, 8))
 def test_fleet_selector_rounds_bitwise(seed, n_sel, n_rounds):
-    """Multi-round predict/observe: batched fleet == scalar loop, bitwise.
+    """Multi-round predict/observe: banked fleet == scalar loop, bitwise.
 
-    Exercises the vectorized Eq. (14) arbitration with *non-empty* error
-    windows, including windows shorter than and saturated at ``period``.
+    The fleet stays in its bank for every round — the Eq. (14) windows
+    shorter than and saturated at ``period`` are scored there — and is
+    compared member by member once taken back at the end.
     """
     batched, scalar = _selector_fleet(seed, n_sel)
     if batched is None:
@@ -130,25 +133,32 @@ def test_fleet_selector_rounds_bitwise(seed, n_sel, n_rounds):
         pa = fleet_predict_one(batched)
         pb = [s.predict_one() for s in scalar]
         assert pa == pb
-        for a, b in zip(batched, scalar):
-            assert a.best_model_name() == b.best_model_name()
-            assert a._last_pred == b._last_pred
+        assert all(a._bank is not None for a in batched)
         for i, (a, b) in enumerate(zip(batched, scalar)):
             a.observe(float(obs[r, i]))
             b.observe(float(obs[r, i]))
+    fleet_predict_one(batched)
+    for b in scalar:
+        b.predict_one()
     for a, b in zip(batched, scalar):
+        assert a.best_model_name() == b.best_model_name()  # takes the row back
+        assert a._last_pred == b._last_pred
         for name in a.names:
             assert list(a._errors[name]) == list(b._errors[name])
 
 
 @common
 @given(st.integers(0, 10**6))
-def test_fleet_selector_ragged_windows_fall_back(seed):
-    """Uneven error windows take the scalar Eq. (14) path — and still agree."""
+def test_fleet_selector_ragged_windows_bitwise(seed):
+    """Uneven error windows are scored by length inside the bank — and agree.
+
+    One member's window is desynced after its row was taken back; the
+    next read banks it again, ragged.
+    """
     batched, scalar = _selector_fleet(seed, 2)
     if batched is None:
         return
-    obs = np.random.default_rng(seed + 1).random((3, 2))
+    obs = np.random.default_rng(seed + 1).random((6, 2))
     for r in range(3):
         fleet_predict_one(batched)
         for s in scalar:
@@ -156,12 +166,21 @@ def test_fleet_selector_ragged_windows_fall_back(seed):
         for i, (a, b) in enumerate(zip(batched, scalar)):
             a.observe(float(obs[r, i]))
             b.observe(float(obs[r, i]))
-    # desync one member's window in both fleets identically
+    # desync one member's window in both fleets identically, after a release
+    batched[0].best_model_name()
+    assert batched[0]._bank is None
     batched[0]._errors["naive"].popleft()
     scalar[0]._errors["naive"].popleft()
-    assert fleet_predict_one(batched) == [s.predict_one() for s in scalar]
+    for r in range(3, 6):
+        assert fleet_predict_one(batched) == [s.predict_one() for s in scalar]
+        assert batched[0]._bank is not None
+        for i, (a, b) in enumerate(zip(batched, scalar)):
+            a.observe(float(obs[r, i]))
+            b.observe(float(obs[r, i]))
     for a, b in zip(batched, scalar):
         assert a.best_model_name() == b.best_model_name()
+        for name in a.names:
+            assert list(a._errors[name]) == list(b._errors[name])
 
 
 # --------------------------------------------------------------------- #
@@ -186,17 +205,19 @@ def _mixed_monitors(seed):
             rng.uniform(0.3, 0.8) + 0.05 * rng.standard_normal((30, 4)), 0.0, 1.0
         )
         monitors.append(VMMonitor(history, config, period=4, refit_every=5))
+    # pokes before the first fleet read, so before any selector is banked
     monitors[-2]._selectors[1].confidence = True  # answers through the scalar path
     del monitors[-1]._selectors[2]._models["naive"]  # a member dropped at refit
+    del monitors[0]._selectors[3]._models["naive"]  # ... and one in the bank
     return monitors
 
 
 @common
 @given(st.integers(0, 10**6), st.integers(2, 7))
 def test_fleet_alert_values_mixed_fleet_bitwise(seed, n_rounds):
-    """Horizons 1 and 2, all three stances, a confidence selector and a
-    dropped member: values and ``_last_pred`` side effects are the scalar
-    loop's, round after round (refits included)."""
+    """Horizons 1 and 2, all three stances, a confidence selector and
+    dropped members: values, round after round (refits included), and the
+    ``_last_pred`` side effects of the last read are the scalar loop's."""
     try:
         batched, scalar = _mixed_monitors(seed), _mixed_monitors(seed)
     except ConvergenceError:
@@ -207,13 +228,17 @@ def test_fleet_alert_values_mixed_fleet_bitwise(seed, n_rounds):
         got = fleet_alert_values(batched, **signals)
         want = [m.alert_value(**signals) for m in scalar]
         assert got.tolist() == want
-        for a, b in zip(batched, scalar):
-            for sa, sb in zip(a._selectors, b._selectors):
-                assert sa._last_pred == sb._last_pred
-                assert sa._last_best == sb._last_best
+        if r == n_rounds - 1:
+            break
         for i, (a, b) in enumerate(zip(batched, scalar)):
             a.observe(rows[r, i])
             b.observe(rows[r, i])
+    assert batched[0]._selectors[3]._bank is not None
+    for a, b in zip(batched, scalar):
+        for sa, sb in zip(a._selectors, b._selectors):
+            assert sa.best_model_name() == sb.best_model_name()  # takes it back
+            assert sa._last_pred == sb._last_pred
+            assert sa._last_best == sb._last_best
 
 
 # --------------------------------------------------------------------- #

@@ -109,6 +109,65 @@ class TestForecastRound:
         assert 1 in fired_vms
         assert 0 not in fired_vms
 
+    def test_batched_fleet_equals_scalar_across_slides_and_refits(self):
+        """The banked fleet through the engine, long enough to matter.
+
+        ``refit_every=7`` over 30 rounds is four refits a monitor, and a
+        30-sample ``max_history`` and a 5-sample Eq. (14) window both
+        slide: every alert, ``vm_alerts``, ``RoundSummary`` and the final
+        placement equal the scalar per-monitor loop's.
+        """
+        from repro.sim import SheriffSimulation
+
+        from tests.property.test_parallel_properties import summary_fields
+
+        def run(batched):
+            cluster = build_cluster(
+                build_fattree(4), hosts_per_rack=4, fill_fraction=0.5, seed=2015,
+                delay_sensitive_fraction=0.1,
+            )
+            pl = cluster.placement
+            rng = np.random.default_rng(2015)
+            config = AlertConfig(threshold=0.75)
+            monitors, future = {}, {}
+            for i, v in enumerate(v for v in range(cluster.num_vms)
+                                  if not pl.vm_delay_sensitive[v]):
+                series = np.clip(
+                    rng.uniform(0.25, 0.92)
+                    + 0.04 * rng.standard_normal((28 + i % 7 + 30, 4)),
+                    0.0,
+                    1.0,
+                )
+                monitors[v] = VMMonitor(
+                    series[:28], config, period=5, refit_every=7, max_history=30
+                )
+                for row in series[28 : 28 + i % 7]:  # refits spread over rounds
+                    monitors[v].observe(row)
+                future[v] = series[28 + i % 7 :]
+            sim = SheriffSimulation(cluster)
+            out = []
+            for r in range(30):
+                alerts, vm_alerts = forecast_alert_round(
+                    cluster, monitors, time=r, batched=batched
+                )
+                summary = sim.run_round(alerts, vm_alerts)
+                out.append((alerts, vm_alerts, summary_fields(summary)))
+                for v, mon in monitors.items():
+                    mon.observe(future[v][r])
+            sels = [s for m in monitors.values() for s in m._selectors]
+            if batched:  # the whole fleet in one bank
+                assert len(sels[0]._fleet_read.banks) == 1
+            else:  # every monitor observed 30 rounds: four refits
+                assert min(s._step for s in sels) >= 30
+            return out, pl.vm_host.tolist()
+
+        scalar = run(False)
+        batched = run(True)
+        assert batched == scalar
+        rounds = scalar[0]
+        assert sum(len(alerts) for alerts, _, _ in rounds) > 0
+        assert sum(s["migrations"] for _, _, s in rounds) > 0
+
     def test_alert_addressing(self, cluster):
         pl = cluster.placement
         cfg = AlertConfig(threshold=0.1)  # everything alerts

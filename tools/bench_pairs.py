@@ -21,8 +21,11 @@ with its base, and a verdict —
 
 and whether the decision digests matched at every seed.  A row that reads
 ``worse`` or ``unresolved`` is followed by its per-run values, so a set-up
-row that flips on noise is seen before a gate sees it.  Exits 1 when a row
-is ``worse``, a digest differs or a run failed one of its own checks.
+row that flips on noise is seen before a gate sees it.  A run that crashes
+or times out is recorded as that side's failure and the pairs go on; the
+metrics are judged on the pairs both sides measured.  Exits 1 when a row
+is ``worse``, a digest differs, a run failed, or a run failed one of its
+own checks.
 """
 
 from __future__ import annotations
@@ -55,12 +58,53 @@ print(json.dumps({
 """
 
 
+MEASURE_TIMEOUT_S = 600
+"""A backstop per run; the harness's own worker stops at 170 s."""
+
+
 def _measure(tree: Path, workload: str, seed: int, seconds: float, out_dir: Path):
-    done = subprocess.run(
-        [sys.executable, "-c", _DRIVER, workload, str(seed), str(seconds), str(out_dir)],
-        cwd=tree, stdout=subprocess.PIPE, text=True, check=True,
-    )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    """One run's ``{values, digest, problems}``; a failed run is a record too."""
+    cmd = [sys.executable, "-c", _DRIVER, workload, str(seed), str(seconds), str(out_dir)]
+    try:
+        done = subprocess.run(
+            cmd, cwd=tree, stdout=subprocess.PIPE, text=True, timeout=MEASURE_TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return _failed(f"timed out after {MEASURE_TIMEOUT_S} s")
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        return _failed(f"exited {done.returncode}")
+    try:
+        return json.loads(lines[-1])
+    except ValueError:
+        return _failed(f"printed no record: {lines[-1][:200]!r}")
+
+
+def _failed(problem: str):
+    return {"values": {}, "digest": None, "problems": [f"run failed: {problem}"]}
+
+
+def run_pairs(trees, workloads, seeds, seconds: float, out_dir: Path):
+    """``workload -> [(seed, parent, change)]``; *trees* maps each side to a tree.
+
+    The side that goes first flips every seed; a failed run does not stop
+    the others.
+    """
+    runs = {w: [] for w in workloads}
+    sides = [("parent", trees["parent"]), ("change", trees["change"])]
+    for workload in workloads:
+        for i, seed in enumerate(seeds):
+            got = {
+                side: _measure(tree, workload, seed, seconds, out_dir)
+                for side, tree in (sides if i % 2 == 0 else sides[::-1])
+            }
+            runs[workload].append((seed, got["parent"], got["change"]))
+            rates = []
+            for side, _ in sides:
+                rate = got[side]["values"].get("rounds_per_s")
+                rates.append(f"{side} " + ("FAILED" if rate is None else f"{rate:.1f}"))
+            print(f"{workload} seed {seed}: {'  '.join(rates)} rounds/s", file=sys.stderr)
+    return runs
 
 
 def _quartiles(values):
@@ -97,8 +141,17 @@ def report(spec, runs, out=sys.stdout) -> bool:
     """Print the table for *runs* (``workload -> [(seed, parent, change)]``)."""
     ok = True
     for workload, rows in runs.items():
-        same = all(p["digest"] == c["digest"] for _, p, c in rows)
-        problems = [x for _, p, c in rows for x in p["problems"] + c["problems"]]
+        same = all(
+            p["digest"] == c["digest"]
+            for _, p, c in rows
+            if p["digest"] is not None and c["digest"] is not None
+        )
+        problems = [
+            f"{side} seed {seed}: {x}"
+            for seed, p, c in rows
+            for side, record in (("parent", p), ("change", c))
+            for x in record["problems"]
+        ]
         ok &= same and not problems
         print(f"== {workload}  pairs={len(rows)}  seeds={[s for s, _, _ in rows]}  "
               f"digests {'identical' if same else 'DIFFER'}", file=out)
@@ -106,8 +159,15 @@ def report(spec, runs, out=sys.stdout) -> bool:
             print(f"   FAILED CHECK: {problem}", file=out)
         for metric in spec["end_to_end"]:
             name = metric["name"]
-            parent = [p["values"][name] for _, p, _ in rows]
-            change = [c["values"][name] for _, _, c in rows]
+            pairs = [
+                (p["values"][name], c["values"][name])
+                for _, p, c in rows
+                if name in p["values"] and name in c["values"]
+            ]
+            if not pairs:
+                print(f"   {name:<20} no pair measured it", file=out)
+                continue
+            parent, change = (list(side) for side in zip(*pairs))
             verdict, won, decided, ratio = judge(
                 parent, change, metric["better"], metric["bound"]
             )
@@ -146,21 +206,11 @@ def main(argv=None) -> int:
         ["git", "worktree", "add", "--detach", str(parent_tree), args.parent],
         cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
     )
-    runs = {w: [] for w in workloads}
     try:
-        for workload in workloads:
-            for i, seed in enumerate(seeds):
-                sides = [("parent", parent_tree), ("change", ROOT)]
-                got = {
-                    side: _measure(tree, workload, seed, spec["run_seconds"],
-                                   args.out_dir)
-                    for side, tree in (sides if i % 2 == 0 else sides[::-1])
-                }
-                runs[workload].append((seed, got["parent"], got["change"]))
-                print(f"{workload} seed {seed}: "
-                      + "  ".join(f"{side} {got[side]['values']['rounds_per_s']:.1f}"
-                                  for side in ("parent", "change"))
-                      + " rounds/s", file=sys.stderr)
+        runs = run_pairs(
+            {"parent": parent_tree, "change": ROOT}, workloads, seeds,
+            spec["run_seconds"], args.out_dir,
+        )
     finally:
         subprocess.run(
             ["git", "worktree", "remove", "--force", str(parent_tree)],
