@@ -6,8 +6,10 @@ inter-rack VM dependency carries a flow along its current path; a shim
 told that switch ``s`` is hot recomputes the paths of its local flows
 that traverse ``s`` on the fabric *minus* ``s`` and moves them there.
 
-:class:`FlowTable` keeps the flows and per-switch loads; rerouting is a
-per-flow Dijkstra on a masked adjacency (scipy, C-speed).
+:class:`FlowTable` keeps the flows and per-switch loads.  Routes come from
+one shortest-path tree per source rack on the fabric minus the avoided
+switches (scipy Dijkstra on a masked adjacency): a switch event reroutes
+every flow through it for one solve per source rack, not one per flow.
 """
 
 from __future__ import annotations
@@ -60,10 +62,13 @@ class FlowTable:
         self._next_id = 0
         self.node_load = np.zeros(topology.num_nodes, dtype=np.float64)
         self._weights = self._edge_weight_matrix()
-        # (dist, pred) of the unmasked fabric per source rack: the weights
-        # are fixed at construction, so one Dijkstra serves every flow
-        # that starts there
-        self._trees: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # avoid set -> source rack -> predecessor tree.  The weights are
+        # fixed at construction, so one Dijkstra serves every flow that
+        # starts at a rack; the unmasked trees (avoid = {}) are kept for
+        # good, masked ones only for the latest avoid set
+        self._trees: Dict[frozenset, Dict[int, List[int]]] = {frozenset(): {}}
+        # (kept node ids, subgraph) of the latest non-empty avoid set
+        self._masked: Optional[Tuple[np.ndarray, csr_matrix]] = None
 
     def _edge_weight_matrix(self) -> csr_matrix:
         lt = self.topology.links
@@ -98,6 +103,29 @@ class FlowTable:
         self._apply_load(flow.path, rate)
         return fid
 
+    def add_flows(
+        self, specs: Sequence[Tuple[int, int, int, float]], avoid: frozenset
+    ) -> List[Optional[int]]:
+        """Register ``(vm, src_rack, dst_rack, rate)`` flows, in order, off *avoid*.
+
+        A flow whose fabric route crosses *avoid* takes its detour; one with
+        none is removed again (``None`` in its slot).  Ids and loads come out
+        as the :meth:`add_flow`, :func:`flow_reroute`, :meth:`remove_flow`
+        sequence leaves them, every route read from the shared trees.
+        """
+        out: List[Optional[int]] = []
+        for spec in specs:
+            fid = self.add_flow(*spec)
+            flow = self.flows[fid]
+            if not avoid.isdisjoint(flow.path):
+                try:
+                    self._move(flow, self._route(flow.src_rack, flow.dst_rack, avoid))
+                except TopologyError:
+                    self.remove_flow(fid)
+                    fid = None
+            out.append(fid)
+        return out
+
     def remove_flow(self, fid: int) -> None:
         flow = self.flows.pop(fid, None)
         if flow is None:
@@ -108,38 +136,57 @@ class FlowTable:
         if path:
             np.add.at(self.node_load, np.asarray(path, dtype=np.int64), rate)
 
+    def _move(self, flow: Flow, path: List[int]) -> None:
+        self._apply_load(flow.path, -flow.rate)
+        flow.path = path
+        self._apply_load(path, flow.rate)
+
+    def _tree(self, src: int, avoid: frozenset) -> List[int]:
+        """Shortest-path predecessors from *src* on the fabric minus *avoid*.
+
+        Node ids throughout; a negative entry is *src* itself or a node it
+        cannot reach.
+        """
+        trees = self._trees.get(avoid)
+        if trees is None:
+            # a new avoid set replaces the last one: memory stays at the
+            # unmasked trees plus one masked subgraph and its trees
+            self._trees = {frozenset(): self._trees[frozenset()], avoid: {}}
+            trees = self._trees[avoid]
+            keep = np.ones(self.topology.num_nodes, dtype=bool)
+            keep[list(avoid)] = False
+            kept = np.nonzero(keep)[0]
+            self._masked = (kept, self._weights[kept][:, kept])
+        pred = trees.get(src)
+        if pred is None:
+            kept, graph = self._masked if avoid else (None, self._weights)
+            root = src if kept is None else int(np.searchsorted(kept, src))
+            _, sub = dijkstra(
+                graph, directed=False, indices=root, return_predecessors=True
+            )
+            if kept is not None:
+                # the subgraph keeps the fabric's node order, so its tree
+                # mapped back to node ids is the fabric-minus-avoid tree
+                full = np.full(self.topology.num_nodes, -1, dtype=np.int64)
+                reached = sub >= 0
+                full[kept[reached]] = kept[sub[reached]]
+                sub = full
+            pred = trees[src] = sub.tolist()
+        return pred
+
     def _route(self, src: int, dst: int, avoid: frozenset) -> List[int]:
         if src == dst:
             return [src]
-        g = self._weights
-        if avoid:
-            keep = np.ones(self.topology.num_nodes, dtype=bool)
-            keep[list(avoid)] = False
-            if not (keep[src] and keep[dst]):
-                raise TopologyError("cannot avoid an endpoint of the flow")
-            mask = np.nonzero(keep)[0]
-            sub = g[mask][:, mask]
-            remap = -np.ones(self.topology.num_nodes, dtype=np.int64)
-            remap[mask] = np.arange(mask.size)
-            dist, pred = dijkstra(
-                sub, directed=False, indices=remap[src], return_predecessors=True
-            )
-            if not np.isfinite(dist[remap[dst]]):
+        if src in avoid or dst in avoid:
+            raise TopologyError("cannot avoid an endpoint of the flow")
+        pred = self._tree(src, avoid)
+        if pred[dst] < 0:
+            if avoid:
                 raise TopologyError(f"no path {src} -> {dst} avoiding {sorted(avoid)}")
-            path = [int(remap[dst])]
-            while path[-1] != remap[src]:
-                path.append(int(pred[path[-1]]))
-            return [int(mask[i]) for i in reversed(path)]
-        if src not in self._trees:
-            self._trees[src] = dijkstra(
-                g, directed=False, indices=src, return_predecessors=True
-            )
-        dist, pred = self._trees[src]
-        if not np.isfinite(dist[dst]):
             raise TopologyError(f"no path {src} -> {dst}")
         path = [dst]
         while path[-1] != src:
-            path.append(int(pred[path[-1]]))
+            path.append(pred[path[-1]])
         return path[::-1]
 
     # ------------------------------------------------------------------ #
@@ -177,8 +224,6 @@ def flow_reroute(
         except TopologyError:
             failed += 1
             continue
-        table._apply_load(flow.path, -flow.rate)
-        flow.path = new_path
-        table._apply_load(new_path, flow.rate)
+        table._move(flow, new_path)
         ok += 1
     return ok, failed

@@ -34,10 +34,11 @@ latency in rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.events import (
     AlertDelivered,
+    FallbackTransition,
     FaultInjected,
     FlowRerouted,
     HostCrashed,
@@ -45,15 +46,18 @@ from repro.obs.events import (
     MigrationAborted,
     MigrationCommitted,
     MigrationLanded,
+    ModelSelected,
     PrioritySelected,
     RequestAcked,
     RequestRejected,
     RequestSent,
     RequestTimedOut,
+    SloBudgetExhausted,
+    SloViolation,
     TraceEvent,
 )
 
-__all__ = ["LifecycleStitcher"]
+__all__ = ["LifecycleStitcher", "UNSTAMPED"]
 
 
 @dataclass
@@ -127,37 +131,64 @@ class LifecycleStitcher:
 
     # ------------------------------------------------------------------ #
     def stamp(self, event: TraceEvent) -> None:
-        """Assign correlation ids to one event (idempotent per event)."""
-        if isinstance(event, AlertDelivered):
+        """Assign correlation ids to one event (idempotent per event).
+
+        One dict probe on the event's exact type; a kind on neither
+        :data:`_STAMPERS` nor :data:`UNSTAMPED` would go unstamped, and
+        ``tests/obs/test_correlate.py`` fails until it picks one.
+        """
+        stamper = _STAMPERS.get(type(event))
+        if stamper is not None:
+            stamper(self, event)
+
+    def _stamp_group(self, event) -> None:
+        event.trace_id = self._group(event.rack)
+
+    def _stamp_priority(self, event: PrioritySelected) -> None:
+        gid = event.trace_id = self._group(event.rack)
+        for vm in event.selected:
+            self._select(int(vm), gid)
+
+    def _stamp_matching(self, event: MatchingSolved) -> None:
+        if event.rack is not None:
             event.trace_id = self._group(event.rack)
-        elif isinstance(event, PrioritySelected):
-            gid = self._group(event.rack)
-            event.trace_id = gid
-            for vm in event.selected:
-                self._select(int(vm), gid)
-        elif isinstance(event, FlowRerouted):
-            event.trace_id = self._group(event.rack)
-        elif isinstance(event, MatchingSolved):
-            if event.rack is not None:
-                event.trace_id = self._group(event.rack)
-        elif isinstance(
-            event, (RequestSent, RequestAcked, RequestRejected, RequestTimedOut)
-        ):
-            attempt = self._attempt_for(event.vm)
-            event.trace_id = attempt.trace_id
-            event.parent_id = attempt.parent_id
-        elif isinstance(event, MigrationCommitted):
-            attempt = self._attempt_for(event.vm)
-            attempt.committed = True
-            event.trace_id = attempt.trace_id
-            event.parent_id = attempt.parent_id
-        elif isinstance(event, (MigrationLanded, MigrationAborted)):
-            attempt = self._attempt_for(event.vm)
-            event.trace_id = attempt.trace_id
-            event.parent_id = attempt.parent_id
-            self._close(event.vm)
-        elif isinstance(event, FaultInjected):
-            event.trace_id = f"r{self._round}.f.{event.fault_kind}.{event.target}"
-        elif isinstance(event, HostCrashed):
-            event.trace_id = f"r{self._round}.f.host_crash.{event.host}"
-        # ModelSelected and future kinds: no chain, leave unstamped
+
+    def _stamp_attempt(self, event) -> _Attempt:
+        attempt = self._attempt_for(event.vm)
+        event.trace_id = attempt.trace_id
+        event.parent_id = attempt.parent_id
+        return attempt
+
+    def _stamp_commit(self, event: MigrationCommitted) -> None:
+        self._stamp_attempt(event).committed = True
+
+    def _stamp_close(self, event) -> None:
+        self._stamp_attempt(event)
+        self._close(event.vm)
+
+    def _stamp_fault(self, event: FaultInjected) -> None:
+        event.trace_id = f"r{self._round}.f.{event.fault_kind}.{event.target}"
+
+    def _stamp_crash(self, event: HostCrashed) -> None:
+        event.trace_id = f"r{self._round}.f.host_crash.{event.host}"
+
+
+_STAMPERS: Dict[type, Callable[[LifecycleStitcher, Any], None]] = {
+    AlertDelivered: LifecycleStitcher._stamp_group,
+    PrioritySelected: LifecycleStitcher._stamp_priority,
+    FlowRerouted: LifecycleStitcher._stamp_group,
+    MatchingSolved: LifecycleStitcher._stamp_matching,
+    RequestSent: LifecycleStitcher._stamp_attempt,
+    RequestAcked: LifecycleStitcher._stamp_attempt,
+    RequestRejected: LifecycleStitcher._stamp_attempt,
+    RequestTimedOut: LifecycleStitcher._stamp_attempt,
+    MigrationCommitted: LifecycleStitcher._stamp_commit,
+    MigrationLanded: LifecycleStitcher._stamp_close,
+    MigrationAborted: LifecycleStitcher._stamp_close,
+    FaultInjected: LifecycleStitcher._stamp_fault,
+    HostCrashed: LifecycleStitcher._stamp_crash,
+}
+"""Event type -> how it is stamped; matched on the exact type."""
+
+UNSTAMPED = (ModelSelected, FallbackTransition, SloViolation, SloBudgetExhausted)
+"""Kinds that belong to no causal chain and keep ``trace_id`` unset."""

@@ -9,8 +9,9 @@ them with ad-hoc sums.
 Design notes
 ------------
 * Instruments are get-or-create: ``registry.counter(name, **labels)``
-  always returns the same object for the same ``(name, labels)`` key, so
-  hot paths hoist the lookup out of their loops.
+  always returns the same object for the same ``(name, labels)`` key.  A
+  repeat lookup with the same labels in the same order is one dict
+  probe; the canonical (sorted, stringified) key is built on first sight.
 * :meth:`MetricsRegistry.scope` opens a window during which every
   counter increment and histogram observation is *also* accumulated into
   the scope, per instrument, starting from exactly ``0.0``.  Scope totals
@@ -278,9 +279,24 @@ class MetricsRegistry:
         self._metrics: Dict[MetricKey, object] = {}
         self._types: Dict[str, type] = {}
         self._scopes: List[MetricsScope] = []
+        # (cls, name, *labels.items(), *label value types) -> instrument:
+        # a repeat lookup is one dict probe, with no sort and no str().
+        # The value types keep apart labels that compare equal but print
+        # differently (1, 1.0 and True)
+        self._hits: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------ #
     def _get(self, cls: type, name: str, labels: Dict[str, object], **kw):
+        hit = (cls, name, *labels.items(), *map(type, labels.values()))
+        try:
+            metric = self._hits.get(hit)
+        except TypeError:  # an unhashable label value: canonical key only
+            return self._get_canonical(cls, name, labels, **kw)
+        if metric is None:
+            metric = self._hits[hit] = self._get_canonical(cls, name, labels, **kw)
+        return metric
+
+    def _get_canonical(self, cls: type, name: str, labels: Dict[str, object], **kw):
         if not name:
             raise ObservabilityError("metric name must be non-empty")
         seen = self._types.get(name)

@@ -139,18 +139,11 @@ class FailureInjector:
         report = FailureReport(switch=switch)
 
         if self.flow_table is not None and self._dropped:
-            still_dropped: List[Tuple[int, int, int, float]] = []
-            for vm, src_rack, dst_rack, rate in self._dropped:
-                fid = self.flow_table.add_flow(vm, src_rack, dst_rack, rate)
-                flow = self.flow_table.flows[fid]
-                if any(n in self.failed for n in flow.path):
-                    ok, _bad = flow_reroute(self.flow_table, [fid], self.failed)
-                    if not ok:
-                        self.flow_table.remove_flow(fid)
-                        still_dropped.append((vm, src_rack, dst_rack, rate))
-                        continue
-                report.flows_readmitted.append(fid)
-            self._dropped = still_dropped
+            fids = self.flow_table.add_flows(self._dropped, frozenset(self.failed))
+            report.flows_readmitted = [fid for fid in fids if fid is not None]
+            self._dropped = [
+                spec for spec, fid in zip(self._dropped, fids) if fid is None
+            ]
 
         report.racks_disconnected = self.disconnected_racks()
         return report

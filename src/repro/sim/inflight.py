@@ -18,6 +18,7 @@ real cost of live migration the paper's ``C_r`` abstracts away.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,8 +45,13 @@ class MigrationTiming:
     round_seconds: float = 60.0
     downtime_target: float = 0.06
 
+    @functools.lru_cache(maxsize=None)
     def rounds_for(self, capacity: int) -> Tuple[int, MigrationTimeline]:
-        """Rounds the migration of a *capacity*-sized VM occupies (>= 1)."""
+        """Rounds the migration of a *capacity*-sized VM occupies (>= 1).
+
+        Memoized per ``(timing, capacity)``: the timing is frozen and the
+        timeline it returns is immutable, so every caller shares one solve.
+        """
         tl = precopy_timeline(
             memory=capacity * self.mem_per_capacity_mb,
             dirty_rate=self.dirty_fraction * self.bandwidth_mbps,
@@ -77,6 +83,10 @@ class InFlightTracker:
     @property
     def vms_in_flight(self) -> frozenset:
         return frozenset(self._active)
+
+    def __contains__(self, vm: int) -> bool:
+        """Whether *vm* is in flight: one dict probe, no set built."""
+        return vm in self._active
 
     def hold_on(self, host: int) -> int:
         """Capacity currently reserved on *host* by in-flight arrivals."""
@@ -186,7 +196,7 @@ class TimedReceiverRegistry(ReceiverRegistry):
     def request(self, vm: int, dst_host: int, dst_rack: int):
         from repro.migration.request import RequestOutcome
 
-        if vm in self.tracker.vms_in_flight:
+        if vm in self.tracker:
             if self.tracer.enabled:
                 self.tracer.emit(
                     RequestRejected(

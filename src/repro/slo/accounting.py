@@ -110,7 +110,6 @@ class SloAccountant:
         self.by_class: Dict[str, float] = {t: 0.0 for t in TENANT_CLASSES}
         self.by_source: Dict[str, float] = {s: 0.0 for s in VIOLATION_SOURCES}
         self._budget_spent: Set[str] = set()
-        self._timelines: Dict[int, "MigrationTimeline"] = {}
         # episode tracking: vm -> consecutive violating rounds so far
         self._open_episodes: Dict[int, int] = {}
         self._violated_this_round: Set[int] = set()
@@ -128,17 +127,17 @@ class SloAccountant:
         """Charge one migration's stop-and-copy blackout to *vm*.
 
         ``timeline`` defaults to the pre-copy timeline implied by the
-        accountant's timing model and the VM's memory footprint (memoized
-        per capacity).  Returns the minutes charged (0 for VMs with zero
-        request rate).
+        accountant's timing model and the VM's memory footprint.  Returns
+        the minutes charged (0 for VMs with zero request rate).
         """
         slo = self.model.slo_for(vm)
         if slo.request_rate <= 0.0:
             return 0.0
         if timeline is None:
-            timeline = self._timeline_for(vm)
-            if timeline is None:
+            if self.timing is None:
                 return 0.0
+            capacity = int(self.cluster.placement.vm_capacity[vm])
+            _, timeline = self.timing.rounds_for(capacity)
         minutes = timeline.downtime * slo.request_rate / 60.0
         latency_ms = slo.latency_target_ms + timeline.downtime * 1000.0
         self._charge(vm, slo.tenant_class, "downtime", minutes, latency_ms, dst_host)
@@ -211,16 +210,6 @@ class SloAccountant:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _timeline_for(self, vm: int) -> Optional["MigrationTimeline"]:
-        if self.timing is None:
-            return None
-        capacity = int(self.cluster.placement.vm_capacity[vm])
-        tl = self._timelines.get(capacity)
-        if tl is None:
-            _, tl = self.timing.rounds_for(capacity)
-            self._timelines[capacity] = tl
-        return tl
-
     def _charge(
         self,
         vm: int,

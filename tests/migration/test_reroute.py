@@ -112,7 +112,7 @@ class TestRouteMemo:
                 for dst in racks:
                     fresh = FlowTable(topology)._route(src, dst, frozenset())
                     assert warm._route(src, dst, frozenset()) == fresh
-        assert sorted(warm._trees) == list(racks)
+        assert sorted(warm._trees[frozenset()]) == list(racks)
 
     def test_one_solve_per_source(self, table, monkeypatch):
         import repro.migration.reroute as reroute

@@ -1,7 +1,11 @@
 """Lifecycle correlation: id minting, stamping, and chain integrity."""
 
+import dataclasses
+import inspect
+
 from repro.config import SheriffConfig
-from repro.obs.correlate import LifecycleStitcher
+from repro.obs import events as events_module
+from repro.obs.correlate import _STAMPERS, UNSTAMPED, LifecycleStitcher
 from repro.obs.events import (
     AlertDelivered,
     FaultInjected,
@@ -97,6 +101,42 @@ class TestStitcherUnit:
         s.stamp(ev)
         assert ev.trace_id is None
         assert "trace_id" not in ev.as_dict()
+
+
+class TestStampTable:
+    """``stamp`` is one probe on the exact event type: every kind chooses."""
+
+    def _kinds(self):
+        return {
+            cls
+            for _, cls in inspect.getmembers(events_module, inspect.isclass)
+            if issubclass(cls, events_module.TraceEvent)
+            and cls is not events_module.TraceEvent
+        }
+
+    def test_every_event_kind_is_stamped_or_listed_unstamped(self):
+        stamped, unstamped = set(_STAMPERS), set(UNSTAMPED)
+        assert not stamped & unstamped
+        missing = self._kinds() - stamped - unstamped
+        assert not missing, (
+            f"new trace event kinds {sorted(c.__name__ for c in missing)}: "
+            "add a stamper to repro.obs.correlate._STAMPERS or list them in UNSTAMPED"
+        )
+        assert stamped | unstamped == self._kinds()
+
+    def test_listed_unstamped_kinds_keep_no_ids(self):
+        s = LifecycleStitcher()
+        s.begin_round(1)
+        for cls in UNSTAMPED:
+            required = [
+                f.name
+                for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING
+            ]
+            ev = cls(**dict.fromkeys(required, 0))
+            s.stamp(ev)
+            assert ev.trace_id is None and ev.parent_id is None
 
 
 class TestEndToEndCorrelation:

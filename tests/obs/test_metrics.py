@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
@@ -108,6 +109,44 @@ class TestRegistry:
         reg.gauge("b")
         kinds = {type(m) for m in reg.instruments()}
         assert kinds == {Counter, Gauge}
+
+
+class TestLookupHitPath:
+    """A repeat lookup is one probe; it must find what the canonical key does."""
+
+    def test_label_order_does_not_matter(self):
+        reg = MetricsRegistry()
+        first = reg.counter("n", a=1, b=2)
+        assert reg.counter("n", b=2, a=1) is first
+        assert reg.counter("n", a=1, b=2) is first
+        assert len(list(reg.instruments())) == 1
+
+    def test_label_values_that_print_alike_are_one_instrument(self):
+        reg = MetricsRegistry()
+        first = reg.counter("n", rack=3)
+        assert reg.counter("n", rack=np.int64(3)) is first
+        assert reg.counter("n", rack="3") is first
+        # and again, now that each spelling has its own cached entry
+        for value in (3, np.int64(3), "3"):
+            assert reg.counter("n", rack=value) is first
+        assert reg.counter("n", rack=4) is not first
+
+    def test_type_clash_raises_after_the_counter_is_cached(self):
+        reg = MetricsRegistry()
+        reg.counter("m", rack=1)
+        reg.counter("m", rack=1)  # a cached hit
+        with pytest.raises(ObservabilityError):
+            reg.histogram("m", rack=1)
+        with pytest.raises(ObservabilityError):
+            reg.histogram("m", rack=1)  # nothing was cached by the failure
+        with pytest.raises(ObservabilityError):
+            reg.gauge("m")
+
+    def test_unhashable_label_value_takes_the_canonical_key(self):
+        reg = MetricsRegistry()
+        first = reg.counter("n", hosts=[1, 2])
+        assert reg.counter("n", hosts=[1, 2]) is first
+        assert reg.counter("n", hosts="[1, 2]") is first
 
 
 class TestScope:

@@ -149,3 +149,80 @@ class TestFail:
         touched = (lt.u == sw) | (lt.v == sw)
         assert (bw[touched] == 0).all()
         assert (bw[~touched] == lt.capacity[~touched]).all()
+
+
+class TestSeededDegradedRunPin:
+    """The flow paths and per-switch loads of a seeded k = 4 degraded run.
+
+    The bench decision digest never sees ``Flow.path``, so a reroute that
+    picks a different (equally short) detour would pass every decision
+    check; this pins the paths and ``node_load`` bytes after ten rounds of
+    overlapping switch failures — one of which cuts racks off the fabric,
+    so flows are dropped and later readmitted — beside lossy REQUESTs,
+    aborted migrations, SLO charges and tracing.
+    """
+
+    SEED = 2015
+    # rack ids are 0..7 at k = 4; 8..15 are aggregation, 16..19 core
+    SWITCH_EVENTS = [
+        ("SWITCH_FAIL", 19, 1), ("SWITCH_FAIL", 9, 2), ("SWITCH_FAIL", 8, 3),
+        ("SWITCH_FAIL", 11, 3), ("SWITCH_RECOVER", 9, 4), ("SWITCH_FAIL", 10, 5),
+        ("SWITCH_RECOVER", 8, 6), ("SWITCH_RECOVER", 19, 7),
+        ("SWITCH_RECOVER", 10, 8), ("SWITCH_RECOVER", 11, 8),
+    ]
+
+    def test_paths_and_loads_are_pinned(self):
+        import hashlib
+        import json
+
+        from repro.config import SheriffConfig
+        from repro.faults import ChannelPolicy, FaultKind, FaultSchedule, FaultSpec
+        from repro.obs.tracer import RecordingTracer
+        from repro.sim.engine import SheriffSimulation
+        from repro.sim.inflight import MigrationTiming
+        from repro.sim.scenario import inject_fraction_alerts
+
+        seed = self.SEED
+        cluster = build_cluster(
+            build_fattree(4), hosts_per_rack=4, fill_fraction=0.5, skew=1.1,
+            seed=seed, delay_sensitive_fraction=0.1,
+        )
+        specs = [FaultSpec(FaultKind.MIGRATION_ABORT, probability=0.25)] + [
+            FaultSpec(FaultKind[kind], target=target, at_round=r)
+            for kind, target, r in self.SWITCH_EVENTS
+        ]
+        sim = SheriffSimulation(cluster, SheriffConfig(
+            balance_weight=25.0, migration_timing=MigrationTiming(),
+            with_flows=True, slo=True, tracer=RecordingTracer(),
+            channel_policy=ChannelPolicy(loss_probability=0.1, max_retries=3, seed=seed),
+            fault_schedule=FaultSchedule(specs, seed=seed),
+        ))
+        for r in range(10):
+            alerts, vma = inject_fraction_alerts(cluster, 0.08, time=r, seed=seed + r)
+            sim.run_round(alerts, vma)
+
+        details = [
+            d["detail"] for d in sim.faults.log
+            if "rerouted" in d["detail"] or "readmitted" in d["detail"]
+        ]
+        assert details == [
+            "rerouted=64 dropped=0 partitioned=0",
+            "rerouted=35 dropped=0 partitioned=0",
+            "rerouted=0 dropped=35 partitioned=7",
+            "rerouted=24 dropped=0 partitioned=7",
+            "readmitted=35 partitioned=0",
+            "rerouted=0 dropped=39 partitioned=2",
+            "readmitted=0 partitioned=2",
+            "readmitted=0 partitioned=2",
+            "readmitted=39 partitioned=0",
+            "readmitted=0 partitioned=0",
+        ]
+        ft = sim.flow_table
+        assert (len(ft.flows), ft._next_id) == (71, 223)
+        paths = {fid: f.path for fid, f in sorted(ft.flows.items())}
+        assert hashlib.sha256(json.dumps(paths).encode()).hexdigest() == (
+            "86b255defd86bacc13b4feaceba40d395e6c2993983512141ab79052f716df18"
+        )
+        assert hashlib.sha256(ft.node_load.tobytes()).hexdigest() == (
+            "d889c9c1eda8f0d75218ef047b5ce58258887016f96dc3ee51175b157dd7ad59"
+        )
