@@ -22,12 +22,14 @@ round-static half of Alg. 3 arrives as this rack's rows of the engine's
 :func:`~repro.migration.vmmigration.stack_cost_blocks` (a shim called
 without them, or whose migration set they do not hold — the β picks of
 a ToR alert — builds its own block with the scalar definition).  The
-shim keeps its labelled instruments from their first use.
+shim keeps its labelled instruments from their first use.  Its outcome
+is a row of the round's :class:`~repro.migration.reports.RoundReports`;
+a caller that passes none gets the one-row record's
+:class:`~repro.migration.reports.RoundReport` back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.alerts.alert import Alert, AlertKind
@@ -37,10 +39,10 @@ from repro.cluster.snapshot import FleetSnapshot
 from repro.costs.model import CostModel
 from repro.errors import ConfigurationError
 from repro.migration.priority import CandidateVM, PriorityFactor, priority_select
+from repro.migration.reports import RoundReport, RoundReports
 from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable, flow_reroute
 from repro.migration.vmmigration import (
-    MigrationStats,
     RackCostBlock,
     build_cost_block,
     rack_instruments,
@@ -51,22 +53,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["RoundReport", "ShimManager"]
-
-
-@dataclass
-class RoundReport:
-    """What one shim did in one management round."""
-
-    rack: int
-    migration: MigrationStats = field(default_factory=MigrationStats)
-    selected_for_migration: List[int] = field(default_factory=list)
-    rerouted_flows: int = 0
-    reroute_failures: int = 0
-    alerts_processed: int = 0
-    predicted_slo_damage: float = 0.0
-    """Summed predicted SLO damage (violation-minutes) of the migration
-    set under ``scoring="slo"``; 0 under pure network scoring."""
+__all__ = ["RoundReport", "RoundReports", "ShimManager"]
 
 
 class ShimManager:
@@ -132,7 +119,8 @@ class ShimManager:
         host_load=None,
         snapshot: Optional[FleetSnapshot] = None,
         block: Optional[RackCostBlock] = None,
-    ) -> RoundReport:
+        reports: Optional[RoundReports] = None,
+    ) -> Optional[RoundReport]:
         """Run Alg. 1 for this shim.
 
         Parameters
@@ -159,11 +147,18 @@ class ShimManager:
             :func:`~repro.migration.vmmigration.stack_cost_blocks`.  Used
             when it was built for exactly the migration set chosen here;
             otherwise, and without one, the shim builds the block itself.
+        reports:
+            The round's :class:`RoundReports`: this rack's row is appended
+            to it and nothing is returned.  Without one the shim plans into
+            a one-row record of its own and returns its :class:`RoundReport`.
         """
         if snapshot is None:
             snapshot = FleetSnapshot(self.cluster.placement)
-        report = RoundReport(rack=self.rack)
+        own = reports is None
+        if own:
+            reports = RoundReports()
         tracer = self.tracer
+        alerts_processed = rerouted = failed = 0
         migrate_set: List[int] = []
         reroute_flow_ids: List[int] = []
         hot_switches: Set[int] = set()
@@ -174,7 +169,7 @@ class ShimManager:
                 raise ConfigurationError(
                     f"alert for rack {alert.rack} delivered to shim {self.rack}"
                 )
-            report.alerts_processed += 1
+            alerts_processed += 1
             if alert.kind is AlertKind.OUTER_SWITCH:
                 assert alert.switch is not None
                 hot_switches.add(alert.switch)
@@ -219,25 +214,23 @@ class ShimManager:
             chosen = self._priority(PriorityFactor.BETA, budget, cands)
             migrate_set.extend(c.vm_id for c in chosen)
 
-        if self.metrics is not None and report.alerts_processed:
+        if self.metrics is not None and alerts_processed:
             if self._alerts_counter is None:
                 self._alerts_counter = self.metrics.counter(
                     "sheriff_shim_alerts_total", rack=self.rack
                 )
-            self._alerts_counter.inc(report.alerts_processed)
+            self._alerts_counter.inc(alerts_processed)
 
         # rerouting first — cheaper and faster than migration (Sec. III-B)
         if reroute_flow_ids and self.flow_table is not None:
             with self.profiler.section("reroute"):
-                ok, failed = flow_reroute(
+                rerouted, failed = flow_reroute(
                     self.flow_table, reroute_flow_ids, hot_switches
                 )
-            report.rerouted_flows = ok
-            report.reroute_failures = failed
             if self.metrics is not None:
                 self.metrics.counter(
                     "sheriff_flows_rerouted_total", rack=self.rack
-                ).inc(ok)
+                ).inc(rerouted)
                 self.metrics.counter(
                     "sheriff_reroute_failures_total", rack=self.rack
                 ).inc(failed)
@@ -245,7 +238,7 @@ class ShimManager:
                 tracer.emit(
                     FlowRerouted(
                         rack=self.rack,
-                        rerouted=ok,
+                        rerouted=rerouted,
                         failed=failed,
                         flows=tuple(reroute_flow_ids),
                         hot_switches=tuple(sorted(hot_switches)),
@@ -253,9 +246,11 @@ class ShimManager:
                 )
 
         migrate_set = [v for v in dict.fromkeys(migrate_set) if v not in frozen]
-        report.selected_for_migration = migrate_set
+        damage = self._predicted_damage(migrate_set) if migrate_set else 0.0
+        reports.add_row(
+            self.rack, alerts_processed, rerouted, failed, damage, migrate_set
+        )
         if migrate_set:
-            report.predicted_slo_damage = self._predicted_damage(migrate_set)
             if block is None or block.vms != migrate_set:
                 block = build_cost_block(
                     self.cluster,
@@ -270,15 +265,16 @@ class ShimManager:
                 )
             if self._instruments is None and self.metrics is not None:
                 self._instruments = rack_instruments(self.metrics, self.rack)
-            report.migration = request_migrations(
+            request_migrations(
                 block,
                 receivers,
+                reports=reports,
                 tracer=tracer,
                 instruments=self._instruments,
                 profiler=self.profiler,
                 rack=self.rack,
             )
-        return report
+        return reports[0] if own else None
 
     def _priority(
         self,

@@ -19,9 +19,12 @@ into two halves:
   that block against the shared receiver registry — retries subset the
   block's rows instead of rebuilding them, and a single remaining row
   requests its stored first minimum (Kuhn–Munkres' own 1 × m answer)
-  without trimming, solving or gathering anything.
+  without trimming, solving or gathering anything.  Its outcome is the
+  migration part of a row of the round's
+  :class:`~repro.migration.reports.RoundReports`.
 
-:func:`vmmigration` is their composition.  The first half is round-static
+:func:`vmmigration` is their composition, run into a one-row record whose
+:class:`MigrationStats` it returns.  The first half is round-static
 for every shim at once, so the engine runs it once per round:
 :func:`stack_cost_blocks` is :func:`build_cost_block` for all alerted
 racks in one pass, and each shim's
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from repro.cluster.cluster import Cluster
 from repro.costs.model import CostModel
 from repro.errors import MigrationError
 from repro.migration.matching import hungarian
+from repro.migration.reports import MigrationStats, RoundReports
 from repro.migration.request import ReceiverRegistry, RequestOutcome
 from repro.obs.events import MatchingSolved, RequestSent
 from repro.obs.metrics import MetricsRegistry
@@ -96,22 +100,6 @@ def _greedy_assign(cost: np.ndarray) -> np.ndarray:
         used_rows[r] = True
         used_cols[c] = True
     return out
-
-
-@dataclass
-class MigrationStats:
-    """Bookkeeping of one VMMIGRATION invocation."""
-
-    requested: int = 0
-    acked: int = 0
-    rejected: int = 0
-    total_cost: float = 0.0
-    search_space: int = 0
-    """Candidate (VM, destination-host) pairs examined — Fig. 12/14 metric."""
-    iterations: int = 0
-    unplaced: List[int] = field(default_factory=list)
-    moves: List[Tuple[int, int, float]] = field(default_factory=list)
-    """Accepted (vm, dst_host, cost) triples."""
 
 
 @dataclass
@@ -306,21 +294,38 @@ def request_migrations(
     block: RackCostBlock,
     receivers: ReceiverRegistry,
     *,
+    reports: Optional[RoundReports] = None,
     max_iterations: int = 8,
     tracer: Tracer = NULL_TRACER,
     instruments: Optional[tuple] = None,
     profiler=NULL_PROFILER,
     rack: Optional[int] = None,
-) -> MigrationStats:
+) -> Optional[MigrationStats]:
     """Alg. 3's loop over a prepared block: match, REQUEST, retry.
 
     Shims run one at a time, in rack order, against the shared receiver
     registry — the FCFS receiver protocol (Alg. 4) is order-sensitive by
-    design.  *instruments* is the caller's :func:`rack_instruments` tuple
-    (``None``: no metrics); the other observability parameters are
-    :func:`vmmigration`'s.
+    design.  The outcome is written into the last row of *reports* (the
+    round's :class:`~repro.migration.reports.RoundReports`) and nothing is
+    returned; without *reports* the loop runs into a one-row record of its
+    own and returns that row's :class:`MigrationStats`.  *instruments* is
+    the caller's :func:`rack_instruments` tuple (``None``: no metrics); the
+    other observability parameters are :func:`vmmigration`'s.
     """
-    stats = MigrationStats()
+    if reports is None:
+        own = RoundReports()
+        own.add_row(-1 if rack is None else rack)
+        request_migrations(
+            block,
+            receivers,
+            reports=own,
+            max_iterations=max_iterations,
+            tracer=tracer,
+            instruments=instruments,
+            profiler=profiler,
+            rack=rack,
+        )
+        return own.migration(0)
     vms = block.vms
     hosts = block.hosts
     if instruments is not None:
@@ -335,31 +340,34 @@ def request_migrations(
             h_cost,
         ) = instruments
     if not vms:
-        return stats
+        return None
     if hosts.size == 0:
-        stats.unplaced = list(vms)
+        reports.set_migration(unplaced=vms)
         if instruments is not None:
             c_unplaced.inc(len(vms))
-        return stats
+        return None
 
     # row indices into the block matrices still awaiting placement
     remaining_idx = list(range(len(vms)))
-    # per-request counter increments are batched into locals and flushed
-    # once after the loop: the registry sees the same sums (ints exactly;
-    # the float cost accumulates here in the same ack order, from 0.0,
-    # that the per-ack increments would have used inside the scope)
-    n_sent = n_ack = n_rej = 0
-    cost_acc = 0.0
+    # the per-request counter increments are one increment each after the
+    # loop: the registry sees the same sums (ints exactly; the float cost
+    # accumulates here in the same ack order, from 0.0, that the per-ack
+    # increments would have used inside the scope)
+    requested = acked = rejected = iterations = search_space = 0
+    total_cost = 0.0
+    move_vm: List[int] = []
+    move_host: List[int] = []
+    move_cost: List[float] = []
     for _ in range(max_iterations):
         if not remaining_idx:
             break
-        stats.iterations += 1
-        if stats.iterations == 1:
+        iterations += 1
+        if iterations == 1:
             # retries re-examine subsets of the same pairs; the search
             # space metric (Fig. 12/14) counts distinct (VM, host) pairs
-            stats.search_space = block.cost.size
+            search_space = block.cost.size
             if instruments is not None:
-                c_space.inc(block.cost.size)
+                c_space.inc(search_space)
         lone = remaining_idx[0]
         single = len(remaining_idx) == 1 and block.first_min[lone] >= 0
         if single:
@@ -404,7 +412,7 @@ def request_migrations(
                     rows=n_rows,
                     cols=int(hosts.size),
                     matched=int(matched),
-                    iteration=stats.iterations,
+                    iteration=iterations,
                     fallback=fallback,
                     elapsed_s=solve_elapsed,
                 )
@@ -436,8 +444,7 @@ def request_migrations(
                 vm = vms[row]
                 host = int(hosts[col])
                 dst_rack = int(block.host_racks[col])
-                stats.requested += 1
-                n_sent += 1
+                requested += 1
                 if tracer.enabled:
                     tracer.emit(
                         RequestSent(
@@ -446,31 +453,42 @@ def request_migrations(
                     )
                 outcome = receivers.request(vm, host, dst_rack)
                 if outcome is RequestOutcome.ACK:
-                    stats.acked += 1
-                    stats.total_cost += c
-                    stats.moves.append((vm, host, c))
+                    acked += 1
+                    total_cost += c
+                    move_vm.append(vm)
+                    move_host.append(host)
+                    move_cost.append(c)
                     placed_rows.add(row)
-                    n_ack += 1
-                    cost_acc += c
                     if instruments is not None:
                         h_cost.observe(c)
                 else:
-                    stats.rejected += 1
-                    n_rej += 1
+                    rejected += 1
         if not placed_rows:
             break
         remaining_idx = [r for r in remaining_idx if r not in placed_rows]
-    stats.unplaced = [vms[i] for i in remaining_idx]
+    unplaced = [vms[i] for i in remaining_idx]
+    reports.set_migration(
+        requested,
+        acked,
+        rejected,
+        total_cost,
+        search_space,
+        iterations,
+        unplaced,
+        move_vm,
+        move_host,
+        move_cost,
+    )
     if instruments is not None:
-        if n_sent:
-            c_sent.inc(n_sent)
-        if n_ack:
-            c_ack.inc(n_ack)
-            c_cost.inc(cost_acc)
-        if n_rej:
-            c_rej.inc(n_rej)
-        c_unplaced.inc(len(stats.unplaced))
-    return stats
+        if requested:
+            c_sent.inc(requested)
+        if acked:
+            c_ack.inc(acked)
+            c_cost.inc(total_cost)
+        if rejected:
+            c_rej.inc(rejected)
+        c_unplaced.inc(len(unplaced))
+    return None
 
 
 def vmmigration(

@@ -20,6 +20,11 @@ Design notes
   sequentially, and the cross-label total adds the partials in
   first-touch order) — which is what lets ``RoundSummary`` read from the
   registry without changing seed numerics.
+* :meth:`MetricsRegistry.deferred` queues counter increments and
+  histogram observations and :meth:`MetricsRegistry.apply` applies the
+  queue in one loop, bit for bit what the calls would have done one at a
+  time (values, reservoir draws, scope partials and first-touch order).
+  The engine's ``plan`` stage defers a round's per-rack updates this way.
 * A name registered as one instrument type cannot be re-registered as
   another — that raises :class:`~repro.errors.ObservabilityError`.
 """
@@ -29,7 +34,8 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -67,6 +73,10 @@ class Counter:
             raise ObservabilityError(
                 f"counter {self.name} cannot decrease (inc({amount}))"
             )
+        pending = self._registry._pending
+        if pending is not None:
+            pending.append((self, amount))
+            return
         self.value += amount
         self._registry._record(self._key, amount)
 
@@ -152,6 +162,14 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
     def observe(self, value: float) -> None:
+        pending = self._registry._pending
+        if pending is not None:
+            pending.append((self, value))
+            return
+        self._registry._record(self._key, self._add(value))
+
+    def _add(self, value: float) -> float:
+        """Fold *value* into the distribution; returns it as a float."""
         v = float(value)
         self.count += 1
         self.sum += v
@@ -172,7 +190,7 @@ class Histogram:
             j = self._rng.randrange(self.count)
             if j < RESERVOIR_SIZE:
                 self._reservoir[j] = v
-        self._registry._record(self._key, v)
+        return v
 
     def quantile(self, q: float) -> float:
         """Reservoir estimate of the *q*-quantile (0 <= q <= 1).
@@ -284,6 +302,8 @@ class MetricsRegistry:
         # The value types keep apart labels that compare equal but print
         # differently (1, 1.0 and True)
         self._hits: Dict[tuple, object] = {}
+        # while a deferred() window is open: its queue of (instrument, amount)
+        self._pending: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------ #
     def _get(self, cls: type, name: str, labels: Dict[str, object], **kw):
@@ -328,6 +348,59 @@ class MetricsRegistry:
     def _record(self, key: MetricKey, amount: float) -> None:
         for scope in self._scopes:
             scope._record(key, amount)
+
+    def apply(self, updates: Iterable[Tuple[object, float]]) -> None:
+        """Apply queued ``(instrument, amount)`` pairs, in order.
+
+        Each pair does what ``counter.inc(amount)`` or
+        ``histogram.observe(amount)`` does — the instrument's value or
+        distribution (reservoir draws included) and every open scope's
+        partial, count and first-touch family order — in one loop, without
+        a method call per counter update.  A negative counter amount raises
+        :class:`~repro.errors.ObservabilityError` with the updates before it
+        applied.
+        """
+        scopes = self._scopes
+        for metric, amount in updates:
+            if isinstance(metric, Histogram):
+                amount = metric._add(amount)
+            else:
+                if amount < 0:
+                    raise ObservabilityError(
+                        f"counter {metric.name} cannot decrease (inc({amount}))"
+                    )
+                metric.value += amount
+            key = metric._key
+            for scope in scopes:
+                values = scope._values
+                if key in values:
+                    values[key] += amount
+                    scope._counts[key] += 1
+                else:
+                    scope._family.setdefault(key[0], []).append(key)
+                    values[key] = 0.0 + amount
+                    scope._counts[key] = 1
+
+    @contextmanager
+    def deferred(self) -> Iterator[List[tuple]]:
+        """Queue counter increments and histogram observations while open,
+        then :meth:`apply` the queue once on exit (on an exception too).
+
+        Only the updates wait: instruments are still created where they
+        are first used, so the registry's key order is unchanged, and the
+        queue keeps every caller's updates in call order.  A window opened
+        inside an open one joins it.
+        """
+        if self._pending is not None:
+            yield self._pending
+            return
+        queue: List[tuple] = []
+        self._pending = queue
+        try:
+            yield queue
+        finally:
+            self._pending = None
+            self.apply(queue)
 
     class _ScopeContext:
         def __init__(self, registry: "MetricsRegistry") -> None:

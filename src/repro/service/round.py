@@ -20,9 +20,15 @@ it).  :func:`plan` is the whole of planning: it prepares the
 round-static state once — cost cache, fleet snapshot, PRIORITY(F, 1) of
 every host and the stacked Alg. 3 cost rows of every alerted rack — and
 calls :meth:`~repro.migration.manager.ShimManager.process_round` for each
-alerted rack in rack order, publishing one
-:class:`~repro.service.events.RackPlanned` per rack on the simulation's
-bus — an observer tap nothing in the round reads back.
+alerted rack in rack order.  The shims write their rows into the round's
+one :class:`~repro.migration.reports.RoundReports`, frozen into arrays when
+planning ends; their per-rack counter increments and histogram
+observations are queued and applied once, in call order
+(:meth:`~repro.obs.metrics.MetricsRegistry.deferred`).  A
+:class:`~repro.service.events.RackPlanned` per rack goes to the
+simulation's bus — an observer tap nothing in the round reads back — and
+is built only when something subscribed to it; ``bus.counts`` counts one
+per planned rack either way.
 
 Import discipline: this module must never import
 :mod:`repro.sim.engine` at module scope — the engine imports *us*, and
@@ -38,12 +44,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from repro.alerts.alert import Alert, AlertKind
 from repro.cluster.snapshot import FleetSnapshot
 from repro.errors import SimulationError
+from repro.migration.reports import RoundReports
 from repro.migration.vmmigration import stack_cost_blocks
 from repro.obs.events import AlertDelivered, MigrationAborted, MigrationLanded
 from repro.service.events import RackPlanned
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps the import DAG
-    from repro.migration.manager import RoundReport
     from repro.sim.engine import SheriffSimulation
 
 __all__ = ["RoundState", "ROUND_STAGES"]
@@ -70,7 +76,7 @@ class RoundState:
     by_rack: Dict[int, List[Alert]] = field(default_factory=dict)
     frozen: frozenset = frozenset()
     skipped_racks: List[int] = field(default_factory=list)
-    reports: List["RoundReport"] = field(default_factory=list)
+    reports: RoundReports = field(default_factory=RoundReports)
     commit_failed: List[tuple] = field(default_factory=list)
     std_after: float = 0.0
     degraded: bool = False
@@ -161,6 +167,9 @@ def plan(state: RoundState) -> None:
     host, and — for the SERVER picks of all alerted racks, a rack's whole
     migration set unless it has a ToR alert — Alg. 3's cost rows and first
     minima in one stacked pass.  Only the REQUEST loop runs per rack.
+    What the round records is paid per round too: one columnar
+    ``RoundReports``, one application of the queued metric updates, and
+    ``RackPlanned`` events only for a subscriber.
     """
     sim = state.sim
     racks = sorted(state.by_rack)
@@ -174,6 +183,7 @@ def plan(state: RoundState) -> None:
         state.skipped_racks = [r for r in racks if r in down]
         racks = [r for r in racks if r not in down]
     if not racks:
+        state.reports.freeze()
         return
     sim.cost_model.sync_cache()
     # fleet prime: one stacked Eq. (1) kernel call writes the regional
@@ -201,29 +211,41 @@ def plan(state: RoundState) -> None:
         host_load=state.host_load,
         slo_scorer=sim.slo_scorer,
     )
-    for rack in racks:
-        report = sim.managers[rack].process_round(
-            state.by_rack[rack],
-            state.vm_alerts,
-            sim._port,
-            state.frozen,
-            state.host_load,
-            snapshot=snapshot,
-            block=blocks.get(rack),
-        )
-        state.reports.append(report)
-        stats = report.migration
-        sim.bus.publish(
-            RackPlanned(
-                round=state.now,
-                rack=report.rack,
-                alerts_processed=report.alerts_processed,
-                selected=tuple(report.selected_for_migration),
-                requested=stats.requested,
-                acked=stats.acked,
-                rejected=stats.rejected,
-            )
-        )
+    reports = state.reports
+    # an event nobody listens to is counted, never built
+    listen = sim.bus.subscriber_count(RackPlanned)
+    planned = 0
+    try:
+        with sim.metrics.deferred():
+            for rack in racks:
+                sim.managers[rack].process_round(
+                    state.by_rack[rack],
+                    state.vm_alerts,
+                    sim._port,
+                    state.frozen,
+                    state.host_load,
+                    snapshot=snapshot,
+                    block=blocks.get(rack),
+                    reports=reports,
+                )
+                planned += 1
+                if listen:
+                    alerts, selected, requested, acked, rejected = reports.planned()
+                    sim.bus.publish(
+                        RackPlanned(
+                            round=state.now,
+                            rack=rack,
+                            alerts_processed=alerts,
+                            selected=selected,
+                            requested=requested,
+                            acked=acked,
+                            rejected=rejected,
+                        )
+                    )
+    finally:
+        reports.freeze()
+        if planned and not listen:
+            sim.bus.counts[RackPlanned.__name__] += planned
 
 
 def commit(state: RoundState) -> None:

@@ -19,9 +19,17 @@ close) — the statement order of the historical monolithic round, so all
 byte-identity contracts hold.  The simulation's
 :class:`~repro.service.bus.EventBus` (``sim.bus``) is an observer tap:
 the engine publishes ``RoundOpened``, one ``RackPlanned`` per planned
-rack and ``RoundClosed`` on it and reads nothing back; a default
-simulation has no subscriber.  ``repro serve`` drives the same
-``run_round`` for continuous alert ingestion (see ``docs/service.md``).
+rack and ``RoundClosed`` on it and reads nothing back.  A default
+simulation has no subscriber, and then no ``RackPlanned`` is built at
+all — ``bus.counts`` still counts one per planned rack.  ``repro serve``
+drives the same ``run_round`` for continuous alert ingestion (see
+``docs/service.md``).
+
+A round is one record: ``RoundSummary.reports`` is a columnar
+:class:`~repro.migration.reports.RoundReports` (one row per planned rack,
+frozen into numpy arrays), whose ``RoundReport`` views are built only when
+something reads them — so ``history`` holds a few objects per round, not
+a few per alerted rack.
 
 Observability: the engine threads one :class:`~repro.obs.tracer.Tracer`,
 one :class:`~repro.obs.metrics.MetricsRegistry` and one
@@ -46,7 +54,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import SheriffConfig
 from repro.costs.model import CostModel
 from repro.errors import ConfigurationError, SimulationError
-from repro.migration.manager import RoundReport, ShimManager
+from repro.migration.manager import RoundReports, ShimManager
 from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable
 from repro.obs.metrics import MetricsRegistry
@@ -74,7 +82,8 @@ class RoundSummary:
     """Candidates no shim could place this round (retried next round)."""
     workload_std_before: float
     workload_std_after: float
-    reports: List[RoundReport] = field(default_factory=list)
+    reports: RoundReports = field(default_factory=RoundReports)
+    """The round's per-rack record (one row per planned rack, as columns)."""
     timings: Dict[str, float] = field(default_factory=dict)
     """Per-round wall-clock seconds by section (empty when profiling off)."""
     faults: int = 0

@@ -229,7 +229,7 @@ class FullStackSimulation:
             switch_alerts=len(switch_alerts),
             tor_alerts=len(tor_alerts),
             migrations=summary.migrations,
-            rerouted_flows=sum(r.rerouted_flows for r in summary.reports),
+            rerouted_flows=int(summary.reports.rerouted_flows.sum()),
             overloaded_hosts=int(
                 (host_load > self.manager.threshold).sum()
             ),

@@ -7,9 +7,14 @@ loop: ``workers0``, ``chaos_w0`` (faults + lossy channel) and
 ``timed_w0`` (timed migrations) from the pre-service monolithic
 ``run_round``; ``slo_scoring``, ``bcube4`` and ``degraded_k4``
 (everything opt-in at once, tracer included) from the last commit that
-still had a planner matrix, at its ``workers=0`` setting.  The one
+still had a planner matrix, at its ``workers=0`` setting; ``mixed_k4``
+(flows and SLO scoring, fed hand-built LOCAL_TOR + OUTER_SWITCH + SERVER
+alerts, so β picks, reroutes and predicted damage are non-zero).  The one
 remaining round must reproduce every RoundSummary field, the final
 placement hash and — where a tracer runs — the event stream exactly.
+Each variant also pins what the summaries leave out: every per-rack
+report (``reports_sha256``) and the registry's Prometheus text, key
+order included (``metrics_sha256``).
 """
 
 import dataclasses
@@ -27,6 +32,7 @@ from repro.config import SheriffConfig
 from repro.errors import SimulationError
 from repro.faults import ChannelPolicy, FaultKind, FaultSchedule, FaultSpec
 from repro.migration.request import ReceiverRegistry
+from repro.obs.export import prometheus_text
 from repro.obs.tracer import RecordingTracer
 from repro.service.events import SERVICE_EVENT_TYPES, ServiceEvent
 from repro.service.round import ROUND_STAGES
@@ -62,6 +68,8 @@ def _config(variant: str) -> SheriffConfig:
         return SheriffConfig(balance_weight=25.0)
     if variant == "slo_scoring":
         return SheriffConfig(balance_weight=25.0, scoring="slo")
+    if variant == "mixed_k4":
+        return SheriffConfig(balance_weight=25.0, with_flows=True, scoring="slo")
     if variant == "chaos_w0":
         return SheriffConfig(
             balance_weight=25.0,
@@ -104,6 +112,45 @@ def _config(variant: str) -> SheriffConfig:
     )
 
 
+def _mixed_alerts(sim, r, alerts, vma):
+    """Round *r*'s SERVER alerts plus one LOCAL_TOR and OUTER_SWITCH ones.
+
+    The ToR alert makes its rack take the β picks (a migration set the
+    stacked cost rows do not hold).  On even rounds the switch alert is on
+    the first switch of one flow leaving its rack, so the shim has flows to
+    reroute; on odd rounds every uplink switch of the rack is hot as well,
+    so no reroute can avoid them and each one fails.
+    """
+    cluster = sim.cluster
+    pl = cluster.placement
+    tor_rack = r % cluster.num_racks
+    flows = sorted(sim.flow_table.flows.values(), key=lambda f: f.flow_id)
+    src_racks = sorted({f.src_rack for f in flows})
+    sw_rack = src_racks[(3 * r + 1) % len(src_racks)]
+    first = next(f.path[1] for f in flows if f.src_rack == sw_rack)
+    uplinks = cluster.topology.neighbors(sw_rack).tolist()
+    switches = [first] + sorted(set(uplinks) - {first}) if r % 2 else [first]
+    alerts = list(alerts) + [
+        Alert(kind=AlertKind.LOCAL_TOR, rack=tor_rack, magnitude=0.9, time=r)
+    ]
+    vma = dict(vma)
+    for vm in pl.vms_in_rack(tor_rack).tolist():
+        vma.setdefault(vm, 0.8 + 0.01 * (vm % 7))
+    for switch in switches:
+        alerts.append(
+            Alert(
+                kind=AlertKind.OUTER_SWITCH,
+                rack=sw_rack,
+                magnitude=0.85,
+                time=r,
+                switch=switch,
+            )
+        )
+        for f in sim.flow_table.flows_through(switch, from_rack=sw_rack):
+            vma.setdefault(f.vm, 0.75 + 0.01 * (f.vm % 5))
+    return alerts, vma
+
+
 def _run(variant: str, observer=None):
     cluster = _cluster(variant)
     sim = SheriffSimulation(cluster, _config(variant))
@@ -113,6 +160,8 @@ def _run(variant: str, observer=None):
         alerts, vma = inject_fraction_alerts(
             cluster, ALERT_FRACTION, time=r, seed=SEED + r
         )
+        if variant == "mixed_k4":
+            alerts, vma = _mixed_alerts(sim, r, alerts, vma)
         sim.run_round(alerts, vma)
     sim.close()
     return cluster, sim
@@ -132,6 +181,18 @@ def _summary_dicts(sim):
 
 def _placement_sha256(cluster):
     return hashlib.sha256(cluster.placement.vm_host.tobytes()).hexdigest()
+
+
+def _reports_sha256(sim):
+    """Every per-rack report of the run, as ``asdict`` rows in round order."""
+    rows = [dataclasses.asdict(r) for s in sim.history for r in s.reports]
+    return hashlib.sha256(
+        json.dumps(rows, sort_keys=True, default=lambda o: o.item()).encode()
+    ).hexdigest()
+
+
+def _metrics_sha256(sim):
+    return hashlib.sha256(prometheus_text(sim.metrics).encode()).hexdigest()
 
 
 def _events_sha256(tracer):
@@ -154,6 +215,27 @@ def test_bus_scheduler_matches_seed_engine(variant):
     if "events_sha256" in golden:
         assert len(sim.tracer.events) == golden["events"]
         assert _events_sha256(sim.tracer) == golden["events_sha256"]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN))
+def test_reports_and_metrics_match_seed_engine(variant):
+    # no summary field reads the per-rack ledger or the registry's key
+    # order: both are pinned on their own
+    _, sim = _run(variant)
+    assert _reports_sha256(sim) == GOLDEN[variant]["reports_sha256"]
+    assert _metrics_sha256(sim) == GOLDEN[variant]["metrics_sha256"]
+
+
+def test_mixed_variant_exercises_every_report_field():
+    # the β picks of a ToR alert leave the stacked cost rows; reroutes
+    # succeed and fail; the SLO scorer predicts damage
+    cluster, sim = _run("mixed_k4")
+    reports = [r for s in sim.history for r in s.reports]
+    tor_racks = {r % cluster.num_racks for r in range(ROUNDS)}
+    assert any(r.rack in tor_racks and r.migration.acked for r in reports)
+    assert sum(r.rerouted_flows for r in reports) > 0
+    assert sum(r.reroute_failures for r in reports) > 0
+    assert sum(r.predicted_slo_damage for r in reports) > 0.0
 
 
 def test_recording_bus_does_not_perturb_results():
