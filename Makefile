@@ -5,7 +5,7 @@
 # installed package shadows neither (src/ simply wins on the path).
 export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install lint test bench-smoke digest-smoke bench-pairs bench-all report examples chaos adversarial trace-lint serve-smoke ci all
+.PHONY: install lint test bench-smoke digest-smoke gc-smoke bench-pairs bench-all report examples chaos adversarial trace-lint serve-smoke ci all
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,6 +31,14 @@ bench-smoke:
 digest-smoke:
 	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	python tools/digest_smoke.py --out-dir "$$d"
+
+# Retained objects as a command (~15 s): the two workloads whose rounds
+# used to leave objects behind for the garbage collector (the tracer's
+# events, the per-rack records), at smoke size; exits 1 when GC-tracked
+# objects grow by more than N per timed round.
+gc-smoke:
+	python tools/gc_pauses.py --workload degraded_traced_k8 --seed 2015 --scale smoke --max-growth 50
+	python tools/gc_pauses.py --workload ladder_k32 --seed 2015 --scale smoke --max-growth 50
 
 # The pairing rule as a command (~40 min): every BENCHMARK.json workload on
 # HEAD (a temporary `git worktree`) and on the working tree, ten seeds, the
@@ -88,7 +96,7 @@ serve-smoke:
 
 # `examples` (~11 s) is the only target that drives the predictive manager
 # and the model selector end to end outside the test suite.
-ci: lint bench-smoke digest-smoke trace-lint serve-smoke adversarial chaos examples
+ci: lint bench-smoke digest-smoke gc-smoke trace-lint serve-smoke adversarial chaos examples
 	pytest tests/
 
 all: lint test bench-all

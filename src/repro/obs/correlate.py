@@ -24,7 +24,8 @@ Id grammar (stable, parseable by the ``repro trace`` CLI):
 
 Stamping happens at **emit time**, never at event construction: shims
 emit in deterministic rack order, so the id sequence is a function of the
-seed alone.  An attempt id outlives its round
+seed alone.  An alert-group id is minted once per ``(round, rack)`` and
+shared by every event of that group.  An attempt id outlives its round
 when the migration is in flight (timed engine): the id minted at
 selection sticks until ``MigrationLanded``/``MigrationAborted`` closes
 the attempt, which is exactly what lets the CLI measure alert→landed
@@ -34,6 +35,7 @@ latency in rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MethodType
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs.events import (
@@ -81,13 +83,20 @@ class LifecycleStitcher:
     def __init__(self) -> None:
         self._round: Optional[int] = None
         self._attempts: Dict[int, _Attempt] = {}
+        # this round's alert-group ids, one minted per rack
+        self._groups: Dict[int, str] = {}
 
     # ------------------------------------------------------------------ #
     def begin_round(self, index: int) -> None:
         self._round = index
+        self._groups = {}
 
-    def _group(self, rack: int) -> str:
-        return f"r{self._round}.k{rack}"
+    def group(self, rack: int) -> str:
+        """This round's alert-group id of *rack*, minted on first use."""
+        gid = self._groups.get(rack)
+        if gid is None:
+            gid = self._groups[rack] = f"r{self._round}.k{rack}"
+        return gid
 
     def _mint(self, vm: int, parent: Optional[str]) -> _Attempt:
         attempt = _Attempt(
@@ -141,17 +150,24 @@ class LifecycleStitcher:
         if stamper is not None:
             stamper(self, event)
 
+    def stamper(self, cls: type) -> Optional[Callable[[Any], None]]:
+        """What :meth:`stamp` does to an event of exactly type *cls*, as a
+        bound method, or ``None`` for a kind that is left unstamped — for
+        a tracer that looks its per-type work up once per type."""
+        stamper = _STAMPERS.get(cls)
+        return None if stamper is None else MethodType(stamper, self)
+
     def _stamp_group(self, event) -> None:
-        event.trace_id = self._group(event.rack)
+        event.trace_id = self.group(event.rack)
 
     def _stamp_priority(self, event: PrioritySelected) -> None:
-        gid = event.trace_id = self._group(event.rack)
+        gid = event.trace_id = self.group(event.rack)
         for vm in event.selected:
             self._select(int(vm), gid)
 
     def _stamp_matching(self, event: MatchingSolved) -> None:
         if event.rack is not None:
-            event.trace_id = self._group(event.rack)
+            event.trace_id = self.group(event.rack)
 
     def _stamp_attempt(self, event) -> _Attempt:
         attempt = self._attempt_for(event.vm)

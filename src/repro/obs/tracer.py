@@ -7,13 +7,18 @@ every layer without coupling:
   flag, so a disabled tracer costs one attribute read per site and zero
   allocations (the zero-cost-when-disabled property);
 * ``emit(event)`` — record one :class:`~repro.obs.events.TraceEvent`;
+* ``emit_deliveries(alerts)`` — record one
+  :class:`~repro.obs.events.AlertDelivered` per alert, in order: what
+  ``emit`` of each would record, in one call (the engine's ``dispatch``
+  stage hands a round's deliveries over this way);
 * ``begin_round(index)`` — round boundary; implementations stamp every
   subsequent event's ``round`` field with *index*.
 
 :data:`NULL_TRACER` is the shared disabled singleton every constructor
-defaults to; :class:`RecordingTracer` keeps events in memory (tests,
-notebooks); :class:`JsonlTracer` streams them to a JSON-lines file (the
-CLI's ``--trace PATH``).
+defaults to; :class:`RecordingTracer` keeps a row log in memory, read as
+events through its :class:`TraceLog` (tests, notebooks, the benchmark);
+:class:`JsonlTracer` streams events to a JSON-lines file (the CLI's
+``--trace PATH``).
 
 Both enabled tracers run a
 :class:`~repro.obs.correlate.LifecycleStitcher` in their ``emit`` path
@@ -29,15 +34,30 @@ no header) as a list of event dicts for the ``repro trace`` CLI.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, List, Optional, Protocol, runtime_checkable
+from array import array
+from dataclasses import fields
+from operator import attrgetter
+from typing import (
+    IO,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.obs.correlate import LifecycleStitcher
-from repro.obs.events import TraceEvent
+from repro.obs.events import AlertDelivered, TraceEvent
 
 __all__ = [
     "Tracer",
     "NullTracer",
     "RecordingTracer",
+    "TraceLog",
     "JsonlTracer",
     "NULL_TRACER",
     "TRACE_SCHEMA_VERSION",
@@ -51,11 +71,19 @@ TRACE_SCHEMA_VERSION = 2
 
 @runtime_checkable
 class Tracer(Protocol):
-    """Structural type every tracer implementation satisfies."""
+    """Structural type every tracer implementation satisfies.
+
+    ``emit_deliveries`` takes alerts as anything with ``rack``, ``kind``
+    (an enum: its ``name`` is recorded), ``magnitude``, ``host`` and
+    ``switch`` attributes.
+    """
 
     enabled: bool
 
     def emit(self, event: TraceEvent) -> None:  # pragma: no cover - protocol
+        ...
+
+    def emit_deliveries(self, alerts: Iterable[Any]) -> None:  # pragma: no cover
         ...
 
     def begin_round(self, index: int) -> None:  # pragma: no cover - protocol
@@ -74,6 +102,9 @@ class NullTracer:
     def emit(self, event: TraceEvent) -> None:
         pass
 
+    def emit_deliveries(self, alerts: Iterable[Any]) -> None:
+        pass
+
     def begin_round(self, index: int) -> None:
         pass
 
@@ -82,39 +113,146 @@ NULL_TRACER = NullTracer()
 """Shared module-level disabled tracer (the default everywhere)."""
 
 
+class TraceLog(Sequence[TraceEvent]):
+    """Read-only view of a :class:`RecordingTracer`'s rows, as events.
+
+    ``len``, indexing (negative too), slicing and iteration build each
+    event from its row when read: a fresh object every time, equal to the
+    event as it was emitted.  A log compares equal to another log or to a
+    list of the same events.
+    """
+
+    def __init__(self, codes: array, rows: List[tuple], kinds: List[type]) -> None:
+        self._codes = codes
+        self._rows = rows
+        self._kinds = kinds
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self._rows)))]
+        row = self._rows[i]
+        return self._kinds[self._codes[i]](*row)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        kinds = self._kinds
+        for code, row in zip(self._codes, self._rows):
+            yield kinds[code](*row)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (TraceLog, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"TraceLog(events={len(self)})"
+
+
 class RecordingTracer:
-    """In-memory tracer: events accumulate on :attr:`events`."""
+    """In-memory tracer: a row log, read as events through :attr:`events`.
+
+    ``emit`` stamps the event (its ``round`` when unset, its correlation
+    ids) and snapshots it into one row: a kind code, and a tuple of the
+    event's field values in ``dataclasses.fields`` order.  The event
+    object itself is not kept, so a record is the event *as it was at emit
+    time*: changing the object afterwards does not change the log, and
+    each read builds a new, equal object.  Field values are atoms
+    (``int``, ``float``, ``str``, ``None``) or tuples of them, so CPython
+    stops tracking a row at the first collection that sees it, and a long
+    run's log is nothing the garbage collector has to walk.
+    """
 
     enabled: bool = True
 
     def __init__(self, *, correlate: bool = True) -> None:
-        self.events: List[TraceEvent] = []
         self.current_round: Optional[int] = None
         self._stitcher = LifecycleStitcher() if correlate else None
+        self._codes = array("H")  # each row's kind code
+        self._rows: List[tuple] = []  # each row's field values
+        self._kinds: List[type] = []  # kind code -> event class
+        # event class -> (kind code, stamper or None, row getter)
+        self._entries: Dict[type, tuple] = {}
+        self._log = TraceLog(self._codes, self._rows, self._kinds)
+
+    @property
+    def events(self) -> TraceLog:
+        """Every recorded event, in emission order (a read-only view)."""
+        return self._log
 
     def begin_round(self, index: int) -> None:
         self.current_round = index
         if self._stitcher is not None:
             self._stitcher.begin_round(index)
 
+    def _register(self, cls: type) -> tuple:
+        stitcher = self._stitcher
+        entry = self._entries[cls] = (
+            len(self._kinds),
+            None if stitcher is None else stitcher.stamper(cls),
+            attrgetter(*(f.name for f in fields(cls))),
+        )
+        self._kinds.append(cls)
+        return entry
+
     def emit(self, event: TraceEvent) -> None:
+        entry = self._entries.get(type(event))
+        if entry is None:
+            entry = self._register(type(event))
+        code, stamp, row = entry
         if event.round is None:
             event.round = self.current_round
-        if self._stitcher is not None:
-            self._stitcher.stamp(event)
-        self.events.append(event)
+        if stamp is not None:
+            stamp(event)
+        self._codes.append(code)
+        self._rows.append(row(event))
+
+    def emit_deliveries(self, alerts: Iterable[Any]) -> None:
+        entry = self._entries.get(AlertDelivered) or self._register(AlertDelivered)
+        rnd = self.current_round
+        stitcher = self._stitcher
+        rows = self._rows
+        start = len(rows)
+        for alert in alerts:
+            rack = alert.rack
+            # AlertDelivered's fields: round, trace_id, parent_id, rack,
+            # alert_kind, magnitude, host, switch
+            rows.append(
+                (
+                    rnd,
+                    None if stitcher is None else stitcher.group(rack),
+                    None,
+                    rack,
+                    alert.kind.name,
+                    float(alert.magnitude),
+                    alert.host,
+                    alert.switch,
+                )
+            )
+        self._codes.extend([entry[0]] * (len(rows) - start))
 
     # ------------------------------------------------------------------ #
     def kinds(self) -> List[str]:
-        """Event type names in emission order."""
-        return [e.kind for e in self.events]
+        """Event type names in emission order (builds no event)."""
+        names = [cls.__name__ for cls in self._kinds]
+        return [names[code] for code in self._codes]
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
-        """All events of one type, in emission order."""
-        return [e for e in self.events if e.kind == kind]
+        """All events of one type, in emission order (builds only those)."""
+        kinds = self._kinds
+        wanted = {code for code, cls in enumerate(kinds) if cls.__name__ == kind}
+        return [
+            kinds[code](*row)
+            for code, row in zip(self._codes, self._rows)
+            if code in wanted
+        ]
 
     def clear(self) -> None:
-        self.events.clear()
+        del self._codes[:]
+        del self._rows[:]
 
 
 class JsonlTracer:
@@ -167,6 +305,18 @@ class JsonlTracer:
             self._stitcher.stamp(event)
         self.stream.write(json.dumps(event.as_dict()) + "\n")
         self.emitted += 1
+
+    def emit_deliveries(self, alerts: Iterable[Any]) -> None:
+        for alert in alerts:
+            self.emit(
+                AlertDelivered(
+                    rack=alert.rack,
+                    alert_kind=alert.kind.name,
+                    magnitude=float(alert.magnitude),
+                    host=alert.host,
+                    switch=alert.switch,
+                )
+            )
 
     def close(self) -> None:
         if self._owns_stream:

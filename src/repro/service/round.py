@@ -46,7 +46,7 @@ from repro.cluster.snapshot import FleetSnapshot
 from repro.errors import SimulationError
 from repro.migration.reports import RoundReports
 from repro.migration.vmmigration import stack_cost_blocks
-from repro.obs.events import AlertDelivered, MigrationAborted, MigrationLanded
+from repro.obs.events import MigrationAborted, MigrationLanded
 from repro.service.events import RackPlanned
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps the import DAG
@@ -97,20 +97,15 @@ def census(state: RoundState) -> None:
 
 
 def dispatch(state: RoundState) -> None:
-    """Group the round's alerts by rack and emit the delivery trace."""
-    tracer = state.sim.tracer
+    """Group the round's alerts by rack and record their delivery."""
+    by_rack = state.by_rack
     for alert in state.alerts:
-        state.by_rack.setdefault(alert.rack, []).append(alert)
-        if tracer.enabled:
-            tracer.emit(
-                AlertDelivered(
-                    rack=alert.rack,
-                    alert_kind=alert.kind.name,
-                    magnitude=float(alert.magnitude),
-                    host=alert.host,
-                    switch=alert.switch,
-                )
-            )
+        by_rack.setdefault(alert.rack, []).append(alert)
+    tracer = state.sim.tracer
+    if tracer.enabled:
+        # one call for the round's deliveries, the same records as one
+        # AlertDelivered emitted per alert
+        tracer.emit_deliveries(state.alerts)
 
 
 def land(state: RoundState) -> None:
@@ -120,19 +115,22 @@ def land(state: RoundState) -> None:
         return
     # the timed registry stamps reservations with the round index
     sim.receivers.set_round(state.now)
+    landed = sim.inflight.complete_due(state.now)
+    if not landed:
+        return
     tracer = sim.tracer
-    # the landing mutates the placement, so the SLO accountant
-    # reads each record's source host and timeline first
-    due = sim.inflight.records_due(state.now) if sim.slo is not None else []
-    for vm, host in sim.inflight.complete_due(state.now):
+    counter = sim.metrics.counter("sheriff_migrations_landed_total")
+    for rec in landed:
         # landing starts the post-migration cooldown
-        sim._last_move[vm] = state.now
-        sim.metrics.counter("sheriff_migrations_landed_total").inc()
+        sim._last_move[rec.vm] = state.now
+        counter.inc()
         if tracer.enabled:
-            tracer.emit(MigrationLanded(vm=vm, dst_host=host))
-    for rec in due:
-        sim.slo.charge_downtime(rec.vm, rec.dst_host, timeline=rec.timeline)
-        sim.slo.charge_stretch(rec.vm, rec.src_host, rec.dst_host)
+            tracer.emit(MigrationLanded(vm=rec.vm, dst_host=rec.dst_host))
+    if sim.slo is not None:
+        # each record keeps the source host and timeline the charges need
+        for rec in landed:
+            sim.slo.charge_downtime(rec.vm, rec.dst_host, timeline=rec.timeline)
+            sim.slo.charge_stretch(rec.vm, rec.src_host, rec.dst_host)
 
 
 def freeze(state: RoundState) -> None:

@@ -136,26 +136,15 @@ class InFlightTracker:
             del self._holds[rec.dst_host]
         return rec
 
-    def records_due(self, now: int) -> List[_InFlight]:
-        """Read-only records of migrations that will land at *now*.
+    def complete_due(self, now: int) -> List[_InFlight]:
+        """Finish every migration whose window has elapsed, in VM order.
 
-        Same order as :meth:`complete_due`; lets pre-landing bookkeeping
-        (e.g. the SLO accountant) see each VM's source host and pre-copy
-        timeline before the placement mutates.
+        Returns the completed records: each keeps its VM, source and
+        destination host and pre-copy timeline, so bookkeeping after the
+        landing (e.g. the SLO accountant) needs no second walk.  The
+        placement mutates here (the Fig. 2 Activation stage).
         """
-        return [
-            self._active[vm]
-            for vm in sorted(self._active)
-            if self._active[vm].complete_round <= now
-        ]
-
-    def complete_due(self, now: int) -> List[Tuple[int, int]]:
-        """Finish every migration whose window has elapsed.
-
-        Returns the completed ``(vm, dst_host)`` pairs; the placement
-        mutates here (the Fig. 2 Activation stage).
-        """
-        done: List[Tuple[int, int]] = []
+        done: List[_InFlight] = []
         pl = self.cluster.placement
         for vm in sorted(self._active):
             rec = self._active[vm]
@@ -166,7 +155,7 @@ class InFlightTracker:
                     del self._holds[rec.dst_host]
                 del self._active[vm]
                 pl.migrate(vm, rec.dst_host)
-                done.append((vm, rec.dst_host))
+                done.append(rec)
         return done
 
 

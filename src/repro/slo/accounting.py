@@ -114,6 +114,8 @@ class SloAccountant:
         self._open_episodes: Dict[int, int] = {}
         self._violated_this_round: Set[int] = set()
         self._episode_lengths: List[int] = []
+        # (tenant, source) -> (minutes counter, tenant latency histogram)
+        self._instruments: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # charge sites
@@ -226,12 +228,21 @@ class SloAccountant:
         self.by_source[source] = self.by_source.get(source, 0.0) + minutes
         self._violated_this_round.add(vm)
         if self.metrics is not None:
-            self.metrics.counter(
-                "sheriff_slo_violation_minutes_total", tenant=tenant, source=source
-            ).inc(minutes)
-            self.metrics.histogram(
-                "sheriff_slo_request_latency", tenant=tenant
-            ).observe(latency_ms)
+            handles = self._instruments.get((tenant, source))
+            if handles is None:
+                # created in first-use order, as one lookup per charge did
+                handles = self._instruments[(tenant, source)] = (
+                    self.metrics.counter(
+                        "sheriff_slo_violation_minutes_total",
+                        tenant=tenant,
+                        source=source,
+                    ),
+                    self.metrics.histogram(
+                        "sheriff_slo_request_latency", tenant=tenant
+                    ),
+                )
+            handles[0].inc(minutes)
+            handles[1].observe(latency_ms)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit(
                 SloViolation(

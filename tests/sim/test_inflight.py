@@ -58,7 +58,8 @@ class TestTracker:
         # placement untouched while in flight
         assert pl.host_of(vm) == src
         # completion lands the VM and releases the hold
-        assert tracker.complete_due(done_at) == [(vm, dst)]
+        [rec] = tracker.complete_due(done_at)
+        assert (rec.vm, rec.src_host, rec.dst_host) == (vm, src, dst)
         assert pl.host_of(vm) == dst
         assert tracker.hold_on(dst) == 0
         pl.check_invariants()

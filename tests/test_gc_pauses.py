@@ -44,3 +44,20 @@ def test_smoke_run_reports_pauses_and_restores_the_harness(tmp_path):
         mode="plain", out_dir=str(tmp_path),
     )
     assert worker.run(args)["decision_digest"] == result["decision_digest"]
+
+
+def test_max_growth_fails_a_run_that_leaves_objects_behind(monkeypatch, capsys):
+    tool = _tool()
+    result = {
+        "workload": "w", "seed": 1, "scale": "smoke", "rounds": 10,
+        "timed_s": 1.0, "gc_collections": [1, 0, 0], "gc_seconds": [0.0] * 3,
+        "tracked_after_setup": 1000, "tracked_after_run": 1200,
+        "decision_digest": "d",
+    }
+    monkeypatch.setattr(tool, "measure", lambda *args, **kwargs: result)
+    argv = ["--workload", "w", "--seed", "1"]
+    assert tool.growth_per_round(result) == 20.0
+    assert tool.main(argv) == 0
+    assert tool.main([*argv, "--max-growth", "20"]) == 0
+    assert tool.main([*argv, "--max-growth", "19.5"]) == 1
+    assert "grew by 20.0 per timed round" in capsys.readouterr().err

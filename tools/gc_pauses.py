@@ -4,7 +4,7 @@
 Usage::
 
     python tools/gc_pauses.py --workload ladder_k32 --seed 2015 [--scale full]
-        [--seconds 15] [--out-dir DIR] [--json]
+        [--seconds 15] [--out-dir DIR] [--json] [--max-growth N]
 
 Runs ``bench.worker.run`` in this process (plain pass, one BLAS thread,
 the checkout's own ``src/`` and ``bench/``) with a ``gc.callbacks`` hook,
@@ -13,6 +13,10 @@ spent in them per generation, plus the GC-tracked object count after the
 workload's set-up and after its last round.  ``bench/`` is read, never
 edited: the tool wraps ``bench.worker._timed_rounds`` for the duration of
 the run to know where the timed section starts and ends.
+
+With ``--max-growth N`` it exits 1 when the GC-tracked objects grew by
+more than *N* per timed round (``make gc-smoke``): a round that leaves
+objects behind fails here before a benchmark run shows it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,18 @@ class GcClock:
             self.seconds[gen] += perf_counter() - self._start
 
 
+def _tracked() -> int:
+    """GC-tracked objects still reachable, counted outside the timed rounds.
+
+    Two full collections first: the first frees garbage the collector has
+    yet to visit and untracks tuples of atoms, the second untracks the
+    tuples that held such a tuple.
+    """
+    gc.collect()
+    gc.collect()
+    return len(gc.get_objects())
+
+
 def measure(
     workload: str,
     seed: int,
@@ -71,13 +87,13 @@ def measure(
     timed_rounds = worker._timed_rounds
 
     def wrapped(ready, rounds, rec, record):
-        tracked["after_setup"] = len(gc.get_objects())
+        tracked["after_setup"] = _tracked()
         clock.timed = True
         try:
             timed_rounds(ready, rounds, rec, record)
         finally:
             clock.timed = False
-        tracked["after_run"] = len(gc.get_objects())
+        tracked["after_run"] = _tracked()
 
     with tempfile.TemporaryDirectory() as scratch:
         args = argparse.Namespace(
@@ -110,6 +126,12 @@ def measure(
     }
 
 
+def growth_per_round(result: Dict[str, Any]) -> float:
+    """GC-tracked objects the timed rounds left behind, per round."""
+    grown = result["tracked_after_run"] - result["tracked_after_setup"]
+    return grown / max(result["rounds"], 1)
+
+
 def format_table(result: Dict[str, Any]) -> str:
     lines = [
         f"{result['workload']} seed {result['seed']} ({result['scale']}): "
@@ -127,7 +149,8 @@ def format_table(result: Dict[str, Any]) -> str:
     )
     lines.append(
         f"GC-tracked objects: {result['tracked_after_setup']} after set-up, "
-        f"{result['tracked_after_run']} after the run"
+        f"{result['tracked_after_run']} after the run "
+        f"({growth_per_round(result):+.1f} per timed round)"
     )
     return "\n".join(lines)
 
@@ -141,6 +164,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=None,
                         help="directory handed to the worker (default: a temporary one)")
     parser.add_argument("--json", action="store_true", help="print one JSON line")
+    parser.add_argument("--max-growth", type=float, default=None, metavar="N",
+                        help="exit 1 when GC-tracked objects grow by more than "
+                             "N per timed round")
     args = parser.parse_args(argv)
     result = measure(
         args.workload,
@@ -150,6 +176,14 @@ def main(argv=None) -> int:
         out_dir=args.out_dir,
     )
     print(json.dumps(result) if args.json else format_table(result))
+    growth = growth_per_round(result)
+    if args.max_growth is not None and growth > args.max_growth:
+        print(
+            f"{args.workload}: GC-tracked objects grew by {growth:.1f} per "
+            f"timed round, more than --max-growth {args.max_growth:g}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
