@@ -62,7 +62,7 @@ from repro.obs.events import (
 __all__ = ["LifecycleStitcher", "UNSTAMPED"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Attempt:
     """One open migration attempt (selection → terminal event)."""
 
@@ -99,44 +99,9 @@ class LifecycleStitcher:
         return gid
 
     def _mint(self, vm: int, parent: Optional[str]) -> _Attempt:
-        attempt = _Attempt(
-            trace_id=f"r{self._round}.v{vm}",
-            parent_id=parent,
-            minted_round=self._round,
-        )
-        self._attempts[vm] = attempt
+        rnd = self._round
+        attempt = self._attempts[vm] = _Attempt(f"r{rnd}.v{vm}", parent, rnd)
         return attempt
-
-    def _select(self, vm: int, parent: str) -> None:
-        """A PRIORITY invocation put *vm* into the migration set.
-
-        Mints a fresh attempt unless one is already open for this round
-        (two Alg. 2 invocations can select the same VM — first mint wins)
-        or the VM is in flight (frozen VMs can still appear in
-        ``PrioritySelected.selected``; their committed attempt must keep
-        its id until the landing closes it).
-        """
-        attempt = self._attempts.get(vm)
-        if attempt is not None and (
-            attempt.committed or attempt.minted_round == self._round
-        ):
-            return
-        self._mint(vm, parent)
-
-    def _attempt_for(self, vm: int) -> _Attempt:
-        """The VM's open attempt, minted on first sight if absent.
-
-        First-sight minting covers chains that start outside Alg. 2 —
-        emergency evacuations off a crashed host send REQUESTs for VMs no
-        PRIORITY ever selected.
-        """
-        attempt = self._attempts.get(vm)
-        if attempt is None:
-            attempt = self._mint(vm, None)
-        return attempt
-
-    def _close(self, vm: int) -> None:
-        self._attempts.pop(vm, None)
 
     # ------------------------------------------------------------------ #
     def stamp(self, event: TraceEvent) -> None:
@@ -161,16 +126,37 @@ class LifecycleStitcher:
         event.trace_id = self.group(event.rack)
 
     def _stamp_priority(self, event: PrioritySelected) -> None:
+        """A PRIORITY invocation put each selected VM into the migration set.
+
+        Mints a fresh attempt per VM unless one is already open for this
+        round (two Alg. 2 invocations can select the same VM — first mint
+        wins) or the VM is in flight (frozen VMs can still appear in
+        ``PrioritySelected.selected``; their committed attempt must keep
+        its id until the landing closes it).
+        """
         gid = event.trace_id = self.group(event.rack)
+        attempts, rnd = self._attempts, self._round
         for vm in event.selected:
-            self._select(int(vm), gid)
+            vm = int(vm)
+            attempt = attempts.get(vm)
+            if attempt is None or not (
+                attempt.committed or attempt.minted_round == rnd
+            ):
+                self._mint(vm, gid)
 
     def _stamp_matching(self, event: MatchingSolved) -> None:
         if event.rack is not None:
             event.trace_id = self.group(event.rack)
 
     def _stamp_attempt(self, event) -> _Attempt:
-        attempt = self._attempt_for(event.vm)
+        """Stamp the VM's open attempt, minted on first sight if absent.
+
+        First-sight minting covers chains that start outside Alg. 2 —
+        emergency evacuations off a crashed host send REQUESTs for VMs no
+        PRIORITY ever selected.  (An attempt is never falsy, so ``or``
+        mints only on a miss.)
+        """
+        attempt = self._attempts.get(event.vm) or self._mint(event.vm, None)
         event.trace_id = attempt.trace_id
         event.parent_id = attempt.parent_id
         return attempt
@@ -180,7 +166,7 @@ class LifecycleStitcher:
 
     def _stamp_close(self, event) -> None:
         self._stamp_attempt(event)
-        self._close(event.vm)
+        del self._attempts[event.vm]
 
     def _stamp_fault(self, event: FaultInjected) -> None:
         event.trace_id = f"r{self._round}.f.{event.fault_kind}.{event.target}"

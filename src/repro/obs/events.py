@@ -92,6 +92,32 @@ class AlertDelivered(TraceEvent):
     host: Optional[int] = None
     switch: Optional[int] = None
 
+    @staticmethod
+    def values_of(
+        alert, round: Optional[int] = None, trace_id: Optional[str] = None
+    ) -> tuple:
+        """The delivery record of one ALERT as its field values, in
+        ``dataclasses.fields`` order (what a row-keeping tracer stores).
+
+        *alert* is anything with ``rack``, ``kind`` (an enum, recorded by
+        ``name``), ``magnitude``, ``host`` and ``switch``.
+        """
+        return (
+            round,
+            trace_id,
+            None,
+            alert.rack,
+            alert.kind.name,
+            float(alert.magnitude),
+            alert.host,
+            alert.switch,
+        )
+
+    @classmethod
+    def of(cls, alert) -> "AlertDelivered":
+        """The delivery record of one ALERT, not yet stamped."""
+        return cls(*cls.values_of(alert))
+
 
 @dataclass
 class PrioritySelected(TraceEvent):

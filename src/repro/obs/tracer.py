@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import fields
+from itertools import chain, islice
 from operator import attrgetter
 from typing import (
     IO,
@@ -122,24 +123,38 @@ class TraceLog(Sequence[TraceEvent]):
     list of the same events.
     """
 
-    def __init__(self, codes: array, rows: List[tuple], kinds: List[type]) -> None:
+    def __init__(
+        self, codes: array, starts: array, values: List[Any], kinds: List[type]
+    ) -> None:
         self._codes = codes
-        self._rows = rows
+        self._starts = starts
+        self._values = values
         self._kinds = kinds
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._codes)
+
+    def _rows(self) -> Iterator[tuple]:
+        """``(kind code, first value, end)`` of every row, in order."""
+        ends = chain(islice(self._starts, 1, None), (len(self._values),))
+        return zip(self._codes, self._starts, ends)
 
     def __getitem__(self, i):
+        n = len(self._codes)
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self._rows)))]
-        row = self._rows[i]
-        return self._kinds[self._codes[i]](*row)
+            return [self[j] for j in range(*i.indices(n))]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace log index out of range")
+        starts = self._starts
+        end = starts[i + 1] if i + 1 < n else len(self._values)
+        return self._kinds[self._codes[i]](*self._values[starts[i] : end])
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        kinds = self._kinds
-        for code, row in zip(self._codes, self._rows):
-            yield kinds[code](*row)
+        kinds, values = self._kinds, self._values
+        for code, start, end in self._rows():
+            yield kinds[code](*values[start:end])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (TraceLog, list)):
@@ -156,14 +171,14 @@ class RecordingTracer:
     """In-memory tracer: a row log, read as events through :attr:`events`.
 
     ``emit`` stamps the event (its ``round`` when unset, its correlation
-    ids) and snapshots it into one row: a kind code, and a tuple of the
-    event's field values in ``dataclasses.fields`` order.  The event
-    object itself is not kept, so a record is the event *as it was at emit
-    time*: changing the object afterwards does not change the log, and
-    each read builds a new, equal object.  Field values are atoms
-    (``int``, ``float``, ``str``, ``None``) or tuples of them, so CPython
-    stops tracking a row at the first collection that sees it, and a long
-    run's log is nothing the garbage collector has to walk.
+    ids) and snapshots it into one row: a kind code, and the event's field
+    values in ``dataclasses.fields`` order, appended to one flat value
+    list.  The event object itself is not kept, so a record is the event
+    *as it was at emit time*: changing the object afterwards does not
+    change the log, and each read builds a new, equal object.  Field
+    values are atoms (``int``, ``float``, ``str``, ``None``) or tuples of
+    them, and a row is no container of its own, so a long run's log
+    leaves the garbage collector nothing new to walk.
     """
 
     enabled: bool = True
@@ -172,11 +187,12 @@ class RecordingTracer:
         self.current_round: Optional[int] = None
         self._stitcher = LifecycleStitcher() if correlate else None
         self._codes = array("H")  # each row's kind code
-        self._rows: List[tuple] = []  # each row's field values
+        self._starts = array("Q")  # each row's first index into _values
+        self._values: List[Any] = []  # every row's field values, in order
         self._kinds: List[type] = []  # kind code -> event class
-        # event class -> (kind code, stamper or None, row getter)
+        # event class -> (kind code, stamper or None, field-values getter)
         self._entries: Dict[type, tuple] = {}
-        self._log = TraceLog(self._codes, self._rows, self._kinds)
+        self._log = TraceLog(self._codes, self._starts, self._values, self._kinds)
 
     @property
     def events(self) -> TraceLog:
@@ -207,32 +223,24 @@ class RecordingTracer:
             event.round = self.current_round
         if stamp is not None:
             stamp(event)
+        values = self._values
         self._codes.append(code)
-        self._rows.append(row(event))
+        self._starts.append(len(values))
+        values.extend(row(event))
 
     def emit_deliveries(self, alerts: Iterable[Any]) -> None:
+        # the rows emit(AlertDelivered.of(alert)) would store, without
+        # building the events: AlertDelivered's stamp is its rack's
+        # alert-group id
         entry = self._entries.get(AlertDelivered) or self._register(AlertDelivered)
-        rnd = self.current_round
-        stitcher = self._stitcher
-        rows = self._rows
-        start = len(rows)
+        code, rnd, stitcher = entry[0], self.current_round, self._stitcher
+        codes, starts, values = self._codes, self._starts, self._values
+        values_of = AlertDelivered.values_of
         for alert in alerts:
-            rack = alert.rack
-            # AlertDelivered's fields: round, trace_id, parent_id, rack,
-            # alert_kind, magnitude, host, switch
-            rows.append(
-                (
-                    rnd,
-                    None if stitcher is None else stitcher.group(rack),
-                    None,
-                    rack,
-                    alert.kind.name,
-                    float(alert.magnitude),
-                    alert.host,
-                    alert.switch,
-                )
-            )
-        self._codes.extend([entry[0]] * (len(rows) - start))
+            gid = None if stitcher is None else stitcher.group(alert.rack)
+            codes.append(code)
+            starts.append(len(values))
+            values.extend(values_of(alert, rnd, gid))
 
     # ------------------------------------------------------------------ #
     def kinds(self) -> List[str]:
@@ -242,17 +250,18 @@ class RecordingTracer:
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """All events of one type, in emission order (builds only those)."""
-        kinds = self._kinds
+        kinds, values = self._kinds, self._values
         wanted = {code for code, cls in enumerate(kinds) if cls.__name__ == kind}
         return [
-            kinds[code](*row)
-            for code, row in zip(self._codes, self._rows)
+            kinds[code](*values[start:end])
+            for code, start, end in self._log._rows()
             if code in wanted
         ]
 
     def clear(self) -> None:
         del self._codes[:]
-        del self._rows[:]
+        del self._starts[:]
+        del self._values[:]
 
 
 class JsonlTracer:
@@ -307,16 +316,9 @@ class JsonlTracer:
         self.emitted += 1
 
     def emit_deliveries(self, alerts: Iterable[Any]) -> None:
+        emit = self.emit
         for alert in alerts:
-            self.emit(
-                AlertDelivered(
-                    rack=alert.rack,
-                    alert_kind=alert.kind.name,
-                    magnitude=float(alert.magnitude),
-                    host=alert.host,
-                    switch=alert.switch,
-                )
-            )
+            emit(AlertDelivered.of(alert))
 
     def close(self) -> None:
         if self._owns_stream:

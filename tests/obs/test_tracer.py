@@ -144,25 +144,23 @@ class TestTraceLogView:
             Alert(kind=AlertKind.OUTER_SWITCH, rack=1, magnitude=0.9, switch=12),
             Alert(kind=AlertKind.LOCAL_TOR, rack=3, magnitude=0.8),
         ]
-
-        def delivered(alert):
-            return AlertDelivered(
-                rack=alert.rack,
-                alert_kind=alert.kind.name,
-                magnitude=float(alert.magnitude),
-                host=alert.host,
-                switch=alert.switch,
-            )
-
+        assert [AlertDelivered.of(a) for a in alerts] == [
+            AlertDelivered(rack=1, alert_kind="SERVER", magnitude=0.7, host=4),
+            AlertDelivered(rack=1, alert_kind="OUTER_SWITCH", magnitude=0.9, switch=12),
+            AlertDelivered(rack=3, alert_kind="LOCAL_TOR", magnitude=0.8),
+        ]
         for correlate in (True, False):
             batch, single = (RecordingTracer(correlate=correlate) for _ in "ab")
             for t in (batch, single):
                 t.begin_round(2)
             batch.emit_deliveries(alerts)
             for alert in alerts:
-                single.emit(delivered(alert))
+                single.emit(AlertDelivered.of(alert))
             assert batch.events == single.events
             assert [type(e.magnitude) for e in batch.events] == [float] * 3
+            assert [e.trace_id for e in batch.events] == (
+                ["r2.k1", "r2.k1", "r2.k3"] if correlate else [None] * 3
+            )
         paths = (tmp_path / "batch.jsonl", tmp_path / "single.jsonl")
         for path, batched in zip(paths, (True, False)):
             with JsonlTracer.open(path) as t:
@@ -171,7 +169,7 @@ class TestTraceLogView:
                     t.emit_deliveries(alerts)
                 else:
                     for alert in alerts:
-                        t.emit(delivered(alert))
+                        t.emit(AlertDelivered.of(alert))
         assert paths[0].read_text() == paths[1].read_text()
         NULL_TRACER.emit_deliveries(alerts)
 

@@ -1,10 +1,10 @@
 """A traced round leaves nothing for the collector.
 
-``RecordingTracer`` keeps each event as one row of atoms (the event's
-field values), which CPython stops tracking at the first collection that
-sees it.  A seeded k = 4 run with every opt-in layer on — faults, a lossy
-channel, timed migrations, the SLO ledger — records hundreds of events a
-round, yet the GC-tracked heap grows by a small constant per round.
+``RecordingTracer`` keeps each event's field values in one flat list of
+atoms, with no container per event for CPython to track.  A seeded k = 4
+run with every opt-in layer on — faults, a lossy channel, timed
+migrations, the SLO ledger — records hundreds of events a round, yet the
+GC-tracked heap grows by a small constant per round.
 """
 
 import gc
@@ -81,7 +81,6 @@ def test_a_traced_round_leaves_a_constant_number_of_objects():
     # one tracked object per event would grow with per_round
     assert per_round >= 50, per_round
     assert growth <= 10, (growth, per_round)
-    # what the log stores is rows of atoms: the first collection untracks
-    # them, and a row holding a tuple (``selected``) once that tuple is
-    gc.collect()
-    assert not any(gc.is_tracked(row) for row in tracer._rows)
+    # what the log stores is field values, atoms or tuples of atoms (such
+    # as ``selected``), which a collection untracks
+    assert not any(gc.is_tracked(value) for value in tracer._values)
