@@ -50,15 +50,10 @@ class SheriffConfig:
         Rounds a freshly-moved VM is frozen (anti-ping-pong).
     migration_timing:
         Live-migration window model; ``None`` = instant commits.
-    with_flows, flow_rate:
+    with_flows:
         Build a dependency-derived :class:`~repro.migration.reroute.FlowTable`
-        so outer-switch alerts can exercise FLOWREROUTE.
-    cache_cost_kernels:
-        Memoize the shortest-path table per (topology, knobs) and keep the
-        round's regional Eq. (1) rows in one slab for the length of a
-        placement generation; off, every query computes.  A model rebuilt
-        under ``SWITCH_FAIL`` keeps the setting, and results are identical
-        with the cache on or off.
+        (one flow of rate 0.05 per inter-rack dependency pair) so
+        outer-switch alerts can exercise FLOWREROUTE.
     fallback_policy:
         Worst-case degradation of predictive alerting (see
         docs/robust-forecasting.md).  ``"none"`` (default) leaves managed
@@ -127,16 +122,10 @@ class SheriffConfig:
     slo_overload_threshold:
         Host utilisation above which resident VMs accrue overload
         violation-minutes (only read when ``slo`` is on).
-    slo_round_minutes:
-        Wall-clock minutes one management round represents in the SLO
-        ledger.
     slo_budget_minutes:
         Per-tenant-class SLO error budget in violation-minutes; the first
         crossing emits :class:`~repro.obs.events.SloBudgetExhausted`.
         ``0`` (default) disables budget tracking.
-    slo_damage_weight:
-        Strength of the predicted-SLO-damage addend under
-        ``scoring="slo"``.
     """
 
     cost_params: Optional["CostParams"] = None
@@ -146,8 +135,6 @@ class SheriffConfig:
     migration_cooldown: int = 3
     migration_timing: Optional["MigrationTiming"] = None
     with_flows: bool = False
-    flow_rate: float = 0.05
-    cache_cost_kernels: bool = True
     fallback_policy: str = "none"
     fallback_error_bound: float = 0.15
     fallback_window: int = 8
@@ -155,9 +142,7 @@ class SheriffConfig:
     slo: bool = False
     scoring: str = "network"
     slo_overload_threshold: float = 0.9
-    slo_round_minutes: float = 1.0
     slo_budget_minutes: float = 0.0
-    slo_damage_weight: float = 1.0
     tracer: Tracer = field(default=NULL_TRACER)
     metrics: Optional["MetricsRegistry"] = None
     profile: bool = True
@@ -210,8 +195,8 @@ class SheriffConfig:
 
         Unknown keys raise :class:`~repro.errors.ConfigurationError` so a
         typo'd ``--config`` file fails loudly instead of silently running
-        the defaults; the planner-selection keys of older config files
-        (:data:`_REMOVED_KEYS`) are refused by name.
+        the defaults; keys that older config files may still carry
+        (:data:`_REMOVED_KEYS`) are refused by name, each with its reason.
         """
         from repro.errors import ConfigurationError
 
@@ -219,12 +204,12 @@ class SheriffConfig:
             raise ConfigurationError(
                 f"config must be a JSON object, got {type(data).__name__}"
             )
-        removed = sorted(set(data) & _REMOVED_KEYS)
+        removed = sorted(set(data) & _REMOVED_KEYS.keys())
         if removed:
             raise ConfigurationError(
-                f"config key(s) {', '.join(removed)} were removed: planning "
-                f"is always inline, one alerted rack at a time; delete "
-                f"them from the config"
+                "config key(s) removed: "
+                + "; ".join(f"{key} ({_REMOVED_KEYS[key]})" for key in removed)
+                + "; delete them from the config"
             )
         allowed = _SCALAR_FIELDS | {"cost_params", "migration_timing"}
         unknown = sorted(set(data) - allowed)
@@ -264,8 +249,6 @@ _SCALAR_FIELDS = frozenset(
         "balance_weight",
         "migration_cooldown",
         "with_flows",
-        "flow_rate",
-        "cache_cost_kernels",
         "fallback_policy",
         "fallback_error_bound",
         "fallback_window",
@@ -273,17 +256,26 @@ _SCALAR_FIELDS = frozenset(
         "slo",
         "scoring",
         "slo_overload_threshold",
-        "slo_round_minutes",
         "slo_budget_minutes",
-        "slo_damage_weight",
         "profile",
     }
 )
 """Fields that serialize directly in :meth:`SheriffConfig.to_dict`."""
 
-_REMOVED_KEYS = frozenset({"workers", "planner", "shards", "auto_inline_threshold"})
-"""Planner-selection keys that config files written for earlier versions
-may still carry; :meth:`SheriffConfig.from_dict` names them in its error."""
+_INLINE = "planning is always inline, one alerted rack at a time"
+_REMOVED_KEYS = {
+    "workers": _INLINE,
+    "planner": _INLINE,
+    "shards": _INLINE,
+    "auto_inline_threshold": _INLINE,
+    "flow_rate": "every dependency flow has rate 0.05",
+    "cache_cost_kernels": "the cost-kernel cache is always on",
+    "slo_round_minutes": "a round is one minute in the SLO ledger",
+    "slo_damage_weight": "the predicted-SLO-damage addend has weight 1",
+}
+"""Keys that config files written for earlier versions may still carry,
+each with what replaced it; :meth:`SheriffConfig.from_dict` names them in
+its error."""
 
 _RUNTIME_HANDLE_DEFAULTS = {
     "tracer": NULL_TRACER,

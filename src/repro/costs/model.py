@@ -64,16 +64,13 @@ class CostModel:
     :meth:`cost_rows`, the same Eq. (1) element for element, evaluated
     only at the destination racks the caller names.
 
-    Parameters
-    ----------
-    cache:
-        Enable the cost-kernel cache: the shortest-path table is memoized
-        per (topology, knobs) — the paper's Floyd–Warshall step runs once
-        per fabric instead of once per manager — and regional cost rows
-        live in one slab for the length of a placement generation (see
-        :meth:`sync_cache`).  Cached answers are computed by the same
-        kernel as uncached ones, so results are bit-identical either way;
-        off, every query computes.
+    Two caches sit behind it.  The shortest-path table is memoized per
+    (topology, knobs) — the paper's Floyd–Warshall step runs once per
+    fabric instead of once per manager — unless *available_bandwidth*
+    names a degraded fabric, which gets a table of its own.  Regional cost
+    rows live in one slab for the length of a placement generation (see
+    :meth:`sync_cache`), computed by the same kernel as the uncached
+    queries, so a cached answer is bit-identical to a computed one.
     """
 
     def __init__(
@@ -82,11 +79,10 @@ class CostModel:
         params: Optional[CostParams] = None,
         *,
         available_bandwidth: Optional[np.ndarray] = None,
-        cache: bool = True,
     ) -> None:
         self.cluster = cluster
         self.params = params or CostParams()
-        if cache and available_bandwidth is None:
+        if available_bandwidth is None:
             self.table = cached_transmission_table(
                 cluster.topology,
                 delta=self.params.delta,
@@ -104,7 +100,6 @@ class CostModel:
                 bandwidth_threshold=self.params.bandwidth_threshold,
             )
         self._rack_dist = self.table.rack_distance_matrix()
-        self._cache_enabled = bool(cache)
         # the regional slab: row ``_slot_of[vm]`` is Eq. (1) of *vm* at the
         # one-hop region of its rack (``rack_regions()`` column order) under
         # placement generation ``_cache_gen``.  It owns every cached row, is
@@ -175,11 +170,11 @@ class CostModel:
         is consulted — one kernel call recomputes a whole round's alerted
         rows in less time than finding out which of them a move had staled.
 
-        Called by every cached query; the engine also calls it once per
+        Called by every regional query; the engine also calls it once per
         round, before it primes the round's rows.
         """
         gen = self.cluster.placement.generation
-        if not self._cache_enabled or gen == self._cache_gen:
+        if gen == self._cache_gen:
             return
         self._cache_gen = gen
         self.cache_stats["invalidations"] += self._slots_used
@@ -192,10 +187,8 @@ class CostModel:
         One stacked kernel call computes every row not yet held, so the
         per-rack block builds that follow are fancy indexes of the slab.
         Tallied under ``cache_stats["primed"]``, not as misses (they are
-        not demand queries).  No-op when the cache is disabled.
+        not demand queries).
         """
-        if not self._cache_enabled:
-            return
         self.sync_cache()
         ids = np.fromiter(vms, dtype=np.int64)
         self.cache_stats["primed"] += self._fill(ids[self._slot_of[ids] < 0])
@@ -209,10 +202,9 @@ class CostModel:
         VM's own one-hop region, ``rack_regions()[0][src_rack, region_cols]``
         (a shim passes its :meth:`~repro.cluster.shim.ShimView.candidate_cols`;
         the round's stacked pass a ``(rows, widest)`` table, one row of
-        columns per VM): the width a shim reads and the one the cache
-        stores, so with the cache on the answer is a fancy index of the
-        slab, rows not yet held being computed first (``misses``; the rest
-        are ``hits``).
+        columns per VM): the width a shim reads and the one the slab
+        stores, so the answer is a fancy index of the slab, rows not yet
+        held being computed first (``misses``; the rest are ``hits``).
 
         Either way every element is bit-identical to the scalar oracle's
         for the same VM and rack, and the result is the caller's own array.
@@ -221,8 +213,6 @@ class CostModel:
         if region_cols is None:
             cols = np.arange(self.table.num_racks) if racks is None else racks
             return self._cost_kernel(ids, np.asarray(cols, dtype=np.int64)[None, :])
-        if not self._cache_enabled:
-            return self._region_rows(ids)[np.arange(ids.size)[:, None], region_cols]
         self.sync_cache()
         slots = self._slot_of[ids]
         missing = ids[slots < 0]
@@ -232,18 +222,15 @@ class CostModel:
         self.cache_stats["hits"] += ids.size - missing.size
         return self._slab[slots[:, None], region_cols]
 
-    def _region_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Eq. (1) of *ids*, each at the whole one-hop region of its rack."""
-        pl = self.cluster.placement
-        regions = self.cluster.topology.rack_regions()[0]
-        return self._cost_kernel(ids, regions[pl.host_rack[pl.vm_host[ids]]])
-
     def _fill(self, ids: np.ndarray) -> int:
-        """Give the distinct VMs of *ids* slab rows; how many there were."""
+        """Give the distinct VMs of *ids* slab rows — Eq. (1) at the whole
+        one-hop region of each VM's rack; how many there were."""
         ids = np.unique(ids)
         if ids.size == 0:
             return 0
-        rows = self._region_rows(ids)
+        pl = self.cluster.placement
+        regions = self.cluster.topology.rack_regions()[0]
+        rows = self._cost_kernel(ids, regions[pl.host_rack[pl.vm_host[ids]]])
         start, end = self._slots_used, self._slots_used + ids.size
         if end > len(self._slab):
             grown = np.empty((max(end, 2 * len(self._slab)), rows.shape[1]))

@@ -156,9 +156,7 @@ class FaultInjector:
         terminates) and mark the round degraded.
         """
         try:
-            model = self.switches.rebuild_cost_model(
-                cache=self.sim.config.cache_cost_kernels
-            )
+            model = self.switches.rebuild_cost_model()
         except TopologyError:
             rf.degraded = True
             return

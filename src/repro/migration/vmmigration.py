@@ -65,6 +65,9 @@ __all__ = [
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
+_MAX_ITERATIONS = 8
+"""Alg. 3 match / REQUEST rounds per shim before the rest stay unplaced."""
+
 
 def rack_instruments(metrics: MetricsRegistry, rack: Optional[int]) -> tuple:
     """The instruments :func:`request_migrations` records into, for *rack*
@@ -295,7 +298,6 @@ def request_migrations(
     receivers: ReceiverRegistry,
     *,
     reports: Optional[RoundReports] = None,
-    max_iterations: int = 8,
     tracer: Tracer = NULL_TRACER,
     instruments: Optional[tuple] = None,
     profiler=NULL_PROFILER,
@@ -319,7 +321,6 @@ def request_migrations(
             block,
             receivers,
             reports=own,
-            max_iterations=max_iterations,
             tracer=tracer,
             instruments=instruments,
             profiler=profiler,
@@ -358,7 +359,7 @@ def request_migrations(
     move_vm: List[int] = []
     move_host: List[int] = []
     move_cost: List[float] = []
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if not remaining_idx:
             break
         iterations += 1
@@ -498,7 +499,6 @@ def vmmigration(
     destination_hosts: Iterable[int],
     receivers: ReceiverRegistry,
     *,
-    max_iterations: int = 8,
     balance_weight: float = 50.0,
     host_load: Optional[np.ndarray] = None,
     tracer: Tracer = NULL_TRACER,
@@ -569,7 +569,6 @@ def vmmigration(
     return request_migrations(
         block,
         receivers,
-        max_iterations=max_iterations,
         tracer=tracer,
         instruments=None if metrics is None else rack_instruments(metrics, rack),
         profiler=profiler,

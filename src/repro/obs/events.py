@@ -68,7 +68,7 @@ class TraceEvent:
         """JSON-ready representation: ``{"event": kind, ...fields}``.
 
         The correlation fields (``trace_id``/``parent_id``) are included
-        only when stamped, so uncorrelated traces keep the schema-1 row
+        only when stamped, so an unstamped event keeps the schema-1 row
         shape.
         """
         out = {"event": self.kind}

@@ -21,10 +21,9 @@ events through its :class:`TraceLog` (tests, notebooks, the benchmark);
 ``--trace PATH``).
 
 Both enabled tracers run a
-:class:`~repro.obs.correlate.LifecycleStitcher` in their ``emit`` path
-by default, stamping ``trace_id``/``parent_id`` onto every event so the
-flat stream carries per-attempt causal chains (pass ``correlate=False``
-for schema-1 behaviour).
+:class:`~repro.obs.correlate.LifecycleStitcher` in their ``emit`` path,
+stamping ``trace_id``/``parent_id`` onto every event so the flat stream
+carries per-attempt causal chains.
 
 JSONL traces written by :class:`JsonlTracer` start with a header line
 ``{"schema_version": 2}``; :func:`load_trace` reads them back (header or
@@ -183,9 +182,9 @@ class RecordingTracer:
 
     enabled: bool = True
 
-    def __init__(self, *, correlate: bool = True) -> None:
+    def __init__(self) -> None:
         self.current_round: Optional[int] = None
-        self._stitcher = LifecycleStitcher() if correlate else None
+        self._stitcher = LifecycleStitcher()
         self._codes = array("H")  # each row's kind code
         self._starts = array("Q")  # each row's first index into _values
         self._values: List[Any] = []  # every row's field values, in order
@@ -201,14 +200,12 @@ class RecordingTracer:
 
     def begin_round(self, index: int) -> None:
         self.current_round = index
-        if self._stitcher is not None:
-            self._stitcher.begin_round(index)
+        self._stitcher.begin_round(index)
 
     def _register(self, cls: type) -> tuple:
-        stitcher = self._stitcher
         entry = self._entries[cls] = (
             len(self._kinds),
-            None if stitcher is None else stitcher.stamper(cls),
+            self._stitcher.stamper(cls),
             attrgetter(*(f.name for f in fields(cls))),
         )
         self._kinds.append(cls)
@@ -233,14 +230,13 @@ class RecordingTracer:
         # building the events: AlertDelivered's stamp is its rack's
         # alert-group id
         entry = self._entries.get(AlertDelivered) or self._register(AlertDelivered)
-        code, rnd, stitcher = entry[0], self.current_round, self._stitcher
+        code, rnd, group = entry[0], self.current_round, self._stitcher.group
         codes, starts, values = self._codes, self._starts, self._values
         values_of = AlertDelivered.values_of
         for alert in alerts:
-            gid = None if stitcher is None else stitcher.group(alert.rack)
             codes.append(code)
             starts.append(len(values))
-            values.extend(values_of(alert, rnd, gid))
+            values.extend(values_of(alert, rnd, group(alert.rack)))
 
     # ------------------------------------------------------------------ #
     def kinds(self) -> List[str]:
@@ -277,41 +273,37 @@ class JsonlTracer:
     stream:
         Open text file object; the caller owns it unless this tracer was
         built with :meth:`open`, in which case :meth:`close` closes it.
-    correlate:
-        Stamp lifecycle ``trace_id``/``parent_id`` fields (default on).
     """
 
     enabled: bool = True
 
-    def __init__(self, stream: IO[str], *, correlate: bool = True) -> None:
+    def __init__(self, stream: IO[str]) -> None:
         self.stream = stream
         self.current_round: Optional[int] = None
         self._owns_stream = False
         self.emitted = 0
-        self._stitcher = LifecycleStitcher() if correlate else None
+        self._stitcher = LifecycleStitcher()
         self.stream.write(
             json.dumps({"schema_version": TRACE_SCHEMA_VERSION}) + "\n"
         )
 
     @classmethod
-    def open(cls, path: str, *, correlate: bool = True) -> "JsonlTracer":
+    def open(cls, path: str) -> "JsonlTracer":
         """Create a tracer writing to *path* (truncates; close with
         :meth:`close` or use as a context manager)."""
-        tracer = cls(open(path, "w"), correlate=correlate)
+        tracer = cls(open(path, "w"))
         tracer._owns_stream = True
         return tracer
 
     def begin_round(self, index: int) -> None:
         self.current_round = index
-        if self._stitcher is not None:
-            self._stitcher.begin_round(index)
+        self._stitcher.begin_round(index)
         self.stream.flush()
 
     def emit(self, event: TraceEvent) -> None:
         if event.round is None:
             event.round = self.current_round
-        if self._stitcher is not None:
-            self._stitcher.stamp(event)
+        self._stitcher.stamp(event)
         self.stream.write(json.dumps(event.as_dict()) + "\n")
         self.emitted += 1
 

@@ -8,7 +8,7 @@
   (``RoundOpened``, ``RackPlanned``, ``RoundClosed`` from the engine;
   ``AlertShed``, ``ServiceStateChanged`` from the serve driver);
 * :mod:`repro.service.bus` — the deterministic in-process
-  :class:`EventBus` (priority dispatch, run-to-completion), the
+  :class:`EventBus` (typed, subscription-order dispatch), the
   observer tap those events are published on;
 * :mod:`repro.service.ingest` — continuous alert sources for serve
   mode (seeded trace replay, JSONL streams);

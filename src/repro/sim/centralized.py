@@ -54,7 +54,6 @@ def centralized_migration_round(
     candidates: Sequence[int],
     *,
     apply: bool = False,
-    forbid_same_host: bool = True,
     balance_weight: float = 0.0,
     tracer: Tracer = NULL_TRACER,
     profiler=NULL_PROFILER,
@@ -68,8 +67,7 @@ def centralized_migration_round(
     apply:
         Mutate the cluster placement with the plan.  Benchmarks comparing
         against Sheriff plan on a *clone* instead (``apply=False``).
-    forbid_same_host:
-        Disallow assigning a VM to the host it already occupies (a no-op
+        A VM is never assigned the host it already occupies (a no-op
         "migration" has no meaning in Alg. 3).
     balance_weight:
         Optional load-aware steering, as in
@@ -98,9 +96,7 @@ def centralized_migration_round(
         per_rack = cost_model.migration_cost_vector(vm)
         need = int(pl.vm_capacity[vm])
         feasible = free >= need
-        if forbid_same_host:
-            feasible = feasible.copy()
-            feasible[int(pl.vm_host[vm])] = False
+        feasible[int(pl.vm_host[vm])] = False
         true_cost[r, feasible] = per_rack[host_racks[feasible]]
         cost[r, feasible] = true_cost[r, feasible] + steer[feasible]
     plan.search_space = cost.size

@@ -133,9 +133,7 @@ class SheriffSimulation:
         else:
             self.profiler = Profiler() if cfg.profile else NULL_PROFILER
         self.cluster = cluster
-        self.cost_model = CostModel(
-            cluster, cfg.cost_params, cache=cfg.cache_cost_kernels
-        )
+        self.cost_model = CostModel(cluster, cfg.cost_params)
         self.inflight: Optional[InFlightTracker] = None
         if cfg.migration_timing is not None:
             # live-migration windows: accepted moves reserve the destination
@@ -149,7 +147,7 @@ class SheriffSimulation:
         self.flow_table: Optional[FlowTable] = None
         if cfg.with_flows:
             self.flow_table = FlowTable(cluster.topology)
-            self._populate_flows(cfg.flow_rate)
+            self._populate_flows()
         # SLO layer — like the fault layer, only constructed when asked,
         # so default simulations never import repro.slo and stay
         # byte-identical to an SLO-free build
@@ -176,14 +174,11 @@ class SheriffSimulation:
                     timing=timing,
                     metrics=self.metrics,
                     tracer=self.tracer,
-                    round_minutes=cfg.slo_round_minutes,
                     overload_threshold=cfg.slo_overload_threshold,
                     budget_minutes=cfg.slo_budget_minutes,
                 )
             if cfg.scoring == "slo":
-                self.slo_scorer = SloScorer(
-                    slo_model, timing, weight=cfg.slo_damage_weight
-                )
+                self.slo_scorer = SloScorer(slo_model, timing)
         self.managers: Dict[int, ShimManager] = {
             r: ShimManager(
                 cluster,
@@ -232,8 +227,9 @@ class SheriffSimulation:
                     tracer=self.tracer,
                 )
 
-    def _populate_flows(self, rate: float) -> None:
-        """One flow per inter-rack dependency pair, attributed to the lower VM."""
+    def _populate_flows(self) -> None:
+        """One flow of rate 0.05 per inter-rack dependency pair, attributed
+        to the lower VM."""
         assert self.flow_table is not None
         pl = self.cluster.placement
         racks = pl.host_rack[pl.vm_host]
@@ -246,7 +242,7 @@ class SheriffSimulation:
         rb = racks[pairs[:, 1]]
         inter = ra != rb
         for vm, src, dst in zip(pairs[inter, 0], ra[inter], rb[inter]):
-            self.flow_table.add_flow(int(vm), int(src), int(dst), rate)
+            self.flow_table.add_flow(int(vm), int(src), int(dst), 0.05)
 
     def close(self) -> None:
         """Nothing to release; kept so drivers can close every engine alike."""

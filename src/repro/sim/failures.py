@@ -170,14 +170,12 @@ class FailureInjector:
                     stack.append(int(v))
         return [r for r in range(topo.num_racks) if not seen[r]]
 
-    def rebuild_cost_model(self, *, cache: bool = True) -> CostModel:
+    def rebuild_cost_model(self) -> CostModel:
         """Cost model over the surviving fabric.
 
-        *cache* is :class:`CostModel`'s switch; a caller replacing a model
-        passes the setting of the one it replaces.  Raises
-        :class:`TopologyError` when the failures partitioned the rack
-        fabric — planning over a partition would silently produce infinite
-        costs.
+        Raises :class:`TopologyError` when the failures partitioned the
+        rack fabric — planning over a partition would silently produce
+        infinite costs.
         """
         dead = self.disconnected_racks()
         if dead:
@@ -189,5 +187,4 @@ class FailureInjector:
             self.cluster,
             self.cost_params,
             available_bandwidth=self.available_bandwidth(),
-            cache=cache,
         )

@@ -61,7 +61,8 @@ class FullStackSimulation:
         ``base_rate × TRF(src VM)``, floored at ``0.05 × base_rate`` so
         idle dependencies still exist on the fabric.
     host_threshold, switch_threshold:
-        Overload lines for host load and switch utilization.
+        Overload lines for host load (forecast three rounds ahead) and
+        switch utilization.
     tor_queue_threshold:
         Predicted normalized ToR uplink queue occupancy that raises the
         LOCAL_TOR alert (Alg. 1's third case, Sec. III-B: the shim
@@ -85,7 +86,6 @@ class FullStackSimulation:
         switch_threshold: float = 0.7,
         tor_queue_threshold: float = 0.8,
         ecmp: bool = True,
-        predictive_horizon: int = 3,
         config: Optional[SheriffConfig] = None,
     ) -> None:
         if base_rate <= 0:
@@ -101,9 +101,7 @@ class FullStackSimulation:
         self.sim = SheriffSimulation(cluster, config)
         for mgr in self.sim.managers.values():
             mgr.flow_table = self.flow_table
-        self.manager = PredictiveManager(
-            workload, threshold=host_threshold, horizon=predictive_horizon
-        )
+        self.manager = PredictiveManager(workload, threshold=host_threshold, horizon=3)
         self._dep_flows: Dict[Tuple[int, int], int] = {}
         # per-rack predictive uplink queue monitors (Alg. 1 case 2)
         lt = cluster.topology.links

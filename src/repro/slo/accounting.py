@@ -2,7 +2,8 @@
 
 The accountant charges each VM's error budget from three sources, all
 expressed in the same unit — *violation-minutes*, minutes of SLO-breaking
-service weighted by how much traffic the VM was serving:
+service weighted by how much traffic the VM was serving.  One management
+round is one minute:
 
 ``overload``
     Every round a VM sits on a host whose utilisation exceeds the SLO
@@ -74,8 +75,6 @@ class SloAccountant:
         instantly (duck-typed: only ``rounds_for`` is called).
     metrics / tracer:
         Observability sinks; either may be ``None`` (ledger-only mode).
-    round_minutes:
-        Wall-clock minutes one management round represents.
     overload_threshold:
         Host utilisation above which resident VMs accrue overload
         minutes.
@@ -92,7 +91,6 @@ class SloAccountant:
         timing=None,
         metrics=None,
         tracer=None,
-        round_minutes: float = 1.0,
         overload_threshold: float = 0.9,
         budget_minutes: float = 0.0,
     ) -> None:
@@ -102,7 +100,6 @@ class SloAccountant:
         self.timing = timing
         self.metrics = metrics
         self.tracer = tracer
-        self.round_minutes = float(round_minutes)
         self.overload_threshold = float(overload_threshold)
         self.budget_minutes = float(budget_minutes)
 
@@ -171,7 +168,7 @@ class SloAccountant:
         if added <= 0.0:
             return 0.0
         slo = self.model.slo_for(vm)
-        minutes = _STRETCH_MINUTES_PER_HOP * self.round_minutes * added
+        minutes = _STRETCH_MINUTES_PER_HOP * added
         latency_ms = slo.latency_target_ms + _STRETCH_LATENCY_MS_PER_HOP * added
         self._charge(vm, slo.tenant_class, "stretch", minutes, latency_ms, new_host)
         return minutes
@@ -196,16 +193,16 @@ class SloAccountant:
                 span = max(1.0 - thr, 1e-9)
                 vm_hosts = pl.vm_host
                 for host in hot.tolist():
+                    # the excess fraction of a one-minute round
                     excess = min(1.0, (float(load[host]) - thr) / span)
-                    minutes = self.round_minutes * excess
                     for vm in np.nonzero(vm_hosts == host)[0].tolist():
                         slo = self.model.slo_for(vm)
                         latency_ms = slo.latency_target_ms * (1.0 + excess)
                         self._charge(
-                            vm, slo.tenant_class, "overload", minutes,
+                            vm, slo.tenant_class, "overload", excess,
                             latency_ms, host,
                         )
-                        charged += minutes
+                        charged += excess
         self._close_round_episodes()
         return charged
 

@@ -8,7 +8,7 @@ already busy amplify the risk (the VM lands somewhere that may violate
 its SLO next round), so the addend couples per-VM damage with per-host
 load:
 
-    addend[r, h] = weight * damage[r] * (0.5 + load_frac[h])
+    addend[r, h] = damage[r] * (0.5 + load_frac[h])
 
 Rows with zero request rate contribute nothing — for them the matrix
 degenerates to pure Eq. (1) cost and the assignment is unchanged.
@@ -32,10 +32,9 @@ __all__ = ["SloScorer"]
 class SloScorer:
     """Predicted-SLO-damage addend for migration cost matrices."""
 
-    def __init__(self, model: SloModel, timing, *, weight: float = 1.0) -> None:
+    def __init__(self, model: SloModel, timing) -> None:
         self.model = model
         self.timing = timing
-        self.weight = float(weight)
         self._downtime_by_capacity: Dict[int, float] = {}
 
     def _downtime_for(self, capacity: int) -> float:
@@ -66,4 +65,4 @@ class SloScorer:
         *load_frac* is one load per host, or ``(rows, hosts)`` when every
         row has its own hosts (the round's stacked pass).
         """
-        return self.weight * damage[:, None] * (0.5 + np.atleast_2d(load_frac))
+        return damage[:, None] * (0.5 + np.atleast_2d(load_frac))

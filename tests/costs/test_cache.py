@@ -50,21 +50,25 @@ def _read_all(cm, cluster):
 
 
 def _assert_equals_fresh_model(cm, cluster):
-    """Every regional row *cm* serves is what a model built now computes."""
-    assert_shim_reads_equal_oracle(cluster, [cm], CostModel(cluster, cache=False))
+    """Every regional row *cm* serves is the scalar oracle's, computed now."""
+    assert_shim_reads_equal_oracle(cluster, [cm], CostModel(cluster))
 
 
 class TestVectorCache:
     def test_cached_equals_uncached(self, cluster):
-        warm = CostModel(cluster, cache=True)
-        cold = CostModel(cluster, cache=False)
+        """Slab reads (twice: misses, then hits) and the never-cached
+        stacked rows equal the uncached scalar oracle, bit for bit."""
+        warm = CostModel(cluster)
         ids = list(range(min(cluster.num_vms, 20)))
-        assert warm.cost_rows(ids).tobytes() == cold.cost_rows(ids).tobytes()
-        for a, b in zip(_read_all(warm, cluster), _read_all(cold, cluster)):
-            assert a.tobytes() == b.tobytes()
+        want = np.stack([warm.migration_cost_vector(vm) for vm in ids])
+        assert warm.cost_rows(ids).tobytes() == want.tobytes()
+        _assert_equals_fresh_model(warm, cluster)
+        assert warm.cache_stats["hits"] == 0
+        _assert_equals_fresh_model(warm, cluster)
+        assert warm.cache_stats["hits"] == cluster.num_vms
 
     def test_repeat_query_hits(self, cluster):
-        cm = CostModel(cluster, cache=True)
+        cm = CostModel(cluster)
         shim = ShimView(cluster, 0)
         vm = shim.local_vms()[:1]
         a = cm.cost_rows(vm, region_cols=shim.candidate_cols())
@@ -78,7 +82,7 @@ class TestVectorCache:
     def test_move_invalidates_vm_and_neighbors_only(self, cluster):
         """A move starts a new generation: every row afterwards — the moved
         VM's, its dependents', anyone's — is what a fresh model answers."""
-        cm = CostModel(cluster, cache=True)
+        cm = CostModel(cluster)
         _read_all(cm, cluster)
         held = cm._slots_used
         assert held == cluster.num_vms
@@ -90,7 +94,7 @@ class TestVectorCache:
         _assert_equals_fresh_model(cm, cluster)
 
     def test_lost_vm_entry_dropped_not_repaired(self, cluster):
-        cm = CostModel(cluster, cache=True)
+        cm = CostModel(cluster)
         _read_all(cm, cluster)
         assert cm._slot_of[0] >= 0
         cluster.placement.mark_lost(0)
@@ -106,7 +110,7 @@ class TestVectorCache:
         """The engine's per-round pattern — sync, prime the round's VMs,
         then one read per shim — with a commit between rounds: every read
         of every round is a hit, and the prime is not counted as misses."""
-        cm = CostModel(cluster, cache=True)
+        cm = CostModel(cluster)
         for _ in range(4):
             cm.sync_cache()
             cm.prime_cost_vectors(range(cluster.num_vms))
@@ -121,7 +125,7 @@ class TestVectorCache:
         """There is no move ledger to fall off: however many generations
         pass between two syncs, the model forgets the slab whole and
         answers exactly what a fresh model answers."""
-        cm = CostModel(cluster, cache=True)
+        cm = CostModel(cluster)
         _read_all(cm, cluster)
         pl = cluster.placement
         vm, dst = _movable_pair(cluster)
@@ -136,16 +140,6 @@ class TestVectorCache:
         ]
         assert not hasattr(pl, "moves_since")
 
-    def test_stats_disabled_path(self, cluster):
-        cm = CostModel(cluster, cache=False)
-        cm.prime_cost_vectors([0])
-        _read_all(cm, cluster)
-        _read_all(cm, cluster)
-        assert cm.cache_stats == {
-            "hits": 0, "misses": 0, "invalidations": 0, "primed": 0,
-        }
-        assert cm._slab.size == 0
-
 
 class TestTransmissionMemo:
     def test_same_topology_same_table(self, cluster):
@@ -155,8 +149,8 @@ class TestTransmissionMemo:
 
     def test_cost_models_share_table(self, cluster):
         before = transmission_table_cache_stats()
-        a = CostModel(cluster, cache=True)
-        b = CostModel(cluster, cache=True)
+        a = CostModel(cluster)
+        b = CostModel(cluster)
         after = transmission_table_cache_stats()
         assert a.table is b.table
         # at most one build for this topology across both constructions

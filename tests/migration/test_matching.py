@@ -2,6 +2,8 @@
 solver paths: the one the box loads (compiled ``_jv.c`` where ``gcc``
 exists) and, via ``TestNumpyReference``, the numpy reference."""
 
+import shutil
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -149,3 +151,14 @@ class TestValidation:
 @pytest.mark.usefixtures("numpy_path")
 class TestNumpyReference(TestCorrectness, TestForbiddenPairs, TestValidation):
     """Every case above once more with the compiled kernel switched off."""
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc: numpy is the solver")
+def test_compiled_kernel_loads_where_gcc_exists():
+    # _load_jv_kernel swallows every error: a broken _jv.c or loader would
+    # put every matching on the numpy path (~11x slower on plan_alerts_k8)
+    # while every other test stays green
+    assert matching._JV_KERNEL is not None, (
+        "gcc is on PATH but the compiled matcher did not load; "
+        "check _jv.c, its gcc build and the _jv_build directory"
+    )

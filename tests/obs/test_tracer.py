@@ -149,18 +149,15 @@ class TestTraceLogView:
             AlertDelivered(rack=1, alert_kind="OUTER_SWITCH", magnitude=0.9, switch=12),
             AlertDelivered(rack=3, alert_kind="LOCAL_TOR", magnitude=0.8),
         ]
-        for correlate in (True, False):
-            batch, single = (RecordingTracer(correlate=correlate) for _ in "ab")
-            for t in (batch, single):
-                t.begin_round(2)
-            batch.emit_deliveries(alerts)
-            for alert in alerts:
-                single.emit(AlertDelivered.of(alert))
-            assert batch.events == single.events
-            assert [type(e.magnitude) for e in batch.events] == [float] * 3
-            assert [e.trace_id for e in batch.events] == (
-                ["r2.k1", "r2.k1", "r2.k3"] if correlate else [None] * 3
-            )
+        batch, single = RecordingTracer(), RecordingTracer()
+        for t in (batch, single):
+            t.begin_round(2)
+        batch.emit_deliveries(alerts)
+        for alert in alerts:
+            single.emit(AlertDelivered.of(alert))
+        assert batch.events == single.events
+        assert [type(e.magnitude) for e in batch.events] == [float] * 3
+        assert [e.trace_id for e in batch.events] == ["r2.k1", "r2.k1", "r2.k3"]
         paths = (tmp_path / "batch.jsonl", tmp_path / "single.jsonl")
         for path, batched in zip(paths, (True, False)):
             with JsonlTracer.open(path) as t:

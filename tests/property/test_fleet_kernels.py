@@ -37,6 +37,7 @@ from repro.topology import build_bcube, build_fattree
 
 from tests.property.test_parallel_properties import fresh_cluster, summary_fields
 from tests.property.test_regional_slab import (
+    ScalarOracleModel,
     assert_shim_reads_equal_oracle,
     build_ragged,
 )
@@ -385,10 +386,13 @@ def _assert_blocks_equal(got, want):
 
 
 @pytest.mark.parametrize("fabric", ["fattree4", "bcube4", "ragged"])
-@pytest.mark.parametrize("cached", [True, False])
+@pytest.mark.parametrize("primed", [True, False])
 @pytest.mark.parametrize("measured", [False, True])
 @pytest.mark.parametrize("scoring", ["network", "slo"])
-def test_stacked_blocks_equal_build_cost_block(fabric, cached, measured, scoring):
+def test_stacked_blocks_equal_build_cost_block(fabric, primed, measured, scoring):
+    """The round's stacked blocks equal per-rack blocks built on the scalar
+    oracle, whether the stack reads slab rows the round primed (hits) or
+    computes them itself (misses)."""
     topology = {
         "fattree4": lambda: build_fattree(4),
         "bcube4": lambda: build_bcube(4),
@@ -398,9 +402,7 @@ def test_stacked_blocks_equal_build_cost_block(fabric, cached, measured, scoring
         topology, hosts_per_rack=3, fill_fraction=0.55, skew=0.8, seed=11
     )
     pl = cluster.placement
-    sim = SheriffSimulation(
-        cluster, SheriffConfig(cache_cost_kernels=cached, scoring=scoring)
-    )
+    sim = SheriffSimulation(cluster, SheriffConfig(scoring=scoring))
     rng = np.random.default_rng(3)
     host_load = rng.random(pl.num_hosts) if measured else None
     # rack 1 sees no live destination: its rows are all-inf, first_min -1
@@ -415,13 +417,17 @@ def test_stacked_blocks_equal_build_cost_block(fabric, cached, measured, scoring
     kwargs = dict(
         balance_weight=25.0, host_load=host_load, slo_scorer=sim.slo_scorer
     )
+    if primed:
+        sim.cost_model.prime_cost_vectors(v for vms in picks.values() for v in vms)
     blocks = stack_cost_blocks(cluster, sim.cost_model, picks, snapshot, **kwargs)
+    stats = sim.cost_model.cache_stats
+    assert (stats["misses"] == 0) if primed else (stats["hits"] == 0)
     assert sorted(blocks) == [r for r in sorted(picks) if picks[r]]
     for rack, block in blocks.items():
         shim = sim.managers[rack].shim
         want = build_cost_block(
             cluster,
-            CostModel(cluster, cache=False),
+            ScalarOracleModel(cluster),
             picks[rack],
             shim.candidate_hosts(),
             region_cols=shim.candidate_cols(),
@@ -492,11 +498,11 @@ def test_stacked_plan_equals_rack_by_rack(seed):
 # batched cost-matrix kernel vs the scalar Eq. (1) kernel
 # --------------------------------------------------------------------- #
 @common
-@given(st.integers(0, 10**6), st.booleans())
-def test_cost_rows_bitwise_equals_scalar(seed, cached):
+@given(st.integers(0, 10**6))
+def test_cost_rows_bitwise_equals_scalar(seed):
     cluster = fresh_cluster(seed)
-    cm = CostModel(cluster, cache=cached)
-    oracle = CostModel(cluster, cache=False)
+    cm = CostModel(cluster)
+    oracle = CostModel(cluster)
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, cluster.num_vms, size=12).tolist()
     rows = cm.cost_rows(ids)
@@ -517,8 +523,8 @@ def test_cost_rows_dense_dependencies_take_scalar_path(seed):
         if other not in deps.neighbors(hub):
             deps.add_pair(hub, other)
     assert len(deps.neighbors(hub)) >= 8
-    cm = CostModel(cluster, cache=True)
-    oracle = CostModel(cluster, cache=False)
+    cm = CostModel(cluster)
+    oracle = CostModel(cluster)
     ids = list(range(min(cluster.num_vms, 12)))
     for vm, row in zip(ids, cm.cost_rows(ids)):
         np.testing.assert_array_equal(row, oracle.migration_cost_vector(vm))
@@ -528,25 +534,25 @@ def test_cost_rows_dense_dependencies_take_scalar_path(seed):
 @given(st.integers(0, 10**6))
 def test_prime_then_query_hits_without_recompute(seed):
     cluster = fresh_cluster(seed)
-    cm = CostModel(cluster, cache=True)
+    cm = CostModel(cluster)
     cm.prime_cost_vectors(range(cluster.num_vms))
     assert cm.cache_stats["primed"] == cluster.num_vms
     assert cm.cache_stats["misses"] == 0
-    assert_shim_reads_equal_oracle(cluster, [cm], CostModel(cluster, cache=False))
+    assert_shim_reads_equal_oracle(cluster, [cm], CostModel(cluster))
     assert cm.cache_stats["hits"] == cluster.num_vms
     assert cm.cache_stats["misses"] == 0
 
 
 # --------------------------------------------------------------------- #
-# the slab across generations vs a cold rebuild
+# the slab across generations vs the scalar oracle
 # --------------------------------------------------------------------- #
 @common
 @given(st.integers(0, 10**6), st.integers(1, 12))
 def test_incremental_cost_model_equals_rebuilt(seed, n_moves):
     cluster = fresh_cluster(seed)
     pl = cluster.placement
-    warm = CostModel(cluster, cache=True)
-    oracle = CostModel(cluster, cache=False)
+    warm = CostModel(cluster)
+    oracle = CostModel(cluster)
     rng = np.random.default_rng(seed)
     assert_shim_reads_equal_oracle(cluster, [warm], oracle)
     for _ in range(n_moves):
@@ -564,8 +570,8 @@ def test_incremental_cost_model_equals_rebuilt(seed, n_moves):
 def test_incremental_cost_model_across_lost_restore(seed):
     cluster = fresh_cluster(seed)
     pl = cluster.placement
-    warm = CostModel(cluster, cache=True)
-    oracle = CostModel(cluster, cache=False)
+    warm = CostModel(cluster)
+    oracle = CostModel(cluster)
     assert_shim_reads_equal_oracle(cluster, [warm], oracle)
     assert warm._slot_of[0] >= 0
     pl.mark_lost(0)

@@ -1,10 +1,11 @@
 """Engine-level byte-identity properties and the Kuhn–Munkres cross-check.
 
 Whatever alert stream the engine is fed, the cost-kernel cache must be
-invisible: the same RoundSummary counters and the same final placement
-with ``cache_cost_kernels`` on and off, across rounds (migrations land
-between rounds, so the slab's generation reset is what is on trial) and
-across the cost-model swap of a ``SWITCH_FAIL`` / ``SWITCH_RECOVER`` pair.
+invisible: the same RoundSummary counters and the same final placement as
+a run whose every cost model reads its rows from the scalar oracle
+(``migration_cost_vector``), across rounds (migrations land between
+rounds, so the slab's generation reset is what is on trial) and across
+the cost-model swap of a ``SWITCH_FAIL`` / ``SWITCH_RECOVER`` pair.
 
 A hypothesis-driven Kuhn–Munkres cross-check against scipy rides along:
 every Alg. 3 iteration solves one matching, so the solver's correctness on
@@ -21,11 +22,14 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.cluster import build_cluster
 from repro.config import SheriffConfig
+from repro.costs.model import CostModel
 from repro.errors import MigrationError
 from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
 from repro.migration.matching import hungarian
 from repro.sim import SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_fattree
+
+from tests.property.test_regional_slab import ScalarOracleModel
 
 common = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -52,8 +56,15 @@ def summary_fields(summary):
     return d
 
 
-def run_variant(cluster, rounds, *, cache):
-    sim = SheriffSimulation(cluster, SheriffConfig(cache_cost_kernels=cache))
+def oracle_models(mp):
+    """Make every cost model the engine builds — its own and each rebuild
+    under a switch fault — a :class:`ScalarOracleModel`."""
+    mp.setattr("repro.sim.engine.CostModel", ScalarOracleModel)
+    mp.setattr("repro.sim.failures.CostModel", ScalarOracleModel)
+
+
+def run_variant(cluster, rounds):
+    sim = SheriffSimulation(cluster, SheriffConfig())
     return [summary_fields(sim.run_round(alerts, vma)) for alerts, vma in rounds]
 
 
@@ -76,9 +87,11 @@ def alert_rounds(draw):
 def test_cost_cache_is_byte_identical(case):
     seed, rounds = case
     baseline_cluster = fresh_cluster(seed)
-    baseline = run_variant(baseline_cluster, rounds, cache=False)
+    with pytest.MonkeyPatch.context() as mp:
+        oracle_models(mp)
+        baseline = run_variant(baseline_cluster, rounds)
     cluster = fresh_cluster(seed)
-    assert run_variant(cluster, rounds, cache=True) == baseline
+    assert run_variant(cluster, rounds) == baseline
     np.testing.assert_array_equal(
         cluster.placement.vm_host, baseline_cluster.placement.vm_host
     )
@@ -86,38 +99,36 @@ def test_cost_cache_is_byte_identical(case):
 
 @common
 @given(st.integers(0, 10**6), st.floats(0.02, 0.15))
-def test_cost_cache_setting_survives_a_switch_failure(seed, fraction):
-    """A model rebuilt under SWITCH_FAIL / SWITCH_RECOVER keeps the engine's
-    ``cache_cost_kernels``, and on vs off stays byte-identical over rounds
-    that include both rebuilds."""
+def test_cost_cache_is_byte_identical_across_a_switch_failure(seed, fraction):
+    """With the models rebuilt under SWITCH_FAIL / SWITCH_RECOVER, the run
+    stays byte-identical to the scalar oracle's over rounds that include
+    both rebuilds."""
     agg = fresh_cluster(seed).num_racks  # first aggregation switch
     schedule = [
         FaultSpec(FaultKind.SWITCH_FAIL, target=agg, at_round=1),
         FaultSpec(FaultKind.SWITCH_RECOVER, target=agg, at_round=3),
     ]
     runs = {}
-    for cache in (False, True):
-        cluster = fresh_cluster(seed)
-        sim = SheriffSimulation(
-            cluster,
-            SheriffConfig(
-                cache_cost_kernels=cache, fault_schedule=FaultSchedule(schedule)
-            ),
-        )
-        summaries, models = [], [sim.cost_model]
-        for r in range(5):
-            alerts, vma = inject_fraction_alerts(
-                cluster, fraction, time=r, seed=seed + r
+    for model in (ScalarOracleModel, CostModel):
+        with pytest.MonkeyPatch.context() as mp:
+            if model is ScalarOracleModel:
+                oracle_models(mp)
+            cluster = fresh_cluster(seed)
+            sim = SheriffSimulation(
+                cluster, SheriffConfig(fault_schedule=FaultSchedule(schedule))
             )
-            summaries.append(summary_fields(sim.run_round(alerts, vma)))
-            if sim.cost_model is not models[-1]:
-                models.append(sim.cost_model)
+            summaries, models = [], [sim.cost_model]
+            for r in range(5):
+                alerts, vma = inject_fraction_alerts(
+                    cluster, fraction, time=r, seed=seed + r
+                )
+                summaries.append(summary_fields(sim.run_round(alerts, vma)))
+                if sim.cost_model is not models[-1]:
+                    models.append(sim.cost_model)
         assert len(models) == 3  # built, rebuilt on fail, rebuilt on recover
-        assert [m._cache_enabled for m in models] == [cache] * 3
-        if not cache:
-            assert all(m.cache_stats["primed"] == 0 for m in models)
-        runs[cache] = (summaries, cluster.placement.vm_host.tobytes())
-    assert runs[True] == runs[False]
+        assert [type(m) for m in models] == [model] * 3
+        runs[model] = (summaries, cluster.placement.vm_host.tobytes())
+    assert runs[CostModel] == runs[ScalarOracleModel]
 
 
 matching_settings = settings(max_examples=50, deadline=None)

@@ -1,4 +1,4 @@
-"""EventBus semantics: typed dispatch, priority, run-to-completion."""
+"""EventBus semantics: typed dispatch in subscription order."""
 
 import pytest
 
@@ -57,27 +57,20 @@ class TestSubscription:
 
 
 class TestOrdering:
-    def test_priority_then_subscription_order(self):
+    def test_base_and_exact_subscribers_run_in_subscription_order(self):
         bus = EventBus()
         calls = []
-        bus.subscribe(RoundOpened, lambda e: calls.append("low"), priority=-5)
-        bus.subscribe(RoundOpened, lambda e: calls.append("first"), priority=10)
-        bus.subscribe(RoundOpened, lambda e: calls.append("a"), priority=0)
-        bus.subscribe(RoundOpened, lambda e: calls.append("b"), priority=0)
+        bus.subscribe(ServiceEvent, lambda e: calls.append("any"))
+        bus.subscribe(RoundOpened, lambda e: calls.append("exact"))
+        bus.subscribe(ServiceEvent, lambda e: calls.append("any again"))
         bus.publish(_opened())
-        assert calls == ["first", "a", "b", "low"]
+        assert calls == ["any", "exact", "any again"]
+        assert bus.subscriber_count(RoundOpened) == 3
+        assert bus.subscriber_count(RoundClosed) == 2
 
-    def test_base_and_exact_subscribers_merge_by_priority(self):
-        bus = EventBus()
-        calls = []
-        bus.subscribe(ServiceEvent, lambda e: calls.append("any"), priority=0)
-        bus.subscribe(RoundOpened, lambda e: calls.append("exact"), priority=1)
-        bus.publish(_opened())
-        assert calls == ["exact", "any"]
-
-    def test_run_to_completion(self):
-        # an event published from a handler dispatches after the current
-        # event's remaining handlers — never interleaved
+    def test_publish_from_a_handler_dispatches_at_once(self):
+        # an event published from a handler reaches its handlers before
+        # the publishing handler returns
         bus = EventBus()
         calls = []
 
@@ -86,12 +79,30 @@ class TestOrdering:
             bus.publish(
                 RoundClosed(round=0, alerts=0, migrations=0, total_cost=0.0)
             )
+            calls.append("open:first done")
 
-        bus.subscribe(RoundOpened, cascade, priority=1)
+        bus.subscribe(RoundOpened, cascade)
         bus.subscribe(RoundOpened, lambda e: calls.append("open:second"))
         bus.subscribe(RoundClosed, lambda e: calls.append("closed"))
         bus.publish(_opened())
-        assert calls == ["open:first", "open:second", "closed"]
+        assert calls == ["open:first", "closed", "open:first done", "open:second"]
+
+    def test_handlers_are_the_ones_subscribed_when_publish_starts(self):
+        bus = EventBus()
+        calls = []
+        late = []
+
+        def first(event):
+            calls.append("first")
+            second.cancel()
+            bus.subscribe(RoundOpened, late.append)
+
+        bus.subscribe(RoundOpened, first)
+        second = bus.subscribe(RoundOpened, lambda e: calls.append("second"))
+        bus.publish(_opened(0))
+        assert calls == ["first"] and late == []
+        bus.publish(_opened(1))
+        assert [e.round for e in late] == [1]
 
 
 class TestRecording:

@@ -41,14 +41,14 @@ class TestScorer:
         assert damage[1] == 0.0  # zero-rate VMs never add cost
 
     def test_addend_couples_damage_with_destination_load(self):
-        scorer = SloScorer(self._model(), MigrationTiming(), weight=2.0)
+        scorer = SloScorer(self._model(), MigrationTiming())
         damage = np.array([1.0, 0.0])
         load = np.array([0.0, 0.5, 1.0])
         addend = scorer.addend(damage, load)
         assert addend.shape == (2, 3)
         # busier destinations cost strictly more for a served VM...
         assert addend[0, 0] < addend[0, 1] < addend[0, 2]
-        assert addend[0, 0] == pytest.approx(2.0 * 1.0 * 0.5)
+        assert addend[0, 0] == pytest.approx(1.0 * 0.5)
         # ...and a zero-damage row degenerates to pure Eq. (1) cost
         assert np.all(addend[1] == 0.0)
 

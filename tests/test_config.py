@@ -23,8 +23,6 @@ class TestRoundTrip:
             balance_weight=12.5,
             migration_cooldown=5,
             with_flows=True,
-            flow_rate=0.1,
-            cache_cost_kernels=False,
             profile=False,
         )
         wire = json.dumps(cfg.to_dict(), sort_keys=True)
@@ -62,6 +60,33 @@ class TestRoundTrip:
         assert "removed" in message and "always inline" in message
         assert "allowed:" not in message
         assert not hasattr(SheriffConfig(), key)
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("flow_rate", 0.1, "rate 0.05"),
+            ("cache_cost_kernels", False, "cache is always on"),
+            ("slo_round_minutes", 5.0, "one minute"),
+            ("slo_damage_weight", 2.0, "weight 1"),
+        ],
+    )
+    def test_removed_fixed_value_keys_fail_with_their_own_reason(
+        self, key, value, reason
+    ):
+        # each removed key names what replaced it, not the planner's reason
+        with pytest.raises(ConfigurationError) as exc:
+            SheriffConfig.from_dict({"balance_weight": 25.0, key: value})
+        message = str(exc.value)
+        assert f"{key} (" in message and reason in message
+        assert "always inline" not in message and "allowed:" not in message
+        assert not hasattr(SheriffConfig(), key)
+
+    def test_each_removed_key_in_one_file_is_named_with_its_reason(self):
+        with pytest.raises(ConfigurationError) as exc:
+            SheriffConfig.from_dict({"workers": 4, "flow_rate": 0.1})
+        message = str(exc.value)
+        assert "flow_rate (every dependency flow has rate 0.05)" in message
+        assert "workers (planning is always inline" in message
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigurationError, match="object"):
