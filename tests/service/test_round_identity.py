@@ -13,12 +13,16 @@ alerts, so β picks, reroutes and predicted damage are non-zero).  The one
 remaining round must reproduce every RoundSummary field, the final
 placement hash and — where a tracer runs — the event stream exactly.
 Each variant also pins what the summaries leave out: every per-rack
-report (``reports_sha256``) and the registry's Prometheus text, key
-order included (``metrics_sha256``).
+report (``reports_sha256``), the registry's Prometheus text, key
+order included (``metrics_sha256``), and the per-round ``--metrics-stream``
+rows (``metrics_stream_sha256``, each line re-dumped with sorted keys, so
+the key order of a round's window is free but its keys and values are
+not).
 """
 
 import dataclasses
 import hashlib
+import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -151,9 +155,11 @@ def _mixed_alerts(sim, r, alerts, vma):
     return alerts, vma
 
 
-def _run(variant: str, observer=None):
+def _run(variant: str, observer=None, stream=None):
     cluster = _cluster(variant)
-    sim = SheriffSimulation(cluster, _config(variant))
+    sim = SheriffSimulation(
+        cluster, _config(variant).replace(metrics_stream=stream)
+    )
     if observer is not None:
         sim.bus.subscribe(ServiceEvent, observer)
     for r in range(ROUNDS):
@@ -195,6 +201,14 @@ def _metrics_sha256(sim):
     return hashlib.sha256(prometheus_text(sim.metrics).encode()).hexdigest()
 
 
+def _metrics_stream_sha256(text):
+    """The streamed per-round windows, each row's keys sorted."""
+    rows = [
+        json.dumps(json.loads(line), sort_keys=True) for line in text.splitlines()
+    ]
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
 def _events_sha256(tracer):
     """The trace stream minus the one wall-clock field, in emission order."""
     rows = []
@@ -224,6 +238,17 @@ def test_reports_and_metrics_match_seed_engine(variant):
     _, sim = _run(variant)
     assert _reports_sha256(sim) == GOLDEN[variant]["reports_sha256"]
     assert _metrics_sha256(sim) == GOLDEN[variant]["metrics_sha256"]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN))
+def test_metrics_stream_matches_seed_engine(variant):
+    stream = io.StringIO()
+    _run(variant, stream=stream)
+    assert stream.getvalue().count("\n") == ROUNDS
+    assert (
+        _metrics_stream_sha256(stream.getvalue())
+        == GOLDEN[variant]["metrics_stream_sha256"]
+    )
 
 
 def test_mixed_variant_exercises_every_report_field():
