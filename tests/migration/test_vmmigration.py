@@ -6,11 +6,11 @@ import pytest
 from repro.cluster import build_cluster
 from repro.cluster.shim import ShimView
 from repro.costs.model import CostModel
+from repro.migration.reports import RoundReports
 from repro.migration.request import ReceiverRegistry
 from repro.migration.vmmigration import (
     _greedy_assign,
     build_cost_block,
-    rack_instruments,
     request_migrations,
     vmmigration,
 )
@@ -189,13 +189,11 @@ class TestSingleRowRequestsItsFirstMinimum:
         first_min = block.first_min.copy()
         if withhold:
             block.first_min = np.full(n_vms, -1)
-        stats = request_migrations(
-            block,
-            reg,
-            tracer=tracer,
-            instruments=rack_instruments(metrics, 0),
-            rack=0,
-        )
+        reports = RoundReports()
+        reports.add_row(0, selected=block.vms)
+        request_migrations(block, reg, reports=reports, tracer=tracer, rack=0)
+        reports.write_metrics(metrics)
+        stats = reports.migration(0)
         events = [e.as_dict() for e in tracer.events]
         for e in events:
             e.pop("elapsed_s", None)

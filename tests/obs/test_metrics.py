@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs.export import prometheus_text
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -22,6 +23,18 @@ class TestCounter:
         reg = MetricsRegistry()
         with pytest.raises(ObservabilityError):
             reg.counter("m").inc(-1)
+
+    def test_nan_increment_rejected(self):
+        # NaN < 0 is False: a sign test alone lets it through, and then the
+        # counter and every open scope's total read NaN
+        reg = MetricsRegistry()
+        c = reg.counter("m")
+        with reg.scope() as scope:
+            c.inc(1)
+            with pytest.raises(ObservabilityError, match="cannot add NaN"):
+                c.inc(float("nan"))
+        assert c.value == 1.0
+        assert scope.total("m") == 1.0
 
     def test_get_or_create_same_object(self):
         reg = MetricsRegistry()
@@ -80,6 +93,11 @@ class TestHistogram:
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ObservabilityError):
             MetricsRegistry().histogram("h", buckets=[10.0, 1.0])
+        # a repeated bound leaves a bucket no value reaches and exports two
+        # samples with the same ``le``
+        for buckets in ([1.0, 1.0, 2.0], [1.0, 2.0, 2.0], [float("nan"), 1.0]):
+            with pytest.raises(ObservabilityError, match="strictly ascending"):
+                MetricsRegistry().histogram("h", buckets=buckets)
 
 
 class TestRegistry:
@@ -169,14 +187,6 @@ class TestScope:
         assert scope.value("m", rack=9) == 0.0
         assert scope.by_label("m", "rack") == {"0": 1.0, "1": 2.0}
 
-    def test_scope_counts_recordings(self):
-        reg = MetricsRegistry()
-        with reg.scope() as scope:
-            reg.histogram("h").observe(4.0)
-            reg.histogram("h").observe(6.0)
-        assert scope.count("h") == 2
-        assert scope.total("h") == 10.0
-
     def test_nested_scopes_both_see_increments(self):
         reg = MetricsRegistry()
         with reg.scope() as outer:
@@ -214,5 +224,88 @@ class TestScope:
             "7": 2e16, "3": 1.0, "1": 1.0, "5": 1.0
         }
         assert list(scope.by_label("cost", "rack")) == ["7", "3", "1", "5"]
-        assert scope.count("cost") == 5 and scope.count("other") == 3
-        assert scope.total("missing") == 0.0 and scope.count("missing") == 0
+        assert scope.total("missing") == 0.0
+
+
+class TestFamily:
+    def test_column_write_is_the_members_values(self):
+        reg = MetricsRegistry()
+        fam = reg.counters("c", "rack")
+        reg.register([(fam, 5), (fam, 2)])
+        with reg.scope() as scope:
+            fam.add(fam.slots([2, 5]), np.array([3, 4]))
+            fam.add(fam.slots([5]), np.array([0.5]))
+        member = reg.counter("c", rack=5)
+        assert isinstance(member, Counter) and member.value == 4.5
+        assert type(member.value) is float
+        assert reg.counter("c", rack=5) is member
+        assert [m.labels for m in reg.instruments()] == [{"rack": "5"}, {"rack": "2"}]
+        # the scope folds the writes in order: rack 2 was touched first
+        assert scope.as_dict() == {"c{rack=2}": 3.0, "c{rack=5}": 4.5}
+        assert scope.total("c") == 7.5
+        member.inc(1)  # a member's inc is a one-row write
+        assert fam.values[fam.slots([5])[0]] == 5.5
+
+    def test_column_write_refuses_nan_and_negative_amounts(self):
+        reg = MetricsRegistry()
+        fam = reg.counters("c", "rack")
+        reg.register([(fam, 0), (fam, 1)])
+        with reg.scope() as scope:
+            with pytest.raises(ObservabilityError, match="cannot add NaN"):
+                fam.add(fam.slots([0, 1]), np.array([1.0, float("nan")]))
+            with pytest.raises(ObservabilityError, match="cannot decrease"):
+                fam.add(fam.slots([0, 1]), np.array([-1.0, 2.0]))
+            with pytest.raises(ObservabilityError, match="cannot add NaN"):
+                reg.counter("c", rack=0).inc(float("nan"))
+        # a refused write writes nothing, to the values or the scope
+        assert fam.values[:2].tolist() == [0.0, 0.0]
+        assert scope.as_dict() == {}
+
+    def test_registration_goes_where_it_is_asked(self):
+        reg = MetricsRegistry()
+        reg.counter("first").inc()
+        at = len(reg)
+        reg.counter("late").inc()
+        fam = reg.counters("c", "rack")
+        reg.register([(fam, 3), (fam, 1), (fam, 3)], at=at)
+        assert [m.name for m in reg.instruments()] == ["first", "c", "c", "late"]
+        assert prometheus_text(reg).index("sheriff_c") < prometheus_text(reg).index(
+            "sheriff_late"
+        )
+
+    def test_family_names_and_labels_are_checked(self):
+        reg = MetricsRegistry()
+        reg.counter("plain", rack=1)
+        with pytest.raises(ObservabilityError, match="cannot become a family"):
+            reg.counters("plain", "rack")
+        reg.counters("c", "rack")
+        with pytest.raises(ObservabilityError):
+            reg.histograms("c", "rack")
+        with pytest.raises(ObservabilityError):
+            reg.histogram("c", rack=1)
+        with pytest.raises(ObservabilityError, match="alone"):
+            reg.counter("c", rack=1, kind="x")
+        with pytest.raises(ObservabilityError, match="non-negative"):
+            reg.counter("c", rack=-1)
+
+    def test_histogram_members_observe_like_histograms(self):
+        reg, ref = MetricsRegistry(), MetricsRegistry()
+        fam = reg.histograms("h", "rack")
+        values = [(i * 7919) % 1013 / 7.0 for i in range(700)]
+        # rack 4 takes 600 values in one write, then 100 one at a time;
+        # rack 9 takes none, then two
+        reg.register([(fam, 4), (fam, 9)])
+        fam.observe(fam.slots([4, 9]), np.array([600, 0]), np.array(values[:600]))
+        for v in values[600:]:
+            reg.histogram("h", rack=4).observe(v)
+        fam.observe(fam.slots([9]), np.array([2]), np.array([1.5, 0.5]))
+        for v in values:
+            ref.histogram("h", rack=4).observe(v)
+        for v in (1.5, 0.5):
+            ref.histogram("h", rack=9).observe(v)
+        assert reg.as_dict() == ref.as_dict()
+        assert prometheus_text(reg) == prometheus_text(ref)
+        for rack in (4, 9):
+            got, want = reg.histogram("h", rack=rack), ref.histogram("h", rack=rack)
+            assert got._reservoir == want._reservoir
+            assert got._rng.getstate() == want._rng.getstate()
