@@ -82,12 +82,15 @@ adversarial:
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
 
-# Invariant-check the golden seeded chaos trace: every REQUEST resolves,
-# commits are acked, down racks stay silent (docs/observability.md).
+# Invariant-check the golden seeded chaos trace, and the same campaign with
+# the SLO ledger on: every REQUEST resolves, commits are acked, down racks
+# stay silent (docs/observability.md).
 trace-lint:
 	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	PYTHONPATH=src python -m repro chaos --rounds 8 --size 4 --seed 2015 --trace "$$d/golden.jsonl" > /dev/null; \
-	PYTHONPATH=src python -m repro trace lint "$$d/golden.jsonl"
+	PYTHONPATH=src python -m repro trace lint "$$d/golden.jsonl"; \
+	PYTHONPATH=src python -m repro chaos --rounds 8 --size 4 --seed 2015 --slo --trace "$$d/slo.jsonl" > /dev/null; \
+	PYTHONPATH=src python -m repro trace lint "$$d/slo.jsonl"
 
 # Boot `repro serve` against a seeded replay, poll /healthz, scrape
 # /metrics, SIGTERM, assert a clean drain (docs/service.md ops story).
