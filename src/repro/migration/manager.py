@@ -196,14 +196,16 @@ class ShimManager:
                 if vm >= 0:
                     migrate_set.append(vm)
                 if tracer.enabled:
-                    tracer.emit(
-                        PrioritySelected(
-                            rack=self.rack,
-                            factor=PriorityFactor.ONE.name,
-                            budget=1,
-                            candidates=candidates[alert.host],
-                            selected=(vm,) if vm >= 0 else (),
-                        )
+                    # rack, factor, budget, candidates, selected
+                    tracer.record(
+                        PrioritySelected,
+                        (
+                            self.rack,
+                            "ONE",
+                            1,
+                            candidates[alert.host],
+                            (vm,) if vm >= 0 else (),
+                        ),
                     )
 
         if tor_alerted:

@@ -356,16 +356,18 @@ def request_migrations(
                 )
         matching_size.append(n_rows)
         if tracer.enabled:
-            tracer.emit(
-                MatchingSolved(
-                    rack=rack,
-                    rows=n_rows,
-                    cols=int(hosts.size),
-                    matched=int(matched),
-                    iteration=iterations,
-                    fallback=fallback,
-                    elapsed_s=solve_elapsed,
-                )
+            # rack, rows, cols, matched, iteration, fallback, elapsed_s
+            tracer.record(
+                MatchingSolved,
+                (
+                    rack,
+                    n_rows,
+                    int(hosts.size),
+                    int(matched),
+                    iterations,
+                    fallback,
+                    solve_elapsed,
+                ),
             )
         placed_rows = set()
         with profiler.section("request"):
@@ -396,11 +398,7 @@ def request_migrations(
                 dst_rack = int(block.host_racks[col])
                 requested += 1
                 if tracer.enabled:
-                    tracer.emit(
-                        RequestSent(
-                            vm=vm, dst_host=host, dst_rack=dst_rack, src_rack=rack
-                        )
-                    )
+                    tracer.record(RequestSent, (vm, host, dst_rack, rack))
                 outcome = receivers.request(vm, host, dst_rack)
                 if outcome is RequestOutcome.ACK:
                     acked += 1

@@ -16,7 +16,8 @@ Three independent, composable facilities:
 On top of these sit the causal layer and its tooling:
 
 * :mod:`repro.obs.correlate` — the :class:`LifecycleStitcher` that
-  stamps ``trace_id``/``parent_id`` attempt chains at emit time;
+  stamps ``trace_id``/``parent_id`` attempt chains into a tracer's rows
+  when its log is read;
 * :mod:`repro.obs.export` — Prometheus text exposition
   (:func:`prometheus_text`) and Chrome/Perfetto ``trace_event`` JSON
   (:func:`chrome_trace`);

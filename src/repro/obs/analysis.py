@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs.metrics import quantile
 
 __all__ = [
     "LintViolation",
@@ -80,16 +82,6 @@ class LintViolation:
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"[{self.rule}] event #{self.line}: {self.message}"
-
-
-def _quantile(ordered: Sequence[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 # --------------------------------------------------------------------- #
@@ -151,9 +143,9 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "no_landings": totals.get("MigrationLanded", 0) == 0,
         "alert_to_landed_rounds": {
             "count": len(latencies),
-            "p50": _quantile(latencies, 0.5),
-            "p95": _quantile(latencies, 0.95),
-            "p99": _quantile(latencies, 0.99),
+            "p50": quantile(latencies, 0.5),
+            "p95": quantile(latencies, 0.95),
+            "p99": quantile(latencies, 0.99),
             "max": latencies[-1] if latencies else 0.0,
         },
     }
@@ -164,8 +156,8 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             "by_source": dict(sorted(slo_by_source.items())),
             "episodes": {
                 "count": len(episode_lengths),
-                "p50_rounds": _quantile(episode_lengths, 0.5),
-                "p99_rounds": _quantile(episode_lengths, 0.99),
+                "p50_rounds": quantile(episode_lengths, 0.5),
+                "p99_rounds": quantile(episode_lengths, 0.99),
                 "max_rounds": episode_lengths[-1] if episode_lengths else 0.0,
             },
             "budget_exhausted": sorted(set(slo_budget_exhausted)),

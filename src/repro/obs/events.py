@@ -9,7 +9,9 @@ construct — they are only built when a tracer is enabled.
 The ``round`` field is stamped by the tracer (see
 :meth:`repro.obs.tracer.RecordingTracer.emit`) from the engine's
 ``begin_round`` call, so emitting sites deep inside the migration
-machinery never need to thread the round index explicitly.
+machinery never need to thread the round index explicitly.  The hot sites
+build no event at all: they record the same field values as a row
+(:meth:`repro.obs.tracer.RecordingTracer.record`).
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ class TraceEvent:
     ``trace_id`` correlates one migration attempt's causal chain
     (alert → PRIORITY → REQUEST → commit → landing); ``parent_id`` links
     a chain to the rack-level alert group that spawned it.  Both are
-    stamped by the tracer's :class:`~repro.obs.correlate.LifecycleStitcher`
-    at emit time — emitting sites never compute ids, so the disabled
-    path stays zero-cost.
+    stamped into the tracer's rows by its
+    :class:`~repro.obs.correlate.LifecycleStitcher` when the log is read —
+    emitting sites never compute ids, and ``emit`` leaves them unset on
+    the caller's event.
     """
 
     round: Optional[int] = None
@@ -93,19 +96,14 @@ class AlertDelivered(TraceEvent):
     switch: Optional[int] = None
 
     @staticmethod
-    def values_of(
-        alert, round: Optional[int] = None, trace_id: Optional[str] = None
-    ) -> tuple:
-        """The delivery record of one ALERT as its field values, in
-        ``dataclasses.fields`` order (what a row-keeping tracer stores).
+    def values_of(alert) -> tuple:
+        """The delivery record of one ALERT as its own field values, in
+        ``dataclasses.fields`` order (a row for ``Tracer.record``).
 
         *alert* is anything with ``rack``, ``kind`` (an enum, recorded by
         ``name``), ``magnitude``, ``host`` and ``switch``.
         """
         return (
-            round,
-            trace_id,
-            None,
             alert.rack,
             alert.kind.name,
             float(alert.magnitude),
@@ -116,7 +114,7 @@ class AlertDelivered(TraceEvent):
     @classmethod
     def of(cls, alert) -> "AlertDelivered":
         """The delivery record of one ALERT, not yet stamped."""
-        return cls(*cls.values_of(alert))
+        return cls(None, None, None, *cls.values_of(alert))
 
 
 @dataclass

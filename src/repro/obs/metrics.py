@@ -49,6 +49,7 @@ import numpy as np
 from repro.errors import ObservabilityError
 
 __all__ = [
+    "quantile",
     "Counter",
     "CounterFamily",
     "Gauge",
@@ -67,6 +68,24 @@ MetricKey = Tuple[str, LabelKey]
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def quantile(ordered: Sequence[float], q: float) -> float:
+    """The *q*-quantile of an ascending sequence, interpolated linearly
+    between order statistics; ``0.0`` when it is empty.
+
+    Raises :class:`~repro.errors.ObservabilityError` for ``q`` outside
+    ``[0, 1]`` (NaN included).
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ObservabilityError(f"quantile {q} outside [0, 1]")
+    if not ordered:
+        return 0.0
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    frac = pos - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
 def _refused(name: str, amount) -> ObservabilityError:
@@ -216,31 +235,15 @@ class Histogram:
         beyond.  Linear interpolation between order statistics; ``0.0``
         on an empty histogram.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ObservabilityError(f"quantile {q} outside [0, 1]")
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        pos = q * (len(ordered) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        return quantile(sorted(self._reservoir), q)
 
     def quantiles(self) -> Dict[str, float]:
         """The standard reporting trio: ``{"p50", "p95", "p99"}``."""
         ordered = sorted(self._reservoir)
-        out: Dict[str, float] = {}
-        for label, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-            if not ordered:
-                out[label] = 0.0
-                continue
-            pos = q * (len(ordered) - 1)
-            lo = int(pos)
-            hi = min(lo + 1, len(ordered) - 1)
-            frac = pos - lo
-            out[label] = ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-        return out
+        return {
+            label: quantile(ordered, q)
+            for label, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))
+        }
 
 
 class MetricsScope:

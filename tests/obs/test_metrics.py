@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.export import prometheus_text
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, quantile
 
 
 class TestCounter:
@@ -98,6 +98,36 @@ class TestHistogram:
         for buckets in ([1.0, 1.0, 2.0], [1.0, 2.0, 2.0], [float("nan"), 1.0]):
             with pytest.raises(ObservabilityError, match="strictly ascending"):
                 MetricsRegistry().histogram("h", buckets=buckets)
+
+
+class TestQuantile:
+    """One interpolation for histograms, the SLO ledger and trace summaries."""
+
+    def test_interpolates_between_order_statistics(self):
+        ordered = [1.0, 2.0, 4.0]
+        assert [quantile(ordered, q) for q in (0.0, 0.25, 0.5, 0.75, 1.0)] == [
+            1.0, 1.5, 2.0, 3.0, 4.0
+        ]
+        assert quantile([], 0.5) == 0.0
+
+    def test_refuses_q_outside_the_unit_interval(self):
+        for q in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ObservabilityError, match="outside"):
+                quantile([1.0, 2.0, 3.0], q)
+        with pytest.raises(ObservabilityError):
+            quantile([], -0.1)  # refused even with nothing to interpolate
+
+    def test_histogram_reads_agree(self):
+        h = MetricsRegistry().histogram("h")
+        for v in (3.0, 1.0, 2.0, 8.0):
+            h.observe(v)
+        ordered = [1.0, 2.0, 3.0, 8.0]
+        assert h.quantile(0.3) == quantile(ordered, 0.3)
+        assert h.quantiles() == {
+            "p50": quantile(ordered, 0.5),
+            "p95": quantile(ordered, 0.95),
+            "p99": quantile(ordered, 0.99),
+        }
 
 
 class TestRegistry:
