@@ -52,11 +52,10 @@ class SloScorer:
         the VM's request rate ÷ 60 — exactly what the accountant would
         charge if the move lands.
         """
+        rate = self.model.request_rate[np.asarray(vms, dtype=np.int64)]
         out = np.zeros(len(vms), dtype=np.float64)
-        for i, (vm, cap) in enumerate(zip(vms, capacities)):
-            rate = self.model.slo_for(int(vm)).request_rate
-            if rate > 0.0:
-                out[i] = self._downtime_for(int(cap)) * rate / 60.0
+        for i in np.flatnonzero(rate > 0.0).tolist():
+            out[i] = self._downtime_for(int(capacities[i])) * rate[i] / 60.0
         return out
 
     def addend(self, damage: np.ndarray, load_frac: np.ndarray) -> np.ndarray:
