@@ -5,7 +5,7 @@
 # installed package shadows neither (src/ simply wins on the path).
 export PYTHONPATH := src:.$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install lint test bench-smoke digest-smoke gc-smoke bench-pairs bench-all report examples chaos adversarial trace-lint serve-smoke ci all
+.PHONY: install lint test bench-smoke digest-smoke gc-smoke bench-pairs bench-all figs-smoke report examples chaos adversarial trace-lint serve-smoke ci all
 
 install:
 	pip install -e . --no-build-isolation
@@ -54,6 +54,15 @@ bench-pairs:
 bench-all:
 	pytest benchmarks/ --benchmark-only
 
+# The forecast layer's paper figures and ablations, run once each (~8 s):
+# the Figs. 6-8 orderings, the Eq. (14) selection and pre-alert ablations,
+# and the monitored fleet, with timing off.
+figs-smoke:
+	pytest -q --benchmark-disable benchmarks/test_fig06_arima.py \
+		benchmarks/test_fig07_narnet.py benchmarks/test_fig08_combined.py \
+		benchmarks/test_ablation_selection.py benchmarks/test_ablation_prealert.py \
+		benchmarks/test_fleet_monitoring.py
+
 report:
 	python -m repro report
 
@@ -97,9 +106,10 @@ trace-lint:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-# `examples` (~11 s) is the only target that drives the predictive manager
-# and the model selector end to end outside the test suite.
-ci: lint bench-smoke digest-smoke gc-smoke trace-lint serve-smoke adversarial chaos examples
+# `examples` (~11 s) drives the predictive manager and the model selector
+# end to end outside the test suite; `figs-smoke` (~8 s) checks the
+# forecast layer's paper figures.
+ci: lint bench-smoke digest-smoke gc-smoke trace-lint serve-smoke adversarial chaos examples figs-smoke
 	pytest tests/
 
 all: lint test bench-all

@@ -6,7 +6,7 @@ component crosses the THRESHOLD.  Switches signal congestion through a
 QCN-style queue-length feedback, and shims watch their ToR uplink.
 """
 
-from repro.alerts.threshold import AlertConfig, confidence_stance, migration_expense
+from repro.alerts.threshold import AlertConfig
 from repro.alerts.alert import Alert, AlertKind, compute_alert, compute_alerts
 from repro.alerts.monitor import VMMonitor, default_model_pool, fleet_alert_values
 from repro.alerts.qcn import SwitchQueue, ToRUplinkMonitor
@@ -19,8 +19,6 @@ from repro.alerts.aggregate import (
 
 __all__ = [
     "AlertConfig",
-    "confidence_stance",
-    "migration_expense",
     "Alert",
     "AlertKind",
     "compute_alert",

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.alerts.alert import compute_alert, compute_alerts
-from repro.alerts.threshold import AlertConfig, confidence_stance
+from repro.alerts.threshold import AlertConfig
 from repro.cluster.resources import NUM_RESOURCES
 from repro.errors import ConfigurationError, ForecastError
 from repro.forecast.arima import ARIMA
@@ -125,54 +125,23 @@ class VMMonitor:
             out[r] = sel.forecast(h)[h - 1]
         return np.clip(out, 0.0, 1.0)
 
-    def alert_value(
-        self,
-        *,
-        headroom: Optional[float] = None,
-        migration_cost_s: Optional[float] = None,
-    ) -> float:
+    def alert_value(self) -> float:
         """ALERT magnitude from the current prediction (0 = no alert).
 
         Must be called *before* :meth:`observe` for the round so the
         prediction genuinely precedes the observation.
-
-        With ``config.confidence_gate`` on, *headroom* (mean free-capacity
-        fraction) and *migration_cost_s* (precopy-timeline seconds; see
-        :func:`~repro.alerts.threshold.migration_expense`) pick the
-        interval bound the THRESHOLD is compared against — hair-trigger
-        when capacity is cheap, conservative when migration is expensive.
-        Both default to ``None`` (neutral), and with the gate off the
-        historical point-forecast path runs byte-identically.
         """
         # One-step pool bookkeeping: predict_one caches every member's
         # prediction so observe() can score the pool.
         one_step = np.empty(NUM_RESOURCES)
         for r, sel in enumerate(self._selectors):
             one_step[r] = sel.predict_one()
-        stance = confidence_stance(self.config, headroom, migration_cost_s)
-        if stance != "mean":
-            one_step = self._stance_profile(one_step, stance)
         if self.config.horizon == 1:
             # the cached one-step predictions ARE the alert input
             profile = np.clip(one_step, 0.0, 1.0)
         else:
             profile = self.predicted_profile()
         return compute_alert(profile, self.config.threshold)
-
-    def _stance_profile(self, one_step: np.ndarray, stance: str) -> np.ndarray:
-        """Replace point predictions with the stance's interval bound.
-
-        Components whose answering member has no interval support keep
-        their point forecast — a missing band never silently becomes a
-        zero-width one.
-        """
-        out = one_step.copy()
-        for r, sel in enumerate(self._selectors):
-            interval = sel.last_answer_interval(self.config.interval_alpha)
-            if interval is None:
-                continue
-            out[r] = interval.upper if stance == "upper" else interval.lower
-        return out
 
     def observe(self, profile: np.ndarray) -> None:
         """Feed the realized profile row for this round, all or nothing.
@@ -190,24 +159,18 @@ class VMMonitor:
             sel.observe(value)
 
 
-def fleet_alert_values(
-    monitors: Sequence[VMMonitor],
-    *,
-    headroom: Optional[float] = None,
-    migration_cost_s: Optional[float] = None,
-) -> np.ndarray:
+def fleet_alert_values(monitors: Sequence[VMMonitor]) -> np.ndarray:
     """``[m.alert_value() for m in monitors]``, the one-step fleet as arrays.
 
-    Monitors with ``horizon == 1`` and the confidence gate off — whose
-    ALERT is the clipped row of one-step predictions — are read as one
-    fleet: their selectors go through
-    :func:`~repro.forecast.selection.batch_predict_one` (one selector bank
-    across the *whole* fleet) and the ALERT threshold gate runs over the
-    resulting profile matrix in one vectorized pass.  Every other monitor
-    takes :meth:`VMMonitor.alert_value`, so no fleet read passes a banked
-    selector through the scalar path.  Values and selector side effects
-    are byte-identical to calling :meth:`VMMonitor.alert_value` per
-    monitor; *headroom* / *migration_cost_s* reach the gated monitors.
+    Monitors with ``horizon == 1`` — whose ALERT is the clipped row of
+    one-step predictions — are read as one fleet: their selectors go
+    through :func:`~repro.forecast.selection.batch_predict_one` (one
+    selector bank across the *whole* fleet) and the ALERT threshold gate
+    runs over the resulting profile matrix in one vectorized pass.  Every
+    other monitor takes :meth:`VMMonitor.alert_value`, so no fleet read
+    passes a banked selector through the scalar path.  Values and selector
+    side effects are byte-identical to calling :meth:`VMMonitor.alert_value`
+    per monitor.
     """
     from repro.forecast.selection import batch_predict_one
 
@@ -215,12 +178,10 @@ def fleet_alert_values(
     values = np.empty(len(mons))
     fast = []
     for i, mon in enumerate(mons):
-        if mon.config.horizon == 1 and not mon.config.confidence_gate:
+        if mon.config.horizon == 1:
             fast.append(i)
         else:
-            values[i] = mon.alert_value(
-                headroom=headroom, migration_cost_s=migration_cost_s
-            )
+            values[i] = mon.alert_value()
     if fast:
         flat = batch_predict_one([sel for i in fast for sel in mons[i]._selectors])
         one = np.asarray(flat, dtype=np.float64).reshape(len(fast), NUM_RESOURCES)

@@ -1,19 +1,19 @@
-"""Alert thresholds and monitoring cadence.
+"""Alert threshold and forecast horizon.
 
 The paper's running example flags a server whose CPU or memory utilization
 "reaches up to 90 %", so the default THRESHOLD is 0.9 on the normalized
-profile scale.  ``collection_period`` is the ``T`` of "delegated controller
-collects alerts from all VMs in its dominating range every T seconds".
+profile scale.  The simulator advances in rounds, each one collection
+period ``T`` of "delegated controller collects alerts from all VMs in its
+dominating range every T seconds".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError
 
-__all__ = ["AlertConfig", "confidence_stance", "migration_expense"]
+__all__ = ["AlertConfig"]
 
 
 @dataclass(frozen=True)
@@ -27,102 +27,13 @@ class AlertConfig:
     horizon:
         Forecast look-ahead in collection periods (the T-seconds-ahead
         prediction; 1 = one-step-ahead).
-    collection_period:
-        Seconds between shim collection rounds (``T``); informational —
-        the simulator advances in rounds, each representing one period.
-    queue_threshold:
-        Normalized ToR/switch queue occupancy that signals congestion.
-    confidence_gate:
-        Confidence-aware ALERT evaluation (off by default; off is
-        byte-identical to the historical gate).  When on, the THRESHOLD
-        comparison moves from the point forecast to an interval bound
-        chosen by :func:`confidence_stance` — the *upper* bound when
-        capacity headroom is cheap (hair-trigger: a speculative migration
-        costs little), the *lower* bound when the precopy model says a
-        migration is expensive (conservative: only act when even the
-        optimistic forecast crosses the line).
-    interval_alpha:
-        Prediction-interval level used by the gate (band covers
-        ``1 - interval_alpha``).
-    cheap_headroom:
-        Mean free-capacity fraction at or above which migrations are
-        considered cheap and the gate goes hair-trigger.
-    expensive_migration_s:
-        Precopy-timeline total (seconds) at or above which a migration is
-        considered expensive and the gate goes conservative.  Expense
-        wins over headroom when both signals are present.
     """
 
     threshold: float = 0.9
     horizon: int = 1
-    collection_period: float = 60.0
-    queue_threshold: float = 0.8
-    confidence_gate: bool = False
-    interval_alpha: float = 0.2
-    cheap_headroom: float = 0.35
-    expensive_migration_s: float = 45.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.threshold <= 1.0):
             raise ConfigurationError(f"threshold must be in (0, 1], got {self.threshold}")
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
-        if self.collection_period <= 0:
-            raise ConfigurationError(
-                f"collection_period must be positive, got {self.collection_period}"
-            )
-        if not (0.0 < self.queue_threshold <= 1.0):
-            raise ConfigurationError(
-                f"queue_threshold must be in (0, 1], got {self.queue_threshold}"
-            )
-        if not (0.0 < self.interval_alpha < 1.0):
-            raise ConfigurationError(
-                f"interval_alpha must be in (0, 1), got {self.interval_alpha}"
-            )
-        if not (0.0 <= self.cheap_headroom <= 1.0):
-            raise ConfigurationError(
-                f"cheap_headroom must be in [0, 1], got {self.cheap_headroom}"
-            )
-        if self.expensive_migration_s <= 0:
-            raise ConfigurationError(
-                f"expensive_migration_s must be positive, got "
-                f"{self.expensive_migration_s}"
-            )
-
-
-def confidence_stance(
-    config: AlertConfig,
-    headroom: Optional[float] = None,
-    migration_cost_s: Optional[float] = None,
-) -> str:
-    """Which interval bound the ALERT gate should evaluate.
-
-    Returns ``"mean"`` (the historical point-forecast gate), ``"upper"``
-    (hair-trigger) or ``"lower"`` (conservative).  ``None`` signals leave
-    the corresponding lever neutral; with the gate disabled the stance is
-    always ``"mean"``.
-    """
-    if not config.confidence_gate:
-        return "mean"
-    if (
-        migration_cost_s is not None
-        and migration_cost_s >= config.expensive_migration_s
-    ):
-        return "lower"
-    if headroom is not None and headroom >= config.cheap_headroom:
-        return "upper"
-    return "mean"
-
-
-def migration_expense(
-    memory: float, dirty_rate: float, bandwidth: float, **kwargs
-) -> float:
-    """Expected migration cost in seconds from the precopy model.
-
-    Thin bridge to :func:`repro.costs.precopy.precopy_timeline` returning
-    the timeline total — the ``migration_cost_s`` signal of
-    :func:`confidence_stance`.
-    """
-    from repro.costs.precopy import precopy_timeline
-
-    return float(precopy_timeline(memory, dirty_rate, bandwidth, **kwargs).total)

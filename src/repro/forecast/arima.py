@@ -203,8 +203,6 @@ class ARIMA(Forecaster):
     include_constant: bool = True
     maxiter: int = 200
 
-    supports_intervals = True
-
     # fitted state (populated by :meth:`fit`)
     const_: float = field(default=0.0, init=False, repr=False)
     phi_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
@@ -470,33 +468,6 @@ class ARIMA(Forecaster):
         if self.d == 0:
             return out_w
         return undifference(out_w, self._heads)
-
-    def forecast_interval(self, h: int = 1, alpha: float = 0.05) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Forecasts with a symmetric Gaussian ``1 - alpha`` band.
-
-        Returns ``(mean, lower, upper)``.  Variance accumulates through the
-        ψ-weights of the ARIMA representation (computed by filtering an
-        impulse through the model, including the integration).
-        """
-        self._require_fitted()
-        if not (0.0 < alpha < 1.0):
-            raise ForecastError(f"alpha must be in (0, 1), got {alpha}")
-        from scipy import stats
-
-        mean = self.forecast(h)
-        # psi weights of the ARMA part
-        ar_poly = np.concatenate(([1.0], -self.phi_)) if self.p else np.array([1.0])
-        ma_poly = np.concatenate(([1.0], self.theta_)) if self.q else np.array([1.0])
-        impulse = np.zeros(h)
-        impulse[0] = 1.0
-        psi = signal.lfilter(ma_poly, ar_poly, impulse)
-        # integration: ∇^{-d} corresponds to d cumulative sums of psi
-        for _ in range(self.d):
-            psi = np.cumsum(psi)
-        var = self.sigma2_ * np.cumsum(psi**2)
-        z = stats.norm.ppf(1.0 - alpha / 2.0)
-        half = z * np.sqrt(var)
-        return mean, mean - half, mean + half
 
     def append(self, value: float) -> None:
         """Advance state by one observation in O(p + q + d).

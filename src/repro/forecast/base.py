@@ -15,49 +15,14 @@ uniformly:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from math import isfinite
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ForecastError, ReproError
 
-__all__ = ["PredictionInterval", "Forecaster", "REFIT_FAILURES", "warm_fit"]
-
-
-@dataclass(frozen=True)
-class PredictionInterval:
-    """A one-step forecast with its ``1 - alpha`` uncertainty band.
-
-    ``width`` is the confidence signal the robust-arbitration layer keys
-    on (see docs/robust-forecasting.md): a spiking width means the model
-    no longer trusts its own point forecast, whatever its trailing MSE
-    says about the recent past.
-    """
-
-    mean: float
-    lower: float
-    upper: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (self.lower <= self.mean <= self.upper):
-            raise ForecastError(
-                f"interval must bracket its mean: "
-                f"[{self.lower}, {self.upper}] vs {self.mean}"
-            )
-        if not (0.0 < self.alpha < 1.0):
-            raise ForecastError(f"alpha must be in (0, 1), got {self.alpha}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def half_width(self) -> float:
-        return 0.5 * (self.upper - self.lower)
-
+__all__ = ["Forecaster", "REFIT_FAILURES", "warm_fit"]
 
 REFIT_FAILURES = (ReproError, ValueError, np.linalg.LinAlgError)
 """What a refit may raise and a caller's failure policy may absorb."""
@@ -151,12 +116,6 @@ class Forecaster(ABC):
 
     _fitted: bool = False
     _series: Optional[_Series] = None
-    supports_intervals: bool = False
-    """Whether :meth:`forecast_interval` produces a genuine uncertainty
-    band (ARIMA: Gaussian ψ-weight propagation of the CSS residual
-    variance; NARNET: residual bootstrap; naive models: trailing-error
-    quantiles).  ``False`` means the method raises — the confidence layer
-    degrades to the point forecast for such members."""
 
     @abstractmethod
     def fit(self, y: np.ndarray) -> "Forecaster":
@@ -187,33 +146,10 @@ class Forecaster(ABC):
     def y_(self, values: np.ndarray) -> None:
         self._series = _Series(values)
 
-    def forecast_interval(
-        self, h: int = 1, alpha: float = 0.05
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(mean, lower, upper)`` h-step forecasts with a ``1 - alpha`` band.
-
-        Only meaningful when :attr:`supports_intervals` is true; the base
-        implementation raises so callers never mistake a missing band for
-        a zero-width one.
-        """
-        raise ForecastError(
-            f"{type(self).__name__} does not produce prediction intervals"
-        )
-
     # ------------------------------------------------------------------ #
     def predict_one(self) -> float:
         """Convenience scalar one-step-ahead forecast."""
         return float(self.forecast(1)[0])
-
-    def predict_one_interval(self, alpha: float = 0.05) -> PredictionInterval:
-        """One-step forecast wrapped in a :class:`PredictionInterval`."""
-        mean, lower, upper = self.forecast_interval(1, alpha)
-        return PredictionInterval(
-            mean=float(mean[0]),
-            lower=float(lower[0]),
-            upper=float(upper[0]),
-            alpha=alpha,
-        )
 
     def _require_fitted(self) -> None:
         if not self._fitted:

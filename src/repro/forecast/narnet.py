@@ -66,8 +66,6 @@ class NARNET(Forecaster):
     seed: SeedLike = 0
     validation_fraction: float = 0.0
 
-    supports_intervals = True
-
     # fitted state
     w1_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
     b1_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
@@ -253,51 +251,6 @@ class NARNET(Forecaster):
             out[k] = pred
             lags.insert(0, pred)  # closed loop
         return out * self.sd_ + self.mu_
-
-    def forecast_interval(
-        self, h: int = 1, alpha: float = 0.05, *, paths: int = 64
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Residual-bootstrap band around the closed-loop forecast.
-
-        *paths* closed-loop trajectories are simulated on the z-scored
-        scale, each step perturbed by a residual resampled from the fit's
-        own open-loop one-step errors (see :meth:`fitted_values`); the
-        band is the per-horizon ``alpha/2``/``1 - alpha/2`` quantile
-        envelope, widened where needed to bracket the point forecast.
-        The bootstrap stream is derived deterministically from the model
-        seed, so repeated calls agree exactly.
-        """
-        self._require_fitted()
-        if h < 1:
-            raise ForecastError(f"forecast horizon must be >= 1, got {h}")
-        if not (0.0 < alpha < 1.0):
-            raise ForecastError(f"alpha must be in (0, 1), got {alpha}")
-        if paths < 2:
-            raise ForecastError(f"need >= 2 bootstrap paths, got {paths}")
-        mean = self.forecast(h)
-        z = (self.y_ - self.mu_) / self.sd_
-        if z.shape[0] <= self.ni + 1:
-            raise ForecastError(
-                "history too short for residual-bootstrap intervals"
-            )
-        fitted_z = (self.fitted_values() - self.mu_) / self.sd_
-        res = z[self.ni :] - fitted_z
-        # a shared-Generator seed must not be consumed here (that would
-        # perturb the fit stream); bootstrap draws come from a private
-        # stream derived from the integer seed when there is one
-        base = int(self.seed) if isinstance(self.seed, (int, np.integer)) else 0
-        rng = np.random.default_rng((base, 0xB007))
-        lags = np.tile(z[-self.ni :][::-1], (paths, 1))  # most recent first
-        sims = np.empty((paths, h))
-        for k in range(h):
-            core = np.tanh(lags @ self.w1_.T + self.b1_) @ self.w2_ + self.b2_
-            step = core + rng.choice(res, size=paths)
-            sims[:, k] = step
-            lags = np.concatenate((step[:, None], lags[:, :-1]), axis=1)
-        sims = sims * self.sd_ + self.mu_
-        lower = np.minimum(np.quantile(sims, alpha / 2.0, axis=0), mean)
-        upper = np.maximum(np.quantile(sims, 1.0 - alpha / 2.0, axis=0), mean)
-        return mean, lower, upper
 
     def fitted_values(self) -> np.ndarray:
         """Open-loop one-step predictions over the training span.

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConvergenceError, ForecastError
 from repro.forecast.arima import ARIMA
-from repro.forecast.base import Forecaster, PredictionInterval, _finite, _Series, warm_fit
+from repro.forecast.base import Forecaster, _finite, _Series, warm_fit
 from repro.forecast.metrics import trailing_mse
 from repro.forecast.naive import NaiveLast
 from repro.obs.events import ModelSelected
@@ -93,6 +93,8 @@ def rolling_one_step(
         raise ForecastError(f"train_len must be in 1..{n - 1}, got {train_len}")
     if refit_every < 1:
         raise ForecastError(f"refit_every must be >= 1, got {refit_every}")
+    if max_history is not None and max_history < 0:
+        raise ForecastError(f"max_history must be >= 0, got {max_history}")
     model = factory()
     model.fit(_window(arr[:train_len], max_history))
     preds = np.empty(n - train_len)
@@ -180,7 +182,7 @@ class DynamicModelSelector:
     max_history:
         Bound on the history length used at refit — and on what the
         selector stores: older samples have no reader and are dropped
-        (None = unbounded).
+        (None or 0 = unbounded; negative is refused).
     tracer:
         Optional event sink; each :meth:`predict_one` emits a
         :class:`~repro.obs.events.ModelSelected` naming the answering
@@ -190,27 +192,11 @@ class DynamicModelSelector:
         ``sheriff_forecast_trailing_mse{model=...}`` gauges current, and
         best-member prediction failures count in
         ``sheriff_selector_fallback_total``.
-    confidence:
-        Confidence-aware arbitration (off by default; when off, behaviour
-        is byte-identical to the historical selector).  The Eq. (14)
-        winner still answers, but its ``1 - interval_alpha`` prediction
-        interval is consulted: when the interval width spikes above
-        ``width_spike`` times the trailing median width, the answer widens
-        to the interval's *upper* bound — the conservative side for
-        overload pre-alerting (assume the worst while the model distrusts
-        itself).  Members without interval support answer with their point
-        forecast unchanged.
-    interval_alpha:
-        Interval level used by the confidence mode (band covers
-        ``1 - interval_alpha``).
-    width_spike:
-        Spike factor on the trailing median interval width that triggers
-        conservative widening.
 
-    A plain selector (no confidence mode, metrics or enabled tracer, a
-    bounded ``max_history``, a pool of ``ARIMA(1, d, 0)`` and
-    :class:`NaiveLast`) joins a :class:`SelectorBank` on its first fleet
-    read (:func:`batch_predict_one`).  Its state then lives in a bank row:
+    A plain selector (no metrics or enabled tracer, a bounded
+    ``max_history``, a pool of ``ARIMA(1, d, 0)`` and :class:`NaiveLast`)
+    joins a :class:`SelectorBank` on its first fleet read
+    (:func:`batch_predict_one`).  Its state then lives in a bank row:
     :meth:`observe` stages the value, and every other method first takes
     the row back, exact.  While banked, the object holds none of that
     state: reading ``_errors``, ``_models`` … directly raises
@@ -226,9 +212,6 @@ class DynamicModelSelector:
         max_history: Optional[int] = None,
         tracer: Tracer = NULL_TRACER,
         metrics: Optional[MetricsRegistry] = None,
-        confidence: bool = False,
-        interval_alpha: float = 0.2,
-        width_spike: float = 2.0,
     ) -> None:
         if not factories:
             raise ForecastError("selector needs at least one model factory")
@@ -236,14 +219,8 @@ class DynamicModelSelector:
             raise ForecastError(f"period must be >= 1, got {period}")
         if refit_every < 1:
             raise ForecastError(f"refit_every must be >= 1, got {refit_every}")
-        if not (0.0 < interval_alpha < 1.0):
-            raise ForecastError(
-                f"interval_alpha must be in (0, 1), got {interval_alpha}"
-            )
-        if width_spike <= 1.0:
-            raise ForecastError(
-                f"width_spike must be > 1, got {width_spike}"
-            )
+        if max_history is not None and max_history < 0:
+            raise ForecastError(f"max_history must be >= 0, got {max_history}")
         self.factories = dict(factories)
         self.period = period
         self.refit_every = refit_every
@@ -251,9 +228,6 @@ class DynamicModelSelector:
         self.names = list(factories.keys())
         self.tracer = tracer
         self.metrics = metrics
-        self.confidence = confidence
-        self.interval_alpha = interval_alpha
-        self.width_spike = width_spike
         self._step = 0
         self._models: Dict[str, Forecaster] = {}
         # errors older than the fitness window T_p can never influence
@@ -266,8 +240,6 @@ class DynamicModelSelector:
         self._sq_sums: Dict[str, float] = {n: 0.0 for n in self.names}
         self._last_pred: Dict[str, float] = {}
         self._last_best: Optional[str] = None
-        self.last_interval: Optional[PredictionInterval] = None
-        self._width_hist: Deque[float] = deque(maxlen=max(4, period))
         self._history: Optional[_Series] = None
         self._since_fit = 0
         self._fitted = False
@@ -295,8 +267,6 @@ class DynamicModelSelector:
         self._sq_sums = {n: 0.0 for n in self.names}
         self._last_pred = {}
         self._last_best = None
-        self.last_interval = None
-        self._width_hist.clear()
         self._since_fit = 0
         self._fitted = True
         return self
@@ -368,66 +338,14 @@ class DynamicModelSelector:
         return best_name
 
     def _answer(self, best: str) -> float:
-        """Finalize one prediction step: confidence widening + event."""
+        """Finalize one prediction step: record the winner, emit the event."""
         pred = self._last_pred[best]
         self._last_best = best
-        if self.confidence:
-            pred = self._confident_answer(best, pred)
         if self.tracer.enabled:
             self.tracer.emit(
                 ModelSelected(model=best, step=self._step, prediction=float(pred))
             )
         return pred
-
-    def _confident_answer(self, best: str, pred: float) -> float:
-        """Widen toward the conservative side on an interval-width spike."""
-        interval = None
-        model = self._models.get(best)
-        if model is not None and getattr(model, "supports_intervals", False):
-            try:
-                interval = model.predict_one_interval(self.interval_alpha)
-            except ForecastError:
-                interval = None
-        self.last_interval = interval
-        if interval is None:
-            return pred
-        width = interval.width
-        widened = False
-        if len(self._width_hist) >= 4:
-            median = float(np.median(self._width_hist))
-            if median > 0.0 and width > self.width_spike * median:
-                # the model stopped trusting itself: answer the upper
-                # bound, the conservative side for overload pre-alerting
-                pred = interval.upper
-                widened = True
-        self._width_hist.append(width)
-        if widened and self.metrics is not None:
-            self.metrics.counter(
-                "sheriff_confidence_widened_total", model=best
-            ).inc()
-        return pred
-
-    def last_answer_interval(
-        self, alpha: Optional[float] = None
-    ) -> Optional[PredictionInterval]:
-        """Interval from the member that answered the last prediction.
-
-        ``None`` when no prediction has been made yet, the answering
-        member does not support intervals, or its band computation failed
-        — callers degrade to the point forecast.
-        """
-        self._unbank()
-        if self._last_best is None:
-            return None
-        model = self._models.get(self._last_best)
-        if model is None or not getattr(model, "supports_intervals", False):
-            return None
-        try:
-            return model.predict_one_interval(
-                self.interval_alpha if alpha is None else alpha
-            )
-        except ForecastError:
-            return None
 
     def predict_one(self) -> float:
         """One-step forecast from the currently best model.
@@ -551,16 +469,15 @@ def _bank_key(sel: DynamicModelSelector) -> Optional[tuple]:
     """What *sel* shares with every row of its bank; None keeps it scalar.
 
     Bankable is exactly a fitted :class:`DynamicModelSelector` in no bank,
-    with no confidence mode, metrics or enabled tracer, a bounded
-    ``max_history`` (None and 0 are unbounded, as in :func:`_window`), no
-    refit outstanding, a pool of bank kinds (:func:`_bank_kind`) and one
-    series length over its live members.
+    with no metrics or enabled tracer, a bounded ``max_history`` (None and
+    0 are unbounded, as in :func:`_window`; negative is refused at
+    construction), no refit outstanding, a pool of bank kinds
+    (:func:`_bank_kind`) and one series length over its live members.
     """
     if (
         type(sel) is not DynamicModelSelector
         or sel._bank is not None  # another bank's row: its state is there
         or not sel._fitted
-        or sel.confidence
         or sel.metrics is not None
         or sel.tracer.enabled
         or not sel.max_history
@@ -958,7 +875,7 @@ def batch_predict_one(selectors: Sequence[DynamicModelSelector]) -> List[float]:
     read of another fleet builds its own (a selector left in an older bank
     comes back the first time it is touched).  Values and selector state
     are the scalar loop's, bit for bit; selectors outside a bank
-    (confidence mode, metrics, tracing, other pools) answer through their
+    (metrics, tracing, unbounded history, other pools) answer through their
     own :meth:`DynamicModelSelector.predict_one`.
     """
     sels = list(selectors)

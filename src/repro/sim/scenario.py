@@ -16,7 +16,7 @@ Three ways to produce a round's alerts:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -121,21 +121,16 @@ def forecast_alert_round(
     *,
     time: int = 0,
     batched: bool = True,
-    headroom: Optional[float] = None,
-    migration_cost_s: Optional[float] = None,
 ) -> Tuple[List[Alert], Dict[int, float]]:
     """Forecast-driven alerts: ask every monitored VM for its ALERT value.
 
     Monitors must be driven externally (``observe`` per round); this
     function only *reads* their predictions, mirroring the shim's periodic
-    collection.  With ``batched=True`` (the default) the fleet's one-step
-    predictions run through the stacked ARIMA kernels; ``batched=False``
-    keeps the scalar per-monitor loop — the live oracle the byte-identity
-    suite measures against.
-
-    *headroom* / *migration_cost_s* feed the monitors' confidence gate
-    (see :meth:`~repro.alerts.monitor.VMMonitor.alert_value`); with the
-    gate off or both signals ``None`` the historical path is unchanged.
+    collection.  With ``batched=True`` (the default) the values come from
+    :func:`~repro.alerts.monitor.fleet_alert_values`, which reads the
+    one-step monitors as one selector bank; ``batched=False`` keeps the
+    scalar per-monitor :meth:`~repro.alerts.monitor.VMMonitor.alert_value`
+    loop — the live oracle the byte-identity suite measures against.
     """
     pl = cluster.placement
     alerts: List[Alert] = []
@@ -143,18 +138,9 @@ def forecast_alert_round(
     hosts_alerted: Dict[int, float] = {}
     items = list(monitors.items())
     if batched:
-        values = fleet_alert_values(
-            [mon for _, mon in items],
-            headroom=headroom,
-            migration_cost_s=migration_cost_s,
-        )
+        values = fleet_alert_values([mon for _, mon in items])
     else:
-        values = [
-            mon.alert_value(
-                headroom=headroom, migration_cost_s=migration_cost_s
-            )
-            for _, mon in items
-        ]
+        values = [mon.alert_value() for _, mon in items]
     for (vm, _), a in zip(items, values):
         a = float(a)
         if a <= 0.0:

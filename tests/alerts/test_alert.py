@@ -64,7 +64,3 @@ class TestAlertConfig:
             AlertConfig(threshold=0.0)
         with pytest.raises(ConfigurationError):
             AlertConfig(horizon=0)
-        with pytest.raises(ConfigurationError):
-            AlertConfig(collection_period=-1)
-        with pytest.raises(ConfigurationError):
-            AlertConfig(queue_threshold=2.0)

@@ -5,12 +5,8 @@ import pytest
 
 from repro.alerts.monitor import VMMonitor, default_model_pool, light_model_pool
 from repro.alerts.threshold import AlertConfig
-from repro.cluster import build_cluster
 from repro.cluster.resources import NUM_RESOURCES, ResourceKind
 from repro.errors import ConfigurationError, ForecastError
-from repro.sim import SheriffSimulation
-from repro.sim.scenario import forecast_alert_round
-from repro.topology import build_fattree
 from repro.traces.workload import WorkloadStream
 
 
@@ -125,53 +121,3 @@ class TestPools:
             refit_every=1000,
         )
         assert mon.predicted_profile().shape == (NUM_RESOURCES,)
-
-
-class TestConfidenceGate:
-    def test_neutral_gate_alerts_identically_to_gate_off(self):
-        # gate on with no headroom / migration-cost signal: every stance
-        # resolves to "mean", so a k=4 monitored fleet must raise the same
-        # alerts and the engine make the same moves as with the gate off
-        def run(confidence_gate):
-            cluster = build_cluster(
-                build_fattree(4), hosts_per_rack=4, fill_fraction=0.5, seed=2015
-            )
-            pl = cluster.placement
-            rng = np.random.default_rng(2015)
-            config = AlertConfig(
-                threshold=0.75, horizon=1, confidence_gate=confidence_gate
-            )
-            rounds, history = 5, 28
-            monitors, future = {}, {}
-            for v in range(cluster.num_vms):
-                if pl.vm_delay_sensitive[v]:
-                    continue
-                series = np.clip(
-                    rng.uniform(0.25, 0.92)
-                    + 0.04 * rng.standard_normal((history + rounds, NUM_RESOURCES)),
-                    0.0,
-                    1.0,
-                )
-                monitors[v] = VMMonitor(series[:history], config)
-                future[v] = series[history:]
-            sim = SheriffSimulation(cluster)
-            out = []
-            for r in range(rounds):
-                alerts, vm_alerts = forecast_alert_round(cluster, monitors, time=r)
-                summary = sim.run_round(alerts, vm_alerts)
-                out.append(
-                    (
-                        [(a.rack, a.host, a.kind, a.magnitude) for a in alerts],
-                        vm_alerts,
-                        summary.migrations,
-                        summary.total_cost,
-                    )
-                )
-                for v, mon in monitors.items():
-                    mon.observe(future[v][r])
-            return out, cluster.placement.vm_host.tolist()
-
-        off, neutral = run(False), run(True)
-        assert sum(len(alerts) for alerts, *_ in off[0]) > 0
-        assert sum(moved for _, _, moved, _ in off[0]) > 0
-        assert neutral == off

@@ -122,15 +122,6 @@ class TestForecast:
         assert f5[0] == pytest.approx(f1[0], abs=1e-9)
         assert np.isfinite(f5).all()
 
-    def test_interval_contains_mean_and_widens(self):
-        w = simulate_arma(1000, [0.5], [0.3], seed=8)
-        y = np.cumsum(w)
-        m = ARIMA(1, 1, 1).fit(y)
-        mean, lo, hi = m.forecast_interval(10)
-        assert ((lo < mean) & (mean < hi)).all()
-        widths = hi - lo
-        assert (np.diff(widths) > -1e-9).all()  # nondecreasing uncertainty
-
     def test_append_shifts_forecast(self):
         w = simulate_arma(500, [0.5], [], seed=9)
         m = ARIMA(1, 0, 0).fit(w)

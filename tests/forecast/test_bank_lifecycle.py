@@ -11,7 +11,12 @@ taken back from its bank with a scalar twin, bit for bit.
 import numpy as np
 import pytest
 
-from repro.alerts.monitor import VMMonitor, fleet_alert_values
+from repro.alerts.monitor import (
+    VMMonitor,
+    default_model_pool,
+    fleet_alert_values,
+    light_model_pool,
+)
 from repro.alerts.threshold import AlertConfig
 from repro.errors import ConvergenceError
 from repro.forecast import selection
@@ -27,15 +32,15 @@ from tests.property.test_selector_bank import assert_twins
 PLAIN = AlertConfig(threshold=0.6)
 
 
-def _monitors(configs, seed=0):
+def _monitors(configs, seed=0, pools=None):
     rng = np.random.default_rng(seed)
     monitors, rows = [], []
-    for config in configs:
+    for config, pool in zip(configs, pools or [light_model_pool] * len(configs)):
         level = rng.uniform(0.3, 0.8)
         series = np.clip(level + 0.05 * rng.standard_normal((60, 4)), 0.0, 1.0)
-        monitors.append(
-            VMMonitor(series[:28], config, period=4, refit_every=5, max_history=30)
-        )
+        monitors.append(VMMonitor(
+            series[:28], config, pool_factory=pool, period=4, refit_every=5, max_history=30
+        ))
         rows.append(series[28:])
     return monitors, rows
 
@@ -90,18 +95,19 @@ class TestWhoJoins:
         assert bank.n_banked == 20
         assert all(sel._bank is bank for mon in monitors for sel in mon._selectors)
 
-    def test_horizon_two_and_gated_monitors_are_never_adopted(self, adoptions):
+    def test_horizon_two_and_scalar_pool_monitors_are_never_adopted(self, adoptions):
         configs = [
             PLAIN,
             AlertConfig(threshold=0.6, horizon=2),
-            AlertConfig(threshold=0.6, confidence_gate=True, cheap_headroom=0.3),
-            AlertConfig(threshold=0.6, confidence_gate=True),  # gate on, stance "mean"
+            AlertConfig(threshold=0.8, horizon=2),
+            PLAIN,  # the paper's pool: ARIMA(1, 1, 1) and NARNET members
         ]
-        monitors, rows = _monitors(configs)
-        twins, _ = _monitors(configs)
+        pools = [light_model_pool] * 3 + [default_model_pool]
+        monitors, rows = _monitors(configs, pools=pools)
+        twins, _ = _monitors(configs, pools=pools)
         for r in range(8):
-            got = fleet_alert_values(monitors, headroom=0.5)
-            want = [m.alert_value(headroom=0.5) for m in twins]
+            got = fleet_alert_values(monitors)
+            want = [m.alert_value() for m in twins]
             assert got.tolist() == want
             for mon, twin, row in zip(monitors, twins, rows):
                 mon.observe(row[r])
@@ -170,7 +176,6 @@ class TestWhoJoins:
             {"max_history": 0, "refit_every": 40},  # 0 is unbounded too
             {"metrics": MetricsRegistry()},
             {"tracer": RecordingTracer()},
-            {"confidence": True},
         ],
     )
     def test_selectors_outside_the_bank_kinds_answer_scalar(self, kwargs):

@@ -8,10 +8,13 @@ And nothing is carried from the model a refit replaces: a refitted member
 is bit for bit the fresh ``factory().fit(window)``.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.forecast.arima import ARIMA
+from repro.forecast.base import Forecaster
 from repro.forecast.narnet import NARNET
 from repro.forecast.selection import DynamicModelSelector
 from repro.sim.reactive import PredictiveManager
@@ -122,3 +125,20 @@ class TestRefitCarriesNothingOver:
         for host, model in mgr._models.items():
             fresh = factory().fit(mgr._history(host))
             assert _params(model) == _params(fresh), host
+
+
+def _package_forecasters(base=Forecaster):
+    import repro.forecast.sarima  # noqa: F401  (the one family no import above pulls in)
+
+    for cls in base.__subclasses__():
+        if cls.__module__.startswith("repro.forecast."):
+            yield cls
+        yield from _package_forecasters(cls)
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(_package_forecasters(), key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_fit_takes_the_series_and_nothing_else(cls):
+    """A refit is a function of (factory, window, seed): no side channel."""
+    assert list(inspect.signature(cls.fit).parameters) == ["self", "y"]

@@ -8,8 +8,10 @@ from repro.forecast.arima import ARIMA
 from repro.forecast.naive import NaiveLast, SeasonalNaive
 from repro.forecast.narnet import NARNET
 from repro.forecast.metrics import mse
+from repro.forecast.base import Forecaster
 from repro.forecast.selection import (
     DynamicModelSelector,
+    SelectionTrace,
     batch_predict_one,
     rolling_one_step,
 )
@@ -40,6 +42,10 @@ class TestRollingOneStep:
     def test_bad_train_len(self):
         with pytest.raises(ForecastError):
             rolling_one_step(lambda: NaiveLast(), np.ones(10), 10)
+
+    def test_negative_max_history_is_refused(self):
+        with pytest.raises(ForecastError, match="max_history"):
+            rolling_one_step(lambda: NaiveLast(), np.ones(60), 30, max_history=-5)
 
 
 class TestSelector:
@@ -180,6 +186,10 @@ class TestHistoryIsBounded:
         assert ref._history.n == 10_030
         np.testing.assert_array_equal(sel._history.values[-64:], y[-64:])
 
+    def test_negative_max_history_is_refused(self):
+        with pytest.raises(ForecastError, match="max_history"):
+            DynamicModelSelector(self.pool(), max_history=-5, refit_every=10)
+
     def test_unbounded_selector_keeps_everything(self):
         y = np.linspace(0.2, 0.8, 400)
         sel = DynamicModelSelector(self.pool(), refit_every=50).fit(y[:30])
@@ -314,3 +324,131 @@ class TestSeasonalNaive:
     def test_wraps_past_one_season(self):
         m = SeasonalNaive(period=3).fit(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(m.forecast(5), [1, 2, 3, 1, 2])
+
+
+class Stub(Forecaster):
+    """Controllable pool member: scripted prediction, failure."""
+
+    def __init__(self, value=0.0, fail=False):
+        self.value = value
+        self.fail = fail
+
+    def fit(self, y):
+        self._fitted = True
+        return self
+
+    def forecast(self, h=1):
+        if self.fail:
+            raise ForecastError("scripted failure")
+        return np.full(h, float(self.value))
+
+    def append(self, value):
+        pass
+
+
+def scripted_selector(**kwargs):
+    """bad/mid/good pool in an order that exposes the fallback bug."""
+    stubs = {
+        "bad": Stub(value=0.0),
+        "mid": Stub(value=0.0),
+        "good": Stub(value=0.0),
+    }
+    sel = DynamicModelSelector(
+        {name: (lambda s=s: s) for name, s in stubs.items()},
+        period=10,
+        refit_every=10_000,
+        **kwargs,
+    ).fit(np.zeros(8))
+    return sel, stubs
+
+
+class TestSelectorFallbackBugfix:
+    def seed_errors(self, sel, stubs, rounds=4):
+        """bad scores best, then good, then mid (insertion order: mid first)."""
+        for _ in range(rounds):
+            stubs["bad"].value = 0.0
+            stubs["mid"].value = 0.5
+            stubs["good"].value = 0.1
+            sel.predict_one()
+            sel.observe(0.0)
+
+    def test_fallback_picks_lowest_mse_not_insertion_order(self):
+        reg = MetricsRegistry()
+        sel, stubs = scripted_selector(metrics=reg)
+        self.seed_errors(sel, stubs)
+        assert sel.best_model_name() == "bad"
+        stubs["bad"].fail = True
+        pred = sel.predict_one()
+        # the Eq. 14 winner failed; the answer must come from the best
+        # *remaining* member ("good"), not the first surviving dict key
+        # ("mid", the old insertion-order bug)
+        assert sel._last_best == "good"
+        assert pred == pytest.approx(0.1)
+        assert reg.counter("sheriff_selector_fallback_total", model="good").value == 1
+
+    def test_batch_path_uses_same_fallback(self):
+        sel, stubs = scripted_selector()
+        self.seed_errors(sel, stubs)
+        stubs["bad"].fail = True
+        (pred,) = batch_predict_one([sel])
+        assert sel._last_best == "good"
+        assert pred == pytest.approx(0.1)
+
+
+class TestIncrementalGaugeBugfix:
+    def test_gauge_matches_full_recompute_across_eviction(self):
+        reg = MetricsRegistry()
+        sel, stubs = scripted_selector(metrics=reg)
+        rng = np.random.default_rng(3)
+        # 30 rounds >> period=10: plenty of deque evictions
+        for _ in range(30):
+            for s in stubs.values():
+                s.value = float(rng.normal())
+            sel.predict_one()
+            sel.observe(float(rng.normal()))
+        for name in sel.names:
+            errs = np.asarray(sel._errors[name])
+            expected = float(np.mean(errs * errs))
+            gauge = reg.gauge("sheriff_forecast_trailing_mse", model=name).value
+            assert gauge == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_selection_still_reads_exact_deques(self):
+        """The incremental sums are observability-only: arbitration is exact."""
+        sel, stubs = scripted_selector()
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            for s in stubs.values():
+                s.value = float(rng.normal())
+            sel.predict_one()
+            sel.observe(float(rng.normal()))
+        scores = {
+            n: float(np.mean(np.asarray(sel._errors[n]) ** 2)) for n in sel.names
+        }
+        assert sel.best_model_name() == min(sorted(scores), key=scores.get)
+
+
+class TestFailedMaskBugfix:
+    def test_run_records_failed_steps(self):
+        sel, stubs = scripted_selector()
+        y = np.zeros(20)
+        # fail "bad" from the start: run() must mask it, not carry NaN
+        stubs["bad"].fail = True
+        trace = sel.run(y, 8)
+        assert trace.failed["bad"].all()
+        assert not trace.failed["good"].any()
+        # masked MSE works for survivors, raises for the all-failed member
+        assert trace.model_mse("good", y[8:]) >= 0.0
+        with pytest.raises(ForecastError, match="failed every step"):
+            trace.model_mse("bad", y[8:])
+
+    def test_mse_rejects_nan_predictions(self):
+        with pytest.raises(ForecastError, match="mask them first"):
+            mse(np.zeros(3), np.array([0.0, np.nan, 0.0]))
+
+    def test_masks_derived_when_omitted(self):
+        trace = SelectionTrace(
+            chosen=["a", "a"],
+            predictions=np.zeros(2),
+            per_model_predictions={"a": np.array([0.0, np.nan])},
+        )
+        np.testing.assert_array_equal(trace.failed["a"], [False, True])

@@ -31,6 +31,7 @@ from repro.forecast.selection import DynamicModelSelector
 from repro.forecast.selection import batch_predict_one as fleet_predict_one
 from repro.migration.priority import CandidateVM, PriorityFactor, priority_select
 from repro.migration.vmmigration import build_cost_block, stack_cost_blocks
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RecordingTracer
 from repro.sim import SheriffSimulation, inject_fraction_alerts
 from repro.topology import build_bcube, build_fattree
@@ -187,14 +188,11 @@ def test_fleet_selector_ragged_windows_bitwise(seed):
 # --------------------------------------------------------------------- #
 # fleet ALERT values: the vectorised read side vs one monitor at a time
 # --------------------------------------------------------------------- #
-_GATE = dict(threshold=0.6, confidence_gate=True)
 _MIXED_CONFIGS = [
-    AlertConfig(threshold=0.6),  # stance "mean", one step: the fast rows
+    AlertConfig(threshold=0.6),  # one step: the fast rows
     AlertConfig(threshold=0.6, horizon=2),
-    AlertConfig(**_GATE, cheap_headroom=0.3),  # "upper" at headroom 0.5
-    AlertConfig(**_GATE, expensive_migration_s=20.0),  # "lower" at 30 s
-    AlertConfig(**_GATE, cheap_headroom=0.9),  # gate on, still "mean"
-    AlertConfig(**_GATE, cheap_headroom=0.3, horizon=2),
+    AlertConfig(threshold=0.8),
+    AlertConfig(threshold=0.8, horizon=2),
 ]
 
 
@@ -207,7 +205,7 @@ def _mixed_monitors(seed):
         )
         monitors.append(VMMonitor(history, config, period=4, refit_every=5))
     # pokes before the first fleet read, so before any selector is banked
-    monitors[-2]._selectors[1].confidence = True  # answers through the scalar path
+    monitors[-2]._selectors[1].metrics = MetricsRegistry()  # answers scalar
     del monitors[-1]._selectors[2]._models["naive"]  # a member dropped at refit
     del monitors[0]._selectors[3]._models["naive"]  # ... and one in the bank
     return monitors
@@ -216,18 +214,17 @@ def _mixed_monitors(seed):
 @common
 @given(st.integers(0, 10**6), st.integers(2, 7))
 def test_fleet_alert_values_mixed_fleet_bitwise(seed, n_rounds):
-    """Horizons 1 and 2, all three stances, a confidence selector and
-    dropped members: values, round after round (refits included), and the
-    ``_last_pred`` side effects of the last read are the scalar loop's."""
+    """Horizons 1 and 2, a selector with metrics inside a one-step monitor
+    and dropped members: values, round after round (refits included), and
+    the ``_last_pred`` side effects of the last read are the scalar loop's."""
     try:
         batched, scalar = _mixed_monitors(seed), _mixed_monitors(seed)
     except ConvergenceError:
         return
-    signals = dict(headroom=0.5, migration_cost_s=30.0)
     rows = np.random.default_rng(seed + 1).random((n_rounds, len(batched), 4))
     for r in range(n_rounds):
-        got = fleet_alert_values(batched, **signals)
-        want = [m.alert_value(**signals) for m in scalar]
+        got = fleet_alert_values(batched)
+        want = [m.alert_value() for m in scalar]
         assert got.tolist() == want
         if r == n_rounds - 1:
             break

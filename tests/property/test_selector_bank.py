@@ -30,7 +30,7 @@ common = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-TOUCHES = ("best", "forecast", "interval", "predict")
+TOUCHES = ("best", "forecast", "predict")
 
 
 def _factory(kind, d, constant):
@@ -152,8 +152,6 @@ def _touch(a, b, how):
         assert a.best_model_name() == b.best_model_name()
     elif how == "forecast":
         assert a.forecast(3).tobytes() == b.forecast(3).tobytes()
-    elif how == "interval":
-        assert a.last_answer_interval() == b.last_answer_interval()
     else:
         assert a.predict_one().hex() == b.predict_one().hex()
 

@@ -17,7 +17,7 @@ from repro.forecast.narnet import NARNET
 from repro.forecast.sarima import SeasonalARIMA
 from repro.forecast.selection import DynamicModelSelector
 
-from tests.forecast.test_intervals import _package_forecasters
+from tests.forecast.test_refit_determinism import _package_forecasters
 
 common = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.config import SheriffConfig
@@ -223,3 +225,81 @@ class TestDriverWiring:
         )
         sim.close()
         assert rep.fallback_transitions == 0
+
+
+common = settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class _ScriptedPredictive:
+    """Alert source whose per-round forecast error is scripted."""
+
+    def __init__(self, workload, errors):
+        self.workload = workload
+        self.errors = errors
+        self.last_predicted = None
+
+    def alerts_at(self, t):
+        load = self.workload.host_load(t)
+        self.last_predicted = load + self.errors[t]
+        return [], {}
+
+    def observe(self, t):
+        pass
+
+
+class _FlatWorkload:
+    def __init__(self, hosts=4):
+        self._load = np.full(hosts, 0.5)
+
+    def host_load(self, t):
+        return self._load.copy()
+
+
+@common
+@given(
+    st.lists(st.floats(0.0, 0.5), min_size=24, max_size=24),
+    st.integers(2, 5),
+    st.integers(1, 4),
+)
+def test_fallback_hysteresis_invariants(errs, window, recovery):
+    """Trigger/recovery state machine invariants on arbitrary error runs.
+
+    Degradation requires a *full* window above the bound's mean; recovery
+    requires exactly `recovery` consecutive calm rounds; transitions
+    always alternate reactive → predictive → reactive...
+    """
+    from repro.sim.fallback import FallbackManager
+
+    class _SilentReactive:
+        def alerts_at(self, t):
+            return [], {}
+
+    bound = 0.15
+    wl = _FlatWorkload()
+    mgr = FallbackManager(
+        wl,
+        _ScriptedPredictive(wl, errs),
+        _SilentReactive(),
+        error_bound=bound,
+        window=window,
+        recovery_rounds=recovery,
+    )
+    modes = []
+    for t in range(len(errs)):
+        mgr.alerts_at(t)
+        was = mgr.degraded
+        mgr.observe(t)
+        modes.append(mgr.degraded)
+        if not was and mgr.degraded:
+            # can only trip on a full window with mean above the bound
+            assert len(mgr._errors) == window
+            assert mgr.trailing_error > bound
+        if was and not mgr.degraded:
+            assert mgr._calm >= recovery
+    # transitions counter equals the number of mode flips
+    flips = sum(
+        1 for a, b in zip([False] + modes, modes) if a != b
+    )
+    assert mgr.transitions == flips
