@@ -54,14 +54,20 @@ bench-pairs:
 bench-all:
 	pytest benchmarks/ --benchmark-only
 
-# The forecast layer's paper figures and ablations, run once each (~8 s):
-# the Figs. 6-8 orderings, the Eq. (14) selection and pre-alert ablations,
-# and the monitored fleet, with timing off.
+# Paper figures and ablations, run once each with timing off (~12 s): the
+# forecast layer's Figs. 6-8 orderings, the Eq. (14) selection and
+# pre-alert ablations and the monitored fleet; the balance (Figs. 9-10),
+# migration cost and search space (Figs. 11-14) read from the round
+# record; and the placement and ECMP-latency ablations.
 figs-smoke:
 	pytest -q --benchmark-disable benchmarks/test_fig06_arima.py \
 		benchmarks/test_fig07_narnet.py benchmarks/test_fig08_combined.py \
 		benchmarks/test_ablation_selection.py benchmarks/test_ablation_prealert.py \
-		benchmarks/test_fleet_monitoring.py
+		benchmarks/test_fleet_monitoring.py \
+		benchmarks/test_fig09_fattree_balance.py benchmarks/test_fig10_bcube_balance.py \
+		benchmarks/test_fig11_12_fattree_cost_space.py \
+		benchmarks/test_fig13_14_bcube_cost_space.py \
+		benchmarks/test_ablation_placement.py benchmarks/test_ablation_ecmp.py
 
 report:
 	python -m repro report
@@ -107,8 +113,8 @@ serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
 # `examples` (~11 s) drives the predictive manager and the model selector
-# end to end outside the test suite; `figs-smoke` (~8 s) checks the
-# forecast layer's paper figures.
+# end to end outside the test suite; `figs-smoke` (~12 s) checks the
+# forecast, balance, cost and search-space figures.
 ci: lint bench-smoke digest-smoke gc-smoke trace-lint serve-smoke adversarial chaos examples figs-smoke
 	pytest tests/
 

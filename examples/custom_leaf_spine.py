@@ -25,7 +25,7 @@ from repro.topology import (
 )
 
 
-def build_leaf_spine(leaves: int = 8, spines: int = 4):
+def leaf_spine(leaves: int = 8, spines: int = 4):
     """Every leaf (ToR) connects to every spine — a 2-tier Clos."""
     kinds = ["tor"] * leaves + ["agg"] * spines
     edges = []
@@ -37,7 +37,7 @@ def build_leaf_spine(leaves: int = 8, spines: int = 4):
 
 
 def main() -> None:
-    topo = build_leaf_spine()
+    topo = leaf_spine()
     validate_topology(topo)
     print(f"fabric : {topo}")
 

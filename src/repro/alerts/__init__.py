@@ -10,12 +10,6 @@ from repro.alerts.threshold import AlertConfig
 from repro.alerts.alert import Alert, AlertKind, compute_alert, compute_alerts
 from repro.alerts.monitor import VMMonitor, default_model_pool, fleet_alert_values
 from repro.alerts.qcn import SwitchQueue, ToRUplinkMonitor
-from repro.alerts.aggregate import (
-    host_profiles,
-    hottest_resource,
-    rack_profiles,
-    rack_uplink_traffic,
-)
 
 __all__ = [
     "AlertConfig",
@@ -28,8 +22,4 @@ __all__ = [
     "fleet_alert_values",
     "SwitchQueue",
     "ToRUplinkMonitor",
-    "host_profiles",
-    "rack_profiles",
-    "rack_uplink_traffic",
-    "hottest_resource",
 ]

@@ -107,12 +107,3 @@ class ShimView:
         row.  Static and read-only, like the hosts.
         """
         return self._candidate_cols
-
-    def search_space(self, num_candidate_vms: int) -> int:
-        """Candidate (VM, destination-host) pairs this shim examines.
-
-        The Fig. 12/14 metric: a regional shim only pairs its candidate VMs
-        against hosts in neighboring racks, while a centralized manager
-        pairs them against *every* host in the DCN.
-        """
-        return num_candidate_vms * int(self.candidate_hosts().shape[0])

@@ -14,7 +14,7 @@ workloads.  Infrastructure: `scenario`/`scenarios` (alert & demand
 generation), `driver` (managed-run loop), `fullstack` (closed loop over
 all three alert paths), `inflight` (live-migration windows),
 `congestion`/`latency` (switch load & queueing delay), `failures`
-(switch death), `metrics`/`recorder`/`timing` (measurement).
+(switch death).  Per-round measurements live on :class:`RoundSummary`.
 """
 
 from repro.config import SheriffConfig
@@ -24,14 +24,6 @@ from repro.sim.scenario import (
     inject_fraction_alerts,
     overloaded_host_alerts,
 )
-from repro.sim.metrics import (
-    BalanceSeries,
-    gini_coefficient,
-    jain_fairness,
-    search_space_centralized,
-    search_space_regional,
-    time_above_threshold,
-)
 from repro.sim.centralized import CentralizedPlan, centralized_migration_round
 from repro.sim.regional import regional_migration_round
 from repro.sim.kmedian_planner import kmedian_migration_round
@@ -39,12 +31,10 @@ from repro.sim.fallback import FallbackManager
 from repro.sim.reactive import PredictiveManager, ReactiveManager
 from repro.sim.congestion import congestion_alerts, hot_switches, switch_capacity
 from repro.sim.failures import FailureInjector, FailureReport
-from repro.sim.timing import PlanTiming, time_plan
 from repro.sim.driver import AlertSource, ManagedRunReport, run_managed_simulation
 from repro.sim.fullstack import FullStackRound, FullStackSimulation
 from repro.sim.inflight import InFlightTracker, MigrationTiming, TimedReceiverRegistry
 from repro.sim.latency import flow_latencies, latency_percentiles, switch_delay_factors
-from repro.sim.recorder import SimulationRecorder
 from repro.sim.scenarios import (
     SurgeEvent,
     creeping_growth,
@@ -60,12 +50,6 @@ __all__ = [
     "inject_fraction_alerts",
     "overloaded_host_alerts",
     "forecast_alert_round",
-    "BalanceSeries",
-    "search_space_regional",
-    "search_space_centralized",
-    "jain_fairness",
-    "gini_coefficient",
-    "time_above_threshold",
     "centralized_migration_round",
     "regional_migration_round",
     "kmedian_migration_round",
@@ -78,8 +62,6 @@ __all__ = [
     "switch_capacity",
     "FailureInjector",
     "FailureReport",
-    "PlanTiming",
-    "time_plan",
     "ManagedRunReport",
     "run_managed_simulation",
     "AlertSource",
@@ -88,7 +70,6 @@ __all__ = [
     "host_surges",
     "flash_crowd",
     "creeping_growth",
-    "SimulationRecorder",
     "switch_delay_factors",
     "flow_latencies",
     "latency_percentiles",

@@ -20,7 +20,8 @@ The ablation benchmark counts host-overload-rounds under each policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,17 +34,6 @@ from repro.traces.workload import WorkloadStream
 __all__ = ["DemandDrivenWorkload", "ReactiveManager", "PredictiveManager"]
 
 
-class _StreamDict(dict):
-    """Stream mapping that invalidates the owner's utilization cache."""
-
-    _owner: Optional["DemandDrivenWorkload"] = None
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        if self._owner is not None:
-            self._owner._build_util_cache()
-
-
 class DemandDrivenWorkload:
     """Time-varying per-VM demand bound to a cluster.
 
@@ -51,6 +41,8 @@ class DemandDrivenWorkload:
     ----------
     streams:
         One stream per VM id; every VM of the cluster must be covered.
+        The workload keeps a copy, exposed read-only as :attr:`streams`:
+        different demand is a new workload.
     """
 
     def __init__(self, cluster: Cluster, streams: Dict[int, WorkloadStream]) -> None:
@@ -61,8 +53,7 @@ class DemandDrivenWorkload:
                 f"streams missing for VMs {missing[:5]} (+{max(0, len(missing) - 5)} more)"
             )
         self.cluster = cluster
-        self.streams = _StreamDict(streams)
-        self.streams._owner = self
+        self.streams: Mapping[int, WorkloadStream] = MappingProxyType(dict(streams))
         self._util_matrix: Optional[np.ndarray] = None
         self._build_util_cache()
 
@@ -71,8 +62,7 @@ class DemandDrivenWorkload:
 
         Only possible when every stream has the same length; each round's
         utilization then becomes one row view instead of an O(vms) Python
-        loop — the hot path of paper-scale demand simulations.  Rebuilt
-        whenever a stream is replaced.
+        loop — the hot path of paper-scale demand simulations.
         """
         n = self.cluster.num_vms
         lengths = {self.streams[v].length for v in range(n)} if n else set()
@@ -260,10 +250,6 @@ class PredictiveManager:
         values = load.tolist()
         for h, model in self._models.items():
             model.append(values[h])
-
-    def reset_host(self, host: int) -> None:
-        """Drop *host*'s load history and model (assignment changed)."""
-        self._reset(np.array([host]))
 
     def _reset(self, hosts: np.ndarray) -> None:
         self._start[hosts] = self._t

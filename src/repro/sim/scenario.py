@@ -120,27 +120,23 @@ def forecast_alert_round(
     monitors: Dict[int, VMMonitor],
     *,
     time: int = 0,
-    batched: bool = True,
 ) -> Tuple[List[Alert], Dict[int, float]]:
     """Forecast-driven alerts: ask every monitored VM for its ALERT value.
 
     Monitors must be driven externally (``observe`` per round); this
     function only *reads* their predictions, mirroring the shim's periodic
-    collection.  With ``batched=True`` (the default) the values come from
+    collection.  The values come from
     :func:`~repro.alerts.monitor.fleet_alert_values`, which reads the
-    one-step monitors as one selector bank; ``batched=False`` keeps the
-    scalar per-monitor :meth:`~repro.alerts.monitor.VMMonitor.alert_value`
-    loop — the live oracle the byte-identity suite measures against.
+    one-step monitors as one selector bank; the scalar
+    :meth:`~repro.alerts.monitor.VMMonitor.alert_value`, one monitor at a
+    time, is the oracle the tests hold it to.
     """
     pl = cluster.placement
     alerts: List[Alert] = []
     vm_alerts: Dict[int, float] = {}
     hosts_alerted: Dict[int, float] = {}
     items = list(monitors.items())
-    if batched:
-        values = fleet_alert_values([mon for _, mon in items])
-    else:
-        values = [mon.alert_value() for _, mon in items]
+    values = fleet_alert_values([mon for _, mon in items])
     for (vm, _), a in zip(items, values):
         a = float(a)
         if a <= 0.0:

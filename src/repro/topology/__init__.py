@@ -10,13 +10,11 @@ shortest-path kernels used by the migration cost model.
 from repro.topology.base import LinkTable, NodeKind, Topology
 from repro.topology.fattree import build_fattree
 from repro.topology.bcube import build_bcube
-from repro.topology.leafspine import build_leaf_spine, leaf_spine_counts
 from repro.topology.shortest_paths import (
     floyd_warshall,
     floyd_warshall_with_paths,
     reconstruct_path,
 )
-from repro.topology.layout import rack_positions, rack_distance_matrix
 from repro.topology.validate import validate_topology
 from repro.topology.custom import from_edge_list, from_networkx
 from repro.topology.routing import ecmp_path, equal_cost_paths, path_diversity
@@ -27,13 +25,9 @@ __all__ = [
     "Topology",
     "build_fattree",
     "build_bcube",
-    "build_leaf_spine",
-    "leaf_spine_counts",
     "floyd_warshall",
     "floyd_warshall_with_paths",
     "reconstruct_path",
-    "rack_positions",
-    "rack_distance_matrix",
     "validate_topology",
     "from_edge_list",
     "from_networkx",

@@ -57,8 +57,3 @@ class TestShimView:
         assert hosts.size > 0
         for h in hosts:
             assert int(pl.host_rack[h]) in shim.neighbors
-
-    def test_search_space_scales_with_candidates(self, small_cluster):
-        shim = ShimView(small_cluster, 0)
-        assert shim.search_space(4) == 2 * shim.search_space(2)
-        assert shim.search_space(0) == 0

@@ -1,6 +1,5 @@
 """Centralized-optimal and regional planning round tests (Figs. 11-14)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
@@ -9,8 +8,6 @@ from repro.sim import (
     centralized_migration_round,
     inject_fraction_alerts,
     regional_migration_round,
-    search_space_centralized,
-    search_space_regional,
 )
 from repro.topology import build_fattree
 
@@ -116,23 +113,3 @@ class TestRegionalVsCentralized:
         reg = regional_migration_round(cluster, cm, cands, apply=True)
         moved = int((before != cluster.placement.vm_host).sum())
         assert moved == len(reg.moves)
-
-
-class TestSearchSpaceMetrics:
-    def test_regional_formula(self, env):
-        cluster, _ = env
-        by_rack = {0: [1, 2], 1: [3]}
-        total = search_space_regional(cluster, by_rack)
-        from repro.cluster.shim import neighbor_racks
-
-        pl = cluster.placement
-        expected = 0
-        for rack, c in by_rack.items():
-            nbrs = neighbor_racks(cluster.topology, rack)
-            hosts = int(np.isin(pl.host_rack, list(nbrs)).sum())
-            expected += len(c) * hosts
-        assert total == expected
-
-    def test_centralized_formula(self, env):
-        cluster, _ = env
-        assert search_space_centralized(cluster, 10) == 10 * cluster.num_hosts

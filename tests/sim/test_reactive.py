@@ -35,12 +35,10 @@ class TestDemandDriven:
         pl = cluster.placement
         # overwrite one host's VMs with a saturated stream
         host = 0
-        vms = pl.vms_on_host(host)
-        for vm in vms:
-            wl.streams[int(vm)] = WorkloadStream(
-                profile=np.ones((100, 4)) * 0.99
-            )
-        load = wl.host_load(50)
+        streams = dict(wl.streams)
+        for vm in pl.vms_on_host(host):
+            streams[int(vm)] = WorkloadStream(profile=np.ones((100, 4)) * 0.99)
+        load = DemandDrivenWorkload(cluster, streams).host_load(50)
         expected = 0.99 * pl.host_used[host] / pl.host_capacity[host]
         assert load[host] == pytest.approx(expected, rel=1e-6)
 
@@ -48,8 +46,10 @@ class TestDemandDriven:
         cluster, wl = env
         pl = cluster.placement
         host = 1
+        streams = dict(wl.streams)
         for vm in pl.vms_on_host(host):
-            wl.streams[int(vm)] = WorkloadStream(profile=np.ones((100, 4)))
+            streams[int(vm)] = WorkloadStream(profile=np.ones((100, 4)))
+        wl = DemandDrivenWorkload(cluster, streams)
         thr = 0.9 * pl.host_used[host] / pl.host_capacity[host]
         if thr <= 0:
             pytest.skip("empty host in fixture")
@@ -73,6 +73,18 @@ class TestDemandDriven:
         after = wl.host_load(5)[host]
         assert after < before
 
+    def test_streams_are_read_only(self, env):
+        """The utilization cache is built once, so the streams cannot change."""
+        _, wl = env
+        hot = WorkloadStream(profile=np.full((100, 4), 0.7))
+        with pytest.raises(TypeError):
+            wl.streams[1] = hot
+        with pytest.raises(AttributeError):  # a mappingproxy has no update
+            wl.streams.update({1: hot})
+        with pytest.raises(TypeError):
+            del wl.streams[2]
+        assert 2 in wl.streams
+
     def test_missing_stream_rejected(self):
         cluster = build_cluster(build_fattree(4), seed=61)
         with pytest.raises(ConfigurationError):
@@ -90,8 +102,10 @@ class TestReactiveManager:
         cluster, wl = env
         pl = cluster.placement
         host = 0
+        streams = dict(wl.streams)
         for vm in pl.vms_on_host(host):
-            wl.streams[int(vm)] = WorkloadStream(profile=np.ones((100, 4)))
+            streams[int(vm)] = WorkloadStream(profile=np.ones((100, 4)))
+        wl = DemandDrivenWorkload(cluster, streams)
         load = wl.host_load(10)[host]
         mgr = ReactiveManager(wl, threshold=min(0.99, max(0.05, load * 0.9)))
         alerts, vma = mgr.alerts_at(10)

@@ -109,13 +109,14 @@ class TestForecastRound:
         assert 1 in fired_vms
         assert 0 not in fired_vms
 
-    def test_batched_fleet_equals_scalar_across_slides_and_refits(self):
+    def test_batched_fleet_equals_scalar_across_slides_and_refits(self, monkeypatch):
         """The banked fleet through the engine, long enough to matter.
 
         ``refit_every=7`` over 30 rounds is four refits a monitor, and a
         30-sample ``max_history`` and a 5-sample Eq. (14) window both
         slide: every alert, ``vm_alerts``, ``RoundSummary`` and the final
-        placement equal the scalar per-monitor loop's.
+        placement equal those of the scalar oracle, one
+        ``VMMonitor.alert_value`` per monitor.
         """
         from repro.sim import SheriffSimulation
 
@@ -147,9 +148,7 @@ class TestForecastRound:
             sim = SheriffSimulation(cluster)
             out = []
             for r in range(30):
-                alerts, vm_alerts = forecast_alert_round(
-                    cluster, monitors, time=r, batched=batched
-                )
+                alerts, vm_alerts = forecast_alert_round(cluster, monitors, time=r)
                 summary = sim.run_round(alerts, vm_alerts)
                 out.append((alerts, vm_alerts, summary_fields(summary)))
                 for v, mon in monitors.items():
@@ -161,7 +160,12 @@ class TestForecastRound:
                 assert min(s._step for s in sels) >= 30
             return out, pl.vm_host.tolist()
 
-        scalar = run(False)
+        with monkeypatch.context() as m:
+            m.setattr(
+                "repro.sim.scenario.fleet_alert_values",
+                lambda mons: [mon.alert_value() for mon in mons],
+            )
+            scalar = run(False)
         batched = run(True)
         assert batched == scalar
         rounds = scalar[0]
