@@ -58,7 +58,10 @@ bench-all:
 # forecast layer's Figs. 6-8 orderings, the Eq. (14) selection and
 # pre-alert ablations and the monitored fleet; the balance (Figs. 9-10),
 # migration cost and search space (Figs. 11-14) read from the round
-# record; and the placement and ECMP-latency ablations.
+# record; the placement and ECMP-latency ablations; and every other kept
+# caller of the regional round (paper scale, centralized strategies,
+# Local Search ratio).  test_scalability.py stays out: it asserts on
+# wall-clock.
 figs-smoke:
 	pytest -q --benchmark-disable benchmarks/test_fig06_arima.py \
 		benchmarks/test_fig07_narnet.py benchmarks/test_fig08_combined.py \
@@ -67,7 +70,9 @@ figs-smoke:
 		benchmarks/test_fig09_fattree_balance.py benchmarks/test_fig10_bcube_balance.py \
 		benchmarks/test_fig11_12_fattree_cost_space.py \
 		benchmarks/test_fig13_14_bcube_cost_space.py \
-		benchmarks/test_ablation_placement.py benchmarks/test_ablation_ecmp.py
+		benchmarks/test_ablation_placement.py benchmarks/test_ablation_ecmp.py \
+		benchmarks/test_paper_scale.py benchmarks/test_centralized_strategies.py \
+		benchmarks/test_approx_ratio.py
 
 report:
 	python -m repro report
@@ -113,7 +118,7 @@ serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
 # `examples` (~11 s) drives the predictive manager and the model selector
-# end to end outside the test suite; `figs-smoke` (~12 s) checks the
+# end to end outside the test suite; `figs-smoke` (~15 s) checks the
 # forecast, balance, cost and search-space figures.
 ci: lint bench-smoke digest-smoke gc-smoke trace-lint serve-smoke adversarial chaos examples figs-smoke
 	pytest tests/

@@ -96,9 +96,6 @@ class Cluster:
             self._region_hosts = (hosts, cols, widths)
         return self._region_hosts
 
-    def workload_mean(self) -> float:
-        return float(np.mean(self.placement.host_load_fraction() * 100.0))
-
 
 def build_cluster(
     topology: Topology,

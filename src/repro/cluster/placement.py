@@ -78,7 +78,6 @@ class Placement:
                 f"(used {self.host_used[over[:5]].tolist()} vs "
                 f"capacity {self.host_capacity[over[:5]].tolist()})"
             )
-        self._migrations = 0
         self._generation = 0
         self.host_alive = np.ones(self.num_hosts, dtype=bool)
         self.lost_vms: set = set()  # VMs whose host crashed before evacuation
@@ -111,18 +110,6 @@ class Placement:
     def host_load_fraction(self) -> np.ndarray:
         """Per-host utilization in ``[0, 1]`` — the Fig. 9/10 metric base."""
         return self.host_used / self.host_capacity
-
-    def rack_used(self) -> np.ndarray:
-        """Total placed VM capacity per rack."""
-        return np.bincount(
-            self.host_rack, weights=self.host_used.astype(np.float64),
-            minlength=self.num_racks,
-        ).astype(np.int64)
-
-    @property
-    def migrations_performed(self) -> int:
-        """Count of successful :meth:`migrate` calls since construction."""
-        return self._migrations
 
     @property
     def generation(self) -> int:
@@ -164,7 +151,6 @@ class Placement:
         self.vm_host[vm] = dst_host
         self.host_used[src] -= need
         self.host_used[dst_host] += need
-        self._migrations += 1
         self._generation += 1
 
     # ------------------------------------------------------------------ #
@@ -226,7 +212,6 @@ class Placement:
         new.host_rack = self.host_rack
         new.vm_host = self.vm_host.copy()
         new.host_used = self.host_used.copy()
-        new._migrations = self._migrations
         new._generation = self._generation
         new.host_alive = self.host_alive.copy()
         new.lost_vms = set(self.lost_vms)

@@ -83,13 +83,6 @@ class ShimView:
         """Own rack plus migration-horizon racks (``N_r ∪ {v_i}``)."""
         return self.neighbors | {self.rack}
 
-    def local_vms(self) -> np.ndarray:
-        """VM ids currently inside the dominating rack."""
-        return self.cluster.placement.vms_in_rack(self.rack)
-
-    def local_hosts(self) -> np.ndarray:
-        return self.cluster.placement.hosts_in_rack(self.rack)
-
     def candidate_hosts(self) -> np.ndarray:
         """Hosts in neighbor racks — possible migration destinations.
 

@@ -62,7 +62,7 @@ class CostModel:
     :meth:`migration_cost` for one pair: uncached, every rack, what the
     centralized baselines ask for — and one stacked kernel behind
     :meth:`cost_rows`, the same Eq. (1) element for element, evaluated
-    only at the destination racks the caller names.
+    only at each VM's one-hop region.
 
     Two caches sit behind it.  The shortest-path table is memoized per
     (topology, knobs) — the paper's Floyd–Warshall step runs once per
@@ -193,26 +193,19 @@ class CostModel:
         ids = np.fromiter(vms, dtype=np.int64)
         self.cache_stats["primed"] += self._fill(ids[self._slot_of[ids] < 0])
 
-    def cost_rows(self, vms, racks=None, *, region_cols=None) -> np.ndarray:
-        """Eq. (1) of *vms* at the destinations named, one row per VM.
+    def cost_rows(self, vms, *, region_cols) -> np.ndarray:
+        """Eq. (1) of *vms* at columns of each VM's own one-hop region.
 
-        *racks* names destination racks, the same for every row (default:
-        every rack — stacked :meth:`migration_cost_vector`); one kernel
-        call, never cached.  *region_cols* instead names columns of each
-        VM's own one-hop region, ``rack_regions()[0][src_rack, region_cols]``
-        (a shim passes its :meth:`~repro.cluster.shim.ShimView.candidate_cols`;
-        the round's stacked pass a ``(rows, widest)`` table, one row of
-        columns per VM): the width a shim reads and the one the slab
-        stores, so the answer is a fancy index of the slab, rows not yet
-        held being computed first (``misses``; the rest are ``hits``).
-
-        Either way every element is bit-identical to the scalar oracle's
-        for the same VM and rack, and the result is the caller's own array.
+        *region_cols* names ``rack_regions()[0][src_rack, region_cols]``
+        (a shim's :meth:`~repro.cluster.shim.ShimView.candidate_cols`, or
+        the round's stacked pass's ``(rows, widest)`` table, one row of
+        columns per VM): the width the slab stores, so the answer is a
+        fancy index of the slab, rows not yet held being computed first
+        (``misses``; the rest are ``hits``).  Every element is bit-identical
+        to the scalar oracle's for the same VM and rack, and the result is
+        the caller's own array.
         """
         ids = np.asarray(vms, dtype=np.int64)
-        if region_cols is None:
-            cols = np.arange(self.table.num_racks) if racks is None else racks
-            return self._cost_kernel(ids, np.asarray(cols, dtype=np.int64)[None, :])
         self.sync_cache()
         slots = self._slot_of[ids]
         missing = ids[slots < 0]
@@ -245,8 +238,8 @@ class CostModel:
     def _cost_kernel(self, ids: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Stacked Eq. (1): row ``i`` is VM ``ids[i]`` at racks ``cols[i]``.
 
-        *cols* is ``(len(ids), W)``, or ``(1, W)`` for the same racks on
-        every row.  Each element comes from the scalar oracle's own IEEE
+        *cols* is ``(len(ids), W)``, one row of destination racks per VM.
+        Each element comes from the scalar oracle's own IEEE
         operations in the oracle's order: the transmission and constant
         terms are elementwise, and the dependency sums run one dependent at
         a time — level ``k`` adds every row's ``k``-th dependent (neighbor-
@@ -267,7 +260,6 @@ class CostModel:
             + self.table.eta * self.table.sum_util[at, cols]
         )
         trans[cols == at] = 0.0
-        cols = np.broadcast_to(cols, trans.shape)
         near = np.zeros(trans.shape)
         here = np.zeros(ids.size)
         nbrs = [sorted(deps.neighbors(vm)) for vm in ids.tolist()]

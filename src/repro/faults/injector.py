@@ -9,7 +9,8 @@ due:
 
 * **HOST_CRASH** — in-flight migrations touching the host are aborted
   (their destination holds released), the host is marked dead, resident
-  VMs are emergency-evacuated through the regular VMMIGRATION matching
+  VMs are emergency-evacuated through the regular VMMIGRATION halves
+  (a one-rack ``stack_cost_blocks``, then ``request_migrations``)
   against the rack's one-hop region (a private instant receiver commits
   them immediately), and whoever could not be placed is marked *lost* —
   frozen out of planning, capacity still booked on the dead host so
@@ -37,10 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.cluster.snapshot import FleetSnapshot
 from repro.errors import ConfigurationError, TopologyError
 from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
+from repro.migration.reports import RoundReports
 from repro.migration.request import ReceiverRegistry
-from repro.migration.vmmigration import vmmigration
+from repro.migration.vmmigration import request_migrations, stack_cost_blocks
 from repro.obs.events import FaultInjected, HostCrashed, MigrationAborted
 from repro.sim.failures import FailureInjector
 
@@ -191,28 +194,30 @@ class FaultInjector:
             # emergency evacuation: the regular Alg. 3 matching against the
             # rack's one-hop region, committed instantly through a private
             # receiver so the placement reflects the rescue immediately.
-            # metrics=None keeps the round's REQUEST/ACK counters clean —
-            # evacuations are accounted by their own counters below.
+            # The one-row record is never written to metrics, which keeps
+            # the round's REQUEST/ACK counters clean — evacuations are
+            # accounted by their own counters below.
             port = ReceiverRegistry(sim.cluster, tracer=sim.tracer)
-            dest_hosts = sim.managers[rack].shim.candidate_hosts().tolist()
             if sim.inflight is not None:
                 # room reserved for an in-flight arrival is not free: an
                 # evacuee ACKed onto it makes that arrival's landing
                 # overflow the host
-                for dst in dest_hosts:
+                for dst in sim.managers[rack].shim.candidate_hosts().tolist():
                     held = sim.inflight.hold_on(dst)
                     if held:
                         port.promise(dst, held)
-            vmmigration(
+            block = stack_cost_blocks(
                 sim.cluster,
                 sim.cost_model,
-                residents,
-                dest_hosts,
-                port,
+                {rack: residents},
+                FleetSnapshot(pl),
                 balance_weight=sim.config.balance_weight,
-                tracer=sim.tracer,
-                metrics=None,
-            )
+            )[rack]
+            reports = RoundReports()
+            reports.add_row(-1, selected=residents)
+            # rack=None: the trace keeps the evacuation out of every
+            # alert group
+            request_migrations(block, port, reports=reports, tracer=sim.tracer)
             moved, _failed = port.commit_round_tolerant()
             evacuated = [vm for vm, _h in moved]
         lost = [vm for vm in residents if int(pl.vm_host[vm]) == host]

@@ -6,8 +6,8 @@
   (from-scratch Kuhn–Munkres with potentials, the Alg. 3 kernel);
 * :mod:`~repro.migration.request` — Alg. 4, the FCFS REQUEST/ACK/REJECT
   receiver protocol;
-* :mod:`~repro.migration.vmmigration` — Alg. 3, the match-request-migrate
-  loop;
+* :mod:`~repro.migration.vmmigration` — Alg. 3, the stacked cost pass
+  and the match-request-migrate loop;
 * :mod:`~repro.migration.manager` — Alg. 1, the per-shim framework
   dispatching on alert kinds;
 * :mod:`~repro.migration.reroute` — FLOWREROUTE for outer-switch alerts.
@@ -16,7 +16,7 @@
 from repro.migration.priority import PriorityFactor, priority_select
 from repro.migration.matching import hungarian
 from repro.migration.request import ReceiverRegistry, RequestOutcome
-from repro.migration.vmmigration import MigrationStats, vmmigration
+from repro.migration.vmmigration import MigrationStats
 from repro.migration.reroute import FlowTable, flow_reroute
 from repro.migration.manager import ShimManager
 
@@ -26,7 +26,6 @@ __all__ = [
     "hungarian",
     "ReceiverRegistry",
     "RequestOutcome",
-    "vmmigration",
     "MigrationStats",
     "ShimManager",
     "FlowTable",

@@ -21,7 +21,7 @@ only read here: a SERVER alert's PRIORITY(F, 1) is a lookup in the
 round-static half of Alg. 3 arrives as this rack's rows of the engine's
 :func:`~repro.migration.vmmigration.stack_cost_blocks` (a shim called
 without them, or whose migration set they do not hold — the β picks of
-a ToR alert — builds its own block with the scalar definition).  Its
+a ToR alert — builds its own as a one-rack stack).  Its
 outcome is a row of the round's
 :class:`~repro.migration.reports.RoundReports`, from which the engine
 writes the round's per-rack metrics in one call; a caller that passes none
@@ -45,8 +45,8 @@ from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable, flow_reroute
 from repro.migration.vmmigration import (
     RackCostBlock,
-    build_cost_block,
     request_migrations,
+    stack_cost_blocks,
 )
 from repro.obs.events import FlowRerouted, PrioritySelected
 from repro.obs.metrics import MetricsRegistry
@@ -134,7 +134,7 @@ class ShimManager:
             rounds); excluding them prevents migration ping-pong.
         host_load:
             Optional measured per-host utilization for destination steering
-            (see :func:`repro.migration.vmmigration.vmmigration`).
+            (see :func:`repro.migration.vmmigration.stack_cost_blocks`).
         snapshot:
             The round's shared :class:`FleetSnapshot`; the engine builds one
             per round for all shims.  A direct caller may leave it out and
@@ -143,7 +143,7 @@ class ShimManager:
             This rack's rows of the round's
             :func:`~repro.migration.vmmigration.stack_cost_blocks`.  Used
             when it was built for exactly the migration set chosen here;
-            otherwise, and without one, the shim builds the block itself.
+            otherwise, and without one, the shim stacks its own rack alone.
         reports:
             The round's :class:`RoundReports`: this rack's row is appended
             to it and nothing is returned.  Without one the shim plans into
@@ -238,17 +238,15 @@ class ShimManager:
         )
         if migrate_set:
             if block is None or block.vms != migrate_set:
-                block = build_cost_block(
+                block = stack_cost_blocks(
                     self.cluster,
                     self.cost_model,
-                    migrate_set,
-                    self.shim.candidate_hosts(),
-                    region_cols=self.shim.candidate_cols(),
+                    {self.rack: migrate_set},
+                    snapshot,
                     balance_weight=self.balance_weight,
                     host_load=host_load,
-                    snapshot=snapshot,
                     slo_scorer=self.slo_scorer,
-                )
+                )[self.rack]
             request_migrations(
                 block,
                 receivers,

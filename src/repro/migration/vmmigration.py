@@ -12,34 +12,30 @@ live-migration timing, at a later round's start).  So everything Alg. 3
 derives from the placement is *round-static*, and the algorithm splits
 into two halves:
 
-* :func:`build_cost_block` computes the Eq. (1) cost matrix, the
-  feasibility mask (``free >= need``), the load-steering term and each
-  row's first minimum once for the whole candidate set;
+* :func:`stack_cost_blocks` computes, for every planning rack in one
+  pass, the Eq. (1) cost matrix of its candidate set against its one-hop
+  region, the feasibility mask (``free >= need``), the load-steering term
+  and each row's first minimum;
 * :func:`request_migrations` runs the matching / REQUEST / retry loop over
-  that block against the shared receiver registry — retries subset the
-  block's rows instead of rebuilding them, and a single remaining row
+  one rack's block against the shared receiver registry — retries subset
+  the block's rows instead of rebuilding them, and a single remaining row
   requests its stored first minimum (Kuhn–Munkres' own 1 × m answer)
   without trimming, solving or gathering anything.  Its outcome is the
   migration part of a row of the round's
   :class:`~repro.migration.reports.RoundReports`, from which the per-rack
   metrics are written.
 
-:func:`vmmigration` is their composition, run into a one-row record whose
-:class:`MigrationStats` it returns.  The first half is round-static
-for every shim at once, so the engine runs it once per round:
-:func:`stack_cost_blocks` is :func:`build_cost_block` for all alerted
-racks in one pass, and each shim's
-:meth:`~repro.migration.manager.ShimManager.process_round` takes its rows
-as views (building its own block when the stack does not hold its
-migration set).  Only the second half — Alg. 4's FCFS order — stays
-serial, one rack at a time.
+Every planner composes the two — the engine's plan stage, the Figs.
+11–14 round and the HOST_CRASH evacuation; only the second half, Alg. 4's
+FCFS order, stays serial, one rack at a time.  The scalar definition of
+the first half lives with the tests as their oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -50,20 +46,15 @@ from repro.migration.matching import hungarian
 from repro.migration.reports import MigrationStats, RoundReports
 from repro.migration.request import ReceiverRegistry, RequestOutcome
 from repro.obs.events import MatchingSolved, RequestSent
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "MigrationStats",
     "RackCostBlock",
-    "build_cost_block",
     "request_migrations",
     "stack_cost_blocks",
-    "vmmigration",
 ]
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 _MAX_ITERATIONS = 8
 """Alg. 3 match / REQUEST rounds per shim before the rest stay unplaced."""
@@ -103,10 +94,10 @@ class RackCostBlock:
 
     vms: List[int]
     hosts: np.ndarray
-    host_racks: np.ndarray = field(default_factory=lambda: _EMPTY_I64.copy())
-    true_cost: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    cost: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    first_min: np.ndarray = field(default_factory=lambda: _EMPTY_I64.copy())
+    host_racks: np.ndarray
+    true_cost: np.ndarray
+    cost: np.ndarray
+    first_min: np.ndarray
 
 
 def _first_min(cost: np.ndarray) -> np.ndarray:
@@ -149,74 +140,6 @@ def _solve(sub: np.ndarray):
         return _greedy_assign(sub), True
 
 
-def build_cost_block(
-    cluster: Cluster,
-    cost_model: CostModel,
-    candidates: Sequence[int],
-    destination_hosts: Iterable[int],
-    *,
-    region_cols: Optional[np.ndarray] = None,
-    balance_weight: float = 50.0,
-    host_load: Optional[np.ndarray] = None,
-    snapshot=None,
-    slo_scorer=None,
-) -> RackCostBlock:
-    """Build one delegation's matching inputs (reads only; no REQUEST yet).
-
-    The sender uses last-known free capacity as a feasibility filter —
-    availability net of this round's promises is known only to the
-    receivers.  *snapshot* (the engine's per-round
-    :class:`~repro.cluster.snapshot.FleetSnapshot`) supplies the per-host
-    free capacity and fill fraction as single gathers; without one the
-    same values are computed for just these hosts.  A shim planning for
-    its own rack passes its static, sorted ``ShimView.candidate_hosts()``
-    with their ``candidate_cols()`` as *region_cols*: Eq. (1) is then read
-    at regional width (from the cost model's slab when its cache is on),
-    at costs bit-identical to the any-hosts path.  The other parameters
-    are :func:`vmmigration`'s.
-    """
-    vms = [int(v) for v in dict.fromkeys(candidates)]
-    hosts = destination_hosts
-    if region_cols is None:
-        hosts = np.asarray(sorted(set(int(h) for h in hosts)), dtype=np.int64)
-    block = RackCostBlock(vms=vms, hosts=hosts)
-    if not vms or hosts.size == 0:
-        return block
-    pl = cluster.placement
-    block.host_racks = pl.host_rack[hosts]
-    if snapshot is not None:
-        free = snapshot.free_capacity(hosts)
-    else:
-        # Placement.free_capacity over *hosts*: dead hosts report 0
-        free = np.where(
-            pl.host_alive[hosts], pl.host_capacity[hosts] - pl.host_used[hosts], 0
-        )
-    if host_load is not None:
-        load_frac = np.asarray(host_load, dtype=np.float64)[hosts]
-    elif snapshot is not None:
-        load_frac = snapshot.host_load[hosts]
-    else:
-        load_frac = pl.host_used[hosts] / pl.host_capacity[hosts]
-    steer = balance_weight * load_frac
-
-    if region_cols is None:
-        gathered = cost_model.cost_rows(vms, block.host_racks)
-    else:
-        gathered = cost_model.cost_rows(vms, region_cols=region_cols)
-    need = pl.vm_capacity[np.asarray(vms, dtype=np.int64)]
-    feasible = free[None, :] >= need[:, None]
-    block.true_cost = np.where(feasible, gathered, np.inf)
-    # infeasible entries stay inf through the adds (inf + s = inf)
-    block.cost = block.true_cost + steer[None, :]
-    if slo_scorer is not None:
-        # scoring="slo": (true_cost + steer) + addend, elementwise
-        block.cost = block.cost + slo_scorer.addend(
-            slo_scorer.damage(vms, need.tolist()), load_frac
-        )
-    block.first_min = _first_min(block.cost)
-    return block
-
-
 def stack_cost_blocks(
     cluster: Cluster,
     cost_model: CostModel,
@@ -227,15 +150,22 @@ def stack_cost_blocks(
     host_load: Optional[np.ndarray] = None,
     slo_scorer=None,
 ) -> Dict[int, RackCostBlock]:
-    """:func:`build_cost_block` of every shim's own region, in one pass.
+    """Alg. 3's round-static inputs for every rack's own region, in one pass.
 
     *picks* maps a rack to its migration set (duplicate-free VMs of that
-    rack); each rack with a non-empty set gets the block
-    ``build_cost_block(..., picks[rack], shim.candidate_hosts(),
-    region_cols=shim.candidate_cols())`` would build, bit for bit, as views
-    of one ``(all VMs, widest region)`` stack — one gather of free capacity
-    and load, one :meth:`CostModel.cost_rows` call, one mask, one ``argmin``
+    rack); each rack with a non-empty set gets a :class:`RackCostBlock`
+    against its shim's sorted ``candidate_hosts()``, as views of one
+    ``(all VMs, widest region)`` stack — one gather of free capacity and
+    load, one :meth:`CostModel.cost_rows` call, one mask, one ``argmin``
     over :meth:`Cluster.region_hosts`, its padding masked to ``inf``.
+    Feasibility is the *snapshot*'s last-known free capacity (dead hosts
+    have none): availability net of this round's promises is known only
+    to the receivers.  The matching minimizes ``Cost + balance_weight ·
+    load`` — among similarly-priced destinations the emptier host wins,
+    the mechanism behind Figs. 9/10 — with the load the measured
+    *host_load* when given, else the snapshot's fill fraction; a
+    *slo_scorer* (``scoring="slo"``) adds its predicted SLO damage.
+    ``true_cost`` keeps the raw Eq. (1) value.
     """
     racks = [rack for rack, vms in picks.items() if vms]
     if not racks:
@@ -291,8 +221,11 @@ def request_migrations(
     Shims run one at a time, in rack order, against the shared receiver
     registry — the FCFS receiver protocol (Alg. 4) is order-sensitive by
     design.  The outcome is written into the last row of *reports* (the
-    round's :class:`~repro.migration.reports.RoundReports`); the
-    observability parameters are :func:`vmmigration`'s.
+    round's :class:`~repro.migration.reports.RoundReports`); a VM left
+    unmatched is unplaced until the next round.  *tracer* gets
+    ``MatchingSolved`` / ``RequestSent`` rows labelled by *rack* (``None``
+    keeps them out of every alert group), *profiler* the ``matching`` /
+    ``request`` sections.
     """
     vms = block.vms
     hosts = block.hosts
@@ -426,91 +359,3 @@ def request_migrations(
         move_cost,
         matching_size,
     )
-
-
-def vmmigration(
-    cluster: Cluster,
-    cost_model: CostModel,
-    candidates: Sequence[int],
-    destination_hosts: Iterable[int],
-    receivers: ReceiverRegistry,
-    *,
-    balance_weight: float = 50.0,
-    host_load: Optional[np.ndarray] = None,
-    tracer: Tracer = NULL_TRACER,
-    metrics: Optional[MetricsRegistry] = None,
-    profiler=NULL_PROFILER,
-    rack: Optional[int] = None,
-    slo_scorer=None,
-) -> MigrationStats:
-    """Run Alg. 3 for one delegation's candidate set.
-
-    Parameters
-    ----------
-    candidates:
-        VM ids selected by PRIORITY (the set ``F``).
-    destination_hosts:
-        Host ids at neighbor delegations (``T``).  Earlier ACKs consume
-        capacity that only the receivers see: a REJECTed VM is re-matched
-        against the remaining rows of the same cost block.
-    receivers:
-        The round's shared receiver protocol state; accepted moves are
-        reserved there (call ``commit_round`` after all shims ran).
-    balance_weight:
-        Load-aware destination steering: the matching minimizes
-        ``Cost + balance_weight · load_fraction(dst)``, so among
-        similarly-priced destinations the emptier host wins.  This is the
-        mechanism behind the paper's balancing result (Figs. 9/10) — an
-        overload-relief migration must not land on another hot host.
-        ``stats.total_cost`` always reports the *true* Eq. (1) cost.
-    host_load:
-        Optional per-host *measured* utilization in [0, 1] (what the shim's
-        monitoring actually sees).  When given, steering uses it instead of
-        the placement fill fraction — a host packed with idle VMs is a fine
-        destination, one running hot is not.
-    tracer, metrics, profiler:
-        Observability handles (see :mod:`repro.obs`): the tracer receives
-        :class:`~repro.obs.events.MatchingSolved` /
-        :class:`~repro.obs.events.RequestSent` events, the registry the
-        one-row record's ``sheriff_requests_*`` /
-        ``sheriff_migration_cost_total`` / ``sheriff_search_space_total`` /
-        ``sheriff_unplaced_total`` counters and ``sheriff_matching_size`` /
-        ``sheriff_move_cost`` histograms, labelled by *rack*
-        (:meth:`~repro.migration.reports.RoundReports.write_metrics`), and
-        the profiler the ``matching`` / ``request`` sections.  All default
-        to disabled no-ops.
-    rack:
-        The calling shim's rack id, used only to label metrics/events (a
-        registry needs it: its families take non-negative rack labels).
-    slo_scorer:
-        Optional :class:`~repro.slo.scoring.SloScorer`
-        (``SheriffConfig(scoring="slo")``): the matching minimizes
-        ``Cost + steering + predicted SLO damage`` so the assignment
-        trades network bytes against application pain.  ``None``
-        (default) keeps the pure Eq. (1) + steering matrix bit-for-bit.
-        ``stats.total_cost`` always reports the true Eq. (1) cost.
-
-    Notes
-    -----
-    Per the paper, a VM left unmatched (every destination rejected or
-    infeasible) is reported in ``stats.unplaced``; Alg. 3 would have the
-    shim "recalculate possible migration destinations", which here is the
-    next management round.
-    """
-    block = build_cost_block(
-        cluster,
-        cost_model,
-        candidates,
-        destination_hosts,
-        balance_weight=balance_weight,
-        host_load=host_load,
-        slo_scorer=slo_scorer,
-    )
-    reports = RoundReports()
-    reports.add_row(-1 if rack is None else rack, selected=block.vms)
-    request_migrations(
-        block, receivers, reports=reports, tracer=tracer, profiler=profiler, rack=rack
-    )
-    if metrics is not None:
-        reports.write_metrics(metrics)
-    return reports.migration(0)

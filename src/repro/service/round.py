@@ -171,9 +171,13 @@ def plan(state: RoundState) -> None:
     """
     sim = state.sim
     racks = sorted(state.by_rack)
+    num_hosts = sim.cluster.placement.num_hosts
     for rack in racks:
         if rack not in sim.managers:
             raise SimulationError(f"alert addressed to unknown rack {rack}")
+        for a in state.by_rack[rack]:
+            if a.kind is AlertKind.SERVER and not 0 <= a.host < num_hosts:
+                raise SimulationError(f"server alert for unknown host {a.host}")
     if sim.faults is not None and sim.faults.down_racks:
         # a rack with a dead shim plans nothing this round; its
         # alerts are dropped (nobody is listening), not queued

@@ -71,8 +71,8 @@ def centralized_migration_round(
         "migration" has no meaning in Alg. 3).
     balance_weight:
         Optional load-aware steering, as in
-        :func:`repro.migration.vmmigration.vmmigration`.  Defaults to 0 so
-        the manager stays the pure cost-optimal oracle of Figs. 11/13;
+        :func:`repro.migration.vmmigration.stack_cost_blocks`.  Defaults to
+        0 so the manager stays the pure cost-optimal oracle of Figs. 11/13;
         plan costs always report the true Eq. (1) value.
     tracer, profiler:
         Optional observability handles: the global matching solve emits

@@ -7,19 +7,24 @@ one-hop neighbor racks, and each shim plans independently (Alg. 3 with
 the shared REQUEST protocol).  Comparing the two on identical candidate
 sets isolates precisely what the paper's Figs. 11–14 measure: the cost
 penalty and search-space savings of regional scope.
+
+It plans with the two halves the service's plan stage runs: the
+round-static Eq. (1) blocks of every source rack in one
+:func:`~repro.migration.vmmigration.stack_cost_blocks` pass, then
+:func:`~repro.migration.vmmigration.request_migrations` rack by rack, in
+rack order, into one :class:`~repro.migration.reports.RoundReports`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.cluster.cluster import Cluster
-from repro.cluster.shim import ShimView
+from repro.cluster.snapshot import FleetSnapshot
 from repro.costs.model import CostModel
+from repro.migration.reports import RoundReports
 from repro.migration.request import ReceiverRegistry
-from repro.migration.vmmigration import vmmigration
+from repro.migration.vmmigration import request_migrations, stack_cost_blocks
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -45,7 +50,8 @@ def regional_migration_round(
     code treats both managers uniformly.  ``apply=False`` plans against
     the live placement but rolls the reservations back.  The optional
     observability handles flow into the receiver protocol and each
-    per-rack VMMIGRATION call.
+    rack's REQUEST loop; *metrics* gets the round's per-rack rows in one
+    :meth:`~repro.migration.reports.RoundReports.write_metrics`.
     """
     plan = CentralizedPlan()
     vms = [int(v) for v in dict.fromkeys(candidates)]
@@ -57,25 +63,29 @@ def regional_migration_round(
         rack = int(pl.host_rack[pl.vm_host[vm]])
         by_rack.setdefault(rack, []).append(vm)
 
+    blocks = stack_cost_blocks(
+        cluster, cost_model, by_rack, FleetSnapshot(pl), balance_weight=balance_weight
+    )
     receivers = ReceiverRegistry(cluster, tracer=tracer)
+    reports = RoundReports()
     for rack in sorted(by_rack):
-        shim = ShimView(cluster, rack)
-        stats = vmmigration(
-            cluster,
-            cost_model,
-            by_rack[rack],
-            shim.candidate_hosts().tolist(),
+        reports.add_row(rack, selected=by_rack[rack])
+        request_migrations(
+            blocks[rack],
             receivers,
-            balance_weight=balance_weight,
+            reports=reports,
             tracer=tracer,
-            metrics=metrics,
             profiler=profiler,
             rack=rack,
         )
+    for i in range(len(reports)):
+        stats = reports.migration(i)
         plan.search_space += stats.search_space
         plan.total_cost += stats.total_cost
         plan.moves.extend(stats.moves)
         plan.unplaced.extend(stats.unplaced)
+    if metrics is not None:
+        reports.write_metrics(metrics)
     if apply:
         receivers.commit_round()
     else:

@@ -62,5 +62,4 @@ class TestBuildCluster:
             build_cluster(fattree4, skew=-1.0)
 
     def test_workload_stats(self, small_cluster):
-        assert small_cluster.workload_mean() > 0
         assert small_cluster.workload_std() >= 0

@@ -70,10 +70,6 @@ class TestQueries:
         pl = make_placement()
         np.testing.assert_allclose(pl.host_load_fraction(), [0.6, 0.6, 0.1])
 
-    def test_rack_used(self):
-        pl = make_placement()
-        np.testing.assert_array_equal(pl.rack_used(), [60, 5])
-
 
 class TestMigrate:
     def test_successful_move(self):
@@ -82,7 +78,6 @@ class TestMigrate:
         assert pl.host_of(0) == 2
         np.testing.assert_array_equal(pl.host_used, [20, 30, 15])
         pl.check_invariants()
-        assert pl.migrations_performed == 1
 
     def test_capacity_enforced(self):
         pl = make_placement()
@@ -112,7 +107,7 @@ class TestMigrate:
         assert (pl.generation, cl.generation) == (0, 1)
         cl.mark_lost(1)
         cl.restore_lost(1)
-        assert (cl.generation, cl.migrations_performed) == (3, 1)
+        assert cl.generation == 3
         pl.check_invariants()
         cl.check_invariants()
 

@@ -1,6 +1,5 @@
 """Shim view / neighbor-rack tests."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
@@ -43,12 +42,6 @@ class TestShimView:
         shim = ShimView(small_cluster, 0)
         assert 0 in shim.region
         assert shim.neighbors == shim.region - {0}
-
-    def test_local_vms_match_placement(self, small_cluster):
-        shim = ShimView(small_cluster, 2)
-        np.testing.assert_array_equal(
-            shim.local_vms(), small_cluster.placement.vms_in_rack(2)
-        )
 
     def test_candidate_hosts_in_neighbor_racks(self, small_cluster):
         shim = ShimView(small_cluster, 0)

@@ -1,22 +1,118 @@
-"""VMMIGRATION (Alg. 3) tests."""
+"""VMMIGRATION (Alg. 3) tests, and the scalar oracle of Alg. 3.
+
+The planners run Alg. 3 as two halves: the round-static cost blocks of
+every planning rack in one ``stack_cost_blocks`` pass, then
+``request_migrations`` rack by rack.  :func:`build_cost_block` below is
+the first half's scalar definition — one rack, Eq. (1) one VM at a time
+from ``migration_cost_vector``, free capacity and load from the placement
+unless a snapshot is given — and :func:`vmmigration` its per-rack
+composition with the REQUEST loop.  The property tests hold the planners
+to them bit for bit.
+"""
+
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
 from repro.cluster.shim import ShimView
+from repro.cluster.snapshot import FleetSnapshot
 from repro.costs.model import CostModel
-from repro.migration.reports import RoundReports
+from repro.migration.reports import MigrationStats, RoundReports
 from repro.migration.request import ReceiverRegistry
 from repro.migration.vmmigration import (
+    RackCostBlock,
+    _first_min,
     _greedy_assign,
-    build_cost_block,
     request_migrations,
-    vmmigration,
+    stack_cost_blocks,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import NULL_TRACER, RecordingTracer
+from repro.sim.regional import regional_migration_round
 from repro.topology import build_fattree
+
+from tests.property.test_regional_slab import build_ragged
+
+
+def build_cost_block(
+    cluster,
+    cost_model: CostModel,
+    candidates: Sequence[int],
+    destination_hosts: Iterable[int],
+    *,
+    balance_weight: float = 50.0,
+    host_load: Optional[np.ndarray] = None,
+    snapshot: Optional[FleetSnapshot] = None,
+    slo_scorer=None,
+) -> RackCostBlock:
+    """One rack's :class:`RackCostBlock`, by the scalar definition."""
+    vms = [int(v) for v in dict.fromkeys(candidates)]
+    hosts = np.asarray(sorted(set(int(h) for h in destination_hosts)), dtype=np.int64)
+    pl = cluster.placement
+    host_racks = pl.host_rack[hosts]
+    if not vms or hosts.size == 0:
+        empty = np.empty((len(vms), hosts.size))
+        return RackCostBlock(vms, hosts, host_racks, empty, empty, np.full(len(vms), -1))
+    if snapshot is not None:
+        free = snapshot.free_capacity(hosts)
+    else:
+        # Placement.free_capacity over *hosts*: dead hosts report 0
+        free = np.where(
+            pl.host_alive[hosts], pl.host_capacity[hosts] - pl.host_used[hosts], 0
+        )
+    if host_load is not None:
+        load_frac = np.asarray(host_load, dtype=np.float64)[hosts]
+    elif snapshot is not None:
+        load_frac = snapshot.host_load[hosts]
+    else:
+        load_frac = pl.host_used[hosts] / pl.host_capacity[hosts]
+    steer = balance_weight * load_frac
+    gathered = np.array(
+        [cost_model.migration_cost_vector(v)[host_racks] for v in vms]
+    ).reshape(len(vms), hosts.size)
+    need = pl.vm_capacity[np.asarray(vms, dtype=np.int64)]
+    feasible = free[None, :] >= need[:, None]
+    true_cost = np.where(feasible, gathered, np.inf)
+    # infeasible entries stay inf through the adds (inf + s = inf)
+    cost = true_cost + steer[None, :]
+    if slo_scorer is not None:
+        cost = cost + slo_scorer.addend(
+            slo_scorer.damage(vms, need.tolist()), load_frac
+        )
+    return RackCostBlock(vms, hosts, host_racks, true_cost, cost, _first_min(cost))
+
+
+def vmmigration(
+    cluster,
+    cost_model: CostModel,
+    candidates: Sequence[int],
+    destination_hosts: Iterable[int],
+    receivers: ReceiverRegistry,
+    *,
+    balance_weight: float = 50.0,
+    host_load: Optional[np.ndarray] = None,
+    tracer=NULL_TRACER,
+    metrics: Optional[MetricsRegistry] = None,
+    rack: Optional[int] = None,
+) -> MigrationStats:
+    """Alg. 3 for one rack: the oracle block, then the REQUEST loop, into a
+    one-row record written to *metrics* on its own."""
+    block = build_cost_block(
+        cluster,
+        cost_model,
+        candidates,
+        destination_hosts,
+        balance_weight=balance_weight,
+        host_load=host_load,
+    )
+    reports = RoundReports()
+    reports.add_row(-1 if rack is None else rack, selected=block.vms)
+    request_migrations(block, receivers, reports=reports, tracer=tracer, rack=rack)
+    if metrics is not None:
+        reports.write_metrics(metrics)
+    return reports.migration(0)
 
 
 @pytest.fixture
@@ -29,7 +125,7 @@ def setup():
         dependency_degree=0.0,
         delay_sensitive_fraction=0.0,
     )
-    return cluster, CostModel(cluster), ReceiverRegistry(cluster)
+    return cluster, CostModel(cluster)
 
 
 class TestGreedyAssign:
@@ -49,73 +145,74 @@ class TestGreedyAssign:
 
 
 class TestVMMigration:
+    """Alg. 3 as the Figs. 11–14 round runs it: candidates of one rack."""
+
     def test_migrates_candidates_to_neighbor_racks(self, setup):
-        cluster, cm, reg = setup
+        cluster, cm = setup
         pl = cluster.placement
         shim = ShimView(cluster, 0)
         cands = pl.vms_in_rack(0)[:3].tolist()
-        stats = vmmigration(cluster, cm, cands, shim.candidate_hosts().tolist(), reg)
-        assert stats.acked == len(cands)
-        moved = reg.commit_round()
-        for vm, host in moved:
+        plan = regional_migration_round(cluster, cm, cands, apply=True)
+        assert plan.migrations == len(cands)
+        for vm, host, _ in plan.moves:
+            assert int(pl.vm_host[vm]) == host
             assert int(pl.host_rack[host]) in shim.neighbors
         pl.check_invariants()
 
     def test_cost_accounting_matches_model(self, setup):
-        cluster, cm, reg = setup
+        cluster, cm = setup
         pl = cluster.placement
-        shim = ShimView(cluster, 1)
         cands = pl.vms_in_rack(1)[:2].tolist()
-        stats = vmmigration(
-            cluster, cm, cands, shim.candidate_hosts().tolist(), reg, balance_weight=0.0
-        )
+        plan = regional_migration_round(cluster, cm, cands)
         # recorded per-move costs must equal the model's (pre-move placement)
-        for vm, host, cost in stats.moves:
+        assert plan.moves
+        for vm, host, cost in plan.moves:
             dst_rack = int(pl.host_rack[host])
             assert cost == pytest.approx(cm.migration_cost(vm, dst_rack))
-        total = sum(c for _, _, c in stats.moves)
-        assert stats.total_cost == pytest.approx(total)
+        total = sum(c for _, _, c in plan.moves)
+        assert plan.total_cost == pytest.approx(total)
 
     def test_search_space_counts_pairs(self, setup):
-        cluster, cm, reg = setup
-        shim = ShimView(cluster, 0)
-        hosts = shim.candidate_hosts().tolist()
+        cluster, cm = setup
+        hosts = ShimView(cluster, 0).candidate_hosts()
         cands = cluster.placement.vms_in_rack(0)[:2].tolist()
-        stats = vmmigration(cluster, cm, cands, hosts, reg)
-        assert stats.search_space >= len(cands) * len(hosts)
+        plan = regional_migration_round(cluster, cm, cands)
+        assert plan.search_space == len(cands) * len(hosts)
 
     def test_empty_candidates(self, setup):
-        cluster, cm, reg = setup
-        stats = vmmigration(cluster, cm, [], [0, 1], reg)
-        assert stats.requested == 0 and stats.acked == 0
+        cluster, cm = setup
+        metrics = MetricsRegistry()
+        plan = regional_migration_round(cluster, cm, [], metrics=metrics)
+        assert (plan.moves, plan.search_space, plan.unplaced) == ([], 0, [])
+        assert metrics.as_dict() == MetricsRegistry().as_dict()
 
-    def test_no_destinations_reports_unplaced(self, setup):
-        cluster, cm, reg = setup
-        cands = cluster.placement.vms_in_rack(0)[:2].tolist()
-        stats = vmmigration(cluster, cm, cands, [], reg)
-        assert stats.unplaced == cands
+    def test_no_destinations_reports_unplaced(self):
+        # rack 4 of the ragged fabric shares a switch with nobody
+        cluster = build_cluster(build_ragged(), hosts_per_rack=3, seed=21)
+        cm = CostModel(cluster)
+        cands = cluster.placement.vms_in_rack(4)[:2].tolist()
+        assert len(cands) == 2
+        plan = regional_migration_round(cluster, cm, cands)
+        assert plan.unplaced == cands
+        assert (plan.moves, plan.search_space) == ([], 0)
 
     def test_duplicates_deduplicated(self, setup):
-        cluster, cm, reg = setup
-        shim = ShimView(cluster, 0)
+        cluster, cm = setup
         vmid = int(cluster.placement.vms_in_rack(0)[0])
-        stats = vmmigration(
-            cluster, cm, [vmid, vmid], shim.candidate_hosts().tolist(), reg
-        )
-        assert stats.acked == 1
+        plan = regional_migration_round(cluster, cm, [vmid, vmid])
+        assert plan.migrations == 1
 
     def test_oversized_vm_unplaced(self, setup):
-        cluster, cm, reg = setup
+        cluster, cm = setup
         pl = cluster.placement
-        shim = ShimView(cluster, 0)
         # pick a candidate and shrink every destination below its size by
         # filling destinations through direct accounting
         vmid = int(pl.vms_in_rack(0)[0])
-        hosts = shim.candidate_hosts()
+        hosts = ShimView(cluster, 0).candidate_hosts()
         for h in hosts:
             pl.host_used[h] = pl.host_capacity[h]  # simulate fully packed
-        stats = vmmigration(cluster, cm, [vmid], hosts.tolist(), reg)
-        assert vmid in stats.unplaced
+        plan = regional_migration_round(cluster, cm, [vmid])
+        assert vmid in plan.unplaced
         # restore for invariant hygiene
         for h in hosts:
             used = pl.vm_capacity[pl.vms_on_host(int(h))].sum()
@@ -133,20 +230,14 @@ class TestVMMigration:
         )
         cm = CostModel(cluster)
         pl = cluster.placement
-        shim = ShimView(cluster, 0)
         cands = pl.vms_in_rack(0)[:4].tolist()
-        hosts = shim.candidate_hosts()
+        hosts = ShimView(cluster, 0).candidate_hosts()
         load = pl.host_used[hosts] / pl.host_capacity[hosts]
-        reg = ReceiverRegistry(cluster)
-        stats = vmmigration(
-            cluster, cm, cands, hosts.tolist(), reg, balance_weight=1000.0
-        )
-        chosen_loads = [
-            load[hosts.tolist().index(h)] for _, h, _ in stats.moves
-        ]
-        if stats.moves:
-            # strongly steered: chosen hosts among the emptier half
-            assert np.mean(chosen_loads) <= np.median(load) + 1e-9
+        plan = regional_migration_round(cluster, cm, cands, balance_weight=1000.0)
+        assert plan.moves
+        chosen_loads = [load[hosts.tolist().index(h)] for _, h, _ in plan.moves]
+        # strongly steered: chosen hosts among the emptier half
+        assert np.mean(chosen_loads) <= np.median(load) + 1e-9
 
 
 class TestSingleRowRequestsItsFirstMinimum:
@@ -175,13 +266,12 @@ class TestSingleRowRequestsItsFirstMinimum:
             pl.host_alive[hosts] = False  # free capacity 0: every pair infeasible
         tracer, metrics = RecordingTracer(), MetricsRegistry()
         reg = ReceiverRegistry(cluster, tracer=tracer)
-        block = build_cost_block(
+        block = stack_cost_blocks(
             cluster,
             CostModel(cluster),
-            pl.vms_in_rack(0)[:n_vms].tolist(),
-            hosts,
-            region_cols=shim.candidate_cols(),
-        )
+            {0: pl.vms_in_rack(0)[:n_vms].tolist()},
+            FleetSnapshot(pl),
+        )[0]
         if spoil == "promised":
             # the receivers know what the sender's block does not: the last
             # row's favourite host is spoken for, so its REQUEST is REJECTed

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.alerts.alert import Alert, AlertKind, compute_alert, compute_alerts
 from repro.alerts.monitor import VMMonitor, fleet_alert_values
 from repro.alerts.threshold import AlertConfig
-from repro.cluster import Cluster, build_cluster
+from repro.cluster import Cluster, ShimView, build_cluster
 from repro.cluster.host import Host
 from repro.cluster.placement import Placement
 from repro.cluster.snapshot import FleetSnapshot
@@ -30,12 +30,16 @@ from repro.forecast.naive import NaiveLast
 from repro.forecast.selection import DynamicModelSelector
 from repro.forecast.selection import batch_predict_one as fleet_predict_one
 from repro.migration.priority import CandidateVM, PriorityFactor, priority_select
-from repro.migration.vmmigration import build_cost_block, stack_cost_blocks
+from repro.migration.request import ReceiverRegistry
+from repro.migration.vmmigration import stack_cost_blocks
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RecordingTracer
 from repro.sim import SheriffSimulation, inject_fraction_alerts
+from repro.sim.centralized import CentralizedPlan
+from repro.sim.regional import regional_migration_round
 from repro.topology import build_bcube, build_fattree
 
+from tests.migration.test_vmmigration import build_cost_block, vmmigration
 from tests.property.test_parallel_properties import fresh_cluster, summary_fields
 from tests.property.test_regional_slab import (
     ScalarOracleModel,
@@ -370,6 +374,13 @@ def test_host_winners_equal_priority_select(seed):
 # --------------------------------------------------------------------- #
 # stacked Alg. 3 inputs vs one build_cost_block per rack
 # --------------------------------------------------------------------- #
+_FABRICS = {
+    "fattree4": lambda: build_fattree(4),
+    "bcube4": lambda: build_bcube(4),
+    "ragged": build_ragged,  # widths 3, 3, 2, 2 and an empty region
+}
+
+
 def _assert_blocks_equal(got, want):
     assert got.vms == want.vms
     if want.hosts.size == 0:
@@ -390,13 +401,8 @@ def test_stacked_blocks_equal_build_cost_block(fabric, primed, measured, scoring
     """The round's stacked blocks equal per-rack blocks built on the scalar
     oracle, whether the stack reads slab rows the round primed (hits) or
     computes them itself (misses)."""
-    topology = {
-        "fattree4": lambda: build_fattree(4),
-        "bcube4": lambda: build_bcube(4),
-        "ragged": build_ragged,  # widths 3, 3, 2, 2 and an empty region
-    }[fabric]()
     cluster = build_cluster(
-        topology, hosts_per_rack=3, fill_fraction=0.55, skew=0.8, seed=11
+        _FABRICS[fabric](), hosts_per_rack=3, fill_fraction=0.55, skew=0.8, seed=11
     )
     pl = cluster.placement
     sim = SheriffSimulation(cluster, SheriffConfig(scoring=scoring))
@@ -427,7 +433,6 @@ def test_stacked_blocks_equal_build_cost_block(fabric, primed, measured, scoring
             ScalarOracleModel(cluster),
             picks[rack],
             shim.candidate_hosts(),
-            region_cols=shim.candidate_cols(),
             snapshot=snapshot,
             **kwargs,
         )
@@ -444,16 +449,27 @@ def test_stacked_blocks_equal_build_cost_block(fabric, primed, measured, scoring
 
 def _planned_run(cluster_seed, stacked, monkeypatch):
     """Three rounds with SERVER, ToR and frozen picks; what they decided."""
+    built = []  # migration sets a shim built its own block for
+
+    def own_block(cluster, cost_model, picks, snapshot, **kwargs):
+        # a shim's fallback: a one-rack stack, or (rack by rack) the oracle
+        ((rack, vms),) = picks.items()
+        built.append(vms)
+        if stacked:
+            return stack_cost_blocks(cluster, cost_model, picks, snapshot, **kwargs)
+        hosts = ShimView(cluster, rack).candidate_hosts()
+        return {
+            rack: build_cost_block(
+                cluster, cost_model, vms, hosts, snapshot=snapshot, **kwargs
+            )
+        }
+
     if not stacked:
         # every shim builds its own block: Alg. 3 rack by rack
         monkeypatch.setattr(
             "repro.service.round.stack_cost_blocks", lambda *a, **k: {}
         )
-    built = []  # racks whose shim built its own block
-    monkeypatch.setattr(
-        "repro.migration.manager.build_cost_block",
-        lambda *a, **k: built.append(a[2]) or build_cost_block(*a, **k),
-    )
+    monkeypatch.setattr("repro.migration.manager.stack_cost_blocks", own_block)
     cluster = fresh_cluster(cluster_seed)
     tracer = RecordingTracer()
     sim = SheriffSimulation(cluster, SheriffConfig(tracer=tracer))
@@ -492,22 +508,89 @@ def test_stacked_plan_equals_rack_by_rack(seed):
 
 
 # --------------------------------------------------------------------- #
+# the Figs. 11–14 round vs one oracle VMMIGRATION per rack
+# --------------------------------------------------------------------- #
+def _oracle_regional_round(
+    cluster, cost_model, candidates, *, apply, balance_weight, tracer, metrics
+):
+    """Rack by rack, in rack order: the scalar block, the REQUEST loop, a
+    metrics write per rack — the regional round's per-rack composition."""
+    plan = CentralizedPlan()
+    pl = cluster.placement
+    by_rack = {}
+    for vm in dict.fromkeys(int(v) for v in candidates):
+        by_rack.setdefault(int(pl.host_rack[pl.vm_host[vm]]), []).append(vm)
+    receivers = ReceiverRegistry(cluster, tracer=tracer)
+    for rack in sorted(by_rack):
+        stats = vmmigration(
+            cluster,
+            cost_model,
+            by_rack[rack],
+            ShimView(cluster, rack).candidate_hosts(),
+            receivers,
+            balance_weight=balance_weight,
+            tracer=tracer,
+            metrics=metrics,
+            rack=rack,
+        )
+        plan.search_space += stats.search_space
+        plan.total_cost += stats.total_cost
+        plan.moves.extend(stats.moves)
+        plan.unplaced.extend(stats.unplaced)
+    if apply:
+        receivers.commit_round()
+    else:
+        receivers.reset_round()
+    return plan
+
+
+def _regional_run(planner, fabric, seed, apply, balance_weight):
+    cluster = build_cluster(
+        _FABRICS[fabric](), hosts_per_rack=3, fill_fraction=0.55, skew=0.8, seed=seed
+    )
+    pl = cluster.placement
+    rng = np.random.default_rng(seed)
+    # one dead destination host, and candidates with duplicates
+    pl.host_alive[int(rng.integers(0, pl.num_hosts))] = False
+    candidates = rng.integers(0, cluster.num_vms, size=cluster.num_vms // 3).tolist()
+    tracer, metrics = RecordingTracer(), MetricsRegistry()
+    plan = planner(
+        cluster,
+        CostModel(cluster),
+        candidates,
+        apply=apply,
+        balance_weight=balance_weight,
+        tracer=tracer,
+        metrics=metrics,
+    )
+    events = [e.as_dict() for e in tracer.events]
+    for e in events:
+        e.pop("elapsed_s", None)
+    return plan, events, metrics.as_dict(), pl.vm_host.tolist()
+
+
+@common
+@given(
+    st.sampled_from(sorted(_FABRICS)),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.sampled_from([0.0, 25.0]),
+)
+def test_regional_round_equals_per_rack_oracle(fabric, seed, apply, balance_weight):
+    got = _regional_run(regional_migration_round, fabric, seed, apply, balance_weight)
+    want = _regional_run(_oracle_regional_round, fabric, seed, apply, balance_weight)
+    plan, events, metrics, placement = got
+    assert plan.moves == want[0].moves
+    assert plan.total_cost == want[0].total_cost
+    assert plan.search_space == want[0].search_space
+    assert plan.unplaced == want[0].unplaced
+    assert (events, metrics, placement) == want[1:]
+    assert any(e["event"] == "RequestSent" for e in events)
+
+
+# --------------------------------------------------------------------- #
 # batched cost-matrix kernel vs the scalar Eq. (1) kernel
 # --------------------------------------------------------------------- #
-@common
-@given(st.integers(0, 10**6))
-def test_cost_rows_bitwise_equals_scalar(seed):
-    cluster = fresh_cluster(seed)
-    cm = CostModel(cluster)
-    oracle = CostModel(cluster)
-    rng = np.random.default_rng(seed)
-    ids = rng.integers(0, cluster.num_vms, size=12).tolist()
-    rows = cm.cost_rows(ids)
-    assert rows.shape == (len(ids), cm.table.num_racks)
-    for vm, row in zip(ids, rows):
-        np.testing.assert_array_equal(row, oracle.migration_cost_vector(int(vm)))
-
-
 @common
 @given(st.integers(0, 10**6))
 def test_cost_rows_dense_dependencies_take_scalar_path(seed):
@@ -520,11 +603,7 @@ def test_cost_rows_dense_dependencies_take_scalar_path(seed):
         if other not in deps.neighbors(hub):
             deps.add_pair(hub, other)
     assert len(deps.neighbors(hub)) >= 8
-    cm = CostModel(cluster)
-    oracle = CostModel(cluster)
-    ids = list(range(min(cluster.num_vms, 12)))
-    for vm, row in zip(ids, cm.cost_rows(ids)):
-        np.testing.assert_array_equal(row, oracle.migration_cost_vector(vm))
+    assert_shim_reads_equal_oracle(cluster, [CostModel(cluster)], CostModel(cluster))
 
 
 @common

@@ -334,6 +334,21 @@ def test_round_is_the_documented_stage_order_and_nothing_wraps_it():
         sim.run_round([stray], {})
 
 
+@pytest.mark.parametrize("host", [-1, 32])
+def test_server_alert_for_a_host_out_of_range_is_rejected(host):
+    # 32 hosts, the last (31) in rack 7: -1 must not wrap onto host 31, and
+    # 32 must not reach the host table as a bare IndexError
+    cluster = build_cluster(build_fattree(4), hosts_per_rack=4, seed=1)
+    pl = cluster.placement
+    assert pl.num_hosts == 32 and int(pl.host_rack[31]) == 7
+    sim = SheriffSimulation(cluster, SheriffConfig())
+    alert = Alert(kind=AlertKind.SERVER, rack=7, host=host, magnitude=0.9)
+    before = pl.vm_host.copy()
+    with pytest.raises(SimulationError, match=f"unknown host {host}"):
+        sim.run_round([alert], {int(vm): 0.9 for vm in pl.vms_on_host(31)})
+    assert pl.vm_host.tolist() == before.tolist()
+
+
 def test_cooldown_ledger_holds_only_the_window():
     # pruned where the frozen set is built: however long the run, the ledger
     # is the moves of the last ``migration_cooldown`` rounds

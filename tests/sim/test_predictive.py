@@ -354,10 +354,11 @@ class TestEngineCooldown:
 
 class TestHostLoadSteering:
     def test_steering_prefers_cool_hosts(self):
+        from repro.alerts.alert import Alert, AlertKind
         from repro.cluster.shim import ShimView
         from repro.costs.model import CostModel
+        from repro.migration.manager import ShimManager
         from repro.migration.request import ReceiverRegistry
-        from repro.migration.vmmigration import vmmigration
 
         cluster = build_cluster(
             build_fattree(4),
@@ -376,9 +377,12 @@ class TestHostLoadSteering:
         cool = int(hosts[-1])
         host_load[cool] = 0.0
         vm = int(pl.vms_in_rack(0)[0])
-        reg = ReceiverRegistry(cluster)
-        stats = vmmigration(
-            cluster, cm, [vm], hosts.tolist(), reg,
-            balance_weight=1000.0, host_load=host_load,
+        alert = Alert(
+            kind=AlertKind.SERVER, rack=0, host=int(pl.vm_host[vm]), magnitude=0.9
         )
-        assert stats.moves and stats.moves[0][1] == cool
+        shim = ShimManager(cluster, cm, 0, balance_weight=1000.0)
+        report = shim.process_round(
+            [alert], {vm: 0.9}, ReceiverRegistry(cluster), host_load=host_load
+        )
+        moves = report.migration.moves
+        assert moves and moves[0][0] == vm and moves[0][1] == cool
