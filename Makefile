@@ -32,13 +32,15 @@ digest-smoke:
 	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	python tools/digest_smoke.py --out-dir "$$d"
 
-# Retained objects as a command (~15 s): the two workloads whose rounds
+# Retained objects as a command (~10 s): the three workloads whose rounds
 # used to leave objects behind for the garbage collector (the tracer's
-# events, the per-rack records), at smoke size; exits 1 when GC-tracked
-# objects grow by more than N per timed round.
+# events, the per-rack records, the predictive manager's per-host model
+# objects), at smoke size; exits 1 when GC-tracked objects grow by more
+# than N per timed round.
 gc-smoke:
 	python tools/gc_pauses.py --workload degraded_traced_k8 --seed 2015 --scale smoke --max-growth 50
 	python tools/gc_pauses.py --workload ladder_k32 --seed 2015 --scale smoke --max-growth 50
+	python tools/gc_pauses.py --workload managed_surge_k8 --seed 2015 --scale smoke --max-growth 50
 
 # The pairing rule as a command (~40 min): every BENCHMARK.json workload on
 # HEAD (a temporary `git worktree`) and on the working tree, ten seeds, the

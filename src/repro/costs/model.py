@@ -108,7 +108,7 @@ class CostModel:
         self._slot_of = np.full(cluster.placement.num_vms, -1, dtype=np.int64)
         self._slots_used = 0
         self._cache_gen = cluster.placement.generation
-        self.cache_stats = {"hits": 0, "misses": 0, "invalidations": 0, "primed": 0}
+        self.cache_stats = {"hits": 0, "misses": 0, "invalidations": 0}
 
     # ------------------------------------------------------------------ #
     @property
@@ -165,13 +165,13 @@ class CostModel:
         A cached row is Eq. (1) under one placement, so it lives one
         placement generation (``migrate`` / ``mark_lost`` / ``restore_lost``
         each start a new one): when the generation has moved every row is
-        dropped at once, the memory kept, and the next prime or query
+        dropped at once, the memory kept, and the next query
         recomputes what it needs.  Nothing is repaired and no move history
         is consulted — one kernel call recomputes a whole round's alerted
         rows in less time than finding out which of them a move had staled.
 
         Called by every regional query; the engine also calls it once per
-        round, before it primes the round's rows.
+        round, before it plans.
         """
         gen = self.cluster.placement.generation
         if gen == self._cache_gen:
@@ -180,18 +180,6 @@ class CostModel:
         self.cache_stats["invalidations"] += self._slots_used
         self._slot_of.fill(-1)
         self._slots_used = 0
-
-    def prime_cost_vectors(self, vms) -> None:
-        """Write the regional rows of *vms* into the slab ahead of planning.
-
-        One stacked kernel call computes every row not yet held, so the
-        per-rack block builds that follow are fancy indexes of the slab.
-        Tallied under ``cache_stats["primed"]``, not as misses (they are
-        not demand queries).
-        """
-        self.sync_cache()
-        ids = np.fromiter(vms, dtype=np.int64)
-        self.cache_stats["primed"] += self._fill(ids[self._slot_of[ids] < 0])
 
     def cost_rows(self, vms, *, region_cols) -> np.ndarray:
         """Eq. (1) of *vms* at columns of each VM's own one-hop region.

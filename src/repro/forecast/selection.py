@@ -44,7 +44,7 @@ MemberKind = Optional[Tuple[str, int]]
 def _bank_kind(model: Forecaster) -> MemberKind:
     """A pool member's column kind in a :class:`SelectorBank`, or None.
 
-    Exact-type gates, as in :func:`~repro.forecast.batch.group_fleet`:
+    Exact-type gates, as in :func:`~repro.forecast.batch.fit_stacked`:
     ``("arima", d)`` for a plain ``ARIMA(1, d, 0)``, ``("naive", 0)`` for a
     plain :class:`NaiveLast`; anything else keeps its selector scalar.
     """

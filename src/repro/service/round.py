@@ -188,12 +188,6 @@ def plan(state: RoundState) -> None:
         state.reports.freeze()
         return
     sim.cost_model.sync_cache()
-    # fleet prime: one stacked Eq. (1) kernel call writes the regional
-    # row of every VM the shims could query into the cost model's slab,
-    # so per-rack block builds are fancy indexes of it
-    sim.cost_model.prime_cost_vectors(
-        v for v in state.vm_alerts if v not in state.frozen
-    )
     snapshot = FleetSnapshot(sim.cluster.placement)
     with sim.profiler.section("priority"):
         winners, _ = snapshot.host_winners(state.vm_alerts)

@@ -10,9 +10,11 @@ measure that difference we need load that varies over time:
   its VMs' current demand, so migrating a hot VM genuinely cools the host.
 * :class:`ReactiveManager` raises alerts only from *current* overload
   (what a QCN/threshold monitor sees);
-* the pre-alert counterpart (driven by
-  :func:`repro.sim.scenario.forecast_alert_round`) predicts the next round
-  and acts one step earlier.
+* :class:`PredictiveManager`, the pre-alert counterpart, forecasts every
+  host's load a few rounds ahead and acts before the overload.  Its
+  per-host ``ARIMA(1, 1, 0)`` state is a set of columns beside the
+  ``(hosts × T)`` load matrix, so observe, refit and forecast are each
+  one array pass over the fleet, not one model object per host.
 
 The ablation benchmark counts host-overload-rounds under each policy.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from repro.alerts.alert import Alert, AlertKind
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import NUM_RESOURCES
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ForecastError
 from repro.traces.workload import WorkloadStream
 
 __all__ = ["DemandDrivenWorkload", "ReactiveManager", "PredictiveManager"]
@@ -155,19 +157,24 @@ class PredictiveManager:
     The paper's server-side ALERT means "host ``h_ij`` cannot afford the
     working load from its VMs" — an aggregate, per-host judgement.  This
     manager tracks each host's effective load series, forecasts it
-    ``horizon`` rounds ahead with a per-host time-series model, and raises
+    ``horizon`` rounds ahead with a per-host ``ARIMA(1, 1, 0)``, and raises
     the SERVER alert as soon as the *predicted* load crosses the threshold
     — typically one or more rounds before a reactive manager would see the
     overload.
 
-    Call :meth:`observe` once per round (after acting) so the forecasters
+    Call :meth:`observe` once per round (after acting) so the forecasts
     track reality including the effect of migrations.
 
-    Fleet-scale refitting: the load histories are one ``(hosts × T)``
-    matrix with a per-host start, and :meth:`alerts_at` refits every *due*
-    host up front as one wave (:func:`~repro.forecast.base.warm_fit`) —
-    the default ``ARIMA(1, 1, 0)`` hosts in one stacked closed-form solve —
-    then forecasts the whole fleet through the stacked kernel.
+    Fleet state is columnar: the load histories are one ``(hosts × T)``
+    matrix with a per-host start, and each host's fitted model is one row
+    of the columns ``_const``, ``_phi``, ``_w_last`` (the last differenced
+    value) and ``_heads`` (the Eq. (12) integration head), valid where
+    ``_fitted``.  :meth:`observe` advances every row in one array step —
+    the IEEE operations of ``ARIMA.append`` — :meth:`alerts_at` refits
+    every *due* host up front as one wave
+    (:func:`~repro.forecast.base.warm_fit` over fresh models whose state is
+    then gathered into the columns) and forecasts the fleet with one
+    :func:`~repro.forecast.batch.batch_forecast` call.
 
     Refit failure policy: a refit that raises keeps the outgoing model —
     or none, and answers persistence — and waits for the next refit
@@ -185,7 +192,6 @@ class PredictiveManager:
         horizon: int = 2,
         min_history: int = 12,
         refit_every: int = 10,
-        forecaster_factory=None,
     ) -> None:
         if not (0.0 < threshold <= 1.0):
             raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
@@ -195,14 +201,11 @@ class PredictiveManager:
             raise ConfigurationError(f"min_history must be >= 6, got {min_history}")
         if refit_every < 1:
             raise ConfigurationError(f"refit_every must be >= 1, got {refit_every}")
-        from repro.forecast.arima import ARIMA
-
         self.workload = workload
         self.threshold = threshold
         self.horizon = horizon
         self.min_history = min_history
         self.refit_every = refit_every
-        self._factory = forecaster_factory or (lambda: ARIMA(1, 1, 0, maxiter=40))
         n_hosts = workload.cluster.num_hosts
         self._loads = np.empty((n_hosts, 64))
         """Column ``k`` is the ``k``-th observed round's host loads."""
@@ -210,9 +213,12 @@ class PredictiveManager:
         """Columns of :attr:`_loads` observed so far."""
         self._start = np.zeros(n_hosts, dtype=np.int64)
         """First column of each host's history: its last reset."""
-        self._models: Dict[int, object] = {}
-        self._plain = np.zeros(n_hosts, dtype=bool)
-        """Hosts whose model is a plain ``ARIMA`` (the stacked forecast)."""
+        self._fitted = np.zeros(n_hosts, dtype=bool)
+        """Hosts holding a model: their rows of the columns below are live."""
+        self._const = np.zeros(n_hosts)
+        self._phi = np.zeros(n_hosts)
+        self._w_last = np.zeros(n_hosts)
+        self._heads = np.zeros((n_hosts, 1))
         self._since_fit = np.full(n_hosts, refit_every, dtype=np.int64)
         """Rounds observed since each host's last refit *attempt*; a host
         with no attempt since its last reset counts as a full period."""
@@ -223,7 +229,10 @@ class PredictiveManager:
         the signal :class:`~repro.sim.fallback.FallbackManager` scores."""
 
     def observe(self, t: int) -> None:
-        """Record round *t*'s realized host loads.
+        """Record round *t*'s realized host loads, all or nothing.
+
+        The whole load column is checked first: a non-finite load raises
+        :class:`~repro.errors.ForecastError` with the manager unchanged.
 
         Hosts whose VM assignment changed since the last observation are
         reset first: a migration steps the load series, and extrapolating
@@ -233,6 +242,13 @@ class PredictiveManager:
         :meth:`alerts_at` still detects plain threshold crossings from the
         current load.
         """
+        load = self.workload.host_load(t)
+        bad = np.flatnonzero(~np.isfinite(load))
+        if bad.size:
+            host = int(bad[0])
+            raise ForecastError(
+                f"host {host} load must be finite, got {load[host]} at round {t}"
+            )
         pl = self.workload.cluster.placement
         current_assignment = pl.vm_host
         if self._last_assignment is not None:
@@ -241,22 +257,21 @@ class PredictiveManager:
                 self._reset(self._last_assignment[changed_vms])
                 self._reset(current_assignment[changed_vms])
         self._last_assignment = current_assignment.copy()
-        load = self.workload.host_load(t)
         if self._t == self._loads.shape[1]:
             self._loads = np.concatenate((self._loads, np.empty_like(self._loads)), axis=1)
         self._loads[:, self._t] = load
         self._t += 1
         self._since_fit += 1
-        values = load.tolist()
-        for h, model in self._models.items():
-            model.append(values[h])
+        # ARIMA(1, 1, 0).append on every row at once (rows without a model
+        # are never read): the new difference against the head, then the
+        # head moves on
+        np.subtract(load, self._heads[:, 0], out=self._w_last)
+        self._heads[:, 0] = load
 
     def _reset(self, hosts: np.ndarray) -> None:
         self._start[hosts] = self._t
         self._since_fit[hosts] = self.refit_every
-        self._plain[hosts] = False
-        for h in hosts.tolist():
-            self._models.pop(h, None)
+        self._fitted[hosts] = False
 
     def _history(self, host: int) -> np.ndarray:
         """*host*'s load history since its last reset (a view)."""
@@ -269,70 +284,50 @@ class PredictiveManager:
         )
 
     def _refit(self, hosts: np.ndarray) -> None:
-        """Fit a fresh model per host in *hosts*, as one wave, and install it.
+        """Fit a fresh ``ARIMA(1, 1, 0)`` per host in *hosts*, as one wave,
+        and gather each fit into the host's row of the columns.
 
         A degenerate history can break a refit mid-run; the host then
-        keeps its outgoing model — or none, and answers persistence —
+        keeps its outgoing row — or none, and answers persistence —
         until the next refit period, as a production predictor would.
         """
+        from repro.forecast import base
         from repro.forecast.arima import ARIMA
-        from repro.forecast.base import warm_fit
 
-        hosts = hosts.tolist()
-        models = [self._factory() for _ in hosts]
+        models = [ARIMA(1, 1, 0, maxiter=40) for _ in range(hosts.shape[0])]
         self._since_fit[hosts] = 0
-        failures = warm_fit(models, [self._history(h) for h in hosts])
-        for h, model, failure in zip(hosts, models, failures):
-            if failure is None:
-                self._models[h] = model
-                self._plain[h] = type(model) is ARIMA
-
-    def _predict(self, host: int) -> float:
-        hist = self._history(host)
-        if hist.shape[0] < self.min_history:
-            return float(hist[-1]) if hist.shape[0] else 0.0
-        if self._since_fit[host] >= self.refit_every:
-            # fallback for direct callers; alerts_at refits up front
-            self._refit(np.array([host]))
-        model = self._models.get(host)
-        if model is None:
-            return float(hist[-1])
-        try:
-            f = model.forecast(self.horizon)
-        except (ReproError, ValueError, np.linalg.LinAlgError):
-            return float(hist[-1])
-        return float(np.clip(np.max(f), 0.0, 1.0))
+        # looked up at call time: a profiler may wrap base.warm_fit
+        failures = base.warm_fit(models, [self._history(h) for h in hosts.tolist()])
+        ok = [f is None for f in failures]
+        fitted = [m for m, good in zip(models, ok) if good]
+        if not fitted:
+            return
+        rows = hosts[ok]
+        self._fitted[rows] = True
+        self._const[rows] = [m.const_ for m in fitted]
+        self._phi[rows] = [m.phi_[0] for m in fitted]
+        self._w_last[rows] = [m._w_tail[-1] for m in fitted]
+        self._heads[rows] = [m._heads for m in fitted]
 
     def _predict_all(self) -> np.ndarray:
-        """Per-host predictions; bitwise ``[_predict(h) for h in hosts]``.
+        """Per-host predictions: the clipped peak of each fitted host's
+        ``horizon``-step forecast, persistence (the last load, or 0.0 with
+        no history) for the rest."""
+        from repro.forecast import batch
 
-        Hosts holding a fresh plain-ARIMA model (the default factory) are
-        forecast through the stacked fleet kernel in one group per order;
-        short histories and exotic models keep the scalar path.  A kernel
-        failure falls back to the scalar oracle for the whole batch — the
-        same values, member by member.
-        """
-        from repro.forecast.batch import batch_forecast
-
-        stacked = (
-            (self._t - self._start >= self.min_history)
-            & self._plain
-            & (self._since_fit < self.refit_every)
-        )
-        preds = np.empty(self._start.shape[0])
-        for host in np.flatnonzero(~stacked).tolist():
-            preds[host] = self._predict(host)
-        batched = np.flatnonzero(stacked).tolist()
-        if batched:
-            try:
-                fcasts = batch_forecast(
-                    [self._models[h] for h in batched], self.horizon
-                )
-                # every batched member is a plain ARIMA: equal-length rows
-                preds[batched] = np.clip(np.max(fcasts, axis=1), 0.0, 1.0)
-            except (ReproError, ValueError, np.linalg.LinAlgError):
-                for host in batched:
-                    preds[host] = self._predict(host)
+        last = self._loads[:, max(self._t - 1, 0)]
+        preds = np.where(self._start < self._t, last, 0.0)
+        rows = np.flatnonzero(self._fitted)
+        if rows.size:
+            # looked up at call time: a profiler may wrap batch_forecast
+            fcasts = batch.batch_forecast(
+                self._const[rows],
+                self._phi[rows],
+                self._w_last[rows],
+                self._heads[rows],
+                self.horizon,
+            )
+            preds[rows] = np.clip(np.max(fcasts, axis=1), 0.0, 1.0)
         return preds
 
     def alerts_at(self, t: int) -> Tuple[List[Alert], Dict[int, float]]:

@@ -114,17 +114,18 @@ class TestRefitCarriesNothingOver:
             assert _params(sel._models[name]) == _params(factory().fit(y[3:63])), name
 
     def test_manager_refit_wave_equals_fresh_fits(self):
-        factory = lambda: ARIMA(1, 1, 1, maxiter=60)
-        mgr = PredictiveManager(make_env()[1], threshold=0.9, forecaster_factory=factory)
+        mgr = PredictiveManager(make_env()[1], threshold=0.9)
         for t in range(50):
             if t == 40:
                 mgr.alerts_at(t)  # first fits: no outgoing model yet
             mgr.observe(t)
         mgr.alerts_at(50)  # the refit wave: every host has an outgoing model
         assert (mgr._since_fit == 0).all()
-        for host, model in mgr._models.items():
-            fresh = factory().fit(mgr._history(host))
-            assert _params(model) == _params(fresh), host
+        assert mgr._fitted.all()
+        for host in range(mgr._fitted.shape[0]):
+            fresh = ARIMA(1, 1, 0, maxiter=40).fit(mgr._history(host))
+            row = [mgr._const[host], mgr._phi[host], mgr._w_last[host], *mgr._heads[host]]
+            assert row == [fresh.const_, *fresh.phi_, *fresh._w_tail, *fresh._heads], host
 
 
 def _package_forecasters(base=Forecaster):

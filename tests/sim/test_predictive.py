@@ -1,10 +1,20 @@
-"""PredictiveManager and engine cooldown/steering tests."""
+"""PredictiveManager and engine cooldown/steering tests.
+
+:class:`ObjectPredictiveManager` is the object-per-host form of the
+predictive manager — one ``ARIMA`` per host, advanced by ``append`` and
+forecast one model at a time — kept here as the oracle the columnar
+:class:`~repro.sim.reactive.PredictiveManager` must equal bit for bit.
+"""
+
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
+from repro.alerts.alert import Alert, AlertKind
 from repro.cluster import build_cluster
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError, ForecastError, ReproError
+from repro.forecast import base
 from repro.forecast.arima import ARIMA
 from repro.sim import SheriffConfig, SheriffSimulation
 from repro.sim.reactive import DemandDrivenWorkload, PredictiveManager
@@ -38,6 +48,115 @@ def make_env(ramp_hosts=(), horizon=100, warm=40, seed=5):
             seed=int(rng.integers(0, 2**31)),
         )
     return cluster, DemandDrivenWorkload(cluster, streams)
+
+
+
+class ObjectPredictiveManager:
+    """The predictive manager with one forecaster object per host: the oracle.
+
+    Same inputs and outputs as :class:`PredictiveManager`; each host's
+    model is an ``ARIMA(1, 1, 0)`` object advanced by ``append`` every
+    round and forecast by its own ``forecast``.
+    """
+
+    def __init__(
+        self, workload, threshold=0.9, *, horizon=2, min_history=12, refit_every=10
+    ):
+        self.workload = workload
+        self.threshold = threshold
+        self.horizon = horizon
+        self.min_history = min_history
+        self.refit_every = refit_every
+        n_hosts = workload.cluster.num_hosts
+        self._loads = np.empty((n_hosts, 64))
+        self._t = 0
+        self._start = np.zeros(n_hosts, dtype=np.int64)
+        self._models: Dict[int, object] = {}
+        self._since_fit = np.full(n_hosts, refit_every, dtype=np.int64)
+        self._last_assignment: Optional[np.ndarray] = None
+        self.last_predicted: Optional[np.ndarray] = None
+
+    def observe(self, t):
+        pl = self.workload.cluster.placement
+        current_assignment = pl.vm_host
+        if self._last_assignment is not None:
+            changed_vms = np.nonzero(self._last_assignment != current_assignment)[0]
+            if changed_vms.size:
+                self._reset(self._last_assignment[changed_vms])
+                self._reset(current_assignment[changed_vms])
+        self._last_assignment = current_assignment.copy()
+        load = self.workload.host_load(t)
+        if self._t == self._loads.shape[1]:
+            self._loads = np.concatenate((self._loads, np.empty_like(self._loads)), axis=1)
+        self._loads[:, self._t] = load
+        self._t += 1
+        self._since_fit += 1
+        values = load.tolist()
+        for h, model in self._models.items():
+            model.append(values[h])
+
+    def _reset(self, hosts):
+        self._start[hosts] = self._t
+        self._since_fit[hosts] = self.refit_every
+        for h in hosts.tolist():
+            self._models.pop(h, None)
+
+    def _history(self, host):
+        return self._loads[host, self._start[host] : self._t]
+
+    def _refit(self, hosts):
+        hosts = hosts.tolist()
+        models = [ARIMA(1, 1, 0, maxiter=40) for _ in hosts]
+        self._since_fit[hosts] = 0
+        failures = base.warm_fit(models, [self._history(h) for h in hosts])
+        for h, model, failure in zip(hosts, models, failures):
+            if failure is None:
+                self._models[h] = model
+
+    def _predict(self, host):
+        hist = self._history(host)
+        if hist.shape[0] < self.min_history:
+            return float(hist[-1]) if hist.shape[0] else 0.0
+        model = self._models.get(host)
+        if model is None:
+            return float(hist[-1])
+        try:
+            f = model.forecast(self.horizon)
+        except (ReproError, ValueError, np.linalg.LinAlgError):
+            return float(hist[-1])
+        return float(np.clip(np.max(f), 0.0, 1.0))
+
+    def alerts_at(self, t) -> Tuple[List[Alert], Dict[int, float]]:
+        due = np.flatnonzero(
+            (self._t - self._start >= self.min_history)
+            & (self._since_fit >= self.refit_every)
+        )
+        if due.size:
+            self._refit(due)
+        pl = self.workload.cluster.placement
+        util = self.workload.vm_utilization(t)
+        current = self.workload.host_load(t)
+        predicted = np.array([self._predict(h) for h in range(pl.num_hosts)])
+        self.last_predicted = predicted
+        alerts: List[Alert] = []
+        vm_alerts: Dict[int, float] = {}
+        for host in range(pl.num_hosts):
+            worst = max(float(predicted[host]), float(current[host]))
+            if not worst > self.threshold:
+                continue
+            alerts.append(
+                Alert(
+                    kind=AlertKind.SERVER,
+                    rack=int(pl.host_rack[host]),
+                    magnitude=max(worst, 1e-3),
+                    host=host,
+                    time=t,
+                )
+            )
+            for vm in pl.vms_on_host(host):
+                if not pl.vm_delay_sensitive[vm]:
+                    vm_alerts[int(vm)] = float(min(1.0, util[vm]))
+        return alerts, vm_alerts
 
 
 class TestPredictiveManager:
@@ -143,33 +262,25 @@ def run_alert_stream(mgr, warm=40, until=90):
 
 class TestPredictAllMatchesScalarOracle:
     def test_predictions_and_alerts_bitwise_equal_per_host_path(self):
-        """The stacked clip/max and the nonzero walk change no bit."""
+        """The columns, the fleet kernel, the stacked clip/max and the
+        nonzero walk change no bit against one model object per host."""
         cluster, wl = make_env(ramp_hosts=(0, 3), warm=40)
         mgr = PredictiveManager(wl, threshold=0.5, horizon=3)
-        pl = cluster.placement
+        oracle = ObjectPredictiveManager(wl, threshold=0.5, horizon=3)
         for t in range(40):
             mgr.observe(t)
+            oracle.observe(t)
         crossed = 0
         for t in range(40, 90):
             alerts, vm_alerts = mgr.alerts_at(t)
-            # refits are done: _predict is now a pure per-host oracle
-            oracle = [mgr._predict(h) for h in range(pl.num_hosts)]
-            assert mgr.last_predicted.tolist() == oracle
-            current = wl.host_load(t)
-            util = wl.vm_utilization(t)
-            want_alerts, want_vm = [], {}
-            for h in range(pl.num_hosts):
-                pred = max(oracle[h], float(current[h]))
-                if pred <= mgr.threshold:
-                    continue
-                want_alerts.append((h, int(pl.host_rack[h]), max(pred, 1e-3), t))
-                for vm in pl.vms_on_host(h):
-                    want_vm[int(vm)] = float(min(1.0, util[vm]))
-            assert [(a.host, a.rack, a.magnitude, a.time) for a in alerts] == want_alerts
+            want_alerts, want_vm = oracle.alerts_at(t)
+            assert mgr.last_predicted.tobytes() == oracle.last_predicted.tobytes()
+            assert alerts == want_alerts
             assert vm_alerts == want_vm
             assert all(type(a.host) is int for a in alerts)
             crossed += len(alerts)
             mgr.observe(t)
+            oracle.observe(t)
         assert crossed, "scenario must raise alerts"
 
     def test_warm_start_changes_nothing_on_the_default_factory(self, monkeypatch):
@@ -188,47 +299,55 @@ class TestPredictAllMatchesScalarOracle:
         assert sum(len(alerts) for alerts, _, _ in stream) > 50
 
 
-class _FailsOnMarkedHistory(ARIMA):
-    """ARIMA(1,1,0) whose fit diverges while ``failing`` is switched on and
-    the history opens with a marked host's first sample."""
+def fail_marked_refits(monkeypatch, marked):
+    """Patch the refit wave so that a window opening with a value in
+    *marked* (a set, switched off by emptying it) fails to fit; returns
+    the window lengths of every failed attempt."""
+    attempts = []
+    original = base.warm_fit
 
-    marked = frozenset()
-    failing = True
+    def failing(models, windows):
+        bad = [bool(len(w)) and float(w[0]) in marked for w in windows]
+        keep = [i for i, b in enumerate(bad) if not b]
+        fits = original([models[i] for i in keep], [windows[i] for i in keep])
+        failures = [ConvergenceError("refit diverged") if b else None for b in bad]
+        for i, failure in zip(keep, fits):
+            failures[i] = failure
+        attempts.extend(len(w) for w, b in zip(windows, bad) if b)
+        return failures
 
-    def fit(self, y):
-        if self.failing and float(y[0]) in self.marked:
-            raise ConvergenceError("refit diverged")
-        return super().fit(y)
+    monkeypatch.setattr(base, "warm_fit", failing)
+    return attempts
+
+
+def tracking_model(history, loads):
+    """A fresh ``ARIMA(1, 1, 0)`` fit on *history*, advanced by *loads*."""
+    model = ARIMA(1, 1, 0, maxiter=40).fit(history)
+    for value in loads:
+        model.append(float(value))
+    return float(np.clip(np.max(model.forecast(3)), 0.0, 1.0))
 
 
 class TestFailedRefitDoesNotAbortTheRound:
-    def make(self, bad_hosts):
+    def make(self, monkeypatch, bad_hosts):
         cluster, wl = make_env(ramp_hosts=(0,), warm=40)
-        model_cls = type(
-            "Failing",
-            (_FailsOnMarkedHistory,),
-            {"marked": frozenset(float(wl.host_load(0)[h]) for h in bad_hosts)},
-        )
-        mgr = PredictiveManager(
-            wl,
-            threshold=0.5,
-            horizon=3,
-            forecaster_factory=lambda: model_cls(1, 1, 0, maxiter=40),
-        )
-        return wl, mgr, model_cls
+        marked = {float(wl.host_load(0)[h]) for h in bad_hosts}
+        attempts = fail_marked_refits(monkeypatch, marked)
+        mgr = PredictiveManager(wl, threshold=0.5, horizon=3)
+        return wl, mgr, marked, attempts
 
-    def test_host_without_a_model_answers_persistence(self):
+    def test_host_without_a_model_answers_persistence(self, monkeypatch):
         bad = (0, 5)
-        wl, mgr, _ = self.make(bad)
-        reference = PredictiveManager(wl, threshold=0.5, horizon=3)
+        wl, mgr, _, _ = self.make(monkeypatch, bad)
+        reference = ObjectPredictiveManager(wl, threshold=0.5, horizon=3)
         for t in range(40):
             mgr.observe(t)
             reference.observe(t)
         for t in range(40, 90):
+            want, _ = reference.alerts_at(t)  # its bad hosts fail too
             alerts, _ = mgr.alerts_at(t)  # must not raise
-            want, _ = reference.alerts_at(t)
             for h in bad:
-                assert h not in mgr._models
+                assert not mgr._fitted[h]
                 assert mgr.last_predicted[h] == mgr._history(h)[-1]
             # every other host is untouched by its neighbours' failures
             good = [h for h in range(wl.cluster.num_hosts) if h not in bad]
@@ -245,17 +364,8 @@ class TestFailedRefitDoesNotAbortTheRound:
         assert wl.host_load(89)[0] > 0.5
         assert any(a.host == 0 for a in alerts)
 
-    def test_failed_host_is_retried_once_per_refit_period(self):
-        wl, mgr, model_cls = self.make((5,))
-        attempts = []
-        original = model_cls.fit
-
-        def counting_fit(self, y):
-            if float(y[0]) in self.marked:
-                attempts.append(len(y))
-            return original(self, y)
-
-        model_cls.fit = counting_fit
+    def test_failed_host_is_retried_once_per_refit_period(self, monkeypatch):
+        wl, mgr, _, attempts = self.make(monkeypatch, (5,))
         for t in range(40):
             mgr.observe(t)
         for t in range(40, 75):
@@ -264,54 +374,103 @@ class TestFailedRefitDoesNotAbortTheRound:
         # history lengths at each attempt: one per refit_every rounds
         assert attempts == [40, 50, 60, 70]
 
-    def test_outgoing_model_survives_a_failed_refit(self):
-        wl, mgr, model_cls = self.make((5,))
-        model_cls.failing = False
+    def test_outgoing_model_survives_a_failed_refit(self, monkeypatch):
+        wl, mgr, marked, _ = self.make(monkeypatch, (5,))
+        failing = set(marked)
+        marked.clear()
         for t in range(40):
             mgr.observe(t)
         mgr.alerts_at(40)
-        kept = mgr._models[5]
-        model_cls.failing = True
+        history = mgr._history(5).copy()
+        marked.update(failing)
+        seen = []
         for t in range(40, 65):
             mgr.alerts_at(t)
-            assert mgr._models[5] is kept
+            assert mgr._fitted[5]
             assert mgr._since_fit[5] < mgr.refit_every
-            # ... and it is what answers, tracking the series by append()
-            assert kept.y_.shape[0] == len(mgr._history(5))
-            want = float(np.clip(np.max(kept.forecast(3)), 0.0, 1.0))
-            assert mgr.last_predicted[5] == want
+            # ... and it is what answers, tracking the series like append()
+            assert mgr.last_predicted[5] == tracking_model(history, seen)
             mgr.observe(t)
+            seen.append(wl.host_load(t)[5])
 
 
 class TestFailedRefitUnderAWave:
     def test_the_failed_host_keeps_its_model_and_the_wave_installs(self):
         """One host's refit raises inside a stacked wave: it keeps its
-        outgoing model, every other host installs the fresh fit."""
+        outgoing row, every other host installs the fresh fit."""
         cluster, wl = make_env(ramp_hosts=(0,), warm=40)
         mgr = PredictiveManager(wl, threshold=0.5, horizon=3)
         for t in range(40):
             mgr.observe(t)
         for t in range(40, 50):  # the first wave, at t = 40
             mgr.alerts_at(t)
+            if t == 40:
+                history = mgr._history(5).copy()
             mgr.observe(t)
-        outgoing = dict(mgr._models)
-        assert len(outgoing) == cluster.num_hosts
+        assert mgr._fitted.all()
+        columns = ("_const", "_phi", "_w_last", "_heads")
+        outgoing = {name: getattr(mgr, name).copy() for name in columns}
         mgr._loads[5, mgr._start[5] + 3] = np.nan  # host 5's next refit raises
         mgr.alerts_at(50)  # the second wave
         assert (mgr._since_fit == 0).all()
-        assert mgr._models[5] is outgoing[5]
-        for host, model in mgr._models.items():
+        assert mgr._fitted.all()
+        for name in columns:
+            assert getattr(mgr, name)[5].tobytes() == outgoing[name][5].tobytes()
+        for host in range(cluster.num_hosts):
             if host == 5:
                 continue
-            assert model is not outgoing[host]
             fresh = ARIMA(1, 1, 0, maxiter=40).fit(mgr._history(host))
-            assert (model.const_, model.phi_.tolist(), model.sigma2_) == (
-                fresh.const_, fresh.phi_.tolist(), fresh.sigma2_
-            )
-            assert model.forecast(3).tolist() == fresh.forecast(3).tolist()
-        # the kept model still answers, from its own state
-        want = float(np.clip(np.max(outgoing[5].forecast(3)), 0.0, 1.0))
-        assert mgr.last_predicted[5] == want
+            row = (mgr._const[host], mgr._phi[host], mgr._w_last[host])
+            assert row == (fresh.const_, fresh.phi_[0], fresh._w_tail[-1])
+            assert mgr._heads[host].tolist() == fresh._heads
+            want = float(np.clip(np.max(fresh.forecast(3)), 0.0, 1.0))
+            assert mgr.last_predicted[host] == want
+        # the kept row still answers, as the fit it came from would
+        seen = [wl.host_load(t)[5] for t in range(40, 50)]
+        assert mgr.last_predicted[5] == tracking_model(history, seen)
+
+
+class TestObserveIsAllOrNothing:
+    def test_non_finite_load_changes_nothing(self, monkeypatch):
+        """A round whose load column holds a NaN raises before any state
+        moves, and the rounds after it match a manager that never saw it."""
+        cluster, wl = make_env(warm=40)
+        mgr = PredictiveManager(wl, threshold=0.5, horizon=3)
+        twin = PredictiveManager(wl, threshold=0.5, horizon=3)
+        for t in range(40):
+            mgr.observe(t)
+            twin.observe(t)
+        for t in range(40, 45):
+            for m in (mgr, twin):
+                m.alerts_at(t)
+                m.observe(t)
+        before = {k: np.copy(v) for k, v in vars(mgr).items() if isinstance(v, np.ndarray)}
+        t_before = mgr._t
+        clean = wl.host_load
+
+        def poisoned(t):
+            load = clean(t)
+            load[7] = np.nan
+            return load
+
+        with monkeypatch.context() as m:
+            m.setattr(wl, "host_load", poisoned)
+            with pytest.raises(ForecastError, match="host 7"):
+                mgr.observe(45)
+        assert mgr._t == t_before
+        after = {k: v for k, v in vars(mgr).items() if isinstance(v, np.ndarray)}
+        assert sorted(after) == sorted(before)
+        for name, value in before.items():
+            got = after[name]
+            if name == "_loads":  # only the observed columns are state
+                value, got = value[:, : mgr._t], got[:, : mgr._t]
+            assert got.tobytes() == value.tobytes(), name
+        for t in range(45, 60):
+            alerts, vm_alerts = mgr.alerts_at(t)
+            assert (alerts, vm_alerts) == twin.alerts_at(t)
+            assert mgr.last_predicted.tobytes() == twin.last_predicted.tobytes()
+            mgr.observe(t)
+            twin.observe(t)
 
 
 class TestEngineCooldown:
