@@ -13,6 +13,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
 from repro.cluster import build_cluster
+from repro.config import SheriffConfig
 from repro.migration.reroute import FlowTable
 from repro.sim import (
     SheriffSimulation,
@@ -56,10 +57,9 @@ def run_mode(ecmp: bool):
     before = peak_util(cluster, ft)
     p99_before = latency_percentiles(cluster.topology, ft)["p99"]
     # then let Sheriff's reroute clean up what is left
-    sim = SheriffSimulation(cluster)
+    sim = SheriffSimulation(cluster, SheriffConfig(alpha=0.2))
     for mgr in sim.managers.values():
         mgr.flow_table = ft
-        mgr.alpha = 0.2
     rerouted = 0
     for t in range(4):
         alerts, vma = congestion_alerts(cluster, ft, utilization_threshold=0.5, time=t)

@@ -49,12 +49,12 @@ def run_reroute():
     cluster, ft = build_congested()
     before = peak_utilization(cluster, ft)
     sim = SheriffSimulation(cluster)
-    # α keeps each round's reroute to a *portion* of the flows — moving
-    # everything at once would just recreate the hotspot on the alternate
-    # path (the reason Alg. 2 selects a capacity portion, not the full set)
+    # α (0.1 by default) keeps each round's reroute to a *portion* of the
+    # flows — moving everything at once would just recreate the hotspot on
+    # the alternate path (the reason Alg. 2 selects a capacity portion, not
+    # the full set)
     for mgr in sim.managers.values():
         mgr.flow_table = ft
-        mgr.alpha = 0.1
     total_cost = 0.0
     rerouted = 0
     for t in range(4):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.alerts.monitor import VMMonitor, light_model_pool
+from repro.alerts.monitor import VMMonitor
 from repro.alerts.threshold import AlertConfig
 from repro.analysis import format_table
 from repro.traces.workload import WorkloadStream
@@ -26,10 +26,7 @@ def tick_rate(n_vms: int, ticks: int) -> tuple:
     streams = [
         WorkloadStream.generate(WARM + ticks, seed=SEED + i) for i in range(n_vms)
     ]
-    monitors = [
-        VMMonitor(s.history(WARM - 1, WARM), cfg, pool_factory=light_model_pool)
-        for s in streams
-    ]
+    monitors = [VMMonitor(s.history(WARM - 1, WARM), cfg) for s in streams]
     t0 = time.perf_counter()
     alerts = 0
     for t in range(WARM, WARM + ticks):

@@ -5,21 +5,21 @@ profile ``[CPU, MEM, IO, TRF]``, feeds one forecaster per component, and
 reports ``ALERT = max(predicted W)`` to its shim when the prediction
 crosses the threshold.
 
-For fleet-scale simulations the per-component model pool is configurable:
-the full ARIMA+NARNET pool reproduces the paper's prediction quality,
-while a light pool (naive + small ARIMA) keeps thousand-VM sweeps fast.
+Every monitor runs the light pool (naive + small ARIMA), which keeps
+thousand-VM sweeps fast; the paper's full ARIMA+NARNET pool is
+:func:`default_model_pool`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from repro.alerts.alert import compute_alert, compute_alerts
 from repro.alerts.threshold import AlertConfig
 from repro.cluster.resources import NUM_RESOURCES
-from repro.errors import ConfigurationError, ForecastError
+from repro.errors import ConfigurationError
 from repro.forecast.arima import ARIMA
 from repro.forecast.base import _finite
 from repro.forecast.naive import NaiveLast
@@ -29,7 +29,6 @@ from repro.forecast.selection import DynamicModelSelector
 __all__ = [
     "default_model_pool",
     "light_model_pool",
-    "seasonal_model_pool",
     "VMMonitor",
     "fleet_alert_values",
 ]
@@ -53,20 +52,11 @@ def light_model_pool() -> Dict[str, Callable[[], object]]:
     }
 
 
-def seasonal_model_pool(period: int) -> Dict[str, Callable[[], object]]:
-    """Pool for strongly periodic workloads (diurnal VMs).
-
-    Adds a seasonal ARIMA at the given *period* so long-horizon pre-alerts
-    keep the daily shape (see the horizon ablation); the plain ARIMA stays
-    in the pool for the short-horizon regime, and the selector arbitrates.
-    """
-    from repro.forecast.sarima import SeasonalARIMA
-
-    return {
-        "arima111": lambda: ARIMA(1, 1, 1, maxiter=60),
-        f"sarima_{period}": lambda: SeasonalARIMA(1, 0, 1, period=period),
-        "naive": lambda: NaiveLast(),
-    }
+#: Each component selector's tuning: the Eq. (14) window ``T_p``, the refit
+#: cadence and the bounded history a refit reads.
+PERIOD = 20
+REFIT_EVERY = 40
+MAX_HISTORY = 240
 
 
 class VMMonitor:
@@ -79,22 +69,16 @@ class VMMonitor:
         initial fit; must cover at least ``min_history`` rows.
     config:
         Thresholds and horizon.
-    pool_factory:
-        Zero-arg callable returning the model-factory mapping for each
-        resource component's :class:`DynamicModelSelector`.
-    period, refit_every, max_history:
-        Selector tuning (Eq. 14 window, refit cadence, bounded memory).
+
+    Each resource component gets a :class:`DynamicModelSelector` over
+    :func:`light_model_pool`, tuned by :data:`PERIOD`, :data:`REFIT_EVERY`
+    and :data:`MAX_HISTORY`.
     """
 
     def __init__(
         self,
         history: np.ndarray,
         config: AlertConfig,
-        *,
-        pool_factory: Callable[[], Dict[str, Callable[[], object]]] = light_model_pool,
-        period: int = 20,
-        refit_every: int = 40,
-        max_history: Optional[int] = 240,
     ) -> None:
         hist = np.asarray(history, dtype=np.float64)
         if hist.ndim != 2 or hist.shape[1] != NUM_RESOURCES:
@@ -109,10 +93,10 @@ class VMMonitor:
         self._selectors: List[DynamicModelSelector] = []
         for r in range(NUM_RESOURCES):
             sel = DynamicModelSelector(
-                pool_factory(),
-                period=period,
-                refit_every=refit_every,
-                max_history=max_history,
+                light_model_pool(),
+                period=PERIOD,
+                refit_every=REFIT_EVERY,
+                max_history=MAX_HISTORY,
             )
             sel.fit(hist[:, r])
             self._selectors.append(sel)

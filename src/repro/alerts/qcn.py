@@ -15,7 +15,7 @@ growth rate, ``Fb = -(q_off + w * q_delta)``; congestion is signalled when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +24,11 @@ from repro.forecast.arima import ARIMA
 from repro.forecast.base import Forecaster
 
 __all__ = ["SwitchQueue", "ToRUplinkMonitor"]
+
+#: Occupancy samples a ToR monitor collects before its first fit (it
+#: answers the last sample until then), and samples between refits.
+MIN_HISTORY = 16
+REFIT_EVERY = 40
 
 
 @dataclass
@@ -91,27 +96,16 @@ class ToRUplinkMonitor:
     forecaster (paper: "Using the historic information about the queue
     length, we can predict future queue length"); alerts when the
     *predicted* normalized occupancy crosses the threshold — before the
-    queue actually overflows.
+    queue actually overflows.  The forecaster is an ``ARIMA(1, 0, 1)``
+    refitted on the whole history every :data:`REFIT_EVERY` samples once
+    there are :data:`MIN_HISTORY`.
     """
 
-    def __init__(
-        self,
-        queue: SwitchQueue,
-        threshold: float,
-        *,
-        forecaster_factory: Callable[[], Forecaster] = lambda: ARIMA(1, 0, 1, maxiter=40),
-        min_history: int = 16,
-        refit_every: int = 40,
-    ) -> None:
+    def __init__(self, queue: SwitchQueue, threshold: float) -> None:
         if not (0.0 < threshold <= 1.0):
             raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-        if min_history < 8:
-            raise ConfigurationError(f"min_history must be >= 8, got {min_history}")
         self.queue = queue
         self.threshold = threshold
-        self._factory = forecaster_factory
-        self._min_history = min_history
-        self._refit_every = refit_every
         self._history: list[float] = []
         self._model: Optional[Forecaster] = None
         self._since_fit = 0
@@ -127,10 +121,10 @@ class ToRUplinkMonitor:
     def predicted_occupancy(self) -> float:
         """One-step-ahead normalized occupancy (last value until warm)."""
         n = len(self._history)
-        if n < self._min_history:
+        if n < MIN_HISTORY:
             return self._history[-1] if self._history else 0.0
-        if self._model is None or self._since_fit >= self._refit_every:
-            model = self._factory()
+        if self._model is None or self._since_fit >= REFIT_EVERY:
+            model = ARIMA(1, 0, 1, maxiter=40)
             model.fit(np.asarray(self._history))
             self._model = model
             self._since_fit = 0

@@ -16,7 +16,6 @@ from repro.cluster.resources import (
     RESOURCE_NAMES,
     ResourceKind,
     WorkloadProfile,
-    normalize_profile,
 )
 from repro.cluster.vm import VM
 from repro.cluster.host import Host
@@ -33,7 +32,6 @@ __all__ = [
     "RESOURCE_NAMES",
     "ResourceKind",
     "WorkloadProfile",
-    "normalize_profile",
     "VM",
     "Host",
     "Rack",

@@ -13,7 +13,7 @@ step refuses destinations that would co-locate dependent VMs on one host.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class DependencyGraph:
     def are_dependent(self, a: int, b: int) -> bool:
         return b in self._nbrs[a]
 
-    @property
-    def num_pairs(self) -> int:
-        return sum(len(s) for s in self._nbrs) // 2
-
     # ------------------------------------------------------------------ #
     # projections through a placement
     # ------------------------------------------------------------------ #
@@ -104,16 +100,6 @@ class DependencyGraph:
                 if ra != rb:
                     edges.add((ra, rb) if ra < rb else (rb, ra))
         return edges
-
-    def rack_neighbors(self, placement: Placement, rack: int) -> Set[int]:
-        """``N_d(v_i)`` — racks dependent on *rack* (includes *rack* itself)."""
-        out: Set[int] = {rack}
-        vms = placement.vms_in_rack(rack)
-        racks = placement.host_rack[placement.vm_host]
-        for a in vms:
-            for b in self._nbrs[int(a)]:
-                out.add(int(racks[b]))
-        return out
 
     def conflicts_on_host(self, placement: Placement, vm: int, host: int) -> bool:
         """Would placing *vm* on *host* co-locate it with a dependent VM?

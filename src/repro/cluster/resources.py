@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "NUM_RESOURCES",
     "RESOURCE_NAMES",
     "WorkloadProfile",
-    "normalize_profile",
 ]
 
 
@@ -39,30 +37,6 @@ class ResourceKind(IntEnum):
 
 NUM_RESOURCES = 4
 RESOURCE_NAMES = ("cpu", "mem", "io", "trf")
-
-
-def normalize_profile(
-    raw: np.ndarray,
-    maxima: Union[Sequence[float], np.ndarray],
-) -> np.ndarray:
-    """Normalize raw resource readings into ``[0, 1]`` component-wise.
-
-    ``raw`` has shape ``(..., NUM_RESOURCES)``; ``maxima`` gives the
-    physical full-scale value of each component (e.g. 100 for CPU %,
-    NIC line rate for TRF).  Values above full scale clip to 1 — a
-    saturated sensor reads saturated.
-    """
-    raw = np.asarray(raw, dtype=np.float64)
-    m = np.asarray(maxima, dtype=np.float64)
-    if raw.shape[-1] != NUM_RESOURCES:
-        raise ConfigurationError(
-            f"profile trailing axis must be {NUM_RESOURCES}, got {raw.shape}"
-        )
-    if m.shape != (NUM_RESOURCES,):
-        raise ConfigurationError(f"maxima must have shape ({NUM_RESOURCES},), got {m.shape}")
-    if (m <= 0).any():
-        raise ConfigurationError("all resource maxima must be positive")
-    return np.clip(raw / m, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -84,18 +58,6 @@ class WorkloadProfile:
             x = getattr(self, name)
             if not (0.0 <= x <= 1.0) or not np.isfinite(x):
                 raise ConfigurationError(f"profile component {name}={x} outside [0, 1]")
-
-    @classmethod
-    def from_array(cls, arr: Iterable[float]) -> "WorkloadProfile":
-        vals = list(arr)
-        if len(vals) != NUM_RESOURCES:
-            raise ConfigurationError(
-                f"profile needs {NUM_RESOURCES} components, got {len(vals)}"
-            )
-        return cls(*map(float, vals))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cpu, self.mem, self.io, self.trf], dtype=np.float64)
 
     def max_component(self) -> float:
         """``max(W)`` — the paper's ALERT magnitude (Sec. IV-C)."""

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, TextIO
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle-free typing only
-    from repro.costs.model import CostParams
     from repro.faults.channel import ChannelPolicy
     from repro.faults.schedule import FaultSchedule
     from repro.obs.metrics import MetricsRegistry
@@ -35,15 +34,15 @@ class SheriffConfig:
 
     There is no planner knob: every round runs Alg. 1 inline, one alerted
     rack at a time in rack order (``docs/performance.md`` records why the
-    worker pools went).
+    worker pools went).  The Eq. (1) constants are the paper's
+    :class:`~repro.costs.model.CostParams`, and β of Eq. (10) is
+    :data:`repro.migration.manager.BETA`.
 
     Parameters
     ----------
-    cost_params:
-        Eq. (1) cost-model constants (``None`` = paper defaults).
-    alpha, beta:
-        PRIORITY capacity portions for switch- and ToR-triggered
-        selection (Alg. 2).
+    alpha:
+        PRIORITY capacity portion for switch-triggered selection
+        (Alg. 2).
     balance_weight:
         Load-aware destination steering strength (Figs. 9/10 mechanism).
     migration_cooldown:
@@ -82,14 +81,12 @@ class SheriffConfig:
     metrics:
         Shared :class:`~repro.obs.metrics.MetricsRegistry`; ``None`` lets
         the simulation create a private one.
-    profile:
-        Record wall-clock section timings (``RoundSummary.timings``).
     profiler:
         Pre-built :class:`~repro.obs.profiling.Profiler` to use instead
         of a simulation-private one — pass
         ``Profiler(record_spans=True)`` to capture nested spans for the
-        Chrome/Perfetto exporter.  Implies ``profile``-style timing when
-        set; ``None`` (default) keeps the historical behaviour.
+        Chrome/Perfetto exporter.  Either way a round records its
+        wall-clock section timings (``RoundSummary.timings``).
     metrics_stream:
         Open text stream receiving one JSON line per round —
         ``{"round": N, "metrics": {...}}``, the round's
@@ -128,9 +125,7 @@ class SheriffConfig:
         ``0`` (default) disables budget tracking.
     """
 
-    cost_params: Optional["CostParams"] = None
     alpha: float = 0.1
-    beta: float = 0.1
     balance_weight: float = 50.0
     migration_cooldown: int = 3
     migration_timing: Optional["MigrationTiming"] = None
@@ -145,7 +140,6 @@ class SheriffConfig:
     slo_budget_minutes: float = 0.0
     tracer: Tracer = field(default=NULL_TRACER)
     metrics: Optional["MetricsRegistry"] = None
-    profile: bool = True
     profiler: Optional["Profiler"] = None
     metrics_stream: Optional[TextIO] = None
     fault_schedule: Optional["FaultSchedule"] = None
@@ -159,7 +153,7 @@ class SheriffConfig:
         """This config as a JSON-serializable dict (``from_dict`` inverse).
 
         Only the *declarative* knobs serialize: scalars plus the nested
-        ``cost_params`` / ``migration_timing`` dataclasses.  Runtime
+        ``migration_timing`` dataclass.  Runtime
         handles (tracer, metrics registry, profiler, streams, fault
         schedule, channel policy) describe live objects, not
         configuration — a config carrying a non-default one raises
@@ -183,8 +177,6 @@ class SheriffConfig:
         data: Dict[str, Any] = {
             name: getattr(self, name) for name in _SCALAR_FIELDS
         }
-        if self.cost_params is not None:
-            data["cost_params"] = asdict(self.cost_params)
         if self.migration_timing is not None:
             data["migration_timing"] = asdict(self.migration_timing)
         return data
@@ -211,7 +203,7 @@ class SheriffConfig:
                 + "; ".join(f"{key} ({_REMOVED_KEYS[key]})" for key in removed)
                 + "; delete them from the config"
             )
-        allowed = _SCALAR_FIELDS | {"cost_params", "migration_timing"}
+        allowed = _SCALAR_FIELDS | {"migration_timing"}
         unknown = sorted(set(data) - allowed)
         if unknown:
             raise ConfigurationError(
@@ -221,13 +213,6 @@ class SheriffConfig:
         kwargs: Dict[str, Any] = {
             k: v for k, v in data.items() if k in _SCALAR_FIELDS
         }
-        if data.get("cost_params") is not None:
-            from repro.costs.model import CostParams
-
-            try:
-                kwargs["cost_params"] = CostParams(**data["cost_params"])
-            except TypeError as exc:
-                raise ConfigurationError(f"bad cost_params: {exc}") from None
         if data.get("migration_timing") is not None:
             from repro.sim.inflight import MigrationTiming
 
@@ -245,7 +230,6 @@ class SheriffConfig:
 _SCALAR_FIELDS = frozenset(
     {
         "alpha",
-        "beta",
         "balance_weight",
         "migration_cooldown",
         "with_flows",
@@ -257,7 +241,6 @@ _SCALAR_FIELDS = frozenset(
         "scoring",
         "slo_overload_threshold",
         "slo_budget_minutes",
-        "profile",
     }
 )
 """Fields that serialize directly in :meth:`SheriffConfig.to_dict`."""
@@ -272,6 +255,9 @@ _REMOVED_KEYS = {
     "cache_cost_kernels": "the cost-kernel cache is always on",
     "slo_round_minutes": "a round is one minute in the SLO ledger",
     "slo_damage_weight": "the predicted-SLO-damage addend has weight 1",
+    "cost_params": "the Eq. (1) constants are the paper's CostParams()",
+    "beta": "the ToR-alert capacity portion is 0.1",
+    "profile": "every simulation records its section timings",
 }
 """Keys that config files written for earlier versions may still carry,
 each with what replaced it; :meth:`SheriffConfig.from_dict` names them in

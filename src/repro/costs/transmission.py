@@ -38,7 +38,6 @@ from repro.topology.base import Topology
 __all__ = [
     "TransmissionCostTable",
     "cached_transmission_table",
-    "transmission_table_cache_stats",
 ]
 
 
@@ -249,7 +248,6 @@ class TransmissionCostTable:
 _TABLE_MEMO: "WeakKeyDictionary[Topology, Dict[Tuple[float, float, float, float], TransmissionCostTable]]" = (
     WeakKeyDictionary()
 )
-_TABLE_STATS = {"builds": 0, "hits": 0}
 
 
 def cached_transmission_table(
@@ -278,7 +276,6 @@ def cached_transmission_table(
         _TABLE_MEMO[topology] = per_topo
     table = per_topo.get(key)
     if table is not None:
-        _TABLE_STATS["hits"] += 1
         return table
     table = TransmissionCostTable(
         topology,
@@ -287,11 +284,6 @@ def cached_transmission_table(
         reference_capacity=reference_capacity,
         bandwidth_threshold=bandwidth_threshold,
     )
-    _TABLE_STATS["builds"] += 1
     per_topo[key] = table
     return table
 
-
-def transmission_table_cache_stats() -> Dict[str, int]:
-    """Copy of the lifetime ``{"builds": ..., "hits": ...}`` counters."""
-    return dict(_TABLE_STATS)

@@ -18,9 +18,10 @@ damage metrics (host-overload rounds and VMs lost to the fault schedule)
 the guarded arm stays within ``factor`` times the reactive baseline plus
 an absolute ``slack`` — no matter how wrong the models are, the governor
 caps the downside at "reactive plus a detection window".  Like the chaos
-campaign, everything derives from ``seed`` and ``profile=False`` is
-forced, so two runs with the same arguments produce byte-identical JSON
-(the ``make adversarial`` target asserts that with ``cmp``).
+campaign, everything derives from ``seed`` and the report holds no
+wall-clock timing, so two runs with the same arguments produce
+byte-identical JSON (the ``make adversarial`` target asserts that with
+``cmp``).
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ def _run_arm(
     cfg = cfg_base.replace(
         fault_schedule=_arm_schedule(cluster.placement, rounds, seed=seed),
         migration_timing=MigrationTiming(),
-        profile=False,
         fallback_policy="reactive" if arm == "guarded" else "none",
     )
     sim = SheriffSimulation(cluster, cfg)
@@ -169,9 +169,8 @@ def run_adversarial_campaign(
         fields of *config*); the defaults are tight enough that the
         calm-then-cliff regime trips the governor within one period.
     config:
-        Extra engine knobs shared by all arms; the campaign forces
-        ``profile=False`` and installs the fault schedule and fallback
-        policy per arm on top.
+        Extra engine knobs shared by all arms; the campaign installs the
+        fault schedule and fallback policy per arm on top.
     """
     if rounds < 2 * period:
         raise ConfigurationError(

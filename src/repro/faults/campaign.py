@@ -6,8 +6,8 @@ rounds, and returns one JSON-ready report.  Everything — the workload,
 the alert stream, every fault firing, every retry — derives from the
 single campaign ``seed``, so two runs with the same arguments produce
 *identical* reports (the ``make chaos`` target asserts exactly that with
-``cmp``).  Timings are deliberately excluded (``profile=False``): a
-report is a statement about behavior, not wall-clock.
+``cmp``).  Timings are deliberately excluded from the report: it is a
+statement about behavior, not wall-clock.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def run_chaos_campaign(
     channel:
         ``None`` arms a mildly lossy channel (10 % loss, 3 retries).
     config:
-        Extra engine knobs; the campaign forces ``profile=False`` and
-        installs the schedule/channel, timing and flows on top.
+        Extra engine knobs; the campaign installs the schedule/channel,
+        timing and flows on top.
     """
     from repro.cluster import build_cluster
     from repro.sim.engine import SheriffSimulation
@@ -114,7 +114,6 @@ def run_chaos_campaign(
         channel_policy=channel,
         migration_timing=MigrationTiming(),
         with_flows=True,
-        profile=False,
     )
     sim = SheriffSimulation(cluster, cfg)
     round_rows = []

@@ -9,10 +9,9 @@ REQUEST:
 * **reply-leg loss** — the receiver answered but the ACK/REJECT is lost;
 * **silent receivers** — a destination rack whose shim is down answers
   nothing (the sender cannot distinguish this from loss);
-* **bounded retry with exponential backoff** — the sender retries up to
-  ``max_retries`` times, waiting ``timeout_s * backoff_factor**attempt``
-  between attempts.  Backoff is *simulated* (accumulated in
-  ``simulated_wait_s``), never slept — runs stay fast and deterministic.
+* **bounded retry** — the sender retries up to ``max_retries`` times;
+  a timeout takes no wall-clock time, so runs stay fast and
+  deterministic.
 
 Retries are delivered through
 :meth:`~repro.migration.request.ReceiverRegistry.redeliver`, so a
@@ -44,9 +43,7 @@ class ChannelPolicy:
     """Loss/retry behavior of the REQUEST/ACK control channel."""
 
     loss_probability: float = 0.0
-    timeout_s: float = 0.5
     max_retries: int = 3
-    backoff_factor: float = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -54,17 +51,9 @@ class ChannelPolicy:
             raise ConfigurationError(
                 f"loss_probability must be in [0, 1), got {self.loss_probability}"
             )
-        if self.timeout_s <= 0:
-            raise ConfigurationError(
-                f"timeout_s must be positive, got {self.timeout_s}"
-            )
         if self.max_retries < 0:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
 
 
@@ -96,7 +85,6 @@ class UnreliableChannel:
         self.retries = 0
         self.timeouts = 0
         self.cancels = 0
-        self.simulated_wait_s = 0.0
 
     # ------------------------------------------------------------------ #
     def _lost(self) -> bool:
@@ -111,7 +99,6 @@ class UnreliableChannel:
         destination as refused and retries elsewhere, it never hangs).
         """
         pol = self.policy
-        wait = pol.timeout_s
         attempts = 0
         for attempt in range(pol.max_retries + 1):
             attempts = attempt + 1
@@ -125,9 +112,6 @@ class UnreliableChannel:
                             "sheriff_channel_retries_total"
                         ).inc(attempt)
                     return outcome
-            # timed out: back off and retry
-            self.simulated_wait_s += wait
-            wait *= pol.backoff_factor
         self.retries += attempts - 1
         self.timeouts += 1
         if self.metrics is not None:

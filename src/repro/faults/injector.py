@@ -69,11 +69,7 @@ class FaultInjector:
     def __init__(self, sim, schedule: FaultSchedule) -> None:
         self.sim = sim
         self.schedule = schedule
-        self.switches = FailureInjector(
-            sim.cluster,
-            flow_table=sim.flow_table,
-            cost_params=sim.config.cost_params,
-        )
+        self.switches = FailureInjector(sim.cluster, flow_table=sim.flow_table)
         self._down_racks: Dict[int, Optional[int]] = {}  # rack -> up round
         self.log: List[dict] = []
 

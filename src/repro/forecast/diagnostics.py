@@ -76,10 +76,6 @@ class ResidualDiagnostics:
         return self.jarque_bera_p > self.alpha
 
     @property
-    def homoskedastic(self) -> bool:
-        return self.arch_p > self.alpha
-
-    @property
     def adequate(self) -> bool:
         """The checks a forecaster must pass to be trusted for alerts.
 

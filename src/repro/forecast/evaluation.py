@@ -15,7 +15,7 @@ and score each model.  This module makes that a first-class API:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ def backtest(
     *,
     horizon: int = 1,
     refit_every: int = 50,
-    max_history: Optional[int] = None,
     stride: int = 1,
 ) -> BacktestResult:
     """Walk-forward evaluation at a fixed *horizon*.
@@ -70,7 +69,8 @@ def backtest(
     At each origin ``t`` (every *stride* steps from ``train_len`` to
     ``n - horizon``), the model fit on ``y[:t]`` forecasts ``y[t + horizon
     - 1]``; the model then absorbs observations up to the next origin via
-    ``append`` and refits from scratch every *refit_every* origins.
+    ``append`` and refits from scratch on ``y[:t]`` every *refit_every*
+    origins.
     """
     arr = np.asarray(y, dtype=np.float64).ravel()
     n = arr.shape[0]
@@ -89,12 +89,8 @@ def backtest(
             f"horizon {horizon}"
         )
 
-    def window(upto: int) -> np.ndarray:
-        lo = 0 if max_history is None else max(0, upto - max_history)
-        return arr[lo:upto]
-
     model = factory()
-    model.fit(window(origins[0]))
+    model.fit(arr[: origins[0]])
     fitted_upto = origins[0]
     since_fit = 0
     preds = np.empty(len(origins))
@@ -102,7 +98,7 @@ def backtest(
     for i, t in enumerate(origins):
         if since_fit >= refit_every:
             model = factory()
-            model.fit(window(t))
+            model.fit(arr[:t])
             fitted_upto = t
             since_fit = 0
         else:

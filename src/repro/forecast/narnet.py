@@ -25,7 +25,7 @@ from scipy import optimize
 from repro.errors import ConfigurationError, ConvergenceError, ForecastError
 from repro.forecast.base import Forecaster
 from repro.forecast.lag import lag_matrix
-from repro.rng import SeedLike, as_generator, spawn
+from repro.rng import SeedLike, spawn
 
 __all__ = ["NARNET"]
 
@@ -49,13 +49,6 @@ class NARNET(Forecaster):
         L-BFGS iteration budget per restart.
     seed:
         Seed for reproducible initializations.
-    validation_fraction:
-        When > 0, the most recent fraction of training rows is held out;
-        L-BFGS still minimizes the training loss, but the parameters kept
-        are those with the best *validation* MSE seen along the
-        optimization path (early stopping), and restarts are compared by
-        validation rather than training loss.  Guards against the small-
-        window overfitting a per-VM monitor would otherwise suffer.
     """
 
     ni: int = 8
@@ -64,7 +57,6 @@ class NARNET(Forecaster):
     restarts: int = 3
     maxiter: int = 300
     seed: SeedLike = 0
-    validation_fraction: float = 0.0
 
     # fitted state
     w1_: np.ndarray = field(default=None, init=False, repr=False)  # type: ignore[assignment]
@@ -74,7 +66,6 @@ class NARNET(Forecaster):
     mu_: float = field(default=0.0, init=False, repr=False)
     sd_: float = field(default=1.0, init=False, repr=False)
     train_loss_: float = field(default=np.inf, init=False, repr=False)
-    val_loss_: float = field(default=np.inf, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ni < 1:
@@ -85,10 +76,6 @@ class NARNET(Forecaster):
             raise ConfigurationError(f"l2 must be non-negative, got {self.l2}")
         if self.restarts < 1:
             raise ConfigurationError(f"restarts must be >= 1, got {self.restarts}")
-        if not (0.0 <= self.validation_fraction < 0.9):
-            raise ConfigurationError(
-                f"validation_fraction must be in [0, 0.9), got {self.validation_fraction}"
-            )
 
     # ------------------------------------------------------------------ #
     # parameter packing
@@ -129,26 +116,8 @@ class NARNET(Forecaster):
             self._fitted = True
             return self
         z = (arr - self.mu_) / self.sd_
-        X_all, t_all = lag_matrix(z, self.ni)
-        n_val = int(self.validation_fraction * X_all.shape[0])
-        if n_val > 0 and X_all.shape[0] - n_val < max(4, self.ni):
-            raise ConvergenceError(
-                "validation split leaves too few training rows; lower "
-                "validation_fraction or provide more history"
-            )
-        if n_val > 0:
-            X, t = X_all[:-n_val], t_all[:-n_val]
-            Xv, tv = X_all[-n_val:], t_all[-n_val:]
-        else:
-            X, t = X_all, t_all
-            Xv = tv = None
+        X, t = lag_matrix(z, self.ni)
         m = X.shape[0]
-
-        def val_mse(x: np.ndarray) -> float:
-            w1, b1, w2, b2 = self._unpack(x)
-            h = np.tanh(Xv @ w1.T + b1)
-            r = h @ w2 + b2 - tv
-            return float(r @ r) / Xv.shape[0]
 
         def loss_grad(x: np.ndarray) -> Tuple[float, np.ndarray]:
             w1, b1, w2, b2 = self._unpack(x)
@@ -170,7 +139,6 @@ class NARNET(Forecaster):
 
         best_loss = np.inf
         best_x: Optional[np.ndarray] = None
-        best_val = np.inf
         for rng in spawn(self.seed, self.restarts):
             x0 = np.empty(self._n_params())
             scale1 = 1.0 / np.sqrt(self.ni)
@@ -182,46 +150,18 @@ class NARNET(Forecaster):
             i += self.nh
             x0[i : i + self.nh] = rng.normal(0, scale2, self.nh)
             x0[-1] = 0.0
-            if Xv is None:
-                res = optimize.minimize(
-                    loss_grad,
-                    x0,
-                    jac=True,
-                    method="L-BFGS-B",
-                    options={"maxiter": self.maxiter},
-                )
-                if np.isfinite(res.fun) and res.fun < best_loss:
-                    best_loss = float(res.fun)
-                    best_x = res.x
-            else:
-                # early stopping: keep the iterate with the best held-out
-                # MSE seen anywhere along this restart's optimization path
-                path_best_val = [np.inf]
-                path_best_x = [x0.copy()]
-
-                def track(xk):
-                    v = val_mse(xk)
-                    if v < path_best_val[0]:
-                        path_best_val[0] = v
-                        path_best_x[0] = xk.copy()
-
-                track(x0)
-                res = optimize.minimize(
-                    loss_grad,
-                    x0,
-                    jac=True,
-                    method="L-BFGS-B",
-                    callback=track,
-                    options={"maxiter": self.maxiter},
-                )
-                track(res.x)
-                if path_best_val[0] < best_val:
-                    best_val = path_best_val[0]
-                    best_x = path_best_x[0]
-                    best_loss = float(loss_grad(path_best_x[0])[0])
+            res = optimize.minimize(
+                loss_grad,
+                x0,
+                jac=True,
+                method="L-BFGS-B",
+                options={"maxiter": self.maxiter},
+            )
+            if np.isfinite(res.fun) and res.fun < best_loss:
+                best_loss = float(res.fun)
+                best_x = res.x
         if best_x is None:
             raise ConvergenceError("every NARNET restart diverged")
-        self.val_loss_ = float(best_val)
         self.w1_, self.b1_, self.w2_, self.b2_ = self._unpack(best_x)
         self.w1_ = self.w1_.copy()
         self.b1_ = self.b1_.copy()
@@ -251,18 +191,6 @@ class NARNET(Forecaster):
             out[k] = pred
             lags.insert(0, pred)  # closed loop
         return out * self.sd_ + self.mu_
-
-    def fitted_values(self) -> np.ndarray:
-        """Open-loop one-step predictions over the training span.
-
-        Aligned with ``y[ni:]`` — entry ``k`` predicts ``y_[ni + k]`` from
-        true history.
-        """
-        self._require_fitted()
-        z = (self.y_ - self.mu_) / self.sd_
-        X, _ = lag_matrix(z, self.ni)
-        hidden = np.tanh(X @ self.w1_.T + self.b1_)
-        return (hidden @ self.w2_ + self.b2_) * self.sd_ + self.mu_
 
     def __repr__(self) -> str:
         tag = "fitted" if self._fitted else "unfitted"

@@ -26,7 +26,6 @@ from repro.forecast.base import Forecaster, _finite, _Series, warm_fit
 from repro.forecast.metrics import trailing_mse
 from repro.forecast.naive import NaiveLast
 from repro.obs.events import ModelSelected
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
@@ -77,15 +76,13 @@ def rolling_one_step(
     train_len: int,
     *,
     refit_every: int = 50,
-    max_history: Optional[int] = None,
 ) -> np.ndarray:
     """Walk-forward one-step predictions of ``y[train_len:]``.
 
     At each step ``t >= train_len`` the model (fit on data up to ``t``)
     predicts ``y[t]``; the true value is then appended.  The model refits
-    every *refit_every* steps, optionally on only the last *max_history*
-    observations (a monitor's bounded memory); each refit is a fresh
-    ``factory()`` fitted on its window alone.
+    every *refit_every* steps on the whole history so far; each refit is a
+    fresh ``factory()``.
     """
     arr = np.asarray(y, dtype=np.float64).ravel()
     n = arr.shape[0]
@@ -93,16 +90,14 @@ def rolling_one_step(
         raise ForecastError(f"train_len must be in 1..{n - 1}, got {train_len}")
     if refit_every < 1:
         raise ForecastError(f"refit_every must be >= 1, got {refit_every}")
-    if max_history is not None and max_history < 0:
-        raise ForecastError(f"max_history must be >= 0, got {max_history}")
     model = factory()
-    model.fit(_window(arr[:train_len], max_history))
+    model.fit(arr[:train_len])
     preds = np.empty(n - train_len)
     since_fit = 0
     for k, t in enumerate(range(train_len, n)):
         if since_fit >= refit_every:
             model = factory()
-            (failure,) = warm_fit([model], [_window(arr[:t], max_history)])
+            (failure,) = warm_fit([model], [arr[:t]])
             if failure is not None:
                 raise failure
             since_fit = 0
@@ -187,13 +182,8 @@ class DynamicModelSelector:
         Optional event sink; each :meth:`predict_one` emits a
         :class:`~repro.obs.events.ModelSelected` naming the answering
         pool member (Eq. 14 in action).
-    metrics:
-        Optional registry; :meth:`observe` keeps the per-member
-        ``sheriff_forecast_trailing_mse{model=...}`` gauges current, and
-        best-member prediction failures count in
-        ``sheriff_selector_fallback_total``.
 
-    A plain selector (no metrics or enabled tracer, a bounded
+    A plain selector (no enabled tracer, a bounded
     ``max_history``, a pool of ``ARIMA(1, d, 0)`` and :class:`NaiveLast`)
     joins a :class:`SelectorBank` on its first fleet read
     (:func:`batch_predict_one`).  Its state then lives in a bank row:
@@ -211,7 +201,6 @@ class DynamicModelSelector:
         refit_every: int = 50,
         max_history: Optional[int] = None,
         tracer: Tracer = NULL_TRACER,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not factories:
             raise ForecastError("selector needs at least one model factory")
@@ -227,7 +216,6 @@ class DynamicModelSelector:
         self.max_history = max_history
         self.names = list(factories.keys())
         self.tracer = tracer
-        self.metrics = metrics
         self._step = 0
         self._models: Dict[str, Forecaster] = {}
         # errors older than the fitness window T_p can never influence
@@ -235,17 +223,14 @@ class DynamicModelSelector:
         self._errors: Dict[str, Deque[float]] = {
             n: deque(maxlen=period) for n in self.names
         }
-        # running Σerr² per member, maintained incrementally alongside the
-        # deques so the trailing-MSE gauges cost O(pool), not O(pool·period)
-        self._sq_sums: Dict[str, float] = {n: 0.0 for n in self.names}
         self._last_pred: Dict[str, float] = {}
         self._last_best: Optional[str] = None
         self._history: Optional[_Series] = None
         self._since_fit = 0
         self._fitted = False
         # each member's bank kind at the last refit (_bank_kind); while
-        # banked, the bank and row that hold _models, _errors, _sq_sums,
-        # _last_pred, _last_best, _history, _step and _since_fit
+        # banked, the bank and row that hold _models, _errors, _last_pred,
+        # _last_best, _history, _step and _since_fit
         self._kinds: Tuple[MemberKind, ...] = ()
         self._bank: Optional[SelectorBank] = None
         self._row = -1
@@ -264,7 +249,6 @@ class DynamicModelSelector:
         self._history = _Series(y, self.max_history)
         self._refit_all()
         self._errors = {n: deque(maxlen=self.period) for n in self.names}
-        self._sq_sums = {n: 0.0 for n in self.names}
         self._last_pred = {}
         self._last_best = None
         self._since_fit = 0
@@ -328,14 +312,8 @@ class DynamicModelSelector:
         Used when the Eq. (14) winner failed to produce a prediction: the
         answer comes from the lowest-trailing-MSE member that did predict
         (ties → pool order), not from ``_last_pred`` insertion order.
-        Counted in ``sheriff_selector_fallback_total``.
         """
-        best_name = self._min_trailing_mse(self._last_pred)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "sheriff_selector_fallback_total", model=best_name
-            ).inc()
-        return best_name
+        return self._min_trailing_mse(self._last_pred)
 
     def _answer(self, best: str) -> float:
         """Finalize one prediction step: record the winner, emit the event."""
@@ -390,30 +368,13 @@ class DynamicModelSelector:
             return
         if self._last_pred:
             for name, pred in self._last_pred.items():
-                dq = self._errors[name]
-                err = value - pred
-                if len(dq) == dq.maxlen:
-                    evicted = dq[0]
-                    self._sq_sums[name] -= evicted * evicted
-                dq.append(err)
-                self._sq_sums[name] += err * err
+                self._errors[name].append(value - pred)
             self._last_pred = {}
         for model in self._models.values():
             model.append(value)
         self._history.append(value)
         self._step += 1
         self._since_fit += 1
-        if self.metrics is not None:
-            # the incremental Σerr² makes the gauge O(pool) per step
-            # instead of O(pool·period); Eq. (14) arbitration still reads
-            # the deques directly, so selection numerics are untouched
-            for name in self.names:
-                dq = self._errors[name]
-                if not dq:
-                    continue
-                self.metrics.gauge(
-                    "sheriff_forecast_trailing_mse", model=name
-                ).set(max(self._sq_sums[name], 0.0) / len(dq))
         if self._since_fit >= self.refit_every:
             self._refit_all()
             self._since_fit = 0
@@ -469,7 +430,7 @@ def _bank_key(sel: DynamicModelSelector) -> Optional[tuple]:
     """What *sel* shares with every row of its bank; None keeps it scalar.
 
     Bankable is exactly a fitted :class:`DynamicModelSelector` in no bank,
-    with no metrics or enabled tracer, a bounded ``max_history`` (None and
+    with no enabled tracer, a bounded ``max_history`` (None and
     0 are unbounded, as in :func:`_window`; negative is refused at
     construction), no refit outstanding, a pool of bank kinds
     (:func:`_bank_kind`) and one series length over its live members.
@@ -478,7 +439,6 @@ def _bank_key(sel: DynamicModelSelector) -> Optional[tuple]:
         type(sel) is not DynamicModelSelector
         or sel._bank is not None  # another bank's row: its state is there
         or not sel._fitted
-        or sel.metrics is not None
         or sel.tracer.enabled
         or not sel.max_history
         or None in sel._kinds
@@ -499,7 +459,7 @@ class SelectorBank:
 
     * the Eq. (14) error windows, ``(rows, members, period)``, each
       right-aligned and oldest first as its deque holds it, with their
-      lengths and the running ``_sq_sums``;
+      lengths;
     * the last predictions and which members made one, ``_last_best``,
       ``_step`` and ``_since_fit``;
     * which members are live (a refit that raised drops its member until
@@ -526,7 +486,6 @@ class SelectorBank:
         shape = (rows, members)
         self.err = np.zeros((rows, members, self.period))
         self.cnt = np.zeros(shape, dtype=np.int64)
-        self.sq = np.zeros(shape)
         self.pred = np.zeros(shape)
         self.has_pred = np.zeros(shape, dtype=bool)
         self.alive = np.zeros(shape, dtype=bool)
@@ -555,7 +514,6 @@ class SelectorBank:
         state = vars(sel)
         models = state.pop("_models")
         errors = state.pop("_errors")
-        sq_sums = state.pop("_sq_sums")
         last_pred = state.pop("_last_pred")
         best = state.pop("_last_best")
         # a refit reads the last max_history samples: the members' series has them
@@ -565,7 +523,6 @@ class SelectorBank:
         names, period = self.names, self.period
         shells = [models.get(name) for name in names]
         self.cnt[row] = [len(errors[name]) for name in names]
-        self.sq[row] = [sq_sums[name] for name in names]
         self.pred[row] = [last_pred.get(name, 0.0) for name in names]
         self.has_pred[row] = [name in last_pred for name in names]
         self.best[row] = -1 if best is None else names.index(best)
@@ -652,7 +609,6 @@ class SelectorBank:
                 name: deque(self.err[row, m, period - cnt[m]:].tolist(), maxlen=period)
                 for m, name in enumerate(names)
             },
-            _sq_sums=dict(zip(names, self.sq[row].tolist())),
             _last_pred={name: pred for name, pred, has in preds if has},
             _last_best=None if best < 0 else names[best],
             _history=_Series(series, self.max_history),
@@ -682,8 +638,7 @@ class SelectorBank:
         """Apply every staged row's ``observe`` as one vectorized step.
 
         The steps are the scalar's, in its order: score each member's
-        prediction into its window and ``_sq_sums`` (evict, then add) and
-        consume it; advance the members; append to the series; count;
+        prediction into its window and consume it; advance the members; append to the series; count;
         then one refit wave over the rows now due.  A row whose every
         member failed to refit keeps its outgoing members and leaves the
         bank; the other rows are installed first, then the failure raises.
@@ -705,10 +660,6 @@ class SelectorBank:
         err = vals[:, None] - self.pred[at]
         window = self.err[at]
         cnt = self.cnt[at]
-        evicted = window[:, :, 0]
-        sq = self.sq[at]
-        sq = np.where(has & (cnt == period), sq - evicted * evicted, sq)
-        self.sq[at] = np.where(has, sq + err * err, sq)
         slid = np.concatenate((window[:, :, 1:], err[:, :, None]), axis=2)
         self.err[at] = slid if has.all() else np.where(has[:, :, None], slid, window)
         self.cnt[at] = np.where(has, np.minimum(cnt + 1, period), cnt)
@@ -875,7 +826,7 @@ def batch_predict_one(selectors: Sequence[DynamicModelSelector]) -> List[float]:
     read of another fleet builds its own (a selector left in an older bank
     comes back the first time it is touched).  Values and selector state
     are the scalar loop's, bit for bit; selectors outside a bank
-    (metrics, tracing, unbounded history, other pools) answer through their
+    (tracing, unbounded history, other pools) answer through their
     own :meth:`DynamicModelSelector.predict_one`.
     """
     sels = list(selectors)

@@ -55,16 +55,19 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["RoundReport", "RoundReports", "ShimManager"]
 
+#: β of Eq. (10): the share of the ToR capacity a ToR alert migrates.
+BETA = 0.1
+
 
 class ShimManager:
     """Alg. 1 bound to one delegation node.
 
     Parameters
     ----------
-    alpha, beta:
-        Capacity portions for switch-triggered rerouting and ToR-triggered
-        migration ("different portion of capacity for migration since it
-        is not necessary to migrate all VMs").
+    alpha:
+        Capacity portion for switch-triggered rerouting; ToR-triggered
+        migration takes :data:`BETA` ("different portion of capacity for
+        migration since it is not necessary to migrate all VMs").
     flow_table:
         Shared flow registry; optional — without it, outer-switch alerts
         are counted but produce no reroutes.
@@ -81,7 +84,6 @@ class ShimManager:
         rack: int,
         *,
         alpha: float = 0.1,
-        beta: float = 0.1,
         balance_weight: float = 50.0,
         flow_table: Optional[FlowTable] = None,
         tracer: Tracer = NULL_TRACER,
@@ -89,15 +91,12 @@ class ShimManager:
         profiler=NULL_PROFILER,
         slo_scorer=None,
     ) -> None:
-        if not (0.0 < alpha <= 1.0) or not (0.0 < beta <= 1.0):
-            raise ConfigurationError(
-                f"alpha/beta must be in (0, 1], got {alpha}/{beta}"
-            )
+        if not (0.0 < alpha <= 1.0):
+            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
         self.cluster = cluster
         self.cost_model = cost_model
         self.rack = rack
         self.alpha = alpha
-        self.beta = beta
         self.balance_weight = balance_weight
         self.flow_table = flow_table
         self.tracer = tracer
@@ -210,7 +209,7 @@ class ShimManager:
 
         if tor_alerted:
             cands = snapshot.candidates(snapshot.vms_in_rack(self.rack), vm_alerts)
-            budget = max(1, int(self.beta * self.cluster.tor_capacity(self.rack)))
+            budget = max(1, int(BETA * self.cluster.tor_capacity(self.rack)))
             chosen = self._priority(PriorityFactor.BETA, budget, cands)
             migrate_set.extend(c.vm_id for c in chosen)
 

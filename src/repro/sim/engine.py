@@ -60,7 +60,7 @@ from repro.migration.manager import RoundReports, ShimManager
 from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import NULL_PROFILER, Profiler
+from repro.obs.profiling import Profiler
 from repro.service.bus import EventBus
 from repro.service.events import RoundClosed, RoundOpened
 from repro.service.round import ROUND_STAGES, RoundState
@@ -130,12 +130,9 @@ class SheriffSimulation:
         self.metrics: MetricsRegistry = (
             cfg.metrics if cfg.metrics is not None else MetricsRegistry()
         )
-        if cfg.profiler is not None:
-            self.profiler = cfg.profiler
-        else:
-            self.profiler = Profiler() if cfg.profile else NULL_PROFILER
+        self.profiler = cfg.profiler if cfg.profiler is not None else Profiler()
         self.cluster = cluster
-        self.cost_model = CostModel(cluster, cfg.cost_params)
+        self.cost_model = CostModel(cluster)
         self.inflight: Optional[InFlightTracker] = None
         if cfg.migration_timing is not None:
             # live-migration windows: accepted moves reserve the destination
@@ -187,7 +184,6 @@ class SheriffSimulation:
                 self.cost_model,
                 r,
                 alpha=cfg.alpha,
-                beta=cfg.beta,
                 balance_weight=cfg.balance_weight,
                 flow_table=self.flow_table,
                 tracer=self.tracer,

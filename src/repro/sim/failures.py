@@ -15,15 +15,14 @@ claim can actually be exercised: when a switch dies,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.costs.model import CostModel, CostParams
+from repro.costs.model import CostModel
 from repro.errors import TopologyError
 from repro.migration.reroute import FlowTable, flow_reroute
-from repro.topology.base import Topology
 
 __all__ = ["FailureReport", "FailureInjector"]
 
@@ -48,8 +47,8 @@ class FailureInjector:
         The cluster whose fabric suffers the failures.
     flow_table:
         Optional shared flow registry to repair on failure.
-    cost_params:
-        Parameters for rebuilding the cost model.
+
+    A rebuilt cost model keeps the paper's :class:`CostParams`.
     """
 
     def __init__(
@@ -57,11 +56,9 @@ class FailureInjector:
         cluster: Cluster,
         *,
         flow_table: Optional[FlowTable] = None,
-        cost_params: Optional[CostParams] = None,
     ) -> None:
         self.cluster = cluster
         self.flow_table = flow_table
-        self.cost_params = cost_params or CostParams()
         self.failed: Set[int] = set()
         # (vm, src_rack, dst_rack, rate) of flows dropped for want of a
         # path; re-admission candidates for recover()
@@ -185,6 +182,5 @@ class FailureInjector:
             )
         return CostModel(
             self.cluster,
-            self.cost_params,
             available_bandwidth=self.available_bandwidth(),
         )

@@ -14,7 +14,7 @@ wrapper runs them *together*, the way a real deployment would:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -110,9 +110,7 @@ class FullStackSimulation:
             touches = (lt.u == rack) | (lt.v == rack)
             uplink = float(lt.capacity[touches].sum())
             queue = SwitchQueue(service_rate=max(uplink, 1e-6), buffer_size=10.0 * max(uplink, 1e-6))
-            self.tor_monitors[rack] = ToRUplinkMonitor(
-                queue, tor_queue_threshold
-            )
+            self.tor_monitors[rack] = ToRUplinkMonitor(queue, tor_queue_threshold)
         self.history: List[FullStackRound] = []
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -34,13 +34,35 @@ __all__ = ["MigrationTiming", "InFlightTracker", "TimedReceiverRegistry"]
 
 @dataclass(frozen=True)
 class MigrationTiming:
-    """How VM size maps to migration duration (see :mod:`repro.costs.precopy`)."""
+    """How VM size maps to migration duration (see :mod:`repro.costs.precopy`).
+
+    Every field is finite; all but ``dirty_fraction`` are positive, and
+    ``dirty_fraction`` is non-negative.  A ``dirty_fraction`` of 1 or more
+    is legal: that pre-copy cannot converge, which :meth:`rounds_for`
+    reports as a :class:`~repro.errors.MigrationError`.
+    """
 
     mem_per_capacity_mb: float = 128.0
     dirty_fraction: float = 0.08
     bandwidth_mbps: float = 125.0
     round_seconds: float = 60.0
     downtime_target: float = 0.06
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigurationError(
+                    f"MigrationTiming.{f.name} must be a finite number, got {value!r}"
+                )
+            if f.name == "dirty_fraction" and value < 0:
+                raise ConfigurationError(
+                    f"MigrationTiming.dirty_fraction must be >= 0, got {value!r}"
+                )
+            if f.name != "dirty_fraction" and value <= 0:
+                raise ConfigurationError(
+                    f"MigrationTiming.{f.name} must be > 0, got {value!r}"
+                )
 
     @functools.lru_cache(maxsize=None)
     def rounds_for(self, capacity: int) -> Tuple[int, MigrationTimeline]:

@@ -10,11 +10,7 @@ shortest-path kernels used by the migration cost model.
 from repro.topology.base import LinkTable, NodeKind, Topology
 from repro.topology.fattree import build_fattree
 from repro.topology.bcube import build_bcube
-from repro.topology.shortest_paths import (
-    floyd_warshall,
-    floyd_warshall_with_paths,
-    reconstruct_path,
-)
+from repro.topology.shortest_paths import floyd_warshall
 from repro.topology.validate import validate_topology
 from repro.topology.custom import from_edge_list, from_networkx
 from repro.topology.routing import ecmp_path, equal_cost_paths, path_diversity
@@ -26,8 +22,6 @@ __all__ = [
     "build_fattree",
     "build_bcube",
     "floyd_warshall",
-    "floyd_warshall_with_paths",
-    "reconstruct_path",
     "validate_topology",
     "from_edge_list",
     "from_networkx",

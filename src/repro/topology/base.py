@@ -13,9 +13,9 @@ copies" discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,14 +169,6 @@ class Topology:
         if self._links is None:
             self._links = LinkTable.from_lists(self._u, self._v, self._cap, self._dist)
         return self._links
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Edge id of link ``(u, v)``; raises :class:`TopologyError` if absent."""
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_index[key]
-        except KeyError:
-            raise TopologyError(f"no link between nodes {u} and {v}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)

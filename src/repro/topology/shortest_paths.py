@@ -12,13 +12,11 @@ in place).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
 
 from repro.errors import TopologyError
 
-__all__ = ["floyd_warshall", "floyd_warshall_with_paths", "reconstruct_path"]
+__all__ = ["floyd_warshall"]
 
 
 def floyd_warshall(weights: np.ndarray) -> np.ndarray:
@@ -41,57 +39,6 @@ def floyd_warshall(weights: np.ndarray) -> np.ndarray:
         # d[i, j] = min(d[i, j], d[i, k] + d[k, j]) for all i, j at once.
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return d
-
-
-def floyd_warshall_with_paths(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Shortest path distances plus a successor matrix for path recovery.
-
-    Returns ``(dist, nxt)`` where ``nxt[i, j]`` is the node after ``i`` on a
-    shortest ``i -> j`` path, or ``-1`` when ``j`` is unreachable from ``i``.
-    """
-    d = _check_and_copy(weights)
-    n = d.shape[0]
-    nxt = np.full((n, n), -1, dtype=np.int64)
-    finite = np.isfinite(weights) & ~np.eye(n, dtype=bool)
-    # direct edges: successor of i towards j is j itself
-    cols = np.arange(n)
-    for i in range(n):
-        nxt[i, finite[i]] = cols[finite[i]]
-    np.fill_diagonal(nxt, cols)
-    for k in range(n):
-        alt = d[:, k, None] + d[None, k, :]
-        better = alt < d
-        if better.any():
-            d[better] = alt[better]
-            # route through k: successor towards j becomes successor towards k
-            rows = np.nonzero(better.any(axis=1))[0]
-            for i in rows:
-                nxt[i, better[i]] = nxt[i, k]
-    return d, nxt
-
-
-def reconstruct_path(nxt: np.ndarray, src: int, dst: int) -> list[int]:
-    """Recover the node sequence of a shortest path from the successor matrix.
-
-    Returns ``[src, ..., dst]``; raises :class:`TopologyError` when *dst* is
-    unreachable from *src*.
-    """
-    n = nxt.shape[0]
-    if not (0 <= src < n and 0 <= dst < n):
-        raise TopologyError(f"path endpoints ({src}, {dst}) out of range 0..{n - 1}")
-    if src == dst:
-        return [src]
-    if nxt[src, dst] < 0:
-        raise TopologyError(f"node {dst} unreachable from {src}")
-    path = [src]
-    cur = src
-    # a simple path visits at most n nodes; guard against corrupt matrices
-    for _ in range(n):
-        cur = int(nxt[cur, dst])
-        path.append(cur)
-        if cur == dst:
-            return path
-    raise TopologyError("successor matrix contains a cycle")
 
 
 def _check_and_copy(weights: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.alerts import monitor
 from repro.alerts.monitor import VMMonitor, default_model_pool, light_model_pool
 from repro.alerts.threshold import AlertConfig
 from repro.cluster.resources import NUM_RESOURCES, ResourceKind
@@ -112,12 +113,9 @@ class TestPools:
         for factory in pool.values():
             factory()  # constructible
 
-    def test_monitor_with_default_pool(self):
+    def test_monitor_with_default_pool(self, monkeypatch):
+        monkeypatch.setattr(monitor, "light_model_pool", default_model_pool)
+        monkeypatch.setattr(monitor, "REFIT_EVERY", 1000)
         ws = WorkloadStream.generate(120, seed=4)
-        mon = VMMonitor(
-            ws.history(99, 100),
-            AlertConfig(),
-            pool_factory=default_model_pool,
-            refit_every=1000,
-        )
+        mon = VMMonitor(ws.history(99, 100), AlertConfig())
         assert mon.predicted_profile().shape == (NUM_RESOURCES,)

@@ -2,26 +2,18 @@
 
 import numpy as np
 
-from repro.alerts.monitor import (
-    default_model_pool,
-    light_model_pool,
-    seasonal_model_pool,
-)
+from repro.alerts.monitor import default_model_pool, light_model_pool
 from repro.traces import weekly_traffic_trace
 
 
-class TestSeasonalPool:
+class TestPools:
     def test_members_constructible_and_fittable(self):
-        pool = seasonal_model_pool(period=144)
         y = weekly_traffic_trace(seed=1)[:500]
-        for name, factory in pool.items():
-            m = factory()
-            m.fit(y)
-            assert np.isfinite(m.forecast(3)).all(), name
-
-    def test_contains_seasonal_member(self):
-        pool = seasonal_model_pool(period=96)
-        assert any("sarima" in name for name in pool)
+        for pool in (default_model_pool(), light_model_pool()):
+            for name, factory in pool.items():
+                m = factory()
+                m.fit(y)
+                assert np.isfinite(m.forecast(3)).all(), name
 
     def test_pools_are_fresh_each_call(self):
         a = light_model_pool()

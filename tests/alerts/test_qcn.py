@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.alerts import qcn
 from repro.alerts.qcn import SwitchQueue, ToRUplinkMonitor
 from repro.errors import ConfigurationError
 
@@ -72,16 +73,17 @@ class TestToRUplinkMonitor:
 
     def test_predicts_rising_queue(self):
         q = SwitchQueue(service_rate=5.0, buffer_size=100.0)
-        mon = ToRUplinkMonitor(q, threshold=0.5, min_history=16)
+        mon = ToRUplinkMonitor(q, threshold=0.5)
         # steady overload: queue rises ~3 units/round
         for _ in range(30):
             mon.record(8.0)
         pred = mon.predicted_occupancy()
         assert pred >= q.normalized - 0.02  # anticipates continued growth
 
-    def test_alert_fires_above_threshold(self):
+    def test_alert_fires_above_threshold(self, monkeypatch):
+        monkeypatch.setattr(qcn, "MIN_HISTORY", 10)
         q = SwitchQueue(service_rate=1.0, buffer_size=50.0)
-        mon = ToRUplinkMonitor(q, threshold=0.6, min_history=10)
+        mon = ToRUplinkMonitor(q, threshold=0.6)
         fired = False
         for _ in range(60):
             mon.record(3.0)
@@ -90,9 +92,10 @@ class TestToRUplinkMonitor:
                 break
         assert fired
 
-    def test_quiet_uplink_never_alerts(self):
+    def test_quiet_uplink_never_alerts(self, monkeypatch):
+        monkeypatch.setattr(qcn, "MIN_HISTORY", 10)
         q = SwitchQueue(service_rate=10.0, buffer_size=100.0)
-        mon = ToRUplinkMonitor(q, threshold=0.8, min_history=10)
+        mon = ToRUplinkMonitor(q, threshold=0.8)
         for _ in range(40):
             mon.record(2.0)
             assert mon.alert_value() == 0.0
@@ -101,5 +104,3 @@ class TestToRUplinkMonitor:
         q = SwitchQueue(service_rate=1.0, buffer_size=10.0)
         with pytest.raises(ConfigurationError):
             ToRUplinkMonitor(q, threshold=0.0)
-        with pytest.raises(ConfigurationError):
-            ToRUplinkMonitor(q, threshold=0.5, min_history=2)

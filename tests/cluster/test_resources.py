@@ -1,49 +1,12 @@
-"""Workload profile and normalization tests."""
+"""Workload profile tests."""
 
-import numpy as np
 import pytest
 
-from repro.cluster.resources import (
-    NUM_RESOURCES,
-    ResourceKind,
-    WorkloadProfile,
-    normalize_profile,
-)
+from repro.cluster.resources import NUM_RESOURCES, ResourceKind, WorkloadProfile
 from repro.errors import ConfigurationError
 
 
-class TestNormalize:
-    def test_basic(self):
-        raw = np.array([50.0, 8.0, 100.0, 500.0])
-        maxima = [100.0, 16.0, 400.0, 1000.0]
-        out = normalize_profile(raw, maxima)
-        np.testing.assert_allclose(out, [0.5, 0.5, 0.25, 0.5])
-
-    def test_clips_above_full_scale(self):
-        out = normalize_profile(np.array([150.0, 0, 0, 0]), [100.0, 1, 1, 1])
-        assert out[0] == 1.0
-
-    def test_batched(self):
-        raw = np.ones((5, 3, NUM_RESOURCES)) * 50
-        out = normalize_profile(raw, [100.0] * NUM_RESOURCES)
-        assert out.shape == raw.shape
-        assert (out == 0.5).all()
-
-    def test_rejects_wrong_width(self):
-        with pytest.raises(ConfigurationError):
-            normalize_profile(np.ones(3), [1.0] * NUM_RESOURCES)
-
-    def test_rejects_zero_maxima(self):
-        with pytest.raises(ConfigurationError):
-            normalize_profile(np.ones(4), [1.0, 0.0, 1.0, 1.0])
-
-
 class TestWorkloadProfile:
-    def test_roundtrip(self):
-        w = WorkloadProfile(0.1, 0.2, 0.3, 0.4)
-        np.testing.assert_array_equal(w.as_array(), [0.1, 0.2, 0.3, 0.4])
-        assert WorkloadProfile.from_array(w.as_array()) == w
-
     def test_max_component(self):
         assert WorkloadProfile(0.1, 0.9, 0.3, 0.4).max_component() == 0.9
 
@@ -57,10 +20,6 @@ class TestWorkloadProfile:
             WorkloadProfile(1.5, 0, 0, 0)
         with pytest.raises(ConfigurationError):
             WorkloadProfile(-0.1, 0, 0, 0)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ConfigurationError):
-            WorkloadProfile.from_array([0.1, 0.2])
 
     def test_resource_kind_order_matches_names(self):
         assert ResourceKind.CPU == 0

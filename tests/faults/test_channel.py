@@ -44,11 +44,7 @@ class TestPolicy:
         with pytest.raises(ConfigurationError):
             ChannelPolicy(loss_probability=1.0)
         with pytest.raises(ConfigurationError):
-            ChannelPolicy(timeout_s=0.0)
-        with pytest.raises(ConfigurationError):
             ChannelPolicy(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            ChannelPolicy(backoff_factor=0.5)
 
 
 class TestLosslessPassthrough:
@@ -58,7 +54,6 @@ class TestLosslessPassthrough:
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.ACK
         assert ch.retries == 0 and ch.timeouts == 0
-        assert ch.simulated_wait_s == 0.0
         assert reg.pending == 1
 
 
@@ -79,7 +74,6 @@ class TestLossAndRetry:
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.ACK
         assert ch.retries == 1
-        assert ch.simulated_wait_s == pytest.approx(0.5)
         assert reg.pending == 1
 
     def test_lost_ack_redelivery_is_idempotent(self, cluster):
@@ -126,15 +120,9 @@ class TestLossAndRetry:
 class TestDownRack:
     def test_down_rack_times_out_into_reject(self, cluster):
         reg = ReceiverRegistry(cluster)
-        pol = ChannelPolicy(
-            loss_probability=0.0, timeout_s=0.5, max_retries=3,
-            backoff_factor=2.0,
-        )
+        pol = ChannelPolicy(loss_probability=0.0, max_retries=3)
         ch = UnreliableChannel(reg, pol, is_rack_down=lambda rack: True)
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.REJECT
-        assert ch.timeouts == 1
+        assert ch.timeouts == 1 and ch.retries == 3  # every retry spent
         assert reg.pending == 0  # the receiver never saw the request
-        # full backoff ladder simulated, never slept:
-        # 0.5 + 1.0 + 2.0 + 4.0
-        assert ch.simulated_wait_s == pytest.approx(7.5)

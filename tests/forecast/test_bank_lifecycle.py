@@ -11,6 +11,7 @@ taken back from its bank with a scalar twin, bit for bit.
 import numpy as np
 import pytest
 
+from repro.alerts import monitor
 from repro.alerts.monitor import (
     VMMonitor,
     default_model_pool,
@@ -24,7 +25,6 @@ from repro.forecast.arima import ARIMA
 from repro.forecast.naive import NaiveLast
 from repro.forecast.narnet import NARNET
 from repro.forecast.selection import DynamicModelSelector, SelectorBank, batch_predict_one
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RecordingTracer
 
 from tests.property.test_selector_bank import assert_twins
@@ -35,13 +35,16 @@ PLAIN = AlertConfig(threshold=0.6)
 def _monitors(configs, seed=0, pools=None):
     rng = np.random.default_rng(seed)
     monitors, rows = [], []
-    for config, pool in zip(configs, pools or [light_model_pool] * len(configs)):
-        level = rng.uniform(0.3, 0.8)
-        series = np.clip(level + 0.05 * rng.standard_normal((60, 4)), 0.0, 1.0)
-        monitors.append(VMMonitor(
-            series[:28], config, pool_factory=pool, period=4, refit_every=5, max_history=30
-        ))
-        rows.append(series[28:])
+    with pytest.MonkeyPatch.context() as mp:  # fast refits, short memory
+        mp.setattr(monitor, "PERIOD", 4)
+        mp.setattr(monitor, "REFIT_EVERY", 5)
+        mp.setattr(monitor, "MAX_HISTORY", 30)
+        for config, pool in zip(configs, pools or [light_model_pool] * len(configs)):
+            mp.setattr(monitor, "light_model_pool", pool)
+            level = rng.uniform(0.3, 0.8)
+            series = np.clip(level + 0.05 * rng.standard_normal((60, 4)), 0.0, 1.0)
+            monitors.append(VMMonitor(series[:28], config))
+            rows.append(series[28:])
     return monitors, rows
 
 
@@ -174,7 +177,6 @@ class TestWhoJoins:
         [
             {"max_history": None},
             {"max_history": 0, "refit_every": 40},  # 0 is unbounded too
-            {"metrics": MetricsRegistry()},
             {"tracer": RecordingTracer()},
         ],
     )

@@ -40,7 +40,7 @@ class TestDiagnose:
     def test_white_noise_passes_everything(self):
         e = white_noise(2000, seed=3)
         d = diagnose(e)
-        assert d.white and d.unbiased and d.normal and d.homoskedastic
+        assert d.white and d.unbiased and d.normal and d.arch_p > d.alpha
         assert d.adequate
 
     def test_correlated_residuals_fail_whiteness(self):
@@ -62,7 +62,7 @@ class TestDiagnose:
         sigma = np.exp(ar1_noise(n, phi=0.97, sigma=0.3, seed=7))
         e = rng.normal(size=n) * sigma
         d = diagnose(e)
-        assert not d.homoskedastic
+        assert d.arch_p <= d.alpha
         # heteroskedasticity alone does not veto adequacy
         if d.white and d.unbiased:
             assert d.adequate

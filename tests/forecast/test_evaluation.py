@@ -43,9 +43,7 @@ class TestBacktest:
 
     def test_refit_and_history_window(self):
         y = weekly_traffic_trace(seed=1)[:500]
-        res = backtest(
-            lambda: ARIMA(1, 1, 1), y, 400, refit_every=20, max_history=200
-        )
+        res = backtest(lambda: ARIMA(1, 1, 1), y, 400, refit_every=20)
         assert np.isfinite(res.mse)
 
     def test_validation(self):

@@ -7,6 +7,7 @@ from repro.alerts.alert import Alert, AlertKind
 from repro.cluster import build_cluster
 from repro.costs.model import CostModel
 from repro.errors import ConfigurationError
+from repro.migration import manager
 from repro.migration.manager import ShimManager
 from repro.migration.request import ReceiverRegistry
 from repro.migration.reroute import FlowTable
@@ -74,10 +75,11 @@ class TestServerAlerts:
 
 
 class TestToRAlerts:
-    def test_beta_selection_over_whole_rack(self, env):
+    def test_beta_selection_over_whole_rack(self, env, monkeypatch):
+        monkeypatch.setattr(manager, "BETA", 0.2)
         cluster, cm, reg = env
         pl = cluster.placement
-        mgr = ShimManager(cluster, cm, 1, beta=0.2)
+        mgr = ShimManager(cluster, cm, 1)
         alert = Alert(kind=AlertKind.LOCAL_TOR, rack=1, magnitude=0.95)
         vm_alerts = {int(v): 0.92 for v in pl.vms_in_rack(1)}
         report = mgr.process_round([alert], vm_alerts, reg)
@@ -96,7 +98,7 @@ class TestToRAlerts:
         vm_alerts = {int(v): 0.92 for v in pl.vms_in_rack(1)}
         r = mgr.process_round(alerts, vm_alerts, reg)
         # aggregated once, not per alert: selection within a single budget
-        budget = int(mgr.beta * cluster.tor_capacity(1))
+        budget = int(manager.BETA * cluster.tor_capacity(1))
         moved_cap = sum(int(pl.vm_capacity[v]) for v in r.selected_for_migration)
         assert moved_cap <= budget
 
@@ -172,5 +174,3 @@ class TestValidation:
         cluster, cm, _ = env
         with pytest.raises(ConfigurationError):
             ShimManager(cluster, cm, 0, alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            ShimManager(cluster, cm, 0, beta=1.5)

@@ -57,12 +57,12 @@ class TestGauge:
         g = MetricsRegistry().gauge("g")
         g.set(10)
         g.inc(2)
-        g.dec(5)
+        g.inc(-5)  # a gauge goes down through a negative increment
         assert g.value == 7.0
 
     def test_can_go_negative(self):
         g = MetricsRegistry().gauge("g")
-        g.dec(3)
+        g.inc(-3)
         assert g.value == -3.0
 
 

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.alerts.alert import Alert, AlertKind, compute_alert, compute_alerts
+from repro.alerts import monitor
 from repro.alerts.monitor import VMMonitor, fleet_alert_values
 from repro.alerts.threshold import AlertConfig
 from repro.cluster import Cluster, ShimView, build_cluster
@@ -209,13 +210,16 @@ _MIXED_CONFIGS = [
 def _mixed_monitors(seed):
     rng = np.random.default_rng(seed)
     monitors = []
-    for config in _MIXED_CONFIGS + _MIXED_CONFIGS[:2]:
-        history = np.clip(
-            rng.uniform(0.3, 0.8) + 0.05 * rng.standard_normal((30, 4)), 0.0, 1.0
-        )
-        monitors.append(VMMonitor(history, config, period=4, refit_every=5))
+    with pytest.MonkeyPatch.context() as mp:  # fast refits
+        mp.setattr(monitor, "PERIOD", 4)
+        mp.setattr(monitor, "REFIT_EVERY", 5)
+        for config in _MIXED_CONFIGS + _MIXED_CONFIGS[:2]:
+            history = np.clip(
+                rng.uniform(0.3, 0.8) + 0.05 * rng.standard_normal((30, 4)), 0.0, 1.0
+            )
+            monitors.append(VMMonitor(history, config))
     # pokes before the first fleet read, so before any selector is banked
-    monitors[-2]._selectors[1].metrics = MetricsRegistry()  # answers scalar
+    monitors[-2]._selectors[1].tracer = RecordingTracer()  # answers scalar
     del monitors[-1]._selectors[2]._models["naive"]  # a member dropped at refit
     del monitors[0]._selectors[3]._models["naive"]  # ... and one in the bank
     return monitors
@@ -224,7 +228,7 @@ def _mixed_monitors(seed):
 @common
 @given(st.integers(0, 10**6), st.integers(2, 7))
 def test_fleet_alert_values_mixed_fleet_bitwise(seed, n_rounds):
-    """Horizons 1 and 2, a selector with metrics inside a one-step monitor
+    """Horizons 1 and 2, a traced selector inside a one-step monitor
     and dropped members: values, round after round (refits included), and
     the ``_last_pred`` side effects of the last read are the scalar loop's."""
     try:

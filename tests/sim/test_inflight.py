@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.config import SheriffConfig
-from repro.errors import MigrationError
+from repro.errors import ConfigurationError, MigrationError
 from repro.sim import MigrationTiming, SheriffSimulation, inject_fraction_alerts
 from repro.sim.inflight import InFlightTracker
 from repro.topology import build_fattree
@@ -37,6 +37,31 @@ class TestMigrationTiming:
         rounds, tl = timing.rounds_for(20)
         assert rounds == 1
         assert tl.downtime <= 0.06 + 1e-9
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("round_seconds", 0.0),
+            ("round_seconds", -60.0),
+            ("mem_per_capacity_mb", 0.0),
+            ("bandwidth_mbps", -1.0),
+            ("downtime_target", 0.0),
+            ("dirty_fraction", -0.01),
+            ("round_seconds", float("nan")),
+            ("dirty_fraction", float("inf")),
+        ],
+    )
+    def test_bad_field_is_refused_by_name(self, field, value):
+        # refused at construction, not mid-run: a zero round length divides
+        # by zero inside a commit, and a negative one lands every migration
+        # in one round
+        with pytest.raises(ConfigurationError, match=f"MigrationTiming.{field}"):
+            MigrationTiming(**{field: value})
+
+    def test_non_converging_dirty_fraction_stays_a_migration_error(self):
+        timing = MigrationTiming(dirty_fraction=1.5)
+        with pytest.raises(MigrationError):
+            timing.rounds_for(4)
 
 
 class TestTracker:

@@ -122,6 +122,10 @@ class TestForecastRound:
 
         from tests.property.test_parallel_properties import summary_fields
 
+        monkeypatch.setattr("repro.alerts.monitor.PERIOD", 5)
+        monkeypatch.setattr("repro.alerts.monitor.REFIT_EVERY", 7)
+        monkeypatch.setattr("repro.alerts.monitor.MAX_HISTORY", 30)
+
         def run(batched):
             cluster = build_cluster(
                 build_fattree(4), hosts_per_rack=4, fill_fraction=0.5, seed=2015,
@@ -139,9 +143,7 @@ class TestForecastRound:
                     0.0,
                     1.0,
                 )
-                monitors[v] = VMMonitor(
-                    series[:28], config, period=5, refit_every=7, max_history=30
-                )
+                monitors[v] = VMMonitor(series[:28], config)
                 for row in series[28 : 28 + i % 7]:  # refits spread over rounds
                     monitors[v].observe(row)
                 future[v] = series[28 + i % 7 :]

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.config import SheriffConfig
-from repro.costs.model import CostParams
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.inflight import MigrationTiming
@@ -19,22 +18,16 @@ class TestRoundTrip:
     def test_scalars_round_trip_through_json(self):
         cfg = SheriffConfig(
             alpha=0.2,
-            beta=0.3,
             balance_weight=12.5,
             migration_cooldown=5,
             with_flows=True,
-            profile=False,
         )
         wire = json.dumps(cfg.to_dict(), sort_keys=True)
         assert SheriffConfig.from_dict(json.loads(wire)) == cfg
 
     def test_nested_dataclasses_round_trip(self):
-        cfg = SheriffConfig(
-            cost_params=CostParams(),
-            migration_timing=MigrationTiming(),
-        )
+        cfg = SheriffConfig(migration_timing=MigrationTiming(round_seconds=30.0))
         back = SheriffConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert back.cost_params == cfg.cost_params
         assert back.migration_timing == cfg.migration_timing
 
     def test_unknown_key_rejected(self):
@@ -68,6 +61,9 @@ class TestRoundTrip:
             ("cache_cost_kernels", False, "cache is always on"),
             ("slo_round_minutes", 5.0, "one minute"),
             ("slo_damage_weight", 2.0, "weight 1"),
+            ("cost_params", {"delta": 2.0}, "paper's CostParams()"),
+            ("beta", 0.3, "portion is 0.1"),
+            ("profile", False, "records its section timings"),
         ],
     )
     def test_removed_fixed_value_keys_fail_with_their_own_reason(
@@ -93,8 +89,21 @@ class TestRoundTrip:
             SheriffConfig.from_dict([1, 2])
 
     def test_bad_nested_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="cost_params"):
-            SheriffConfig.from_dict({"cost_params": {"warp_factor": 9}})
+        with pytest.raises(ConfigurationError, match="migration_timing"):
+            SheriffConfig.from_dict({"migration_timing": {"warp_factor": 9}})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("round_seconds", -60.0),
+            ("round_seconds", 0),
+            ("bandwidth_mbps", float("inf")),
+            ("dirty_fraction", -0.1),
+        ],
+    )
+    def test_bad_migration_timing_value_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"MigrationTiming.{field}"):
+            SheriffConfig.from_dict({"migration_timing": {field: value}})
 
     def test_runtime_handles_refuse_to_serialize(self):
         cfg = SheriffConfig(metrics=MetricsRegistry())

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import (
-    build_fattree,
-    floyd_warshall,
-    floyd_warshall_with_paths,
-    reconstruct_path,
-)
+from repro.topology import build_fattree, floyd_warshall
 
 
 def random_weighted_graph(rng, n=12, p=0.4):
@@ -76,41 +71,6 @@ class TestFloydWarshall:
         w = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(TopologyError):
             floyd_warshall(w)
-
-
-class TestPathReconstruction:
-    def test_paths_have_matching_length(self, rng):
-        w = random_weighted_graph(rng, n=10, p=0.5)
-        d, nxt = floyd_warshall_with_paths(w)
-        n = w.shape[0]
-        for i in range(n):
-            for j in range(n):
-                if i == j or np.isinf(d[i, j]):
-                    continue
-                path = reconstruct_path(nxt, i, j)
-                assert path[0] == i and path[-1] == j
-                total = sum(w[a, b] for a, b in zip(path, path[1:]))
-                assert total == pytest.approx(d[i, j])
-
-    def test_trivial_path(self):
-        w = np.zeros((1, 1))
-        _, nxt = floyd_warshall_with_paths(w)
-        assert reconstruct_path(nxt, 0, 0) == [0]
-
-    def test_unreachable_raises(self):
-        w = np.full((3, 3), np.inf)
-        np.fill_diagonal(w, 0.0)
-        w[0, 1] = w[1, 0] = 1.0
-        _, nxt = floyd_warshall_with_paths(w)
-        with pytest.raises(TopologyError):
-            reconstruct_path(nxt, 0, 2)
-
-    def test_out_of_range_raises(self):
-        w = np.zeros((2, 2))
-        w[0, 1] = w[1, 0] = 1.0
-        _, nxt = floyd_warshall_with_paths(w)
-        with pytest.raises(TopologyError):
-            reconstruct_path(nxt, 0, 5)
 
 
 class TestOnFabric:
