@@ -66,7 +66,7 @@ class VMMonitor:
     ----------
     history:
         ``(t0, NUM_RESOURCES)`` normalized profile history used for the
-        initial fit; must cover at least ``min_history`` rows.
+        initial fit; must have at least 16 rows.
     config:
         Thresholds and horizon.
 

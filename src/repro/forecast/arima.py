@@ -9,10 +9,14 @@ Estimation minimizes the conditional sum of squared innovations (CSS):
 residuals are produced by one vectorized AR term plus a single
 ``scipy.signal.lfilter`` pass for the MA inversion — no per-sample Python
 loop, per the HPC guide.  With ``q = 0`` the objective is linear least
-squares in ``(c, φ)`` and is solved exactly (:func:`_ar_least_squares`);
-with ``q >= 1``, or when the exact solution is rank deficient or sits on
-the stationarity wall, L-BFGS-B minimizes it, and stationarity and
-invertibility are kept by a sloped wall added to the CSS objective.
+squares in ``(c, φ)`` and is solved exactly (:func:`_ar_least_squares`).
+For one lag a slope at or past the stationarity wall ``1/_ROOT_MARGIN``
+is solved exactly too: the objective is a convex quadratic, so the
+walled minimum is the feasible edge :data:`AR1_EDGE` with ``c`` re-solved
+for it.  With ``q >= 1``, or when the exact solution is rank deficient,
+not finite, or (``p >= 2``) on the wall, L-BFGS-B minimizes it, and
+stationarity and invertibility are kept by a sloped wall added to the
+CSS objective.
 
 Forecasting follows the paper's Sec. IV-B exactly: minimum-MSE one-step
 prediction, k-step values computed "recursively using the one-step-ahead
@@ -23,19 +27,23 @@ value as the historical data", then integrated back to the level scale
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import copysign, isfinite
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import optimize, signal
 
 from repro.errors import ConfigurationError, ConvergenceError, ForecastError
-from repro.forecast.base import Forecaster
+from repro.forecast.base import Forecaster, _Series
 from repro.forecast.lag import difference, difference_heads, undifference
 
 __all__ = ["ARIMA"]
 
 _ROOT_PENALTY = 1e4
 _ROOT_MARGIN = 1.001
+AR1_EDGE = float(np.nextafter(1.0 / _ROOT_MARGIN, 0.0))
+"""The feasible AR(1) coefficient nearest the wall: the largest |φ| below
+``1/_ROOT_MARGIN``."""
 # singular values of the lag design below this fraction of the largest
 # count as zero: such a fit is left to the iterative path
 _RANK_RCOND = 1e-6
@@ -231,10 +239,14 @@ class ARIMA(Forecaster):
         """Estimate by CSS.
 
         A pure-AR model (``q == 0``, ``p >= 1``) takes the exact
-        least-squares minimiser whenever the lag design has full rank and
-        the solution lies strictly inside the stationarity wall.
-        Everything else — ``q >= 1``, and the pure-AR boundary cases — is
-        minimised by L-BFGS-B from the Hannan–Rissanen initialization.
+        least-squares minimiser whenever the lag design has full rank, the
+        SSE is finite and the solution lies strictly inside the
+        stationarity wall.  With one lag, a finite slope at or past the
+        wall takes the feasible edge ``±AR1_EDGE`` and the ``c`` that
+        minimises the CSS for it: the exact walled minimum.  Everything
+        else — ``q >= 1``, a rank-deficient lag design, a non-finite slope
+        or SSE, ``p >= 2`` on the wall — is minimised by L-BFGS-B from the
+        Hannan–Rissanen initialization.
         """
         arr = self._check_series(y, self._min_samples())
         w = difference(arr, self.d)
@@ -249,7 +261,7 @@ class ARIMA(Forecaster):
             c, phi, theta, e = solved or self._minimize_css(w)
             sigma2 = float(np.dot(e, e) / max(e.shape[0], 1))
         self._install(
-            arr, c, phi, theta, sigma2,
+            _Series(arr), c, phi, theta, sigma2,
             [float(x) for x in w[-self.p :]] if self.p else [],
             [float(x) for x in e[-self.q :]] if self.q else [],
             # level j's last value depends on the last j + 1 samples only
@@ -259,7 +271,7 @@ class ARIMA(Forecaster):
 
     def _install(
         self,
-        y: np.ndarray,
+        series: _Series,
         c: float,
         phi: np.ndarray,
         theta: np.ndarray,
@@ -276,12 +288,13 @@ class ARIMA(Forecaster):
         and the integration heads.  :meth:`append` advances it
         incrementally, so each monitor tick is O(1) in the history length
         instead of a re-filter of the whole series (the fleet-scale hot
-        path).  The caller hands over lists and arrays of its own: *heads*
-        and the tails are updated in place by :meth:`append`.
+        path).  The caller hands over a series, lists and arrays of its
+        own: *series*, *heads* and the tails are updated in place by
+        :meth:`append`.
         """
         self.const_, self.phi_, self.theta_ = c, phi, theta
         self.sigma2_ = sigma2
-        self.y_ = y
+        self._series = series
         self._w_tail = w_tail
         self._e_tail = e_tail
         self._heads = heads
@@ -290,15 +303,24 @@ class ARIMA(Forecaster):
     def _solve_pure_ar(
         self, w: np.ndarray
     ) -> Optional[Tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-        """``(c, φ, θ, e)`` of the exact minimiser, when it can be accepted:
-        full-rank design, finite SSE, largest inverse root strictly inside
-        the wall the iterative objective enforces."""
+        """``(c, φ, θ, e)`` of the exact walled minimiser, when it can be
+        accepted: full-rank design, finite SSE, and the largest inverse
+        root strictly inside the wall the iterative objective enforces —
+        for ``p == 1`` after moving a finite slope past it to the edge."""
         solved = _ar_least_squares(w, self.p, self.include_constant)
         if solved is None:
             return None
         c, phi = solved
         if not _max_inverse_root(phi, "ar") < 1.0 / _ROOT_MARGIN:
-            return None
+            if self.p > 1 or not isfinite(phi[0]):
+                return None
+            # one lag: CSS is a convex quadratic in (c, φ), so the walled
+            # minimum is the feasible edge nearest φ̂, with c re-solved for it
+            edge = copysign(AR1_EDGE, phi[0])
+            phi = np.array([edge])
+            if self.include_constant:
+                n = w.shape[0] - 1
+                c = float(w[1:].sum()) / n - edge * (float(w[:-1].sum()) / n)
         theta = np.zeros(0)
         e = _css_residuals(w, c, phi, theta)
         if not np.isfinite(np.dot(e, e)):

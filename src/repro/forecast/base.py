@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from math import isfinite
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,11 +69,17 @@ def _finite(value: float, what: str) -> float:
     return v
 
 
+def _chunk(n: int) -> int:
+    """Free room a series of *n* samples gets when it is (re)allocated."""
+    return max(16, n // 4)
+
+
 class _Series:
     """Append-only float64 series in a buffer it owns.
 
-    Construction copies — a store never holds a view of a caller's array
-    or of another store's buffer — with room for a chunk more (a quarter
+    Construction copies — a store never holds a view of a caller's array,
+    and no two stores' buffers overlap (:meth:`stacked` gives a wave's
+    stores the rows of one matrix) — with room for a chunk more (a quarter
     of the series, at least 16; doubling read as +3 % RSS over the fleet
     benchmark's 9k series), and :meth:`append` writes in place.  A full
     buffer is replaced by a fresh copy of itself, which with *keep* set
@@ -89,8 +95,27 @@ class _Series:
             arr = arr[-keep:]
         self.keep = keep
         self.n = n = arr.shape[0]
-        self.buf = np.empty(n + max(16, n // 4))
+        self.buf = np.empty(n + _chunk(n))
         self.buf[:n] = arr
+
+    @classmethod
+    def stacked(cls, windows: Sequence[np.ndarray]) -> Tuple[np.ndarray, List["_Series"]]:
+        """One series per window, all of one length ``n``, copied once.
+
+        Each buffer is a row of one fresh ``(rows × n + chunk)`` matrix, so
+        no two series overlap and none holds a caller's array.  Returns
+        the ``(rows × n)`` view of the copied windows with the series.
+        """
+        n = windows[0].shape[0]
+        bufs = np.empty((len(windows), n + _chunk(n)))
+        values = bufs[:, :n]
+        values[...] = windows
+        series = []
+        for buf in bufs:
+            s = cls.__new__(cls)
+            s.buf, s.n, s.keep = buf, n, None
+            series.append(s)
+        return values, series
 
     @property
     def values(self) -> np.ndarray:

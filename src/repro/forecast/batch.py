@@ -23,10 +23,10 @@ the ``forecast(h)`` of the fitted model the row was gathered from.  The
 property suite asserts this bitwise.
 
 :func:`fit_stacked` is the same idea for a refit wave: the plain
-``ARIMA(1, d, 0)`` members are solved by one closed-form least-squares pass
-per ``(d, include_constant, window length)`` group, bitwise what
-:meth:`ARIMA.fit` installs; every row it cannot accept is left to the
-scalar fit, which stays the definition.
+``ARIMA(1, d, 0)`` members are solved by one closed-form pass per
+``(d, include_constant, window length)`` group — the stationarity wall
+included — bitwise what :meth:`ARIMA.fit` installs; every row it cannot
+accept is left to the scalar fit, which stays the definition.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ForecastError
-from repro.forecast.arima import _RANK_RCOND, _ROOT_MARGIN, ARIMA
+from repro.forecast.arima import _RANK_RCOND, _ROOT_MARGIN, AR1_EDGE, ARIMA
+from repro.forecast.base import _Series
 
 __all__ = ["batch_forecast", "fit_stacked"]
 
@@ -86,10 +87,11 @@ def _solve_ar1(Y: np.ndarray, d: int, include_constant: bool) -> Tuple[np.ndarra
     Returns ``(ok, c, phi, sigma2, w_last)``.  Where ``ok``, row ``i`` is
     what :meth:`ARIMA.fit` computes on ``Y[i]``: the same IEEE operations
     in the same order as ``np.std``, ``_ar_least_squares``,
-    ``_solve_pure_ar`` and ``_css_residuals``.  Not ``ok`` are the rows the
-    scalar fit does not solve in closed form: non-finite, deterministic
-    after differencing, rank deficient, at the stationarity wall, or with
-    a non-finite SSE.
+    ``_solve_pure_ar`` and ``_css_residuals``, so a slope at or past the
+    stationarity wall becomes the feasible edge ``±AR1_EDGE`` before ``c``
+    is solved for it.  Not ``ok`` are the rows the scalar fit does not
+    solve in closed form: non-finite, deterministic after differencing,
+    rank deficient, with a non-finite slope or a non-finite SSE.
     """
     # a rejected row may overflow or divide by zero; it is refitted scalar
     with np.errstate(all="ignore"):
@@ -119,7 +121,10 @@ def _solve_ar1(Y: np.ndarray, d: int, include_constant: bool) -> Tuple[np.ndarra
             xc, sxx = x, raw
         ok &= sxx > _RANK_RCOND * _RANK_RCOND * raw
         phi = _row_dot(xc, y) / sxx
-        ok &= np.abs(phi) < 1.0 / _ROOT_MARGIN
+        ok &= np.isfinite(phi)
+        # at or past the wall: the feasible edge nearest φ̂ (ARIMA._solve_pure_ar)
+        wall = ~(np.abs(phi) < 1.0 / _ROOT_MARGIN)
+        np.copysign(AR1_EDGE, phi, out=phi, where=wall)
         if include_constant:
             c = y.sum(axis=1) / n - phi * x_mean
             e = np.subtract(y, c[:, None], out=buf)
@@ -141,7 +146,10 @@ def fit_stacked(models: Sequence[object], windows: Sequence[object]) -> List[int
     grouped by ``(d, include_constant, window length)``; a group of two or
     more is solved in one closed-form pass and each accepted row installed
     through ``ARIMA._install`` — bitwise what ``models[i].fit(windows[i])``
-    installs, with no array shared between two models or with a window.
+    installs.  The windows are copied once, into the rows of one matrix
+    that become the models' series buffers (``_Series.stacked``), and
+    ``phi_`` is a one-element row of the solved column: no two models'
+    arrays overlap, and none overlaps a window.
 
     Returns the ascending positions left to the scalar ``fit``: other
     model types (an exact-type gate: a subclass may override ``fit``), other
@@ -162,7 +170,8 @@ def fit_stacked(models: Sequence[object], windows: Sequence[object]) -> List[int
         if len(idxs) < 2 or length < models[idxs[0]]._min_samples():
             rest.extend(idxs)
             continue
-        Y = np.array([windows[i] for i in idxs], dtype=np.float64)
+        # the one copy of the windows: row k of Y is models[idxs[k]]'s series
+        Y, series = _Series.stacked([windows[i] for i in idxs])
         ok, c, phi, sigma2, w_last = _solve_ar1(Y, d, include_constant)
         # difference_heads of every row: the last value of each level
         heads = np.empty((len(idxs), d))
@@ -172,13 +181,13 @@ def fit_stacked(models: Sequence[object], windows: Sequence[object]) -> List[int
                 level = np.diff(level, axis=1)
             heads[:, j] = level[:, -1]
         rows = zip(
-            idxs, ok.tolist(), c.tolist(), phi.tolist(), sigma2.tolist(),
-            w_last.tolist(), heads.tolist(), Y,
+            idxs, ok.tolist(), c.tolist(), list(phi[:, None]), sigma2.tolist(),
+            w_last.tolist(), heads.tolist(), series,
         )
-        for i, good, c_i, phi_i, sigma2_i, w_i, heads_i, y_i in rows:
+        for i, good, c_i, phi_i, sigma2_i, w_i, heads_i, series_i in rows:
             if good:
                 models[i]._install(
-                    y_i, c_i, np.array([phi_i]), np.zeros(0), sigma2_i, [w_i], [], heads_i
+                    series_i, c_i, phi_i, np.zeros(0), sigma2_i, [w_i], [], heads_i
                 )
             else:
                 rest.append(i)

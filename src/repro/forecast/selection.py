@@ -592,7 +592,7 @@ class SelectorBank:
                 kind, d = self.kinds[m]
                 if kind == "arima":
                     shell._install(
-                        series, self.const[row, m].item(), self.phi[row, m : m + 1].copy(),
+                        _Series(series), self.const[row, m].item(), self.phi[row, m : m + 1].copy(),
                         np.zeros(0), self.sigma2[row, m].item(),
                         [self.w_last[row, m].item()], [], self.heads[row, m, :d].tolist(),
                     )

@@ -31,6 +31,7 @@ from repro.alerts.alert import Alert, AlertKind
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import NUM_RESOURCES
 from repro.errors import ConfigurationError, ForecastError
+from repro.forecast.arima import ARIMA
 from repro.traces.workload import WorkloadStream
 
 __all__ = ["DemandDrivenWorkload", "ReactiveManager", "PredictiveManager"]
@@ -151,6 +152,11 @@ class ReactiveManager:
         return alerts, vm_alerts
 
 
+def _host_model() -> ARIMA:
+    """A fresh host forecaster: what one refit of one host fits."""
+    return ARIMA(1, 1, 0, maxiter=40)
+
+
 class PredictiveManager:
     """Pre-alert source: alerts from *predicted* host overload.
 
@@ -172,8 +178,8 @@ class PredictiveManager:
     ``_fitted``.  :meth:`observe` advances every row in one array step —
     the IEEE operations of ``ARIMA.append`` — :meth:`alerts_at` refits
     every *due* host up front as one wave
-    (:func:`~repro.forecast.base.warm_fit` over fresh models whose state is
-    then gathered into the columns) and forecasts the fleet with one
+    (:func:`~repro.forecast.base.warm_fit` over fresh models whose
+    parameters are then gathered into the columns) and forecasts the fleet with one
     :func:`~repro.forecast.batch.batch_forecast` call.
 
     Refit failure policy: a refit that raises keeps the outgoing model —
@@ -197,8 +203,12 @@ class PredictiveManager:
             raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
         if horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-        if min_history < 6:
-            raise ConfigurationError(f"min_history must be >= 6, got {min_history}")
+        least = _host_model()._min_samples()
+        if min_history < least:
+            raise ConfigurationError(
+                f"min_history must be >= {least}, the samples a host's "
+                f"ARIMA(1, 1, 0) needs to fit, got {min_history}"
+            )
         if refit_every < 1:
             raise ConfigurationError(f"refit_every must be >= 1, got {refit_every}")
         self.workload = workload
@@ -285,16 +295,23 @@ class PredictiveManager:
 
     def _refit(self, hosts: np.ndarray) -> None:
         """Fit a fresh ``ARIMA(1, 1, 0)`` per host in *hosts*, as one wave,
-        and gather each fit into the host's row of the columns.
+        and gather each fit's ``(c, φ)`` into the host's row of the columns.
+
+        The wave is one closed-form pass over its rows
+        (:func:`~repro.forecast.batch.fit_stacked`; a fit on the
+        stationarity wall takes the feasible edge, also in closed form).
+        A fit's forecasting state — the last difference and the head of
+        its window — is already the row's ``_w_last`` and ``_heads``:
+        :meth:`observe` keeps them for every host, with the same IEEE
+        operations, so only the parameters are read back.
 
         A degenerate history can break a refit mid-run; the host then
         keeps its outgoing row — or none, and answers persistence —
         until the next refit period, as a production predictor would.
         """
         from repro.forecast import base
-        from repro.forecast.arima import ARIMA
 
-        models = [ARIMA(1, 1, 0, maxiter=40) for _ in range(hosts.shape[0])]
+        models = [_host_model() for _ in range(hosts.shape[0])]
         self._since_fit[hosts] = 0
         # looked up at call time: a profiler may wrap base.warm_fit
         failures = base.warm_fit(models, [self._history(h) for h in hosts.tolist()])
@@ -306,8 +323,6 @@ class PredictiveManager:
         self._fitted[rows] = True
         self._const[rows] = [m.const_ for m in fitted]
         self._phi[rows] = [m.phi_[0] for m in fitted]
-        self._w_last[rows] = [m._w_tail[-1] for m in fitted]
-        self._heads[rows] = [m._heads for m in fitted]
 
     def _predict_all(self) -> np.ndarray:
         """Per-host predictions: the clipped peak of each fitted host's

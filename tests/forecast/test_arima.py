@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ForecastError
 from repro.forecast.arima import ARIMA, _css_residuals, _max_inverse_root
+from repro.forecast.base import _Series
 from repro.forecast.lag import difference, difference_heads
 from repro.traces.noise import white_noise
 
@@ -174,7 +175,7 @@ class TestIncrementalState:
         e_full = _css_residuals(w_full, m.const_, m.phi_, m.theta_)
         clone = ARIMA(p, d, q)
         clone._install(
-            full, m.const_, m.phi_, m.theta_, m.sigma2_,
+            _Series(full), m.const_, m.phi_, m.theta_, m.sigma2_,
             w_full[len(w_full) - p :].tolist(),
             e_full[len(e_full) - q :].tolist(),
             difference_heads(full, d),

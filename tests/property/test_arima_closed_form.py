@@ -1,21 +1,23 @@
 """The pure-AR closed form against the iterative CSS path it replaced.
 
 For ``q = 0`` the CSS objective is linear least squares, and ``ARIMA.fit``
-takes the exact minimiser whenever it can be accepted.  The L-BFGS path
-(``ARIMA._minimize_css``) is the reference: the closed form must never
-have a larger SSE, boundary cases must still reach it and end feasible,
-and ``q >= 1`` fits — which only ever run it — must be bit-for-bit what
-they were before the closed form existed.
+takes the exact minimiser whenever it can be accepted.  For one lag that
+includes a least-squares slope at or past the stationarity wall: the
+walled minimum is then the feasible edge, also in closed form.  The L-BFGS
+path (``ARIMA._minimize_css``) is the reference: the closed form must
+never have a larger SSE, the other boundary cases must still reach it and
+end feasible, and ``q >= 1`` fits — which only ever run it — must be
+bit-for-bit what they were before the closed form existed.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConvergenceError
 from repro.forecast import arima as arima_mod
-from repro.forecast.arima import ARIMA, _ROOT_MARGIN, _max_inverse_root
+from repro.forecast.arima import AR1_EDGE, ARIMA, _ROOT_MARGIN, _css_residuals, _max_inverse_root
 from repro.forecast.base import warm_fit
 from repro.forecast.lag import difference
 
@@ -129,24 +131,87 @@ def test_closed_form_does_not_enter_the_optimizer(iterative_calls):
     assert len(iterative_calls) == 2
 
 
-class TestBoundaryTakesIterativePath:
-    @pytest.mark.parametrize("growth", [0.9995, 1.0005, 1.02])
+def _walled_sse(w, include_constant, phi):
+    """The CSS of AR(1) coefficient *phi* on *w*, with ``c`` re-solved for it."""
+    n = w.shape[0] - 1
+    c = float(w[1:].sum()) / n - phi * (float(w[:-1].sum()) / n) if include_constant else 0.0
+    e = _css_residuals(w, c, np.array([phi]), np.zeros(0))
+    return float(e @ e)
+
+
+def _growth_series(growth, n=60, seed=3):
+    """``w_t = growth * w_{t-1}``, plus a whisper of noise: the least-squares
+    slope is the growth rate to ~1e-6."""
+    rng = np.random.default_rng(seed)
+    return 0.01 * growth ** np.arange(n) * (1.0 + 1e-7 * rng.standard_normal(n))
+
+
+class TestTheWallIsClosedForm:
+    """An AR(1) slope at or past ``1/_ROOT_MARGIN`` takes the feasible edge."""
+
+    @pytest.mark.parametrize("growth", [0.9995, 1.0005, 1.02, -1.0005])
     @pytest.mark.parametrize("include_constant", [True, False])
-    def test_root_on_or_outside_the_wall(
+    def test_root_on_or_outside_the_wall_takes_the_edge(
         self, growth, include_constant, iterative_calls
     ):
-        # w_t = growth * w_{t-1}, plus a whisper of noise: the least-squares
-        # slope is the growth rate to ~1e-6, at or beyond the wall at 0.999001
-        rng = np.random.default_rng(3)
-        w = 0.01 * growth ** np.arange(60) * (1.0 + 1e-7 * rng.standard_normal(60))
-        model = ARIMA(1, 0, 0, include_constant=include_constant)
+        w = _growth_series(growth)
         solved = arima_mod._ar_least_squares(w, 1, include_constant)
         assert solved is not None and abs(solved[1][0]) >= 1.0 / _ROOT_MARGIN
-        model.fit(w)
-        assert len(iterative_calls) == 1
-        assert _max_inverse_root(model.phi_, "ar") < 1.0
+        model = ARIMA(1, 0, 0, include_constant=include_constant).fit(w)
+        assert iterative_calls == []
+        assert abs(model.phi_[0]) < 1.0 / _ROOT_MARGIN
+        assert model.phi_[0] == np.copysign(AR1_EDGE, growth)
         assert np.isfinite(model.forecast(3)).all()
+        # the L-BFGS answer on the same window, the reference, is no better
+        e = model.residuals()
+        _, phi_it, _, e_it = ARIMA(
+            1, 0, 0, include_constant=include_constant
+        )._minimize_css(w)
+        assert abs(phi_it[0]) < 1.0
+        assert float(e @ e) <= float(e_it @ e_it) * (1.0 + SSE_RTOL)
+        assert model.sigma2_ == float(e @ e) / e.shape[0]
 
+    @common
+    @given(
+        growth=st.sampled_from([0.999, 0.9995, 1.0, 1.0005, 1.02, 1.1]),
+        sign=st.sampled_from([1.0, -1.0]),
+        d=st.integers(0, 1),
+        include_constant=st.booleans(),
+        n=st.integers(12, 150),
+        seed=st.integers(0, 10**6),
+        noise=st.sampled_from([0.0, 1e-7, 1e-4]),
+    )
+    def test_the_edge_is_the_walled_minimum(
+        self, growth, sign, d, include_constant, n, seed, noise
+    ):
+        """No coefficient inside the wall, with ``c`` re-solved for it, has a
+        smaller SSE than the one ``fit`` takes — and with a full-rank lag
+        design ``fit`` never runs L-BFGS to find it."""
+        w = _growth_series(sign * growth, n, seed)
+        w = w + noise * np.random.default_rng(seed + 1).standard_normal(n)
+        y = np.cumsum(w) if d else w
+        w = difference(y, d)
+        # a flat w is rank deficient with a constant: left to L-BFGS
+        assume(arima_mod._ar_least_squares(w, 1, include_constant) is not None)
+        assume(w.std() >= 1e-12)  # not the mean model
+        calls = []
+        model = ARIMA(1, d, 0, include_constant=include_constant)
+        original = ARIMA._minimize_css
+        try:
+            ARIMA._minimize_css = lambda self, w: calls.append(w) or original(self, w)
+            model.fit(y)
+        finally:
+            ARIMA._minimize_css = original
+        assert calls == []
+        phi = float(model.phi_[0])
+        assert abs(phi) < 1.0 / _ROOT_MARGIN
+        sse = _walled_sse(w, include_constant, phi)
+        assert model.sigma2_ == sse / (w.shape[0] - 1)
+        for other in np.linspace(-AR1_EDGE, AR1_EDGE, 41):
+            assert sse <= _walled_sse(w, include_constant, other) * (1.0 + SSE_RTOL)
+
+
+class TestBoundaryTakesIterativePath:
     @pytest.mark.parametrize("p", [1, 2])
     def test_rank_deficient_lag_column(self, p, iterative_calls):
         # a flat history that steps on its very last sample: every lag

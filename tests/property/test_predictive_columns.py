@@ -36,7 +36,7 @@ def _poison(managers):
     seed=st.integers(0, 10**4),
     horizon=st.integers(1, 3),
     refit_every=st.sampled_from([1, 10]),
-    min_history=st.sampled_from([6, 12, 25]),
+    min_history=st.sampled_from([10, 12, 25]),
     warm=st.integers(0, 20),
     poison_at=st.one_of(st.none(), st.integers(0, ROUNDS - 1)),
 )

@@ -7,8 +7,9 @@ and every row the stacked solve does not accept, to the scalar ``fit``,
 which stays the definition.  So a wave must equal ``[m.fit(w) for ...]``
 bit for bit: every fitted field, the forecasting state, ``forecast(3)``
 and the failure each model raised — on the rows the stacked solve must
-hand back (constant, rank deficient, at the wall, NaN, too short) and in
-waves mixed with the models it never stacks.
+hand back (constant, rank deficient, NaN, too short), on the rows it
+solves at the stationarity wall, and in waves mixed with the models it
+never stacks.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ForecastError
-from repro.forecast.arima import ARIMA
+from repro.forecast.arima import AR1_EDGE, ARIMA
 from repro.forecast.base import REFIT_FAILURES, warm_fit
 from repro.forecast.batch import _row_dot, fit_stacked
 from repro.forecast.naive import NaiveLast
@@ -57,8 +58,8 @@ def _row(kind: str, d: int, n: int, seed: int) -> np.ndarray:
         sign = np.resize([1.0, 1.0, -1.0, -1.0], m)
         sign[4 * ((m - 1) // 4) :] = 0.0
         w = np.concatenate((np.full(d, 0.5), 0.5 + 2.0**-30 * sign))
-    elif kind == "wall":  # the least-squares slope sits at or past 1/1.001
-        w = 0.01 * rng.choice([0.9995, 1.0005, 1.02]) ** np.arange(n)
+    elif kind == "wall":  # the least-squares slope sits at or past ±1/1.001
+        w = 0.01 * rng.choice([0.9995, 1.0005, 1.02, -1.0005, -1.02]) ** np.arange(n)
     else:
         w = np.empty(n)
         w[0] = rng.standard_normal()
@@ -161,13 +162,46 @@ class TestWhatTheStackedSolveTakes:
         assert all(m._fitted for m in models)
 
     @pytest.mark.parametrize(
-        "row", ["constant", "whisper", "flat_step", "jitter", "wall", "nan"]
+        "row", ["constant", "whisper", "flat_step", "jitter", "nan"]
     )
     def test_rows_it_cannot_accept_are_left_to_the_scalar_fit(self, row):
         models, windows = _noise_wave()
         windows[2] = _row(row, 1, 40, 0)
         assert fit_stacked(models, windows) == [2]
         assert not models[2]._fitted
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("include_constant", [True, False])
+    def test_wall_rows_are_solved_stacked_as_the_scalar_fit(
+        self, d, include_constant, monkeypatch
+    ):
+        monkeypatch.setattr(
+            ARIMA, "_minimize_css", lambda self, w: pytest.fail("the wall is closed form")
+        )
+        windows = [_row("wall", d, 40, seed) for seed in range(6)]
+        windows[0] = _row("noise", d, 40, 0)
+        models = [ARIMA(1, d, 0, include_constant=include_constant) for _ in windows]
+        assert fit_stacked(models, windows) == []
+        edges = 0
+        for model, window in zip(models, windows):
+            oracle = ARIMA(1, d, 0, include_constant=include_constant).fit(window)
+            assert _fitted_state(model) == _fitted_state(oracle)
+            edges += abs(model.phi_[0]) == AR1_EDGE
+        assert edges >= 3, "the wall rows must reach the edge"
+
+    def test_appending_to_one_model_touches_no_other_and_no_window(self):
+        models, windows = _noise_wave()
+        matrix = np.array(windows)
+        caller = matrix.copy()
+        # the windows are row views of the caller's one matrix
+        assert warm_fit(models, list(matrix)) == [None] * len(models)
+        for value in np.linspace(0.1, 0.9, 40):  # past the buffer's chunk too
+            models[1].append(value)
+            for k, model in enumerate(models):
+                if k != 1:
+                    assert model.y_.tobytes() == caller[k].tobytes()
+            assert matrix.tobytes() == caller.tobytes()
+        assert models[1].y_.shape == (80,)
 
     def test_groups_of_one_other_models_and_short_windows_go_scalar(self):
         models, windows = _noise_wave(3)

@@ -15,7 +15,7 @@ from repro.alerts.alert import Alert, AlertKind
 from repro.cluster import build_cluster
 from repro.errors import ConfigurationError, ConvergenceError, ForecastError, ReproError
 from repro.forecast import base
-from repro.forecast.arima import ARIMA
+from repro.forecast.arima import AR1_EDGE, ARIMA
 from repro.sim import SheriffConfig, SheriffSimulation
 from repro.sim.reactive import DemandDrivenWorkload, PredictiveManager
 from repro.sim.scenario import inject_fraction_alerts
@@ -169,6 +169,24 @@ class TestPredictiveManager:
         with pytest.raises(ConfigurationError):
             PredictiveManager(wl, min_history=2)
 
+    @pytest.mark.parametrize("min_history", [6, 9])
+    def test_min_history_the_model_cannot_fit_is_refused(self, min_history):
+        # ARIMA(1, 1, 0) needs 10 samples: a first refit at 6-9 would raise
+        # and spend a whole refit period before the next attempt
+        cluster, wl = make_env()
+        with pytest.raises(ConfigurationError, match="min_history must be >= 10"):
+            PredictiveManager(wl, min_history=min_history)
+
+    def test_first_model_fits_after_min_history_samples(self):
+        cluster, wl = make_env(ramp_hosts=(0, 3, 6), seed=1)
+        mgr = PredictiveManager(wl, min_history=10)
+        for t in range(10):
+            assert not mgr._fitted.any()
+            mgr.alerts_at(t)
+            mgr.observe(t)
+        mgr.alerts_at(10)
+        assert mgr._fitted.all()
+
     @pytest.mark.parametrize("refit_every", [0, -3])
     def test_refit_every_below_one_is_refused(self, refit_every):
         # 0 used to refit every host twice a round: up front in alerts_at
@@ -286,17 +304,30 @@ class TestPredictAllMatchesScalarOracle:
     def test_warm_start_changes_nothing_on_the_default_factory(self, monkeypatch):
         """ARIMA(1,1,0) is fitted in closed form: no refit runs the optimizer.
 
-        (Only a refit on the stationarity wall — a perfectly linear ramp —
-        still reaches it; this fleet has none.)
+        That includes a refit on the stationarity wall — a ramping host's
+        least-squares slope at or past ``1/1.001`` — which takes the
+        feasible edge; this fleet has some.
         """
         monkeypatch.setattr(
             ARIMA,
             "_minimize_css",
             lambda self, w: pytest.fail("closed form must apply"),
         )
-        cluster, wl = make_env()
+        edges = []
+        original = base.warm_fit
+
+        def counting(models, windows):
+            failures = original(models, windows)
+            edges.extend(
+                abs(m.phi_[0]) == AR1_EDGE for m, f in zip(models, failures) if f is None
+            )
+            return failures
+
+        monkeypatch.setattr(base, "warm_fit", counting)
+        cluster, wl = make_env(ramp_hosts=(0, 3))
         stream = run_alert_stream(PredictiveManager(wl, threshold=0.31, horizon=3))
         assert sum(len(alerts) for alerts, _, _ in stream) > 50
+        assert any(edges), "a refit must reach the wall"
 
 
 def fail_marked_refits(monkeypatch, marked):

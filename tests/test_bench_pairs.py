@@ -83,3 +83,38 @@ def test_clean_runs_pass(pairs, tmp_path):
     out = io.StringIO()
     assert pairs.report(SPEC, runs, out)
     assert "won 2/2" in out.getvalue() and "FAILED" not in out.getvalue()
+
+
+CHECKS_STUB = """
+import json, sys
+from pathlib import Path
+workload, seed, seconds, out_dir = sys.argv[1:]
+change = Path("fast").exists()
+print(json.dumps({
+    "values": {
+        "rounds_per_s": 10.0,
+        "round_ms_slow10": (10.0 if change else 20.0) + int(seed) % 3,
+        "failed_round_share": 0.01 if change and seed == "102" else 0.0,
+        "overload_host_rounds": 58.0,
+    },
+    "digest": "d" + seed,
+    "problems": [],
+}))
+"""
+
+
+def test_the_check_rows_are_judged_where_they_apply(pairs, tmp_path, monkeypatch):
+    """``round_ms_slow10`` is a row on a bimodal workload only; a rise in
+    ``failed_round_share`` is worse, and fails the report."""
+    monkeypatch.setattr(pairs, "_DRIVER", CHECKS_STUB)
+    workloads = ["managed_surge_k8", "plan_alerts_k8"]
+    runs = pairs.run_pairs(_trees(tmp_path), workloads, [101, 102, 103, 104], 15, tmp_path)
+    out = io.StringIO()
+    assert not pairs.report(SPEC, runs, out)
+    managed, plan = out.getvalue().split("== plan_alerts_k8")
+    rows = {line.split()[0]: line for line in managed.splitlines()[1:] if line.startswith("   ")}
+    assert rows["round_ms_slow10"].endswith("better") and "won 4/4" in rows["round_ms_slow10"]
+    assert rows["overload_host_rounds"].endswith("same")
+    assert rows["failed_round_share"].endswith("worse")
+    assert "round_ms_slow10" not in plan and "overload_host_rounds" not in plan
+    assert "failed_round_share" in plan

@@ -8,9 +8,12 @@ harness's own child process in each tree (``bench.__main__._worker``, what
 the ``BENCHMARK.json`` command runs for ``--trace 0``), read and never
 edited, so the decision digest comes back with the metrics.
 
-Prints, per workload and end-to-end metric: both sides' medians and
-quartiles, the pairs the change won (ties count for neither), the ratio
-with its base, and a verdict —
+Prints, per workload and end-to-end metric — ``BENCHMARK.json``'s, then
+the ``bench.metrics.CHECKS`` rows that apply there (``round_ms_slow10``,
+``failed_round_share``, ``overload_host_rounds``,
+``slo_violation_minutes``) under ``bench.metrics.bound`` — both sides'
+medians and quartiles, the pairs the change won (ties count for
+neither), the ratio with its base, and a verdict —
 
 * ``worse``       the change's median is past the metric's ``bound``;
 * ``unresolved``  the parent's own spread (quartile distance over median)
@@ -19,9 +22,11 @@ with its base, and a verdict —
                   further apart than the parent's quartiles;
 * ``same``        otherwise;
 
-and whether the decision digests matched at every seed.  A row that reads
-``worse`` or ``unresolved`` is followed by its per-run values, so a set-up
-row that flips on noise is seen before a gate sees it.  A run that crashes
+and whether the decision digests matched at every seed; any rise in
+``failed_round_share`` reads ``worse``, as in ``bench/compare.py``.  A
+row that reads ``worse`` or ``unresolved`` is followed by its per-run
+values, so a set-up row that flips on noise is seen before a gate sees
+it.  A run that crashes
 or times out is recorded as that side's failure and the pairs go on; the
 metrics are judged on the pairs both sides measured.  Exits 1 when a row
 is ``worse``, a digest differs, a run failed, or a run failed one of its
@@ -38,6 +43,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from bench import metrics  # noqa: E402  (pure Python: no numpy, no repro)
 SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109)
 HELD_OUT = 7
 """Never used while a change is written: the claim must hold on it too."""
@@ -158,30 +165,42 @@ def report(spec, runs, out=sys.stdout) -> bool:
         for problem in problems:
             print(f"   FAILED CHECK: {problem}", file=out)
         for metric in spec["end_to_end"]:
-            name = metric["name"]
-            pairs = [
-                (p["values"][name], c["values"][name])
-                for _, p, c in rows
-                if name in p["values"] and name in c["values"]
-            ]
-            if not pairs:
-                print(f"   {name:<20} no pair measured it", file=out)
-                continue
-            parent, change = (list(side) for side in zip(*pairs))
-            verdict, won, decided, ratio = judge(
-                parent, change, metric["better"], metric["bound"]
-            )
-            ok &= verdict != "worse"
-            (p1, p2, p3), (c1, c2, c3) = _quartiles(parent), _quartiles(change)
-            print(f"   {name:<20} parent {p2:>10.5g} [{p1:.5g}, {p3:.5g}]  "
-                  f"change {c2:>10.5g} [{c1:.5g}, {c3:.5g}]  "
-                  f"won {won}/{decided}  x{ratio:.3f} of {p2:.5g} {metric['unit']}  "
-                  f"(bound {metric['bound']:.0%}, {metric['better']} is better)  "
-                  f"{verdict}", file=out)
-            if verdict in ("worse", "unresolved"):
-                print(f"      parent runs {[round(v, 5) for v in parent]}", file=out)
-                print(f"      change runs {[round(v, 5) for v in change]}", file=out)
+            ok &= _row(rows, metric["name"], metric["unit"], metric["better"],
+                       lambda _, bound=metric["bound"]: bound, out)
+        for check in metrics.CHECKS:
+            if check.applies(workload):
+                ok &= _row(rows, check.name, check.unit, check.better,
+                           lambda base, check=check: metrics.bound(check, workload, base),
+                           out)
     return ok
+
+
+def _row(rows, name, unit, better, bound_at, out) -> bool:
+    """Print one metric's row; False when it reads ``worse``.  *bound_at*
+    maps the parent's median to the bound."""
+    pairs = [
+        (p["values"][name], c["values"][name])
+        for _, p, c in rows
+        if name in p["values"] and name in c["values"]
+    ]
+    if not pairs:
+        print(f"   {name:<20} no pair measured it", file=out)
+        return True
+    parent, change = (list(side) for side in zip(*pairs))
+    bound = bound_at(_quartiles(parent)[1])
+    verdict, won, decided, ratio = judge(parent, change, better, bound)
+    if name == "failed_round_share" and max(change) > max(parent):
+        verdict = "worse"  # any rise, as bench/compare.py reads it
+    (p1, p2, p3), (c1, c2, c3) = _quartiles(parent), _quartiles(change)
+    print(f"   {name:<20} parent {p2:>10.5g} [{p1:.5g}, {p3:.5g}]  "
+          f"change {c2:>10.5g} [{c1:.5g}, {c3:.5g}]  "
+          f"won {won}/{decided}  x{ratio:.3f} of {p2:.5g} {unit}  "
+          f"(bound {bound:.0%}, {better} is better)  "
+          f"{verdict}", file=out)
+    if verdict in ("worse", "unresolved"):
+        print(f"      parent runs {[round(v, 5) for v in parent]}", file=out)
+        print(f"      change runs {[round(v, 5) for v in change]}", file=out)
+    return verdict != "worse"
 
 
 def main(argv=None) -> int:
