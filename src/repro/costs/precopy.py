@@ -83,7 +83,7 @@ def precopy_timeline(
         If ``dirty_rate >= bandwidth``: the residual never shrinks, so
         pre-copy cannot converge (a migration attempted anyway would be
         rolled back by the commit path — see
-        :meth:`repro.sim.inflight.TimedReceiverRegistry.commit_round_tolerant`).
+        :meth:`repro.migration.request.ReceiverRegistry.commit_round_tolerant`).
     ConfigurationError
         On out-of-domain or non-finite parameters.  Non-finite inputs are
         rejected up front: a NaN dirty rate would otherwise slip past the

@@ -70,8 +70,8 @@ class UnreliableChannel:
         inner: ReceiverRegistry,
         policy: ChannelPolicy,
         *,
+        metrics: MetricsRegistry,
         is_rack_down: Optional[Callable[[int], bool]] = None,
-        metrics: Optional[MetricsRegistry] = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.inner = inner
@@ -82,9 +82,6 @@ class UnreliableChannel:
         self.metrics = metrics
         self.tracer = tracer
         self._rng = stream_for(policy.seed, "channel")
-        self.retries = 0
-        self.timeouts = 0
-        self.cancels = 0
 
     # ------------------------------------------------------------------ #
     def _lost(self) -> bool:
@@ -106,20 +103,14 @@ class UnreliableChannel:
             if receiver_up and not self._lost():
                 outcome = self.inner.redeliver(vm, dst_host, dst_rack)
                 if not self._lost():  # reply leg survived
-                    self.retries += attempt
-                    if self.metrics is not None and attempt:
+                    if attempt:
                         self.metrics.counter(
                             "sheriff_channel_retries_total"
                         ).inc(attempt)
                     return outcome
-        self.retries += attempts - 1
-        self.timeouts += 1
-        if self.metrics is not None:
-            if attempts > 1:
-                self.metrics.counter("sheriff_channel_retries_total").inc(
-                    attempts - 1
-                )
-            self.metrics.counter("sheriff_request_timeouts_total").inc()
+        if attempts > 1:
+            self.metrics.counter("sheriff_channel_retries_total").inc(attempts - 1)
+        self.metrics.counter("sheriff_request_timeouts_total").inc()
         if self.tracer.enabled:
             self.tracer.emit(
                 RequestTimedOut(
@@ -132,7 +123,5 @@ class UnreliableChannel:
         # survive — cancel the orphan reservation (lease expiry).
         if self.inner.holds_reservation(vm):
             self.inner.cancel(vm)
-            self.cancels += 1
-            if self.metrics is not None:
-                self.metrics.counter("sheriff_rollbacks_total").inc()
+            self.metrics.counter("sheriff_rollbacks_total").inc()
         return RequestOutcome.REJECT

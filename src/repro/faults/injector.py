@@ -35,7 +35,7 @@ dicts — the chaos campaign report embeds it verbatim) and counted in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.snapshot import FleetSnapshot
@@ -52,15 +52,17 @@ __all__ = ["RoundFaults", "FaultInjector"]
 
 @dataclass
 class RoundFaults:
-    """What the injector did at the top of one round."""
+    """What the injector did at the top of one round.
+
+    Rollbacks, evacuations and losses are counted by the metrics registry
+    (``sheriff_rollbacks_total``, ``sheriff_vms_evacuated_total``,
+    ``sheriff_vms_lost_total``) and each fired fault is in
+    :attr:`FaultInjector.log`.
+    """
 
     injected: int = 0
-    rollbacks: int = 0
-    evacuated: int = 0
-    lost: int = 0
     degraded: bool = False
     """A shim is down or a partition blocked cost-model replanning."""
-    details: List[dict] = field(default_factory=list)
 
 
 class FaultInjector:
@@ -98,7 +100,6 @@ class FaultInjector:
                 "target": spec.target,
                 "detail": detail,
             }
-            rf.details.append(record)
             self.log.append(record)
             self.sim.metrics.counter("sheriff_faults_injected_total").inc()
             if self.sim.tracer.enabled:
@@ -116,7 +117,7 @@ class FaultInjector:
     def _apply(self, spec: FaultSpec, now: int, rf: RoundFaults) -> str:
         kind = spec.kind
         if kind is FaultKind.HOST_CRASH:
-            return self._crash_host(spec.target, rf)
+            return self._crash_host(spec.target)
         if kind is FaultKind.HOST_RECOVER:
             return self._recover_host(spec.target)
         if kind is FaultKind.SHIM_DOWN:
@@ -128,7 +129,7 @@ class FaultInjector:
             self._down_racks.pop(spec.target, None)
             return "shim restored"
         if kind is FaultKind.MIGRATION_ABORT:
-            return self._abort_migration(spec.target, rf)
+            return self._abort_migration(spec.target)
         if kind is FaultKind.SWITCH_FAIL:
             report = self.switches.fail(spec.target)
             self._refresh_cost_model(rf)
@@ -163,7 +164,7 @@ class FaultInjector:
         for manager in self.sim.managers.values():
             manager.cost_model = model
 
-    def _crash_host(self, host: int, rf: RoundFaults) -> str:
+    def _crash_host(self, host: int) -> str:
         sim = self.sim
         pl = sim.cluster.placement
         aborted = 0
@@ -173,7 +174,6 @@ class FaultInjector:
                 if rec.dst_host == host or rec.src_host == host:
                     sim.inflight.abort(vm)
                     aborted += 1
-                    rf.rollbacks += 1
                     sim.metrics.counter("sheriff_rollbacks_total").inc()
                     if sim.tracer.enabled:
                         sim.tracer.emit(
@@ -190,18 +190,14 @@ class FaultInjector:
             # emergency evacuation: the regular Alg. 3 matching against the
             # rack's one-hop region, committed instantly through a private
             # receiver so the placement reflects the rescue immediately.
-            # The one-row record is never written to metrics, which keeps
-            # the round's REQUEST/ACK counters clean — evacuations are
-            # accounted by their own counters below.
-            port = ReceiverRegistry(sim.cluster, tracer=sim.tracer)
-            if sim.inflight is not None:
-                # room reserved for an in-flight arrival is not free: an
-                # evacuee ACKed onto it makes that arrival's landing
-                # overflow the host
-                for dst in sim.managers[rack].shim.candidate_hosts().tolist():
-                    held = sim.inflight.hold_on(dst)
-                    if held:
-                        port.promise(dst, held)
+            # The receiver shares the engine's tracker, so room held for an
+            # in-flight arrival is not free to an evacuee.  The one-row
+            # record is never written to metrics, which keeps the round's
+            # REQUEST/ACK counters clean — evacuations are accounted by
+            # their own counters below.
+            port = ReceiverRegistry(
+                sim.cluster, tracker=sim.inflight, tracer=sim.tracer
+            )
             block = stack_cost_blocks(
                 sim.cluster,
                 sim.cost_model,
@@ -224,8 +220,6 @@ class FaultInjector:
             for fid, flow in list(sim.flow_table.flows.items()):
                 if flow.vm in lost_set:
                     sim.flow_table.remove_flow(fid)
-        rf.evacuated += len(evacuated)
-        rf.lost += len(lost)
         sim.metrics.counter("sheriff_vms_evacuated_total").inc(len(evacuated))
         sim.metrics.counter("sheriff_vms_lost_total").inc(len(lost))
         if sim.tracer.enabled:
@@ -248,7 +242,7 @@ class FaultInjector:
             pl.restore_lost(vm)
         return f"restored={len(restored)}"
 
-    def _abort_migration(self, target: int, rf: RoundFaults) -> str:
+    def _abort_migration(self, target: int) -> str:
         sim = self.sim
         if sim.inflight is None:
             return "no-op: instant-commit engine"
@@ -257,7 +251,6 @@ class FaultInjector:
             return "no-op: nothing in flight"
         vm = target if target in active else active[0]
         rec = sim.inflight.abort(vm)
-        rf.rollbacks += 1
         sim.metrics.counter("sheriff_rollbacks_total").inc()
         if sim.tracer.enabled:
             sim.tracer.emit(

@@ -15,7 +15,7 @@ Implements Sec. IV of the paper from scratch on numpy/scipy:
 
 from repro.forecast.base import Forecaster
 from repro.forecast.lag import difference, lag_matrix, undifference
-from repro.forecast.acf import acf, pacf, ljung_box
+from repro.forecast.acf import acf, ljung_box
 from repro.forecast.stationarity import choose_difference_order, is_stationary
 from repro.forecast.arima import ARIMA
 from repro.forecast.boxjenkins import BoxJenkinsResult, select_arima_order
@@ -33,7 +33,6 @@ __all__ = [
     "undifference",
     "lag_matrix",
     "acf",
-    "pacf",
     "ljung_box",
     "choose_difference_order",
     "is_stationary",

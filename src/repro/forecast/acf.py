@@ -1,7 +1,6 @@
 """Autocorrelation diagnostics used by Box–Jenkins identification.
 
 * :func:`acf` — sample autocorrelation, FFT-based (O(n log n));
-* :func:`pacf` — partial autocorrelation via Durbin–Levinson;
 * :func:`ljung_box` — portmanteau whiteness statistic for residual checks.
 """
 
@@ -14,7 +13,7 @@ from scipy import stats
 
 from repro.errors import ForecastError
 
-__all__ = ["acf", "pacf", "ljung_box"]
+__all__ = ["acf", "ljung_box"]
 
 
 def acf(y: np.ndarray, nlags: int) -> np.ndarray:
@@ -34,35 +33,6 @@ def acf(y: np.ndarray, nlags: int) -> np.ndarray:
     f = np.fft.rfft(x, nfft)
     acov = np.fft.irfft(f * np.conjugate(f), nfft)[: nlags + 1].real
     return acov / var
-
-
-def pacf(y: np.ndarray, nlags: int) -> np.ndarray:
-    """Sample PACF at lags ``0..nlags`` via the Durbin–Levinson recursion."""
-    r = acf(y, nlags)
-    out = np.empty(nlags + 1)
-    out[0] = 1.0
-    if nlags == 0:
-        return out
-    # Durbin–Levinson: phi[k, k] is the PACF at lag k.
-    phi_prev = np.zeros(nlags + 1)
-    phi_cur = np.zeros(nlags + 1)
-    phi_prev[1] = r[1]
-    out[1] = r[1]
-    v = 1.0 - r[1] ** 2
-    for k in range(2, nlags + 1):
-        num = r[k] - np.dot(phi_prev[1:k], r[1:k][::-1])
-        if v <= 1e-15:
-            # process is perfectly predictable at this order; higher PACF
-            # coefficients are numerically undefined — report 0.
-            out[k:] = 0.0
-            return out
-        a = num / v
-        phi_cur[1:k] = phi_prev[1:k] - a * phi_prev[1:k][::-1]
-        phi_cur[k] = a
-        out[k] = a
-        v *= 1.0 - a * a
-        phi_prev, phi_cur = phi_cur, phi_prev
-    return out
 
 
 def ljung_box(residuals: np.ndarray, lags: int, fitted_params: int = 0) -> Tuple[float, float]:

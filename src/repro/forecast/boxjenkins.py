@@ -1,8 +1,8 @@
 """Box–Jenkins order selection (Sec. IV-B / VI-A).
 
 "We can use Box-Jenkins method to specify the parameters of ARIMA model"
-— identification (choose ``d`` by stationarity, bound ``p``/``q`` by
-PACF/ACF cutoffs), estimation (CSS fit for every candidate), and selection
+— identification (choose ``d`` by stationarity), estimation (CSS fit for
+every ``(p, q)`` of the ``max_p`` × ``max_q`` grid), and selection
 (minimum AIC), returning the winning fitted model.
 """
 

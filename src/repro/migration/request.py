@@ -7,6 +7,14 @@ target host, that the host has room (accounting for capacity it has
 already promised this round), and that no dependency conflict would
 co-locate dependent VMs on one server (Sec. II-C's conflict graph).
 
+Under Fig. 2's live-migration model the registry also takes the engine's
+:class:`~repro.sim.inflight.InFlightTracker`: a VM already in flight is
+refused outright, and capacity held on a host for an in-flight arrival is
+not free room.  Those two rules run before the plain Alg. 4 checks.
+:meth:`ReceiverRegistry.commit_round` lands the accepted reservations
+instantly (the placement changes now) or, given a tracker and the round,
+as timed migrations started on the tracker.
+
 The receiver is also the natural tracing point for the protocol: with a
 tracer attached it records a :class:`~repro.obs.events.RequestAcked` /
 :class:`~repro.obs.events.RequestRejected` row (with the Alg. 4 reason)
@@ -18,12 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.errors import ProtocolError, ReproError
 from repro.obs.events import MigrationCommitted, RequestAcked, RequestRejected
 from repro.obs.tracer import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    from repro.sim.inflight import InFlightTracker
 
 __all__ = ["RequestOutcome", "ReceiverRegistry"]
 
@@ -48,12 +59,20 @@ class ReceiverRegistry:
 
     One registry serves the whole cluster (each delegation's acceptances
     are independent, keyed by rack); reservations accumulate until
-    :meth:`commit_round` applies the accepted migrations to the placement,
-    or :meth:`reset_round` drops them.
+    :meth:`commit_round` applies the accepted migrations, or
+    :meth:`reset_round` drops them.  With a *tracker*, admission also
+    honours the migrations it has in flight.
     """
 
-    def __init__(self, cluster: Cluster, *, tracer: Tracer = NULL_TRACER) -> None:
+    def __init__(
+        self,
+        cluster: Cluster,
+        *,
+        tracker: Optional[InFlightTracker] = None,
+        tracer: Tracer = NULL_TRACER,
+    ) -> None:
         self.cluster = cluster
+        self.tracker = tracker
         self.tracer = tracer
         self._promised: Dict[int, int] = {}  # host -> capacity promised
         self._reservations: List[_Reservation] = []
@@ -79,8 +98,31 @@ class ReceiverRegistry:
 
         ``dst_rack`` models the addressing: a request routed to a
         delegation that does not own the host is ignored, not rejected.
+        The rules run in a fixed order and the first that fails decides:
+        with a tracker, ``in-flight`` then ``capacity-hold`` (the host's
+        room less its promises and its in-flight holds is short); then
+        the bounds errors, ``wrong-delegation`` (IGNORED), the duplicate
+        reservation error, ``capacity`` and ``dependency-conflict``.
         """
         pl = self.cluster.placement
+        tracker = self.tracker
+        if tracker is not None:
+            if vm in tracker:
+                return self._verdict(
+                    RequestOutcome.REJECT, vm, dst_host, dst_rack, "in-flight"
+                )
+            if 0 <= vm < pl.num_vms and 0 <= dst_host < pl.num_hosts:
+                hold = tracker.hold_on(dst_host)
+                if hold and (
+                    pl.free_capacity(dst_host)
+                    - self._promised.get(dst_host, 0)
+                    - hold
+                    < int(pl.vm_capacity[vm])
+                ):
+                    return self._verdict(
+                        RequestOutcome.REJECT, vm, dst_host, dst_rack,
+                        "capacity-hold",
+                    )
         if not (0 <= vm < pl.num_vms):
             raise ProtocolError(f"unknown vm {vm}")
         if not (0 <= dst_host < pl.num_hosts):
@@ -105,15 +147,6 @@ class ReceiverRegistry:
         self._reservations.append(_Reservation(vm=vm, host=dst_host, capacity=need))
         self._reserved_vms.add(vm)
         return self._verdict(RequestOutcome.ACK, vm, dst_host, dst_rack)
-
-    def promise(self, host: int, capacity: int) -> None:
-        """Count *capacity* on *host* as already spoken for this round.
-
-        For room committed outside this registry — the destination holds
-        of in-flight migrations, say — so the Alg. 4 capacity check never
-        ACKs a VM onto it.  Dropped with the round like any promise.
-        """
-        self._promised[host] = self._promised.get(host, 0) + capacity
 
     # ------------------------------------------------------------------ #
     @property
@@ -170,66 +203,78 @@ class ReceiverRegistry:
         self._reserved_vms.discard(vm)
         self._verdicts = {k: v for k, v in self._verdicts.items() if k[0] != vm}
 
-    def commit_round(self) -> List[Tuple[int, int]]:
+    def commit_round(self, now: Optional[int] = None) -> List[Tuple[int, int]]:
         """Apply every accepted migration; returns ``(vm, host)`` pairs.
 
-        Atomic: if :meth:`Placement.migrate` raises partway through the
-        reservation list (a destination died mid-round, say), every move
-        already applied is rolled back before the error propagates — the
-        placement is left exactly as it was when the round was planned,
-        never half-committed.
-        """
-        moved: List[Tuple[int, int]] = []
-        applied: List[Tuple[int, int]] = []  # (vm, src) for rollback
-        total = len(self._reservations)
-        pl = self.cluster.placement
-        try:
-            for res in self._reservations:
-                src = pl.host_of(res.vm)
-                pl.migrate(res.vm, res.host)
-                applied.append((res.vm, src))
-                moved.append((res.vm, res.host))
-        except Exception as exc:
-            self._record_commits(moved)
-            for vm, src in reversed(applied):
-                pl.migrate(vm, src)
-            self.reset_round()
-            raise ProtocolError(
-                f"commit aborted at move {len(applied) + 1} of {total}; "
-                f"{len(applied)} applied moves rolled back"
-            ) from exc
-        self._record_commits(moved)
-        self.reset_round()
-        return moved
+        With a tracker and the round *now*, each reservation starts a
+        timed migration (:meth:`InFlightTracker.start`) that holds its
+        destination until it lands; otherwise each move lands at once
+        (:meth:`Placement.migrate`).
 
-    def _record_commits(self, moved: List[Tuple[int, int]]) -> None:
-        """One ``MigrationCommitted`` row per applied ``(vm, host)``."""
-        if self.tracer.enabled:
-            self.tracer.record(MigrationCommitted, *moved)
+        Atomic: if a landing raises partway through the reservation list
+        (a destination died mid-round, say), every landing already made is
+        undone before the error propagates — placement and tracker are
+        left exactly as they were, never half-committed.
+        """
+        return self._commit(now, atomic=True)[0]
 
     def commit_round_tolerant(
-        self,
+        self, now: Optional[int] = None
     ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int, str]]]:
         """Commit what can be committed; report the rest.
 
         Degraded-mode variant of :meth:`commit_round` used when faults are
-        active: a reservation whose move fails (destination died, VM lost)
-        is skipped and reported as ``(vm, host, reason)`` instead of
-        aborting the round.  Returns ``(moved, failed)``.
+        active: a reservation that cannot land (destination died, VM lost,
+        pre-copy cannot converge) is skipped and reported as
+        ``(vm, host, reason)`` instead of aborting the round.  Returns
+        ``(moved, failed)``.
         """
+        return self._commit(now, atomic=False)
+
+    def _commit(
+        self, now: Optional[int], atomic: bool
+    ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int, str]]]:
+        """The one commit loop behind both landings and both policies."""
+        pl = self.cluster.placement
+        tracker = self.tracker if now is not None else None
         moved: List[Tuple[int, int]] = []
         failed: List[Tuple[int, int, str]] = []
-        pl = self.cluster.placement
-        for res in self._reservations:
+        sources: List[int] = []  # each instant landing's source, for rollback
+        for i, res in enumerate(self._reservations):
             try:
-                pl.migrate(res.vm, res.host)
-            except ReproError as exc:
+                if tracker is not None:
+                    tracker.start(res.vm, res.host, now)
+                else:
+                    src = pl.host_of(res.vm)
+                    pl.migrate(res.vm, res.host)
+                    sources.append(src)
+            except Exception as exc:
+                if atomic:
+                    self._record_commits(moved)
+                    for vm, _host in reversed(moved):
+                        if tracker is not None:
+                            tracker.abort(vm)
+                        else:
+                            pl.migrate(vm, sources.pop())
+                    total = len(self._reservations)
+                    self.reset_round()
+                    raise ProtocolError(
+                        f"commit aborted at reservation {i + 1} of {total}; "
+                        f"{len(moved)} landings rolled back"
+                    ) from exc
+                if not isinstance(exc, ReproError):
+                    raise
                 failed.append((res.vm, res.host, str(exc)))
                 continue
             moved.append((res.vm, res.host))
         self._record_commits(moved)
         self.reset_round()
         return moved, failed
+
+    def _record_commits(self, moved: List[Tuple[int, int]]) -> None:
+        """One ``MigrationCommitted`` row per applied ``(vm, host)``."""
+        if self.tracer.enabled:
+            self.tracer.record(MigrationCommitted, *moved)
 
     def reset_round(self) -> None:
         """Drop all reservations without applying them."""

@@ -5,9 +5,7 @@ Two read-only views over the observability state:
 * :func:`prometheus_text` renders a
   :class:`~repro.obs.metrics.MetricsRegistry` in the Prometheus text
   exposition format (version 0.0.4) — counters and gauges as plain
-  samples, reservoir histograms as summaries with ``quantile`` labels,
-  bucketed histograms as native Prometheus histograms with cumulative
-  ``le`` buckets.
+  samples, reservoir histograms as summaries with ``quantile`` labels.
 * :func:`chrome_trace` renders a span-recording
   :class:`~repro.obs.profiling.Profiler` as Chrome/Perfetto
   ``trace_event`` JSON (complete ``"ph": "X"`` events), so
@@ -142,35 +140,16 @@ def prometheus_text(registry: MetricsRegistry) -> str:
                 lines.append(f"{pname}{_prom_labels(m.labels)} {_fmt(m.value)}")
         else:
             assert isinstance(first, Histogram)
-            if first.buckets is not None:
-                lines.append(f"# TYPE {pname} histogram")
-                for m in members:
-                    cumulative = 0
-                    for bound, count in zip(m.buckets, m.bucket_counts):
-                        cumulative += count
-                        lines.append(
-                            f"{pname}_bucket"
-                            f"{_prom_labels(m.labels, {'le': _fmt(bound)})} "
-                            f"{cumulative}"
-                        )
-                    cumulative += m.bucket_counts[-1]
+            lines.append(f"# TYPE {pname} summary")
+            for m in members:
+                qs = m.quantiles()
+                for label, q in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
                     lines.append(
-                        f"{pname}_bucket{_prom_labels(m.labels, {'le': '+Inf'})} "
-                        f"{cumulative}"
+                        f"{pname}{_prom_labels(m.labels, {'quantile': q})} "
+                        f"{_fmt(qs[label])}"
                     )
-                    lines.append(f"{pname}_sum{_prom_labels(m.labels)} {_fmt(m.sum)}")
-                    lines.append(f"{pname}_count{_prom_labels(m.labels)} {m.count}")
-            else:
-                lines.append(f"# TYPE {pname} summary")
-                for m in members:
-                    qs = m.quantiles()
-                    for label, q in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
-                        lines.append(
-                            f"{pname}{_prom_labels(m.labels, {'quantile': q})} "
-                            f"{_fmt(qs[label])}"
-                        )
-                    lines.append(f"{pname}_sum{_prom_labels(m.labels)} {_fmt(m.sum)}")
-                    lines.append(f"{pname}_count{_prom_labels(m.labels)} {m.count}")
+                lines.append(f"{pname}_sum{_prom_labels(m.labels)} {_fmt(m.sum)}")
+                lines.append(f"{pname}_count{_prom_labels(m.labels)} {m.count}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -140,7 +140,7 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming distribution: count/sum/min/max plus optional buckets.
+    """Streaming distribution: count/sum/min/max plus reservoir quantiles.
 
     Quantiles come from a bounded reservoir (Algorithm R, capacity
     :data:`RESERVOIR_SIZE`): memory stays O(1) per histogram no matter
@@ -148,40 +148,15 @@ class Histogram:
     list.  The reservoir RNG is seeded from the instrument's formatted
     key via CRC-32 — *not* Python's per-process-salted ``hash()`` — so
     identical observation streams yield identical quantiles run-to-run.
-
-    Parameters
-    ----------
-    buckets:
-        Optional ascending upper bounds; observations count into the
-        first bucket whose bound is >= the value (a final implicit
-        ``+inf`` bucket catches the rest).
     """
 
-    def __init__(
-        self,
-        registry: "MetricsRegistry",
-        key: MetricKey,
-        buckets: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, registry: "MetricsRegistry", key: MetricKey) -> None:
         self._registry = registry
         self._key = key
         self.count: int = 0
         self.sum: float = 0.0
         self.min: float = math.inf
         self.max: float = -math.inf
-        self.buckets: Optional[Tuple[float, ...]] = (
-            tuple(buckets) if buckets is not None else None
-        )
-        if self.buckets is not None and not all(
-            lo < hi for lo, hi in zip(self.buckets, self.buckets[1:])
-        ):
-            raise ObservabilityError(
-                f"histogram {key[0]}: buckets must be strictly ascending, "
-                f"got {buckets}"
-            )
-        self.bucket_counts: List[int] = (
-            [0] * (len(self.buckets) + 1) if self.buckets is not None else []
-        )
         self._reservoir: List[float] = []
         self._rng = random.Random(zlib.crc32(_format_key(key).encode()))
 
@@ -209,13 +184,6 @@ class Histogram:
             self.min = v
         if v > self.max:
             self.max = v
-        if self.buckets is not None:
-            for i, bound in enumerate(self.buckets):
-                if v <= bound:
-                    self.bucket_counts[i] += 1
-                    break
-            else:
-                self.bucket_counts[-1] += 1
         if len(self._reservoir) < RESERVOIR_SIZE:
             self._reservoir.append(v)
         else:
@@ -423,9 +391,6 @@ class CounterFamily(_Family):
 class _HistogramMember(Histogram):
     """A :class:`HistogramFamily` member: its state is the family's row."""
 
-    buckets = None
-    bucket_counts: Sequence[int] = ()
-
     def __init__(self, family: "HistogramFamily", slot: int, key: MetricKey) -> None:
         self._registry = family._registry
         self._key = key
@@ -451,7 +416,7 @@ class _HistogramMember(Histogram):
 
 
 class HistogramFamily(_Family):
-    """Bucketless histograms over one label: count, sum, min, max and the
+    """Histograms over one label: count, sum, min, max and the
     :data:`RESERVOIR_SIZE` reservoir of each member in arrays, each member
     with its own reservoir RNG."""
 
@@ -524,17 +489,17 @@ class MetricsRegistry:
         return len(self._metrics)
 
     # ------------------------------------------------------------------ #
-    def _get(self, cls: type, name: str, labels: Dict[str, object], **kw):
+    def _get(self, cls: type, name: str, labels: Dict[str, object]):
         hit = (cls, name, *labels.items(), *map(type, labels.values()))
         try:
             metric = self._hits.get(hit)
         except TypeError:  # an unhashable label value: canonical key only
-            return self._get_canonical(cls, name, labels, **kw)
+            return self._get_canonical(cls, name, labels)
         if metric is None:
-            metric = self._hits[hit] = self._get_canonical(cls, name, labels, **kw)
+            metric = self._hits[hit] = self._get_canonical(cls, name, labels)
         return metric
 
-    def _get_canonical(self, cls: type, name: str, labels: Dict[str, object], **kw):
+    def _get_canonical(self, cls: type, name: str, labels: Dict[str, object]):
         if not name:
             raise ObservabilityError("metric name must be non-empty")
         seen = self._types.get(name)
@@ -549,7 +514,7 @@ class MetricsRegistry:
         key: MetricKey = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(self, key, **kw)
+            metric = cls(self, key)
             self._metrics[key] = metric
             self._types[name] = cls
         return metric
@@ -560,10 +525,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: object) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(
-        self, name: str, *, buckets: Optional[Sequence[float]] = None, **labels: object
-    ) -> Histogram:
-        return self._get(Histogram, name, labels, buckets=buckets)
+    def histogram(self, name: str, **labels: object) -> Histogram:
+        return self._get(Histogram, name, labels)
 
     # ------------------------------------------------------------------ #
     def counters(self, name: str, label: str) -> CounterFamily:
@@ -684,10 +647,5 @@ class MetricsRegistry:
                     entry["min"] = m.min
                     entry["max"] = m.max
                     entry.update(m.quantiles())
-                if m.buckets is not None:
-                    entry["buckets"] = {
-                        **{str(b): c for b, c in zip(m.buckets, m.bucket_counts)},
-                        "+inf": m.bucket_counts[-1],
-                    }
                 out[label] = entry
         return out

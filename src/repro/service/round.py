@@ -111,8 +111,6 @@ def land(state: RoundState) -> None:
     sim = state.sim
     if sim.inflight is None:
         return
-    # the timed registry stamps reservations with the round index
-    sim.receivers.set_round(state.now)
     landed = sim.inflight.complete_due(state.now)
     if not landed:
         return
@@ -268,7 +266,9 @@ def commit(state: RoundState) -> None:
             # (destination crashed after the ACK, pre-copy cannot
             # converge) is rolled back and reported — the round
             # always completes, never half-applies
-            moved, state.commit_failed = sim.receivers.commit_round_tolerant()
+            moved, state.commit_failed = sim.receivers.commit_round_tolerant(
+                state.now
+            )
             for vm, host, reason in state.commit_failed:
                 m.counter("sheriff_rollbacks_total").inc()
                 if tracer.enabled:
@@ -276,7 +276,7 @@ def commit(state: RoundState) -> None:
                         MigrationAborted(vm=vm, dst_host=host, reason=reason)
                     )
         else:
-            moved = sim.receivers.commit_round()
+            moved = sim.receivers.commit_round(state.now)
     m.counter("sheriff_migrations_committed_total").inc(len(moved))
     if sim.inflight is None and moved:
         vms = [vm for vm, _ in moved]

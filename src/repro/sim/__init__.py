@@ -33,7 +33,7 @@ from repro.sim.congestion import congestion_alerts, hot_switches, switch_capacit
 from repro.sim.failures import FailureInjector, FailureReport
 from repro.sim.driver import AlertSource, ManagedRunReport, run_managed_simulation
 from repro.sim.fullstack import FullStackRound, FullStackSimulation
-from repro.sim.inflight import InFlightTracker, MigrationTiming, TimedReceiverRegistry
+from repro.sim.inflight import InFlightTracker, MigrationTiming
 from repro.sim.latency import flow_latencies, latency_percentiles, switch_delay_factors
 from repro.sim.scenarios import (
     SurgeEvent,
@@ -77,5 +77,4 @@ __all__ = [
     "FullStackRound",
     "MigrationTiming",
     "InFlightTracker",
-    "TimedReceiverRegistry",
 ]

@@ -64,7 +64,7 @@ from repro.obs.profiling import Profiler
 from repro.service.bus import EventBus
 from repro.service.events import RoundClosed, RoundOpened
 from repro.service.round import ROUND_STAGES, RoundState
-from repro.sim.inflight import InFlightTracker, MigrationTiming, TimedReceiverRegistry
+from repro.sim.inflight import InFlightTracker, MigrationTiming
 
 __all__ = ["RoundSummary", "SheriffSimulation"]
 
@@ -138,11 +138,9 @@ class SheriffSimulation:
             # live-migration windows: accepted moves reserve the destination
             # now and land after the Fig. 2 timeline elapses
             self.inflight = InFlightTracker(cluster, cfg.migration_timing)
-            self.receivers: ReceiverRegistry = TimedReceiverRegistry(
-                cluster, self.inflight, tracer=self.tracer
-            )
-        else:
-            self.receivers = ReceiverRegistry(cluster, tracer=self.tracer)
+        self.receivers = ReceiverRegistry(
+            cluster, tracker=self.inflight, tracer=self.tracer
+        )
         self.flow_table: Optional[FlowTable] = None
         if cfg.with_flows:
             self.flow_table = FlowTable(cluster.topology)

@@ -14,6 +14,12 @@ migration window with a cooldown.  This module models Fig. 2 properly:
 
 During the window the fleet genuinely holds 2× the VM's capacity — the
 real cost of live migration the paper's ``C_r`` abstracts away.
+
+Admission against the holds is Alg. 4's job: a
+:class:`~repro.migration.request.ReceiverRegistry` built with the tracker
+refuses in-flight VMs and hold-blocked hosts, and its commit starts the
+accepted moves here.  :meth:`InFlightTracker.start` keeps its own
+capacity check as a safety net.
 """
 
 from __future__ import annotations
@@ -25,11 +31,9 @@ from typing import Dict, List, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.costs.precopy import MigrationTimeline, precopy_timeline
-from repro.errors import ConfigurationError, MigrationError, ProtocolError
-from repro.migration.request import ReceiverRegistry, RequestOutcome
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.errors import ConfigurationError, MigrationError
 
-__all__ = ["MigrationTiming", "InFlightTracker", "TimedReceiverRegistry"]
+__all__ = ["MigrationTiming", "InFlightTracker"]
 
 
 @dataclass(frozen=True)
@@ -176,97 +180,3 @@ class InFlightTracker:
                 pl.migrate(vm, rec.dst_host)
                 done.append(rec)
         return done
-
-
-class TimedReceiverRegistry(ReceiverRegistry):
-    """Alg. 4 receiver that starts timed migrations instead of instant moves.
-
-    ACK semantics are unchanged (FCFS, capacity, conflict graph), but the
-    capacity check additionally subtracts in-flight holds, requests for
-    in-flight VMs are rejected outright, and ``commit_round`` hands the
-    reservations to the :class:`InFlightTracker` rather than migrating.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        tracker: InFlightTracker,
-        *,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        super().__init__(cluster, tracer=tracer)
-        self.tracker = tracker
-        self._now = 0
-
-    def set_round(self, now: int) -> None:
-        self._now = now
-
-    def request(self, vm: int, dst_host: int, dst_rack: int):
-        if vm in self.tracker:
-            return self._verdict(
-                RequestOutcome.REJECT, vm, dst_host, dst_rack, "in-flight"
-            )
-        pl = self.cluster.placement
-        if 0 <= dst_host < pl.num_hosts:
-            # fold the in-flight holds into the capacity check by
-            # pre-promising them for the duration of this request
-            extra = self.tracker.hold_on(dst_host)
-            if extra:
-                free = (
-                    pl.free_capacity(dst_host)
-                    - self._promised.get(dst_host, 0)
-                    - extra
-                )
-                if 0 <= vm < pl.num_vms and free < int(pl.vm_capacity[vm]):
-                    return self._verdict(
-                        RequestOutcome.REJECT, vm, dst_host, dst_rack,
-                        "capacity-hold",
-                    )
-        return super().request(vm, dst_host, dst_rack)
-
-    def commit_round(self) -> List[Tuple[int, int]]:
-        """Start (not finish) every accepted migration; returns the pairs.
-
-        Atomic like the base class: a failing :meth:`InFlightTracker.start`
-        aborts every migration already started this commit before the error
-        propagates.
-        """
-        started: List[Tuple[int, int]] = []
-        try:
-            for res in self._reservations:
-                self.tracker.start(res.vm, res.host, self._now)
-                started.append((res.vm, res.host))
-        except Exception as exc:
-            self._record_commits(started)
-            for vm, _host in reversed(started):
-                self.tracker.abort(vm)
-            self.reset_round()
-            raise ProtocolError(
-                f"timed commit aborted; {len(started)} started migrations "
-                "cancelled"
-            ) from exc
-        self._record_commits(started)
-        self.reset_round()
-        return started
-
-    def commit_round_tolerant(
-        self,
-    ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int, str]]]:
-        """Start what can be started; report per-reservation failures.
-
-        Degraded-mode variant for fault-injection runs: a reservation that
-        cannot start (non-convergent pre-copy, destination died) is skipped
-        and reported instead of aborting the round.
-        """
-        started: List[Tuple[int, int]] = []
-        failed: List[Tuple[int, int, str]] = []
-        for res in self._reservations:
-            try:
-                self.tracker.start(res.vm, res.host, self._now)
-            except (MigrationError, ConfigurationError) as exc:
-                failed.append((res.vm, res.host, str(exc)))
-                continue
-            started.append((res.vm, res.host))
-        self._record_commits(started)
-        self.reset_round()
-        return started, failed

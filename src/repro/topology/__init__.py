@@ -12,7 +12,7 @@ from repro.topology.fattree import build_fattree
 from repro.topology.bcube import build_bcube
 from repro.topology.shortest_paths import floyd_warshall
 from repro.topology.validate import validate_topology
-from repro.topology.custom import from_edge_list, from_networkx
+from repro.topology.custom import from_edge_list
 from repro.topology.routing import ecmp_path, equal_cost_paths, path_diversity
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "floyd_warshall",
     "validate_topology",
     "from_edge_list",
-    "from_networkx",
     "equal_cost_paths",
     "ecmp_path",
     "path_diversity",

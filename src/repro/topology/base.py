@@ -259,23 +259,6 @@ class Topology:
         mat[lt.v, lt.u] = w
         return mat
 
-    def to_networkx(self):
-        """Export as a :class:`networkx.Graph` (for validation/analysis)."""
-        import networkx as nx
-
-        g = nx.Graph(name=self.name)
-        for i in range(self.num_nodes):
-            g.add_node(i, kind=NodeKind(int(self.kinds[i])).name)
-        lt = self.links
-        for eid in range(len(lt)):
-            g.add_edge(
-                int(lt.u[eid]),
-                int(lt.v[eid]),
-                capacity=float(lt.capacity[eid]),
-                distance=float(lt.distance[eid]),
-            )
-        return g
-
     def degree(self) -> np.ndarray:
         """Per-node degree vector."""
         lt = self.links

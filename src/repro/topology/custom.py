@@ -1,20 +1,20 @@
 """Custom fabric construction.
 
 Sheriff "can be easily implemented in other DCN topologies" (Sec. II-A).
-These builders let users bring their own fabric — an explicit edge list
-or an annotated :mod:`networkx` graph — and get a validated
-:class:`~repro.topology.base.Topology` the rest of the library consumes.
+:func:`from_edge_list` lets users bring their own fabric as an explicit
+edge list and get a validated :class:`~repro.topology.base.Topology` the
+rest of the library consumes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 from repro.errors import TopologyError
 from repro.topology.base import NodeKind, Topology
 from repro.topology.validate import validate_topology
 
-__all__ = ["from_edge_list", "from_networkx"]
+__all__ = ["from_edge_list"]
 
 EdgeSpec = Tuple[int, int, float, float]  # (u, v, capacity, distance)
 
@@ -54,42 +54,3 @@ def from_edge_list(
     if validate:
         validate_topology(topo)
     return topo
-
-
-def from_networkx(
-    graph,
-    *,
-    kind_attr: str = "kind",
-    capacity_attr: str = "capacity",
-    distance_attr: str = "distance",
-    default_capacity: float = 1.0,
-    default_distance: float = 1.0,
-    validate: bool = True,
-) -> Topology:
-    """Convert an annotated :class:`networkx.Graph`.
-
-    Nodes must be integers ``0..n-1`` with a *kind* attribute; ToR nodes
-    must occupy the id prefix.  Missing edge attributes fall back to the
-    defaults.  This inverts :meth:`Topology.to_networkx`.
-    """
-    n = graph.number_of_nodes()
-    if sorted(graph.nodes) != list(range(n)):
-        raise TopologyError("nodes must be exactly the integers 0..n-1")
-    kinds = []
-    for i in range(n):
-        attrs = graph.nodes[i]
-        if kind_attr not in attrs:
-            raise TopologyError(f"node {i} missing the {kind_attr!r} attribute")
-        kinds.append(attrs[kind_attr])
-    edges = (
-        (
-            u,
-            v,
-            data.get(capacity_attr, default_capacity),
-            data.get(distance_attr, default_distance),
-        )
-        for u, v, data in graph.edges(data=True)
-    )
-    return from_edge_list(
-        kinds, edges, name=graph.name or "custom", validate=validate
-    )

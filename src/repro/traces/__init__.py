@@ -7,8 +7,8 @@ with the statistical structure the evaluation relies on:
 
 * strong diurnal/weekly seasonality with regular peaks and troughs
   (Fig. 5) — the regime where ARIMA after differencing shines;
-* nonlinear, chaotic components (Mackey–Glass, regime switching) — the
-  regime where NARNET outperforms ARIMA;
+* a nonlinear, chaotic component (Mackey–Glass) — the regime where
+  NARNET outperforms ARIMA;
 * bursty, heavy-tailed noise for CPU and disk I/O (Figs. 3–4).
 
 See DESIGN.md §2 for the substitution rationale.

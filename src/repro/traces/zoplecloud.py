@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.rng import SeedLike, as_generator, spawn
 from repro.traces.diurnal import diurnal_pattern, weekly_pattern
 from repro.traces.noise import ar1_noise, bursty_spikes
-from repro.traces.nonlinear import mackey_glass, regime_switching
+from repro.traces.nonlinear import mackey_glass
 
 __all__ = [
     "cpu_trace",

@@ -49,21 +49,24 @@ class TestPolicy:
 
 class TestLosslessPassthrough:
     def test_zero_loss_matches_direct_request(self, cluster):
-        reg = ReceiverRegistry(cluster)
-        ch = UnreliableChannel(reg, ChannelPolicy(loss_probability=0.0))
+        reg, metrics = ReceiverRegistry(cluster), MetricsRegistry()
+        ch = UnreliableChannel(
+            reg, ChannelPolicy(loss_probability=0.0), metrics=metrics
+        )
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.ACK
-        assert ch.retries == 0 and ch.timeouts == 0
+        assert metrics.total("sheriff_channel_retries_total") == 0
+        assert metrics.total("sheriff_request_timeouts_total") == 0
         assert reg.pending == 1
 
 
 class TestLossAndRetry:
-    def make(self, cluster, script, *, max_retries=2, metrics=None):
+    def make(self, cluster, script, *, max_retries=2):
         reg = ReceiverRegistry(cluster)
         ch = UnreliableChannel(
             reg,
             ChannelPolicy(loss_probability=0.5, max_retries=max_retries),
-            metrics=metrics,
+            metrics=MetricsRegistry(),
         )
         ch._rng = ScriptedRng(script)
         return reg, ch
@@ -73,7 +76,7 @@ class TestLossAndRetry:
         reg, ch = self.make(cluster, [0.1, 0.9, 0.9])
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.ACK
-        assert ch.retries == 1
+        assert ch.metrics.total("sheriff_channel_retries_total") == 1
         assert reg.pending == 1
 
     def test_lost_ack_redelivery_is_idempotent(self, cluster):
@@ -93,13 +96,10 @@ class TestLossAndRetry:
     def test_exhaustion_cancels_orphan_reservation(self, cluster):
         # both attempts deliver the request but lose every reply: the
         # receiver reserved, the sender believes REJECT -> lease expiry
-        metrics = MetricsRegistry()
-        reg, ch = self.make(
-            cluster, [0.9, 0.1, 0.9, 0.1], max_retries=1, metrics=metrics
-        )
+        reg, ch = self.make(cluster, [0.9, 0.1, 0.9, 0.1], max_retries=1)
+        metrics = ch.metrics
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.REJECT
-        assert ch.timeouts == 1 and ch.cancels == 1
         assert reg.pending == 0
         assert not reg.holds_reservation(vm)
         assert metrics.total("sheriff_request_timeouts_total") == 1
@@ -109,20 +109,22 @@ class TestLossAndRetry:
         cluster.placement.check_invariants()
 
     def test_retries_counted_in_metrics(self, cluster):
-        metrics = MetricsRegistry()
-        reg, ch = self.make(cluster, [0.1, 0.1, 0.9, 0.9], metrics=metrics)
+        reg, ch = self.make(cluster, [0.1, 0.1, 0.9, 0.9])
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.ACK
-        assert ch.retries == 2
-        assert metrics.total("sheriff_channel_retries_total") == 2
+        assert ch.metrics.total("sheriff_channel_retries_total") == 2
 
 
 class TestDownRack:
     def test_down_rack_times_out_into_reject(self, cluster):
-        reg = ReceiverRegistry(cluster)
+        reg, metrics = ReceiverRegistry(cluster), MetricsRegistry()
         pol = ChannelPolicy(loss_probability=0.0, max_retries=3)
-        ch = UnreliableChannel(reg, pol, is_rack_down=lambda rack: True)
+        ch = UnreliableChannel(
+            reg, pol, metrics=metrics, is_rack_down=lambda rack: True
+        )
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.REJECT
-        assert ch.timeouts == 1 and ch.retries == 3  # every retry spent
+        assert metrics.total("sheriff_request_timeouts_total") == 1
+        # every retry spent
+        assert metrics.total("sheriff_channel_retries_total") == 3
         assert reg.pending == 0  # the receiver never saw the request

@@ -6,6 +6,7 @@ from repro.cluster import build_cluster
 from repro.config import SheriffConfig
 from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import RecordingTracer
 from repro.sim import SheriffSimulation, inject_fraction_alerts
 from repro.sim.inflight import MigrationTiming
 from repro.topology import build_bcube, build_fattree
@@ -93,6 +94,53 @@ class TestHostCrash:
             cluster.placement.check_invariants()
         # nothing ever migrates onto the dead host
         assert cluster.placement.free_capacity(host) == 0
+
+    def test_evacuation_registry_refuses_a_hold_blocked_host(self, cluster):
+        # in-flight arrivals hold the crashed host's region full; the
+        # evacuation's receiver shares the engine's tracker, so it refuses
+        # those hosts (capacity-hold) though their placement looks free
+        host = busy_host(cluster)
+        tracer = RecordingTracer()
+        cfg = SheriffConfig(
+            tracer=tracer,
+            migration_timing=MigrationTiming(round_seconds=1.0),  # long windows
+            fault_schedule=FaultSchedule(
+                [FaultSpec(FaultKind.HOST_CRASH, target=host, at_round=0)]
+            ),
+        )
+        sim = SheriffSimulation(cluster, cfg)
+        pl, tracker = cluster.placement, sim.inflight
+        residents = [int(v) for v in pl.vms_on_host(host)]
+        rack = int(pl.host_rack[host])
+        region = sim.managers[rack].shim.candidate_hosts().tolist()
+        for dst in region:
+            for vm in range(pl.num_vms):
+                need = int(pl.vm_capacity[vm])
+                if (
+                    pl.host_of(vm) not in (host, dst)
+                    and vm not in tracker
+                    and pl.free_capacity(dst) - tracker.hold_on(dst) >= need
+                ):
+                    tracker.start(vm, dst, now=0)
+        smallest = min(int(pl.vm_capacity[vm]) for vm in residents)
+        blocked = {
+            h for h in region
+            if h != host and pl.free_capacity(h) - tracker.hold_on(h) < smallest
+        }
+        assert blocked
+        sim.run_round([], {})
+        assert not pl.host_alive[host]
+        assert not {pl.host_of(vm) for vm in residents} & blocked
+        refused = {
+            e.dst_host
+            for e in tracer.of_kind("RequestRejected")
+            if e.reason == "capacity-hold"
+        }
+        assert refused and refused <= blocked
+        for h in range(pl.num_hosts):
+            if pl.host_alive[h]:
+                assert pl.free_capacity(h) - tracker.hold_on(h) >= 0
+        pl.check_invariants()
 
     def test_evacuation_respects_inflight_holds(self):
         # bench/README.md's repro cut to 16 rounds: the second crash used to

@@ -1,10 +1,10 @@
-"""ACF / PACF / Ljung-Box tests."""
+"""ACF / Ljung-Box tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ForecastError
-from repro.forecast.acf import acf, ljung_box, pacf
+from repro.forecast.acf import acf, ljung_box
 from repro.traces.noise import ar1_noise, white_noise
 
 
@@ -41,29 +41,6 @@ class TestACF:
     def test_too_many_lags_raises(self):
         with pytest.raises(ForecastError):
             acf(np.arange(10.0), 10)
-
-
-class TestPACF:
-    def test_ar1_cuts_off_after_lag_one(self):
-        x = ar1_noise(50000, phi=0.7, seed=4)
-        p = pacf(x, 6)
-        assert p[1] == pytest.approx(0.7, abs=0.03)
-        assert np.abs(p[2:]).max() < 0.05
-
-    def test_ar2_cuts_off_after_lag_two(self):
-        rng = np.random.default_rng(5)
-        n = 50000
-        x = np.zeros(n)
-        e = rng.normal(size=n)
-        for t in range(2, n):
-            x[t] = 0.5 * x[t - 1] + 0.3 * x[t - 2] + e[t]
-        p = pacf(x, 6)
-        assert abs(p[2] - 0.3) < 0.03
-        assert np.abs(p[3:]).max() < 0.05
-
-    def test_lag_zero_is_one(self):
-        x = white_noise(500, seed=6)
-        assert pacf(x, 3)[0] == 1.0
 
 
 class TestLjungBox:

@@ -274,8 +274,9 @@ class TestSingleRowRequestsItsFirstMinimum:
         )[0]
         if spoil == "promised":
             # the receivers know what the sender's block does not: the last
-            # row's favourite host is spoken for, so its REQUEST is REJECTed
-            reg.promise(int(hosts[block.first_min[-1]]), 10**6)
+            # row's favourite host is spoken for (its room is gone), so its
+            # REQUEST is REJECTed
+            pl.host_alive[hosts[block.first_min[-1]]] = False
         first_min = block.first_min.copy()
         if withhold:
             block.first_min = np.full(n_vms, -1)

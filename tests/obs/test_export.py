@@ -71,18 +71,6 @@ class TestPrometheusText:
         assert 'sheriff_move_cost_count{rack="1"} 2' in text
         assert 'sheriff_move_cost_sum{rack="1"} 12.0' in text
 
-    def test_bucketed_histogram_exports_cumulative_le(self):
-        m = MetricsRegistry()
-        h = m.histogram("lat", buckets=[1.0, 5.0])
-        for v in (0.5, 0.7, 3.0, 9.0):
-            h.observe(v)
-        text = prometheus_text(m)
-        assert "# TYPE sheriff_lat histogram" in text
-        assert 'sheriff_lat_bucket{le="1.0"} 2' in text
-        assert 'sheriff_lat_bucket{le="5.0"} 3' in text
-        assert 'sheriff_lat_bucket{le="+Inf"} 4' in text
-        assert "sheriff_lat_count 4" in text
-
     def test_empty_registry_exports_empty(self):
         assert prometheus_text(MetricsRegistry()) == ""
 

@@ -131,13 +131,3 @@ class TestMatrices:
         t.add_link(0, 2, 4.0, 2.5)
         with pytest.raises(TopologyError):
             t.adjacency_matrix("latency")
-
-    def test_to_networkx_roundtrip(self):
-        t = make_line()
-        t.add_link(0, 2, 4.0, 2.5)
-        t.add_link(1, 2, 3.0, 1.5)
-        g = t.to_networkx()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 2
-        assert g.edges[0, 2]["capacity"] == 4.0
-        assert g.nodes[0]["kind"] == "TOR"

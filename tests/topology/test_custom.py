@@ -1,10 +1,9 @@
 """Custom topology builder tests."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import build_fattree, from_edge_list, from_networkx
+from repro.topology import from_edge_list
 from repro.topology.base import NodeKind
 
 
@@ -41,40 +40,3 @@ class TestFromEdgeList:
             ["tor", "tor", "agg"], [(0, 2, 1.0, 1.0)], validate=False
         )
         assert topo.num_links == 1
-
-
-class TestFromNetworkx:
-    def test_roundtrip_with_to_networkx(self):
-        original = build_fattree(4)
-        g = original.to_networkx()
-        rebuilt = from_networkx(g)
-        assert rebuilt.num_nodes == original.num_nodes
-        assert rebuilt.num_racks == original.num_racks
-        assert rebuilt.num_links == original.num_links
-        lt_a, lt_b = original.links, rebuilt.links
-        assert sorted(lt_a.capacity.tolist()) == sorted(lt_b.capacity.tolist())
-
-    def test_missing_kind_rejected(self):
-        g = nx.Graph()
-        g.add_edge(0, 1)
-        with pytest.raises(TopologyError):
-            from_networkx(g)
-
-    def test_non_contiguous_ids_rejected(self):
-        g = nx.Graph()
-        g.add_node(0, kind="TOR")
-        g.add_node(5, kind="AGG")
-        g.add_edge(0, 5)
-        with pytest.raises(TopologyError):
-            from_networkx(g)
-
-    def test_default_attributes(self):
-        g = nx.Graph()
-        g.add_node(0, kind="TOR")
-        g.add_node(1, kind="TOR")
-        g.add_node(2, kind="AGG")
-        g.add_edge(0, 2)
-        g.add_edge(1, 2)
-        topo = from_networkx(g, default_capacity=5.0, default_distance=2.0)
-        assert (topo.links.capacity == 5.0).all()
-        assert (topo.links.distance == 2.0).all()
