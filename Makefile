@@ -34,9 +34,9 @@ digest-smoke:
 
 # Retained objects as a command (~10 s): the three workloads whose rounds
 # used to leave objects behind for the garbage collector (the tracer's
-# events, the per-rack records, the predictive manager's per-host model
-# objects), at smoke size; exits 1 when GC-tracked objects grow by more
-# than N per timed round.
+# events, the per-rack records, the predictive manager's refit wave, now
+# one stacked fit per history length), at smoke size; exits 1 when
+# GC-tracked objects grow by more than N per timed round.
 gc-smoke:
 	python tools/gc_pauses.py --workload degraded_traced_k8 --seed 2015 --scale smoke --max-growth 50
 	python tools/gc_pauses.py --workload ladder_k32 --seed 2015 --scale smoke --max-growth 50

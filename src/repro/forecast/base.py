@@ -34,9 +34,12 @@ def warm_fit(
     """Fit each fresh ``models[i]`` on ``windows[i]``: one refit wave.
 
     The one entry point every periodic refit goes through (the selector's
-    pool, the predictive manager's due hosts, ``rolling_one_step``'s wave
-    of one): a refit is a function of the model's factory, its window and
-    its seed alone — nothing is carried over from the model it replaces.
+    pool, ``rolling_one_step``'s wave of one, and the predictive manager's
+    due hosts, whose "models" are one
+    :class:`~repro.forecast.batch.StackedAR1` per history length, each
+    fitting a window matrix): a refit is a function of the model's
+    factory, its window and its seed alone — nothing is carried over from
+    the model it replaces.
 
     Returns, per model, ``None`` or the :data:`REFIT_FAILURES` exception
     its fit raised; what to do with it is the caller's policy.  Anything

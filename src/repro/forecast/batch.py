@@ -22,24 +22,30 @@ like :func:`~repro.forecast.lag.undifference` — so row ``i`` is bitwise
 the ``forecast(h)`` of the fitted model the row was gathered from.  The
 property suite asserts this bitwise.
 
-:func:`fit_stacked` is the same idea for a refit wave: the plain
-``ARIMA(1, d, 0)`` members are solved by one closed-form pass per
-``(d, include_constant, window length)`` group — the stationarity wall
-included — bitwise what :meth:`ARIMA.fit` installs; every row it cannot
-accept is left to the scalar fit, which stays the definition.
+:func:`_solve_ar1` is the same idea for a refit: the closed-form CSS fit
+of ``ARIMA(1, d, 0)`` — the stationarity wall included — on every row of
+a window matrix, bitwise what :meth:`ARIMA.fit` computes; every row it
+cannot accept is left to the scalar fit, which stays the definition.  Two
+callers feed it.  :class:`StackedAR1` fits the rows of one matrix and
+keeps only ``(c, φ)`` per row: the predictive manager refits its due
+hosts as one such matrix per history length, gathered from its load
+matrix, with no model object per host.  :func:`fit_stacked` fits a wave
+of model objects (the selectors' pools), one pass per
+``(d, include_constant, window length)`` group, and installs each
+accepted row into its model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ForecastError
 from repro.forecast.arima import _RANK_RCOND, _ROOT_MARGIN, AR1_EDGE, ARIMA
-from repro.forecast.base import _Series
+from repro.forecast.base import REFIT_FAILURES, _Series
 
-__all__ = ["batch_forecast", "fit_stacked"]
+__all__ = ["StackedAR1", "batch_forecast", "fit_stacked"]
 
 
 def batch_forecast(
@@ -136,6 +142,39 @@ def _solve_ar1(Y: np.ndarray, d: int, include_constant: bool) -> Tuple[np.ndarra
         sse = _row_dot(e, e)
         ok &= np.isfinite(sse)
     return ok, c, phi, sse / n, W[:, -1]
+
+
+class StackedAR1:
+    """``ARIMA(1, 1, 0)`` fits of the rows of one window matrix, kept as
+    columns: a refit with no model object per row.
+
+    :meth:`fit` solves the ``(rows × n)`` matrix in one closed-form pass
+    (:func:`_solve_ar1`) and fits each row the pass refuses — non-finite,
+    deterministic after differencing, rank deficient — with a fresh
+    ``scalar()`` model's own ``fit``, the definition.  Then ``ok``,
+    ``const`` and ``phi`` are per-row columns: where ``ok``, row ``i``'s
+    ``(const[i], phi[i])`` is bitwise ``scalar().fit(Y[i])``'s
+    ``(const_, phi_[0])``; a row whose scalar fit raised one of
+    :data:`~repro.forecast.base.REFIT_FAILURES` is not ``ok``.  *scalar*
+    must build ``ARIMA(1, 1, 0)`` models with a constant, the order the
+    pass solves.
+    """
+
+    __slots__ = ("scalar", "ok", "const", "phi")
+
+    def __init__(self, scalar: Callable[[], ARIMA]) -> None:
+        self.scalar = scalar
+
+    def fit(self, Y: np.ndarray) -> "StackedAR1":
+        ok, c, phi, _, _ = _solve_ar1(Y, 1, True)
+        for i in np.flatnonzero(~ok).tolist():
+            try:
+                model = self.scalar().fit(Y[i])
+            except REFIT_FAILURES:
+                continue
+            ok[i], c[i], phi[i] = True, model.const_, model.phi_[0]
+        self.ok, self.const, self.phi = ok, c, phi
+        return self
 
 
 def fit_stacked(models: Sequence[object], windows: Sequence[object]) -> List[int]:

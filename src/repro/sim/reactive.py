@@ -81,8 +81,10 @@ class DemandDrivenWorkload:
         """Per-VM scalar demand at round *t*: the max profile component.
 
         The max mirrors the ALERT semantics — a VM pegged on any one
-        resource stresses its host.
+        resource stresses its host.  A negative *t* is refused.
         """
+        if t < 0:
+            raise ConfigurationError(f"round must be >= 0, got {t}")
         if self._util_matrix is not None:
             row = min(t, self._util_matrix.shape[0] - 1)
             return self._util_matrix[row].copy()
@@ -153,7 +155,8 @@ class ReactiveManager:
 
 
 def _host_model() -> ARIMA:
-    """A fresh host forecaster: what one refit of one host fits."""
+    """A fresh host forecaster: what one refit of one host fits, and the
+    scalar fit of a history the stacked solve refuses."""
     return ARIMA(1, 1, 0, maxiter=40)
 
 
@@ -177,9 +180,9 @@ class PredictiveManager:
     value) and ``_heads`` (the Eq. (12) integration head), valid where
     ``_fitted``.  :meth:`observe` advances every row in one array step —
     the IEEE operations of ``ARIMA.append`` — :meth:`alerts_at` refits
-    every *due* host up front as one wave
-    (:func:`~repro.forecast.base.warm_fit` over fresh models whose
-    parameters are then gathered into the columns) and forecasts the fleet with one
+    every *due* host up front as one wave (one closed-form solve per
+    history length over the rows of the load matrix, written straight
+    into the columns) and forecasts the fleet with one
     :func:`~repro.forecast.batch.batch_forecast` call.
 
     Refit failure policy: a refit that raises keeps the outgoing model —
@@ -294,35 +297,42 @@ class PredictiveManager:
         )
 
     def _refit(self, hosts: np.ndarray) -> None:
-        """Fit a fresh ``ARIMA(1, 1, 0)`` per host in *hosts*, as one wave,
-        and gather each fit's ``(c, φ)`` into the host's row of the columns.
+        """Refit ``ARIMA(1, 1, 0)`` on the history of every host in
+        *hosts*, as one wave, and write each fit's ``(c, φ)`` into the
+        host's row of the columns.
 
-        The wave is one closed-form pass over its rows
-        (:func:`~repro.forecast.batch.fit_stacked`; a fit on the
-        stationarity wall takes the feasible edge, also in closed form).
+        The hosts are grouped by history length; every history ends at
+        ``_t``, so a group's windows are one indexed copy of the load
+        matrix, and one :class:`~repro.forecast.batch.StackedAR1` solves
+        it in closed form (a fit on the stationarity wall takes the
+        feasible edge).  Only a history the solve refuses — non-finite,
+        deterministic or rank deficient — is fitted by a scalar
+        ``_host_model()``.  Each row is bitwise that fresh model's fit.
         A fit's forecasting state — the last difference and the head of
         its window — is already the row's ``_w_last`` and ``_heads``:
         :meth:`observe` keeps them for every host, with the same IEEE
-        operations, so only the parameters are read back.
+        operations, so only the parameters are written.
 
         A degenerate history can break a refit mid-run; the host then
         keeps its outgoing row — or none, and answers persistence —
         until the next refit period, as a production predictor would.
         """
-        from repro.forecast import base
+        from repro.forecast import base, batch
 
-        models = [_host_model() for _ in range(hosts.shape[0])]
         self._since_fit[hosts] = 0
+        lengths = self._t - self._start[hosts]
+        groups = [(n, hosts[lengths == n]) for n in np.unique(lengths).tolist()]
+        fits = [batch.StackedAR1(_host_model) for _ in groups]
         # looked up at call time: a profiler may wrap base.warm_fit
-        failures = base.warm_fit(models, [self._history(h) for h in hosts.tolist()])
-        ok = [f is None for f in failures]
-        fitted = [m for m, good in zip(models, ok) if good]
-        if not fitted:
-            return
-        rows = hosts[ok]
-        self._fitted[rows] = True
-        self._const[rows] = [m.const_ for m in fitted]
-        self._phi[rows] = [m.phi_[0] for m in fitted]
+        failures = base.warm_fit(
+            fits, [self._loads[rows, self._t - n : self._t] for n, rows in groups]
+        )
+        for (_, rows), fit, failure in zip(groups, fits, failures):
+            if failure is None:
+                good = rows[fit.ok]
+                self._fitted[good] = True
+                self._const[good] = fit.const[fit.ok]
+                self._phi[good] = fit.phi[fit.ok]
 
     def _predict_all(self) -> np.ndarray:
         """Per-host predictions: the clipped peak of each fitted host's

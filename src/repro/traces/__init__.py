@@ -16,7 +16,7 @@ See DESIGN.md §2 for the substitution rationale.
 
 from repro.traces.noise import ar1_noise, bursty_spikes, white_noise
 from repro.traces.diurnal import diurnal_pattern, weekly_pattern
-from repro.traces.nonlinear import logistic_map, mackey_glass, regime_switching
+from repro.traces.nonlinear import mackey_glass
 from repro.traces.zoplecloud import (
     ZopleCloudTraces,
     cpu_trace,
@@ -35,8 +35,6 @@ __all__ = [
     "diurnal_pattern",
     "weekly_pattern",
     "mackey_glass",
-    "logistic_map",
-    "regime_switching",
     "ZopleCloudTraces",
     "cpu_trace",
     "disk_io_trace",

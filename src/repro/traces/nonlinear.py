@@ -1,14 +1,10 @@
-"""Nonlinear / chaotic series generators.
+"""Nonlinear / chaotic series generator.
 
 Sec. IV-B motivates NARNET with data that "ARIMA ... may not work"
-on: nonlinear, dynamic, chaotic signals.  We synthesize three canonical
-kinds:
-
-* :func:`mackey_glass` — the classic chaotic delay-differential benchmark
-  used throughout the NAR-network literature;
-* :func:`logistic_map` — discrete chaos with tunable ``r``;
-* :func:`regime_switching` — a Markov-switching AR process whose
-  conditional dynamics change abruptly, defeating any single linear fit.
+on: nonlinear, dynamic, chaotic signals.  :func:`mackey_glass` — the
+classic chaotic delay-differential benchmark used throughout the
+NAR-network literature — is the nonlinear component of the synthetic
+traces (:mod:`repro.traces.zoplecloud`).
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike, as_generator
 
-__all__ = ["mackey_glass", "logistic_map", "regime_switching"]
+__all__ = ["mackey_glass"]
 
 
 def mackey_glass(
@@ -63,61 +59,3 @@ def mackey_glass(
         out = out + rng.normal(0.0, noise_sigma, size=out.shape)
     return out
 
-
-def logistic_map(
-    n: int,
-    *,
-    r: float = 3.9,
-    x0: float = 0.4,
-    discard: int = 100,
-) -> np.ndarray:
-    """Logistic map ``x_{t+1} = r x_t (1 - x_t)``; chaotic for r ≈ 3.57+."""
-    if n < 0:
-        raise ConfigurationError(f"n must be non-negative, got {n}")
-    if not (0.0 < x0 < 1.0):
-        raise ConfigurationError(f"x0 must be in (0, 1), got {x0}")
-    if not (0.0 < r <= 4.0):
-        raise ConfigurationError(f"r must be in (0, 4], got {r}")
-    total = n + discard
-    x = np.empty(total + 1)
-    x[0] = x0
-    for t in range(total):
-        x[t + 1] = r * x[t] * (1.0 - x[t])
-    return x[1 + discard :]
-
-
-def regime_switching(
-    n: int,
-    *,
-    phis: tuple[float, ...] = (0.95, -0.5),
-    sigmas: tuple[float, ...] = (0.3, 1.0),
-    stay_prob: float = 0.985,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Markov-switching AR(1): per-regime coefficient and noise scale.
-
-    The chain stays in its regime with probability *stay_prob* per step and
-    otherwise jumps uniformly to another regime.  A single global ARIMA fit
-    averages the regimes and underperforms a nonlinear model.
-    """
-    if n < 0:
-        raise ConfigurationError(f"n must be non-negative, got {n}")
-    if len(phis) != len(sigmas) or len(phis) < 2:
-        raise ConfigurationError("need >= 2 regimes with matching phi/sigma")
-    if not all(-1.0 < p < 1.0 for p in phis):
-        raise ConfigurationError(f"all phis must satisfy |phi| < 1, got {phis}")
-    if not (0.0 < stay_prob < 1.0):
-        raise ConfigurationError(f"stay_prob must be in (0, 1), got {stay_prob}")
-    rng = as_generator(seed)
-    k = len(phis)
-    regime = int(rng.integers(0, k))
-    x = 0.0
-    out = np.empty(n)
-    jumps = rng.random(n)
-    for t in range(n):
-        if jumps[t] > stay_prob:
-            choices = [r for r in range(k) if r != regime]
-            regime = int(choices[int(rng.integers(0, k - 1))])
-        x = phis[regime] * x + rng.normal(0.0, sigmas[regime])
-        out[t] = x
-    return out

@@ -79,7 +79,12 @@ class WorkloadStream:
         return int(self.profile.shape[0])
 
     def at(self, t: int) -> np.ndarray:
-        """Profile row at time *t* (clamped to the final row past the end)."""
+        """Profile row at time *t* (clamped to the final row past the end).
+
+        A negative *t* is refused: indexing would wrap it to the end.
+        """
+        if t < 0:
+            raise ConfigurationError(f"round must be >= 0, got {t}")
         return self.profile[min(t, self.length - 1)]
 
     def history(self, t: int, window: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from repro.alerts.alert import Alert, AlertKind
 from repro.cluster import build_cluster
 from repro.errors import ConfigurationError, ConvergenceError, ForecastError, ReproError
-from repro.forecast import base
+from repro.forecast import base, batch
 from repro.forecast.arima import AR1_EDGE, ARIMA
 from repro.sim import SheriffConfig, SheriffSimulation
 from repro.sim.reactive import DemandDrivenWorkload, PredictiveManager
@@ -196,14 +196,13 @@ class TestPredictiveManager:
             PredictiveManager(wl, refit_every=refit_every)
 
     def test_refit_every_one_is_one_wave_a_round(self, monkeypatch):
-        from repro.forecast import base
-
         waves = []
         original = base.warm_fit
 
-        def counting(models, windows):
-            waves.append(len(models))
-            return original(models, windows)
+        def counting(fits, windows):
+            # one window matrix per history length: its rows are the hosts
+            waves.append(sum(w.shape[0] for w in windows))
+            return original(fits, windows)
 
         monkeypatch.setattr(base, "warm_fit", counting)
         cluster, wl = make_env()
@@ -266,18 +265,6 @@ class TestPredictiveManager:
         assert len(mgr._history(other)) == 21
 
 
-def run_alert_stream(mgr, warm=40, until=90):
-    """Alerts, vm_alerts and raw predictions of every managed round."""
-    for t in range(warm):
-        mgr.observe(t)
-    stream = []
-    for t in range(warm, until):
-        alerts, vm_alerts = mgr.alerts_at(t)
-        stream.append((alerts, vm_alerts, mgr.last_predicted.tobytes()))
-        mgr.observe(t)
-    return stream
-
-
 class TestPredictAllMatchesScalarOracle:
     def test_predictions_and_alerts_bitwise_equal_per_host_path(self):
         """The columns, the fleet kernel, the stacked clip/max and the
@@ -313,41 +300,39 @@ class TestPredictAllMatchesScalarOracle:
             "_minimize_css",
             lambda self, w: pytest.fail("closed form must apply"),
         )
-        edges = []
-        original = base.warm_fit
-
-        def counting(models, windows):
-            failures = original(models, windows)
-            edges.extend(
-                abs(m.phi_[0]) == AR1_EDGE for m, f in zip(models, failures) if f is None
-            )
-            return failures
-
-        monkeypatch.setattr(base, "warm_fit", counting)
         cluster, wl = make_env(ramp_hosts=(0, 3))
-        stream = run_alert_stream(PredictiveManager(wl, threshold=0.31, horizon=3))
-        assert sum(len(alerts) for alerts, _, _ in stream) > 50
-        assert any(edges), "a refit must reach the wall"
+        mgr = PredictiveManager(wl, threshold=0.31, horizon=3)
+        for t in range(40):
+            mgr.observe(t)
+        alerts = edges = 0
+        for t in range(40, 90):
+            alerts += len(mgr.alerts_at(t)[0])
+            edges += np.count_nonzero(np.abs(mgr._phi[mgr._fitted]) == AR1_EDGE)
+            mgr.observe(t)
+        assert alerts > 50
+        assert edges, "a refit must reach the wall"
 
 
 def fail_marked_refits(monkeypatch, marked):
-    """Patch the refit wave so that a window opening with a value in
-    *marked* (a set, switched off by emptying it) fails to fit; returns
-    the window lengths of every failed attempt."""
+    """Patch the refit so that a window opening with a value in *marked*
+    (a set, switched off by emptying it) fails to fit: the stacked solve
+    refuses its row and the scalar fit raises on it.  Returns the window
+    lengths of every failed attempt."""
     attempts = []
-    original = base.warm_fit
+    solve, fit = batch._solve_ar1, ARIMA.fit
 
-    def failing(models, windows):
-        bad = [bool(len(w)) and float(w[0]) in marked for w in windows]
-        keep = [i for i, b in enumerate(bad) if not b]
-        fits = original([models[i] for i in keep], [windows[i] for i in keep])
-        failures = [ConvergenceError("refit diverged") if b else None for b in bad]
-        for i, failure in zip(keep, fits):
-            failures[i] = failure
-        attempts.extend(len(w) for w, b in zip(windows, bad) if b)
-        return failures
+    def refusing(Y, d, include_constant):
+        ok, *rest = solve(Y, d, include_constant)
+        return (ok & ~np.isin(Y[:, 0], list(marked)), *rest)
 
-    monkeypatch.setattr(base, "warm_fit", failing)
+    def failing(self, y):
+        if float(y[0]) in marked:
+            attempts.append(len(y))
+            raise ConvergenceError("refit diverged")
+        return fit(self, y)
+
+    monkeypatch.setattr(batch, "_solve_ar1", refusing)
+    monkeypatch.setattr(ARIMA, "fit", failing)
     return attempts
 
 
@@ -406,23 +391,24 @@ class TestFailedRefitDoesNotAbortTheRound:
         assert attempts == [40, 50, 60, 70]
 
     def test_outgoing_model_survives_a_failed_refit(self, monkeypatch):
-        wl, mgr, marked, _ = self.make(monkeypatch, (5,))
+        wl, mgr, marked, attempts = self.make(monkeypatch, (5,))
         failing = set(marked)
         marked.clear()
         for t in range(40):
             mgr.observe(t)
         mgr.alerts_at(40)
-        history = mgr._history(5).copy()
+        # the outgoing model, fitted before its refits start failing
+        kept = ARIMA(1, 1, 0, maxiter=40).fit(mgr._history(5))
         marked.update(failing)
-        seen = []
         for t in range(40, 65):
             mgr.alerts_at(t)
             assert mgr._fitted[5]
             assert mgr._since_fit[5] < mgr.refit_every
             # ... and it is what answers, tracking the series like append()
-            assert mgr.last_predicted[5] == tracking_model(history, seen)
+            assert mgr.last_predicted[5] == float(np.clip(np.max(kept.forecast(3)), 0.0, 1.0))
             mgr.observe(t)
-            seen.append(wl.host_load(t)[5])
+            kept.append(float(wl.host_load(t)[5]))
+        assert attempts == [50, 60]
 
 
 class TestFailedRefitUnderAWave:
@@ -459,6 +445,55 @@ class TestFailedRefitUnderAWave:
         # the kept row still answers, as the fit it came from would
         seen = [wl.host_load(t)[5] for t in range(40, 50)]
         assert mgr.last_predicted[5] == tracking_model(history, seen)
+
+
+class TestRefitWaveBuildsNoHostObjects:
+    def test_stacked_rows_are_fresh_fits_and_only_refused_rows_build_models(
+        self, monkeypatch
+    ):
+        """A wave over histories of three lengths, one of them a group of
+        one, builds no ``ARIMA`` and writes every row bitwise as a fresh
+        fit would; a constant or NaN history takes the scalar fit."""
+        built = []
+        init = ARIMA.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cluster, wl = make_env(ramp_hosts=(0, 3))
+        mgr = PredictiveManager(wl, threshold=0.9, refit_every=1)
+        for t in range(30):
+            if t == 5:
+                mgr._reset(np.array([1, 2]))
+            if t == 8:
+                mgr._reset(np.array([3]))
+            mgr.observe(t)
+        lengths, counts = np.unique(mgr._t - mgr._start, return_counts=True)
+        assert lengths.tolist() == [22, 25, 30] and 1 in counts.tolist()
+        with monkeypatch.context() as m:
+            m.setattr(ARIMA, "__init__", counting)
+            mgr.alerts_at(30)
+        assert built == []
+        assert mgr._fitted.all()
+        for host in range(cluster.num_hosts):
+            fresh = ARIMA(1, 1, 0, maxiter=40).fit(mgr._history(host))
+            row = [mgr._const[host], mgr._phi[host], mgr._w_last[host], *mgr._heads[host]]
+            assert row == [fresh.const_, *fresh.phi_, *fresh._w_tail, *fresh._heads], host
+        outgoing = (mgr._const[3], mgr._phi[3])
+        mgr.observe(30)
+        mgr._loads[1, mgr._start[1] : mgr._t] = 0.5  # deterministic: the mean model
+        mgr._loads[3, mgr._t - 4] = np.nan  # the lone host's refit raises
+        with monkeypatch.context() as m:
+            m.setattr(ARIMA, "__init__", counting)
+            mgr.alerts_at(31)
+        assert len(built) == 2
+        assert (mgr._const[3], mgr._phi[3]) == outgoing and mgr._fitted[3]
+        fresh = ARIMA(1, 1, 0, maxiter=40).fit(mgr._history(1))
+        assert (mgr._const[1], mgr._phi[1]) == (fresh.const_, fresh.phi_[0]) == (0.0, 0.0)
+        for host in (0, 2, *range(4, cluster.num_hosts)):
+            fresh = ARIMA(1, 1, 0, maxiter=40).fit(mgr._history(host))
+            assert (mgr._const[host], mgr._phi[host]) == (fresh.const_, fresh.phi_[0])
 
 
 class TestObserveIsAllOrNothing:

@@ -30,6 +30,21 @@ class TestDemandDriven:
         assert load.shape == (cluster.num_hosts,)
         assert (load >= 0).all() and (load <= 1.0 + 1e-9).all()
 
+    def test_negative_round_is_refused(self, env):
+        """Round -1 used to read the trace's final row, through the
+        stacked matrix and through each stream's ``at`` alike."""
+        cluster, wl = env
+        streams = dict(wl.streams)
+        streams[0] = WorkloadStream.generate(120, seed=0)  # unequal lengths: no matrix
+        for workload in (wl, DemandDrivenWorkload(cluster, streams)):
+            for read in (
+                workload.vm_utilization,
+                workload.host_load,
+                ReactiveManager(workload).alerts_at,
+            ):
+                with pytest.raises(ConfigurationError, match="round must be >= 0"):
+                    read(-1)
+
     def test_load_follows_demand(self, env):
         cluster, wl = env
         pl = cluster.placement

@@ -1,10 +1,10 @@
-"""Nonlinear/chaotic generator tests."""
+"""Mackey–Glass generator tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.traces.nonlinear import logistic_map, mackey_glass, regime_switching
+from repro.traces.nonlinear import mackey_glass
 
 
 class TestMackeyGlass:
@@ -36,43 +36,3 @@ class TestMackeyGlass:
         with pytest.raises(ConfigurationError):
             mackey_glass(-1)
 
-
-class TestLogisticMap:
-    def test_stays_in_unit_interval(self):
-        x = logistic_map(5000, r=3.9)
-        assert (x > 0).all() and (x < 1).all()
-
-    def test_chaotic_regime_fills_interval(self):
-        x = logistic_map(5000, r=3.99)
-        assert x.max() - x.min() > 0.8
-
-    def test_fixed_point_regime(self):
-        x = logistic_map(500, r=2.5, discard=400)
-        np.testing.assert_allclose(x, 0.6, atol=1e-3)  # fixed point 1 - 1/r
-
-    def test_rejects_bad_x0(self):
-        with pytest.raises(ConfigurationError):
-            logistic_map(10, x0=0.0)
-
-
-class TestRegimeSwitching:
-    def test_shape_and_finite(self):
-        x = regime_switching(3000, seed=0)
-        assert x.shape == (3000,)
-        assert np.isfinite(x).all()
-
-    def test_visits_multiple_regimes(self):
-        # with very different sigmas, windowed variance should vary a lot
-        x = regime_switching(
-            6000, phis=(0.9, 0.0), sigmas=(0.1, 3.0), stay_prob=0.99, seed=1
-        )
-        win = x[: 6000 - 6000 % 200].reshape(-1, 200).var(axis=1)
-        assert win.max() / max(win.min(), 1e-12) > 10
-
-    def test_rejects_mismatched_regimes(self):
-        with pytest.raises(ConfigurationError):
-            regime_switching(10, phis=(0.5,), sigmas=(1.0,))
-
-    def test_rejects_explosive_phi(self):
-        with pytest.raises(ConfigurationError):
-            regime_switching(10, phis=(1.2, 0.5), sigmas=(1.0, 1.0))

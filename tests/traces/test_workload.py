@@ -39,6 +39,12 @@ class TestWorkloadStream:
         ws = WorkloadStream.generate(50, seed=1)
         np.testing.assert_array_equal(ws.at(49), ws.at(1000))
 
+    def test_at_refuses_a_negative_round(self):
+        # a negative index would wrap to the final row
+        ws = WorkloadStream.generate(50, seed=1)
+        with pytest.raises(ConfigurationError, match="round must be >= 0"):
+            ws.at(-1)
+
     def test_history_window(self):
         ws = WorkloadStream.generate(100, seed=2)
         h = ws.history(30, 10)
