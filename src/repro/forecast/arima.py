@@ -280,8 +280,9 @@ class ARIMA(Forecaster):
         e_tail: List[float],
         heads: List[float],
     ) -> None:
-        """Set every fitted field: :meth:`fit` and the stacked refit kernel
-        (:func:`repro.forecast.batch.fit_stacked`) both end here.
+        """Set every fitted field: :meth:`fit` ends here, and so does a
+        selector taking its members back from a bank
+        (:meth:`repro.forecast.selection.SelectorBank._restore`).
 
         Besides the parameters, this is the O(p + q + d) forecasting
         state: the last ``p`` differenced values, the last ``q`` residuals

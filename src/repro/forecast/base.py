@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from math import isfinite
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -34,31 +34,26 @@ def warm_fit(
     """Fit each fresh ``models[i]`` on ``windows[i]``: one refit wave.
 
     The one entry point every periodic refit goes through (the selector's
-    pool, ``rolling_one_step``'s wave of one, and the predictive manager's
-    due hosts, whose "models" are one
-    :class:`~repro.forecast.batch.StackedAR1` per history length, each
-    fitting a window matrix): a refit is a function of the model's
-    factory, its window and its seed alone — nothing is carried over from
-    the model it replaces.
+    pool, ``rolling_one_step``'s wave of one, and the two stacked waves —
+    the predictive manager's due hosts and the selector bank's due rows —
+    whose "models" are :class:`~repro.forecast.batch.StackedAR1` fits of
+    window matrices): a refit is a function of the model's factory, its
+    window and its seed alone — nothing is carried over from the model it
+    replaces.
 
     Returns, per model, ``None`` or the :data:`REFIT_FAILURES` exception
-    its fit raised; what to do with it is the caller's policy.  Anything
-    else propagates.  The plain ``ARIMA(1, d, 0)`` members are solved by
-    :func:`~repro.forecast.batch.fit_stacked`, one closed-form pass per
-    group; the rest, in wave order, by their own ``fit`` — the definition,
-    which the stacked kernel equals bit for bit.
+    its ``fit`` raised; what to do with it is the caller's policy.
+    Anything else propagates.
     """
-    from repro.forecast.batch import fit_stacked
-
     if len(models) != len(windows):
         raise ForecastError(
             f"a wave needs one window per model: {len(models)} models, "
             f"{len(windows)} windows"
         )
     failures: List[Optional[Exception]] = [None] * len(models)
-    for i in fit_stacked(models, windows):
+    for i, (model, window) in enumerate(zip(models, windows)):
         try:
-            models[i].fit(windows[i])
+            model.fit(window)
         except REFIT_FAILURES as exc:
             failures[i] = exc
     return failures
@@ -81,10 +76,9 @@ class _Series:
     """Append-only float64 series in a buffer it owns.
 
     Construction copies — a store never holds a view of a caller's array,
-    and no two stores' buffers overlap (:meth:`stacked` gives a wave's
-    stores the rows of one matrix) — with room for a chunk more (a quarter
-    of the series, at least 16; doubling read as +3 % RSS over the fleet
-    benchmark's 9k series), and :meth:`append` writes in place.  A full
+    and no two stores' buffers overlap — with room for a chunk more (a
+    quarter of the series, at least 16; doubling read as +3 % RSS over the
+    fleet benchmark's 9k series), and :meth:`append` writes in place.  A full
     buffer is replaced by a fresh copy of itself, which with *keep* set
     carries over only the last *keep* samples: what is stored stays
     within *keep* plus one chunk.
@@ -100,25 +94,6 @@ class _Series:
         self.n = n = arr.shape[0]
         self.buf = np.empty(n + _chunk(n))
         self.buf[:n] = arr
-
-    @classmethod
-    def stacked(cls, windows: Sequence[np.ndarray]) -> Tuple[np.ndarray, List["_Series"]]:
-        """One series per window, all of one length ``n``, copied once.
-
-        Each buffer is a row of one fresh ``(rows × n + chunk)`` matrix, so
-        no two series overlap and none holds a caller's array.  Returns
-        the ``(rows × n)`` view of the copied windows with the series.
-        """
-        n = windows[0].shape[0]
-        bufs = np.empty((len(windows), n + _chunk(n)))
-        values = bufs[:, :n]
-        values[...] = windows
-        series = []
-        for buf in bufs:
-            s = cls.__new__(cls)
-            s.buf, s.n, s.keep = buf, n, None
-            series.append(s)
-        return values, series
 
     @property
     def values(self) -> np.ndarray:

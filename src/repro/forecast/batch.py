@@ -23,29 +23,29 @@ the ``forecast(h)`` of the fitted model the row was gathered from.  The
 property suite asserts this bitwise.
 
 :func:`_solve_ar1` is the same idea for a refit: the closed-form CSS fit
-of ``ARIMA(1, d, 0)`` — the stationarity wall included — on every row of
-a window matrix, bitwise what :meth:`ARIMA.fit` computes; every row it
-cannot accept is left to the scalar fit, which stays the definition.  Two
-callers feed it.  :class:`StackedAR1` fits the rows of one matrix and
-keeps only ``(c, φ)`` per row: the predictive manager refits its due
-hosts as one such matrix per history length, gathered from its load
-matrix, with no model object per host.  :func:`fit_stacked` fits a wave
-of model objects (the selectors' pools), one pass per
-``(d, include_constant, window length)`` group, and installs each
-accepted row into its model.
+of ``ARIMA(1, d, 0)`` — the stationarity wall and the mean model of a
+row that is deterministic after differencing included — on every row of a
+window matrix, bitwise what :meth:`ARIMA.fit` computes; every row it
+cannot accept is left to the scalar fit, which stays the definition.
+:class:`StackedAR1` wraps it for a refit wave: it fits the rows of one
+matrix and keeps ``(c, φ, σ²)`` per row, with no model object per row.
+The predictive manager refits its due hosts as one such matrix per
+history length, gathered from its load matrix; the selector bank refits
+each ``ARIMA`` member of its due rows as one matrix per series length,
+gathered from its series matrix.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.errors import ForecastError
 from repro.forecast.arima import _RANK_RCOND, _ROOT_MARGIN, AR1_EDGE, ARIMA
-from repro.forecast.base import REFIT_FAILURES, _Series
+from repro.forecast.base import REFIT_FAILURES
 
-__all__ = ["StackedAR1", "batch_forecast", "fit_stacked"]
+__all__ = ["StackedAR1", "batch_forecast"]
 
 
 def batch_forecast(
@@ -90,14 +90,16 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve_ar1(Y: np.ndarray, d: int, include_constant: bool) -> Tuple[np.ndarray, ...]:
     """The closed-form CSS fit of ``ARIMA(1, d, 0)`` on every row of *Y*.
 
-    Returns ``(ok, c, phi, sigma2, w_last)``.  Where ``ok``, row ``i`` is
-    what :meth:`ARIMA.fit` computes on ``Y[i]``: the same IEEE operations
-    in the same order as ``np.std``, ``_ar_least_squares``,
+    Returns ``(ok, c, phi, sigma2)``.  Where ``ok``, row ``i`` is what
+    :meth:`ARIMA.fit` computes on ``Y[i]``: the same IEEE operations in
+    the same order as ``np.std``, ``_ar_least_squares``,
     ``_solve_pure_ar`` and ``_css_residuals``, so a slope at or past the
     stationarity wall becomes the feasible edge ``±AR1_EDGE`` before ``c``
-    is solved for it.  Not ``ok`` are the rows the scalar fit does not
-    solve in closed form: non-finite, deterministic after differencing,
-    rank deficient, with a non-finite slope or a non-finite SSE.
+    is solved for it, and a row that is deterministic after differencing
+    takes the mean model (``c`` the mean of ``∇ᵈy`` with a constant, else
+    0; ``φ = σ² = 0``).  Not ``ok`` are the rows the scalar fit does not
+    solve in closed form: non-finite, rank deficient, with a non-finite
+    slope or a non-finite SSE.
     """
     # a rejected row may overflow or divide by zero; it is refitted scalar
     with np.errstate(all="ignore"):
@@ -111,10 +113,12 @@ def _solve_ar1(Y: np.ndarray, d: int, include_constant: bool) -> Tuple[np.ndarra
         # sum that overflows only sends a finite row to the scalar fit)
         total = W.sum(axis=1)
         ok = np.isfinite(total)
+        mean = total / m
         # w.std() as np.std computes it
-        dev = np.subtract(W, (total / m)[:, None], out=scratch)
+        dev = np.subtract(W, mean[:, None], out=scratch)
         np.square(dev, out=dev)
-        ok &= ~(np.sqrt(dev.sum(axis=1) / m) < 1e-12)
+        flat = ok & (np.sqrt(dev.sum(axis=1) / m) < 1e-12)
+        ok &= ~flat
         x, y = W[:, :-1], W[:, 1:]
         n = m - 1
         buf = scratch[:, :-1]
@@ -141,94 +145,50 @@ def _solve_ar1(Y: np.ndarray, d: int, include_constant: bool) -> Tuple[np.ndarra
         e -= phi[:, None] * x
         sse = _row_dot(e, e)
         ok &= np.isfinite(sse)
-    return ok, c, phi, sse / n, W[:, -1]
+        if flat.any():  # deterministic after differencing: the mean model
+            ok |= flat
+            c[flat] = mean[flat] if include_constant else 0.0
+            phi[flat] = 0.0
+            sse[flat] = 0.0
+    return ok, c, phi, sse / n
 
 
 class StackedAR1:
-    """``ARIMA(1, 1, 0)`` fits of the rows of one window matrix, kept as
+    """``ARIMA(1, d, 0)`` fits of the rows of one window matrix, kept as
     columns: a refit with no model object per row.
 
     :meth:`fit` solves the ``(rows × n)`` matrix in one closed-form pass
     (:func:`_solve_ar1`) and fits each row the pass refuses — non-finite,
-    deterministic after differencing, rank deficient — with a fresh
-    ``scalar()`` model's own ``fit``, the definition.  Then ``ok``,
-    ``const`` and ``phi`` are per-row columns: where ``ok``, row ``i``'s
-    ``(const[i], phi[i])`` is bitwise ``scalar().fit(Y[i])``'s
-    ``(const_, phi_[0])``; a row whose scalar fit raised one of
-    :data:`~repro.forecast.base.REFIT_FAILURES` is not ``ok``.  *scalar*
-    must build ``ARIMA(1, 1, 0)`` models with a constant, the order the
-    pass solves.
+    rank deficient, too short for the order — with ``scalar(i)``'s own
+    ``fit``, the definition: ``scalar(i)`` is row ``i``'s unfitted
+    ``ARIMA(1, d, 0)``, with a constant iff *include_constant*.  Then
+    ``ok``, ``const``, ``phi`` and ``sigma2`` are per-row columns: where
+    ``ok``, row ``i``'s ``(const[i], phi[i], sigma2[i])`` is bitwise
+    ``scalar(i).fit(Y[i])``'s ``(const_, phi_[0], sigma2_)``; a row whose
+    scalar fit raised one of :data:`~repro.forecast.base.REFIT_FAILURES`
+    is not ``ok``, and ``failures[i]`` is what it raised.
     """
 
-    __slots__ = ("scalar", "ok", "const", "phi")
+    __slots__ = ("scalar", "d", "include_constant", "ok", "const", "phi", "sigma2", "failures")
 
-    def __init__(self, scalar: Callable[[], ARIMA]) -> None:
-        self.scalar = scalar
+    def __init__(self, scalar: Callable[[int], ARIMA], d: int, include_constant: bool) -> None:
+        self.scalar, self.d, self.include_constant = scalar, d, include_constant
 
     def fit(self, Y: np.ndarray) -> "StackedAR1":
-        ok, c, phi, _, _ = _solve_ar1(Y, 1, True)
-        for i in np.flatnonzero(~ok).tolist():
-            try:
-                model = self.scalar().fit(Y[i])
-            except REFIT_FAILURES:
-                continue
-            ok[i], c[i], phi[i] = True, model.const_, model.phi_[0]
-        self.ok, self.const, self.phi = ok, c, phi
-        return self
-
-
-def fit_stacked(models: Sequence[object], windows: Sequence[object]) -> List[int]:
-    """Fit the wave's plain ``ARIMA(1, d, 0)`` members, group by group.
-
-    ``models[i]`` is a fresh model and ``windows[i]`` its series.  Plain
-    ``ARIMA`` models with ``p == 1, q == 0`` and a 1-D array window are
-    grouped by ``(d, include_constant, window length)``; a group of two or
-    more is solved in one closed-form pass and each accepted row installed
-    through ``ARIMA._install`` — bitwise what ``models[i].fit(windows[i])``
-    installs.  The windows are copied once, into the rows of one matrix
-    that become the models' series buffers (``_Series.stacked``), and
-    ``phi_`` is a one-element row of the solved column: no two models'
-    arrays overlap, and none overlaps a window.
-
-    Returns the ascending positions left to the scalar ``fit``: other
-    model types (an exact-type gate: a subclass may override ``fit``), other
-    orders, groups of one, windows too short for the order, and every row
-    :func:`_solve_ar1` rejects.
-    """
-    groups: Dict[Tuple[int, bool, int], List[int]] = {}
-    rest: List[int] = []
-    for i, (m, w) in enumerate(zip(models, windows)):
-        if (
-            type(m) is ARIMA and m.p == 1 and m.q == 0
-            and isinstance(w, np.ndarray) and w.ndim == 1
-        ):
-            groups.setdefault((m.d, m.include_constant, w.shape[0]), []).append(i)
+        rows, n = Y.shape
+        if n < self.d + 9:  # below ARIMA(1, d, 0)._min_samples(): scalar, and refused
+            ok = np.zeros(rows, dtype=bool)
+            c, phi, sigma2 = np.zeros((3, rows))
         else:
-            rest.append(i)
-    for (d, include_constant, length), idxs in groups.items():
-        if len(idxs) < 2 or length < models[idxs[0]]._min_samples():
-            rest.extend(idxs)
-            continue
-        # the one copy of the windows: row k of Y is models[idxs[k]]'s series
-        Y, series = _Series.stacked([windows[i] for i in idxs])
-        ok, c, phi, sigma2, w_last = _solve_ar1(Y, d, include_constant)
-        # difference_heads of every row: the last value of each level
-        heads = np.empty((len(idxs), d))
-        level = Y[:, length - d - 1 :]
-        for j in range(d):
-            if j:
-                level = np.diff(level, axis=1)
-            heads[:, j] = level[:, -1]
-        rows = zip(
-            idxs, ok.tolist(), c.tolist(), list(phi[:, None]), sigma2.tolist(),
-            w_last.tolist(), heads.tolist(), series,
-        )
-        for i, good, c_i, phi_i, sigma2_i, w_i, heads_i, series_i in rows:
-            if good:
-                models[i]._install(
-                    series_i, c_i, phi_i, np.zeros(0), sigma2_i, [w_i], [], heads_i
-                )
-            else:
-                rest.append(i)
-    rest.sort()
-    return rest
+            ok, c, phi, sigma2 = _solve_ar1(Y, self.d, self.include_constant)
+        self.failures: Dict[int, Exception] = {}
+        for i in np.flatnonzero(~ok).tolist():
+            model = self.scalar(i)
+            try:
+                model.fit(Y[i])
+            except REFIT_FAILURES as exc:
+                self.failures[i] = exc
+                continue
+            ok[i], c[i], phi[i], sigma2[i] = True, model.const_, model.phi_[0], model.sigma2_
+        self.ok, self.const, self.phi, self.sigma2 = ok, c, phi, sigma2
+        return self

@@ -19,11 +19,7 @@ all three alert paths), `inflight` (live-migration windows),
 
 from repro.config import SheriffConfig
 from repro.sim.engine import RoundSummary, SheriffSimulation
-from repro.sim.scenario import (
-    forecast_alert_round,
-    inject_fraction_alerts,
-    overloaded_host_alerts,
-)
+from repro.sim.scenario import forecast_alert_round, inject_fraction_alerts
 from repro.sim.centralized import CentralizedPlan, centralized_migration_round
 from repro.sim.regional import regional_migration_round
 from repro.sim.kmedian_planner import kmedian_migration_round
@@ -48,7 +44,6 @@ __all__ = [
     "SheriffConfig",
     "RoundSummary",
     "inject_fraction_alerts",
-    "overloaded_host_alerts",
     "forecast_alert_round",
     "centralized_migration_round",
     "regional_migration_round",

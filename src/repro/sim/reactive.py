@@ -305,9 +305,9 @@ class PredictiveManager:
         ``_t``, so a group's windows are one indexed copy of the load
         matrix, and one :class:`~repro.forecast.batch.StackedAR1` solves
         it in closed form (a fit on the stationarity wall takes the
-        feasible edge).  Only a history the solve refuses — non-finite,
-        deterministic or rank deficient — is fitted by a scalar
-        ``_host_model()``.  Each row is bitwise that fresh model's fit.
+        feasible edge, a flat one the mean model).  Only a history the
+        solve refuses — non-finite or rank deficient — is fitted by a
+        scalar ``_host_model()``.  Each row is bitwise that fresh model's fit.
         A fit's forecasting state — the last difference and the head of
         its window — is already the row's ``_w_last`` and ``_heads``:
         :meth:`observe` keeps them for every host, with the same IEEE
@@ -322,7 +322,7 @@ class PredictiveManager:
         self._since_fit[hosts] = 0
         lengths = self._t - self._start[hosts]
         groups = [(n, hosts[lengths == n]) for n in np.unique(lengths).tolist()]
-        fits = [batch.StackedAR1(_host_model) for _ in groups]
+        fits = [batch.StackedAR1(lambda _: _host_model(), 1, True) for _ in groups]
         # looked up at call time: a profiler may wrap base.warm_fit
         failures = base.warm_fit(
             fits, [self._loads[rows, self._t - n : self._t] for n, rows in groups]

@@ -1,14 +1,11 @@
 """Alert-generation scenarios.
 
-Three ways to produce a round's alerts:
+Two ways to produce a round's alerts:
 
 * :func:`inject_fraction_alerts` — the paper's Fig. 9–14 setting: "five
   percent of virtual machines in each pod raise alerts for migration".
   The alerting VMs are drawn from the most-loaded hosts, since that is
   where overload alerts come from in reality.
-* :func:`overloaded_host_alerts` — threshold-based: every host whose load
-  fraction exceeds the threshold raises a SERVER alert (the reactive
-  baseline uses the same function on *current* load).
 * :func:`forecast_alert_round` — the full pre-alert pipeline: per-VM
   monitors predict the next profile and alert *before* the overload
   (exercises :mod:`repro.alerts` end to end).
@@ -28,7 +25,6 @@ from repro.rng import SeedLike, as_generator
 
 __all__ = [
     "inject_fraction_alerts",
-    "overloaded_host_alerts",
     "forecast_alert_round",
 ]
 
@@ -86,35 +82,6 @@ def inject_fraction_alerts(
     return alerts, vm_alerts
 
 
-def overloaded_host_alerts(
-    cluster: Cluster,
-    threshold: float = 0.9,
-    *,
-    time: int = 0,
-) -> Tuple[List[Alert], Dict[int, float]]:
-    """SERVER alerts for every host currently loaded above *threshold*.
-
-    The per-VM ALERT magnitude is the host's load fraction — the shim's
-    ``w = 1`` PRIORITY then evicts the largest contributor.
-    """
-    if not (0.0 < threshold <= 1.0):
-        raise ConfigurationError(f"threshold must be in (0, 1], got {threshold}")
-    pl = cluster.placement
-    load = pl.host_load_fraction()
-    alerts: List[Alert] = []
-    vm_alerts: Dict[int, float] = {}
-    for host in np.nonzero(load > threshold)[0]:
-        rack = int(pl.host_rack[host])
-        mag = float(min(1.0, load[host]))
-        alerts.append(
-            Alert(kind=AlertKind.SERVER, rack=rack, magnitude=mag, host=int(host), time=time)
-        )
-        for vm in pl.vms_on_host(int(host)):
-            if not pl.vm_delay_sensitive[vm]:
-                vm_alerts[int(vm)] = mag
-    return alerts, vm_alerts
-
-
 def forecast_alert_round(
     cluster: Cluster,
     monitors: Dict[int, VMMonitor],
@@ -132,21 +99,19 @@ def forecast_alert_round(
     time, is the oracle the tests hold it to.
     """
     pl = cluster.placement
-    alerts: List[Alert] = []
-    vm_alerts: Dict[int, float] = {}
-    hosts_alerted: Dict[int, float] = {}
-    items = list(monitors.items())
-    values = fleet_alert_values([mon for _, mon in items])
-    for (vm, _), a in zip(items, values):
-        a = float(a)
-        if a <= 0.0:
-            continue
-        vm_alerts[int(vm)] = a
-        host = int(pl.vm_host[vm])
-        hosts_alerted[host] = max(hosts_alerted.get(host, 0.0), a)
-    for host, mag in sorted(hosts_alerted.items()):
-        rack = int(pl.host_rack[host])
-        alerts.append(
-            Alert(kind=AlertKind.SERVER, rack=rack, magnitude=mag, host=host, time=time)
+    values = np.asarray(fleet_alert_values(list(monitors.values())), dtype=np.float64)
+    alerted = np.flatnonzero(~(values <= 0.0))
+    vms = np.fromiter(monitors, np.intp, len(monitors))[alerted]
+    values = values[alerted]
+    vm_alerts = dict(zip(vms.tolist(), values.tolist()))
+    # each alerted host's magnitude is its VMs' largest ALERT
+    hosts, at = np.unique(pl.vm_host[vms], return_inverse=True)
+    peaks = np.zeros(hosts.shape[0])
+    np.maximum.at(peaks, at, values)
+    alerts = [
+        Alert(kind=AlertKind.SERVER, rack=rack, magnitude=mag, host=host, time=time)
+        for host, rack, mag in zip(
+            hosts.tolist(), pl.host_rack[hosts].tolist(), peaks.tolist()
         )
+    ]
     return alerts, vm_alerts

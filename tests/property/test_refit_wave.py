@@ -1,15 +1,15 @@
-"""A refit wave is one stacked solve — and bitwise the per-model fits.
+"""A stacked refit is one closed-form solve — and bitwise the per-row fits.
 
-``warm_fit(models, windows)`` solves the plain ``ARIMA(1, d, 0)`` members
-of a wave in one closed-form pass per ``(d, include_constant, length)``
-group (``repro.forecast.batch.fit_stacked``) and hands every other model,
-and every row the stacked solve does not accept, to the scalar ``fit``,
-which stays the definition.  So a wave must equal ``[m.fit(w) for ...]``
-bit for bit: every fitted field, the forecasting state, ``forecast(3)``
-and the failure each model raised — on the rows the stacked solve must
-hand back (constant, rank deficient, NaN, too short), on the rows it
-solves at the stationarity wall, and in waves mixed with the models it
-never stacks.
+``repro.forecast.batch.StackedAR1`` fits every row of a window matrix as
+``ARIMA(1, d, 0)`` with one ``_solve_ar1`` pass and hands only the rows the
+pass refuses to ``scalar(i)``'s own ``fit``, which stays the definition.
+So each row must equal ``ARIMA(1, d, 0).fit(row)`` bit for bit — the
+constant, the slope and the innovation variance — or fail as it fails:
+for ``d`` in {0, 1, 2}, with and without a constant, on rows the pass
+solves (noise, the stationarity wall, rows that are deterministic after
+differencing, which take the mean model) and on rows it must refuse (rank
+deficient, NaN, too short).  ``warm_fit`` fits each model of a wave with
+its own ``fit`` and hands back what each one raised.
 """
 
 import numpy as np
@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import ForecastError
 from repro.forecast.arima import AR1_EDGE, ARIMA
 from repro.forecast.base import REFIT_FAILURES, warm_fit
-from repro.forecast.batch import _row_dot, fit_stacked
-from repro.forecast.naive import NaiveLast
-from repro.forecast.narnet import NARNET
+from repro.forecast.batch import StackedAR1, _row_dot
 
 common = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -30,12 +28,7 @@ common = settings(
 
 LENGTHS = (8, 12, 40, 97, 333)  # 8 is too short for every ARIMA(1, d, 0)
 ROWS = ("noise",) * 4 + ("constant", "whisper", "flat_step", "jitter", "wall", "nan")
-OTHERS = {
-    "naive": NaiveLast,
-    "narnet": lambda: NARNET(ni=2, nh=2, restarts=1, seed=3, maxiter=10),
-    "arima111": lambda: ARIMA(1, 1, 1, maxiter=20),
-    "arima210": lambda: ARIMA(2, 1, 0),
-}
+FLAT = ("constant", "whisper")  # deterministic after differencing
 
 
 def _row(kind: str, d: int, n: int, seed: int) -> np.ndarray:
@@ -74,101 +67,103 @@ def _row(kind: str, d: int, n: int, seed: int) -> np.ndarray:
     return w
 
 
-@st.composite
-def waves(draw):
-    """``(factories, windows)``: a mixed wave over one window matrix."""
-    home = (draw(st.integers(0, 2)), draw(st.booleans()), draw(st.sampled_from(LENGTHS)))
-    factories, specs = [], []
-    for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(("ar1",) * 8 + tuple(OTHERS)))
-        if kind == "ar1" and draw(st.integers(0, 3)):  # mostly the home group
-            d, const, n = home
-        else:
-            d, const, n = draw(st.integers(0, 2)), draw(st.booleans()), draw(st.sampled_from(LENGTHS))
-        if kind == "ar1":
-            factories.append(lambda d=d, const=const: ARIMA(1, d, 0, include_constant=const))
-        else:
-            factories.append(OTHERS[kind])
-        specs.append((draw(st.sampled_from(ROWS)), d, n, draw(st.integers(0, 10**6))))
-    # every window is a row view of one matrix, as the predictive manager's are
-    matrix = np.zeros((len(specs), max(n for _, _, n, _ in specs)))
-    windows = []
-    for i, (row, d, n, seed) in enumerate(specs):
-        matrix[i, :n] = _row(row, d, n, seed)
-        windows.append(matrix[i, :n])
-    return factories, windows, matrix
-
-
 def _bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
 
 
-def _fitted_state(model) -> dict:
-    state = {"y_": _bits(model.y_), "forecast": _bits(model.forecast(3))}
-    if isinstance(model, ARIMA):
-        state.update(
-            const_=_bits(model.const_),
-            phi_=_bits(model.phi_),
-            theta_=_bits(model.theta_),
-            sigma2_=_bits(model.sigma2_),
-            w_tail=_bits(model._w_tail),
-            e_tail=_bits(model._e_tail),
-            heads=_bits(model._heads),
-        )
-    return state
+def _stacked(d, const, Y):
+    """``StackedAR1(...).fit(Y)`` and the rows it handed to the scalar fit."""
+    scalar = []
+
+    def model(i):
+        scalar.append(i)
+        return ARIMA(1, d, 0, include_constant=const)
+
+    return StackedAR1(model, d, const).fit(Y), scalar
 
 
-def _owned_arrays(model) -> list:
-    arrays = [model._series.buf]
-    if isinstance(model, ARIMA):
-        arrays += [model.phi_, model.theta_]
-    return arrays
-
-
-@common
-@given(waves())
-def test_a_wave_is_bitwise_the_per_model_fits(wave):
-    factories, windows, matrix = wave
-    models = [f() for f in factories]
-    failures = warm_fit(models, windows)
-    for factory, window, model, failure in zip(factories, windows, models, failures):
-        oracle = factory()
+def assert_rows_are_the_scalar_fits(fit, d, const, Y):
+    """Row ``i`` of *fit* is ``ARIMA(1, d, 0).fit(Y[i])``, bit for bit."""
+    for i, window in enumerate(Y):
+        oracle = ARIMA(1, d, 0, include_constant=const)
         try:
             oracle.fit(window.copy())
         except REFIT_FAILURES as exc:
+            assert not fit.ok[i], i
+            failure = fit.failures[i]
             assert type(failure) is type(exc) and str(failure) == str(exc)
             continue
-        assert failure is None
-        assert _fitted_state(model) == _fitted_state(oracle)
-    fitted = [m for m, f in zip(models, failures) if f is None]
-    owned = [_owned_arrays(m) for m in fitted]
-    for k, arrays in enumerate(owned):
-        for a in arrays:
-            assert not np.shares_memory(a, matrix)
-            for other in owned[k + 1 :]:
-                assert not any(np.shares_memory(a, b) for b in other)
+        assert fit.ok[i] and i not in fit.failures, i
+        got = (fit.const[i], fit.phi[i], fit.sigma2[i])
+        assert _bits(got) == _bits((oracle.const_, oracle.phi_[0], oracle.sigma2_)), i
 
 
-def _noise_wave(n_models=5, n=40, d=1):
-    models = [ARIMA(1, d, 0) for _ in range(n_models)]
-    windows = [_row("noise", d, n, seed) for seed in range(n_models)]
-    return models, windows
+@st.composite
+def matrices(draw):
+    """``(d, include_constant, kinds, Y)``: one window matrix of mixed rows."""
+    d, const, n = draw(st.integers(0, 2)), draw(st.booleans()), draw(st.sampled_from(LENGTHS))
+    kinds = draw(st.lists(st.sampled_from(ROWS), min_size=1, max_size=10))
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=len(kinds), max_size=len(kinds)))
+    Y = np.array([_row(kind, d, n, seed) for kind, seed in zip(kinds, seeds)])
+    return d, const, kinds, Y
+
+
+@common
+@given(matrices())
+def test_a_wave_is_bitwise_the_per_model_fits(matrix):
+    d, const, kinds, Y = matrix
+    caller = Y.copy()
+    fit, scalar = _stacked(d, const, Y)
+    assert_rows_are_the_scalar_fits(fit, d, const, Y)
+    assert Y.tobytes() == caller.tobytes()
+    if Y.shape[1] >= d + 9:  # long enough for the order: flat rows stay stacked
+        assert not [i for i in scalar if kinds[i] in FLAT]
+
+
+def _noise(rows=5, n=40, d=1):
+    return np.array([_row("noise", d, n, seed) for seed in range(rows)])
 
 
 class TestWhatTheStackedSolveTakes:
     def test_a_group_of_plain_ar1_rows_is_solved_stacked(self):
-        models, windows = _noise_wave()
-        assert fit_stacked(models, windows) == []
-        assert all(m._fitted for m in models)
+        Y = _noise()
+        fit, scalar = _stacked(1, True, Y)
+        assert scalar == [] and fit.ok.all() and fit.failures == {}
+        assert_rows_are_the_scalar_fits(fit, 1, True, Y)
 
-    @pytest.mark.parametrize(
-        "row", ["constant", "whisper", "flat_step", "jitter", "nan"]
-    )
+    @pytest.mark.parametrize("row", ["flat_step", "jitter", "nan"])
     def test_rows_it_cannot_accept_are_left_to_the_scalar_fit(self, row):
-        models, windows = _noise_wave()
-        windows[2] = _row(row, 1, 40, 0)
-        assert fit_stacked(models, windows) == [2]
-        assert not models[2]._fitted
+        Y = _noise()
+        Y[2] = _row(row, 1, 40, 0)
+        fit, scalar = _stacked(1, True, Y)
+        assert scalar == [2]
+        assert_rows_are_the_scalar_fits(fit, 1, True, Y)
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("include_constant", [True, False])
+    def test_flat_rows_are_the_mean_model_with_no_scalar_fit(
+        self, d, include_constant, monkeypatch
+    ):
+        """A wave of rows that are deterministic after differencing (an
+        idle host's) fits no scalar model and still equals ``ARIMA.fit``."""
+        Y = np.array(
+            [_row(kind, d, 40, seed) for kind in FLAT for seed in range(3)]
+            + [np.full(40, 0.0), np.full(40, 0.7)]
+        )
+        calls = []
+        fit_scalar = ARIMA.fit
+
+        def spy(self, y):
+            calls.append(self)
+            return fit_scalar(self, y)
+
+        with monkeypatch.context() as m:
+            m.setattr(ARIMA, "fit", spy)
+            (failure,) = warm_fit([StackedAR1(lambda i: ARIMA(1, d, 0), d, include_constant)], [Y])
+            fit, _ = _stacked(d, include_constant, Y)
+        assert failure is None and calls == []
+        assert fit.ok.all() and (fit.phi == 0.0).all() and (fit.sigma2 == 0.0).all()
+        assert_rows_are_the_scalar_fits(fit, d, include_constant, Y)
 
     @pytest.mark.parametrize("d", [0, 1, 2])
     @pytest.mark.parametrize("include_constant", [True, False])
@@ -178,20 +173,33 @@ class TestWhatTheStackedSolveTakes:
         monkeypatch.setattr(
             ARIMA, "_minimize_css", lambda self, w: pytest.fail("the wall is closed form")
         )
-        windows = [_row("wall", d, 40, seed) for seed in range(6)]
-        windows[0] = _row("noise", d, 40, 0)
-        models = [ARIMA(1, d, 0, include_constant=include_constant) for _ in windows]
-        assert fit_stacked(models, windows) == []
-        edges = 0
-        for model, window in zip(models, windows):
-            oracle = ARIMA(1, d, 0, include_constant=include_constant).fit(window)
-            assert _fitted_state(model) == _fitted_state(oracle)
-            edges += abs(model.phi_[0]) == AR1_EDGE
-        assert edges >= 3, "the wall rows must reach the edge"
+        Y = np.array([_row("noise", d, 40, 0)] + [_row("wall", d, 40, s) for s in range(1, 6)])
+        fit, scalar = _stacked(d, include_constant, Y)
+        assert scalar == []
+        assert_rows_are_the_scalar_fits(fit, d, include_constant, Y)
+        assert np.count_nonzero(np.abs(fit.phi) == AR1_EDGE) >= 3, "the wall rows must reach the edge"
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_short_windows_go_scalar(self, d):
+        Y = _noise(3, d + 8, d)
+        fit, scalar = _stacked(d, True, Y)
+        assert scalar == [0, 1, 2] and not fit.ok.any()
+        assert all(isinstance(fit.failures[i], ForecastError) for i in range(3))
+        assert_rows_are_the_scalar_fits(fit, d, True, Y)
+        fit, scalar = _stacked(d, True, _noise(3, d + 9, d))
+        assert scalar == [] and fit.ok.all()
+
+    def test_a_failing_row_does_not_stop_its_group(self):
+        Y = _noise()
+        Y[1] = _row("nan", 1, 40, 0)
+        (failure,) = warm_fit([fit := StackedAR1(lambda i: ARIMA(1, 1, 0), 1, True)], [Y])
+        assert failure is None
+        assert list(fit.failures) == [1] and isinstance(fit.failures[1], ForecastError)
+        assert fit.ok.tolist() == [True, False, True, True, True]
 
     def test_appending_to_one_model_touches_no_other_and_no_window(self):
-        models, windows = _noise_wave()
-        matrix = np.array(windows)
+        models = [ARIMA(1, 1, 0) for _ in range(5)]
+        matrix = _noise()
         caller = matrix.copy()
         # the windows are row views of the caller's one matrix
         assert warm_fit(models, list(matrix)) == [None] * len(models)
@@ -202,19 +210,6 @@ class TestWhatTheStackedSolveTakes:
                     assert model.y_.tobytes() == caller[k].tobytes()
             assert matrix.tobytes() == caller.tobytes()
         assert models[1].y_.shape == (80,)
-
-    def test_groups_of_one_other_models_and_short_windows_go_scalar(self):
-        models, windows = _noise_wave(3)
-        models += [ARIMA(1, 1, 0), ARIMA(1, 1, 1), NaiveLast(), ARIMA(1, 1, 0), ARIMA(1, 1, 0)]
-        windows += [_row("noise", 1, 41, 7), windows[0], windows[0], windows[0][:9], windows[0][:9]]
-        assert fit_stacked(models, windows) == [3, 4, 5, 6, 7]
-
-    def test_a_failing_row_does_not_stop_its_group(self):
-        models, windows = _noise_wave()
-        windows[1] = _row("nan", 1, 40, 0)
-        failures = warm_fit(models, windows)
-        assert isinstance(failures[1], ForecastError)
-        assert [f is None for f in failures] == [True, False, True, True, True]
 
     def test_one_window_per_model(self):
         with pytest.raises(ForecastError, match="one window per model"):

@@ -9,11 +9,7 @@ from repro.alerts.threshold import AlertConfig
 from repro.cluster import build_cluster
 from repro.cluster.resources import ResourceKind
 from repro.errors import ConfigurationError
-from repro.sim.scenario import (
-    forecast_alert_round,
-    inject_fraction_alerts,
-    overloaded_host_alerts,
-)
+from repro.sim.scenario import forecast_alert_round, inject_fraction_alerts
 from repro.topology import build_fattree
 from repro.traces.workload import WorkloadStream
 
@@ -63,21 +59,6 @@ class TestInjectFraction:
     def test_rejects_bad_fraction(self, cluster):
         with pytest.raises(ConfigurationError):
             inject_fraction_alerts(cluster, 0.0)
-
-
-class TestOverloadedHosts:
-    def test_threshold_filtering(self, cluster):
-        pl = cluster.placement
-        load = pl.host_load_fraction()
-        thr = float(np.quantile(load, 0.8))
-        thr = min(max(thr, 0.05), 0.99)
-        alerts, vma = overloaded_host_alerts(cluster, thr)
-        hot = set(np.nonzero(load > thr)[0].tolist())
-        assert {a.host for a in alerts} == hot
-
-    def test_no_overload_no_alerts(self, cluster):
-        alerts, vma = overloaded_host_alerts(cluster, 1.0)
-        assert alerts == [] and vma == {}
 
 
 class TestForecastRound:
