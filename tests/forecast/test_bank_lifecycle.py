@@ -65,7 +65,7 @@ def _selectors(n, seed=0, **kwargs):
 
 def _step(fleet, twins, series, t):
     """One round on both sides: a fleet read, then every observe."""
-    got = batch_predict_one(fleet)
+    got = batch_predict_one(fleet).tolist()
     assert got == [s.predict_one() for s in twins]
     for sel, twin, y in zip(fleet, twins, series):
         sel.observe(float(y[t]))
@@ -118,6 +118,28 @@ class TestWhoJoins:
         assert adoptions == monitors[0]._selectors  # adopted once, nothing else
         assert all(sel._bank is None for mon in monitors[1:] for sel in mon._selectors)
 
+    def test_a_reordered_monitor_fleet_reads_with_its_own_thresholds(self):
+        # same first monitor, other order and members: the read plan (which
+        # monitors are one-step, their thresholds) must follow the fleet
+        configs = [
+            AlertConfig(threshold=0.35),
+            AlertConfig(threshold=0.9),
+            AlertConfig(threshold=0.5, horizon=2),
+            AlertConfig(threshold=0.6),
+        ]
+        monitors, rows = _monitors(configs)
+        twins, _ = _monitors(configs)
+        seen = [0] * 4
+        for order in ([0, 1, 2, 3], [0, 3, 1], [0, 1, 2, 3], [0, 2, 3, 1]):
+            got = fleet_alert_values([monitors[i] for i in order])
+            assert got.tolist() == [twins[i].alert_value() for i in order]
+            for i in order:
+                monitors[i].observe(rows[i][seen[i]])
+                twins[i].observe(rows[i][seen[i]])
+                seen[i] += 1
+        with pytest.raises(AttributeError):  # a fleet read plans on it
+            monitors[0].config = configs[1]
+
     def test_a_changed_fleet_builds_a_new_bank(self):
         fleet, series = _selectors(4)
         twins, _ = _selectors(4)
@@ -141,7 +163,7 @@ class TestWhoJoins:
         twins, _ = _selectors(4)
         seen = [0] * 4
         for positions in ([0, 1, 2], other, [0, 1, 2], [0, 1, 2], other, [0, 1, 2]):
-            got = batch_predict_one([fleet[i] for i in positions])
+            got = batch_predict_one([fleet[i] for i in positions]).tolist()
             assert got == [twins[i].predict_one() for i in positions]
             for i in positions:
                 value = float(series[i][seen[i]])
@@ -195,7 +217,7 @@ class TestWhoJoins:
         y = np.linspace(0.2, 0.6, 40)
         sel = DynamicModelSelector(pool(), max_history=30).fit(y)
         twin = DynamicModelSelector(pool(), max_history=30).fit(y)
-        assert batch_predict_one([sel]) == [twin.predict_one()]
+        assert batch_predict_one([sel]).tolist() == [twin.predict_one()]
         assert sel._bank is None
 
 
@@ -297,7 +319,7 @@ class TestSettle:
         sel = DynamicModelSelector(pool(), period=4, refit_every=3, max_history=30).fit(y[:30])
         twin = DynamicModelSelector(pool(), period=4, refit_every=3, max_history=30).fit(y[:30])
         for t in range(5):
-            assert batch_predict_one([sel]) == [twin.predict_one()]
+            assert batch_predict_one([sel]).tolist() == [twin.predict_one()]
             sel.observe(float(y[30 + t]))
             twin.observe(float(y[30 + t]))
             if t == 2:  # the refit: out of the bank, with the new member

@@ -143,7 +143,7 @@ def test_fleet_selector_rounds_bitwise(seed, n_sel, n_rounds):
         return
     obs = np.random.default_rng(seed + 1).random((n_rounds, n_sel))
     for r in range(n_rounds):
-        pa = fleet_predict_one(batched)
+        pa = fleet_predict_one(batched).tolist()
         pb = [s.predict_one() for s in scalar]
         assert pa == pb
         assert all(a._bank is not None for a in batched)
@@ -185,7 +185,7 @@ def test_fleet_selector_ragged_windows_bitwise(seed):
     batched[0]._errors["naive"].popleft()
     scalar[0]._errors["naive"].popleft()
     for r in range(3, 6):
-        assert fleet_predict_one(batched) == [s.predict_one() for s in scalar]
+        assert fleet_predict_one(batched).tolist() == [s.predict_one() for s in scalar]
         assert batched[0]._bank is not None
         for i, (a, b) in enumerate(zip(batched, scalar)):
             a.observe(float(obs[r, i]))
