@@ -281,8 +281,9 @@ class ARIMA(Forecaster):
         heads: List[float],
     ) -> None:
         """Set every fitted field: :meth:`fit` ends here, and so does a
-        selector taking its members back from a bank
-        (:meth:`repro.forecast.selection.SelectorBank._restore`).
+        member a bank row is taken back into
+        (:meth:`repro.forecast.selection.SelectorBank._restore` builds it
+        from its factory and installs the row's columns).
 
         Besides the parameters, this is the O(p + q + d) forecasting
         state: the last ``p`` differenced values, the last ``q`` residuals

@@ -42,8 +42,9 @@ def warm_fit(
     replaces.
 
     Returns, per model, ``None`` or the :data:`REFIT_FAILURES` exception
-    its ``fit`` raised; what to do with it is the caller's policy.
-    Anything else propagates.
+    its ``fit`` raised; what to do with it is the caller's policy.  For a
+    stacked "model" that is a failure of the whole stack: one row's is in
+    its ``failures``.  Anything else propagates.
     """
     if len(models) != len(windows):
         raise ForecastError(

@@ -32,7 +32,8 @@ matrix and keeps ``(c, φ, σ²)`` per row, with no model object per row.
 The predictive manager refits its due hosts as one such matrix per
 history length, gathered from its load matrix; the selector bank refits
 each ``ARIMA`` member of its due rows as one matrix per series length,
-gathered from its series matrix.
+gathered from its series matrix, and runs a row's factory only for a row
+the solve refuses.
 """
 
 from __future__ import annotations

@@ -39,22 +39,23 @@ __all__ = [
 ]
 
 ForecasterFactory = Callable[[], Forecaster]
-MemberKind = Optional[Tuple[str, int]]
+MemberKind = Optional[Tuple[str, int, bool]]
 
 
 def _bank_kind(model: Forecaster) -> MemberKind:
     """A pool member's column kind in a :class:`SelectorBank`, or None.
 
-    Exact-type gates (a subclass may override ``fit``): ``("arima", d)``
-    for a plain ``ARIMA(1, d, 0)``, whose refit the bank solves as a
-    :class:`~repro.forecast.batch.StackedAR1` row, ``("naive", 0)`` for a
-    plain :class:`NaiveLast`; anything else keeps its selector scalar.
+    Exact-type gates (a subclass may override ``fit``): ``("arima", d,
+    include_constant)`` for a plain ``ARIMA(1, d, 0)``, whose refit the
+    bank solves as a :class:`~repro.forecast.batch.StackedAR1` row,
+    ``("naive", 0, False)`` for a plain :class:`NaiveLast`; anything else
+    keeps its selector scalar.
     """
     cls = type(model)
     if cls is NaiveLast:
-        return ("naive", 0)
+        return ("naive", 0, False)
     if cls is ARIMA and model.p == 1 and model.q == 0:
-        return ("arima", model.d)
+        return ("arima", model.d, model.include_constant)
     return None
 
 
@@ -171,8 +172,9 @@ class DynamicModelSelector:
     ----------
     factories:
         Ordered mapping name → zero-arg constructor of an (unfitted)
-        :class:`Forecaster`.  The paper's example pool is two ARIMA and two
-        NARNET configurations.
+        :class:`Forecaster`, returning the same kind of model (type and
+        order) on every call.  The paper's example pool is two ARIMA and
+        two NARNET configurations.
     period:
         The fitness window ``T_p`` of Eq. (14).
     refit_every:
@@ -189,11 +191,12 @@ class DynamicModelSelector:
     A plain selector (no enabled tracer, a bounded
     ``max_history``, a pool of ``ARIMA(1, d, 0)`` and :class:`NaiveLast`)
     joins a :class:`SelectorBank` on its first fleet read
-    (:func:`batch_predict_one`).  Its state then lives in a bank row:
-    :meth:`observe` stages the value, and every other method first takes
-    the row back, exact.  While banked, the object holds none of that
-    state: reading ``_errors``, ``_models`` … directly raises
-    ``AttributeError`` until a method has taken the row back.
+    (:func:`batch_predict_one`).  Its state then lives in a bank row, as
+    columns: :meth:`observe` stages the value, and every other method
+    first takes the row back, exact, with members fresh from the
+    factories.  While banked, the object holds none of that state:
+    reading ``_errors``, ``_models`` … directly raises ``AttributeError``
+    until a method has taken the row back.
     """
 
     def __init__(
@@ -231,9 +234,9 @@ class DynamicModelSelector:
         self._history: Optional[_Series] = None
         self._since_fit = 0
         self._fitted = False
-        # each member's bank kind at the last refit (_bank_kind); while
-        # banked, the bank and row that hold _models, _errors, _last_pred,
-        # _last_best, _history, _step and _since_fit
+        # each member's bank kind (_bank_kind); while banked, the bank and
+        # row that hold _models, _errors, _last_pred, _last_best, _history,
+        # _step and _since_fit
         self._kinds: Tuple[MemberKind, ...] = ()
         self._bank: Optional[SelectorBank] = None
         self._row = -1
@@ -435,15 +438,6 @@ class DynamicModelSelector:
             raise ForecastError("DynamicModelSelector is not fitted")
 
 
-def _strip(model: Forecaster) -> None:
-    """Leave a banked member an unfitted shell: its bank row holds the state."""
-    model._fitted = False
-    model._series = None
-    if type(model) is ARIMA:
-        model.const_, model.phi_, model.theta_, model.sigma2_ = 0.0, None, None, 0.0
-        model._w_tail = model._e_tail = model._heads = None
-
-
 def _bank_key(sel: DynamicModelSelector) -> Optional[tuple]:
     """What *sel* shares with every row of its bank; None keeps it scalar.
 
@@ -469,11 +463,16 @@ def _bank_key(sel: DynamicModelSelector) -> Optional[tuple]:
     return (tuple(sel.names), sel._kinds, sel.period, sel.refit_every, sel.max_history)
 
 
+def _member(selectors: List[DynamicModelSelector], name: str) -> Callable[[int], Forecaster]:
+    """A :class:`StackedAR1`'s ``scalar(i)``: ``selectors[i]``'s fresh *name* member."""
+    return lambda i: selectors[i].factories[name]()
+
+
 class SelectorBank:
     """A fleet of plain selectors held as arrays: Eq. (14) at fleet width.
 
-    Row ``r`` holds ``selectors[r]``'s state, moved out of the object (its
-    members are left unfitted shells):
+    Row ``r`` holds ``selectors[r]``'s state as columns, moved out of the
+    object (its member objects are dropped):
 
     * the Eq. (14) error windows, ``(rows, members, period)``, each
       right-aligned and oldest first as its deque holds it, with their
@@ -492,16 +491,18 @@ class SelectorBank:
     (:meth:`_refit`: one closed-form solve per ``ARIMA`` member and series
     length, over the series matrix); :meth:`predict` is ``predict_one``
     for every row at once; :meth:`release` gives a row its exact scalar
-    state back.  :class:`DynamicModelSelector` stays the definition: the
-    property suite holds a bank to scalar twins bit for bit.
+    state back, for good.  :class:`DynamicModelSelector` stays the
+    definition: the property suite holds a bank to scalar twins bit for
+    bit.
     """
 
     def __init__(self, selectors: Sequence[DynamicModelSelector], key: tuple) -> None:
         self.selectors = list(selectors)
         self.key = key
         self.names, self.kinds, self.period, self.refit_every, self.max_history = key
-        self._arima = [(m, d) for m, (kind, d) in enumerate(self.kinds) if kind == "arima"]
-        self._naive = [m for m, (kind, _) in enumerate(self.kinds) if kind == "naive"]
+        kinds = list(enumerate(self.kinds))
+        self._arima = [(m, d, const) for m, (kind, d, const) in kinds if kind == "arima"]
+        self._naive = [m for m, (kind, _, _) in kinds if kind == "naive"]
         rows, members = len(self.selectors), len(self.names)
         shape = (rows, members)
         self.err = np.zeros((rows, members, self.period))
@@ -517,11 +518,10 @@ class SelectorBank:
         self.sigma2 = np.zeros(shape)
         self.w_last = np.zeros(shape)
         self.heads = np.zeros(
-            (rows, members, max((d for _, d in self._arima), default=0))
+            (rows, members, max((d for _, d, _ in self._arima), default=0))
         )
         self.series = np.zeros((rows, self.max_history + self.refit_every))
         self.slen = np.zeros(rows, dtype=np.int64)
-        self.shells: List[Optional[List[Optional[Forecaster]]]] = [None] * rows
         self.banked = np.zeros(rows, dtype=bool)
         self.n_banked = 0
         self._staged: Dict[int, float] = {}  # row -> value, in staging order
@@ -541,7 +541,6 @@ class SelectorBank:
         self.step[row] = state.pop("_step")
         self.since[row] = state.pop("_since_fit")
         names, period = self.names, self.period
-        shells = [models.get(name) for name in names]
         self.cnt[row] = [len(errors[name]) for name in names]
         self.pred[row] = [last_pred.get(name, 0.0) for name in names]
         self.has_pred[row] = [name in last_pred for name in names]
@@ -550,38 +549,21 @@ class SelectorBank:
             window = errors[name]
             if window:
                 self.err[row, m, period - len(window):] = list(window)
-        series = next(model for model in shells if model is not None).y_
-        self.series[row, : series.shape[0]] = series
-        self.slen[row] = series.shape[0]
-        self._take_members(row, shells)
-        sel._bank, sel._row = self, row
-        self.banked[row] = True
-        self.n_banked += 1
-
-    def _take_members(self, row: int, members: List[Optional[Forecaster]]) -> None:
-        """Read the live *members* (None: dropped) into *row*; they become shells."""
-        self.alive[row] = [model is not None for model in members]
-        for m, d in self._arima:
-            model = members[m]
+        self.alive[row] = [name in models for name in names]
+        for m, d, _ in self._arima:
+            model = models.get(names[m])
             if model is not None:
                 self.const[row, m] = model.const_
                 self.phi[row, m] = model.phi_[0]
                 self.sigma2[row, m] = model.sigma2_
                 self.w_last[row, m] = model._w_tail[-1]
                 self.heads[row, m, :d] = model._heads
-        for model in members:
-            if model is not None:
-                _strip(model)
-        self.shells[row] = members
-
-    def readopt(self) -> None:
-        """Take back the rows released since the last read, where they fit."""
-        if self.n_banked == len(self.selectors):
-            return
-        for row in np.flatnonzero(~self.banked).tolist():
-            sel = self.selectors[row]
-            if _bank_key(sel) == self.key:
-                self._adopt(row, sel)
+        series = next(iter(models.values())).y_
+        self.series[row, : series.shape[0]] = series
+        self.slen[row] = series.shape[0]
+        sel._bank, sel._row = self, row
+        self.banked[row] = True
+        self.n_banked += 1
 
     def release(self, row: int) -> None:
         """Settle, then give ``selectors[row]`` its exact scalar state back.
@@ -595,31 +577,30 @@ class SelectorBank:
             if self.banked[row]:
                 self._restore(row)
 
-    def _restore(self, row: int, models: Optional[Dict[str, Forecaster]] = None) -> None:
+    def _restore(self, row: int) -> None:
         """Rebuild ``selectors[row]``'s scalar state from *row*: it leaves the bank.
 
-        Every array the selector gets back is a fresh copy.  *models*, when
-        given, are the members to install instead of the row's own.
+        Each live member is built by its factory and given the row's state
+        (an ``ARIMA`` through ``_install``); every array the selector gets
+        back is a fresh copy.
         """
         sel = self.selectors[row]
         names, period = self.names, self.period
         series = self.series[row, : self.slen[row]]
-        if models is None:
-            models = {}
-            for m, (name, shell) in enumerate(zip(names, self.shells[row])):
-                if not self.alive[row, m]:
-                    continue
-                kind, d = self.kinds[m]
-                if kind == "arima":
-                    shell._install(
-                        _Series(series), self.const[row, m].item(), self.phi[row, m : m + 1].copy(),
-                        np.zeros(0), self.sigma2[row, m].item(),
-                        [self.w_last[row, m].item()], [], self.heads[row, m, :d].tolist(),
-                    )
-                else:
-                    shell.y_ = series
-                    shell._fitted = True
-                models[name] = shell
+        models: Dict[str, Forecaster] = {}
+        for m, (name, (kind, d, _)) in enumerate(zip(names, self.kinds)):
+            if not self.alive[row, m]:
+                continue
+            model = models[name] = sel.factories[name]()
+            if kind == "arima":
+                model._install(
+                    _Series(series), self.const[row, m].item(), self.phi[row, m : m + 1].copy(),
+                    np.zeros(0), self.sigma2[row, m].item(),
+                    [self.w_last[row, m].item()], [], self.heads[row, m, :d].tolist(),
+                )
+            else:
+                model.y_ = series
+                model._fitted = True
         cnt = self.cnt[row].tolist()
         preds = zip(names, self.pred[row].tolist(), self.has_pred[row].tolist())
         best = int(self.best[row])
@@ -636,7 +617,6 @@ class SelectorBank:
             _since_fit=int(self.since[row]),
         )
         sel._bank, sel._row = None, -1
-        self.shells[row] = None
         self.banked[row] = False
         self.n_banked -= 1
 
@@ -647,9 +627,7 @@ class SelectorBank:
         The steps are the scalar's, in its order: score each member's
         prediction into its window and consume it; advance the members;
         append to the series; count; then one refit wave over the rows now
-        due (:meth:`_refit`).  A row whose every
-        member failed to refit keeps its outgoing members and leaves the
-        bank; the other rows are installed first, then the failure raises.
+        due (:meth:`_refit`).
         """
         staged = self._staged
         if not staged:
@@ -672,7 +650,7 @@ class SelectorBank:
         self.err[at] = slid if has.all() else np.where(has[:, :, None], slid, window)
         self.cnt[at] = np.where(has, np.minimum(cnt + 1, period), cnt)
         self.has_pred[at] = False
-        for m, d in self._arima:  # ARIMA.append, the O(d) state
+        for m, d, _ in self._arima:  # ARIMA.append, the O(d) state
             cur = vals
             for level in range(d):
                 nxt = cur - self.heads[at, m, level]
@@ -690,93 +668,61 @@ class SelectorBank:
     def _refit(self, due: List[int]) -> None:
         """One refit wave over the *due* rows: each row's pool, fresh.
 
-        The fresh members become the rows' shells.  Grouped by series
-        length, each ``ARIMA`` member is one :class:`StackedAR1` over its
-        group's windows, falling back to the row's own member; a naive
-        member has nothing to fit.  A row that changed kind, has a failed
-        member or a stacked fit that raised is fitted member by member and
-        takes the scalar policy (:class:`DynamicModelSelector`); a row that
-        changed kind or lost every member leaves the bank.
+        Grouped by series length, each ``ARIMA`` member is one
+        :class:`StackedAR1` over its group's windows, whose scalar fallback
+        is the row's own factory member: a factory runs only for a row the
+        closed-form solve refuses.  A naive member has nothing to fit.
+        The failure policy is the scalar's (:class:`DynamicModelSelector`):
+        a member whose fit raised a ``ForecastError`` is dropped until the
+        next period.  A row that lost every member, or whose fit raised
+        anything else, keeps its outgoing members and leaves the bank; the
+        lowest such row's error raises once every other row is installed.
+        A failure ``warm_fit`` reports for a whole stack raises with the
+        bank untouched.
         """
-        names, M, limit = self.names, len(self.names), self.max_history
-        fresh: Dict[int, List[Forecaster]] = {}
-        groups: Dict[Tuple[int, tuple], List[int]] = {}
-        loose: List[int] = []  # fitted member by member
+        names, limit = self.names, self.max_history
+        groups: Dict[int, List[int]] = {}
         for row in due:
-            factories = self.selectors[row].factories
-            members = fresh[row] = [factories[name]() for name in names]
-            if tuple(map(_bank_kind, members)) == self.kinds:
-                consts = tuple(members[m].include_constant for m, _ in self._arima)
-                groups.setdefault((int(self.slen[row]), consts), []).append(row)
-            else:
-                for model in members:  # a bank kind draws from no stream
-                    _pin_stream(model)
-                loose.append(row)
+            groups.setdefault(int(self.slen[row]), []).append(row)
         stacks = [
             (np.asarray(rows), self.series[rows, n - min(n, limit) : n], [
-                StackedAR1([fresh[row][m] for row in rows].__getitem__, d, const)
-                for (m, d), const in zip(self._arima, consts)
+                StackedAR1(_member([self.selectors[row] for row in rows], names[m]), d, const)
+                for m, d, const in self._arima
             ])
-            for (n, consts), rows in groups.items()
+            for n, rows in groups.items()
         ]
-        solved = []  # (rows, windows, fits, clean): rows whose every member fitted
-        try:
-            fits = [fit for _, _, group in stacks for fit in group]
-            outcomes = iter(warm_fit(fits, [Y for _, Y, g in stacks for _ in g]) if fits else ())
-            for rows, Y, group in stacks:
-                clean = np.ones(rows.shape[0], dtype=bool)
-                for fit in group:
-                    clean[list(fit.failures)] = False
-                    if next(outcomes) is not None:
-                        clean[:] = False
-                loose += rows[~clean].tolist()
-                if clean.any():
-                    solved.append((rows[clean], Y[clean], group, clean))
-            failed = warm_fit(
-                [model for row in loose for model in fresh[row]],
-                [self.series[row, max(self.slen[row] - limit, 0) : self.slen[row]]
-                 for row in loose for _ in names],
-            ) if loose else []
-        except Exception:
-            for row in due:  # outside the policy: every row as it was
-                self._restore(row)
-            raise
+        fits = [fit for _, _, group in stacks for fit in group]
+        for exc in warm_fit(fits, [Y for _, Y, group in stacks for _ in group]):
+            if exc is not None:
+                raise exc  # a whole stack failed: nothing is installed
         refused: List[Tuple[int, Exception]] = []
-        for k, row in enumerate(loose):
-            members, errs = fresh[row], failed[k * M : (k + 1) * M]
-            kept = {name: m for name, m, exc in zip(names, members, errs) if exc is None}
-            outside = [exc for exc in errs if exc is not None and not isinstance(exc, ForecastError)]
-            if outside or not kept:
-                failures = [(name, exc) for name, exc in zip(names, errs) if exc is not None]
-                refused.append((row, outside[0] if outside else ConvergenceError(
-                    f"row {row}: every pool member failed to fit: {failures}"
-                )))
-                self._restore(row)
-                continue
-            self.since[row] = 0
-            kinds = tuple(map(_bank_kind, members))
-            if kinds != self.kinds:  # a factory changed kind: scalar from here
-                self.selectors[row]._kinds = kinds
-                self._restore(row, kept)
-                continue
-            self._take_members(row, [m if exc is None else None for m, exc in zip(members, errs)])
-            n = int(self.slen[row])  # the window just fitted becomes the series
-            w = min(n, limit)
-            self.series[row, :w] = self.series[row, n - w : n]
-            self.slen[row] = w
-        for rows, Y, group, clean in solved:
-            w = Y.shape[1]
-            for row in rows.tolist():
-                self.shells[row] = fresh[row]
-                for model in fresh[row]:
-                    if model._fitted:  # a scalar fallback fit
-                        _strip(model)
-            self.alive[rows] = True
+        for rows, Y, group in stacks:
+            alive = np.ones((rows.shape[0], len(names)), dtype=bool)
+            lost: Dict[int, List[Tuple[str, Exception]]] = {}  # pool order
+            for (m, _, _), fit in zip(self._arima, group):
+                for i, exc in fit.failures.items():
+                    alive[i, m] = False
+                    lost.setdefault(i, []).append((names[m], exc))
+            keep = np.ones(rows.shape[0], dtype=bool)
+            for i, failures in lost.items():
+                outside = [exc for _, exc in failures if not isinstance(exc, ForecastError)]
+                if outside or not alive[i].any():
+                    row = int(rows[i])
+                    refused.append((row, outside[0] if outside else ConvergenceError(
+                        f"row {row}: every pool member failed to fit: {failures}"
+                    )))
+                    self._restore(row)
+                    keep[i] = False
+            at = slice(None) if keep.all() else keep
+            rows, Y, w = rows[at], Y[at], Y.shape[1]
+            self.alive[rows] = alive[at]
             self.since[rows] = 0
-            for (m, d), fit in zip(self._arima, group):
-                self.const[rows, m] = fit.const[clean]
-                self.phi[rows, m] = fit.phi[clean]
-                self.sigma2[rows, m] = fit.sigma2[clean]
+            for (m, d, _), fit in zip(self._arima, group):
+                self.const[rows, m] = fit.const[at]
+                self.phi[rows, m] = fit.phi[at]
+                self.sigma2[rows, m] = fit.sigma2[at]
+                if w <= d:  # too short for the order: the member failed
+                    continue
                 level = Y[:, w - d - 1 :]  # ARIMA.fit's tails: each level's last value
                 for j in range(d):
                     self.heads[rows, m, j] = level[:, -1]
@@ -799,7 +745,7 @@ class SelectorBank:
         """
         self.settle()
         rows = np.arange(len(self.selectors))
-        for m, d in self._arima:
+        for m, d, _ in self._arima:
             val = self.const[:, m] + self.phi[:, m] * self.w_last[:, m]
             for level in range(d - 1, -1, -1):
                 val = self.heads[:, m, level] + val
@@ -838,8 +784,8 @@ class _FleetRead:
     :class:`SelectorBank` per key (:func:`_bank_key`) and the rest — and
     any selector listed twice — answer through their own ``predict_one``.
     Reused while the fleet is the same selectors in the same order: a row
-    released since the last read rejoins its bank when it still fits it,
-    and answers scalar otherwise.
+    released since answers scalar until a read of another fleet builds new
+    banks.
     """
 
     def __init__(self, selectors: List[DynamicModelSelector]) -> None:
@@ -863,7 +809,6 @@ class _FleetRead:
         out = np.empty(len(self.selectors))
         scalar = list(self.scalar)
         for bank, positions in self.banks:
-            bank.readopt()
             out[positions] = bank.predict()
             if bank.n_banked < len(positions):
                 scalar += positions[~bank.banked].tolist()

@@ -3,10 +3,14 @@
 ``batch_predict_one`` moves a fleet's plain selectors into a
 :class:`~repro.forecast.selection.SelectorBank` on its first read and
 reuses it while the fleet stays the same; a scalar call takes one row
-back; ``fleet_alert_values`` never hands the bank a monitor that needs the
-scalar path.  ``assert_twins`` (the property suite's) compares a selector
-taken back from its bank with a scalar twin, bit for bit.
+back for good; ``fleet_alert_values`` never hands the bank a monitor that
+needs the scalar path.  A refit wave runs a factory only for a row the
+closed-form solve refuses.  ``assert_twins`` (the property suite's)
+compares a selector taken back from its bank with a scalar twin, bit for
+bit.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from repro.alerts.monitor import (
 )
 from repro.alerts.threshold import AlertConfig
 from repro.errors import ConvergenceError
-from repro.forecast import selection
+from repro.forecast import batch
 from repro.forecast.arima import ARIMA
 from repro.forecast.naive import NaiveLast
 from repro.forecast.narnet import NARNET
@@ -28,6 +32,7 @@ from repro.forecast.selection import DynamicModelSelector, SelectorBank, batch_p
 from repro.obs.tracer import RecordingTracer
 
 from tests.property.test_selector_bank import assert_twins
+from tests.refit_faults import fail_refits
 
 PLAIN = AlertConfig(threshold=0.6)
 
@@ -52,15 +57,39 @@ def _pool():
     return {"arima110": lambda: ARIMA(1, 1, 0, maxiter=40), "naive": NaiveLast}
 
 
-def _selectors(n, seed=0, **kwargs):
+def _arima_pool():
+    return {"arima110": lambda: ARIMA(1, 1, 0, maxiter=40),
+            "arima100": lambda: ARIMA(1, 0, 0, maxiter=40)}
+
+
+def _counted(made, pool):
+    """*pool* with each factory counting its calls in *made*."""
+    def counting(name, make):
+        def factory():
+            made[name] += 1
+            return make()
+        return factory
+
+    return lambda: {name: counting(name, make) for name, make in pool().items()}
+
+
+def _selectors(n, seed=0, pool=_pool, **kwargs):
     rng = np.random.default_rng(seed)
     kwargs = {"period": 4, "refit_every": 5, "max_history": 30, **kwargs}
     out, series = [], []
     for _ in range(n):
         y = np.clip(0.5 + 0.02 * np.cumsum(rng.standard_normal(80)), 0.0, 1.0)
-        out.append(DynamicModelSelector(_pool(), **kwargs).fit(y[:30]))
+        out.append(DynamicModelSelector(pool(), **kwargs).fit(y[:30]))
         series.append(y[30:])
     return out, series
+
+
+def _shifted(pool):
+    """Three selectors, row 1 ten units up: only its windows top 5."""
+    sels, series = _selectors(3, pool=pool)
+    sels[1].fit(np.full(30, 10.5))
+    series[1] = series[1] + 10.0
+    return sels, series
 
 
 def _step(fleet, twins, series, t):
@@ -173,9 +202,7 @@ class TestWhoJoins:
         for sel, twin in zip(fleet, twins):
             assert_twins(sel, twin)
 
-    def test_a_scalar_call_releases_one_row_and_the_next_read_takes_it_back(
-        self, adoptions
-    ):
+    def test_a_scalar_call_releases_one_row_for_good(self, adoptions):
         fleet, series = _selectors(4)
         twins, _ = _selectors(4)
         _step(fleet, twins, series, 0)
@@ -188,9 +215,10 @@ class TestWhoJoins:
             twins[2].predict_one()
             fleet[2].observe(float(series[2][t]))
             twins[2].observe(float(series[2][t]))
-        _step(fleet, twins, series, 4)
-        assert fleet[2]._bank is bank and bank.n_banked == 4
-        assert len(adoptions) == 5  # four rows, one of them twice
+        for t in range(4, 12):  # later reads of the fleet, refits among them
+            _step(fleet, twins, series, t)
+            assert [s._bank for s in fleet] == [bank, bank, None, bank]
+        assert len(adoptions) == 4  # each row once
         for sel, twin in zip(fleet, twins):
             assert_twins(sel, twin)
 
@@ -250,25 +278,13 @@ class TestSettle:
 
     @staticmethod
     def _poisoned(monkeypatch):
-        """Three banked selectors and twins, one refit step from row 1 failing."""
-        real = selection.warm_fit
+        """Three banked selectors and twins, one refit step from row 1 failing.
 
-        def poisoned(models, windows):
-            # a window above 5 (row 1's series) fails every member it fits
-            out = real(models, windows)
-            return [
-                ConvergenceError("poisoned") if w.max() > 5 else exc
-                for exc, w in zip(out, windows)
-            ]
-
-        def build():
-            sels, series = _selectors(3)
-            sels[1].fit(np.full(30, 10.5))
-            series[1] = series[1] + 10.0
-            return sels, series
-
-        (fleet, series), (twins, _) = build(), build()
-        monkeypatch.setattr(selection, "warm_fit", poisoned)
+        An ``ARIMA``-only pool: a ``NaiveLast`` fit of a finite window
+        cannot fail, so row 1 loses every member.
+        """
+        (fleet, series), (twins, _) = _shifted(_arima_pool), _shifted(_arima_pool)
+        fail_refits(monkeypatch, lambda y, d: np.max(y) > 5)  # row 1's windows
         for t in range(4):
             _step(fleet, twins, series, t)
         batch_predict_one(fleet)
@@ -305,24 +321,69 @@ class TestSettle:
         for sel, twin in zip(fleet, twins):
             assert_twins(sel, twin)
 
-    def test_a_factory_that_changes_kind_takes_its_row_out(self):
-        def pool():
-            made = []
 
-            def arima():
-                made.append(None)  # the refit builds an ARIMA(1, 1, 1)
-                return ARIMA(1, 1, 0) if len(made) == 1 else ARIMA(1, 1, 1, maxiter=20)
+class TestRefitWave:
+    def test_an_accepted_wave_calls_no_factory_and_a_release_one_a_member(self):
+        made = Counter()
+        fleet, series = _selectors(4, pool=_counted(made, _pool))
+        twins, _ = _selectors(4)
+        made.clear()
+        for t in range(10):  # two refit waves, every row solved in closed form
+            _step(fleet, twins, series, t)
+        bank = fleet[0]._bank
+        assert bank.step.tolist() == [10] * 4 and bank.since.tolist() == [0] * 4
+        assert not made
+        np.testing.assert_array_equal(fleet[2].forecast(2), twins[2].forecast(2))
+        assert made == {"arima110": 1, "naive": 1}  # the release builds its members
+        for sel, twin in zip(fleet, twins):
+            assert_twins(sel, twin)
 
-            return {"arima": arima, "naive": NaiveLast}
+    def test_a_refused_row_fits_once_a_wave_and_keeps_its_other_member(self, monkeypatch):
+        made = Counter()
+        (fleet, series), (twins, _) = _shifted(_counted(made, _arima_pool)), _shifted(_arima_pool)
+        # row 1's ARIMA(1, 0, 0) refits fail; its ARIMA(1, 1, 0) refits do not
+        attempts = fail_refits(monkeypatch, lambda y, d: d == 0 and np.max(y) > 5)
+        made.clear()
+        banked = 0  # failed fits in the bank's waves
+        for t in range(10):  # two refit waves
+            assert batch_predict_one(fleet).tolist() == [s.predict_one() for s in twins]
+            before = len(attempts)
+            for sel, y in zip(fleet, series):
+                sel.observe(float(y[t]))
+            banked += len(attempts) - before
+            for twin, y in zip(twins, series):
+                twin.observe(float(y[t]))
+        assert banked == 2  # once a wave, in the stack's scalar fallback
+        assert made == {"arima100": 2}  # that fallback's member, nothing else
+        bank = fleet[0]._bank
+        assert fleet[1]._bank is bank
+        assert bank.alive.tolist() == [[True, True], [True, False], [True, True]]
+        for sel, twin in zip(fleet, twins):
+            assert_twins(sel, twin)
 
-        y = np.clip(0.5 + 0.02 * np.cumsum(np.random.default_rng(4).standard_normal(60)), 0, 1)
-        sel = DynamicModelSelector(pool(), period=4, refit_every=3, max_history=30).fit(y[:30])
-        twin = DynamicModelSelector(pool(), period=4, refit_every=3, max_history=30).fit(y[:30])
-        for t in range(5):
-            assert batch_predict_one([sel]).tolist() == [twin.predict_one()]
-            sel.observe(float(y[30 + t]))
-            twin.observe(float(y[30 + t]))
-            if t == 2:  # the refit: out of the bank, with the new member
-                assert sel._bank is None
-        assert type(sel._models["arima"]) is type(twin._models["arima"])
-        assert_twins(sel, twin)
+    def test_a_window_shorter_than_an_order_keeps_its_member_dropped(self):
+        fleet, series = _selectors(2, max_history=1, refit_every=2)
+        twins, _ = _selectors(2, max_history=1, refit_every=2)
+        for t in range(6):  # three waves over one-sample windows
+            _step(fleet, twins, series, t)
+        assert fleet[0]._bank.alive.tolist() == [[False, True]] * 2
+        for sel, twin in zip(fleet, twins):
+            assert_twins(sel, twin)
+
+    def test_a_stack_that_fails_whole_raises_and_installs_nothing(self, monkeypatch):
+        fleet, series = _selectors(3)
+        batch_predict_one(fleet)
+        bank = fleet[0]._bank
+        for t in range(4):
+            for sel, y in zip(fleet, series):
+                sel.observe(float(y[t]))
+
+        def broken(Y, d, include_constant):
+            raise ValueError("solve failed")
+
+        monkeypatch.setattr(batch, "_solve_ar1", broken)
+        with pytest.raises(ValueError, match="solve failed"):
+            for sel, y in zip(fleet, series):  # the fifth value: a wave
+                sel.observe(float(y[4]))
+        assert bank.n_banked == 3 and bank.since.tolist() == [5] * 3
+        assert bank.slen.tolist() == [35] * 3  # the series is not cut to the window

@@ -165,8 +165,8 @@ def test_fleet_selector_rounds_bitwise(seed, n_sel, n_rounds):
 def test_fleet_selector_ragged_windows_bitwise(seed):
     """Uneven error windows are scored by length inside the bank — and agree.
 
-    One member's window is desynced after its row was taken back; the
-    next read banks it again, ragged.
+    One member's window is desynced after its row was taken back; a read
+    of a new fleet (the same selectors, reversed) banks it again, ragged.
     """
     batched, scalar = _selector_fleet(seed, 2)
     if batched is None:
@@ -184,9 +184,10 @@ def test_fleet_selector_ragged_windows_bitwise(seed):
     assert batched[0]._bank is None
     batched[0]._errors["naive"].popleft()
     scalar[0]._errors["naive"].popleft()
+    batched, scalar = batched[::-1], scalar[::-1]
     for r in range(3, 6):
         assert fleet_predict_one(batched).tolist() == [s.predict_one() for s in scalar]
-        assert batched[0]._bank is not None
+        assert batched[-1]._bank is not None
         for i, (a, b) in enumerate(zip(batched, scalar)):
             a.observe(float(obs[r, i]))
             b.observe(float(obs[r, i]))

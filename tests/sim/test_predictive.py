@@ -13,14 +13,16 @@ import pytest
 
 from repro.alerts.alert import Alert, AlertKind
 from repro.cluster import build_cluster
-from repro.errors import ConfigurationError, ConvergenceError, ForecastError, ReproError
-from repro.forecast import base, batch
+from repro.errors import ConfigurationError, ForecastError, ReproError
+from repro.forecast import base
 from repro.forecast.arima import AR1_EDGE, ARIMA
 from repro.sim import SheriffConfig, SheriffSimulation
 from repro.sim.reactive import DemandDrivenWorkload, PredictiveManager
 from repro.sim.scenario import inject_fraction_alerts
 from repro.topology import build_fattree
 from repro.traces.workload import WorkloadStream
+
+from tests.refit_faults import fail_refits
 
 
 def make_env(ramp_hosts=(), horizon=100, warm=40, seed=5):
@@ -313,29 +315,6 @@ class TestPredictAllMatchesScalarOracle:
         assert edges, "a refit must reach the wall"
 
 
-def fail_marked_refits(monkeypatch, marked):
-    """Patch the refit so that a window opening with a value in *marked*
-    (a set, switched off by emptying it) fails to fit: the stacked solve
-    refuses its row and the scalar fit raises on it.  Returns the window
-    lengths of every failed attempt."""
-    attempts = []
-    solve, fit = batch._solve_ar1, ARIMA.fit
-
-    def refusing(Y, d, include_constant):
-        ok, *rest = solve(Y, d, include_constant)
-        return (ok & ~np.isin(Y[:, 0], list(marked)), *rest)
-
-    def failing(self, y):
-        if float(y[0]) in marked:
-            attempts.append(len(y))
-            raise ConvergenceError("refit diverged")
-        return fit(self, y)
-
-    monkeypatch.setattr(batch, "_solve_ar1", refusing)
-    monkeypatch.setattr(ARIMA, "fit", failing)
-    return attempts
-
-
 def tracking_model(history, loads):
     """A fresh ``ARIMA(1, 1, 0)`` fit on *history*, advanced by *loads*."""
     model = ARIMA(1, 1, 0, maxiter=40).fit(history)
@@ -348,7 +327,8 @@ class TestFailedRefitDoesNotAbortTheRound:
     def make(self, monkeypatch, bad_hosts):
         cluster, wl = make_env(ramp_hosts=(0,), warm=40)
         marked = {float(wl.host_load(0)[h]) for h in bad_hosts}
-        attempts = fail_marked_refits(monkeypatch, marked)
+        # a window opening with a marked value fails (switched off by emptying it)
+        attempts = fail_refits(monkeypatch, lambda y, d: float(y[0]) in marked)
         mgr = PredictiveManager(wl, threshold=0.5, horizon=3)
         return wl, mgr, marked, attempts
 
