@@ -1,13 +1,21 @@
 /* Jonker-Volgenant shortest-augmenting-path kernel (Alg. 3 matcher).
  *
- * This is the C twin of the numpy inner loop in ``matching.hungarian``:
- * every floating-point operation runs in the same order on the same
- * values ((c - u) - v relaxation, per-step ``minv -= delta`` over still-
- * unused columns, strict-less tie-breaking, first-minimum argmin scan),
- * so with IEEE-754 doubles the assignments it produces are bit-identical
- * to the pure-numpy path -- including how cost ties break.  Compile with
- * plain -O2 and WITHOUT -ffast-math; the build helper in matching.py
- * enforces that.
+ * ``jv_solve`` is the C twin of the numpy inner loop in
+ * ``matching._hungarian_numpy``: every floating-point operation runs in
+ * the same order on the same values ((c - u) - v relaxation, per-step
+ * ``minv -= delta`` over still-unused columns, strict-less tie-breaking,
+ * first-minimum argmin scan), so with IEEE-754 doubles the assignments it
+ * produces are bit-identical to the pure-numpy path -- including how cost
+ * ties break.  Compile with plain -O2 and WITHOUT -ffast-math; the build
+ * helper in matching.py enforces that.
+ *
+ * The one exported entry is ``jv_solve_many``: k independent problems,
+ * problem p being rows starts[p] .. starts[p+1]-1 of one row-major matrix
+ * with leading dimension ld, over its own first widths[p] columns.  It
+ * writes each problem's assignment into its rows of match_out, its return
+ * code into codes[p] and its own solve seconds into seconds[p], and returns
+ * how many problems it could not allocate for (code -1).  A single matrix
+ * (``matching.hungarian``) is the k = 1 call.
  *
  * Return codes:
  *   0  solved; match_out[i] = 0-based column of row i
@@ -17,11 +25,15 @@
  *  -1  allocation failure
  */
 
+#define _POSIX_C_SOURCE 199309L
+
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <time.h>
 
-int jv_solve(const double *c, int64_t n, int64_t m, int64_t *match_out)
+static int jv_solve(const double *c, int64_t ld, int64_t n, int64_t m,
+                    int64_t *match_out)
 {
     /* 1-based columns with sentinel column 0, as in the numpy version. */
     double *u = calloc((size_t)(n + 1), sizeof(double));
@@ -50,7 +62,7 @@ int jv_solve(const double *c, int64_t n, int64_t m, int64_t *match_out)
         int64_t n_active = m;
         for (;;) {
             int64_t i0 = match[j0];
-            const double *row = c + (i0 - 1) * m;
+            const double *row = c + (i0 - 1) * ld;
             double ui0 = u[i0];
             for (int64_t j = 1; j <= m; j++) {
                 if (!active[j])
@@ -116,4 +128,22 @@ done:
     free(tree);
     free(active);
     return rc;
+}
+
+int64_t jv_solve_many(const double *c, int64_t ld, int64_t k,
+                      const int64_t *starts, const int64_t *widths,
+                      int64_t *match_out, int32_t *codes, double *seconds)
+{
+    struct timespec t0, t1;
+    int64_t unsolved = 0;
+    for (int64_t p = 0; p < k; p++) {
+        clock_gettime(CLOCK_MONOTONIC, &t0);
+        codes[p] = jv_solve(c + starts[p] * ld, ld, starts[p + 1] - starts[p],
+                            widths[p], match_out + starts[p]);
+        clock_gettime(CLOCK_MONOTONIC, &t1);
+        seconds[p] = (double)(t1.tv_sec - t0.tv_sec)
+                     + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
+        unsolved += codes[p] == -1;
+    }
+    return unsolved;
 }

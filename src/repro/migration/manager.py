@@ -155,56 +155,55 @@ class ShimManager:
         if own:
             reports = RoundReports()
         tracer = self.tracer
+        winners = candidates = None  # the host table, read once per call
         alerts_processed = rerouted = failed = 0
         migrate_set: List[int] = []
         reroute_flow_ids: List[int] = []
         hot_switches: Set[int] = set()
         tor_alerted = False
 
+        rack = self.rack
+        traced = tracer.enabled
+        server, local_tor = AlertKind.SERVER, AlertKind.LOCAL_TOR
         for alert in alerts:
-            if alert.rack != self.rack:
+            if alert.rack != rack:
                 raise ConfigurationError(
-                    f"alert for rack {alert.rack} delivered to shim {self.rack}"
+                    f"alert for rack {alert.rack} delivered to shim {rack}"
                 )
             alerts_processed += 1
-            if alert.kind is AlertKind.OUTER_SWITCH:
+            kind = alert.kind
+            if kind is server:
+                host = alert.host
+                assert host is not None
+                if snapshot.host_rack[host] != rack:
+                    raise ConfigurationError(
+                        f"server alert for host {host} outside rack {rack}"
+                    )
+                # PRIORITY(F, 1): the host table holds every host's pick
+                if winners is None:
+                    winners, candidates = snapshot.host_winners(vm_alerts)
+                vm = winners[host]
+                if vm >= 0:
+                    migrate_set.append(vm)
+                if traced:
+                    # rack, factor, budget, candidates, selected
+                    tracer.record(
+                        PrioritySelected,
+                        (rack, "ONE", 1, candidates[host], (vm,) if vm >= 0 else ()),
+                    )
+            elif kind is local_tor:
+                tor_alerted = True
+            elif kind is AlertKind.OUTER_SWITCH:
                 assert alert.switch is not None
                 hot_switches.add(alert.switch)
                 if self.flow_table is not None:
-                    flows = self.flow_table.flows_through(
-                        alert.switch, from_rack=self.rack
-                    )
+                    flows = self.flow_table.flows_through(alert.switch, from_rack=rack)
                     cands = snapshot.candidates([f.vm for f in flows], vm_alerts)
-                    budget = max(1, int(self.alpha * self.cluster.tor_capacity(self.rack)))
+                    budget = max(1, int(self.alpha * self.cluster.tor_capacity(rack)))
                     chosen = self._priority(PriorityFactor.ALPHA, budget, cands)
                     chosen_vms = {c.vm_id for c in chosen}
                     reroute_flow_ids.extend(
                         f.flow_id for f in flows if f.vm in chosen_vms
-                    )
-            elif alert.kind is AlertKind.LOCAL_TOR:
-                tor_alerted = True
-            elif alert.kind is AlertKind.SERVER:
-                assert alert.host is not None
-                if snapshot.host_rack[alert.host] != self.rack:
-                    raise ConfigurationError(
-                        f"server alert for host {alert.host} outside rack {self.rack}"
-                    )
-                # PRIORITY(F, 1): the host table holds every host's pick
-                winners, candidates = snapshot.host_winners(vm_alerts)
-                vm = winners[alert.host]
-                if vm >= 0:
-                    migrate_set.append(vm)
-                if tracer.enabled:
-                    # rack, factor, budget, candidates, selected
-                    tracer.record(
-                        PrioritySelected,
-                        (
-                            self.rack,
-                            "ONE",
-                            1,
-                            candidates[alert.host],
-                            (vm,) if vm >= 0 else (),
-                        ),
                     )
 
         if tor_alerted:
@@ -245,6 +244,7 @@ class ShimManager:
                     balance_weight=self.balance_weight,
                     host_load=host_load,
                     slo_scorer=self.slo_scorer,
+                    profiler=self.profiler,
                 )[self.rack]
             request_migrations(
                 block,

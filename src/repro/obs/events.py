@@ -130,7 +130,12 @@ class PrioritySelected(TraceEvent):
 
 @dataclass
 class MatchingSolved(TraceEvent):
-    """One Kuhn–Munkres (or greedy-fallback) solve inside VMMIGRATION."""
+    """One Kuhn–Munkres (or greedy-fallback) solve inside VMMIGRATION.
+
+    ``elapsed_s`` is this one problem's own solve time; a first matching
+    solved in the round's stacked call reads its own seconds from the
+    kernel, never a share of the batch.
+    """
 
     rack: Optional[int] = None
     rows: int = 0

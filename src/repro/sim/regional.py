@@ -64,7 +64,12 @@ def regional_migration_round(
         by_rack.setdefault(rack, []).append(vm)
 
     blocks = stack_cost_blocks(
-        cluster, cost_model, by_rack, FleetSnapshot(pl), balance_weight=balance_weight
+        cluster,
+        cost_model,
+        by_rack,
+        FleetSnapshot(pl),
+        balance_weight=balance_weight,
+        profiler=profiler,
     )
     receivers = ReceiverRegistry(cluster, tracer=tracer)
     reports = RoundReports()

@@ -108,10 +108,10 @@ class TestForbiddenPairs:
             else:
                 assert c[np.arange(len(c)), verdict].sum() == best
 
-    def test_single_row_is_a_first_minimum_scan(self):
-        # 1 x m never reaches a solver: the fast path must give the column
-        # (or the error) the compiled kernel and the numpy reference give
-        # on the same row, ties and forbidden cells included
+    def test_single_row_is_a_first_minimum_scan(self, monkeypatch):
+        # 1 x m on the numpy path is a first-minimum scan: it must give the
+        # column (or the error) the numpy reference and the compiled kernel
+        # give on the same row, ties and forbidden cells included
         def verdict(solve, c):
             try:
                 return solve(c, 1, c.shape[1]).tolist()
@@ -119,14 +119,17 @@ class TestForbiddenPairs:
                 return str(exc)
 
         rng = np.random.default_rng(7100)
-        verdicts = set()
+        cases = []
         for _ in range(300):
             c = rng.integers(0, 4, size=(1, int(rng.integers(1, 12)))).astype(float)
             c[rng.random(c.shape) < rng.choice([0.0, 0.3, 1.0])] = np.inf
+            cases.append(c)
+        loaded = [_verdict(c) for c in cases]
+        monkeypatch.setattr(matching, "_JV_KERNEL", None)
+        verdicts = set()
+        for c, want in zip(cases, loaded):
             fast = _verdict(c)
-            assert fast == verdict(matching._hungarian_numpy, c)
-            if matching._JV_KERNEL is not None:
-                assert fast == verdict(matching._hungarian_c, c)
+            assert fast == want == verdict(matching._hungarian_numpy, c)
             if not isinstance(fast, str):
                 assert hungarian(c)[1] == c[0, fast[0]]
                 assert fast[0] == int(np.argmin(c[0]))
@@ -155,10 +158,11 @@ class TestNumpyReference(TestCorrectness, TestForbiddenPairs, TestValidation):
 
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc: numpy is the solver")
 def test_compiled_kernel_loads_where_gcc_exists():
-    # _load_jv_kernel swallows every error: a broken _jv.c or loader would
-    # put every matching on the numpy path (~11x slower on plan_alerts_k8)
-    # while every other test stays green
+    # _load_jv_kernel swallows every error, a missing symbol included: a
+    # broken _jv.c or loader would put every matching on the numpy path
+    # (~11x slower on plan_alerts_k8) while every other test stays green
     assert matching._JV_KERNEL is not None, (
         "gcc is on PATH but the compiled matcher did not load; "
         "check _jv.c, its gcc build and the _jv_build directory"
     )
+    assert matching._JV_KERNEL.__name__ == "jv_solve_many"

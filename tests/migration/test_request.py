@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.errors import ProtocolError
 from repro.migration.request import ReceiverRegistry, RequestOutcome
+from repro.obs.tracer import RecordingTracer
 from repro.topology import build_fattree
 
 
@@ -91,6 +92,57 @@ class TestFCFS:
             reg.request(10**6, 0, 0)
         with pytest.raises(ProtocolError):
             reg.request(0, 10**6, 0)
+
+
+class TestLiveState:
+    """A REQUEST reads a host's liveness and room as they are now: what
+    changes between two REQUESTs of one round is seen by the second."""
+
+    @staticmethod
+    def _reasons(tracer):
+        return [e.reason for e in tracer.of_kind("RequestRejected")]
+
+    def test_a_host_disabled_between_two_requests_refuses_the_second(self, cluster):
+        pl = cluster.placement
+        tracer = RecordingTracer()
+        reg = ReceiverRegistry(cluster, tracer=tracer)
+        vm, host, rack = pick_vm_and_free_host(cluster)
+        other = next(
+            v for v in range(pl.num_vms) if v != vm and pl.host_of(v) != host
+        )
+        assert reg.request(vm, host, rack) is RequestOutcome.ACK
+        pl.disable_host(host)
+        assert reg.request(other, host, rack) is RequestOutcome.REJECT
+        assert self._reasons(tracer) == ["capacity"]
+
+    def test_a_migrate_between_two_requests_is_seen(self, cluster):
+        pl = cluster.placement
+        tracer = RecordingTracer()
+        reg = ReceiverRegistry(cluster, tracer=tracer)
+        vm, host, rack = pick_vm_and_free_host(cluster)
+        need = int(pl.vm_capacity[vm])
+        # fill the host behind the registry's back until vm no longer fits
+        moved = []
+        while pl.free_capacity(host) >= need:
+            room = pl.free_capacity(host)
+            filler = max(
+                (
+                    v
+                    for v in range(pl.num_vms)
+                    if v != vm
+                    and pl.host_of(v) != host
+                    and int(pl.vm_capacity[v]) <= room
+                ),
+                key=lambda v: int(pl.vm_capacity[v]),
+            )
+            moved.append((filler, pl.host_of(filler)))
+            pl.migrate(filler, host)
+        assert reg.request(vm, host, rack) is RequestOutcome.REJECT
+        assert self._reasons(tracer) == ["capacity"]
+        # and moving them back off makes the room the next REQUEST takes
+        for filler, src in reversed(moved):
+            pl.migrate(filler, src)
+        assert reg.request(vm, host, rack) is RequestOutcome.ACK
 
 
 def pick_two_moves(cluster):

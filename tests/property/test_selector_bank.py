@@ -5,8 +5,9 @@ selectors as arrays, and :class:`DynamicModelSelector` stays the
 definition.  Hypothesis builds two identical fleets — one read through
 ``batch_predict_one`` (banked), one stepped selector by selector — and
 drives both through the same random interleaving of fleet reads, partial
-and double observes, scalar calls that release a row mid-stream (with
-scalar steps after them) and the re-adoption that follows.  Pools mix
+and double observes, and scalar calls that release a row mid-stream (with
+scalar steps after them), after which the released selector answers as a
+scalar through every fleet read that follows.  Pools mix
 ``ARIMA(1, d, 0)`` (``d`` in {0, 1, 2}, constant on and off) with
 ``NaiveLast``; windows are small, so they fill, slide and refit.  One
 selector may see a constant series (its ARIMA refits leave the stacked
