@@ -103,9 +103,10 @@ class Placement:
         return np.nonzero(self.host_rack == rack)[0]
 
     def free_capacity(self, host: int) -> int:
-        if not self.host_alive[host]:
+        # plain-Python scalars: a REQUEST reads this once per verdict
+        if not self.host_alive.item(host):
             return 0
-        return int(self.host_capacity[host] - self.host_used[host])
+        return int(self.host_capacity.item(host) - self.host_used.item(host))
 
     def host_load_fraction(self) -> np.ndarray:
         """Per-host utilization in ``[0, 1]`` — the Fig. 9/10 metric base."""
