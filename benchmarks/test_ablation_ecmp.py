@@ -58,8 +58,7 @@ def run_mode(ecmp: bool):
     p99_before = latency_percentiles(cluster.topology, ft)["p99"]
     # then let Sheriff's reroute clean up what is left
     sim = SheriffSimulation(cluster, SheriffConfig(alpha=0.2))
-    for mgr in sim.managers.values():
-        mgr.flow_table = ft
+    sim.flow_table = ft
     rerouted = 0
     for t in range(4):
         alerts, vma = congestion_alerts(cluster, ft, utilization_threshold=0.5, time=t)

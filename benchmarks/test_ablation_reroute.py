@@ -53,8 +53,7 @@ def run_reroute():
     # flows — moving everything at once would just recreate the hotspot on
     # the alternate path (the reason Alg. 2 selects a capacity portion, not
     # the full set)
-    for mgr in sim.managers.values():
-        mgr.flow_table = ft
+    sim.flow_table = ft
     total_cost = 0.0
     rerouted = 0
     for t in range(4):

@@ -84,10 +84,6 @@ class SwitchQueue:
         q_delta = self.occupancy - self._last_occupancy
         return -(q_off + self.w * q_delta)
 
-    @property
-    def congested(self) -> bool:
-        return self.feedback() < 0.0
-
 
 class ToRUplinkMonitor:
     """Shim-side predictive watch on the local ToR uplink queue.

@@ -1,44 +1,42 @@
 """The :class:`Cluster` aggregate and its factory.
 
-A cluster binds together everything Sheriff manages: the wired topology,
-rack/host/VM inventory, the live placement, and the dependency graph.  The
-factory :func:`build_cluster` populates a fabric the way the paper's
-simulation does — homogeneous hosts per rack, VM capacities up to 20 units,
-an initial placement drawn at random but respecting capacities.
+A cluster binds together everything Sheriff manages, each piece once: the
+wired topology (racks ``V`` are its ToR nodes), the live
+:class:`~repro.cluster.placement.Placement` (hosts ``H_ij``, VMs
+``M_ij`` and the location function ``ξ``, as columns) and the dependency
+graph.  The factory :func:`build_cluster` populates a fabric the way the
+paper's simulation does — homogeneous hosts per rack, VM capacities up to
+20 units, an initial placement drawn at random but respecting capacities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.dependency import DependencyGraph
-from repro.cluster.host import Host
 from repro.cluster.placement import Placement
-from repro.cluster.rack import Rack
-from repro.cluster.vm import VM
-from repro.errors import ConfigurationError, PlacementError
+from repro.errors import ConfigurationError
 from repro.rng import SeedLike, as_generator
 from repro.topology.base import Topology
 
-__all__ = ["Cluster", "build_cluster"]
+__all__ = ["Cluster", "TOR_CAPACITY", "build_cluster"]
+
+#: Every ToR's capacity, in the paper's capacity unit: the budget that
+#: Alg. 1's α (switch) and β (ToR, Eq. (10)) PRIORITY selections scale.
+TOR_CAPACITY = 400
 
 
 @dataclass
 class Cluster:
-    """Topology + inventory + placement + dependencies.
+    """Topology + placement + dependencies.
 
-    The simulator and the managers only ever share one ``Cluster``; cloning
-    the placement (:meth:`Placement.clone`) is how baselines explore
-    alternative plans without disturbing live state.
+    The simulator and the managers only ever share one ``Cluster``.
     """
 
     topology: Topology
-    racks: List[Rack]
-    hosts: List[Host]
-    vms: List[VM]
     placement: Placement
     dependencies: DependencyGraph
     _region_hosts: Optional[tuple] = field(
@@ -46,26 +44,23 @@ class Cluster:
     )
 
     def __post_init__(self) -> None:
-        if len(self.racks) != self.topology.num_racks:
+        if self.placement.num_racks > self.topology.num_racks:
             raise ConfigurationError(
-                f"{len(self.racks)} rack records for a topology with "
-                f"{self.topology.num_racks} ToR nodes"
+                f"hosts in {self.placement.num_racks} racks for a topology "
+                f"with {self.topology.num_racks} ToR nodes"
             )
 
     @property
     def num_racks(self) -> int:
-        return len(self.racks)
+        return self.topology.num_racks
 
     @property
     def num_hosts(self) -> int:
-        return len(self.hosts)
+        return self.placement.num_hosts
 
     @property
     def num_vms(self) -> int:
-        return len(self.vms)
-
-    def tor_capacity(self, rack: int) -> int:
-        return self.racks[rack].tor_capacity
+        return self.placement.num_vms
 
     def workload_std(self) -> float:
         """Std-dev of per-host load percentage — the Fig. 9/10 y-axis."""
@@ -79,8 +74,8 @@ class Cluster:
         ``cols[r, :widths[r]]`` the column of each one's rack in
         ``topology.rack_regions()[0][r]``.  Ragged; the padding is 0 (a
         valid host and column nobody reads).  A host never changes rack,
-        so built once and shared by the shim views and the round's stacked
-        cost pass: read-only.
+        so built once and shared by every shim's planning and the round's
+        stacked cost pass: read-only.
         """
         if self._region_hosts is None:
             table, near = self.topology.rack_regions()
@@ -104,7 +99,6 @@ def build_cluster(
     host_capacity: int = 100,
     vm_capacity_max: int = 20,
     fill_fraction: float = 0.5,
-    tor_capacity: int = 400,
     dependency_degree: float = 1.0,
     delay_sensitive_fraction: float = 0.1,
     skew: float = 0.0,
@@ -146,17 +140,10 @@ def build_cluster(
         raise ConfigurationError(f"skew must be non-negative, got {skew}")
     rng = as_generator(seed)
 
-    n_racks = topology.num_racks
-    racks: List[Rack] = []
-    hosts: List[Host] = []
-    for r in range(n_racks):
-        ids = list(range(r * hosts_per_rack, (r + 1) * hosts_per_rack))
-        racks.append(Rack(rack_id=r, host_ids=ids, tor_capacity=tor_capacity))
-        for hid in ids:
-            hosts.append(Host(host_id=hid, rack=r, capacity=host_capacity))
+    n_hosts = topology.num_racks * hosts_per_rack
+    host_rack = np.repeat(np.arange(topology.num_racks), hosts_per_rack)
 
     # Per-host target fill: lognormal skew normalized to mean fill_fraction.
-    n_hosts = len(hosts)
     if skew > 0:
         mult = rng.lognormal(mean=0.0, sigma=skew, size=n_hosts)
         mult /= mult.mean()
@@ -164,7 +151,9 @@ def build_cluster(
         mult = np.ones(n_hosts)
     target = np.clip(fill_fraction * mult, 0.02, 0.95) * host_capacity
 
-    vms: List[VM] = []
+    vm_capacity: List[int] = []
+    vm_value: List[float] = []
+    vm_sensitive: List[bool] = []
     vm_host: List[int] = []
     for h in range(n_hosts):
         used = 0
@@ -175,26 +164,19 @@ def build_cluster(
                 cap = host_capacity - used
                 if cap <= 0:
                     break
-            value = float(rng.uniform(1.0, 10.0))
-            sensitive = bool(rng.random() < delay_sensitive_fraction)
-            vms.append(
-                VM(
-                    vm_id=len(vms),
-                    capacity=cap,
-                    value=value,
-                    delay_sensitive=sensitive,
-                )
-            )
+            vm_capacity.append(cap)
+            vm_value.append(float(rng.uniform(1.0, 10.0)))
+            vm_sensitive.append(bool(rng.random() < delay_sensitive_fraction))
             vm_host.append(h)
             used += cap
 
-    placement = Placement(vms, hosts, vm_host)
-    deps = DependencyGraph.random(len(vms), dependency_degree, rng)
-    return Cluster(
-        topology=topology,
-        racks=racks,
-        hosts=hosts,
-        vms=vms,
-        placement=placement,
-        dependencies=deps,
+    placement = Placement(
+        vm_capacity=vm_capacity,
+        vm_value=vm_value,
+        vm_delay_sensitive=vm_sensitive,
+        host_capacity=np.full(n_hosts, host_capacity),
+        host_rack=host_rack,
+        vm_host=vm_host,
     )
+    deps = DependencyGraph.random(placement.num_vms, dependency_degree, rng)
+    return Cluster(topology=topology, placement=placement, dependencies=deps)

@@ -23,10 +23,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.dependency import DependencyGraph
-from repro.cluster.host import Host
 from repro.cluster.placement import Placement
-from repro.cluster.rack import Rack
-from repro.cluster.vm import VM
 from repro.errors import CapacityError, ConfigurationError
 from repro.rng import SeedLike, as_generator
 from repro.topology.base import Topology
@@ -174,7 +171,6 @@ def build_cluster_packed(
     host_capacity: int = 100,
     vm_capacity_max: int = 20,
     fill_fraction: float = 0.5,
-    tor_capacity: int = 400,
     dependency_degree: float = 1.0,
     delay_sensitive_fraction: float = 0.1,
     seed: SeedLike = None,
@@ -191,16 +187,9 @@ def build_cluster_packed(
             f"fill_fraction must be in (0, 0.95], got {fill_fraction}"
         )
     rng = as_generator(seed)
-    n_racks = topology.num_racks
-    racks: List[Rack] = []
-    hosts: List[Host] = []
-    for r in range(n_racks):
-        ids = list(range(r * hosts_per_rack, (r + 1) * hosts_per_rack))
-        racks.append(Rack(rack_id=r, host_ids=ids, tor_capacity=tor_capacity))
-        for hid in ids:
-            hosts.append(Host(host_id=hid, rack=r, capacity=host_capacity))
+    n_hosts = topology.num_racks * hosts_per_rack
 
-    budget = int(fill_fraction * host_capacity * len(hosts))
+    budget = int(fill_fraction * host_capacity * n_hosts)
     sizes: List[int] = []
     used = 0
     while used < budget:
@@ -211,24 +200,20 @@ def build_cluster_packed(
                 break
         sizes.append(cap)
         used += cap
-    vm_host = pack(sizes, [h.capacity for h in hosts], policy, seed=rng)
-
-    vms = [
-        VM(
-            vm_id=i,
-            capacity=int(sizes[i]),
-            value=float(rng.uniform(1.0, 10.0)),
-            delay_sensitive=bool(rng.random() < delay_sensitive_fraction),
-        )
-        for i in range(len(sizes))
-    ]
-    placement = Placement(vms, hosts, vm_host)
-    deps = DependencyGraph.random(len(vms), dependency_degree, rng)
-    return Cluster(
-        topology=topology,
-        racks=racks,
-        hosts=hosts,
-        vms=vms,
-        placement=placement,
-        dependencies=deps,
+    capacities = np.full(n_hosts, host_capacity)
+    vm_host = pack(sizes, capacities, policy, seed=rng)
+    vm_value: List[float] = []
+    vm_sensitive: List[bool] = []
+    for _ in sizes:
+        vm_value.append(float(rng.uniform(1.0, 10.0)))
+        vm_sensitive.append(bool(rng.random() < delay_sensitive_fraction))
+    placement = Placement(
+        vm_capacity=sizes,
+        vm_value=vm_value,
+        vm_delay_sensitive=vm_sensitive,
+        host_capacity=capacities,
+        host_rack=np.repeat(np.arange(topology.num_racks), hosts_per_rack),
+        vm_host=vm_host,
     )
+    deps = DependencyGraph.random(len(sizes), dependency_degree, rng)
+    return Cluster(topology=topology, placement=placement, dependencies=deps)

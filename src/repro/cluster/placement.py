@@ -1,9 +1,12 @@
 """VM placement state — the location function ``ξ`` of the paper.
 
-The placement is the single mutable object the migration algorithms act on.
-It is stored as flat numpy arrays (``vm_host``, ``host_rack``, capacities)
-so that per-host loads, per-rack loads and balance metrics are one
-``np.bincount`` away — no Python loop over VMs in the hot simulation path.
+The placement is the single mutable object the migration algorithms act on,
+and the fleet's only inventory: the hosts ``H_ij`` and VMs ``M_ij`` are rows
+of its columns (capacities, values, delay sensitivity, ``host_rack``), and
+it is built from them, checking each (positive capacities, non-negative
+values and rack ids).  Flat numpy arrays put per-host loads, per-rack loads
+and balance metrics one ``np.bincount`` away — no Python loop over VMs in
+the hot simulation path.
 
 Capacity invariants (Eq. (8)/(9) of the problem formulation) are enforced
 incrementally: ``migrate`` refuses to overfill a destination host, and
@@ -16,9 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.host import Host
-from repro.cluster.vm import VM
-from repro.errors import CapacityError, PlacementError
+from repro.errors import CapacityError, ConfigurationError, PlacementError
 
 __all__ = ["Placement"]
 
@@ -26,37 +27,65 @@ __all__ = ["Placement"]
 class Placement:
     """Mapping VM → host → rack with capacity accounting.
 
+    Built from its columns: VM ``i`` and host ``j`` are row ``i`` and
+    row ``j`` (a global, stable id is an index, nothing more).
+
     Parameters
     ----------
-    vms:
-        VM records; ``vm_id`` must equal the list index.
-    hosts:
-        Host records; ``host_id`` must equal the list index.
+    vm_capacity:
+        Each VM's size in the paper's minimum capacity unit (Mbps):
+        the knapsack weight of PRIORITY (Alg. 2), the slot a REQUEST
+        (Alg. 4) asks for and the numerator of ``T(e)`` in Eq. (1).
+        Positive integers.
+    vm_value:
+        Each VM's worth to the operator; PRIORITY evicts low-value,
+        large-size VMs first.  Non-negative.
+    vm_delay_sensitive:
+        VMs that are never migrated (Alg. 2 line 1 eliminates them).
+    host_capacity:
+        Each host's capacity budget (Eq. (8)/(9)).  Positive integers.
+    host_rack:
+        The delegation node ``v_i`` of each host, fixed for its lifetime
+        (Sheriff migrates VMs, never servers).  Non-negative.
     vm_host:
         Initial host id of each VM.
     """
 
     def __init__(
         self,
-        vms: Sequence[VM],
-        hosts: Sequence[Host],
+        *,
+        vm_capacity: Sequence[int],
+        vm_value: Sequence[float],
+        vm_delay_sensitive: Sequence[bool],
+        host_capacity: Sequence[int],
+        host_rack: Sequence[int],
         vm_host: Sequence[int],
     ) -> None:
-        for i, vm in enumerate(vms):
-            if vm.vm_id != i:
-                raise PlacementError(f"vm at index {i} has vm_id {vm.vm_id}")
-        for j, h in enumerate(hosts):
-            if h.host_id != j:
-                raise PlacementError(f"host at index {j} has host_id {h.host_id}")
-        self.num_vms = len(vms)
-        self.num_hosts = len(hosts)
-        self.vm_capacity = np.asarray([vm.capacity for vm in vms], dtype=np.int64)
-        self.vm_value = np.asarray([vm.value for vm in vms], dtype=np.float64)
-        self.vm_delay_sensitive = np.asarray(
-            [vm.delay_sensitive for vm in vms], dtype=bool
-        )
-        self.host_capacity = np.asarray([h.capacity for h in hosts], dtype=np.int64)
-        self.host_rack = np.asarray([h.rack for h in hosts], dtype=np.int64)
+        self.vm_capacity = np.asarray(vm_capacity, dtype=np.int64)
+        self.vm_value = np.asarray(vm_value, dtype=np.float64)
+        self.vm_delay_sensitive = np.asarray(vm_delay_sensitive, dtype=bool)
+        self.host_capacity = np.asarray(host_capacity, dtype=np.int64)
+        self.host_rack = np.asarray(host_rack, dtype=np.int64)
+        self.num_vms = self.vm_capacity.shape[0]
+        self.num_hosts = self.host_capacity.shape[0]
+        if (
+            self.vm_capacity.ndim != 1
+            or self.host_capacity.ndim != 1
+            or self.vm_value.shape != (self.num_vms,)
+            or self.vm_delay_sensitive.shape != (self.num_vms,)
+            or self.host_rack.shape != (self.num_hosts,)
+        ):
+            raise PlacementError("VM and host columns must be 1-D, one row each")
+        if (self.vm_capacity <= 0).any():
+            raise ConfigurationError(
+                "VM capacity must be a positive integer (minimum unit = 1 Mbps)"
+            )
+        if (self.vm_value < 0).any():
+            raise ConfigurationError("VM value must be non-negative")
+        if (self.host_capacity <= 0).any():
+            raise ConfigurationError("host capacity must be positive")
+        if (self.host_rack < 0).any():
+            raise ConfigurationError("host rack id must be non-negative")
         self.num_racks = int(self.host_rack.max()) + 1 if self.num_hosts else 0
 
         vh = np.asarray(vm_host, dtype=np.int64)
@@ -199,24 +228,6 @@ class Placement:
             raise PlacementError(f"vm {vm} is not lost")
         self.lost_vms.discard(vm)
         self._generation += 1
-
-    def clone(self) -> "Placement":
-        """Deep copy (used by the centralized baseline to explore plans)."""
-        new = object.__new__(Placement)
-        new.num_vms = self.num_vms
-        new.num_hosts = self.num_hosts
-        new.num_racks = self.num_racks
-        new.vm_capacity = self.vm_capacity  # immutable by convention
-        new.vm_value = self.vm_value
-        new.vm_delay_sensitive = self.vm_delay_sensitive
-        new.host_capacity = self.host_capacity
-        new.host_rack = self.host_rack
-        new.vm_host = self.vm_host.copy()
-        new.host_used = self.host_used.copy()
-        new._generation = self._generation
-        new.host_alive = self.host_alive.copy()
-        new.lost_vms = set(self.lost_vms)
-        return new
 
     # ------------------------------------------------------------------ #
     # verification

@@ -7,7 +7,8 @@ arrays one entity at a time — thousands of tiny numpy fancy-indexing calls
 per round at paper scale.  Within one management round the placement is
 frozen (reservations live in the receiver registry; accepted moves land at
 commit), so all of it can be gathered **once** into flat arrays and shared
-read-only by every shim's :meth:`~repro.migration.manager.ShimManager.process_round`.
+read-only by every alerted rack's
+:meth:`~repro.migration.manager.ShimManager.process_round` call.
 
 :class:`FleetSnapshot` is that gather:
 

@@ -185,9 +185,9 @@ class CostModel:
         """Eq. (1) of *vms* at columns of each VM's own one-hop region.
 
         *region_cols* names ``rack_regions()[0][src_rack, region_cols]``
-        (a shim's :meth:`~repro.cluster.shim.ShimView.candidate_cols`, or
-        the round's stacked pass's ``(rows, widest)`` table, one row of
-        columns per VM): the width the slab stores, so the answer is a
+        (a rack's row of :meth:`~repro.cluster.cluster.Cluster.region_hosts`'
+        ``cols``, or the round's stacked pass's ``(rows, widest)`` table,
+        one row of columns per VM): the width the slab stores, so the answer is a
         fancy index of the slab, rows not yet held being computed first
         (``misses``; the rest are ``hits``).  Every element is bit-identical
         to the scalar oracle's for the same VM and rack, and the result is

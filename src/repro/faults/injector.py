@@ -2,10 +2,13 @@
 
 The injector is the bridge between a passive
 :class:`~repro.faults.schedule.FaultSchedule` and the live engine state:
-placement, in-flight tracker, flow table, cost model and the per-rack
-shim managers.  ``begin_round(now)`` runs at the top of every managed
-round (before alert dispatch) and applies whatever the schedule says is
-due:
+placement, in-flight tracker, flow table and cost model.  It holds the
+simulation handle and reads ``sim.flow_table`` when a fault fires, so it
+acts on the table the engine routes at that moment (one an outer loop
+installed included); a rebuilt cost model is one assignment,
+``sim.cost_model``, which the shim reads when a rack plans.
+``begin_round(now)`` runs at the top of every managed round (before
+alert dispatch) and applies whatever the schedule says is due:
 
 * **HOST_CRASH** — in-flight migrations touching the host are aborted
   (their destination holds released), the host is marked dead, resident
@@ -14,7 +17,8 @@ due:
   against the rack's one-hop region (a private instant receiver commits
   them immediately), and whoever could not be placed is marked *lost* —
   frozen out of planning, capacity still booked on the dead host so
-  accounting never drifts.  Lost VMs' flows are withdrawn.
+  accounting never drifts.  Lost VMs' flows are withdrawn from the
+  engine's flow table.
 * **HOST_RECOVER** — the host returns; its lost residents resume.
 * **SHIM_DOWN / SHIM_UP** — the rack's delegation goes silent: the
   engine skips its planning, and (with an
@@ -71,7 +75,7 @@ class FaultInjector:
     def __init__(self, sim, schedule: FaultSchedule) -> None:
         self.sim = sim
         self.schedule = schedule
-        self.switches = FailureInjector(sim.cluster, flow_table=sim.flow_table)
+        self.switches = FailureInjector(sim.cluster)
         self._down_racks: Dict[int, Optional[int]] = {}  # rack -> up round
         self.log: List[dict] = []
 
@@ -130,6 +134,9 @@ class FaultInjector:
             return "shim restored"
         if kind is FaultKind.MIGRATION_ABORT:
             return self._abort_migration(spec.target)
+        if kind in (FaultKind.SWITCH_FAIL, FaultKind.SWITCH_RECOVER):
+            # the flows the engine routes now, wherever its table came from
+            self.switches.flow_table = self.sim.flow_table
         if kind is FaultKind.SWITCH_FAIL:
             report = self.switches.fail(spec.target)
             self._refresh_cost_model(rf)
@@ -161,8 +168,6 @@ class FaultInjector:
             rf.degraded = True
             return
         self.sim.cost_model = model
-        for manager in self.sim.managers.values():
-            manager.cost_model = model
 
     def _crash_host(self, host: int) -> str:
         sim = self.sim

@@ -273,7 +273,8 @@ def stack_cost_blocks(
 
     *picks* maps a rack to its migration set (duplicate-free VMs of that
     rack); each rack with a non-empty set gets a :class:`RackCostBlock`
-    against its shim's sorted ``candidate_hosts()``, as views of one
+    against its region's sorted hosts (its row of
+    :meth:`Cluster.region_hosts`), as views of one
     ``(all VMs, widest region)`` stack — one gather of free capacity and
     load, one :meth:`CostModel.cost_rows` call, one mask, one ``argmin``
     over :meth:`Cluster.region_hosts`, its padding masked to ``inf``.

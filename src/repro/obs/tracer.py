@@ -300,7 +300,6 @@ class JsonlTracer(RecordingTracer):
         super().__init__()
         self.stream = stream
         self._owns_stream = False
-        self._written = 0
         self.stream.write(
             json.dumps({"schema_version": TRACE_SCHEMA_VERSION}) + "\n"
         )
@@ -313,17 +312,11 @@ class JsonlTracer(RecordingTracer):
         tracer._owns_stream = True
         return tracer
 
-    @property
-    def emitted(self) -> int:
-        """Events recorded so far, written or not."""
-        return self._written + len(self._codes)
-
     def _write(self) -> None:
         """Write the rows held, stamped, to the stream; then drop them."""
         write = self.stream.write
         for event in self.events:
             write(json.dumps(event.as_dict()) + "\n")
-        self._written += len(self._codes)
         self.clear()
 
     def begin_round(self, index: int) -> None:

@@ -19,11 +19,13 @@ obs-trace streams (``tests/service`` pins golden values captured from
 it).  :func:`plan` is the whole of planning: it prepares the
 round-static state once — cost cache, fleet snapshot, PRIORITY(F, 1) of
 every host and the stacked Alg. 3 cost rows of every alerted rack — and
-calls :meth:`~repro.migration.manager.ShimManager.process_round` for each
-alerted rack in rack order.  The shims write their rows into the round's
-one :class:`~repro.migration.reports.RoundReports`, frozen into arrays when
-planning ends; the round's per-rack counters and histograms are then
-written from its columns in one call, one vectorised write per family
+calls the simulation's one
+:meth:`~repro.migration.manager.ShimManager.process_round` for each
+alerted rack in rack order, with that snapshot and the round's one
+:class:`~repro.migration.reports.RoundReports`.  Each call appends its
+rack's row, and the rows are frozen into arrays when planning ends; the
+round's per-rack counters and histograms are then written from its
+columns in one call, one vectorised write per family
 (:meth:`~repro.migration.reports.RoundReports.write_metrics`).  A
 :class:`~repro.service.events.RackPlanned` per rack goes to the
 simulation's bus — an observer tap nothing in the round reads back — and
@@ -177,8 +179,9 @@ def plan(state: RoundState) -> None:
     # rack with a ToR alert keeps none, as its migration set is not known
     # until its shim has run PRIORITY(F, beta)
     alerted_hosts = {}
+    num_racks = sim.cluster.num_racks
     for rack in racks:
-        if rack not in sim.managers:
+        if not 0 <= rack < num_racks:
             raise SimulationError(f"alert addressed to unknown rack {rack}")
         hosts = []
         tor = False
@@ -227,17 +230,19 @@ def plan(state: RoundState) -> None:
     # registers meanwhile (the lossy channel's counters), as they did
     # when each shim registered its own on first use
     registered = len(sim.metrics)
+    shim = sim.shim
     try:
         for rack in racks:
-            sim.managers[rack].process_round(
+            shim.process_round(
+                rack,
                 state.by_rack[rack],
                 state.vm_alerts,
                 sim._port,
-                state.frozen,
+                frozen,
                 state.host_load,
-                snapshot=snapshot,
-                block=blocks.get(rack),
-                reports=reports,
+                snapshot,
+                reports,
+                blocks.get(rack),
             )
             planned += 1
             if listen:

@@ -36,7 +36,6 @@ from repro.sim.scenarios import (
     creeping_growth,
     flash_crowd,
     host_surges,
-    steady_demand,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "run_managed_simulation",
     "AlertSource",
     "SurgeEvent",
-    "steady_demand",
     "host_surges",
     "flash_crowd",
     "creeping_growth",

@@ -1,15 +1,19 @@
 """The Sheriff simulation engine.
 
-One :class:`SheriffSimulation` owns a cluster, a cost model, one
-:class:`~repro.migration.manager.ShimManager` per rack and the shared
-receiver registry.  A *round* is: deliver alerts → every shim runs
-Alg. 1 (selection + matching + REQUEST) → commit accepted migrations →
-record metrics.  In the paper the shims run logically in parallel and
-the FCFS receiver protocol (Alg. 4) is what serialises their
-reservations; the engine reproduces exactly that serialised order — one
-alerted rack at a time, in rack order, on the calling thread.  There is
-no other planner and no option that selects one (``docs/performance.md``
-records what the worker pools measured before they were deleted).
+One :class:`SheriffSimulation` owns a cluster, a cost model, an optional
+flow table, the shared receiver registry and one
+:class:`~repro.migration.manager.ShimManager`, which runs Alg. 1 for
+whichever rack is alerted against the engine's own cost model and flow
+table (a ``SWITCH_FAIL`` rebuild or an external table is one assignment,
+``sim.cost_model = ...`` / ``sim.flow_table = ...``).  A *round* is:
+deliver alerts → every alerted rack's shim runs Alg. 1 (selection +
+matching + REQUEST) → commit accepted migrations → record metrics.  In
+the paper the shims run logically in parallel and the FCFS receiver
+protocol (Alg. 4) is what serialises their reservations; the engine
+reproduces exactly that serialised order — one alerted rack at a time,
+in rack order, on the calling thread.  There is no other planner and no
+option that selects one (``docs/performance.md`` records what the worker
+pools measured before they were deleted).
 
 A round is eight function calls: :meth:`SheriffSimulation.run_round`
 builds one :class:`~repro.service.round.RoundState` and calls the
@@ -33,7 +37,7 @@ a few per alerted rack.
 
 Observability: the engine threads one :class:`~repro.obs.tracer.Tracer`,
 one :class:`~repro.obs.metrics.MetricsRegistry` and one
-:class:`~repro.obs.profiling.Profiler` through every shim, the receiver
+:class:`~repro.obs.profiling.Profiler` through the shim, the receiver
 protocol and VMMIGRATION.  Decision sites increment labeled counters,
 and the plan stage writes the per-rack ones from the round's record;
 :class:`RoundSummary` reads its planning totals from that record's columns
@@ -176,21 +180,9 @@ class SheriffSimulation:
                 )
             if cfg.scoring == "slo":
                 self.slo_scorer = SloScorer(slo_model, timing)
-        self.managers: Dict[int, ShimManager] = {
-            r: ShimManager(
-                cluster,
-                self.cost_model,
-                r,
-                alpha=cfg.alpha,
-                balance_weight=cfg.balance_weight,
-                flow_table=self.flow_table,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                profiler=self.profiler,
-                slo_scorer=self.slo_scorer,
-            )
-            for r in range(cluster.num_racks)
-        }
+        # Alg. 1 for every rack, over this engine's cost model and flow
+        # table as they are when a rack plans
+        self.shim = ShimManager(self)
         self.history: List[RoundSummary] = []
         self.migration_cooldown = cfg.migration_cooldown
         self._last_move: Dict[int, int] = {}

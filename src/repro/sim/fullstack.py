@@ -10,6 +10,10 @@ wrapper runs them *together*, the way a real deployment would:
    alerts (→ FLOWREROUTE), predicted host overload raises SERVER alerts
    (→ VMMIGRATION), in the same round;
 4. migrations re-home their VMs' flows, closing the loop.
+
+The loop's flow table is the embedded engine's ``sim.flow_table``, so
+Alg. 1's FLOWREROUTE, a ``SWITCH_FAIL`` repair and a ``HOST_CRASH``
+withdrawal all act on the flows the loop re-syncs each round.
 """
 
 from __future__ import annotations
@@ -72,8 +76,9 @@ class FullStackSimulation:
     config:
         Optional :class:`~repro.config.SheriffConfig` for the embedded
         :class:`~repro.sim.engine.SheriffSimulation` (tracer/metrics
-        handles included); its flow-related knobs are ignored because the
-        closed loop owns the flow table.
+        handles and a fault schedule included); ``with_flows`` is ignored
+        because the closed loop installs its own flow table in the
+        engine.
     """
 
     def __init__(
@@ -94,13 +99,11 @@ class FullStackSimulation:
         self.workload = workload
         self.base_rate = base_rate
         self.switch_threshold = switch_threshold
-        self.flow_table = FlowTable(cluster.topology, ecmp=ecmp)
         if config is not None and config.with_flows:
-            # the closed loop builds and owns its own demand-driven flows
+            # the closed loop builds its own demand-driven flows
             config = config.replace(with_flows=False)
         self.sim = SheriffSimulation(cluster, config)
-        for mgr in self.sim.managers.values():
-            mgr.flow_table = self.flow_table
+        self.sim.flow_table = FlowTable(cluster.topology, ecmp=ecmp)
         self.manager = PredictiveManager(workload, threshold=host_threshold, horizon=3)
         self._dep_flows: Dict[Tuple[int, int], int] = {}
         # per-rack predictive uplink queue monitors (Alg. 1 case 2)
@@ -112,6 +115,12 @@ class FullStackSimulation:
             queue = SwitchQueue(service_rate=max(uplink, 1e-6), buffer_size=10.0 * max(uplink, 1e-6))
             self.tor_monitors[rack] = ToRUplinkMonitor(queue, tor_queue_threshold)
         self.history: List[FullStackRound] = []
+
+    @property
+    def flow_table(self) -> FlowTable:
+        """The engine's flow table: the one the shim reroutes and the
+        fault layer repairs."""
+        return self.sim.flow_table
 
     # ------------------------------------------------------------------ #
     def sync_flows(self, t: int) -> None:

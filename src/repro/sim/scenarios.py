@@ -5,7 +5,6 @@ some overload structure; building one by hand (pick hosts, schedule
 ramps, seed streams) was re-implemented in every bench and example.
 This module names the recurring shapes:
 
-* :func:`steady_demand` — stationary diurnal load, no events;
 * :func:`host_surges` — correlated per-host ramps (tenant-wide spikes),
   the pre-alert-vs-reactive workhorse;
 * :func:`flash_crowd` — one rack's VMs all surge simultaneously (a viral
@@ -30,7 +29,6 @@ from repro.traces.workload import WorkloadStream
 
 __all__ = [
     "SurgeEvent",
-    "steady_demand",
     "host_surges",
     "flash_crowd",
     "creeping_growth",
@@ -96,27 +94,6 @@ def _streams(
         else:
             streams[vm] = batch[vm]
     return DemandDrivenWorkload(cluster, streams)
-
-
-def steady_demand(
-    cluster: Cluster,
-    horizon: int,
-    *,
-    base_level: float = 0.45,
-    diurnal_amplitude: float = 0.08,
-    wander_sigma: float = 0.005,
-    seed: SeedLike = None,
-) -> DemandDrivenWorkload:
-    """Stationary fleet: diurnal base, no scheduled events."""
-    return _streams(
-        cluster,
-        horizon,
-        lambda vm, host: [],
-        base_level=base_level,
-        diurnal_amplitude=diurnal_amplitude,
-        wander_sigma=wander_sigma,
-        seed=seed,
-    )
 
 
 def host_surges(

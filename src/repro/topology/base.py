@@ -197,7 +197,7 @@ class Topology:
         of every rack from one sparse product ``B·Bᵀ`` of the rack-switch
         incidence.  Regions are ragged; columns past ``widths[r]`` hold
         ``r`` (a valid rack id nobody reads).  Built once per fabric and
-        shared by its shim views and cost models: read-only.
+        shared by its clusters' region tables and cost models: read-only.
         """
         if self._regions is None:
             from scipy.sparse import csr_matrix

@@ -39,12 +39,10 @@ class TestSwitchQueue:
         # empty queue: positive feedback (no congestion)
         q.step(0.0)
         assert q.feedback() > 0
-        assert not q.congested
         # drive far above equilibrium
         for _ in range(30):
             q.step(5.0)
         assert q.feedback() < 0
-        assert q.congested
 
     def test_growth_term_anticipates(self):
         # below equilibrium but growing fast -> w-term can flip the sign

@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from repro.cluster.dependency import DependencyGraph
-from repro.cluster.host import Host
 from repro.cluster.placement import Placement
-from repro.cluster.vm import VM
 from repro.errors import PlacementError
 
 
+def uniform_placement(n_vms, capacity, host_rack, vm_host, cls=Placement):
+    """VMs of one capacity and value 1, hosts of capacity 100."""
+    return cls(
+        vm_capacity=[capacity] * n_vms,
+        vm_value=[1.0] * n_vms,
+        vm_delay_sensitive=[False] * n_vms,
+        host_capacity=[100] * len(host_rack),
+        host_rack=host_rack,
+        vm_host=vm_host,
+    )
+
+
 def make_placement():
-    vms = [VM(i, 5, 1.0) for i in range(6)]
-    hosts = [Host(0, 0, 100), Host(1, 1, 100), Host(2, 2, 100)]
     # two VMs per host; racks 0, 1, 2
-    return Placement(vms, hosts, [0, 0, 1, 1, 2, 2])
+    return uniform_placement(6, 5, [0, 1, 2], [0, 0, 1, 1, 2, 2])
 
 
 def num_pairs(g):
@@ -81,9 +89,12 @@ class TestConflicts:
         # dependents?"); the implementation asks the VM's few dependents
         rng = np.random.default_rng(4)
         n_vms, n_hosts = 80, 10
-        vms = [VM(i, 1, 1.0) for i in range(n_vms)]
-        hosts = [Host(h, h // 2, 100) for h in range(n_hosts)]
-        pl = Placement(vms, hosts, rng.integers(0, n_hosts, size=n_vms))
+        pl = uniform_placement(
+            n_vms,
+            1,
+            [h // 2 for h in range(n_hosts)],
+            rng.integers(0, n_hosts, size=n_vms),
+        )
         g = DependencyGraph.random(n_vms, 3.0, rng)
         verdicts = set()
         for vm in range(n_vms):
@@ -100,9 +111,7 @@ class TestConflicts:
             def vms_on_host(self, host):
                 raise AssertionError("O(fleet) scan on the REQUEST path")
 
-        vms = [VM(i, 5, 1.0) for i in range(6)]
-        hosts = [Host(0, 0, 100), Host(1, 1, 100), Host(2, 2, 100)]
-        pl = NoScan(vms, hosts, [0, 0, 1, 1, 2, 2])
+        pl = uniform_placement(6, 5, [0, 1, 2], [0, 0, 1, 1, 2, 2], cls=NoScan)
         assert DependencyGraph(6, [(0, 2)]).conflicts_on_host(pl, 0, 1)
 
 

@@ -3,21 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.cluster.host import Host
 from repro.cluster.placement import Placement
-from repro.cluster.vm import VM
 from repro.errors import CapacityError, ConfigurationError, PlacementError
 
 
+def placement(vms, hosts, vm_host):
+    """A placement from ``(capacity, value[, delay_sensitive])`` VM rows and
+    ``(rack, capacity)`` host rows."""
+    return Placement(
+        vm_capacity=[vm[0] for vm in vms],
+        vm_value=[vm[1] for vm in vms],
+        vm_delay_sensitive=[len(vm) > 2 and vm[2] for vm in vms],
+        host_capacity=[h[1] for h in hosts],
+        host_rack=[h[0] for h in hosts],
+        vm_host=vm_host,
+    )
+
+
 def make_placement():
-    vms = [
-        VM(0, 10, 1.0),
-        VM(1, 20, 2.0),
-        VM(2, 30, 3.0),
-        VM(3, 5, 4.0, delay_sensitive=True),
-    ]
-    hosts = [Host(0, 0, 50), Host(1, 0, 50), Host(2, 1, 50)]
-    return Placement(vms, hosts, [0, 0, 1, 2])
+    vms = [(10, 1.0), (20, 2.0), (30, 3.0), (5, 4.0, True)]
+    hosts = [(0, 50), (0, 50), (1, 50)]
+    return placement(vms, hosts, [0, 0, 1, 2])
 
 
 class TestConstruction:
@@ -27,22 +33,28 @@ class TestConstruction:
         pl.check_invariants()
 
     def test_rejects_overfull_initial(self):
-        vms = [VM(0, 60, 1.0)]
-        hosts = [Host(0, 0, 50)]
         with pytest.raises(CapacityError):
-            Placement(vms, hosts, [0])
+            placement([(60, 1.0)], [(0, 50)], [0])
 
     def test_rejects_misnumbered_vms(self):
+        # a VM's id is its row: every VM column has one row per VM
         with pytest.raises(PlacementError):
-            Placement([VM(5, 1, 1.0)], [Host(0, 0, 10)], [0])
+            Placement(
+                vm_capacity=[1],
+                vm_value=[1.0, 2.0],
+                vm_delay_sensitive=[False],
+                host_capacity=[10],
+                host_rack=[0],
+                vm_host=[0],
+            )
 
     def test_rejects_bad_host_ids(self):
         with pytest.raises(PlacementError):
-            Placement([VM(0, 1, 1.0)], [Host(0, 0, 10)], [3])
+            placement([(1, 1.0)], [(0, 10)], [3])
 
     def test_rejects_wrong_vm_host_shape(self):
         with pytest.raises(PlacementError):
-            Placement([VM(0, 1, 1.0)], [Host(0, 0, 10)], [0, 0])
+            placement([(1, 1.0)], [(0, 10)], [0, 0])
 
 
 class TestQueries:
@@ -97,20 +109,6 @@ class TestMigrate:
         with pytest.raises(PlacementError):
             pl.migrate(0, 99)
 
-    def test_clone_is_independent(self):
-        pl = make_placement()
-        cl = pl.clone()
-        cl.migrate(0, 2)
-        assert pl.host_of(0) == 0
-        assert cl.host_of(0) == 2
-        # the generation (the cost slab's key) counts every mutation, per copy
-        assert (pl.generation, cl.generation) == (0, 1)
-        cl.mark_lost(1)
-        cl.restore_lost(1)
-        assert cl.generation == 3
-        pl.check_invariants()
-        cl.check_invariants()
-
     def test_drift_detection(self):
         pl = make_placement()
         pl.host_used[0] += 1  # corrupt
@@ -119,18 +117,16 @@ class TestMigrate:
 
 
 class TestVMHostRecords:
+    """The checks a VM or host row must pass (its id is its row)."""
+
     def test_vm_validation(self):
         with pytest.raises(ConfigurationError):
-            VM(0, 0, 1.0)
+            placement([(0, 1.0)], [(0, 10)], [0])
         with pytest.raises(ConfigurationError):
-            VM(0, 5, -1.0)
-        with pytest.raises(ConfigurationError):
-            VM(-1, 5, 1.0)
+            placement([(5, -1.0)], [(0, 10)], [0])
 
     def test_host_validation(self):
         with pytest.raises(ConfigurationError):
-            Host(0, 0, 0)
+            placement([], [(0, 0)], [])
         with pytest.raises(ConfigurationError):
-            Host(-1, 0, 10)
-        with pytest.raises(ConfigurationError):
-            Host(0, -2, 10)
+            placement([], [(-2, 10)], [])

@@ -1,11 +1,13 @@
-"""Shim view / neighbor-rack tests."""
+"""Shim region / neighbor-rack tests."""
 
 import pytest
 
 from repro.cluster import build_cluster
-from repro.cluster.shim import ShimView, neighbor_racks
+from repro.cluster.shim import neighbor_racks
 from repro.errors import TopologyError
 from repro.topology import build_bcube, build_fattree
+
+from tests.regions import region
 
 
 class TestNeighborRacks:
@@ -38,15 +40,19 @@ class TestNeighborRacks:
 
 
 class TestShimView:
+    """A shim's view of its region: its rows of the shared region tables."""
+
     def test_region_contains_self(self, small_cluster):
-        shim = ShimView(small_cluster, 0)
-        assert 0 in shim.region
-        assert shim.neighbors == shim.region - {0}
+        table, widths = small_cluster.topology.rack_regions()
+        neighbors = frozenset(table[0, : widths[0]].tolist())
+        region = neighbors | {0}
+        assert 0 in region
+        assert neighbors == region - {0}
 
     def test_candidate_hosts_in_neighbor_racks(self, small_cluster):
-        shim = ShimView(small_cluster, 0)
         pl = small_cluster.placement
-        hosts = shim.candidate_hosts()
+        hosts, _ = region(small_cluster, 0)
+        neighbors = neighbor_racks(small_cluster.topology, 0)
         assert hosts.size > 0
         for h in hosts:
-            assert int(pl.host_rack[h]) in shim.neighbors
+            assert int(pl.host_rack[h]) in neighbors

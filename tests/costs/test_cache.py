@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.cluster import ShimView, build_cluster
+from repro.cluster import build_cluster
 from repro.costs.model import CostModel
 from repro.costs.transmission import cached_transmission_table
 from repro.topology import build_fattree
 
 from tests.property.test_regional_slab import assert_shim_reads_equal_oracle
+from tests.regions import region
 
 
 @pytest.fixture
@@ -38,13 +39,12 @@ def _movable_pair(cluster):
 
 def _read_all(cm, cluster):
     """Every shim reads its own VMs' rows once; the rows, rack by rack."""
-    shims = [ShimView(cluster, rack) for rack in range(cluster.num_racks)]
     return [
         cm.cost_rows(
-            cluster.placement.vms_in_rack(shim.rack),
-            region_cols=shim.candidate_cols(),
+            cluster.placement.vms_in_rack(rack),
+            region_cols=region(cluster, rack)[1],
         )
-        for shim in shims
+        for rack in range(cluster.num_racks)
     ]
 
 
@@ -65,10 +65,10 @@ class TestVectorCache:
 
     def test_repeat_query_hits(self, cluster):
         cm = CostModel(cluster)
-        shim = ShimView(cluster, 0)
+        _, cols = region(cluster, 0)
         vm = cluster.placement.vms_in_rack(0)[:1]
-        a = cm.cost_rows(vm, region_cols=shim.candidate_cols())
-        b = cm.cost_rows(vm, region_cols=shim.candidate_cols())
+        a = cm.cost_rows(vm, region_cols=cols)
+        b = cm.cost_rows(vm, region_cols=cols)
         # one generation: the second read is the slab's row, not a recompute
         assert a.tobytes() == b.tobytes()
         assert cm.cache_stats["hits"] == 1

@@ -112,7 +112,8 @@ class TestHostCrash:
         pl, tracker = cluster.placement, sim.inflight
         residents = [int(v) for v in pl.vms_on_host(host)]
         rack = int(pl.host_rack[host])
-        region = sim.managers[rack].shim.candidate_hosts().tolist()
+        hosts, _, widths = cluster.region_hosts()
+        region = hosts[rack, : widths[rack]].tolist()
         for dst in region:
             for vm in range(pl.num_vms):
                 need = int(pl.vm_capacity[vm])

@@ -65,8 +65,7 @@ def story():
         if hot_switches(cluster.topology, flows):
             break
     hs_before = hot_switches(cluster.topology, flows)
-    for mgr in sim.managers.values():
-        mgr.flow_table = flows
+    sim.flow_table = flows
     alerts, vma = congestion_alerts(cluster, flows, time=100)
     s = sim.run_round(alerts, vma)
     record["congestion"] = (

@@ -49,8 +49,7 @@ def test_soak_mixed_regimes():
         cluster,
         SheriffConfig(migration_timing=MigrationTiming(round_seconds=30.0)),
     )
-    for mgr in sim.managers.values():
-        mgr.flow_table = flows
+    sim.flow_table = flows
 
     injector = FailureInjector(cluster, flow_table=flows)
     aggs = cluster.topology.nodes_of_kind(NodeKind.AGG)

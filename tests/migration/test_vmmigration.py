@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
-from repro.cluster.shim import ShimView
+from repro.cluster.shim import neighbor_racks
 from repro.cluster.snapshot import FleetSnapshot
 from repro.costs.model import CostModel
 from repro.migration.reports import MigrationStats, RoundReports
@@ -40,6 +40,7 @@ from repro.sim.regional import regional_migration_round
 from repro.topology import build_fattree
 
 from tests.property.test_regional_slab import build_ragged
+from tests.regions import region
 
 
 def _trim_rows(cost: np.ndarray, num_hosts: int):
@@ -234,13 +235,13 @@ class TestVMMigration:
     def test_migrates_candidates_to_neighbor_racks(self, setup):
         cluster, cm = setup
         pl = cluster.placement
-        shim = ShimView(cluster, 0)
+        neighbors = neighbor_racks(cluster.topology, 0)
         cands = pl.vms_in_rack(0)[:3].tolist()
         plan = regional_migration_round(cluster, cm, cands, apply=True)
         assert plan.migrations == len(cands)
         for vm, host, _ in plan.moves:
             assert int(pl.vm_host[vm]) == host
-            assert int(pl.host_rack[host]) in shim.neighbors
+            assert int(pl.host_rack[host]) in neighbors
         pl.check_invariants()
 
     def test_cost_accounting_matches_model(self, setup):
@@ -258,7 +259,7 @@ class TestVMMigration:
 
     def test_search_space_counts_pairs(self, setup):
         cluster, cm = setup
-        hosts = ShimView(cluster, 0).candidate_hosts()
+        hosts = region(cluster, 0)[0]
         cands = cluster.placement.vms_in_rack(0)[:2].tolist()
         plan = regional_migration_round(cluster, cm, cands)
         assert plan.search_space == len(cands) * len(hosts)
@@ -292,7 +293,7 @@ class TestVMMigration:
         # pick a candidate and shrink every destination below its size by
         # filling destinations through direct accounting
         vmid = int(pl.vms_in_rack(0)[0])
-        hosts = ShimView(cluster, 0).candidate_hosts()
+        hosts = region(cluster, 0)[0]
         for h in hosts:
             pl.host_used[h] = pl.host_capacity[h]  # simulate fully packed
         plan = regional_migration_round(cluster, cm, [vmid])
@@ -315,7 +316,7 @@ class TestVMMigration:
         cm = CostModel(cluster)
         pl = cluster.placement
         cands = pl.vms_in_rack(0)[:4].tolist()
-        hosts = ShimView(cluster, 0).candidate_hosts()
+        hosts = region(cluster, 0)[0]
         load = pl.host_used[hosts] / pl.host_capacity[hosts]
         plan = regional_migration_round(cluster, cm, cands, balance_weight=1000.0)
         assert plan.moves
@@ -344,8 +345,7 @@ class TestSingleRowRequestsItsFirstMinimum:
             delay_sensitive_fraction=0.0,
         )
         pl = cluster.placement
-        shim = ShimView(cluster, 0)
-        hosts = shim.candidate_hosts()
+        hosts = region(cluster, 0)[0]
         if spoil == "dead":
             pl.host_alive[hosts] = False  # free capacity 0: every pair infeasible
         tracer, metrics = RecordingTracer(), MetricsRegistry()

@@ -93,17 +93,21 @@ def test_engine_invariants_under_random_alerts(stream):
 @given(alert_streams())
 def test_engine_is_deterministic(stream):
     cluster_a, rounds = stream
-    # replay the identical stream on an identical cluster
-    import copy
+    # replay the identical stream on an identical cluster: a twin built
+    # from the same columns
+    from repro.cluster import Cluster, Placement
 
-    from repro.cluster import Cluster
-
+    pl = cluster_a.placement
     cluster_b = Cluster(
         topology=cluster_a.topology,
-        racks=cluster_a.racks,
-        hosts=cluster_a.hosts,
-        vms=cluster_a.vms,
-        placement=cluster_a.placement.clone(),
+        placement=Placement(
+            vm_capacity=pl.vm_capacity,
+            vm_value=pl.vm_value,
+            vm_delay_sensitive=pl.vm_delay_sensitive,
+            host_capacity=pl.host_capacity,
+            host_rack=pl.host_rack,
+            vm_host=pl.vm_host,
+        ),
         dependencies=cluster_a.dependencies,
     )
     sim_a = SheriffSimulation(cluster_a)

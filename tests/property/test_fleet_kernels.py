@@ -17,11 +17,9 @@ from repro.alerts.alert import Alert, AlertKind, compute_alert, compute_alerts
 from repro.alerts import monitor
 from repro.alerts.monitor import VMMonitor, fleet_alert_values
 from repro.alerts.threshold import AlertConfig
-from repro.cluster import Cluster, ShimView, build_cluster
-from repro.cluster.host import Host
+from repro.cluster import build_cluster
 from repro.cluster.placement import Placement
 from repro.cluster.snapshot import FleetSnapshot
-from repro.cluster.vm import VM
 from repro.config import SheriffConfig
 from repro.costs.model import CostModel
 from repro.errors import ConvergenceError, ForecastError
@@ -47,6 +45,7 @@ from tests.property.test_regional_slab import (
     assert_shim_reads_equal_oracle,
     build_ragged,
 )
+from tests.regions import region
 
 common = settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -355,18 +354,20 @@ def test_host_winners_equal_priority_select(seed):
     rng = np.random.default_rng(seed)
     n_hosts, n_vms = 8, 60
     vm_host = rng.integers(0, n_hosts - 1, size=n_vms)  # the last host is empty
-    vms = [
-        VM(
-            vm_id=i,
-            capacity=int(rng.integers(1, 3)),
-            value=float(rng.integers(1, 3)),
-            # host 0 holds delay-sensitive VMs only
-            delay_sensitive=bool(vm_host[i] == 0 or rng.random() < 0.2),
-        )
-        for i in range(n_vms)
-    ]
-    hosts = [Host(host_id=h, rack=h // 2, capacity=1000) for h in range(n_hosts)]
-    pl = Placement(vms, hosts, vm_host)
+    capacity, value, sensitive = [], [], []
+    for i in range(n_vms):
+        capacity.append(int(rng.integers(1, 3)))
+        value.append(float(rng.integers(1, 3)))
+        # host 0 holds delay-sensitive VMs only
+        sensitive.append(bool(vm_host[i] == 0 or rng.random() < 0.2))
+    pl = Placement(
+        vm_capacity=capacity,
+        vm_value=value,
+        vm_delay_sensitive=sensitive,
+        host_capacity=[1000] * n_hosts,
+        host_rack=[h // 2 for h in range(n_hosts)],
+        vm_host=vm_host,
+    )
     levels = [0.0, float("nan"), 0.4, 0.4, 0.9]
     alerts = {
         int(v): levels[int(rng.integers(0, len(levels)))]
@@ -422,7 +423,7 @@ def test_stacked_blocks_equal_build_cost_block(fabric, warm, measured, scoring):
     rng = np.random.default_rng(3)
     host_load = rng.random(pl.num_hosts) if measured else None
     # rack 1 sees no live destination: its rows are all-inf, first_min -1
-    doomed = sim.managers[1].shim.candidate_hosts()
+    doomed = region(cluster, 1)[0]
     pl.host_alive[doomed] = False
     picks = {
         rack: pl.vms_in_rack(rack)[: 1 + rack % 3].tolist()
@@ -441,12 +442,11 @@ def test_stacked_blocks_equal_build_cost_block(fabric, warm, measured, scoring):
     assert (stats["misses"] == 0) if warm else (stats["hits"] == 0)
     assert sorted(blocks) == [r for r in sorted(picks) if picks[r]]
     for rack, block in blocks.items():
-        shim = sim.managers[rack].shim
         want = build_cost_block(
             cluster,
             ScalarOracleModel(cluster),
             picks[rack],
-            shim.candidate_hosts(),
+            region(cluster, rack)[0],
             snapshot=snapshot,
             **kwargs,
         )
@@ -471,7 +471,7 @@ def _planned_run(cluster_seed, stacked, monkeypatch):
         built.append(vms)
         if stacked:
             return stack_cost_blocks(cluster, cost_model, picks, snapshot, **kwargs)
-        hosts = ShimView(cluster, rack).candidate_hosts()
+        hosts = region(cluster, rack)[0]
         kwargs.pop("profiler")  # the oracle solves untimed
         return {
             rack: build_cost_block(
@@ -541,7 +541,7 @@ def _oracle_regional_round(
             cluster,
             cost_model,
             by_rack[rack],
-            ShimView(cluster, rack).candidate_hosts(),
+            region(cluster, rack)[0],
             receivers,
             balance_weight=balance_weight,
             tracer=tracer,

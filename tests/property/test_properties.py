@@ -6,9 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.cluster.host import Host
 from repro.cluster.placement import Placement
-from repro.cluster.vm import VM
 from repro.errors import CapacityError, PlacementError
 from repro.forecast.lag import difference, difference_heads, lag_matrix, undifference
 from repro.kmedian import KMedianInstance, local_search
@@ -170,23 +168,31 @@ def test_priority_maximizes_relief(args):
 def test_placement_random_migrations_keep_invariants(seed):
     rng = np.random.default_rng(seed)
     n_hosts = int(rng.integers(2, 6))
-    hosts = [Host(h, h % 2, int(rng.integers(20, 60))) for h in range(n_hosts)]
-    vms = []
+    host_capacity = [int(rng.integers(20, 60)) for _ in range(n_hosts)]
+    vm_capacity = []
     vm_host = []
-    for h in hosts:
+    for h, capacity in enumerate(host_capacity):
         used = 0
-        while used < h.capacity // 2:
+        while used < capacity // 2:
             cap = int(rng.integers(1, 10))
-            if used + cap > h.capacity:
+            if used + cap > capacity:
                 break
-            vms.append(VM(len(vms), cap, 1.0))
-            vm_host.append(h.host_id)
+            vm_capacity.append(cap)
+            vm_host.append(h)
             used += cap
-    if not vms:
+    if not vm_capacity:
         return
-    pl = Placement(vms, hosts, vm_host)
+    n_vms = len(vm_capacity)
+    pl = Placement(
+        vm_capacity=vm_capacity,
+        vm_value=[1.0] * n_vms,
+        vm_delay_sensitive=[False] * n_vms,
+        host_capacity=host_capacity,
+        host_rack=[h % 2 for h in range(n_hosts)],
+        vm_host=vm_host,
+    )
     for _ in range(20):
-        vm = int(rng.integers(0, len(vms)))
+        vm = int(rng.integers(0, n_vms))
         dst = int(rng.integers(0, n_hosts))
         try:
             pl.migrate(vm, dst)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ShimView, build_cluster
+from repro.cluster import build_cluster
 from repro.cluster.shim import neighbor_racks
 from repro.config import SheriffConfig
 from repro.costs.model import CostModel
@@ -27,6 +27,8 @@ from repro.sim import SheriffSimulation, inject_fraction_alerts
 from repro.sim.failures import FailureInjector
 from repro.topology import build_bcube, build_fattree
 from repro.topology.custom import from_edge_list
+
+from tests.regions import region
 
 common = settings(
     max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -105,17 +107,14 @@ def check_region_index(cluster):
     for rack in range(topo.num_racks):
         assert (hosts_of[rack, reach[rack]:] == 0).all()  # the padding
         assert (cols_of[rack, reach[rack]:] == 0).all()
-        assert ShimView(cluster, rack).candidate_hosts().base is hosts_of
+        got_hosts, got_cols = region(cluster, rack)
+        assert got_hosts.base is hosts_of
         want = sorted(neighbor_racks(topo, rack))
         assert table[rack, : widths[rack]].tolist() == want
         assert (table[rack, widths[rack]:] == rack).all()  # the padding
-        shim = ShimView(cluster, rack)
-        assert shim.neighbors == frozenset(want)
         hosts = np.nonzero(np.isin(host_rack, want))[0]
-        np.testing.assert_array_equal(shim.candidate_hosts(), hosts)
-        np.testing.assert_array_equal(
-            table[rack, shim.candidate_cols()], host_rack[hosts]
-        )
+        np.testing.assert_array_equal(got_hosts, hosts)
+        np.testing.assert_array_equal(table[rack, got_cols], host_rack[hosts])
 
 
 def test_ragged_fabric_has_an_empty_region_and_a_hub():
@@ -137,13 +136,13 @@ def test_region_index_follows_a_new_link():
 def assert_shim_reads_equal_oracle(cluster, models, oracle):
     pl = cluster.placement
     for rack in range(cluster.num_racks):
-        shim = ShimView(cluster, rack)
+        hosts, cols = region(cluster, rack)
         vms = pl.vms_in_rack(rack)
-        racks = pl.host_rack[shim.candidate_hosts()]
+        racks = pl.host_rack[hosts]
         want = [oracle.migration_cost_vector(int(v))[racks] for v in vms]
         want = np.asarray(want).reshape(len(vms), racks.size)
         for cm in models:
-            by_col = cm.cost_rows(vms, region_cols=shim.candidate_cols())
+            by_col = cm.cost_rows(vms, region_cols=cols)
             assert by_col.tobytes() == want.tobytes()
 
 

@@ -35,6 +35,7 @@ from repro.cluster.snapshot import FleetSnapshot
 from repro.config import SheriffConfig
 from repro.errors import SimulationError
 from repro.faults import ChannelPolicy, FaultKind, FaultSchedule, FaultSpec
+from repro.migration.reports import RoundReports
 from repro.migration.request import ReceiverRegistry
 from repro.obs.events import (
     MigrationCommitted,
@@ -364,9 +365,9 @@ def test_cooldown_ledger_holds_only_the_window():
 
 
 def test_process_round_builds_the_snapshot_it_is_not_given():
-    # direct callers (tests/migration, examples) pass no snapshot: the shim
-    # builds one from the placement and must decide exactly as it does with
-    # the engine's shared per-round snapshot
+    # a snapshot built afresh for each rack from the (round-static)
+    # placement, as a shim once built its own when called without one,
+    # must decide exactly as the engine's shared per-round snapshot
     runs = []
     for share in (False, True):
         cluster = _cluster("degraded_k4")
@@ -382,15 +383,21 @@ def test_process_round_builds_the_snapshot_it_is_not_given():
         for alert in alerts:
             by_rack.setdefault(alert.rack, []).append(alert)
         receivers = ReceiverRegistry(cluster)
-        snapshot = FleetSnapshot(cluster.placement) if share else None
-        reports = [
-            dataclasses.asdict(
-                sim.managers[rack].process_round(
-                    by_rack[rack], vma, receivers, snapshot=snapshot
-                )
+        shared = FleetSnapshot(cluster.placement)
+        reports = []
+        for rack in sorted(by_rack):
+            record = RoundReports()
+            sim.shim.process_round(
+                rack,
+                by_rack[rack],
+                vma,
+                receivers,
+                frozenset(),
+                None,
+                shared if share else FleetSnapshot(cluster.placement),
+                record,
             )
-            for rack in sorted(by_rack)
-        ]
+            reports.append(dataclasses.asdict(record[0]))
         assert any(r["migration"]["acked"] for r in reports)
         runs.append(
             (reports, receivers.commit_round(), _events_sha256(tracer))

@@ -93,7 +93,7 @@ class TestBackpressure:
         # flood 50 alerts through a queue of 4: the service must bound
         # memory (shed the excess) and still plan the survivors
         sim, svc = self._service("drop-oldest", limit=4)
-        racks = len(sim.managers)
+        racks = sim.cluster.num_racks
         for i in range(50):
             svc.offer(_alert(i % racks), 1.0)
         assert len(svc._queue) == 4
@@ -139,11 +139,15 @@ class TestServeLoop:
         return sim, SheriffService(sim, source, settings)
 
     def test_serves_http_and_drains_clean(self):
-        sim, svc = self._boot()
+        # an endless replay, drained on request once the GETs are answered:
+        # a finite one could drain (and close the port) while they are in
+        # flight; the self-draining finite source is covered by
+        # test_serve_rounds_match_batch_engine_decisions
+        sim, svc = self._boot(rounds=0)
 
         async def scenario():
             runner = asyncio.create_task(svc.run())
-            while svc.bound_port is None:
+            while svc.bound_port is None or svc.rounds_run < 1:
                 await asyncio.sleep(0.005)
             status, body = await _get(svc.bound_port, "/healthz")
             assert status.endswith("200 OK")
@@ -155,6 +159,7 @@ class TestServeLoop:
             assert "sheriff_ingest_alerts_total" in metrics
             status, _ = await _get(svc.bound_port, "/nope")
             assert status.endswith("404 Not Found")
+            svc.request_drain()
             return await runner
 
         report = asyncio.run(scenario())

@@ -84,9 +84,7 @@ class TestCongestionAlerts:
         cluster, ft = env
         fids, hs = saturate_one_switch(cluster, ft)
         sim = SheriffSimulation(cluster)
-        # wire the shared flow table into the managers
-        for mgr in sim.managers.values():
-            mgr.flow_table = ft
+        sim.flow_table = ft  # the shared flow table the shim reroutes
         hot_before = {sw: ft.load_of(sw) for sw in hs}
         alerts, vma = congestion_alerts(cluster, ft)
         summary = sim.run_round(alerts, vma)
@@ -99,8 +97,7 @@ class TestCongestionAlerts:
         cluster, ft = env
         saturate_one_switch(cluster, ft, rate=2.0)
         sim = SheriffSimulation(cluster)
-        for mgr in sim.managers.values():
-            mgr.flow_table = ft
+        sim.flow_table = ft
         # a few reroute rounds should clear (or at least not grow) the hot set
         n0 = len(hot_switches(cluster.topology, ft))
         for t in range(3):

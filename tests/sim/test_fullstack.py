@@ -4,9 +4,27 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
+from repro.config import SheriffConfig
 from repro.errors import ConfigurationError
-from repro.sim import FullStackSimulation, flash_crowd, steady_demand
+from repro.faults import FaultKind, FaultSchedule, FaultSpec
+from repro.sim import FullStackSimulation, flash_crowd
+from repro.sim.reactive import DemandDrivenWorkload
 from repro.topology import build_fattree
+from repro.traces.workload import generate_streams
+
+
+def steady_demand(cluster, horizon, *, base_level=0.45, seed=None):
+    """A stationary fleet: a diurnal base per VM, no scheduled events."""
+    streams = generate_streams(
+        cluster.num_vms,
+        horizon,
+        base_level=base_level,
+        diurnal_amplitude=0.08,
+        wander_sigma=0.005,
+        burst_rate=0.0,
+        seed=seed,
+    )
+    return DemandDrivenWorkload(cluster, dict(enumerate(streams)))
 
 
 def make_cluster(seed=3):
@@ -142,3 +160,59 @@ class TestToRAlertPath:
         )
         rows = fs.run(20, 50)
         assert all(r.tor_alerts == 0 for r in rows)
+
+
+def faulted_loop(kind, target, at_round):
+    """``examples/closed_loop.py``'s loop with one scheduled fault, warmed
+    and run up to the round before the fault fires."""
+    cluster = build_cluster(
+        build_fattree(4, tor_agg_capacity=5.0),
+        hosts_per_rack=2,
+        fill_fraction=0.55,
+        seed=3,
+        dependency_degree=2.0,
+        delay_sensitive_fraction=0.0,
+    )
+    wl = flash_crowd(cluster, 105, rack=1, start=55, peak=0.9, seed=8)
+    schedule = FaultSchedule([FaultSpec(kind, target=target, at_round=at_round)])
+    loop = FullStackSimulation(
+        cluster,
+        wl,
+        host_threshold=0.45,
+        switch_threshold=0.38,
+        tor_queue_threshold=0.35,
+        base_rate=0.8,
+        config=SheriffConfig(fault_schedule=schedule),
+    )
+    loop.run(40, 40 + at_round)
+    return loop
+
+
+class TestFaultsActOnTheLoopsFlows:
+    """The fault layer repairs the flow table the loop routes and syncs."""
+
+    def test_switch_fail_reroutes_the_loops_flows(self):
+        dead = 8  # an aggregation switch of pod 0
+        loop = faulted_loop(FaultKind.SWITCH_FAIL, dead, at_round=2)
+        t = 42
+        loop.sync_flows(t)  # what the round syncs before the fault fires
+        crossing = [f for f in loop.flow_table.flows.values() if dead in f.path]
+        assert crossing
+        loop.run_round(t)
+        (fault,) = loop.sim.faults.log
+        assert fault["detail"] == f"rerouted={len(crossing)} dropped=0 partitioned=0"
+        assert not [f for f in loop.flow_table.flows.values() if dead in f.path]
+        loop.sync_flows(t + 1)
+        assert not [f for f in loop.flow_table.flows.values() if dead in f.path]
+
+    def test_host_crash_withdraws_the_lost_vms_flows(self):
+        host = 3
+        loop = faulted_loop(FaultKind.HOST_CRASH, host, at_round=2)
+        t = 42
+        loop.sync_flows(t)
+        residents = set(loop.cluster.placement.vms_on_host(host).tolist())
+        assert [f for f in loop.flow_table.flows.values() if f.vm in residents]
+        loop.run_round(t)
+        lost = loop.cluster.placement.lost_vms
+        assert lost and lost <= residents
+        assert not [f for f in loop.flow_table.flows.values() if f.vm in lost]

@@ -23,6 +23,7 @@ from repro.topology import build_fattree
 from repro.traces.workload import WorkloadStream
 
 from tests.refit_faults import fail_refits
+from tests.regions import region
 
 
 def make_env(ramp_hosts=(), horizon=100, warm=40, seed=5):
@@ -561,9 +562,8 @@ class TestEngineCooldown:
 class TestHostLoadSteering:
     def test_steering_prefers_cool_hosts(self):
         from repro.alerts.alert import Alert, AlertKind
-        from repro.cluster.shim import ShimView
-        from repro.costs.model import CostModel
-        from repro.migration.manager import ShimManager
+        from repro.cluster.snapshot import FleetSnapshot
+        from repro.migration.reports import RoundReports
         from repro.migration.request import ReceiverRegistry
 
         cluster = build_cluster(
@@ -574,10 +574,8 @@ class TestHostLoadSteering:
             dependency_degree=0.0,
             delay_sensitive_fraction=0.0,
         )
-        cm = CostModel(cluster)
         pl = cluster.placement
-        shim = ShimView(cluster, 0)
-        hosts = shim.candidate_hosts()
+        hosts = region(cluster, 0)[0]
         # declare every destination hot except one
         host_load = np.ones(pl.num_hosts)
         cool = int(hosts[-1])
@@ -586,9 +584,18 @@ class TestHostLoadSteering:
         alert = Alert(
             kind=AlertKind.SERVER, rack=0, host=int(pl.vm_host[vm]), magnitude=0.9
         )
-        shim = ShimManager(cluster, cm, 0, balance_weight=1000.0)
-        report = shim.process_round(
-            [alert], {vm: 0.9}, ReceiverRegistry(cluster), host_load=host_load
+        sim = SheriffSimulation(cluster, SheriffConfig(balance_weight=1000.0))
+        reports = RoundReports()
+        sim.shim.process_round(
+            0,
+            [alert],
+            {vm: 0.9},
+            ReceiverRegistry(cluster),
+            frozenset(),
+            host_load,
+            FleetSnapshot(pl),
+            reports,
         )
+        report = reports[0]
         moves = report.migration.moves
         assert moves and moves[0][0] == vm and moves[0][1] == cool

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.errors import ConfigurationError
-from repro.sim import creeping_growth, flash_crowd, host_surges, steady_demand
+from repro.sim import creeping_growth, flash_crowd, host_surges
 from repro.topology import build_fattree
 
 
@@ -15,19 +15,6 @@ def cluster():
         build_fattree(4), hosts_per_rack=2, fill_fraction=0.6, seed=31,
         delay_sensitive_fraction=0.0,
     )
-
-
-class TestSteady:
-    def test_no_overload_structure(self, cluster):
-        wl = steady_demand(cluster, 100, seed=1)
-        loads = np.stack([wl.host_load(t) for t in range(0, 100, 10)])
-        # stays in a moderate band: no saturation events
-        assert loads.max() < 0.55
-        assert loads.min() > 0.05
-
-    def test_horizon_validation(self, cluster):
-        with pytest.raises(ConfigurationError):
-            steady_demand(cluster, 4)
 
 
 class TestHostSurges:
@@ -93,3 +80,5 @@ class TestCreepingGrowth:
     def test_validation(self, cluster):
         with pytest.raises(ConfigurationError):
             creeping_growth(cluster, 100, start_level=0.8, end_level=0.5)
+        with pytest.raises(ConfigurationError):
+            creeping_growth(cluster, 4)  # shorter than a stream's horizon
