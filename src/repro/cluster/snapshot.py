@@ -7,8 +7,9 @@ arrays one entity at a time — thousands of tiny numpy fancy-indexing calls
 per round at paper scale.  Within one management round the placement is
 frozen (reservations live in the receiver registry; accepted moves land at
 commit), so all of it can be gathered **once** into flat arrays and shared
-read-only by every alerted rack's
-:meth:`~repro.migration.manager.ShimManager.process_round` call.
+read-only by the round's one
+:meth:`~repro.migration.manager.ShimManager.process_round` call, the
+racks it plans as columns and each it plans one at a time.
 
 :class:`FleetSnapshot` is that gather:
 

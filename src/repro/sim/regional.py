@@ -9,10 +9,11 @@ sets isolates precisely what the paper's Figs. 11–14 measure: the cost
 penalty and search-space savings of regional scope.
 
 It plans with the two halves the service's plan stage runs: the
-round-static Eq. (1) blocks of every source rack in one
+round-static Eq. (1) rows of every source rack in one
 :func:`~repro.migration.vmmigration.stack_cost_blocks` pass, then
-:func:`~repro.migration.vmmigration.request_migrations` rack by rack, in
-rack order, into one :class:`~repro.migration.reports.RoundReports`.
+:func:`~repro.migration.vmmigration.request_round` in rack order — the
+clean leading racks' first matchings admitted as columns, the rest rack
+by rack — into one :class:`~repro.migration.reports.RoundReports`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.cluster.snapshot import FleetSnapshot
 from repro.costs.model import CostModel
 from repro.migration.reports import RoundReports
 from repro.migration.request import ReceiverRegistry
-from repro.migration.vmmigration import request_migrations, stack_cost_blocks
+from repro.migration.vmmigration import request_round, stack_cost_blocks
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -63,7 +64,7 @@ def regional_migration_round(
         rack = int(pl.host_rack[pl.vm_host[vm]])
         by_rack.setdefault(rack, []).append(vm)
 
-    blocks = stack_cost_blocks(
+    stack = stack_cost_blocks(
         cluster,
         cost_model,
         by_rack,
@@ -73,16 +74,9 @@ def regional_migration_round(
     )
     receivers = ReceiverRegistry(cluster, tracer=tracer)
     reports = RoundReports()
-    for rack in sorted(by_rack):
-        reports.add_row(rack, selected=by_rack[rack])
-        request_migrations(
-            blocks[rack],
-            receivers,
-            reports=reports,
-            tracer=tracer,
-            profiler=profiler,
-            rack=rack,
-        )
+    request_round(
+        stack, receivers, reports, sorted(by_rack), tracer=tracer, profiler=profiler
+    )
     for i in range(len(reports)):
         stats = reports.migration(i)
         plan.search_space += stats.search_space

@@ -37,7 +37,7 @@ def plan(sim, rack, alerts, vm_alerts, reg, metrics=None):
     """One rack's Alg. 1 in a round of its own: its report (the round's
     metrics written to *metrics*, as the plan stage writes the engine's)."""
     reports = RoundReports()
-    sim.shim.process_round(
+    sim.shim.plan_rack(
         rack,
         alerts,
         vm_alerts,

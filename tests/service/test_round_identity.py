@@ -387,7 +387,7 @@ def test_process_round_builds_the_snapshot_it_is_not_given():
         reports = []
         for rack in sorted(by_rack):
             record = RoundReports()
-            sim.shim.process_round(
+            sim.shim.plan_rack(
                 rack,
                 by_rack[rack],
                 vma,

@@ -586,7 +586,7 @@ class TestHostLoadSteering:
         )
         sim = SheriffSimulation(cluster, SheriffConfig(balance_weight=1000.0))
         reports = RoundReports()
-        sim.shim.process_round(
+        sim.shim.plan_rack(
             0,
             [alert],
             {vm: 0.9},
