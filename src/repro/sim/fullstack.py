@@ -127,7 +127,8 @@ class FullStackSimulation:
         """(Re)build dependency flows with demand-driven rates.
 
         Flows follow their source VM's current rack (migrations re-home
-        them) and scale with its TRF demand this round.
+        them) and scale with its TRF demand this round.  A pair with an
+        endpoint lost in a host crash has no flow until the VM is back.
         """
         pl = self.cluster.placement
         deps = self.cluster.dependencies
@@ -143,9 +144,13 @@ class FullStackSimulation:
             ra_all = racks[pairs[:, 0]]
             rb_all = racks[pairs[:, 1]]
             rates = self.base_rate * np.maximum(trf[pairs[:, 0]], 0.05)
+            inter = ra_all != rb_all
+            if pl.lost_vms:
+                lost = np.fromiter(pl.lost_vms, np.int64, len(pl.lost_vms))
+                inter &= ~np.isin(pairs, lost).any(axis=1)
             # pairs() is lexicographic, matching the old nested-loop order,
             # so flow ids assigned below are unchanged
-            for k in np.nonzero(ra_all != rb_all)[0]:
+            for k in np.nonzero(inter)[0]:
                 wanted[(int(pairs[k, 0]), int(pairs[k, 1]))] = (
                     int(ra_all[k]),
                     int(rb_all[k]),

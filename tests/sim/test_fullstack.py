@@ -216,3 +216,11 @@ class TestFaultsActOnTheLoopsFlows:
         lost = loop.cluster.placement.lost_vms
         assert lost and lost <= residents
         assert not [f for f in loop.flow_table.flows.values() if f.vm in lost]
+        # and on every round after it: each sync adds none back, and drops
+        # the flows of the pairs whose other end was lost
+        for t in range(43, 96):
+            loop.run_round(t)
+            lost = loop.cluster.placement.lost_vms
+            assert lost, t
+            assert not [f for f in loop.flow_table.flows.values() if f.vm in lost], t
+            assert not [p for p in loop._dep_flows if lost.intersection(p)], t
