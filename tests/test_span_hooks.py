@@ -6,7 +6,9 @@ calling a hooked callable leaves that layer's span idle: either way the
 span pass (``make bench-smoke``) fails.  These tests fail the same way in
 tier-1: every wrapper target resolves (``bench/`` is only read), and a
 banked ``VMMonitor`` fleet — the selector-fleet workload in small — still
-goes through the hooked forecast callables.
+goes through the hooked forecast callables, and a plan round at smoke size
+goes through the hooked shim round and opens the sections the harness
+reads.
 """
 
 from collections import Counter
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from bench import spans
+from bench.workloads import WORKLOADS, base_config
 from repro.alerts import monitor
 from repro.alerts.monitor import VMMonitor, fleet_alert_values
 from repro.alerts.threshold import AlertConfig
@@ -64,3 +67,22 @@ def test_a_banked_fleet_calls_the_hooked_forecast_callables(monkeypatch):
     assert calls["batch_predict_one"] == 12
     assert calls["observe"] == 12 * 6 * 4
     assert calls["warm_fit"] >= 2  # the banked rows' refit waves
+
+
+def test_a_plan_round_calls_the_hooked_shim_round_and_opens_its_sections():
+    """The plan-only workload at smoke size (k = 4), with the span
+    wrappers installed: each round is one hooked ``process_round`` span,
+    and the harness's four ``Profiler`` sections open."""
+    workload = WORKLOADS["plan_alerts_k8"]
+    rec = spans.SpanRecorder(True)
+    rounds = 3
+    with spans.installed(rec):
+        run = workload.build(workload.sizes["smoke"], rounds, 2015, base_config(rec), rec)
+        for r in range(rounds):
+            run.step(r, run.prepare(r))
+    fired = Counter(span[spans.NAME] for span in rec.spans)
+    assert fired["migration.shim_round"] == rounds
+    assert fired["service.round"] == rounds
+    counts = run.sim.profiler.counts
+    for section in ("priority", "matching", "request", "commit"):
+        assert counts.get(section, 0) > 0, section
