@@ -1,5 +1,6 @@
 """REQUEST/ACK/REJECT protocol tests (Alg. 4)."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
@@ -255,3 +256,43 @@ class TestDependencyConflicts:
                     assert reg.request(0, host, rack) is RequestOutcome.REJECT
                     return
         pytest.skip("fixture too full for the conflict scenario")
+
+    def _dependents_and_a_host(self, cluster):
+        """Two VMs made dependent, on hosts other than a third host with
+        room for both."""
+        pl = cluster.placement
+        a = 0
+        for host in range(pl.num_hosts):
+            for b in range(1, pl.num_vms):
+                away = host not in (pl.host_of(a), pl.host_of(b))
+                need = int(pl.vm_capacity[a] + pl.vm_capacity[b])
+                if away and pl.free_capacity(host) >= need:
+                    cluster.dependencies.add_pair(a, b)
+                    return a, b, host, int(pl.host_rack[host])
+        pytest.skip("fixture too full for two arrivals")
+
+    def test_a_dependent_reserved_to_the_host_rejects_the_second(self, cluster):
+        # regression: only the placement was read, so two dependent VMs
+        # could both be ACKed onto one host in the same round
+        a, b, host, rack = self._dependents_and_a_host(cluster)
+        tracer = RecordingTracer()
+        reg = ReceiverRegistry(cluster, tracer=tracer)
+        assert reg.request(a, host, rack) is RequestOutcome.ACK
+        assert reg.request(b, host, rack) is RequestOutcome.REJECT
+        assert tracer.events[-1].reason == "dependency-conflict"
+        # a cancelled reservation no longer holds the host
+        reg.cancel(a)
+        assert reg.request(b, host, rack) is RequestOutcome.ACK
+
+    def test_admit_rejects_a_dependent_earlier_in_the_batch_or_reserved(self, cluster):
+        a, b, host, rack = self._dependents_and_a_host(cluster)
+        reg = ReceiverRegistry(cluster)
+        batch = (np.array([a, b]), np.array([host, host]), np.array([rack, rack]))
+        # two groups: the first ACKs, the second asks for its dependent's host
+        assert reg.admit(*batch, np.array([1, 2])) == 1
+        assert reg.reserved_moves == [(a, host)]
+        # and the reservation refuses b on its own too
+        assert reg.admit(*(col[1:] for col in batch), np.array([1])) == 0
+        reg.reset_round()
+        assert reg.admit(*batch, np.array([2])) == 0
+        assert reg.pending == 0

@@ -8,8 +8,9 @@ tracker aborts, landings and destination crashes.  At every step:
   never books room that an in-flight arrival holds;
 * every verdict is the first failing rule of the documented order
   (``in-flight``, ``capacity-hold``, ``wrong-delegation``, duplicate
-  reservation, ``capacity``, ``dependency-conflict``), recomputed here
-  from public state;
+  reservation, ``capacity``, ``dependency-conflict`` — a dependent on the
+  host or holding a reservation to it), recomputed here from public
+  state;
 * every ACKed reservation starts, and an atomic commit that fails (its
   last destination crashed) leaves placement and tracker exactly as
   they were before it.
@@ -61,7 +62,10 @@ def expected_verdict(cluster, tracker, reg, vm, host, rack):
         return ProtocolError
     if room < need:
         return "capacity"
-    if cluster.dependencies.conflicts_on_host(pl, vm, host):
+    deps = cluster.dependencies
+    if deps.conflicts_on_host(pl, vm, host) or any(
+        h == host and deps.are_dependent(vm, v) for v, h in reg.reserved_moves
+    ):
         return "dependency-conflict"
     return "ack"
 
