@@ -109,6 +109,35 @@ class TestMigrate:
         with pytest.raises(PlacementError):
             pl.migrate(0, 99)
 
+    def test_migrate_many_lands_every_move_in_one_write(self):
+        pl = make_placement()
+        assert pl.migrate_many([0, 1], [2, 2])
+        np.testing.assert_array_equal(pl.vm_host, [2, 2, 1, 2])
+        np.testing.assert_array_equal(pl.host_used, [0, 30, 35])
+        assert pl.generation == 2
+        pl.check_invariants()
+
+    @pytest.mark.parametrize(
+        "vms, hosts, fault",
+        [
+            ([0, 1], [2, 99], None),  # unknown host
+            ([0, 0], [1, 2], None),  # one VM twice
+            ([0, 2], [0, 0], None),  # a no-op move
+            ([1, 2], [2, 2], None),  # arrivals overfill host 2
+            ([0], [2], "dead"),
+            ([0], [2], "lost"),
+        ],
+    )
+    def test_migrate_many_refuses_what_a_migrate_would(self, vms, hosts, fault):
+        pl = make_placement()
+        if fault == "dead":
+            pl.disable_host(2)
+        if fault == "lost":
+            pl.mark_lost(0)
+        before = (pl.vm_host.tolist(), pl.host_used.tolist(), pl.generation)
+        assert not pl.migrate_many(vms, hosts)
+        assert (pl.vm_host.tolist(), pl.host_used.tolist(), pl.generation) == before
+
     def test_drift_detection(self):
         pl = make_placement()
         pl.host_used[0] += 1  # corrupt
