@@ -39,6 +39,7 @@ from repro.sim.regional import regional_migration_round
 from repro.topology import build_bcube, build_fattree
 
 from tests.migration.test_vmmigration import build_cost_block, vmmigration
+from tests.property.test_column_pass import every_rack_mixed
 from tests.property.test_parallel_properties import fresh_cluster, summary_fields
 from tests.property.test_regional_slab import (
     ScalarOracleModel,
@@ -488,6 +489,9 @@ def _planned_run(cluster_seed, stacked, monkeypatch):
     cluster = fresh_cluster(cluster_seed)
     tracer = RecordingTracer()
     sim = SheriffSimulation(cluster, SheriffConfig(tracer=tracer))
+    if not stacked:
+        # and runs Alg. 1 itself, as it does for a rack with mixed alerts
+        every_rack_mixed(sim.shim)
     pl = cluster.placement
     for r in range(3):
         alerts, vma = inject_fraction_alerts(cluster, 0.3, time=r, seed=cluster_seed + r)

@@ -7,7 +7,7 @@ Two contracts, each on the compiled kernel and on the numpy path:
   entry, some infeasible, some one row long — gives every problem the
   assignment (or the failure) :func:`hungarian` and
   :func:`_hungarian_numpy` give it alone, bit for bit;
-* ``_first_matchings`` over a stack of rack blocks gives every rack the
+* ``_first_pairs`` over a stack of rack blocks gives every rack the
   :class:`Matching` of the block-level oracle (that block's
   ``_trim_rows`` then ``_solve``), racks with more rows than hosts,
   with no feasible row and with no perfect matching included; a retry
@@ -25,8 +25,8 @@ from repro.migration import matching
 from repro.migration.matching import hungarian, jv_solve_many
 from repro.migration.vmmigration import (
     RackCostBlock,
-    _first_matchings,
     _first_min,
+    _first_pairs,
     _rematch,
 )
 from repro.obs.profiling import NULL_PROFILER
@@ -34,6 +34,12 @@ from repro.obs.profiling import NULL_PROFILER
 from tests.migration.test_vmmigration import first_matching
 
 KERNELS = ["loaded", "numpy"]
+
+
+def _first_matchings(*stack):
+    """Every rack's first :class:`Matching`, given :func:`_first_pairs`'s
+    arguments (``stack[5]`` is the racks' row bounds)."""
+    return _first_pairs(*stack).matchings(stack[5])
 
 
 def _kernel(monkeypatch, which):
