@@ -115,6 +115,11 @@ class InFlightTracker:
         """Capacity currently reserved on *host* by in-flight arrivals."""
         return self._holds.get(host, 0)
 
+    def destination(self, vm: int) -> int:
+        """The host *vm* is in flight to, or -1."""
+        rec = self._active.get(vm)
+        return -1 if rec is None else rec.dst_host
+
     def start(self, vm: int, dst_host: int, now: int) -> int:
         """Begin a migration; returns its completion round.
 

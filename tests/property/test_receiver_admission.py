@@ -9,8 +9,8 @@ tracker aborts, landings and destination crashes.  At every step:
 * every verdict is the first failing rule of the documented order
   (``in-flight``, ``capacity-hold``, ``wrong-delegation``, duplicate
   reservation, ``capacity``, ``dependency-conflict`` — a dependent on the
-  host or holding a reservation to it), recomputed here from public
-  state;
+  host, in flight to it or holding a reservation to it), recomputed here
+  from public state;
 * every ACKed reservation starts, and an atomic commit that fails (its
   last destination crashed) leaves placement and tracker exactly as
   they were before it.
@@ -63,8 +63,10 @@ def expected_verdict(cluster, tracker, reg, vm, host, rack):
     if room < need:
         return "capacity"
     deps = cluster.dependencies
-    if deps.conflicts_on_host(pl, vm, host) or any(
-        h == host and deps.are_dependent(vm, v) for v, h in reg.reserved_moves
+    if (
+        deps.conflicts_on_host(pl, vm, host)
+        or any(h == host and deps.are_dependent(vm, v) for v, h in reg.reserved_moves)
+        or any(tracker.destination(v) == host for v in deps.neighbors(vm))
     ):
         return "dependency-conflict"
     return "ack"
