@@ -6,10 +6,8 @@ here).  A shim also proactively watches its ToR's uplink queue and treats
 a predicted overflow as an alert.
 
 The queue model is the standard fluid one: occupancy integrates
-(arrival − service) and saturates at the buffer size.  QCN's feedback
-value combines queue offset from the equilibrium point and the queue
-growth rate, ``Fb = -(q_off + w * q_delta)``; congestion is signalled when
-``Fb`` is negative (queue above/through equilibrium).
+(arrival − service) and saturates at the buffer size.  The ToR monitor
+alerts on its *predicted* occupancy, so no QCN ``Fb`` value is computed.
 """
 
 from __future__ import annotations
@@ -41,32 +39,22 @@ class SwitchQueue:
         Drain rate in capacity units per round (the link capacity share).
     buffer_size:
         Saturation level; occupancy is reported normalized by this.
-    equilibrium:
-        QCN's ``Q_eq`` set-point as a fraction of the buffer.
-    w:
-        QCN's weight on the queue-growth term.
     """
 
     service_rate: float
     buffer_size: float
-    equilibrium: float = 0.5
-    w: float = 2.0
     occupancy: float = field(default=0.0, init=False)
-    _last_occupancy: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if self.service_rate <= 0:
             raise ConfigurationError(f"service_rate must be positive, got {self.service_rate}")
         if self.buffer_size <= 0:
             raise ConfigurationError(f"buffer_size must be positive, got {self.buffer_size}")
-        if not (0.0 < self.equilibrium < 1.0):
-            raise ConfigurationError(f"equilibrium must be in (0, 1), got {self.equilibrium}")
 
     def step(self, arrival: float) -> float:
         """Advance one round with *arrival* units offered; returns occupancy."""
         if arrival < 0:
             raise ConfigurationError(f"arrival must be non-negative, got {arrival}")
-        self._last_occupancy = self.occupancy
         self.occupancy = float(
             np.clip(self.occupancy + arrival - self.service_rate, 0.0, self.buffer_size)
         )
@@ -76,13 +64,6 @@ class SwitchQueue:
     def normalized(self) -> float:
         """Occupancy as a fraction of the buffer."""
         return self.occupancy / self.buffer_size
-
-    def feedback(self) -> float:
-        """QCN ``Fb``; negative values signal congestion."""
-        q_eq = self.equilibrium * self.buffer_size
-        q_off = self.occupancy - q_eq
-        q_delta = self.occupancy - self._last_occupancy
-        return -(q_off + self.w * q_delta)
 
 
 class ToRUplinkMonitor:

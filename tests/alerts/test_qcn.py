@@ -34,29 +34,11 @@ class TestSwitchQueue:
         q.step(0.0)
         assert q.occupancy == 0.0
 
-    def test_feedback_sign(self):
-        q = SwitchQueue(service_rate=1.0, buffer_size=100.0, equilibrium=0.5)
-        # empty queue: positive feedback (no congestion)
-        q.step(0.0)
-        assert q.feedback() > 0
-        # drive far above equilibrium
-        for _ in range(30):
-            q.step(5.0)
-        assert q.feedback() < 0
-
-    def test_growth_term_anticipates(self):
-        # below equilibrium but growing fast -> w-term can flip the sign
-        q = SwitchQueue(service_rate=1.0, buffer_size=100.0, equilibrium=0.5, w=5.0)
-        q.step(40.0)  # jump from 0 to 39
-        assert q.feedback() < 0
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SwitchQueue(service_rate=0, buffer_size=10)
         with pytest.raises(ConfigurationError):
             SwitchQueue(service_rate=1, buffer_size=0)
-        with pytest.raises(ConfigurationError):
-            SwitchQueue(service_rate=1, buffer_size=10, equilibrium=1.5)
         q = SwitchQueue(service_rate=1, buffer_size=10)
         with pytest.raises(ConfigurationError):
             q.step(-1.0)
