@@ -23,8 +23,8 @@ alerted rack — and calls the simulation's one
 :meth:`~repro.migration.manager.ShimManager.process_round` once, with
 that snapshot and the round's one
 :class:`~repro.migration.reports.RoundReports`.  It plans the racks in
-rack order, the clean leading ones as columns and the rest one at a
-time, a row each; the rows are frozen into arrays when planning ends,
+rack order, as columns wherever the verdicts allow and the rest one at
+a time, a row each; the rows are frozen into arrays when planning ends,
 and the round's per-rack counters and histograms are then written from
 its columns in one call, one vectorised write per family
 (:meth:`~repro.migration.reports.RoundReports.write_metrics`).  A
@@ -166,9 +166,9 @@ def plan(state: RoundState) -> None:
     host, and — for the SERVER picks of every alerted rack with no ToR
     alert, its whole migration set — Alg. 3's cost rows, first minima and
     first matchings in one stacked pass.  The shim's one
-    ``process_round`` admits the clean leading racks' first matchings as
-    columns and runs the REQUEST loop (and a rack's retries) per rack
-    from the first other rack on; a rack whose alerts are all SERVER
+    ``process_round`` admits every rack's first matching as columns and
+    runs the REQUEST loop (and a rack's retries) for the racks whose
+    verdicts the sequential loop could change; a rack whose alerts are all SERVER
     alerts for its own hosts migrates exactly its picks, and any other
     runs Alg. 1 itself (a rack with a ToR alert builds its own block).
     What the round records is paid per round too: one columnar

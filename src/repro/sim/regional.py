@@ -12,8 +12,9 @@ It plans with the two halves the service's plan stage runs: the
 round-static Eq. (1) rows of every source rack in one
 :func:`~repro.migration.vmmigration.stack_cost_blocks` pass, then
 :func:`~repro.migration.vmmigration.request_round` in rack order — the
-clean leading racks' first matchings admitted as columns, the rest rack
-by rack — into one :class:`~repro.migration.reports.RoundReports`.
+racks' first matchings admitted as columns, the racks whose verdicts
+the sequential loop could change planned rack by rack — into one
+:class:`~repro.migration.reports.RoundReports`.
 """
 
 from __future__ import annotations
