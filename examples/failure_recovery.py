@@ -5,11 +5,12 @@ The paper assumes crashes are "resolved by backup system"; this example
 shows what that backup path looks like in the library:
 
 1. build a Fat-Tree, register inter-rack flows;
-2. kill an aggregation switch — flows crossing it reroute automatically;
-3. rebuild the migration cost model on the surviving fabric and verify
-   new migration plans route around the dead switch;
+2. kill an aggregation switch in the flow table — flows crossing it
+   reroute automatically;
+3. rebuild the migration cost model on the table's surviving bandwidth
+   and verify new migration plans route around the dead switch;
 4. push the fabric to a partition (BCube(2) with both switches dead) and
-   see the injector refuse to plan over it.
+   see the table refuse a bandwidth to plan over.
 
 Run:  python examples/failure_recovery.py
 """
@@ -20,7 +21,7 @@ from repro.cluster import build_cluster
 from repro.costs import CostModel
 from repro.errors import TopologyError
 from repro.migration.reroute import FlowTable
-from repro.sim import FailureInjector, inject_fraction_alerts, regional_migration_round
+from repro.sim import inject_fraction_alerts, regional_migration_round
 from repro.topology import build_bcube, build_fattree
 from repro.topology.base import NodeKind
 
@@ -49,20 +50,19 @@ def main() -> None:
     print(f"flows registered: {n_flows}")
 
     # ------------------------------------------------------------------ #
-    injector = FailureInjector(cluster, flow_table=flows)
     # kill the busiest aggregation switch — the interesting case
     aggs = topo.nodes_of_kind(NodeKind.AGG)
     agg = int(aggs[np.argmax(flows.node_load[aggs])])
     crossing = len(flows.flows_through(agg))
-    report = injector.fail(agg)
+    rerouted, dropped = flows.fail(agg)
     print(f"\nkilled aggregation switch {agg} ({crossing} flows crossed it):")
-    print(f"  flows rerouted    : {report.flows_rerouted}")
-    print(f"  flows dropped     : {len(report.flows_dropped)}")
-    print(f"  racks disconnected: {report.racks_disconnected or 'none'}")
+    print(f"  flows rerouted    : {rerouted}")
+    print(f"  flows dropped     : {len(dropped)}")
+    print(f"  racks disconnected: {flows.disconnected_racks() or 'none'}")
     assert abs(flows.load_of(agg)) < 1e-9
 
     # migration planning on the surviving fabric
-    cm = injector.rebuild_cost_model()
+    cm = CostModel(cluster, available_bandwidth=flows.available_bandwidth())
     _, magnitudes = inject_fraction_alerts(cluster, 0.1, seed=2)
     plan = regional_migration_round(cluster, cm, sorted(magnitudes))
     crossing_dead = sum(
@@ -77,12 +77,12 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print("\npartition handling on BCube(2):")
     small = build_cluster(build_bcube(2), hosts_per_rack=2, seed=3)
-    inj2 = FailureInjector(small)
-    inj2.fail(2)
-    rep = inj2.fail(3)
-    print(f"  both switches dead -> disconnected racks: {rep.racks_disconnected}")
+    fabric = FlowTable(small.topology)
+    fabric.fail(2)
+    fabric.fail(3)
+    print(f"  both switches dead -> disconnected racks: {fabric.disconnected_racks()}")
     try:
-        inj2.rebuild_cost_model()
+        fabric.available_bandwidth()
     except TopologyError as exc:
         print(f"  replanning refused: {exc}")
 

@@ -2,9 +2,10 @@
 
 The paper assumes crashes "could be resolved by backup system"
 (Sec. II); this package is that backup system made testable.  It
-generalizes :class:`~repro.sim.failures.FailureInjector` (switch death)
-to host crashes, delegation/shim outages, in-flight migration aborts and
-a lossy REQUEST/ACK channel — all seed-reproducible, all off by default:
+schedules switch death (which the engine's
+:class:`~repro.migration.reroute.FlowTable` carries out), host crashes,
+delegation/shim outages, in-flight migration aborts and a lossy
+REQUEST/ACK channel — all seed-reproducible, all off by default:
 with no :class:`FaultSchedule` and no :class:`ChannelPolicy` configured,
 every simulation is byte-identical to a build without this package.
 

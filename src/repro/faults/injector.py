@@ -26,11 +26,14 @@ alert dispatch) and applies whatever the schedule says is due:
   to it time out into REJECT.  ``duration`` auto-recovers it.
 * **MIGRATION_ABORT** — one in-flight migration rolls back its
   reservation (pre-copy failed mid-window).
-* **SWITCH_FAIL / SWITCH_RECOVER** — delegated to
-  :class:`~repro.sim.failures.FailureInjector` (flow reroute/drop and
-  re-admission), then the cost model is rebuilt on the surviving fabric;
-  a partitioned fabric keeps the old model and flags the round degraded
-  instead of planning over infinities.
+* **SWITCH_FAIL / SWITCH_RECOVER** — the engine's flow table fails or
+  recovers the switch (:meth:`~repro.migration.reroute.FlowTable.fail`
+  reroutes or drops the flows through it, ``recover`` readmits them); an
+  engine built without flows gets a flow-less table on its first switch
+  event, so the table is always the one holder of the failed switches.
+  The cost model is then rebuilt on the surviving fabric; a partitioned
+  fabric keeps the old model and flags the round degraded instead of
+  planning over infinities.
 
 Every fired fault is appended to :attr:`FaultInjector.log` (JSON-ready
 dicts — the chaos campaign report embeds it verbatim) and counted in the
@@ -43,13 +46,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.snapshot import FleetSnapshot
-from repro.errors import ConfigurationError, TopologyError
+from repro.costs.model import CostModel
+from repro.errors import ConfigurationError
 from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
 from repro.migration.reports import RoundReports
+from repro.migration.reroute import FlowTable
 from repro.migration.request import ReceiverRegistry
 from repro.migration.vmmigration import request_migrations, stack_cost_blocks
 from repro.obs.events import FaultInjected, HostCrashed, MigrationAborted
-from repro.sim.failures import FailureInjector
 
 __all__ = ["RoundFaults", "FaultInjector"]
 
@@ -75,7 +79,6 @@ class FaultInjector:
     def __init__(self, sim, schedule: FaultSchedule) -> None:
         self.sim = sim
         self.schedule = schedule
-        self.switches = FailureInjector(sim.cluster)
         self._down_racks: Dict[int, Optional[int]] = {}  # rack -> up round
         self.log: List[dict] = []
 
@@ -135,39 +138,37 @@ class FaultInjector:
         if kind is FaultKind.MIGRATION_ABORT:
             return self._abort_migration(spec.target)
         if kind in (FaultKind.SWITCH_FAIL, FaultKind.SWITCH_RECOVER):
-            # the flows the engine routes now, wherever its table came from
-            self.switches.flow_table = self.sim.flow_table
-        if kind is FaultKind.SWITCH_FAIL:
-            report = self.switches.fail(spec.target)
-            self._refresh_cost_model(rf)
-            return (
-                f"rerouted={report.flows_rerouted} "
-                f"dropped={len(report.flows_dropped)} "
-                f"partitioned={len(report.racks_disconnected)}"
-            )
-        if kind is FaultKind.SWITCH_RECOVER:
-            report = self.switches.recover(spec.target)
-            self._refresh_cost_model(rf)
-            return (
-                f"readmitted={len(report.flows_readmitted)} "
-                f"partitioned={len(report.racks_disconnected)}"
-            )
+            return self._switch_event(spec, rf)
         raise ConfigurationError(f"unhandled fault kind {kind}")
 
     # ------------------------------------------------------------------ #
-    def _refresh_cost_model(self, rf: RoundFaults) -> None:
-        """Rebuild Eq. (1) costs over the surviving fabric.
+    def _switch_event(self, spec: FaultSpec, rf: RoundFaults) -> str:
+        """Fail or recover a switch in the engine's flow table, then
+        rebuild Eq. (1) costs over the surviving fabric.
 
-        A partitioned fabric cannot be replanned — keep the previous
-        model (its routes may cross dead links, but the matching still
+        An engine built without flows gets a flow-less table here, so the
+        table is always the one holder of the failed switches.  A
+        partitioned fabric cannot be replanned — keep the previous model
+        (its routes may cross dead links, but the matching still
         terminates) and mark the round degraded.
         """
-        try:
-            model = self.switches.rebuild_cost_model()
-        except TopologyError:
+        sim = self.sim
+        if sim.flow_table is None:
+            sim.flow_table = FlowTable(sim.cluster.topology)
+        table = sim.flow_table
+        if spec.kind is FaultKind.SWITCH_FAIL:
+            rerouted, dropped = table.fail(spec.target)
+            detail = f"rerouted={rerouted} dropped={len(dropped)}"
+        else:
+            detail = f"readmitted={len(table.recover(spec.target))}"
+        cut = len(table.disconnected_racks())
+        if cut:
             rf.degraded = True
-            return
-        self.sim.cost_model = model
+        else:
+            sim.cost_model = CostModel(
+                sim.cluster, available_bandwidth=table.available_bandwidth()
+            )
+        return f"{detail} partitioned={cut}"
 
     def _crash_host(self, host: int) -> str:
         sim = self.sim

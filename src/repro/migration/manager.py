@@ -32,7 +32,8 @@ migration set they do not hold — the β picks of a ToR alert — builds its
 own as a one-rack stack).  The shim holds the simulation handle and reads
 the engine's cost model and flow table when a rack plans, so a
 ``SWITCH_FAIL`` rebuild or an external flow table (``sim.flow_table =
-ft``) is one assignment on the engine.  Each rack's outcome is a row of
+ft``) is one assignment on the engine; FLOWREROUTE's detours avoid the
+switches that table holds as failed.  Each rack's outcome is a row of
 the round's :class:`~repro.migration.reports.RoundReports`, from which
 the engine writes the round's per-rack metrics in one call.
 """

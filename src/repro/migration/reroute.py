@@ -6,10 +6,16 @@ inter-rack VM dependency carries a flow along its current path; a shim
 told that switch ``s`` is hot recomputes the paths of its local flows
 that traverse ``s`` on the fabric *minus* ``s`` and moves them there.
 
-:class:`FlowTable` keeps the flows and per-switch loads.  Routes come from
-one shortest-path tree per source rack on the fabric minus the avoided
-switches (scipy Dijkstra on a masked adjacency): a switch event reroutes
-every flow through it for one solve per source rack, not one per flow.
+:class:`FlowTable` keeps the flows, per-switch loads and the fabric's
+liveness.  The paper leaves switch crashes to a "backup system"; the
+table is it: :meth:`FlowTable.fail` reroutes the flows through a dead
+switch (dropping, and remembering, those with no detour),
+:meth:`FlowTable.recover` readmits them, and every route the table takes
+— a new flow, a readmission, FLOWREROUTE's detour — runs on the fabric
+minus the failed switches.  Routes come from one shortest-path tree per
+source rack on the fabric minus the avoided switches (scipy Dijkstra on
+a masked adjacency): a switch event reroutes every flow through it for
+one solve per source rack, not one per flow.
 """
 
 from __future__ import annotations
@@ -44,7 +50,11 @@ class Flow:
 
 
 class FlowTable:
-    """Flow registry with per-node load accounting.
+    """Flow registry with per-node load accounting and the failed switches.
+
+    The table is the one holder of the fabric's liveness: :attr:`failed`
+    is set by :meth:`fail` and :meth:`recover`, and no route it hands out
+    crosses a switch in it.
 
     Parameters
     ----------
@@ -61,6 +71,12 @@ class FlowTable:
         self.flows: Dict[int, Flow] = {}
         self._next_id = 0
         self.node_load = np.zeros(topology.num_nodes, dtype=np.float64)
+        self.failed: Set[int] = set()
+        # (vm, src_rack, dst_rack, rate) of flows fail() dropped for want
+        # of a surviving path; recover() readmits them
+        self._dropped: List[Tuple[int, int, int, float]] = []
+        # (failed set, its disconnected racks) of the last partition walk
+        self._cut: Optional[Tuple[frozenset, Tuple[int, ...]]] = None
         self._weights = self._edge_weight_matrix()
         # avoid set -> source rack -> predecessor tree.  The weights are
         # fixed at construction, so one Dijkstra serves every flow that
@@ -84,7 +100,13 @@ class FlowTable:
 
     # ------------------------------------------------------------------ #
     def add_flow(self, vm: int, src_rack: int, dst_rack: int, rate: float) -> int:
-        """Register a flow and route it on the unmasked fabric."""
+        """Register a flow and route it on the surviving fabric.
+
+        The flow takes the whole fabric's route (its ECMP pick when
+        spreading); one that crosses a failed switch moves to the detour,
+        and one with no detour is removed again and raises
+        :class:`TopologyError` (its id stays spent).
+        """
         n_racks = self.topology.num_racks
         if not (0 <= src_rack < n_racks and 0 <= dst_rack < n_racks):
             raise TopologyError(f"flow endpoints ({src_rack}, {dst_rack}) not racks")
@@ -98,33 +120,16 @@ class FlowTable:
                 self.topology, src_rack, dst_rack, fid, weight="inverse_capacity"
             )
         else:
-            flow.path = self._route(src_rack, dst_rack, avoid=frozenset())
+            flow.path = self._walk(src_rack, dst_rack, frozenset())
         self.flows[fid] = flow
         self._apply_load(flow.path, rate)
+        if not self.failed.isdisjoint(flow.path):
+            try:
+                self._move(flow, self._route(src_rack, dst_rack))
+            except TopologyError:
+                self.remove_flow(fid)
+                raise
         return fid
-
-    def add_flows(
-        self, specs: Sequence[Tuple[int, int, int, float]], avoid: frozenset
-    ) -> List[Optional[int]]:
-        """Register ``(vm, src_rack, dst_rack, rate)`` flows, in order, off *avoid*.
-
-        A flow whose fabric route crosses *avoid* takes its detour; one with
-        none is removed again (``None`` in its slot).  Ids and loads come out
-        as the :meth:`add_flow`, :func:`flow_reroute`, :meth:`remove_flow`
-        sequence leaves them, every route read from the shared trees.
-        """
-        out: List[Optional[int]] = []
-        for spec in specs:
-            fid = self.add_flow(*spec)
-            flow = self.flows[fid]
-            if not avoid.isdisjoint(flow.path):
-                try:
-                    self._move(flow, self._route(flow.src_rack, flow.dst_rack, avoid))
-                except TopologyError:
-                    self.remove_flow(fid)
-                    fid = None
-            out.append(fid)
-        return out
 
     def remove_flow(self, fid: int) -> None:
         flow = self.flows.pop(fid, None)
@@ -174,7 +179,12 @@ class FlowTable:
             pred = trees[src] = sub.tolist()
         return pred
 
-    def _route(self, src: int, dst: int, avoid: frozenset) -> List[int]:
+    def _route(self, src: int, dst: int, avoid: frozenset = frozenset()) -> List[int]:
+        """Shortest path on the fabric minus the failed switches and *avoid*."""
+        return self._walk(src, dst, avoid | self.failed if self.failed else avoid)
+
+    def _walk(self, src: int, dst: int, avoid: frozenset) -> List[int]:
+        """Shortest path on the fabric minus exactly *avoid*."""
         if src == dst:
             return [src]
         if src in avoid or dst in avoid:
@@ -201,13 +211,106 @@ class FlowTable:
     def load_of(self, node: int) -> float:
         return float(self.node_load[node])
 
+    # ------------------------------------------------------------------ #
+    def fail(self, switch: int) -> Tuple[int, List[int]]:
+        """Kill *switch*: detour every flow through it, drop what cannot.
+
+        Returns ``(rerouted, dropped flow ids)``.  A dropped flow is kept
+        for :meth:`recover` to readmit.
+        """
+        topo = self.topology
+        if not (topo.num_racks <= switch < topo.num_nodes):
+            raise TopologyError(
+                f"{switch} is not a switch node "
+                f"(switches are {topo.num_racks}..{topo.num_nodes - 1})"
+            )
+        if switch in self.failed:
+            raise TopologyError(f"switch {switch} already failed")
+        self.failed.add(switch)
+        through = [f.flow_id for f in self.flows_through(switch)]
+        rerouted, stuck = flow_reroute(self, through, ())
+        dropped: List[int] = []
+        if stuck:
+            # no surviving path: the flows still on the dead switch cannot
+            # be carried
+            for fid in through:
+                flow = self.flows[fid]
+                if switch in flow.path:
+                    self._dropped.append(
+                        (flow.vm, flow.src_rack, flow.dst_rack, flow.rate)
+                    )
+                    self.remove_flow(fid)
+                    dropped.append(fid)
+        return rerouted, dropped
+
+    def recover(self, switch: int) -> List[int]:
+        """Bring *switch* back; readmit what the outages dropped.
+
+        Each dropped flow is registered again, in order, through
+        :meth:`add_flow`, so one whose route still crosses a *different*
+        failed switch takes its detour, and one with none stays dropped for
+        the next recovery.  Surviving flows re-optimize lazily on the next
+        reroute.  Returns the readmitted flow ids.
+        """
+        if switch not in self.failed:
+            raise TopologyError(f"switch {switch} is not failed")
+        self.failed.discard(switch)
+        readmitted: List[int] = []
+        dropped: List[Tuple[int, int, int, float]] = []
+        for spec in self._dropped:
+            try:
+                readmitted.append(self.add_flow(*spec))
+            except TopologyError:
+                dropped.append(spec)
+        self._dropped = dropped
+        return readmitted
+
+    def disconnected_racks(self) -> List[int]:
+        """Racks the failed switches cut off from rack 0 (only switches
+        fail, so rack 0 is always alive)."""
+        key = frozenset(self.failed)
+        if self._cut is None or self._cut[0] != key:
+            # DFS over the surviving nodes; a failed switch counts as seen
+            topo = self.topology
+            seen = np.zeros(topo.num_nodes, dtype=bool)
+            seen[list(key)] = True
+            seen[0] = True
+            stack = [0]
+            while stack:
+                for v in topo.neighbors(stack.pop()):
+                    if not seen[v]:
+                        seen[v] = True
+                        stack.append(int(v))
+            self._cut = (key, tuple(np.nonzero(~seen[: topo.num_racks])[0].tolist()))
+        return list(self._cut[1])
+
+    def available_bandwidth(self) -> np.ndarray:
+        """Per-link bandwidth of the surviving fabric: a failed switch's
+        links at zero.
+
+        Raises :class:`TopologyError` when the failures partitioned the
+        rack fabric — planning over a partition would silently produce
+        infinite costs.
+        """
+        dead = self.disconnected_racks()
+        if dead:
+            raise TopologyError(
+                f"fabric partitioned: racks {dead[:5]} unreachable; "
+                "recover a switch before re-planning"
+            )
+        lt = self.topology.links
+        bw = lt.capacity.copy()
+        for sw in self.failed:
+            bw[(lt.u == sw) | (lt.v == sw)] = 0.0
+        return bw
+
 
 def flow_reroute(
     table: FlowTable,
     flow_ids: Sequence[int],
     hot_switches: Set[int],
 ) -> Tuple[int, int]:
-    """Reroute the given flows around *hot_switches*.
+    """Reroute the given flows around *hot_switches* and the failed ones.
 
     Returns ``(rerouted, failed)`` counts; a flow that has no alternative
     path keeps its current one (and counts as failed) — the shim will fall

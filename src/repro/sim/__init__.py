@@ -13,8 +13,10 @@ Managers and baselines: `regional` (per-shim Alg. 3 planning),
 workloads.  Infrastructure: `scenario`/`scenarios` (alert & demand
 generation), `driver` (managed-run loop), `fullstack` (closed loop over
 all three alert paths), `inflight` (live-migration windows),
-`congestion`/`latency` (switch load & queueing delay), `failures`
-(switch death).  Per-round measurements live on :class:`RoundSummary`.
+`congestion`/`latency` (switch load & queueing delay).  Switch death is
+the flow table's (:meth:`~repro.migration.reroute.FlowTable.fail` /
+``recover``), driven by the fault layer's ``SWITCH_FAIL`` /
+``SWITCH_RECOVER``.  Per-round measurements live on :class:`RoundSummary`.
 """
 
 from repro.config import SheriffConfig
@@ -26,7 +28,6 @@ from repro.sim.kmedian_planner import kmedian_migration_round
 from repro.sim.fallback import FallbackManager
 from repro.sim.reactive import PredictiveManager, ReactiveManager
 from repro.sim.congestion import congestion_alerts, hot_switches, switch_capacity
-from repro.sim.failures import FailureInjector, FailureReport
 from repro.sim.driver import AlertSource, ManagedRunReport, run_managed_simulation
 from repro.sim.fullstack import FullStackRound, FullStackSimulation
 from repro.sim.inflight import InFlightTracker, MigrationTiming
@@ -54,8 +55,6 @@ __all__ = [
     "congestion_alerts",
     "hot_switches",
     "switch_capacity",
-    "FailureInjector",
-    "FailureReport",
     "ManagedRunReport",
     "run_managed_simulation",
     "AlertSource",

@@ -82,8 +82,8 @@ def congestion_alerts(
     vm_alerts: Dict[int, float] = {}
     for sw in hot_switches(topo, flow_table, utilization_threshold):
         ratio = float(min(1.0, flow_table.node_load[sw] / cap[sw]))
-        racks = sorted({f.src_rack for f in flow_table.flows_through(sw)})
-        for rack in racks:
+        through = flow_table.flows_through(sw)
+        for rack in sorted({f.src_rack for f in through}):
             alerts.append(
                 Alert(
                     kind=AlertKind.OUTER_SWITCH,
@@ -93,6 +93,6 @@ def congestion_alerts(
                     time=time,
                 )
             )
-        for f in flow_table.flows_through(sw):
+        for f in through:
             vm_alerts[f.vm] = max(vm_alerts.get(f.vm, 0.0), ratio)
     return alerts, vm_alerts

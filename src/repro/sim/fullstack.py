@@ -13,7 +13,9 @@ wrapper runs them *together*, the way a real deployment would:
 
 The loop's flow table is the embedded engine's ``sim.flow_table``, so
 Alg. 1's FLOWREROUTE, a ``SWITCH_FAIL`` repair and a ``HOST_CRASH``
-withdrawal all act on the flows the loop re-syncs each round.
+withdrawal all act on the flows the loop re-syncs each round.  The table
+also holds the failed switches, so neither a re-synced flow nor a
+FLOWREROUTE detour returns to a dead one.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.alerts.qcn import SwitchQueue, ToRUplinkMonitor
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceKind
 from repro.config import SheriffConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.migration.reroute import FlowTable
 from repro.sim.congestion import congestion_alerts
 from repro.sim.engine import SheriffSimulation
@@ -128,7 +130,8 @@ class FullStackSimulation:
 
         Flows follow their source VM's current rack (migrations re-home
         them) and scale with its TRF demand this round.  A pair with an
-        endpoint lost in a host crash has no flow until the VM is back.
+        endpoint lost in a host crash, or whose racks failed switches cut
+        apart, has no flow until the VM or a switch is back.
         """
         pl = self.cluster.placement
         deps = self.cluster.dependencies
@@ -169,9 +172,12 @@ class FullStackSimulation:
         for pair, (ra, rb, rate) in wanted.items():
             fid = self._dep_flows.get(pair)
             if fid is None:
-                self._dep_flows[pair] = self.flow_table.add_flow(
-                    pair[0], ra, rb, rate
-                )
+                try:
+                    self._dep_flows[pair] = self.flow_table.add_flow(
+                        pair[0], ra, rb, rate
+                    )
+                except TopologyError:
+                    pass  # no surviving path between the racks
             else:
                 flow = self.flow_table.flows[fid]
                 if abs(flow.rate - rate) > 1e-12:
@@ -196,7 +202,9 @@ class FullStackSimulation:
         tor_vm_alerts: Dict[int, float] = {}
         pl = self.cluster.placement
         for rack, mon in self.tor_monitors.items():
-            mon.record(float(self.flow_table.node_load[rack]))
+            # a rack whose flows are all gone keeps the float residue of
+            # their removal, which can sit a hair below zero
+            mon.record(max(0.0, float(self.flow_table.node_load[rack])))
             mag = mon.alert_value()
             if mag > 0.0:
                 tor_alerts.append(

@@ -287,4 +287,4 @@ class TestSwitchFaults:
                 if a != b:
                     assert agg not in sim.cost_model.table.path(a, b)
         sim.run_round([], {})
-        assert sim.faults.switches.failed == set()
+        assert sim.flow_table.failed == set()

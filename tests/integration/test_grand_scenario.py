@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_cluster
+from repro.costs import CostModel
 from repro.migration.reroute import FlowTable
 from repro.sim import (
-    FailureInjector,
     SheriffSimulation,
     congestion_alerts,
     hot_switches,
@@ -76,12 +76,11 @@ def story():
     cluster.placement.check_invariants()
 
     # phase 3: switch failure
-    injector = FailureInjector(cluster, flow_table=flows)
     aggs = cluster.topology.nodes_of_kind(NodeKind.AGG)
     dead = int(aggs[np.argmax(flows.node_load[aggs])])
-    report = injector.fail(dead)
-    cm2 = injector.rebuild_cost_model()
-    record["failure"] = (dead, report, cm2)
+    flows.fail(dead)
+    cm2 = CostModel(cluster, available_bandwidth=flows.available_bandwidth())
+    record["failure"] = (dead, flows.disconnected_racks(), cm2)
     cluster.placement.check_invariants()
 
     # phase 4: demand surge under the predictive manager
@@ -128,8 +127,8 @@ class TestGrandScenario:
             assert loads_after[sw] >= 0
 
     def test_phase3_failure_recovery(self, story):
-        dead, report, cm2 = story["failure"]
-        assert report.racks_disconnected == []
+        dead, disconnected, cm2 = story["failure"]
+        assert disconnected == []
         # cost model avoids the dead switch on every rack pair
         r = cm2.table.num_racks
         for a in range(r):

@@ -13,7 +13,6 @@ from repro.cluster import build_cluster
 from repro.config import SheriffConfig
 from repro.migration.reroute import FlowTable
 from repro.sim import (
-    FailureInjector,
     MigrationTiming,
     SheriffSimulation,
     congestion_alerts,
@@ -51,7 +50,6 @@ def test_soak_mixed_regimes():
     )
     sim.flow_table = flows
 
-    injector = FailureInjector(cluster, flow_table=flows)
     aggs = cluster.topology.nodes_of_kind(NodeKind.AGG)
     failed_switch = None
     rng = np.random.default_rng(SEED)
@@ -70,9 +68,9 @@ def test_soak_mixed_regimes():
             )
         if r == 77:
             failed_switch = int(aggs[0])
-            injector.fail(failed_switch)
+            flows.fail(failed_switch)
         if r == 133 and failed_switch is not None:
-            injector.recover(failed_switch)
+            flows.recover(failed_switch)
             failed_switch = None
         sim.run_round(alerts, vma)
         if r % 25 == 0:

@@ -60,7 +60,7 @@ def oracle_models(mp):
     """Make every cost model the engine builds — its own and each rebuild
     under a switch fault — a :class:`ScalarOracleModel`."""
     mp.setattr("repro.sim.engine.CostModel", ScalarOracleModel)
-    mp.setattr("repro.sim.failures.CostModel", ScalarOracleModel)
+    mp.setattr("repro.faults.injector.CostModel", ScalarOracleModel)
 
 
 def run_variant(cluster, rounds):

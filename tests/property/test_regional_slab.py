@@ -23,8 +23,8 @@ from repro.cluster.shim import neighbor_racks
 from repro.config import SheriffConfig
 from repro.costs.model import CostModel
 from repro.errors import CapacityError, PlacementError, TopologyError
+from repro.migration.reroute import FlowTable
 from repro.sim import SheriffSimulation, inject_fraction_alerts
-from repro.sim.failures import FailureInjector
 from repro.topology import build_bcube, build_fattree
 from repro.topology.custom import from_edge_list
 
@@ -167,14 +167,14 @@ class ScalarOracleModel(CostModel):
         return full[rows, dest]
 
 
-def survivable_switch(injector, rng):
+def survivable_switch(fabric, rng):
     """Fail a switch whose loss leaves every rack reachable."""
-    topo = injector.cluster.topology
+    topo = fabric.topology
     for sw in rng.permutation(np.arange(topo.num_racks, topo.num_nodes)):
-        injector.fail(int(sw))
-        if not injector.disconnected_racks():
+        fabric.fail(int(sw))
+        if not fabric.disconnected_racks():
             return int(sw)
-        injector.recover(int(sw))
+        fabric.recover(int(sw))
     raise TopologyError("every switch failure partitions this fabric")
 
 
@@ -190,7 +190,7 @@ def test_shim_rows_equal_the_oracle_through_moves_losses_and_rebuilds(
     cluster = fabric_cluster(fabric, seed)
     pl = cluster.placement
     rng = np.random.default_rng(seed)
-    injector = FailureInjector(cluster)
+    fabric = FlowTable(cluster.topology)
     models = [CostModel(cluster)]
     oracle = CostModel(cluster)
     assert_shim_reads_equal_oracle(cluster, models, oracle)
@@ -212,15 +212,17 @@ def test_shim_rows_equal_the_oracle_through_moves_losses_and_rebuilds(
             if not pl.lost_vms:
                 continue
             pl.restore_lost(min(pl.lost_vms))
-        elif injector.failed:
-            injector.recover(min(injector.failed))
+        elif fabric.failed:
+            fabric.recover(min(fabric.failed))
         else:
-            survivable_switch(injector, rng)
+            survivable_switch(fabric, rng)
         if op == "fail":
             # SWITCH_FAIL / SWITCH_RECOVER: the model is rebuilt whole
-            models = [injector.rebuild_cost_model()]
+            models = [
+                CostModel(cluster, available_bandwidth=fabric.available_bandwidth())
+            ]
             oracle = CostModel(
-                cluster, available_bandwidth=injector.available_bandwidth()
+                cluster, available_bandwidth=fabric.available_bandwidth()
             )
         assert_shim_reads_equal_oracle(cluster, models, oracle)
 

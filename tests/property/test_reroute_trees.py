@@ -7,8 +7,9 @@ fresh single-source Dijkstra, then move that one flow's load.  On random
 fat-trees (k = 4, 6, 8), random flow sets and random avoid sets — some
 holding a flow endpoint, some cutting a rack off the fabric — the two
 must agree on ``(ok, failed)``, every ``Flow.path`` and the ``node_load``
-bytes; and a :class:`FailureInjector` run of random switch failures and
-recoveries must match the one-flow-at-a-time fail / recover loop.
+bytes; and a run of random switch failures and recoveries through
+:meth:`FlowTable.fail` / :meth:`FlowTable.recover` must match the
+one-flow-at-a-time fail / recover loop.
 """
 
 import copy
@@ -19,10 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
-from repro.cluster import build_cluster
 from repro.errors import ConfigurationError, TopologyError
 from repro.migration.reroute import Flow, FlowTable, flow_reroute
-from repro.sim.failures import FailureInjector, FailureReport
 from repro.topology import build_fattree
 
 common = settings(
@@ -102,41 +101,36 @@ def oracle_reroute(table, flow_ids, hot):
     return ok, failed
 
 
-def oracle_fail(inj, switch):
-    inj.failed.add(switch)
-    report = FailureReport(switch=switch)
-    table = inj.flow_table
+def oracle_fail(table, switch):
+    table.failed.add(switch)
     through = [f.flow_id for f in table.flows_through(switch)]
-    ok, failed_flows = oracle_reroute(table, through, set(inj.failed))
-    report.flows_rerouted = ok
+    ok, failed_flows = oracle_reroute(table, through, set(table.failed))
+    dropped = []
     if failed_flows:
         for fid in through:
             flow = table.flows.get(fid)
-            if flow is not None and any(n in inj.failed for n in flow.path):
-                inj._dropped.append((flow.vm, flow.src_rack, flow.dst_rack, flow.rate))
+            if flow is not None and any(n in table.failed for n in flow.path):
+                table._dropped.append((flow.vm, flow.src_rack, flow.dst_rack, flow.rate))
                 oracle_remove(table, fid)
-                report.flows_dropped.append(fid)
-    report.racks_disconnected = inj.disconnected_racks()
-    return report
+                dropped.append(fid)
+    return ok, dropped
 
 
-def oracle_recover(inj, switch):
-    inj.failed.discard(switch)
-    report = FailureReport(switch=switch)
-    table = inj.flow_table
+def oracle_recover(table, switch):
+    table.failed.discard(switch)
+    readmitted = []
     still_dropped = []
-    for vm, src, dst, rate in inj._dropped:
+    for vm, src, dst, rate in table._dropped:
         fid = oracle_add(table, vm, src, dst, rate)
-        if any(n in inj.failed for n in table.flows[fid].path):
-            ok, _bad = oracle_reroute(table, [fid], inj.failed)
+        if any(n in table.failed for n in table.flows[fid].path):
+            ok, _bad = oracle_reroute(table, [fid], table.failed)
             if not ok:
                 oracle_remove(table, fid)
                 still_dropped.append((vm, src, dst, rate))
                 continue
-        report.flows_readmitted.append(fid)
-    inj._dropped = still_dropped
-    report.racks_disconnected = inj.disconnected_racks()
-    return report
+        readmitted.append(fid)
+    table._dropped = still_dropped
+    return readmitted
 
 
 # ---------------------------------------------------------------------- #
@@ -207,10 +201,9 @@ class TestFailRecoverMatchesOneFlowAtATime:
     @given(data=st.data(), case=fabrics_with_flows(ks=(4, 6)))
     def test_random_switch_events(self, data, case):
         topo, specs = case
-        cluster = build_cluster(topo, hosts_per_rack=1, seed=0, dependency_degree=0.0)
-        new = FailureInjector(cluster, flow_table=FlowTable(topo))
+        new = FlowTable(topo)
         for i, (src, dst, rate) in enumerate(specs):
-            new.flow_table.add_flow(i, src, dst, rate)
+            new.add_flow(i, src, dst, rate)
         old = copy.deepcopy(new)
         switches = list(range(topo.num_racks, topo.num_nodes))
         # most failures hit one rack's uplinks, so racks get cut off, flows
@@ -229,5 +222,6 @@ class TestFailRecoverMatchesOneFlowAtATime:
                 sw = data.draw(st.sampled_from(alive), label="down")
                 got, want = new.fail(sw), oracle_fail(old, sw)
             assert got == want
+            assert new.disconnected_racks() == old.disconnected_racks()
             assert new._dropped == old._dropped
-            _assert_tables_equal(new.flow_table, old.flow_table)
+            _assert_tables_equal(new, old)

@@ -204,6 +204,22 @@ class TestFaultsActOnTheLoopsFlows:
         assert not [f for f in loop.flow_table.flows.values() if dead in f.path]
         loop.sync_flows(t + 1)
         assert not [f for f in loop.flow_table.flows.values() if dead in f.path]
+        # and on every round after it: neither a re-synced flow nor a
+        # FLOWREROUTE detour returns to the dead switch
+        for t in range(43, 96):
+            loop.run_round(t)
+            assert not [f for f in loop.flow_table.flows.values() if dead in f.path], t
+
+    def test_a_partition_leaves_the_cut_off_racks_without_flows(self):
+        loop = faulted_loop(FaultKind.SWITCH_FAIL, 8, at_round=2)
+        loop.run_round(42)
+        loop.flow_table.fail(9)  # pod 0's other aggregation switch
+        assert loop.flow_table.disconnected_racks() == list(range(1, 8))
+        for t in range(43, 46):
+            loop.run_round(t)  # the racks of pod 0 reach no other rack
+            flows = loop.flow_table.flows.values()
+            assert flows
+            assert not [f for f in flows if {f.src_rack, f.dst_rack} & {0, 1}], t
 
     def test_host_crash_withdraws_the_lost_vms_flows(self):
         host = 3
