@@ -11,9 +11,10 @@ fills in the row's migration part; the racks planned as columns
 in one :meth:`RoundReports.add_rows`.  When the round's planning ends
 the rows are frozen, in rack order, into read-only numpy arrays, which
 the garbage collector does not track, so a long run's ``sim.history``
-holds a few objects per round, not a few per alerted rack.  The frozen record is also what the per-rack metrics are
-written from: :meth:`RoundReports.write_metrics` adds a round's rows to the
-registry's ``rack``-labelled families, one vectorised write per family.
+holds a few objects per round, not a few per alerted rack.  The record is
+the one copy of what each rack did: the planning counters and histograms
+hold only its round totals, which :meth:`RoundReports.write_metrics` adds
+to the registry once a round.
 
 :class:`RoundReport` and :class:`MigrationStats` are the per-rack views:
 ``reports[i]`` builds them on read, equal field by field to what a shim
@@ -90,35 +91,23 @@ _RAGGED = (
     ("moves_ptr", ("move_vm", "move_host", "move_cost")),
     ("matching_ptr", ("matching_size",)),
 )
-# the per-rack counters in the order a shim first used them: (name, the
-# column it adds, the count whose non-zero rows register it, the count whose
-# non-zero rows write it) -- e.g. a row with a migration set registers all
-# six REQUEST counters but adds to the REJECT one only when it had REJECTs
+# the planning counters, each with the column whose round total it adds
 _COUNTERS = (
-    ("sheriff_shim_alerts_total", "alerts_processed", "alerted", "alerted"),
-    ("sheriff_flows_rerouted_total", "rerouted_flows", "rerouted", "rerouted"),
-    ("sheriff_reroute_failures_total", "reroute_failures", "rerouted", "rerouted"),
-    ("sheriff_requests_sent_total", "requested", "planned", "requested"),
-    ("sheriff_requests_acked_total", "acked", "planned", "acked"),
-    ("sheriff_requests_rejected_total", "rejected", "planned", "rejected"),
-    ("sheriff_migration_cost_total", "total_cost", "planned", "acked"),
-    ("sheriff_search_space_total", "search_space", "planned", "iterations"),
-    ("sheriff_unplaced_total", "unplaced", "planned", "planned"),
+    ("sheriff_shim_alerts_total", "alerts_processed"),
+    ("sheriff_flows_rerouted_total", "rerouted_flows"),
+    ("sheriff_reroute_failures_total", "reroute_failures"),
+    ("sheriff_requests_sent_total", "requested"),
+    ("sheriff_requests_acked_total", "acked"),
+    ("sheriff_requests_rejected_total", "rejected"),
+    ("sheriff_migration_cost_total", "total_cost"),
+    ("sheriff_search_space_total", "search_space"),
+    ("sheriff_unplaced_total", "unplaced"),
 )
-# then the two histograms, registered with them: (name, the ragged column
-# each row observes in order, the count of its values in the row)
+# the two histograms and the ragged column each observes
 _HISTOGRAMS = (
-    ("sheriff_matching_size", "matching_size", "matched"),
-    ("sheriff_move_cost", "move_cost", "moved"),
+    ("sheriff_matching_size", "matching_size"),
+    ("sheriff_move_cost", "move_cost"),
 )
-# the counts whose non-zero rows the two tables name
-_ROWS = ("alerted", "rerouted", "planned", "requested", "acked", "rejected")
-_ROWS += ("iterations", "matched", "moved")
-
-
-def _per_row(ptr: np.ndarray) -> np.ndarray:
-    """Each row's number of values in a CSR column with pointers *ptr*."""
-    return ptr[1:] - ptr[:-1]
 
 
 def _column(name: str, doc: str) -> property:
@@ -268,7 +257,7 @@ class RoundReports(Sequence[RoundReport]):
             for name in _ROW:
                 cols[name] = cols[name][order]
             for ptr, values in _RAGGED:
-                counts = _per_row(cols[ptr])[order]
+                counts = np.diff(cols[ptr])[order]
                 at = np.concatenate(([0], counts.cumsum()))
                 take = np.repeat(cols[ptr][order] - at[:-1], counts) + np.arange(at[-1])
                 cols[ptr] = at
@@ -318,67 +307,23 @@ class RoundReports(Sequence[RoundReport]):
             return int(col.sum())
         return 0.0 + float(np.cumsum(col)[-1]) if col.size else 0.0
 
-    def write_metrics(
-        self, metrics: MetricsRegistry, *, at: Optional[int] = None
-    ) -> None:
-        """Write the rows into *metrics*' ``rack``-labelled families.
+    def write_metrics(self, metrics: MetricsRegistry) -> None:
+        """Add the round's totals to *metrics*, when it has a row.
 
-        One vectorised write per family, equal bit for bit to what a shim's
-        calls made one at a time in row order did: a row *registers* its
-        alerts counter when it processed alerts, its two reroute counters
-        when it rerouted flows, and the other six counters and two
-        histograms when it had a migration set; it *touches* (adds to, and
-        shows at 0 in open scopes) the alerts and reroute counters on the
-        same terms, the REQUEST, ACK, REJECT and cost counters when their
-        counts are non-zero, the search space when the REQUEST loop ran and
-        the unplaced count whenever it registered.  ``sheriff_matching_size``
-        observes ``matching_size`` and ``sheriff_move_cost`` the ACKed moves'
-        costs.  New rack labels are registered row by row, within a row in
-        ``_COUNTERS`` then ``_HISTOGRAMS`` order, at position *at* of the
-        registry's order (see
-        :meth:`~repro.obs.metrics.MetricsRegistry.register`).
+        Each ``_COUNTERS`` counter gets its column's :meth:`total` (the
+        unplaced counter the number of unplaced VMs), and
+        ``sheriff_matching_size`` / ``sheriff_move_cost`` observe the
+        ``matching_size`` / ``move_cost`` column, in row order.  The
+        instruments are unlabelled: what each rack did is this record.
         """
         cols = self._frozen()
-        rack = cols["rack"]
-        if not rack.size:
+        if not cols["rack"].size:
             return
-        # the engine's rows are in rack order: the sort is the rare path
-        if (_per_row(rack) <= 0).any() and np.unique(rack).size < rack.size:
-            raise SimulationError("a record written to metrics has one row per rack")
-        count = dict(
-            cols,
-            alerted=cols["alerts_processed"],
-            rerouted=cols["rerouted_flows"] + cols["reroute_failures"],
-            planned=_per_row(cols["selected_ptr"]),
-            unplaced=_per_row(cols["unplaced_ptr"]),
-            matched=_per_row(cols["matching_ptr"]),
-            moved=_per_row(cols["moves_ptr"]),
-        )
-        on = {name: count[name] > 0 for name in _ROWS}
-        # (family, rows registering it, rows written to it, what is written)
-        writes = []
-        for name, col, reg, by in _COUNTERS:
-            family = metrics.counters(name, "rack")
-            writes.append((family, on[reg] | on[by], on[by], count[col]))
-        for name, col, n in _HISTOGRAMS:
-            family = metrics.histograms(name, "rack")
-            writes.append((family, on["planned"] | on[n], on[n], (count[n], cols[col])))
-        families = [family for family, *_ in writes]
-        known = np.stack([family.slots(rack) for family in families])
-        registers = np.stack([register for _, register, _, _ in writes])
-        # first sightings, row by row and within a row in table order
-        rows, new = np.nonzero(((known < 0) & registers).T)
-        if rows.size:
-            sightings = zip(new.tolist(), rack[rows].tolist())
-            metrics.register([(families[f], r) for f, r in sightings], at=at)
-            known = np.stack([family.slots(rack) for family in families])
-        for (family, _, touch, what), slots in zip(writes, known):
-            if not touch.any():
-                continue
-            if isinstance(what, tuple):
-                family.observe(slots[touch], what[0][touch], what[1])
-            else:
-                family.add(slots[touch], what[touch])
+        for name, col in _COUNTERS:
+            amount = cols[col].size if col == "unplaced" else self.total(col)
+            metrics.counter(name).inc(amount)
+        for name, col in _HISTOGRAMS:
+            metrics.histogram(name).observe_many(cols[col])
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

@@ -103,13 +103,15 @@ class FlowTable:
         """Register a flow and route it on the surviving fabric.
 
         The flow takes the whole fabric's route (its ECMP pick when
-        spreading); one that crosses a failed switch moves to the detour,
-        and one with no detour is removed again and raises
-        :class:`TopologyError` (its id stays spent).
+        spreading); one that crosses a failed switch then moves to the
+        detour.  A pair with no surviving route raises
+        :class:`TopologyError` before anything is registered: no id is
+        spent and no load is added.
         """
         n_racks = self.topology.num_racks
         if not (0 <= src_rack < n_racks and 0 <= dst_rack < n_racks):
             raise TopologyError(f"flow endpoints ({src_rack}, {dst_rack}) not racks")
+        detour = self._route(src_rack, dst_rack) if self.failed else None
         fid = self._next_id
         self._next_id += 1
         flow = Flow(flow_id=fid, vm=vm, src_rack=src_rack, dst_rack=dst_rack, rate=rate)
@@ -123,12 +125,8 @@ class FlowTable:
             flow.path = self._walk(src_rack, dst_rack, frozenset())
         self.flows[fid] = flow
         self._apply_load(flow.path, rate)
-        if not self.failed.isdisjoint(flow.path):
-            try:
-                self._move(flow, self._route(src_rack, dst_rack))
-            except TopologyError:
-                self.remove_flow(fid)
-                raise
+        if detour is not None and not self.failed.isdisjoint(flow.path):
+            self._move(flow, detour)
         return fid
 
     def remove_flow(self, fid: int) -> None:

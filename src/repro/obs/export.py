@@ -5,7 +5,7 @@ Two read-only views over the observability state:
 * :func:`prometheus_text` renders a
   :class:`~repro.obs.metrics.MetricsRegistry` in the Prometheus text
   exposition format (version 0.0.4) — counters and gauges as plain
-  samples, reservoir histograms as summaries with ``quantile`` labels.
+  samples, histograms as summaries of ``_sum`` and ``_count``.
 * :func:`chrome_trace` renders a span-recording
   :class:`~repro.obs.profiling.Profiler` as Chrome/Perfetto
   ``trace_event`` JSON (complete ``"ph": "X"`` events), so
@@ -19,7 +19,7 @@ the simulation hot path.
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, List, Optional
+from typing import IO, Dict, List
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiling import Profiler
@@ -46,14 +46,11 @@ def _escape_label_value(value: str) -> str:
     )
 
 
-def _prom_labels(labels: Dict[str, str], extra: Optional[Dict[str, str]] = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
+def _prom_labels(labels: Dict[str, str]) -> str:
+    if not labels:
         return ""
     inner = ",".join(
-        f'{k}="{_escape_label_value(v)}"' for k, v in sorted(merged.items())
+        f'{k}="{_escape_label_value(v)}"' for k, v in sorted(labels.items())
     )
     return "{" + inner + "}"
 
@@ -61,7 +58,7 @@ def _prom_labels(labels: Dict[str, str], extra: Optional[Dict[str, str]] = None)
 _HELP: Dict[str, str] = {
     "sheriff_rounds_total": "Management rounds executed.",
     "sheriff_alerts_total": "ALERT messages delivered to shims.",
-    "sheriff_shim_alerts_total": "Alerts processed per shim.",
+    "sheriff_shim_alerts_total": "Alerts the shims processed.",
     "sheriff_requests_sent_total": "Migration REQUESTs sent (Alg. 3).",
     "sheriff_requests_acked_total": "Migration REQUESTs ACKed (Alg. 4).",
     "sheriff_requests_rejected_total": "Migration REQUESTs rejected.",
@@ -142,12 +139,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
             assert isinstance(first, Histogram)
             lines.append(f"# TYPE {pname} summary")
             for m in members:
-                qs = m.quantiles()
-                for label, q in (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")):
-                    lines.append(
-                        f"{pname}{_prom_labels(m.labels, {'quantile': q})} "
-                        f"{_fmt(qs[label])}"
-                    )
                 lines.append(f"{pname}_sum{_prom_labels(m.labels)} {_fmt(m.sum)}")
                 lines.append(f"{pname}_count{_prom_labels(m.labels)} {m.count}")
     return "\n".join(lines) + "\n" if lines else ""

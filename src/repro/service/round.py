@@ -25,8 +25,8 @@ that snapshot and the round's one
 :class:`~repro.migration.reports.RoundReports`.  It plans the racks in
 rack order, as columns wherever the verdicts allow and the rest one at
 a time, a row each; the rows are frozen into arrays when planning ends,
-and the round's per-rack counters and histograms are then written from
-its columns in one call, one vectorised write per family
+and the round's planning totals are then added to the unlabelled
+counters and histograms in one call
 (:meth:`~repro.migration.reports.RoundReports.write_metrics`).  A
 :class:`~repro.service.events.RackPlanned` per rack goes to the
 simulation's bus — an observer tap nothing in the round reads back — and
@@ -233,10 +233,6 @@ def plan(state: RoundState) -> None:
         profiler=sim.profiler,
     )
     reports = state.reports
-    # the racks' first-seen instruments go before anything a REQUEST
-    # registers meanwhile (the lossy channel's counters), as they did
-    # when each shim registered its own on first use
-    registered = len(sim.metrics)
     try:
         sim.shim.process_round(
             state.by_rack,
@@ -252,7 +248,7 @@ def plan(state: RoundState) -> None:
         )
     finally:
         reports.freeze()
-        reports.write_metrics(sim.metrics, at=registered)
+        reports.write_metrics(sim.metrics)
         _announce(sim.bus, state.now, reports)
 
 

@@ -38,8 +38,8 @@ a few per alerted rack.
 Observability: the engine threads one :class:`~repro.obs.tracer.Tracer`,
 one :class:`~repro.obs.metrics.MetricsRegistry` and one
 :class:`~repro.obs.profiling.Profiler` through the shim, the receiver
-protocol and VMMIGRATION.  Decision sites increment labeled counters,
-and the plan stage writes the per-rack ones from the round's record;
+protocol and VMMIGRATION.  Decision sites increment counters, and the
+plan stage adds the round record's totals to the planning counters;
 :class:`RoundSummary` reads its planning totals from that record's columns
 and the rest from the round's metrics scope, and ``RoundSummary.timings``
 carries the per-round wall-clock

@@ -52,7 +52,7 @@ def regional_migration_round(
     code treats both managers uniformly.  ``apply=False`` plans against
     the live placement but rolls the reservations back.  The optional
     observability handles flow into the receiver protocol and each
-    rack's REQUEST loop; *metrics* gets the round's per-rack rows in one
+    rack's REQUEST loop; *metrics* gets the round's planning totals in one
     :meth:`~repro.migration.reports.RoundReports.write_metrics`.
     """
     plan = CentralizedPlan()

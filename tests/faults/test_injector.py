@@ -188,12 +188,18 @@ class TestShimOutage:
         sim = SheriffSimulation(cluster, cfg)
         s = sim.run_round(alerts, vma)
         assert s.degraded
-        # the silent delegation never processed its alerts
-        assert metrics.counter("sheriff_shim_alerts_total", rack=down).value == 0
+        # the silent delegation planned nothing: its rack has no row, and
+        # the round's alerts counter holds only the live racks' rows
+        assert down not in s.reports.rack.tolist()
+        assert metrics.counter("sheriff_shim_alerts_total").value == s.reports.total(
+            "alerts_processed"
+        )
         cluster.placement.check_invariants()
         # duration=1 expired: the next round is back to normal
         s2 = sim.run_round([], {})
         assert not s2.degraded
+        # and, up again, the rack plans the same alerts: it has its row
+        assert down in sim.run_round(alerts, vma).reports.rack.tolist()
 
     def test_explicit_shim_up(self, cluster):
         cfg = SheriffConfig(

@@ -1,61 +1,19 @@
-"""Exporters: Prometheus text exposition, Chrome spans, reservoir quantiles."""
+"""Exporters: Prometheus text exposition and Chrome spans."""
 
 import json
 
 from repro.obs.export import chrome_trace, prometheus_text, write_chrome_trace
-from repro.obs.metrics import RESERVOIR_SIZE, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import Profiler
-
-
-class TestHistogramQuantiles:
-    def test_exact_while_stream_fits_reservoir(self):
-        m = MetricsRegistry()
-        h = m.histogram("latency")
-        for v in range(1, 101):
-            h.observe(float(v))
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(1.0) == 100.0
-        assert h.quantile(0.5) == 50.5
-        qs = h.quantiles()
-        assert qs["p50"] == 50.5
-        assert abs(qs["p95"] - 95.05) < 1e-9
-
-    def test_reservoir_stays_bounded(self):
-        m = MetricsRegistry()
-        h = m.histogram("big")
-        for v in range(10 * RESERVOIR_SIZE):
-            h.observe(float(v))
-        assert len(h._reservoir) == RESERVOIR_SIZE
-        assert h.count == 10 * RESERVOIR_SIZE
-        # sampled estimate still lands in the right region
-        assert 0.3 < h.quantile(0.5) / (10 * RESERVOIR_SIZE) < 0.7
-
-    def test_deterministic_across_registries(self):
-        def fill():
-            h = MetricsRegistry().histogram("d", rack=3)
-            for v in range(5000):
-                h.observe(float((v * 37) % 1000))
-            return h.quantiles()
-
-        assert fill() == fill()
-
-    def test_quantiles_in_as_dict(self):
-        m = MetricsRegistry()
-        h = m.histogram("x")
-        h.observe(2.0)
-        h.observe(4.0)
-        entry = m.as_dict()["x"]
-        assert entry["p50"] == 3.0
-        assert entry["p99"] >= entry["p50"]
 
 
 class TestPrometheusText:
     def test_counter_gauge_and_summary_families(self):
         m = MetricsRegistry()
         m.counter("sheriff_rounds_total").inc(3)
-        m.counter("requests_total", rack=1).inc(2)
+        m.counter("requests_total", tenant="gold").inc(2)
         m.gauge("sheriff_workload_std").set(1.25)
-        h = m.histogram("move_cost", rack=1)
+        h = m.histogram("move_cost")
         h.observe(5.0)
         h.observe(7.0)
         text = prometheus_text(m)
@@ -63,13 +21,17 @@ class TestPrometheusText:
         assert "sheriff_rounds_total 3.0" in text
         # namespace prefix applied exactly once
         assert "# TYPE sheriff_requests_total counter" in text
-        assert 'sheriff_requests_total{rack="1"} 2.0' in text
+        assert 'sheriff_requests_total{tenant="gold"} 2.0' in text
         assert "sheriff_sheriff" not in text
         assert "# TYPE sheriff_workload_std gauge" in text
+        # a histogram is a summary of its sum and count: no quantile sample
         assert "# TYPE sheriff_move_cost summary" in text
-        assert 'sheriff_move_cost{quantile="0.5",rack="1"} 6.0' in text
-        assert 'sheriff_move_cost_count{rack="1"} 2' in text
-        assert 'sheriff_move_cost_sum{rack="1"} 12.0' in text
+        assert "sheriff_move_cost_count 2" in text
+        assert "sheriff_move_cost_sum 12.0" in text
+        assert "quantile" not in text
+        assert m.as_dict()["move_cost"] == {
+            "count": 2, "sum": 12.0, "mean": 6.0, "min": 5.0, "max": 7.0
+        }
 
     def test_empty_registry_exports_empty(self):
         assert prometheus_text(MetricsRegistry()) == ""
@@ -86,10 +48,10 @@ class TestPrometheusText:
     def test_help_and_type_once_per_family_under_interleaving(self):
         m = MetricsRegistry()
         # interleave labeled series of two families in registration order
-        m.counter("alerts_total", rack=0).inc()
-        m.counter("requests_sent_total", rack=0).inc()
-        m.counter("alerts_total", rack=1).inc()
-        m.counter("requests_sent_total", rack=1).inc()
+        m.counter("alerts_total", tenant="gold").inc()
+        m.counter("requests_sent_total", tenant="gold").inc()
+        m.counter("alerts_total", tenant="bronze").inc()
+        m.counter("requests_sent_total", tenant="bronze").inc()
         text = prometheus_text(m)
         for family in ("sheriff_alerts_total", "sheriff_requests_sent_total"):
             assert text.count(f"# HELP {family} ") == 1

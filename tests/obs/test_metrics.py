@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.export import prometheus_text
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry, quantile
 
 
@@ -83,6 +82,24 @@ class TestHistogram:
         assert h.mean == 0.0
         assert math.isinf(h.min)
 
+    def test_observe_many_is_one_observe_per_value(self):
+        # float addition is not associative: the sum must add the values
+        # one by one, in order, as the calls would
+        values = [1e16, 1.0, 1.0, 3.5, 0.25]
+        reg, ref = MetricsRegistry(), MetricsRegistry()
+        h, want = reg.histogram("h"), ref.histogram("h")
+        h.observe(2.0)
+        want.observe(2.0)
+        with reg.scope() as scope, ref.scope() as ref_scope:
+            h.observe_many(np.array(values))
+            for v in values:
+                want.observe(v)
+            h.observe_many([])  # no values: nothing observed, nothing recorded
+        assert (h.count, h.sum, h.min, h.max) == (want.count, want.sum, want.min, want.max)
+        assert type(h.count) is int and type(h.sum) is float
+        assert scope.total("h") == ref_scope.total("h")
+        assert reg.as_dict() == ref.as_dict()
+
 
 class TestQuantile:
     """One interpolation for histograms, the SLO ledger and trace summaries."""
@@ -100,18 +117,6 @@ class TestQuantile:
                 quantile([1.0, 2.0, 3.0], q)
         with pytest.raises(ObservabilityError):
             quantile([], -0.1)  # refused even with nothing to interpolate
-
-    def test_histogram_reads_agree(self):
-        h = MetricsRegistry().histogram("h")
-        for v in (3.0, 1.0, 2.0, 8.0):
-            h.observe(v)
-        ordered = [1.0, 2.0, 3.0, 8.0]
-        assert h.quantile(0.3) == quantile(ordered, 0.3)
-        assert h.quantiles() == {
-            "p50": quantile(ordered, 0.5),
-            "p95": quantile(ordered, 0.95),
-            "p99": quantile(ordered, 0.99),
-        }
 
 
 class TestRegistry:
@@ -239,87 +244,3 @@ class TestScope:
         }
         assert list(scope.by_label("cost", "rack")) == ["7", "3", "1", "5"]
         assert scope.total("missing") == 0.0
-
-
-class TestFamily:
-    def test_column_write_is_the_members_values(self):
-        reg = MetricsRegistry()
-        fam = reg.counters("c", "rack")
-        reg.register([(fam, 5), (fam, 2)])
-        with reg.scope() as scope:
-            fam.add(fam.slots([2, 5]), np.array([3, 4]))
-            fam.add(fam.slots([5]), np.array([0.5]))
-        member = reg.counter("c", rack=5)
-        assert isinstance(member, Counter) and member.value == 4.5
-        assert type(member.value) is float
-        assert reg.counter("c", rack=5) is member
-        assert [m.labels for m in reg.instruments()] == [{"rack": "5"}, {"rack": "2"}]
-        # the scope folds the writes in order: rack 2 was touched first
-        assert scope.as_dict() == {"c{rack=2}": 3.0, "c{rack=5}": 4.5}
-        assert scope.total("c") == 7.5
-        member.inc(1)  # a member's inc is a one-row write
-        assert fam.values[fam.slots([5])[0]] == 5.5
-
-    def test_column_write_refuses_nan_and_negative_amounts(self):
-        reg = MetricsRegistry()
-        fam = reg.counters("c", "rack")
-        reg.register([(fam, 0), (fam, 1)])
-        with reg.scope() as scope:
-            with pytest.raises(ObservabilityError, match="cannot add NaN"):
-                fam.add(fam.slots([0, 1]), np.array([1.0, float("nan")]))
-            with pytest.raises(ObservabilityError, match="cannot decrease"):
-                fam.add(fam.slots([0, 1]), np.array([-1.0, 2.0]))
-            with pytest.raises(ObservabilityError, match="cannot add NaN"):
-                reg.counter("c", rack=0).inc(float("nan"))
-        # a refused write writes nothing, to the values or the scope
-        assert fam.values[:2].tolist() == [0.0, 0.0]
-        assert scope.as_dict() == {}
-
-    def test_registration_goes_where_it_is_asked(self):
-        reg = MetricsRegistry()
-        reg.counter("first").inc()
-        at = len(reg)
-        reg.counter("late").inc()
-        fam = reg.counters("c", "rack")
-        reg.register([(fam, 3), (fam, 1), (fam, 3)], at=at)
-        assert [m.name for m in reg.instruments()] == ["first", "c", "c", "late"]
-        assert prometheus_text(reg).index("sheriff_c") < prometheus_text(reg).index(
-            "sheriff_late"
-        )
-
-    def test_family_names_and_labels_are_checked(self):
-        reg = MetricsRegistry()
-        reg.counter("plain", rack=1)
-        with pytest.raises(ObservabilityError, match="cannot become a family"):
-            reg.counters("plain", "rack")
-        reg.counters("c", "rack")
-        with pytest.raises(ObservabilityError):
-            reg.histograms("c", "rack")
-        with pytest.raises(ObservabilityError):
-            reg.histogram("c", rack=1)
-        with pytest.raises(ObservabilityError, match="alone"):
-            reg.counter("c", rack=1, kind="x")
-        with pytest.raises(ObservabilityError, match="non-negative"):
-            reg.counter("c", rack=-1)
-
-    def test_histogram_members_observe_like_histograms(self):
-        reg, ref = MetricsRegistry(), MetricsRegistry()
-        fam = reg.histograms("h", "rack")
-        values = [(i * 7919) % 1013 / 7.0 for i in range(700)]
-        # rack 4 takes 600 values in one write, then 100 one at a time;
-        # rack 9 takes none, then two
-        reg.register([(fam, 4), (fam, 9)])
-        fam.observe(fam.slots([4, 9]), np.array([600, 0]), np.array(values[:600]))
-        for v in values[600:]:
-            reg.histogram("h", rack=4).observe(v)
-        fam.observe(fam.slots([9]), np.array([2]), np.array([1.5, 0.5]))
-        for v in values:
-            ref.histogram("h", rack=4).observe(v)
-        for v in (1.5, 0.5):
-            ref.histogram("h", rack=9).observe(v)
-        assert reg.as_dict() == ref.as_dict()
-        assert prometheus_text(reg) == prometheus_text(ref)
-        for rack in (4, 9):
-            got, want = reg.histogram("h", rack=rack), ref.histogram("h", rack=rack)
-            assert got._reservoir == want._reservoir
-            assert got._rng.getstate() == want._rng.getstate()

@@ -300,6 +300,44 @@ def test_mixed_variant_exercises_every_report_field():
     assert sum(r.predicted_slo_damage for r in reports) > 0.0
 
 
+# each planning counter and the record total it holds, round by round
+_PLANNING = (
+    ("sheriff_shim_alerts_total", lambda r: r.total("alerts_processed")),
+    ("sheriff_flows_rerouted_total", lambda r: r.total("rerouted_flows")),
+    ("sheriff_reroute_failures_total", lambda r: r.total("reroute_failures")),
+    ("sheriff_requests_sent_total", lambda r: r.total("requested")),
+    ("sheriff_requests_acked_total", lambda r: r.total("acked")),
+    ("sheriff_requests_rejected_total", lambda r: r.total("rejected")),
+    ("sheriff_migration_cost_total", lambda r: r.total("total_cost")),
+    ("sheriff_search_space_total", lambda r: r.total("search_space")),
+    ("sheriff_unplaced_total", lambda r: len(r.unplaced)),
+)
+
+
+@pytest.mark.parametrize("variant", ["mixed_k4", "degraded_k4"])
+def test_the_planning_counters_are_the_records_totals(variant):
+    # one copy of each rack's outcome: the record.  The registry holds its
+    # round totals, unlabelled, and no quantile
+    _, sim = _run(variant)
+    for name, total in _PLANNING:
+        want = 0.0
+        for s in sim.history:
+            want += total(s.reports)
+        assert sim.metrics.counter(name).value == want, name
+    acked = sim.metrics.counter("sheriff_requests_acked_total").value
+    assert acked == sum(s.migrations for s in sim.history) > 0
+    for name, col in (("matching_size", "matching_size"), ("move_cost", "move_cost")):
+        values = [v for s in sim.history for v in getattr(s.reports, col).tolist()]
+        hist = sim.metrics.histogram(f"sheriff_{name}")
+        want = 0.0
+        for v in values:
+            want += v
+        assert (hist.count, hist.sum) == (len(values), want), name
+    assert not [m for m in sim.metrics.instruments() if "rack" in m.labels]
+    text = prometheus_text(sim.metrics)
+    assert "rack=" not in text and "quantile=" not in text
+
+
 def test_recording_bus_does_not_perturb_results():
     # observing every event must not change a single decision
     seen = []

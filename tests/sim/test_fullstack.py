@@ -215,11 +215,16 @@ class TestFaultsActOnTheLoopsFlows:
         loop.run_round(42)
         loop.flow_table.fail(9)  # pod 0's other aggregation switch
         assert loop.flow_table.disconnected_racks() == list(range(1, 8))
-        for t in range(43, 46):
+        for t in range(43, 48):
+            first = loop.flow_table._next_id
             loop.run_round(t)  # the racks of pod 0 reach no other rack
-            flows = loop.flow_table.flows.values()
+            flows = loop.flow_table.flows
             assert flows
-            assert not [f for f in flows if {f.src_rack, f.dst_rack} & {0, 1}], t
+            assert not [f for f in flows.values() if {f.src_rack, f.dst_rack} & {0, 1}], t
+            # a pair with no route spends no flow id: every id spent this
+            # round is a flow registered this round
+            new = [fid for fid in flows if fid >= first]
+            assert loop.flow_table._next_id - first == len(new), t
 
     def test_host_crash_withdraws_the_lost_vms_flows(self):
         host = 3
