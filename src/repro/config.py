@@ -89,10 +89,10 @@ class SheriffConfig:
         wall-clock section timings (``RoundSummary.timings``).
     metrics_stream:
         Open text stream receiving one JSON line per round —
-        ``{"round": N, "metrics": {...}}``, the round's
-        :class:`~repro.obs.metrics.MetricsScope` window — next to the
-        event trace (the CLI's ``--metrics-out PATH``).  ``None``
-        disables the snapshot stream.
+        ``{"round": N, "metrics": {...}}``, what the round's one metrics
+        write added (``name{labels}`` to its amount; a histogram's the
+        sum of what it observed) — next to the event trace (the CLI's
+        ``--metrics-out PATH``).  ``None`` disables the stream.
     fault_schedule:
         Deterministic fault-injection schedule (see
         :mod:`repro.faults`); ``None`` disables the fault layer entirely

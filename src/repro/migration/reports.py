@@ -14,7 +14,7 @@ the garbage collector does not track, so a long run's ``sim.history``
 holds a few objects per round, not a few per alerted rack.  The record is
 the one copy of what each rack did: the planning counters and histograms
 hold only its round totals, which :meth:`RoundReports.write_metrics` adds
-to the registry once a round.
+to the registry in the round's one metrics write.
 
 :class:`RoundReport` and :class:`MigrationStats` are the per-rack views:
 ``reports[i]`` builds them on read, equal field by field to what a shim
@@ -307,8 +307,9 @@ class RoundReports(Sequence[RoundReport]):
             return int(col.sum())
         return 0.0 + float(np.cumsum(col)[-1]) if col.size else 0.0
 
-    def write_metrics(self, metrics: MetricsRegistry) -> None:
-        """Add the round's totals to *metrics*, when it has a row.
+    def write_metrics(self, metrics: MetricsRegistry) -> Dict[str, float]:
+        """Add the round's totals to *metrics*, when it has a row, and
+        return what was added (a histogram's the sum it observed).
 
         Each ``_COUNTERS`` counter gets its column's :meth:`total` (the
         unplaced counter the number of unplaced VMs), and
@@ -318,12 +319,17 @@ class RoundReports(Sequence[RoundReport]):
         """
         cols = self._frozen()
         if not cols["rack"].size:
-            return
+            return {}
+        added: Dict[str, float] = {}
         for name, col in _COUNTERS:
             amount = cols[col].size if col == "unplaced" else self.total(col)
             metrics.counter(name).inc(amount)
+            added[name] = float(amount)
         for name, col in _HISTOGRAMS:
             metrics.histogram(name).observe_many(cols[col])
+            if cols[col].size:
+                added[name] = float(np.cumsum(cols[col], dtype=np.float64)[-1])
+        return added
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

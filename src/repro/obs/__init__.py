@@ -7,8 +7,8 @@ Three independent, composable facilities:
   REQUEST/ACK/REJECT, commits, landings, reroutes, model selection),
   emitted through a zero-cost-when-disabled :class:`Tracer`;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of labeled
-  counters/gauges/histograms that ``RoundSummary`` and the CLI read
-  round totals from;
+  counters/gauges/histograms holding the run's totals, which each round
+  adds to in one write from its own record;
 * :mod:`repro.obs.profiling` — wall-clock section timers around
   PRIORITY, Kuhn–Munkres, REQUEST and Local Search, surfaced as the
   per-round timing breakdown, with optional nested-span recording.
@@ -51,13 +51,7 @@ from repro.obs.events import (
     TraceEvent,
 )
 from repro.obs.export import chrome_trace, prometheus_text, write_chrome_trace
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsScope,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, NullProfiler, Profiler, Span
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -91,7 +85,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsScope",
     "Profiler",
     "NullProfiler",
     "NULL_PROFILER",

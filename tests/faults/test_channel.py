@@ -6,7 +6,6 @@ from repro.cluster import build_cluster
 from repro.errors import ConfigurationError
 from repro.faults.channel import ChannelPolicy, UnreliableChannel
 from repro.migration.request import ReceiverRegistry, RequestOutcome
-from repro.obs.metrics import MetricsRegistry
 from repro.topology import build_fattree
 
 
@@ -49,14 +48,11 @@ class TestPolicy:
 
 class TestLosslessPassthrough:
     def test_zero_loss_matches_direct_request(self, cluster):
-        reg, metrics = ReceiverRegistry(cluster), MetricsRegistry()
-        ch = UnreliableChannel(
-            reg, ChannelPolicy(loss_probability=0.0), metrics=metrics
-        )
+        reg = ReceiverRegistry(cluster)
+        ch = UnreliableChannel(reg, ChannelPolicy(loss_probability=0.0))
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.ACK
-        assert metrics.total("sheriff_channel_retries_total") == 0
-        assert metrics.total("sheriff_request_timeouts_total") == 0
+        assert (ch.retries, ch.timeouts, ch.rollbacks) == (0, 0, 0)
         assert reg.pending == 1
 
 
@@ -66,7 +62,6 @@ class TestLossAndRetry:
         ch = UnreliableChannel(
             reg,
             ChannelPolicy(loss_probability=0.5, max_retries=max_retries),
-            metrics=MetricsRegistry(),
         )
         ch._rng = ScriptedRng(script)
         return reg, ch
@@ -76,7 +71,7 @@ class TestLossAndRetry:
         reg, ch = self.make(cluster, [0.1, 0.9, 0.9])
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.ACK
-        assert ch.metrics.total("sheriff_channel_retries_total") == 1
+        assert ch.retries == 1
         assert reg.pending == 1
 
     def test_lost_ack_redelivery_is_idempotent(self, cluster):
@@ -97,34 +92,32 @@ class TestLossAndRetry:
         # both attempts deliver the request but lose every reply: the
         # receiver reserved, the sender believes REJECT -> lease expiry
         reg, ch = self.make(cluster, [0.9, 0.1, 0.9, 0.1], max_retries=1)
-        metrics = ch.metrics
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.REJECT
         assert reg.pending == 0
         assert not reg.holds_reservation(vm)
-        assert metrics.total("sheriff_request_timeouts_total") == 1
-        assert metrics.total("sheriff_rollbacks_total") == 1
+        assert (ch.timeouts, ch.rollbacks) == (1, 1)
         # commit of an empty round is a no-op
         assert reg.commit_round() == []
         cluster.placement.check_invariants()
 
     def test_retries_counted_in_metrics(self, cluster):
+        # the channel's own counts, which the plan stage takes each round
         reg, ch = self.make(cluster, [0.1, 0.1, 0.9, 0.9])
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.ACK
-        assert ch.metrics.total("sheriff_channel_retries_total") == 2
+        assert ch.take_counts() == (2, 0, 0)
+        assert (ch.retries, ch.timeouts, ch.rollbacks) == (0, 0, 0)
 
 
 class TestDownRack:
     def test_down_rack_times_out_into_reject(self, cluster):
-        reg, metrics = ReceiverRegistry(cluster), MetricsRegistry()
+        reg = ReceiverRegistry(cluster)
         pol = ChannelPolicy(loss_probability=0.0, max_retries=3)
-        ch = UnreliableChannel(
-            reg, pol, metrics=metrics, is_rack_down=lambda rack: True
-        )
+        ch = UnreliableChannel(reg, pol, is_rack_down=lambda rack: True)
         vm, host, rack = pick_vm_and_free_host(cluster)
         assert ch.request(vm, host, rack) is RequestOutcome.REJECT
-        assert metrics.total("sheriff_request_timeouts_total") == 1
+        assert ch.timeouts == 1
         # every retry spent
-        assert metrics.total("sheriff_channel_retries_total") == 3
+        assert ch.retries == 3
         assert reg.pending == 0  # the receiver never saw the request

@@ -159,7 +159,6 @@ class TestAllEventKinds:
         dead = UnreliableChannel(
             fsim.receivers,
             ChannelPolicy(max_retries=0),
-            metrics=fsim.metrics,
             is_rack_down=lambda rack: True,
             tracer=tracer,
         )
