@@ -307,9 +307,12 @@ class RoundReports(Sequence[RoundReport]):
             return int(col.sum())
         return 0.0 + float(np.cumsum(col)[-1]) if col.size else 0.0
 
-    def write_metrics(self, metrics: MetricsRegistry) -> Dict[str, float]:
-        """Add the round's totals to *metrics*, when it has a row, and
-        return what was added (a histogram's the sum it observed).
+    def write_metrics(
+        self, metrics: MetricsRegistry, added: Optional[Dict[str, float]] = None
+    ) -> None:
+        """Add the round's totals to *metrics*, when it has a row; given
+        *added*, also put there what was added (a histogram's the sum it
+        observed).
 
         Each ``_COUNTERS`` counter gets its column's :meth:`total` (the
         unplaced counter the number of unplaced VMs), and
@@ -319,17 +322,16 @@ class RoundReports(Sequence[RoundReport]):
         """
         cols = self._frozen()
         if not cols["rack"].size:
-            return {}
-        added: Dict[str, float] = {}
+            return
         for name, col in _COUNTERS:
             amount = cols[col].size if col == "unplaced" else self.total(col)
             metrics.counter(name).inc(amount)
-            added[name] = float(amount)
+            if added is not None:
+                added[name] = float(amount)
         for name, col in _HISTOGRAMS:
             metrics.histogram(name).observe_many(cols[col])
-            if cols[col].size:
+            if added is not None and cols[col].size:
                 added[name] = float(np.cumsum(cols[col], dtype=np.float64)[-1])
-        return added
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

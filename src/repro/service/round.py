@@ -95,20 +95,23 @@ class RoundState:
     rollbacks: int = 0
     slo: Optional["SloRound"] = None
 
-    def write_metrics(self, metrics: MetricsRegistry) -> Dict[str, float]:
-        """Add the round's totals to *metrics*; returns what was added
-        (``name{labels}`` to its amount, a histogram's the sum it
-        observed): the round's ``--metrics-out`` line.
+    def write_metrics(
+        self, metrics: MetricsRegistry, added: Optional[Dict[str, float]] = None
+    ) -> None:
+        """Add the round's totals to *metrics*; given *added*, also put
+        there what was added (``name{labels}`` to its amount, a
+        histogram's the sum it observed): the round's ``--metrics-out``
+        line.
 
         The round and alert counters are added every round, the others
         when they have something to add (the evacuation pair together).
         """
-        added: Dict[str, float] = {}
 
         def add(amount, name: str, **labels: str) -> None:
             counter = metrics.counter(name, **labels)
             counter.inc(amount)
-            added[str(counter)] = float(amount)
+            if added is not None:
+                added[str(counter)] = float(amount)
 
         add(1, "sheriff_rounds_total")
         add(len(self.alerts), "sheriff_alerts_total")
@@ -116,7 +119,7 @@ class RoundState:
         if faults is not None and (faults.evacuated or faults.lost):
             add(faults.evacuated, "sheriff_vms_evacuated_total")
             add(faults.lost, "sheriff_vms_lost_total")
-        added.update(self.reports.write_metrics(metrics))
+        self.reports.write_metrics(metrics, added)
         for amount, name in (
             (faults.injected if faults else 0, "sheriff_faults_injected_total"),
             (self.retries, "sheriff_channel_retries_total"),
@@ -139,12 +142,12 @@ class RoundState:
                 values = np.concatenate(batches)
                 hist = metrics.histogram("sheriff_slo_request_latency", tenant=tenant)
                 hist.observe_many(values)
-                added[str(hist)] = float(np.cumsum(values)[-1])
+                if added is not None:
+                    added[str(hist)] = float(np.cumsum(values)[-1])
             for tenant in slo.exhausted:
                 add(1, "sheriff_slo_budget_exhausted_total", tenant=tenant)
         if self.std_after is not None:
             metrics.gauge("sheriff_workload_std").set(self.std_after)
-        return added
 
 
 def inject_faults(state: RoundState) -> None:

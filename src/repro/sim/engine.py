@@ -276,7 +276,9 @@ class SheriffSimulation:
             finally:
                 if self.slo is not None:
                     state.slo = self.slo.take_round()
-                added = state.write_metrics(self.metrics)
+                # the --metrics-out amounts only for an open stream
+                added = None if self.config.metrics_stream is None else {}
+                state.write_metrics(self.metrics, added)
         reports = state.reports
         slo_minutes, slo_by_class = (
             state.slo.totals() if state.slo is not None else (0.0, {})

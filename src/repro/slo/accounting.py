@@ -252,14 +252,16 @@ class SloAccountant:
         pl = self.cluster.placement
         src = pl.host_rack[np.asarray(src_hosts, dtype=np.int64)]
         dst = pl.host_rack[np.asarray(dst_hosts, dtype=np.int64)]
-        owner: List[int] = []
-        nbrs: List[int] = []
-        for i in np.flatnonzero(src != dst).tolist():
-            mine = sorted(self.cluster.dependencies.neighbors(int(vms[i])))
-            owner += [i] * len(mine)
-            nbrs += mine
+        # each VM that changed racks, once per neighbour, ascending
+        moved = np.flatnonzero(src != dst)
+        indptr, indices = self.cluster.dependencies.csr()
+        start = indptr[vms[moved]]
+        degree = indptr[vms[moved] + 1] - start
+        owner = np.repeat(moved, degree)
         added = np.zeros(len(vms))
-        if nbrs:
+        if owner.size:
+            at = np.repeat(start - (degree.cumsum() - degree), degree)
+            nbrs = indices[at + np.arange(owner.size)]
             nbr_racks = pl.host_rack[pl.vm_host[nbrs]]
             delta = (
                 self.rack_distances[dst[owner], nbr_racks]

@@ -6,12 +6,16 @@
 loop could change — a mixed rack, a refused one, one a retry could
 place, and one asking for a host in the region of an earlier such rack —
 which plan by themselves, in rack order: a rack with SERVER alerts only
-from the plan stage's picks, any other through ``plan_rack``.  A port
-that is not a ``ReceiverRegistry`` takes no column pass, so an engine
-whose port is a pass-through test double — it forwards each REQUEST to
-the engine's own registry — and whose shim is told every rack is mixed
-plans every rack one at a time through ``plan_rack``, Alg. 1 included:
-the reference.
+from the plan stage's picks, any other through ``plan_rack``.  A round
+whose racks are all mixed takes no column pass, so an engine whose shim
+is told every rack is mixed, and whose port is a pass-through test double
+— it forwards each REQUEST to the engine's own port — plans every rack
+one at a time through ``plan_rack``, Alg. 1 included: the reference.
+Through the lossy channel the column pass stops at the first rack that
+plans on its own, a rack with an unanswered REQUEST included, and the
+racks after it take a pass of their own; the lossy arm draws the loss
+probability and the retries (the down shims are the scenario's) and also
+holds the channel's counts and its stream position equal.
 
 Hypothesis drives both engines through the same random rounds with the
 conflicts the column rules must catch — destinations shared by several
@@ -39,6 +43,7 @@ from repro.cluster import build_cluster
 from repro.cluster.snapshot import FleetSnapshot
 from repro.config import SheriffConfig
 from repro.errors import ConfigurationError
+from repro.faults.channel import ChannelPolicy, UnreliableChannel
 from repro.faults.schedule import FaultKind, FaultSchedule, FaultSpec
 from repro.migration import manager, request, vmmigration
 from repro.migration.reports import _RAGGED, _ROW
@@ -63,8 +68,9 @@ class PassThrough:
 
 
 @st.composite
-def scenarios(draw):
-    """A cluster seed, its faults and each round's alerts and extras."""
+def scenarios(draw, lossy=False):
+    """A cluster seed, its faults and each round's alerts and extras; with
+    *lossy*, a lossy channel's policy."""
     rounds = draw(st.integers(3, 6))
     # each host crashes and each shim goes down at most once
     crashed = draw(st.lists(st.integers(0, 23), max_size=2, unique=True))
@@ -93,6 +99,11 @@ def scenarios(draw):
         "timed": draw(st.booleans()),
         "faults": faults,
         "plan": plan,
+        "channel": ChannelPolicy(
+            loss_probability=draw(st.sampled_from([0.05, 0.2, 0.5])),
+            max_retries=draw(st.integers(0, 3)),
+            seed=draw(st.integers(0, 2**16)),
+        ) if lossy else None,
     }
 
 
@@ -129,10 +140,11 @@ def engine(scenario, per_rack):
             migration_timing=(
                 MigrationTiming(bandwidth_mbps=20.0) if scenario["timed"] else None
             ),
+            channel_policy=scenario.get("channel"),
         ),
     )
     if per_rack:
-        sim._port = PassThrough(sim.receivers)
+        sim._port = PassThrough(sim._port)
         every_rack_mixed(sim.shim)
     planned = []
     sim.bus.subscribe(RackPlanned, planned.append)
@@ -144,6 +156,17 @@ def run(scenario, per_rack):
     sim, tracer, planned = engine(scenario, per_rack)
     cluster = sim.cluster
     pl = cluster.placement
+    channel = sim.channel
+    taken = []  # each round's (retries, timeouts, rollbacks) and stream position
+    if channel is not None:
+        take_counts = channel.take_counts
+
+        def counted():
+            counts = take_counts()
+            taken.append((counts, channel._taken + channel._pos))
+            return counts
+
+        channel.take_counts = counted
     rounds = []
     for r, (fraction, tor, freeze) in enumerate(scenario["plan"]):
         alerts, vma = inject_fraction_alerts(
@@ -180,6 +203,7 @@ def run(scenario, per_rack):
         "metrics": sim.metrics.as_dict(),
         "placement": pl.vm_host.tolist(),
         "lost": sorted(pl.lost_vms),
+        "channel": taken,
     }
 
 
@@ -187,7 +211,8 @@ def run_both(scenario, drive=run):
     """*drive*'s reference run, then its column run with what its rounds
     planned as columns: the racks, those after a rack that planned on its
     own, those with no picks, and the racks only the region rule held
-    back; and how many racks planned on their own."""
+    back; how many racks planned on their own; and how many lossy passes
+    read an unanswered REQUEST."""
     want = drive(scenario, per_rack=True)
     seen = Counter()
     real, own_racks = manager.request_racks, vmmigration._own_racks
@@ -213,9 +238,17 @@ def run_both(scenario, drive=run):
         seen["region"] += int((got & ~own_racks(bare, *args)).sum())
         return got
 
+    answered = UnreliableChannel.answered
+
+    def reading(channel, dst_racks):
+        attempts, draws = answered(channel, dst_racks)
+        seen["unanswered"] += int((attempts < 0).any())
+        return attempts, draws
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(manager, "request_racks", counting)
         mp.setattr(vmmigration, "_own_racks", held_by_region)
+        mp.setattr(UnreliableChannel, "answered", reading)
         # the small fabric's rounds take the columns and the one-write commit
         mp.setattr(vmmigration, "_COLUMN_RACKS", 1)
         mp.setattr(request, "_ONE_WRITE", 1)
@@ -224,13 +257,23 @@ def run_both(scenario, drive=run):
 
 
 def assert_same(want, got):
-    for key in ("rounds", "verdicts", "events", "planned", "metrics", "placement", "lost"):
+    for key in (
+        "rounds", "verdicts", "events", "planned", "metrics", "placement", "lost",
+        "channel",
+    ):
         assert got[key] == want[key], key
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios())
 def test_column_pass_equals_the_per_rack_loop(scenario):
+    want, got, _ = run_both(scenario)
+    assert_same(want, got)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(lossy=True))
+def test_column_pass_under_loss_equals_the_per_rack_loop(scenario):
     want, got, _ = run_both(scenario)
     assert_same(want, got)
 
@@ -281,6 +324,31 @@ def test_a_refused_rack_holds_back_only_the_racks_its_region_reaches():
     assert seen["after_own"] > 0
     assert seen["region"] > 0
     assert seen["no_picks"] > 0
+
+
+def test_a_lossy_pass_stops_at_an_unanswered_request_and_passes_again():
+    """Through a lossy channel, with a shim down and moves in flight, a
+    column pass reads an unanswered REQUEST (its rack plans on its own),
+    a later pass plans columns after it, and both engines decide alike,
+    timeouts and lease expiries included."""
+    scenario = {
+        "k": 6,
+        "seed": 0,
+        "fill": 0.7,
+        "degree": 3.0,
+        "timed": True,
+        "faults": [FaultSpec(FaultKind.SHIM_DOWN, target=4, at_round=1, duration=2)],
+        "plan": [
+            (0.5, None, False), (0.25, 3, False), (0.5, None, True), (0.5, None, False),
+        ],
+        "channel": ChannelPolicy(loss_probability=0.3, max_retries=1, seed=0),
+    }
+    want, got, seen = run_both(scenario)
+    assert_same(want, got)
+    assert seen["unanswered"] > 0
+    assert seen["columns"] > 0 and seen["after_own"] > 0
+    retries, timeouts, rollbacks = map(sum, zip(*(c for c, _ in got["channel"])))
+    assert retries > 0 and timeouts > 0 and rollbacks > 0
 
 
 def test_a_rack_that_raises_keeps_the_column_rows_reserved_before_it():

@@ -1,12 +1,18 @@
-"""In-flight migration (live-migration window) tests."""
+"""In-flight migration (live-migration window) tests, and the timed
+commit's and the landings' columns against their per-VM loops."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.config import SheriffConfig
-from repro.errors import ConfigurationError, MigrationError
-from repro.sim import MigrationTiming, SheriffSimulation, inject_fraction_alerts
+from repro.errors import ConfigurationError, MigrationError, ReproError
+from repro.migration import request
+from repro.migration.request import ReceiverRegistry
+from repro.obs.tracer import RecordingTracer
+from repro.sim import MigrationTiming, SheriffSimulation, inflight, inject_fraction_alerts
 from repro.sim.inflight import InFlightTracker
 from repro.topology import build_fattree
 
@@ -162,3 +168,122 @@ class TestEngineIntegration:
         s = sim.run_round(alerts, vma)
         moved = int((before != cluster.placement.vm_host).sum())
         assert moved == s.migrations
+
+
+def tracker_state(tracker):
+    """What a tracker holds: its records in start order, its holds, and
+    the placement it lands on."""
+    pl = tracker.cluster.placement
+    return (
+        [
+            (vm, rec.src_host, rec.dst_host, rec.complete_round, rec.timeline)
+            for vm, rec in tracker._active.items()
+        ],
+        dict(tracker._holds),
+        pl.vm_host.tolist(),
+        pl.host_used.tolist(),
+        pl.generation,
+    )
+
+
+def loop_and_columns(monkeypatch, seed, timing, moves, crash, act):
+    """*act* on two identical trackers: the per-VM loop (the one-write
+    threshold out of reach) and the columns (every call takes them).
+    Each side's outcome — what it returned or the error it raised — and
+    its state after."""
+    out = []
+    for threshold in (10**9, 1):
+        monkeypatch.setattr(request, "_ONE_WRITE", threshold)
+        monkeypatch.setattr(inflight, "_ONE_WRITE", threshold)
+        cluster = build_cluster(
+            build_fattree(4), hosts_per_rack=3, fill_fraction=0.7, skew=0.8,
+            seed=seed, delay_sensitive_fraction=0.0, dependency_degree=0.0,
+        )
+        tracker = InFlightTracker(cluster, timing)
+        tracer = RecordingTracer()
+        reg = ReceiverRegistry(cluster, tracker=tracker, tracer=tracer)
+        try:
+            result = act(cluster, tracker, reg, moves, crash)
+        except ReproError as exc:
+            result = repr(exc)
+        out.append((result, tracker_state(tracker), [e.as_dict() for e in tracer.events]))
+    return out
+
+
+moves_st = st.lists(st.tuples(st.integers(0, 60), st.integers(0, 23)), max_size=40)
+timings = st.sampled_from([
+    MigrationTiming(round_seconds=10.0),
+    MigrationTiming(round_seconds=60.0),
+    MigrationTiming(dirty_fraction=1.5),  # no pre-copy converges
+])
+
+
+def book(cluster, reg, moves):
+    """Reserve *moves* as given — over capacity, onto a VM's own host or
+    twice for one VM included: what the commit's safety net must catch."""
+    pl = cluster.placement
+    moves = [(vm, host) for vm, host in dict(moves).items() if vm < pl.num_vms]
+    reg.reserve([vm for vm, _ in moves], [host for _, host in moves])
+
+
+class TestColumnsEqualTheLoop:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 10**6), timings, moves_st, st.booleans(), st.booleans())
+    def test_commit_starts_as_one_start_many_or_the_loop(
+        self, monkeypatch, seed, timing, moves, crash, tolerant
+    ):
+        """A timed commit of booked reservations: one ``start_many`` when
+        every start passes, else the loop with its first-failure rollback
+        (atomic) or its skips (tolerant) — the same outcome either way."""
+
+        def act(cluster, tracker, reg, moves, crash):
+            book(cluster, reg, moves)
+            if crash and moves:
+                cluster.placement.disable_host(moves[0][1])
+            if tolerant:
+                return reg.commit_round_tolerant(now=3)
+            return reg.commit_round(now=3)
+
+        loop, columns = loop_and_columns(monkeypatch, seed, timing, moves, crash, act)
+        assert columns == loop
+
+    def test_start_many_refuses_a_batch_one_start_would_fail(self):
+        cluster = make_cluster()
+        pl = cluster.placement
+        tracker = InFlightTracker(cluster, MigrationTiming(round_seconds=10.0))
+        dst = int(np.argmax([pl.free_capacity(h) for h in range(pl.num_hosts)]))
+        vms = [vm for vm in range(pl.num_vms) if pl.host_of(vm) != dst]
+        need = pl.vm_capacity[vms].cumsum()
+        fits = int((need <= pl.free_capacity(dst)).sum())
+        before = tracker_state(tracker)
+        # one VM more than the destination holds: nothing starts
+        assert not tracker.start_many(vms[: fits + 1], [dst] * (fits + 1), now=0)
+        assert tracker_state(tracker) == before
+        # a VM asked twice, or already in flight: nothing starts
+        assert not tracker.start_many([vms[0], vms[0]], [dst, dst], now=0)
+        assert tracker.start_many(vms[:fits], [dst] * fits, now=0)
+        assert tracker.hold_on(dst) == int(need[fits - 1])
+        assert not tracker.start_many(vms[:1], [dst], now=0)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 10**6), moves_st, st.booleans(), st.integers(1, 12))
+    def test_complete_due_lands_as_one_write_or_the_loop(
+        self, monkeypatch, seed, moves, crash, now
+    ):
+        """The due migrations land in VM order in one ``migrate_many`` when
+        every landing passes, else one at a time up to the first that
+        raises (a destination that died in flight) — alike either way."""
+
+        def act(cluster, tracker, reg, moves, crash):
+            book(cluster, reg, moves)
+            moved, _ = reg.commit_round_tolerant(now=0)
+            if crash and moved:
+                cluster.placement.disable_host(moved[-1][1])
+            landed = tracker.complete_due(now)
+            return [(r.vm, r.src_host, r.dst_host, r.complete_round) for r in landed]
+
+        timing = MigrationTiming(round_seconds=10.0)
+        loop, columns = loop_and_columns(monkeypatch, seed, timing, moves, crash, act)
+        assert columns == loop
