@@ -77,6 +77,9 @@ class FleetSnapshot:
         self._rack_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._winners_token: Optional[Dict[int, float]] = None
         self._winners: Tuple[List[int], List[int]] = ([], [])
+        self._winner_arrays: Tuple[np.ndarray, np.ndarray] = (
+            np.empty(0, np.int64), np.empty(0, np.int64)
+        )
 
     def vms_in_rack(self, rack: int) -> np.ndarray:
         """VM ids in *rack*, ascending — same as ``Placement.vms_in_rack``."""
@@ -129,9 +132,17 @@ class FleetSnapshot:
             first = np.ones(ids.size, dtype=bool)
             first[1:] = host[1:] != host[:-1]
             winners[host[first]] = ids[first]
+            self._winner_arrays = (winners, counts)
             self._winners = (winners.tolist(), counts.tolist())
             self._winners_token = vm_alerts
         return self._winners
+
+    def host_winner_arrays(
+        self, vm_alerts: Dict[int, float]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`host_winners`' table as its two ``int64`` arrays."""
+        self.host_winners(vm_alerts)
+        return self._winner_arrays
 
     def candidates(self, vm_ids, vm_alerts: Dict[int, float]) -> List["CandidateVM"]:
         """PRIORITY candidate records for *vm_ids* via batched gathers.

@@ -41,7 +41,11 @@ the engine writes the round's per-rack metrics in one call.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.alerts.alert import Alert, AlertKind
 from repro.cluster.cluster import TOR_CAPACITY
@@ -59,11 +63,14 @@ from repro.migration.vmmigration import (
     stack_cost_blocks,
 )
 from repro.obs.events import FlowRerouted, PrioritySelected
+from repro.obs.tracer import Ragged
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps the import DAG
     from repro.sim.engine import SheriffSimulation
 
 __all__ = ["RoundReport", "RoundReports", "ShimManager"]
+
+_HOST = attrgetter("host")
 
 #: β of Eq. (10): the share of the ToR capacity a ToR alert migrates.
 BETA = 0.1
@@ -117,14 +124,23 @@ class ShimManager:
         tracer, profiler = sim.tracer, sim.profiler
         preamble = None
         if tracer.enabled:
-            winners, candidates = snapshot.host_winners(vm_alerts)
+            winners, candidates = snapshot.host_winner_arrays(vm_alerts)
 
-            def preamble(rack: int) -> None:
-                # plan_rack's PRIORITY(F, 1) rows, one per alert, in one call
-                tracer.record(PrioritySelected, *(
-                    (rack, "ONE", 1, candidates[h], (vm,) if vm >= 0 else ())
-                    for h, vm in ((a.host, winners[a.host]) for a in by_rack[rack])
-                ))
+            def preamble(plan: Sequence[int]) -> Tuple[List[int], tuple]:
+                # plan_rack's PRIORITY(F, 1) rows, one per alert of each
+                # rack in *plan*: each rack's count and the rows' columns
+                counts = [len(by_rack[rack]) for rack in plan]
+                alerts = chain.from_iterable(map(by_rack.__getitem__, plan))
+                hosts = np.fromiter(map(_HOST, alerts), np.int64, sum(counts))
+                won = winners[hosts]
+                has = won >= 0
+                return counts, (
+                    np.repeat(np.asarray(plan, dtype=np.int64), counts),
+                    ["ONE"] * hosts.size,
+                    np.ones(hosts.size, dtype=np.int64),
+                    candidates[hosts],
+                    Ragged(won[has], np.concatenate(([0], has.cumsum()))),
+                )
 
         def plan_one(rack: int) -> None:
             if rack in mixed:
@@ -134,7 +150,7 @@ class ShimManager:
                 )
                 return
             if preamble is not None:
-                preamble(rack)
+                tracer.columns(PrioritySelected, *preamble([rack])[1])
             vms = stack.vms[rack]
             damage = self._predicted_damage(vms) if vms else 0.0
             reports.add_row(rack, len(by_rack[rack]), 0, 0, damage, vms)

@@ -359,10 +359,10 @@ class ReceiverRegistry:
                 else tracker.start_many(vms, hosts, now)
             ):
                 # every landing or start passes: one write, nothing to roll back
-                moved = list(zip(vms, hosts))
-                self._record_commits(moved)
+                if self.tracer.enabled:
+                    self.tracer.columns(MigrationCommitted, vms, hosts)
                 self.reset_round()
-                return moved, []
+                return list(zip(vms, hosts)), []
         moved: List[Tuple[int, int]] = []
         failed: List[Tuple[int, int, str]] = []
         sources: List[int] = []  # each instant landing's source, for rollback
@@ -399,8 +399,8 @@ class ReceiverRegistry:
 
     def _record_commits(self, moved: List[Tuple[int, int]]) -> None:
         """One ``MigrationCommitted`` row per applied ``(vm, host)``."""
-        if self.tracer.enabled:
-            self.tracer.record(MigrationCommitted, *moved)
+        if self.tracer.enabled and moved:
+            self.tracer.columns(MigrationCommitted, *zip(*moved))
 
     def reset_round(self) -> None:
         """Drop all reservations without applying them."""

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterator, List
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
@@ -60,7 +60,12 @@ from repro.errors import ConfigurationError
 from repro.migration.matching import jv_solve_many
 from repro.migration.reports import _RAGGED, MigrationStats, RoundReports
 from repro.migration.request import ReceiverRegistry, RequestOutcome
-from repro.obs.events import MatchingSolved, RequestAcked, RequestSent
+from repro.obs.events import (
+    MatchingSolved,
+    PrioritySelected,
+    RequestAcked,
+    RequestSent,
+)
 from repro.obs.profiling import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -606,6 +611,74 @@ def _own_racks(stack, ok, left, racks, held) -> np.ndarray:
     return own
 
 
+class _RunTrace:
+    """A column pass's trace rows, written a run of column racks at a time.
+
+    Each column rack records, in its place, what the per-rack loop would:
+    the caller's PRIORITY(F, 1) rows (*preamble*: ``preamble(racks)`` is
+    each rack's row count and the rows' ``PrioritySelected`` columns), its
+    ``MatchingSolved`` when it *solved* one, then each pair's
+    ``RequestSent`` and the receiver's ``RequestAcked`` (on *acks*, the
+    registry's tracer).  *solves* are the ``MatchingSolved`` columns of
+    every column rack, *sent* the ``RequestSent`` columns of every pair,
+    split by rack at *moves_ptr*.
+    """
+
+    def __init__(self, tracer, acks, preamble, solves, solved, sent, moves_ptr):
+        self.tracer, self.acks, self.preamble = tracer, acks, preamble
+        self.solves, self.solved = solves, solved
+        self.sent, self.moves_ptr = sent, moves_ptr
+
+    def write(self, lo: int, hi: int) -> None:
+        """The rows of column racks ``lo:hi``, in one call per tracer."""
+        if hi <= lo:
+            return
+        tracer, acks = self.tracer, self.acks
+        acked = np.diff(self.moves_ptr[lo : hi + 1])
+        a, b = self.moves_ptr[lo], self.moves_ptr[hi]
+        sent = tuple(col[a:b] for col in self.sent)
+        # each block's kind and columns; per segment (a kind of row each
+        # rack writes in turn) its rows per rack and its block(s)
+        blocks: list = []
+        lengths, segments, paired = [], [], []
+        if self.preamble is not None:
+            counts, cols = self.preamble(self.solves[0][lo:hi].tolist())
+            lengths.append(counts)
+            segments.append([len(blocks)])
+            blocks.append((PrioritySelected, cols))
+        if tracer.enabled:
+            solved = self.solved[lo:hi]
+            lengths.append(solved)
+            segments.append([len(blocks)])
+            blocks.append(
+                (MatchingSolved, tuple(col[lo:hi][solved] for col in self.solves))
+            )
+            paired.append(len(blocks))
+            blocks.append((RequestSent, sent))
+        if acks.enabled:
+            if acks is tracer:
+                paired.append(len(blocks))
+                blocks.append((RequestAcked, sent[:3]))
+            else:
+                acks.columns(RequestAcked, *sent[:3])
+        if paired:
+            lengths.append(acked * len(paired))
+            segments.append(paired)
+        if not blocks:
+            return
+        # each row's segment, then its block: a pair segment alternates
+        # between its blocks, one row each per pair
+        seg = np.repeat(
+            np.tile(np.arange(len(lengths)), hi - lo),
+            np.column_stack(lengths).ravel(),
+        )
+        order = np.asarray([s[0] for s in segments])[seg]
+        if len(paired) == 2:
+            at = np.flatnonzero(order == paired[0])
+            order[at[1::2]] = paired[1]
+        tracer.interleave(order, *blocks)
+
+
 def request_racks(
     stack: CostStack,
     receivers: Union[ReceiverRegistry, UnreliableChannel],
@@ -615,7 +688,7 @@ def request_racks(
     *,
     held: Collection[int] = (),
     alerts_processed: Optional[Sequence[int]] = None,
-    preamble: Optional[Callable[[int], None]] = None,
+    preamble: Optional[Callable[[List[int]], Tuple[List[int], tuple]]] = None,
     tracer: Tracer = NULL_TRACER,
     profiler=NULL_PROFILER,
 ) -> None:
@@ -650,9 +723,12 @@ def request_racks(
     are cached for a redelivery.  The racks after it get a pass of their
     own.  Racks plan one at a time when fewer than :data:`_COLUMN_RACKS`
     of them are not *held*, or when none is stacked.  Traced, each column
-    rack records in its place what the per-rack loop records: *preamble*
-    (the caller's rows of it), its ``MatchingSolved``, then each pair's
-    ``RequestSent`` and the receiver's ``RequestAcked``.
+    rack records in its place what the per-rack loop records: the
+    caller's rows of it (``preamble(racks)``: each rack's row count and
+    the rows' ``PrioritySelected`` columns), its ``MatchingSolved``, then
+    each pair's ``RequestSent`` and the receiver's ``RequestAcked``; each
+    run of column racks between two that plan on their own is one
+    :meth:`~repro.obs.tracer.RecordingTracer.interleave` (:class:`_RunTrace`).
     """
     done = 0
     while done < len(racks):
@@ -741,56 +817,43 @@ def _column_pass(
             float(damage[lo:hi].sum())
             for lo, hi in zip(selected_ptr[:-1].tolist(), selected_ptr[1:].tolist())
         ]
-    acks = registry.tracer
-    traced = preamble is not None or tracer.enabled or acks.enabled
-    # each pair column once, shared by the reservations and the trace rows
+    # each pair column once, as the reservations take them: through a
+    # channel with the racks, to cache the ACKs
     sent = [move_vm.tolist(), move_host.tolist()]
-    if traced:
-        # the VMs as the picks' own ints, which the caller's trace rows hold
-        picks = list(chain.from_iterable(map(stack.vms.__getitem__, stack.racks.tolist())))
-        sent[0] = list(map(picks.__getitem__, first.rows[pairs].tolist()))
-    if channel is not None or traced:
+    if channel is not None:
         sent.append(first.racks[pairs].tolist())
-    # the reservations take the racks through a channel, to cache the ACKs
-    booked = sent if channel is not None else sent[:2]
-    if traced:
-        # each column row's MatchingSolved fields and pairs, read in its place
-        solves = list(zip(
-            cols["rack"].tolist(), first.sizes[p].tolist(), width.tolist(),
-            first.fallback[p].tolist(), first.seconds[p].tolist(), solved.tolist(),
-            moves_ptr[:-1].tolist(), moves_ptr[1:].tolist(),
-        ))
-        pair_rows = list(zip(*sent))
+    trace = None
+    if preamble is not None or tracer.enabled or registry.tracer.enabled:
+        trace = _RunTrace(
+            tracer, registry.tracer, preamble,
+            # rack, rows, cols, matched, iteration, fallback, elapsed_s
+            (
+                cols["rack"], first.sizes[p], width, acked, np.ones_like(acked),
+                first.fallback[p], first.seconds[p],
+            ),
+            solved,
+            # vm, dst_host, dst_rack, src_rack
+            (move_vm, move_host, first.racks[pairs], np.repeat(cols["rack"], acked)),
+            moves_ptr,
+        )
     # the column racks before each rack, reserved before it plans on its own
     before = (column.cumsum() - column).tolist()
     cuts = moves_ptr[before].tolist()
-    done = kept = j = 0
+    done = kept = 0
     try:
-        for i in range(stop) if traced else own[:stop].nonzero()[0].tolist():
-            if own[i]:
-                if cuts[i] > done:
-                    registry.reserve(*(col[done : cuts[i]] for col in booked))
-                    done = cuts[i]
-                kept = before[i]
-                plan_one(racks[i])
-                continue
-            rack, size, hosts, fallback, seconds, solve, lo, hi = solves[j]
-            j += 1
-            if preamble is not None:
-                preamble(rack)
-            if tracer.enabled and solve:
-                # rack, rows, cols, matched, iteration, fallback, elapsed_s
-                tracer.record(
-                    MatchingSolved, (rack, size, hosts, hi - lo, 1, fallback, seconds)
-                )
-            for vm, host, dst in pair_rows[lo:hi]:
-                if tracer.enabled:
-                    tracer.record(RequestSent, (vm, host, dst, rack))
-                if acks.enabled:
-                    acks.record(RequestAcked, (vm, host, dst))
+        for i in own[:stop].nonzero()[0].tolist():
+            if cuts[i] > done:
+                registry.reserve(*(col[done : cuts[i]] for col in sent))
+                done = cuts[i]
+            if trace is not None:
+                trace.write(kept, before[i])
+            kept = before[i]
+            plan_one(racks[i])
         if not own[stop - 1]:
             # the pass ends on a column rack: every column rack is planned
-            registry.reserve(*(col[done:] for col in booked))
+            registry.reserve(*(col[done:] for col in sent))
+            if trace is not None:
+                trace.write(kept, len(cols["rack"]))
             kept = len(cols["rack"])
     finally:
         # a rack that raised leaves the rows of the column racks reserved

@@ -2,8 +2,9 @@
 
 The flat event stream answers *what* happened; this module answers *which
 attempt* each event belongs to.  A :class:`LifecycleStitcher` is a pass
-over an enabled tracer's row log, run when the log is read, that writes
-two fields into each row:
+over an enabled tracer's rows, run when the log is read, that reads the
+fields its rules key on from the kinds' columns and writes two ids for
+each row:
 
 * ``trace_id`` — the causal chain the event belongs to.  Rack-level
   events (``AlertDelivered``, ``PrioritySelected``, ``FlowRerouted``,
@@ -38,8 +39,7 @@ alert→landed latency in rounds.
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.events import (
     AlertDelivered,
@@ -63,27 +63,24 @@ from repro.obs.events import (
 
 __all__ = ["LifecycleStitcher", "UNSTAMPED"]
 
-# a row is its event's field values in ``dataclasses.fields`` order:
-# ``round``, ``trace_id``, ``parent_id``, then the kind's own fields
-_TRACE, _PARENT = 1, 2
-
 _Attempt = Tuple[str, Optional[str], Optional[int], bool]
 """One open migration attempt (selection → terminal event): its trace id,
 parent id, minted round and whether it is committed."""
 
-Rule = Tuple[str, int, Optional[int]]
-"""How one kind's rows are stamped: the rule name from :data:`_STAMPERS`
-and the row offsets of the fields it reads."""
+Rule = Tuple[str, str, Optional[str]]
+"""How one kind's rows are stamped: the rule name from :data:`_STAMPERS`,
+the field it keys on and the field of its second read."""
 
 
 class LifecycleStitcher:
-    """Writes ``trace_id``/``parent_id`` into a row log, one pass per read.
+    """Writes ``trace_id``/``parent_id`` for a tracer's rows, one pass per read.
 
-    Purely observational: it runs over rows already recorded and writes
-    only their two correlation slots, so the decision path never sees it,
-    and it builds no event object.  Its state (this round's groups, the
-    open attempts) carries over from one pass to the next, so stitching a
-    log piecewise gives the ids of one pass at the end.
+    Purely observational: it runs over rows already recorded, reads only
+    the fields its rules key on and writes only the two ids, so the
+    decision path never sees it, and it builds no event object.  Its
+    state (this round's groups, the open attempts) carries over from one
+    pass to the next, so stitching a log piecewise gives the ids of one
+    pass at the end.
     """
 
     def __init__(self) -> None:
@@ -103,63 +100,67 @@ class LifecycleStitcher:
         entry = _STAMPERS.get(cls)
         if entry is None:
             return None
-        names = [f.name for f in fields(cls)]
         how, key, *second = entry
-        return how, names.index(key), names.index(second[0]) if second else None
+        return how, key, second[0] if second else None
 
     def stitch(
         self,
         codes: Sequence[int],
-        starts: Sequence[int],
-        values: List[Any],
-        rules: Sequence[Optional[Rule]],
-        begin: int,
-        end: int,
+        keys: Dict[int, Iterator[Tuple[Any, Any]]],
+        rules: Sequence[Optional[tuple]],
         marks: Sequence[Tuple[int, int]],
+        trace: List[Optional[str]],
+        parent: List[Optional[str]],
     ) -> None:
-        """Stamp rows ``begin:end`` of a row log in place.
+        """Stamp one run of rows in place.
 
-        ``codes[i]`` is row *i*'s kind code (an index into *rules*) and
-        ``starts[i]`` its first index into *values*; *marks* are the
-        ``(row, round)`` of every ``begin_round`` since the last pass, in
-        order, each at a row in ``begin..end``.
+        ``codes[i]`` is row *i*'s kind code (an index into *rules*: the
+        kind's :meth:`rule`, its fields given however the caller reads
+        them, or ``None``); ``keys[code]`` iterates that kind's rows in the
+        run, in order, as the values of the rule's key field and second
+        field (``None`` without one).  *marks* are the ``(row, round)`` of every
+        ``begin_round`` in the run, in order, each at a row in
+        ``0..len(codes)``.  ``trace[i]`` / ``parent[i]`` are row *i*'s ids,
+        written where its kind's rule applies.
         """
+        begin = 0
         for at, index in marks:
-            self._rows(codes, starts, values, rules, begin, at)
+            self._rows(codes, keys, rules, begin, at, trace, parent)
             self.begin_round(index)
             begin = at
-        self._rows(codes, starts, values, rules, begin, end)
+        self._rows(codes, keys, rules, begin, len(codes), trace, parent)
 
-    def _rows(self, codes, starts, values, rules, begin: int, end: int) -> None:
+    def _rows(self, codes, keys, rules, begin, end, trace, parent) -> None:
         """Stamp rows ``begin:end``, all of the current round."""
         rnd, groups, attempts = self._round, self._groups, self._attempts
-        for code, start in zip(codes[begin:end], starts[begin:end]):
+        for i in range(begin, end):
+            code = codes[i]
             rule = rules[code]
             if rule is None:
                 continue
-            how, at, extra = rule
-            key = values[start + at]
+            how = rule[0]
+            key, second = next(keys[code])
             if how == "group":
                 if key is None:  # a centralized MatchingSolved has no rack
                     continue
                 gid = groups.get(key)
                 if gid is None:
                     gid = groups[key] = f"r{rnd}.k{key}"
-                values[start + _TRACE] = gid
-                if extra is not None:
+                trace[i] = gid
+                if rule[2] is not None:
                     # PRIORITY put each selected VM into the migration set:
                     # mint a fresh attempt unless one is already open for
                     # this round (two Alg. 2 invocations can select the
                     # same VM — first mint wins) or it is committed (a
                     # frozen in-flight VM keeps its id until it lands)
-                    for vm in values[start + extra]:
+                    for vm in second:
                         vm = int(vm)
                         attempt = attempts.get(vm)
                         if attempt is None or not (attempt[3] or attempt[2] == rnd):
                             attempts[vm] = (f"r{rnd}.v{vm}", gid, rnd, False)
             elif how == "fault":
-                kind = "host_crash" if extra is None else values[start + extra]
-                values[start + _TRACE] = f"r{rnd}.f.{kind}.{key}"
+                kind = "host_crash" if rule[2] is None else second
+                trace[i] = f"r{rnd}.f.{kind}.{key}"
             else:
                 # a protocol event stamps its VM's open attempt, minted on
                 # first sight: chains can start outside Alg. 2 (emergency
@@ -167,8 +168,7 @@ class LifecycleStitcher:
                 attempt = attempts.get(key)
                 if attempt is None:
                     attempt = attempts[key] = (f"r{rnd}.v{key}", None, rnd, False)
-                values[start + _TRACE] = attempt[0]
-                values[start + _PARENT] = attempt[1]
+                trace[i], parent[i] = attempt[0], attempt[1]
                 if how == "commit":  # the id now outlives the round
                     attempts[key] = attempt[:3] + (True,)
                 elif how == "close":

@@ -10,14 +10,19 @@ The ``round`` field is stamped by the tracer (see
 :meth:`repro.obs.tracer.RecordingTracer.emit`) from the engine's
 ``begin_round`` call, so emitting sites deep inside the migration
 machinery never need to thread the round index explicitly.  The hot sites
-build no event at all: they record the same field values as a row
-(:meth:`repro.obs.tracer.RecordingTracer.record`).
+build no event at all: they record the same field values as rows or
+columns (:meth:`repro.obs.tracer.RecordingTracer.record`,
+:meth:`~repro.obs.tracer.RecordingTracer.columns`), which the tracer keeps
+in typed columns chosen from these annotations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "TraceEvent",
@@ -85,6 +90,12 @@ class TraceEvent:
         return out
 
 
+_RACK, _MAGNITUDE, _HOST, _SWITCH = map(
+    attrgetter, ("rack", "magnitude", "host", "switch")
+)
+_KIND_NAME = attrgetter("kind._name_")  # an enum member's name, read in C
+
+
 @dataclass
 class AlertDelivered(TraceEvent):
     """An ALERT message reached its shim (engine dispatch)."""
@@ -109,6 +120,20 @@ class AlertDelivered(TraceEvent):
             float(alert.magnitude),
             alert.host,
             alert.switch,
+        )
+
+    @staticmethod
+    def columns_of(alerts) -> tuple:
+        """The delivery records of *alerts* as one column per own field,
+        for ``Tracer.columns``: :meth:`values_of` of each, the racks and
+        magnitudes as ``int64`` / ``float64`` arrays."""
+        n = len(alerts)
+        return (
+            np.fromiter(map(_RACK, alerts), np.int64, n),
+            list(map(_KIND_NAME, alerts)),
+            np.fromiter(map(_MAGNITUDE, alerts), np.float64, n),
+            list(map(_HOST, alerts)),
+            list(map(_SWITCH, alerts)),
         )
 
     @classmethod

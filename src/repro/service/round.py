@@ -172,7 +172,7 @@ def dispatch(state: RoundState) -> None:
         by_rack.setdefault(alert.rack, []).append(alert)
     tracer = state.sim.tracer
     if tracer.enabled:
-        tracer.record(AlertDelivered, *map(AlertDelivered.values_of, state.alerts))
+        tracer.columns(AlertDelivered, *AlertDelivered.columns_of(state.alerts))
 
 
 def land(state: RoundState) -> None:
@@ -189,7 +189,7 @@ def land(state: RoundState) -> None:
     sim._last_move.update(dict.fromkeys(vms, state.now))
     state.landed += len(landed)
     if sim.tracer.enabled:
-        sim.tracer.record(MigrationLanded, *zip(vms, dst_hosts))
+        sim.tracer.columns(MigrationLanded, vms, dst_hosts)
     if sim.slo is not None:
         # each record keeps the source host and timeline the charges need
         sim.slo.charge_moves(
@@ -370,14 +370,13 @@ def commit(state: RoundState) -> None:
     state.committed = len(moved)
     if sim.inflight is None and moved:
         vms = [vm for vm, _ in moved]
+        hosts = [host for _, host in moved]
         sim._last_move.update(dict.fromkeys(vms, state.now))
         state.landed += len(moved)
         if tracer.enabled:
-            tracer.record(MigrationLanded, *moved)
+            tracer.columns(MigrationLanded, vms, hosts)
         if sim.slo is not None:
-            sim.slo.charge_moves(
-                vms, [pre_hosts[vm] for vm in vms], [host for _, host in moved]
-            )
+            sim.slo.charge_moves(vms, [pre_hosts[vm] for vm in vms], hosts)
 
 
 def close(state: RoundState) -> None:

@@ -55,6 +55,9 @@ __all__ = ["SloAccountant", "SloRound", "VIOLATION_SOURCES"]
 
 VIOLATION_SOURCES = ("overload", "downtime", "stretch")
 _OVERLOAD, _DOWNTIME, _STRETCH = range(len(VIOLATION_SOURCES))
+# code -> name, gathered as columns for the SloViolation rows
+_TENANT_NAMES = np.array(TENANT_CLASSES, dtype=object)
+_SOURCE_NAMES = np.array(VIOLATION_SOURCES, dtype=object)
 
 # one extra rack-level hop on a dependency path costs this fraction of a
 # round in violation-minutes
@@ -312,13 +315,10 @@ class SloAccountant:
 
         tracing = self.tracer is not None and self.tracer.enabled
         if tracing:
-            rows = list(zip(
-                vms.tolist(),
-                [TENANT_CLASSES[t] for t in tenants.tolist()],
-                [VIOLATION_SOURCES[s] for s in sources.tolist()],
-                minutes.tolist(),
-                np.asarray(hosts)[keep].tolist(),
-            ))
+            cols = (
+                vms, _TENANT_NAMES[tenants], _SOURCE_NAMES[sources], minutes,
+                np.asarray(hosts)[keep],
+            )
         start = 0
         for at, tenant, total in self._crossings(tenants, minutes, before):
             # the tenant spent its budget: noted and traced once, right
@@ -326,14 +326,14 @@ class SloAccountant:
             self._budget_spent.add(tenant)
             self._round.exhausted.append(tenant)
             if tracing:
-                self.tracer.record(SloViolation, *rows[start : at + 1])
+                self.tracer.columns(SloViolation, *(c[start : at + 1] for c in cols))
                 self.tracer.emit(SloBudgetExhausted(
                     tenant=tenant, budget_minutes=self.budget_minutes,
                     total_minutes=total,
                 ))
             start = at + 1
-        if tracing and start < len(rows):
-            self.tracer.record(SloViolation, *rows[start:])
+        if tracing and start < len(vms):
+            self.tracer.columns(SloViolation, *(c[start:] for c in cols))
         return _add_in_turn(0.0, minutes)
 
     def _crossings(self, tenants, minutes, before) -> List[Tuple[int, str, float]]:

@@ -1,4 +1,4 @@
-"""Lifecycle correlation: ids stamped into the row log when it is read."""
+"""Lifecycle correlation: ids stamped for the stored rows when they are read."""
 
 import dataclasses
 import inspect

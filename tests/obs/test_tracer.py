@@ -3,10 +3,14 @@
 import hashlib
 import io
 import json
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.alerts.alert import Alert, AlertKind
 from repro.cli import main
@@ -14,13 +18,19 @@ from repro.obs.events import (
     EVENT_TYPES,
     AlertDelivered,
     MatchingSolved,
+    MigrationLanded,
     PrioritySelected,
+    RequestAcked,
     RequestRejected,
+    RequestSent,
+    SloBudgetExhausted,
+    SloViolation,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
     JsonlTracer,
     NullTracer,
+    Ragged,
     RecordingTracer,
     Tracer,
     load_trace,
@@ -66,6 +76,8 @@ class TestNullTracer:
 
     def test_emit_is_noop(self):
         NULL_TRACER.emit(AlertDelivered(rack=0, alert_kind="SERVER", magnitude=0.5))
+        NULL_TRACER.columns(MigrationLanded, [1], [2])
+        NULL_TRACER.interleave([0], (MigrationLanded, ([1], [2])))
         NULL_TRACER.begin_round(3)
 
 
@@ -332,3 +344,226 @@ class TestEventShapes:
             json.dumps(d)  # must not raise
             kinds.add(event.kind)
         assert len(kinds) == len(EVENT_TYPES) == 17
+
+
+# --------------------------------------------------------------------- #
+# the column store: every kind round-trips through every way in
+# --------------------------------------------------------------------- #
+_INT = st.integers(-(2**63), 2**63 - 1)
+_VALUES = {
+    int: _INT,
+    float: st.floats(allow_nan=False),
+    bool: st.booleans(),
+    str: st.text(max_size=6),
+    Optional[int]: st.none() | _INT,
+    Tuple[int, ...]: st.lists(_INT, max_size=3).map(tuple),
+}
+
+
+def _own_fields(cls):
+    return [f.name for f in fields(cls)][3:]
+
+
+def _rows(cls, max_size=10):
+    hints = get_type_hints(cls)
+    row = st.tuples(*(_VALUES[hints[name]] for name in _own_fields(cls)))
+    return st.lists(row, min_size=1, max_size=max_size)
+
+
+def _as_array(cls, name, values):
+    """A column as the numpy input a hot site would give."""
+    hint = get_type_hints(cls)[name]
+    if hint == Tuple[int, ...]:
+        ptr = np.cumsum([0, *map(len, values)])
+        return Ragged(np.array([v for t in values for v in t], dtype=np.int64), ptr)
+    if hint == Optional[int] and None in values or hint is str:
+        return np.array(values, dtype=object)
+    dtype = {int: np.int64, Optional[int]: np.int64, float: np.float64, bool: np.bool_}
+    return np.array(values, dtype=dtype[hint])
+
+
+def _columns(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _json(events):
+    return [json.dumps(e.as_dict()) for e in events]
+
+
+class TestColumnStore:
+    """Each way into the store reads back the rows as written."""
+
+    @pytest.mark.parametrize("cls", EVENT_TYPES, ids=lambda c: c.__name__)
+    def test_every_kind_round_trips_through_every_entry_point(self, cls):
+        @settings(
+            max_examples=25, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        @given(rows=_rows(cls))  # up to 10 rows: record's per-row and batch paths
+        def check(rows):
+            expected = [cls(3, None, None, *row) for row in rows]
+            cols = _columns(rows)
+            names = _own_fields(cls)
+            writes = {
+                "record": lambda t: t.record(cls, *rows),
+                "columns": lambda t: t.columns(cls, *cols),
+                "numpy": lambda t: t.columns(
+                    cls, *(_as_array(cls, n, c) for n, c in zip(names, cols))
+                ),
+                "interleave": lambda t: t.interleave(
+                    [0] * len(rows), (cls, cols)
+                ),
+                "emit": lambda t: [t.emit(replace(e, round=None)) for e in expected],
+            }
+            reads = {}
+            for way, write in writes.items():
+                t = RecordingTracer()
+                t.begin_round(3)
+                write(t)
+                reads[way] = list(t.events)
+            reference = reads.pop("emit")
+            # the ids are the stitcher's; every other field is the row's
+            assert [replace(e, trace_id=None, parent_id=None) for e in reference] == expected
+            assert _json(replace(e, trace_id=None, parent_id=None) for e in reference) == _json(expected)
+            for way, events in reads.items():
+                assert events == reference, way
+                assert _json(events) == _json(reference), way
+
+        check()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        script=st.lists(
+            st.sampled_from([PrioritySelected, MatchingSolved, RequestSent, RequestAcked])
+            .flatmap(lambda cls: _rows(cls, 1).map(lambda rows: (cls, rows[0]))),
+            max_size=20,
+        ),
+        numpy=st.booleans(),
+    )
+    def test_an_interleave_is_its_rows_recorded_in_order(self, script, numpy):
+        kinds = list(dict.fromkeys(cls for cls, _ in script))
+        order = [kinds.index(cls) for cls, _ in script]
+        blocks = []
+        for cls in kinds:
+            cols = _columns([row for c, row in script if c is cls])
+            if numpy:
+                cols = [_as_array(cls, n, c) for n, c in zip(_own_fields(cls), cols)]
+            blocks.append((cls, cols))
+        batch, single = RecordingTracer(), RecordingTracer()
+        for t in (batch, single):
+            t.begin_round(1)
+        batch.interleave(np.array(order, dtype=np.int64), *blocks)
+        for cls, row in script:
+            single.record(cls, row)
+        assert batch.kinds() == single.kinds()
+        assert list(batch.events) == list(single.events)
+        assert _json(batch.events) == _json(single.events)
+
+    def test_malformed_columns_are_refused_before_any_row_is_written(self):
+        t = RecordingTracer()
+        t.record(MigrationLanded, (1, 2))
+        with pytest.raises(TypeError):
+            t.columns(MigrationLanded, [1, 2])  # one column of two
+        with pytest.raises(ValueError):
+            t.columns(MigrationLanded, [1, 2], [3])  # ragged columns
+        with pytest.raises(ValueError):
+            t.interleave([0, 1], (MigrationLanded, ([1], [2])))  # no block 1
+        with pytest.raises(ValueError):
+            t.interleave(  # the second block has one row, order names none
+                [0, 0], (MigrationLanded, ([1, 2], [3, 4])),
+                (RequestAcked, ([5], [6], [7])),
+            )
+        with pytest.raises(TypeError):
+            t.record(MigrationLanded, (1, 2, 3))
+        assert t.events == [MigrationLanded(None, "rNone.v1", None, 1, 2)]
+
+
+class TestTypeContract:
+    """A value outside its field's annotation reads back exactly as it was
+    written (its column becomes a list), never converted."""
+
+    @pytest.mark.parametrize(
+        "value", [True, False, None, np.int64(5), np.int32(-3), 2.0, "7"],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("way", ["record", "columns", "emit"])
+    def test_an_int_field_keeps_what_it_was_given(self, value, way):
+        t = RecordingTracer()
+        t.record(MigrationLanded, (4, 9))
+        row = (value, 1)
+        if way == "record":
+            t.record(MigrationLanded, row, (8, 2))
+        elif way == "columns":
+            t.columns(MigrationLanded, [value, 8], [1, 2])
+        else:
+            t.emit(MigrationLanded(None, None, None, *row))
+            t.record(MigrationLanded, (8, 2))
+        got = [e.vm for e in t.of_kind("MigrationLanded")]
+        assert got == [4, value, 8]
+        assert [type(v) for v in got] == [int, type(value), int]
+
+    def test_every_typed_column_keeps_an_off_type_value(self):
+        cases = [
+            (SloBudgetExhausted, ("gold", 30, 12.5)),  # an int in a float field
+            (SloBudgetExhausted, ("gold", np.float64(0.5), 1.0)),  # numpy float
+            (MatchingSolved, (1, 2, 3, 2, 1, 1, 0.1)),  # an int in a bool field
+            (MatchingSolved, (True, 2, 3, 2, 1, False, 0.1)),  # bool, Optional[int]
+            (RequestRejected, (1, 2, 3, 5)),  # an int in a str field
+            (PrioritySelected, (1, "ONE", 1, 2, [7])),  # a list in a tuple field
+            (PrioritySelected, (1, "ONE", 1, 2, (True,))),  # a bool in a tuple
+        ]
+        for cls, row in cases:
+            t = RecordingTracer()
+            t.record(cls, row)
+            (event,) = t.events
+            values = tuple(getattr(event, n) for n in _own_fields(cls))
+            assert values == row
+            assert list(map(type, values)) == list(map(type, row)), (cls, row)
+
+    def test_an_array_column_is_its_tolist(self):
+        t = RecordingTracer()
+        t.columns(
+            MatchingSolved, np.array([1]), np.array([2], dtype=np.int32),
+            np.array([3]), np.array([2]), np.array([1]), np.array([True]),
+            np.array([0.25], dtype=np.float32),
+        )
+        (event,) = t.events
+        assert event == MatchingSolved(None, "rNone.k1", None, 1, 2, 3, 2, 1, True, 0.25)
+        assert (type(event.rows), type(event.fallback), type(event.elapsed_s)) == (
+            int, bool, float,
+        )
+
+
+class TestStoreSize:
+    @pytest.mark.parametrize("way", ["record", "interleave"])
+    def test_a_request_log_holds_at_most_40_bytes_a_row(self, way):
+        # a flat log of value pointers and row offsets takes ~62 B a row
+        # for these rows before its value objects; typed columns take ~31
+        t = RecordingTracer()
+        t.begin_round(0)
+        n = 5_000
+        vms, hosts, racks = np.arange(n), np.arange(n) % 97, np.arange(n) % 13
+        if way == "record":
+            for vm, host, rack in zip(vms.tolist(), hosts.tolist(), racks.tolist()):
+                t.record(RequestSent, (vm, host, rack, rack + 1))
+                t.record(RequestAcked, (vm, host, rack))
+        else:
+            for part in np.array_split(np.arange(n), 10):
+                pair = (vms[part], hosts[part], racks[part])
+                t.interleave(
+                    np.tile([0, 1], part.size), (RequestSent, (*pair, racks[part] + 1)),
+                    (RequestAcked, pair),
+                )
+        assert len(t.events) == 2 * n
+        held = sum(sys.getsizeof(buf) for buf in t._buffers())
+        assert held / (2 * n) <= 40, held / (2 * n)
+
+    def test_a_written_round_leaves_the_store_empty(self):
+        t = JsonlTracer(io.StringIO())
+        t.begin_round(0)
+        t.record(RequestRejected, (7, 9, 2, "capacity"))
+        t.columns(PrioritySelected, [1], ["ONE"], [1], [2], Ragged([7], [0, 1]))
+        t.emit(SloViolation(vm=3, tenant="gold", source="stretch", minutes=0.5))
+        assert any(len(buf) for buf in t._buffers())
+        t.begin_round(1)  # writes round 0 and drops it
+        assert [len(buf) for buf in t._buffers()] == [0] * len(list(t._buffers()))

@@ -1,7 +1,8 @@
 """A traced round leaves nothing for the collector.
 
-``RecordingTracer`` keeps each event's field values in one flat list of
-atoms, with no container per event for CPython to track.  A seeded k = 4
+``RecordingTracer`` keeps each event kind's field values as typed
+columns (arrays, and lists of atoms where a column is not typed), with no
+container per event for CPython to track.  A seeded k = 4
 run with every opt-in layer on — faults, a lossy channel, timed
 migrations, the SLO ledger — records hundreds of events a round, yet the
 GC-tracked heap grows by a small constant per round.
@@ -81,6 +82,8 @@ def test_a_traced_round_leaves_a_constant_number_of_objects():
     # one tracked object per event would grow with per_round
     assert per_round >= 50, per_round
     assert growth <= 10, (growth, per_round)
-    # what the log stores is field values, atoms or tuples of atoms (such
-    # as ``selected``), which a collection untracks
-    assert not any(gc.is_tracked(value) for value in tracer._values)
+    # what the store holds is typed arrays and lists of atoms or tuples of
+    # atoms (string tables, ids, an untyped column), which a collection
+    # untracks
+    listed = [buf for buf in tracer._buffers() if isinstance(buf, list)]
+    assert not any(gc.is_tracked(value) for buf in listed for value in buf)
