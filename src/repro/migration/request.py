@@ -359,11 +359,11 @@ class ReceiverRegistry:
                 else tracker.start_many(vms, hosts, now)
             ):
                 # every landing or start passes: one write, nothing to roll back
-                if self.tracer.enabled:
-                    self.tracer.columns(MigrationCommitted, vms, hosts)
+                self._record_commits(vms, hosts)
                 self.reset_round()
                 return list(zip(vms, hosts)), []
-        moved: List[Tuple[int, int]] = []
+        moved_vms: List[int] = []
+        moved_hosts: List[int] = []
         failed: List[Tuple[int, int, str]] = []
         sources: List[int] = []  # each instant landing's source, for rollback
         for i, (vm, (host, _)) in enumerate(reserved.items()):
@@ -376,8 +376,8 @@ class ReceiverRegistry:
                     sources.append(src)
             except Exception as exc:
                 if atomic:
-                    self._record_commits(moved)
-                    for landed, _ in reversed(moved):
+                    self._record_commits(moved_vms, moved_hosts)
+                    for landed in reversed(moved_vms):
                         if tracker is not None:
                             tracker.abort(landed)
                         else:
@@ -386,21 +386,23 @@ class ReceiverRegistry:
                     self.reset_round()
                     raise ProtocolError(
                         f"commit aborted at reservation {i + 1} of {total}; "
-                        f"{len(moved)} landings rolled back"
+                        f"{len(moved_vms)} landings rolled back"
                     ) from exc
                 if not isinstance(exc, ReproError):
                     raise
                 failed.append((vm, host, str(exc)))
                 continue
-            moved.append((vm, host))
-        self._record_commits(moved)
+            moved_vms.append(vm)
+            moved_hosts.append(host)
+        self._record_commits(moved_vms, moved_hosts)
         self.reset_round()
-        return moved, failed
+        return list(zip(moved_vms, moved_hosts)), failed
 
-    def _record_commits(self, moved: List[Tuple[int, int]]) -> None:
-        """One ``MigrationCommitted`` row per applied ``(vm, host)``."""
-        if self.tracer.enabled and moved:
-            self.tracer.columns(MigrationCommitted, *zip(*moved))
+    def _record_commits(self, vms: List[int], hosts: List[int]) -> None:
+        """One ``MigrationCommitted`` row per applied move, ``vms[i]`` to
+        ``hosts[i]``."""
+        if self.tracer.enabled and vms:
+            self.tracer.columns(MigrationCommitted, vms, hosts)
 
     def reset_round(self) -> None:
         """Drop all reservations without applying them."""

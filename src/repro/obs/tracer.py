@@ -150,7 +150,6 @@ NULL_TRACER = NullTracer()
 # columns: one per field of a kind, its type chosen from the annotation
 # ---------------------------------------------------------------------- #
 _BLOCK = 4096  # rows a read or a stitch pass takes at a time
-_ROW_AT_A_TIME = 8  # fewer rows than this are appended value by value
 _NONE = type(None)
 _ZERO_FOR_NONE = {None: 0}.get  # (v, v) -> 0 for None, else v
 
@@ -329,27 +328,24 @@ class _Texts:
 
     def write(self, values, n: int):
         values = _listed(values)
+        # only a str takes the table: an equal str subclass would read
+        # back as the table's plain str
+        if not set(map(type, values)) <= {str}:
+            return self._spill(values)
         index = self.index
         try:
             more = array("I", map(index.__getitem__, values))
         except KeyError:  # a string the table does not hold yet
-            if not set(map(type, values)) <= {str}:
-                return self._spill(values)
             for value in values:
                 if value not in index:
                     index[value] = len(self.table)
                     self.table.append(value)
             more = array("I", map(index.__getitem__, values))
-        except TypeError:  # an unhashable value
-            return self._spill(values)
         self.codes += more
         return self
 
     def add(self, value):
-        try:
-            code = self.index.get(value)
-        except TypeError:  # an unhashable value
-            code = None
+        code = self.index.get(value) if type(value) is str else None
         if code is None:
             return self.write([value], 1)
         self.codes.append(code)
@@ -363,6 +359,18 @@ class _Texts:
 
     def buffers(self) -> tuple:
         return self.codes, self.table
+
+
+def _bounded(values: Ragged) -> bool:
+    """Whether *values*' pointers are there, never fall and stay within
+    ``0..len(values.values)``."""
+    ptr = np.asarray(values.ptr)
+    return bool(
+        len(ptr)
+        and ptr[0] >= 0
+        and ptr[-1] <= len(values.values)
+        and (np.diff(ptr) >= 0).all()
+    )
 
 
 def _tuples(values: Ragged) -> List[tuple]:
@@ -463,6 +471,11 @@ class _Kind:
                 f"got {len(cols)} columns"
             )
         for name, values in zip(self.names, cols):
+            if isinstance(values, Ragged) and not _bounded(values):
+                raise ValueError(
+                    f"{self.cls.__name__}.{name}: pointers do not run "
+                    f"forward within {len(values.values)} values"
+                )
             if _length(values) != n:
                 raise ValueError(
                     f"{self.cls.__name__}.{name}: {_length(values)} values "
@@ -503,6 +516,7 @@ class TraceLog(Sequence[TraceEvent]):
     event as it was recorded, its ids stamped.  A log compares equal to
     another log or to a list of the same events.  ``len`` stamps nothing;
     every other read first stamps the rows recorded since the last one.
+    An index reads from the start of the block of rows that holds it.
     """
 
     def __init__(self, tracer: "RecordingTracer") -> None:
@@ -582,9 +596,13 @@ class RecordingTracer:
         # (row index, round) of each begin_round since the last clear
         self._bounds: List[Tuple[int, Optional[int]]] = []
         self._marked = 0  # boundaries the stitcher has seen
-        # row -> (round, trace_id, parent_id) of an emitted event whose
-        # head the boundaries do not give, in row order
-        self._preset: Dict[int, tuple] = {}
+        # the rows of emitted events whose head the boundaries do not give,
+        # in row order, and each one's (round, trace_id, parent_id)
+        self._preset_rows: List[int] = []
+        self._preset_heads: List[tuple] = []
+        # each kind's rows before row j * _BLOCK, at j (a kind made since
+        # has none)
+        self._starts: List[List[int]] = [[]]
         self._trace: List[Optional[str]] = []  # stamped rows' ids
         self._parent: List[Optional[str]] = []
         self._log = TraceLog(self)
@@ -613,16 +631,17 @@ class RecordingTracer:
         k = self._by_class.get(kind) or self._kind(kind)
         if set(map(len, rows)) != {len(k.cols)}:
             raise TypeError(f"{kind.__name__} rows take {len(k.cols)} fields")
-        if len(rows) < _ROW_AT_A_TIME:
-            for row in rows:
-                k.add(row)
-                self._codes.append(k.code)
-            return
-        self._append(k, list(zip(*rows)) if k.cols else [], len(rows))
+        for row in rows:
+            k.add(row)
+            self._codes.append(k.code)
 
     def columns(self, kind: type, *cols: Any) -> None:
         k = self._kind(kind)
-        self._append(k, cols, _length(cols[0]) if cols else 0)
+        n = _length(cols[0]) if cols else 0
+        k.check(cols, n)
+        if n:
+            k.write(cols, n)
+            self._codes += array("H", (k.code,)) * n
 
     def interleave(self, order: Any, *blocks: tuple) -> None:
         order = np.asarray(order, dtype=np.intp)
@@ -648,13 +667,8 @@ class RecordingTracer:
         self._codes.append(k.code)
         head = (event.round, event.trace_id, event.parent_id)
         if head != (self.current_round, None, None):
-            self._preset[len(self._codes) - 1] = head
-
-    def _append(self, k: _Kind, cols: Sequence[Any], n: int) -> None:
-        k.check(cols, n)
-        if n:
-            k.write(cols, n)
-            self._codes += array("H", (k.code,)) * n
+            self._preset_rows.append(len(self._codes) - 1)
+            self._preset_heads.append(head)
 
     # ------------------------------------------------------------------ #
     def _blocks(self, lo: int, hi: int, pick):
@@ -662,9 +676,7 @@ class RecordingTracer:
         block of rows ``lo:hi`` (one empty block when there are none),
         where ``a:b`` are the kind's own rows in the block."""
         kinds = self._kinds
-        pos = np.bincount(
-            np.frombuffer(self._codes[:lo], dtype=np.uint16), minlength=len(kinds)
-        ).tolist()
+        pos = self._pos(lo)
         for b in range(lo, hi, _BLOCK) if hi > lo else (lo,):
             e = min(b + _BLOCK, hi)
             codes = self._codes[b:e]
@@ -680,14 +692,32 @@ class RecordingTracer:
                     pos[code] += c
             yield b, e, codes, picked
 
+    def _pos(self, lo: int) -> List[int]:
+        """Each kind's rows before row *lo*, counted from the nearest
+        block start at or before it."""
+        starts, codes, width = self._starts, self._codes, len(self._kinds)
+        j = lo // _BLOCK
+        while len(starts) <= j:  # the blocks now complete, counted once
+            b = (len(starts) - 1) * _BLOCK
+            last = starts[-1] + [0] * (width - len(starts[-1]))
+            more = np.bincount(
+                np.frombuffer(codes[b : b + _BLOCK], dtype=np.uint16),
+                minlength=width,
+            ).tolist()
+            starts.append(list(map(int.__add__, last, more)))
+        rest = np.bincount(
+            np.frombuffer(codes[j * _BLOCK : lo], dtype=np.uint16), minlength=width
+        ).tolist()
+        start = starts[j] + [0] * (width - len(starts[j]))
+        return list(map(int.__add__, start, rest))
+
     def _presets(self, lo: int, hi: int) -> Iterator[Tuple[int, tuple]]:
         """``(row, head)`` of the preset heads in rows ``lo:hi``."""
-        preset = self._preset
-        if not preset:
+        rows = self._preset_rows
+        if not rows:
             return iter(())
-        rows = list(preset)
-        at = rows[bisect_left(rows, lo) : bisect_left(rows, hi)]
-        return zip(at, map(preset.__getitem__, at))
+        a, b = bisect_left(rows, lo), bisect_left(rows, hi)
+        return zip(rows[a:b], self._preset_heads[a:b])
 
     def _rounds(self, lo: int, hi: int) -> List[Optional[int]]:
         """Each of rows ``lo:hi``'s ``round``."""
@@ -776,7 +806,9 @@ class RecordingTracer:
         self._round0 = self.current_round
         self._bounds.clear()
         self._marked = 0
-        self._preset.clear()
+        self._preset_rows.clear()
+        self._preset_heads.clear()
+        self._starts = [[]]
         self._trace.clear()
         self._parent.clear()
 

@@ -161,6 +161,21 @@ class TestTraceLogView:
             log[4]
         assert log != events[:3] and log != "not a log"
 
+    def test_an_index_reads_the_row_the_iteration_gives(self):
+        # three blocks of rows, a kind first seen in the last block, preset
+        # heads and round boundaries on either side of the block starts
+        t = RecordingTracer()
+        for r in range(3):
+            t.begin_round(r)
+            t.columns(MigrationLanded, list(range(3000)), [r] * 3000)
+            t.emit(AlertDelivered(round=9, rack=r, alert_kind="SERVER"))
+        t.record(RequestRejected, (7, 9, 2, "capacity"))
+        events = list(t.events)
+        assert len(events) == 9004
+        for i in (0, 4095, 4096, 6001, 8191, 8192, 9002, 9003, -1, -9004):
+            assert t.events[i] == events[i], i
+        assert t.events[-2].round == 9 and t.events[-1].vm == 7
+
     def test_reads_build_fresh_equal_objects(self):
         t, events = self._tracer()
         assert t.events[0] == events[0]
@@ -399,7 +414,7 @@ class TestColumnStore:
             max_examples=25, deadline=None,
             suppress_health_check=[HealthCheck.too_slow],
         )
-        @given(rows=_rows(cls))  # up to 10 rows: record's per-row and batch paths
+        @given(rows=_rows(cls))
         def check(rows):
             expected = [cls(3, None, None, *row) for row in rows]
             cols = _columns(rows)
@@ -475,7 +490,17 @@ class TestColumnStore:
             )
         with pytest.raises(TypeError):
             t.record(MigrationLanded, (1, 2, 3))
+        for selected in (
+            Ragged([7], [0, 2]),  # the last pointer runs past the values
+            Ragged(np.array([7, 8]), np.array([2, 1])),  # pointers fall
+            Ragged([7], [-1, 1]),  # a pointer before the values
+            Ragged([], []),  # no pointer at all
+        ):
+            with pytest.raises(ValueError):
+                t.columns(PrioritySelected, [1], ["ONE"], [1], [2], selected)
         assert t.events == [MigrationLanded(None, "rNone.v1", None, 1, 2)]
+        t.record(PrioritySelected, (1, "ONE", 1, 2, (8, 9)))
+        assert t.events[-1].selected == (8, 9)
 
 
 class TestTypeContract:
@@ -519,6 +544,21 @@ class TestTypeContract:
             values = tuple(getattr(event, n) for n in _own_fields(cls))
             assert values == row
             assert list(map(type, values)) == list(map(type, row)), (cls, row)
+
+    @pytest.mark.parametrize("way", ["record", "columns", "emit"])
+    def test_a_str_subclass_is_not_read_back_as_the_table_string(self, way):
+        t = RecordingTracer()
+        t.record(RequestRejected, (7, 9, 2, "capacity"))
+        reason = np.str_("capacity")
+        if way == "record":
+            t.record(RequestRejected, (8, 9, 2, reason))
+        elif way == "columns":
+            t.columns(RequestRejected, [8], [9], [2], [reason])
+        else:
+            t.emit(RequestRejected(vm=8, dst_host=9, dst_rack=2, reason=reason))
+        got = [e.reason for e in t.events]
+        assert got == ["capacity", "capacity"]
+        assert [type(v) for v in got] == [str, np.str_]
 
     def test_an_array_column_is_its_tolist(self):
         t = RecordingTracer()

@@ -5,7 +5,8 @@ columns (arrays, and lists of atoms where a column is not typed), with no
 container per event for CPython to track.  A seeded k = 4
 run with every opt-in layer on — faults, a lossy channel, timed
 migrations, the SLO ledger — records hundreds of events a round, yet the
-GC-tracked heap grows by a small constant per round.
+GC-tracked heap grows by a small constant per round, and every column
+the hot sites write stays typed.
 """
 
 import gc
@@ -13,7 +14,7 @@ import gc
 from repro.cluster import build_cluster
 from repro.config import SheriffConfig
 from repro.faults import ChannelPolicy, FaultKind, FaultSchedule, FaultSpec
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import RecordingTracer, _Values
 from repro.sim.engine import SheriffSimulation
 from repro.sim.inflight import MigrationTiming
 from repro.sim.scenario import inject_fraction_alerts
@@ -22,6 +23,11 @@ from repro.topology import build_fattree
 SEED = 2015
 WARM = 5
 ROUNDS = 20
+# the kinds the hot sites write by the thousand, as columns
+HOT = {
+    "AlertDelivered", "PrioritySelected", "MatchingSolved", "RequestSent",
+    "RequestAcked", "MigrationCommitted", "MigrationLanded", "SloViolation",
+}
 
 
 def _degraded_run():
@@ -87,3 +93,20 @@ def test_a_traced_round_leaves_a_constant_number_of_objects():
     # untracks
     listed = [buf for buf in tracer._buffers() if isinstance(buf, list)]
     assert not any(gc.is_tracked(value) for buf in listed for value in buf)
+
+
+def test_the_hot_kinds_keep_their_typed_columns():
+    # an off-type value at a hot site (a numpy scalar, an int in a float
+    # field) would turn that column into a list of boxed values for good
+    cluster, sim, tracer = _degraded_run()
+    for r in range(WARM + ROUNDS):
+        _round(cluster, sim, r)
+    hot = [kind for kind in tracer._kinds if kind.cls.__name__ in HOT]
+    assert {kind.cls.__name__ for kind in hot} == HOT
+    spilled = [
+        f"{kind.cls.__name__}.{name}"
+        for kind in hot
+        for name, make, col in zip(kind.names, kind._makers, kind.cols)
+        if make is not _Values and type(col) is _Values
+    ]
+    assert not spilled, spilled
