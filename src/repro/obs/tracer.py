@@ -369,7 +369,7 @@ def _bounded(values: Ragged) -> bool:
         len(ptr)
         and ptr[0] >= 0
         and ptr[-1] <= len(values.values)
-        and (np.diff(ptr) >= 0).all()
+        and not (ptr[1:] < ptr[:-1]).any()
     )
 
 
